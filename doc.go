@@ -54,10 +54,18 @@
 // engine (cmd/fig6probe's "serve" mode diffs the two). An optional
 // shared extent cache — an LRU over coalesced [lbn, lbn+count) block
 // extents — lets overlapping queries skip re-simulated I/O entirely,
-// with hits and misses surfaced in Stats. Store.Begin opens sessions;
-// WithCache and WithMaxInflight (chunks a session keeps in flight;
-// planning is pipelined with service either way) are the knobs,
-// mirrored by cmd/mmbench as -cache and the -clients/-queries
+// with hits and misses surfaced in Stats. The extents live in one
+// arena and name each other by index; they sit in a chunked sorted
+// array (sorted leaves of at most 256 entries, binary search over the
+// leaves' first keys, then inside one leaf; leaves split when full and
+// merge when two neighbours fit in half a leaf) and in an intrusive LRU
+// list, so with n extents cached a probe costs O(log n) and an insert,
+// invalidation or eviction O(log n) plus a shift inside one leaf — no
+// operation walks or copies the population, a cached extent costs no
+// allocation, and the garbage collector has nothing to scan. Store.Begin
+// opens sessions; WithCache and WithMaxInflight (chunks a session keeps
+// in flight; planning is pipelined with service either way) are the
+// knobs, mirrored by cmd/mmbench as -cache and the -clients/-queries
 // throughput mode (-exp serve). Volume.Reset is serialized through the
 // loop and safe under live traffic.
 //
@@ -195,11 +203,15 @@
 // reserve floors (capacity × weight / Σweights): any class may borrow
 // idle capacity, but over-capacity eviction reclaims over-reserve
 // extents (LRU-most first), so a bulk scan can no longer evict an
-// interactive session's hot extents below its floor. Expired range
-// queries return speculative partial results: the merged Stats of the
-// work already issued come back with Stats.Partial set alongside the
-// context's error, so a caller can use a partial aggregate instead of
-// discarding it. Per-class bookkeeping (ops, urgent ops, deferrals,
+// interactive session's hot extents below its floor. The cache keeps
+// one LRU list per class and a monotone recency stamp, so the victim is
+// the oldest of the over-reserve classes' list backs (of all classes'
+// backs with fair sharing off — the global LRU back): O(#classes) per
+// eviction, however many extents the protected classes hold. Expired
+// range queries return speculative partial results: the merged Stats of
+// the work already issued come back with Stats.Partial set alongside
+// the context's error, so a caller can use a partial aggregate instead
+// of discarding it. Per-class bookkeeping (ops, urgent ops, deferrals,
 // attributed Stats — summing to ServiceTotals.Attributed per class,
 // group-wide on a sharded store) is surfaced by Store.ClassTotals.
 // With WithFairShare omitted, admission, cache, and Stats are

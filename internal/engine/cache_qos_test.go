@@ -4,28 +4,13 @@ import (
 	"testing"
 )
 
-// checkUsedBy asserts the per-class accounting invariant: the class
-// usage counters sum to used, and match the byStart extents exactly.
+// checkUsedBy asserts the per-class accounting invariant — the class
+// usage counters sum to used and match the indexed extents exactly —
+// along with the rest of the cache's structural invariants.
 func checkUsedBy(t *testing.T, c *extentCache) {
 	t.Helper()
-	byClass := map[string]int64{}
-	var total int64
-	for _, e := range c.byStart {
-		byClass[e.class] += e.blocks()
-		total += e.blocks()
-	}
-	if total != c.used {
-		t.Fatalf("byStart holds %d blocks, used says %d", total, c.used)
-	}
-	for class, n := range c.usedBy {
-		if n != byClass[class] {
-			t.Fatalf("usedBy[%q] = %d, extents hold %d", class, n, byClass[class])
-		}
-	}
-	for class, n := range byClass {
-		if n != c.usedBy[class] {
-			t.Fatalf("extents hold %d for %q, usedBy says %d", n, class, c.usedBy[class])
-		}
+	if err := checkCacheInvariants(c); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -54,8 +39,8 @@ func TestExtentCacheBorrowThenReclaim(t *testing.T) {
 	if !c.covered(100, 140) {
 		t.Fatal("under-reserve insert was evicted")
 	}
-	if c.usedBy["a"] != 0 || c.usedBy["b"] != 40 {
-		t.Fatalf("usedBy a=%d b=%d, want 0/40", c.usedBy["a"], c.usedBy["b"])
+	if c.usedBy("a") != 0 || c.usedBy("b") != 40 {
+		t.Fatalf("usedBy a=%d b=%d, want 0/40", c.usedBy("a"), c.usedBy("b"))
 	}
 
 	// Both classes at reserve, then b goes over: plain LRU would evict
@@ -71,8 +56,8 @@ func TestExtentCacheBorrowThenReclaim(t *testing.T) {
 	if !c.covered(200, 250) || !c.covered(400, 450) {
 		t.Fatal("at-reserve extent was evicted instead of the borrower's")
 	}
-	if c.usedBy["a"] != 50 || c.usedBy["b"] != 50 {
-		t.Fatalf("usedBy a=%d b=%d, want 50/50", c.usedBy["a"], c.usedBy["b"])
+	if c.usedBy("a") != 50 || c.usedBy("b") != 50 {
+		t.Fatalf("usedBy a=%d b=%d, want 50/50", c.usedBy("a"), c.usedBy("b"))
 	}
 }
 
@@ -90,8 +75,8 @@ func TestExtentCacheReserveFloor(t *testing.T) {
 		if !c.covered(0, 40) {
 			t.Fatalf("bulk insert %d evicted the protected class", i)
 		}
-		if c.usedBy["hot"] < 40 {
-			t.Fatalf("hot below reserve: %d", c.usedBy["hot"])
+		if c.usedBy("hot") < 40 {
+			t.Fatalf("hot below reserve: %d", c.usedBy("hot"))
 		}
 	}
 	if c.used > 100 {
@@ -129,11 +114,11 @@ func TestExtentCacheMergeRetags(t *testing.T) {
 	c.insertFor(0, 50, "a")
 	c.insertFor(50, 100, "b") // adjacent: merges into [0,100) tagged b
 	checkUsedBy(t, c)
-	if len(c.byStart) != 1 || c.byStart[0].class != "b" {
-		t.Fatalf("merge kept class %q over %d extents", c.byStart[0].class, len(c.byStart))
+	if ext := c.extents(); len(ext) != 1 || ext[0].class != "b" {
+		t.Fatalf("merge kept class %q over %d extents", ext[0].class, len(ext))
 	}
-	if c.usedBy["a"] != 0 || c.usedBy["b"] != 100 {
-		t.Fatalf("usedBy a=%d b=%d after re-tag, want 0/100", c.usedBy["a"], c.usedBy["b"])
+	if c.usedBy("a") != 0 || c.usedBy("b") != 100 {
+		t.Fatalf("usedBy a=%d b=%d after re-tag, want 0/100", c.usedBy("a"), c.usedBy("b"))
 	}
 }
 
@@ -151,10 +136,10 @@ func TestExtentCacheInvalidatePartitioned(t *testing.T) {
 		t.Fatalf("split invalidated %d blocks, want 20", got)
 	}
 	checkUsedBy(t, c)
-	if c.usedBy["a"] != 80 {
-		t.Fatalf("usedBy[a] = %d after split, want 80", c.usedBy["a"])
+	if c.usedBy("a") != 80 {
+		t.Fatalf("usedBy[a] = %d after split, want 80", c.usedBy("a"))
 	}
-	for _, e := range c.byStart {
+	for _, e := range c.extents() {
 		if e.start < 200 && e.class != "a" {
 			t.Fatalf("remnant [%d,%d) lost its class: %q", e.start, e.end, e.class)
 		}
@@ -165,8 +150,8 @@ func TestExtentCacheInvalidatePartitioned(t *testing.T) {
 		t.Fatalf("trim invalidated %d blocks, want 50", got)
 	}
 	checkUsedBy(t, c)
-	if c.usedBy["b"] != 50 {
-		t.Fatalf("usedBy[b] = %d after trim, want 50", c.usedBy["b"])
+	if c.usedBy("b") != 50 {
+		t.Fatalf("usedBy[b] = %d after trim, want 50", c.usedBy("b"))
 	}
 
 	// Cross-class range: drops a's remnants and b's trim in one sweep.
@@ -174,9 +159,9 @@ func TestExtentCacheInvalidatePartitioned(t *testing.T) {
 		t.Fatalf("full invalidate dropped %d, want 130", got)
 	}
 	checkUsedBy(t, c)
-	if c.used != 0 || c.usedBy["a"] != 0 || c.usedBy["b"] != 0 {
+	if c.used != 0 || c.usedBy("a") != 0 || c.usedBy("b") != 0 {
 		t.Fatalf("accounting nonzero after full invalidate: used=%d a=%d b=%d",
-			c.used, c.usedBy["a"], c.usedBy["b"])
+			c.used, c.usedBy("a"), c.usedBy("b"))
 	}
 }
 
@@ -203,8 +188,8 @@ func TestExtentCacheSetSharesOnExisting(t *testing.T) {
 	if !c.covered(100, 130) || !c.covered(200, 240) {
 		t.Fatal("registered class lost extents while a share-0 class held blocks")
 	}
-	if c.usedBy["old"] != 0 {
-		t.Fatalf("usedBy[old] = %d, want 0", c.usedBy["old"])
+	if c.usedBy("old") != 0 {
+		t.Fatalf("usedBy[old] = %d, want 0", c.usedBy("old"))
 	}
 
 	// Reverting to nil shares restores plain LRU behavior.
@@ -224,9 +209,9 @@ func TestExtentCacheClearResetsClasses(t *testing.T) {
 	c.insertFor(0, 40, "a")
 	c.insertFor(50, 60, "b")
 	c.clear()
-	if len(c.usedBy) != 0 || c.used != 0 || len(c.byStart) != 0 {
-		t.Fatalf("clear left state: usedBy=%v used=%d extents=%d",
-			c.usedBy, c.used, len(c.byStart))
+	if len(c.classes) != 0 || c.used != 0 || len(c.extents()) != 0 {
+		t.Fatalf("clear left state: classes=%d used=%d extents=%d",
+			len(c.classes), c.used, len(c.extents()))
 	}
 	c.insertFor(0, 10, "a")
 	checkUsedBy(t, c)

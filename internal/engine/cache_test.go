@@ -70,9 +70,9 @@ func TestExtentCacheInvalidateBoundaries(t *testing.T) {
 	if got := c.invalidate(150, 180); got != 30 {
 		t.Fatalf("exact cover invalidated %d blocks, want 30", got)
 	}
-	if len(c.byStart) != 0 || c.used != 0 || c.lru.Len() != 0 {
+	if len(c.extents()) != 0 || c.used != 0 || len(c.byRecency()) != 0 {
 		t.Fatalf("empty remnants left behind: %d extents, used %d, lru %d",
-			len(c.byStart), c.used, c.lru.Len())
+			len(c.extents()), c.used, len(c.byRecency()))
 	}
 }
 
@@ -85,21 +85,22 @@ func TestExtentCacheSplitKeepsStructure(t *testing.T) {
 	if got := c.invalidate(180, 220); got != 40 {
 		t.Fatalf("split invalidated %d blocks, want 40", got)
 	}
-	if len(c.byStart) != 2 || c.used != 160 || c.lru.Len() != 2 {
+	byStart := c.extents()
+	if len(byStart) != 2 || c.used != 160 || len(c.byRecency()) != 2 {
 		t.Fatalf("split structure wrong: %d extents, used %d, lru %d",
-			len(c.byStart), c.used, c.lru.Len())
+			len(byStart), c.used, len(c.byRecency()))
 	}
-	if c.byStart[0].start != 100 || c.byStart[0].end != 180 ||
-		c.byStart[1].start != 220 || c.byStart[1].end != 300 {
+	if byStart[0].start != 100 || byStart[0].end != 180 ||
+		byStart[1].start != 220 || byStart[1].end != 300 {
 		t.Fatalf("remnants [%d,%d) [%d,%d), want [100,180) [220,300)",
-			c.byStart[0].start, c.byStart[0].end, c.byStart[1].start, c.byStart[1].end)
+			byStart[0].start, byStart[0].end, byStart[1].start, byStart[1].end)
 	}
 	// Split a remnant again.
 	if got := c.invalidate(120, 140); got != 20 {
 		t.Fatalf("re-split invalidated %d, want 20", got)
 	}
-	if len(c.byStart) != 3 || c.used != 140 {
-		t.Fatalf("re-split wrong: %d extents, used %d", len(c.byStart), c.used)
+	if n := len(c.extents()); n != 3 || c.used != 140 {
+		t.Fatalf("re-split wrong: %d extents, used %d", n, c.used)
 	}
 	for _, want := range [][2]int64{{100, 120}, {140, 180}, {220, 300}} {
 		if !c.covered(want[0], want[1]) {

@@ -356,8 +356,8 @@ func TestExtentCacheEviction(t *testing.T) {
 	c.insert(200, 240)
 	c.insert(140, 160) // adjacent to [100,140)
 	c.insert(150, 200) // bridges to [200,240)
-	if len(c.byStart) != 1 || !c.covered(100, 240) {
-		t.Fatalf("extents did not merge: %d extents, used %d", len(c.byStart), c.used)
+	if n := len(c.extents()); n != 1 || !c.covered(100, 240) {
+		t.Fatalf("extents did not merge: %d extents, used %d", n, c.used)
 	}
 	if c.used != 140 {
 		t.Fatalf("merged used %d blocks, want 140", c.used)

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -241,82 +242,138 @@ func TestStreamingFirstChunkBeforeCompletion(t *testing.T) {
 // service Cancelled counters, and the attribution invariant — summed
 // session Stats equal ServiceTotals.Attributed — survives the partial
 // query.
+//
+// The service counts a drop only for a chunk that was queued with a
+// live context and found dead at its admission pass (a chunk the
+// session finds dead before submitting is counted in the session's
+// Stats alone), so the test establishes that order by events, not by
+// hoping the disconnect lands in between:
+//
+//  1. The session keeps 4 chunks outstanding, so chunk 4 is submitted,
+//     context alive, after chunk 0 is folded and before chunk 1 is; the
+//     handler is then held at chunk 1's gate. (Chunks 1–3 are long
+//     served by then: the DRR backlog drains in back-to-back passes.)
+//  2. The client drops the connection and the test waits for the
+//     daemon's request context to be done.
+//  3. Chunk 4 is admitted no sooner than one admission window after it
+//     was queued. If step 2 finished within half a window of chunk 0's
+//     gate, the context died first and the pass must drop the chunk;
+//     only then are the counters asserted. On a host stalled for longer
+//     the attempt proves nothing and is repeated on a fresh session.
 func TestDisconnectCancelsAndAttributes(t *testing.T) {
-	release := make(chan struct{})
+	const window = 100 * time.Millisecond
+	type gate struct {
+		chunk0  time.Time     // when chunk 0 passed the gate: before chunk 4 is submitted
+		held    chan struct{} // closed once the handler is held at chunk 1
+		release chan struct{}
+	}
+	var current atomic.Pointer[gate]
 	srv := New()
 	srv.testChunkGate = func(store, session string, seq int) {
-		if seq == 0 {
-			<-release
+		switch g := current.Load(); seq {
+		case 0:
+			g.chunk0 = time.Now()
+		case 1:
+			close(g.held)
+			<-g.release
 		}
 	}
-	// The drop store is tuned so chunks are QUEUED at the service when
-	// the disconnect lands: the session keeps 4 chunks outstanding, the
-	// admission window paces passes 100ms apart, and the small DRR
-	// quantum admits roughly one chunk per pass — so after the first
-	// chunk is served (and held at the gate), its successors sit in the
-	// service queue long enough for the cancelled context to reach the
-	// next admission pass.
 	spec := testSpec("drop")
 	spec.MaxInflight = 4
-	spec.BatchWindowUs = 100_000
+	spec.BatchWindowUs = window.Microseconds()
 	spec.FairQuantum = 20
 	if _, err := srv.OpenStore(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv)
+	// Each range request hands the test its daemon-side context, and
+	// says when its handler has returned.
+	rangeCtx := make(chan context.Context, 1)
+	rangeDone := make(chan struct{}, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/range") {
+			rangeCtx <- r.Context()
+			defer func() { rangeDone <- struct{}{} }()
+		}
+		srv.ServeHTTP(w, r)
+	}))
 	defer ts.Close()
 	defer srv.Close(context.Background())
 	c := NewClient(ts.URL)
-
 	ctx := context.Background()
-	sess, err := c.Begin(ctx, "drop", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	qctx, qcancel := context.WithCancel(ctx)
-	req, err := http.NewRequestWithContext(qctx, http.MethodPost,
-		ts.URL+"/v1/stores/drop/sessions/"+sess+"/range",
-		strings.NewReader(`{"lo":[0,0,0],"hi":[16,8,8]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First chunk is on the wire and the query is held at the gate.
-	// Disconnect: cancelling the request context closes the connection,
-	// which cancels the handler's request context on the daemon.
-	sc := bufio.NewScanner(resp.Body)
-	if !sc.Scan() {
-		t.Fatalf("no first chunk: %v", sc.Err())
-	}
-	qcancel()
-	resp.Body.Close()
-	close(release)
-
 	st := underlying(t, srv, "drop")
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var cancelled int64
+	cancelled := func() (n int64) {
 		for _, tot := range st.ShardServiceTotals() {
-			cancelled += tot.Cancelled
+			n += tot.Cancelled
 		}
-		if cancelled > 0 {
+		return n
+	}
+
+	// disconnect runs steps 1–3 on a fresh session and reports whether
+	// the disconnect provably beat chunk 4's admission.
+	var sessions []string
+	disconnect := func() bool {
+		g := &gate{held: make(chan struct{}), release: make(chan struct{})}
+		current.Store(g)
+		defer close(g.release)
+		sess, err := c.Begin(ctx, "drop", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions = append(sessions, sess)
+		qctx, qcancel := context.WithCancel(ctx)
+		defer qcancel()
+		req, err := http.NewRequestWithContext(qctx, http.MethodPost,
+			ts.URL+"/v1/stores/drop/sessions/"+sess+"/range",
+			strings.NewReader(`{"lo":[0,0,0],"hi":[16,8,8]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		daemonCtx := <-rangeCtx
+		if sc := bufio.NewScanner(resp.Body); !sc.Scan() {
+			t.Fatalf("no first chunk: %v", sc.Err())
+		}
+		<-g.held
+		// Disconnect: cancelling the request context closes the
+		// connection, which cancels the handler's request context on the
+		// daemon.
+		qcancel()
+		resp.Body.Close()
+		<-daemonCtx.Done()
+		return time.Since(g.chunk0) < window/2
+	}
+
+	for attempt := 1; ; attempt++ {
+		before := cancelled()
+		ordered := disconnect()
+		<-rangeDone // the query has retired and is folded into its session
+		if ordered {
+			// The service replies to a dropped chunk just before it
+			// counts it, so the counter may trail the handler by a moment.
+			for deadline := time.Now().Add(5 * time.Second); cancelled() == before; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("disconnect never reached the engine Cancelled counters")
+				}
+			}
 			break
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("disconnect never reached the engine Cancelled counters")
+		if attempt == 5 {
+			t.Fatalf("host too slow: %d disconnects all took over %v to reach the daemon", attempt, window/2)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 
-	// The partial query must not break attribution: what the wire
-	// session was handed still sums to what the services attributed.
-	wireStats, err := c.SessionStats(ctx, "drop", sess)
-	if err != nil {
-		t.Fatal(err)
+	// The partial queries must not break attribution: what the wire
+	// sessions were handed still sums to what the services attributed.
+	var wireStats multimap.Stats
+	for _, sess := range sessions {
+		ss, err := c.SessionStats(ctx, "drop", sess)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wireStats.Accumulate(ss)
 	}
 	var attr multimap.Stats
 	for _, tot := range st.ShardServiceTotals() {
