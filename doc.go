@@ -29,14 +29,16 @@
 // storage manager would choose (§5.2). The engine dispatches chunks to
 // the logical volume, whose member disks service their sub-batches
 // concurrently (one goroutine per drive); each drive applies its
-// internal scheduler — a bucketed O(n log n) shortest-positioning-time
-// (SPTF) scheduler, or C-LOOK for comparison runs — and the engine
-// aggregates completions into Stats. The storage manager's planner
-// streams: a query box is sliced along its slowest dimension into
-// bounded sub-boxes, so huge ranges never materialize every block at
-// once. The WithPolicy and WithChunkCells open options expose the
-// scheduler and chunking knobs; cmd/mmbench mirrors them as -policy
-// and -chunk.
+// internal scheduler — a shortest-positioning-time (SPTF) scheduler
+// that sorts each window once into a slab in which cylinders and
+// tracks are index ranges, picks by a pruned search outward from the
+// heads and breaks every tie by a stated rule, or C-LOOK for
+// comparison runs — and the engine aggregates completions into Stats.
+// The storage manager's planner streams: a query box is sliced along
+// its slowest dimension into bounded sub-boxes, so huge ranges never
+// materialize every block at once. The WithPolicy and WithChunkCells
+// open options expose the scheduler and chunking knobs; cmd/mmbench
+// mirrors them as -policy and -chunk.
 //
 // # Concurrent query service
 //

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -86,6 +87,70 @@ func BenchmarkServeBatchSPTF(b *testing.B) {
 		d := New(g)
 		if _, err := d.ServeBatch(reqs, SchedSPTF); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+var sptfSink []Completion
+
+// BenchmarkSPTF times one scheduling window of the production SPTF
+// scheduler ("slab") and of the map-based reference it replaced
+// ("ref") on the two shapes the layouts produce: a shuffled
+// semi-sequential adjacency chain (MultiMap's many small windows) and
+// uniform random blocks (Z-order's few large ones).
+func BenchmarkSPTF(b *testing.B) {
+	g := AtlasTenKIII()
+	shapes := []struct {
+		name string
+		gen  func(n int) []Request
+	}{
+		{"semiseq", func(n int) []Request {
+			reqs := make([]Request, n)
+			cur := int64(20000)
+			for i := range reqs {
+				reqs[i] = Request{LBN: cur, Count: 1}
+				next, err := g.AdjacentBlock(cur, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cur = next
+			}
+			rand.New(rand.NewSource(17)).Shuffle(n, func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
+			return reqs
+		}},
+		{"random", func(n int) []Request {
+			rng := rand.New(rand.NewSource(4))
+			reqs := make([]Request, n)
+			for i := range reqs {
+				reqs[i] = Request{LBN: rng.Int63n(g.TotalBlocks()), Count: 1}
+			}
+			return reqs
+		}},
+	}
+	impls := []struct {
+		name  string
+		serve func(*Disk, []Request) ([]Completion, error)
+	}{
+		{"slab", (*Disk).serveSPTF},
+		{"ref", serveSPTFRef},
+	}
+	for _, shape := range shapes {
+		for _, n := range []int{1, 16, 256, 4096} {
+			reqs := shape.gen(n)
+			for _, impl := range impls {
+				b.Run(fmt.Sprintf("%s/n=%d/%s", shape.name, n, impl.name), func(b *testing.B) {
+					d := New(g)
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						d.Reset()
+						comps, err := impl.serve(d, reqs)
+						if err != nil {
+							b.Fatal(err)
+						}
+						sptfSink = comps
+					}
+				})
+			}
 		}
 	}
 }

@@ -156,8 +156,12 @@ const rotAngleEps = 1e-9
 // rotateWaitMs returns the time to wait, starting at nowMs, until the
 // platter reaches target angle (fraction of rotation).
 func (g *Geometry) rotateWaitMs(nowMs, target float64) float64 {
-	cur := g.angleAt(nowMs)
-	d := target - cur
+	return g.waitFromMs(g.angleAt(nowMs), target)
+}
+
+// waitFromMs is rotateWaitMs from a spindle phase already computed.
+func (g *Geometry) waitFromMs(phase, target float64) float64 {
+	d := target - phase
 	if d < 0 {
 		d += 1.0
 	}

@@ -86,6 +86,9 @@ func (d *Disk) ServeBatch(reqs []Request, policy SchedPolicy) ([]Completion, err
 
 // serveWindowed applies a reordering scheduler window by window.
 func (d *Disk) serveWindowed(reqs []Request, serve func([]Request) ([]Completion, error)) ([]Completion, error) {
+	if len(reqs) <= maxSPTFBatch {
+		return serve(reqs)
+	}
 	out := make([]Completion, 0, len(reqs))
 	for start := 0; start < len(reqs); start += maxSPTFBatch {
 		end := start + maxSPTFBatch

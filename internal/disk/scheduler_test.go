@@ -2,6 +2,7 @@ package disk
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -163,9 +164,9 @@ func serveSPTFGreedy(d *Disk, reqs []Request) ([]Completion, error) {
 }
 
 // TestSPTFMatchesGreedyReference is the scheduler-equivalence property
-// test: across geometries, batch shapes, and head states, the bucketed
-// O(n log n) SPTF must service exactly the reference's request set with
-// total time within a small tolerance (exact ties may break differently).
+// test: across geometries, batch shapes, and head states, the production
+// SPTF must service exactly the reference's request set with total time
+// within a small tolerance (exact ties may break differently).
 func TestSPTFMatchesGreedyReference(t *testing.T) {
 	// Exact-cost ties (same seek plateau, same discrete sector angle) can
 	// break differently between the two implementations and compound, so
@@ -259,8 +260,8 @@ func TestSPTFPicksTrueArgmin(t *testing.T) {
 		pending[i] = true
 	}
 	for s.live > 0 {
-		e := s.pop()
-		got := d.positioningEstimateMs(e.req)
+		r := s.pop()
+		got := d.positioningEstimateMs(r)
 		want := -1.0
 		for i := range pending {
 			if c := d.positioningEstimateMs(reqs[i]); want < 0 || c < want {
@@ -273,12 +274,12 @@ func TestSPTFPicksTrueArgmin(t *testing.T) {
 		}
 		// Drop one pending instance matching the pick.
 		for i := range pending {
-			if reqs[i] == e.req {
+			if reqs[i] == r {
 				delete(pending, i)
 				break
 			}
 		}
-		if _, err := d.Access(e.req); err != nil {
+		if _, err := d.Access(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -322,6 +323,15 @@ func TestElevatorCLOOKOrder(t *testing.T) {
 	}
 	if wraps > 1 {
 		t.Errorf("C-LOOK wrapped %d times", wraps)
+	}
+}
+
+// Requests for one LBN are swept in ascending Count, whatever order
+// they were issued in and however the sort breaks ties.
+func TestElevatorOrdersSameLBNByCount(t *testing.T) {
+	comps, err := New(SmallTestDisk()).ServeBatch([]Request{{LBN: 500, Count: 3}, {LBN: 500, Count: 1}, {LBN: 90, Count: 2}, {LBN: 500, Count: 2}}, SchedELEVATOR)
+	if want := []Request{{90, 2}, {500, 1}, {500, 2}, {500, 3}}; err != nil || !slices.EqualFunc(comps, want, func(c Completion, r Request) bool { return c.Req == r }) {
+		t.Fatalf("elevator served %+v (err %v), want requests %v", comps, err, want)
 	}
 }
 

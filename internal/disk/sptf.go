@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -18,271 +19,326 @@ import (
 //     cost found so far.
 //  2. On one track every candidate shares the same seek cost, so the
 //     minimum-rotational-wait request is the cyclic successor of the
-//     head's arrival angle — a binary search in an angle-sorted bucket.
+//     head's arrival angle — a binary search in an angle-sorted run.
 //
-// Requests are decoded once on admission and bucketed by track within
-// cylinder bands; each pick is a bounded best-first search over the
-// nearest bands. Service order matches the greedy reference (the true
-// positioning-cost argmin) up to floating-point ties.
+// A window is indexed by one slab and two range tables, all built once
+// on admission and free of pointers: the requests are decoded into an
+// entry array and sorted by (track, angle, Count, arrival position), so
+// a track is a contiguous run of angle-sorted entries, a cylinder band
+// a contiguous run of tracks, and every lookup — the band nearest the
+// heads, a track's successor entry, the entry that continues the last
+// transfer — is a binary search over a sub-slice. Only tracks and bands
+// that hold requests exist, so a pick never probes an empty one.
+//
+// The order of service is fully specified. Each pick is the argmin of
+// the estimated positioning cost (the greedy reference's choice up to
+// floating-point ties); equal costs go to the candidate examined last,
+// where bands are examined outward from the heads (the nearer first,
+// the lower cylinder on equal distance) and tracks in ascending order
+// within a band; requests that start on the same sector are served in
+// ascending Count, exact duplicates in arrival order. Simulated time
+// depends on every one of these choices, and sptf_ref_test.go holds the
+// scheduler this one replaced to pin them.
 
 // sptfEntry is one pending request with its precomputed physical
-// coordinates; the scheduler never re-decodes an LBN after admission.
+// coordinates; the scheduler never re-decodes a request after admission.
 type sptfEntry struct {
-	req   Request
-	track int
-	cyl   int
-	angle float64 // angle at which the request's first sector passes the head
-	dead  bool
+	req     Request
+	angle   float64 // angle at which the request's first sector passes the head
+	track   int     // global track index
+	arrival int32   // position in the window as issued
+	dead    bool
 }
 
-// sptfTrack holds one track's pending entries in ascending angle order.
-// Serviced entries are tombstoned and compacted once they outnumber the
-// live ones, keeping successor scans amortized O(1).
+// sptfTrack is one track's run of the slab: ents[lo:lo+n] in ascending
+// angle order. Serviced entries are tombstoned and the run compacted
+// once they outnumber the live ones, keeping successor scans amortized
+// O(1).
 type sptfTrack struct {
-	entries []*sptfEntry
-	live    int
-	dead    int
+	track    int   // global track index
+	startLBN int64 // the track's first block
+	lo, n    int32 // ents[lo:lo+n]
+	live     int32
+	band     int32 // index of the track's cylinder in bands
 }
 
-func (b *sptfTrack) compact() {
-	kept := b.entries[:0]
-	for _, e := range b.entries {
-		if !e.dead {
-			kept = append(kept, e)
-		}
-	}
-	b.entries = kept
-	b.dead = 0
-}
-
-// minWait returns the live entry with the least rotational wait for a
-// head arriving at arriveMs, and that wait. The candidate is the cyclic
-// successor of the arrival angle; the predecessor is also probed to
-// honour rotateWaitMs's epsilon for exact continuations.
-func (b *sptfTrack) minWait(g *Geometry, arriveMs float64) (*sptfEntry, float64) {
-	es := b.entries
-	target := g.angleAt(arriveMs)
-	idx := sort.Search(len(es), func(i int) bool { return es[i].angle >= target })
-
-	var succ, pred *sptfEntry
-	for k, i := 0, idx; k < len(es); k, i = k+1, i+1 {
-		if i == len(es) {
-			i = 0
-		}
-		if !es[i].dead {
-			succ = es[i]
-			break
-		}
-	}
-	for k, i := 0, idx-1; k < len(es); k, i = k+1, i-1 {
-		if i < 0 {
-			i = len(es) - 1
-		}
-		if !es[i].dead {
-			pred = es[i]
-			break
-		}
-	}
-	if succ == nil {
-		return nil, 0
-	}
-	e, w := succ, g.rotateWaitMs(arriveMs, succ.angle)
-	if pred != nil && pred != succ {
-		if pw := g.rotateWaitMs(arriveMs, pred.angle); pw < w {
-			e, w = pred, pw
-		}
-	}
-	return e, w
+// sptfBand is one cylinder holding requests: tracks[tlo:thi]. left and
+// right stitch over emptied bands so the outward walk skips them.
+type sptfBand struct {
+	cyl         int
+	tlo, thi    int32
+	live        int32
+	left, right int32
 }
 
 // sptfSched is the pending-request index for one scheduling window.
 type sptfSched struct {
-	d       *Disk
-	byTrack map[int]*sptfTrack
-	byLBN   map[int64][]*sptfEntry // continuation candidates, insertion order
-
-	// Non-empty cylinder bands, sorted. left/right stitch over emptied
-	// bands so the outward walk skips them.
-	cyls    []int
-	liveCyl []int
-	left    []int
-	right   []int
-
-	live int
+	d      *Disk
+	ents   []sptfEntry // sorted by (track, angle, Count, arrival)
+	tracks []sptfTrack // ascending track
+	bands  []sptfBand  // ascending cylinder
+	live   int
 }
 
-func newSPTF(d *Disk, reqs []Request) *sptfSched {
-	s := &sptfSched{
-		d:       d,
-		byTrack: make(map[int]*sptfTrack),
-		byLBN:   make(map[int64][]*sptfEntry, len(reqs)),
-		live:    len(reqs),
-	}
-	entries := make([]sptfEntry, len(reqs))
-	cylSet := make(map[int]int) // cylinder -> live count
+// sptfPick is the best candidate found so far within one pick.
+type sptfPick struct {
+	cost  float64
+	track int32 // index into tracks
+	at    int32 // index into ents
+}
+
+func newSPTF(d *Disk, reqs []Request) sptfSched {
+	g := d.g
+	ents := make([]sptfEntry, len(reqs))
 	for i, r := range reqs {
-		p := d.g.mustDecode(r.LBN)
-		z := &d.g.Zones[p.Zone]
-		e := &entries[i]
-		*e = sptfEntry{
-			req:   r,
-			track: p.Track,
-			cyl:   p.Cyl,
-			angle: d.g.angleOfSectorIn(z, p.Track, p.Sector),
+		p := g.mustDecode(r.LBN)
+		ents[i] = sptfEntry{
+			req:     r,
+			angle:   g.angleOfSectorIn(&g.Zones[p.Zone], p.Track, p.Sector),
+			track:   p.Track,
+			arrival: int32(i),
 		}
-		s.byLBN[r.LBN] = append(s.byLBN[r.LBN], e)
-		b := s.byTrack[p.Track]
-		if b == nil {
-			b = &sptfTrack{}
-			s.byTrack[p.Track] = b
-		}
-		b.entries = append(b.entries, e)
-		b.live++
-		cylSet[p.Cyl]++
 	}
-	for _, b := range s.byTrack {
-		slices.SortFunc(b.entries, func(a, c *sptfEntry) int {
-			switch {
-			case a.angle != c.angle:
-				if a.angle < c.angle {
-					return -1
-				}
-				return 1
-			case a.req.LBN != c.req.LBN:
-				if a.req.LBN < c.req.LBN {
-					return -1
-				}
-				return 1
-			default:
-				return a.req.Count - c.req.Count
+	// On one track the angle determines the LBN, so Count and arrival
+	// position are the only keys left to order requests for one sector.
+	slices.SortFunc(ents, func(a, b sptfEntry) int {
+		if c := cmp.Compare(a.track, b.track); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.angle, b.angle); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.req.Count, b.req.Count); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.arrival, b.arrival)
+	})
+
+	nt, nb := 0, 0
+	for i := range ents {
+		if i == 0 || ents[i].track != ents[i-1].track {
+			nt++
+			if i == 0 || g.cylOfTrack(ents[i].track) != g.cylOfTrack(ents[i-1].track) {
+				nb++
 			}
-		})
+		}
 	}
-	s.cyls = make([]int, 0, len(cylSet))
-	for c := range cylSet {
-		s.cyls = append(s.cyls, c)
+	tracks := make([]sptfTrack, 0, nt)
+	bands := make([]sptfBand, 0, nb)
+	for i := range ents {
+		if tr := ents[i].track; i == 0 || tr != ents[i-1].track {
+			if cyl := g.cylOfTrack(tr); len(bands) == 0 || cyl != bands[len(bands)-1].cyl {
+				bi := int32(len(bands))
+				bands = append(bands, sptfBand{cyl: cyl, tlo: int32(len(tracks)), left: bi - 1, right: bi + 1})
+			}
+			z := g.zoneOfTrack(tr)
+			tracks = append(tracks, sptfTrack{
+				track:    tr,
+				startLBN: z.startLBN + int64(tr-z.startTrack)*int64(z.SectorsPerTrack),
+				lo:       int32(i),
+				band:     int32(len(bands) - 1),
+			})
+			bands[len(bands)-1].thi = int32(len(tracks))
+		}
+		tracks[len(tracks)-1].n++
+		tracks[len(tracks)-1].live++
+		bands[len(bands)-1].live++
 	}
-	slices.Sort(s.cyls)
-	s.liveCyl = make([]int, len(s.cyls))
-	s.left = make([]int, len(s.cyls))
-	s.right = make([]int, len(s.cyls))
-	for i, c := range s.cyls {
-		s.liveCyl[i] = cylSet[c]
-		s.left[i] = i - 1
-		s.right[i] = i + 1
-	}
-	return s
+	return sptfSched{d: d, ents: ents, tracks: tracks, bands: bands, live: len(reqs)}
 }
 
-func (s *sptfSched) liveLeftFrom(i int) int {
-	for i >= 0 && s.liveCyl[i] == 0 {
-		i = s.left[i]
+func (s *sptfSched) liveLeftFrom(i int32) int32 {
+	for i >= 0 && s.bands[i].live == 0 {
+		i = s.bands[i].left
 	}
 	return i
 }
 
-func (s *sptfSched) liveRightFrom(i int) int {
-	for i < len(s.cyls) && s.liveCyl[i] == 0 {
-		i = s.right[i]
+func (s *sptfSched) liveRightFrom(i int32) int32 {
+	for i < int32(len(s.bands)) && s.bands[i].live == 0 {
+		i = s.bands[i].right
 	}
 	return i
 }
 
 // pop removes and returns the pending request with the least estimated
 // positioning cost from the drive's current head state.
-func (s *sptfSched) pop() *sptfEntry {
+func (s *sptfSched) pop() Request {
 	d, g := s.d, s.d.g
-	var best *sptfEntry
-	bestCost := math.Inf(1)
+	best := sptfPick{cost: math.Inf(1), at: -1}
 
 	// Prefetch-continuation fast path: the request beginning exactly
 	// where the last transfer ended pays no command overhead.
-	for _, e := range s.byLBN[d.lastEnd] {
-		if !e.dead {
-			best, bestCost = e, d.positioningEstimateMs(e.req)
-			break
-		}
+	if ti, at := s.continuation(); at >= 0 {
+		best = sptfPick{cost: d.positioningEstimateMs(s.ents[at].req), track: ti, at: at}
 	}
 
+	// Every other candidate pays the command overhead before the arm
+	// moves. All tracks of a band share one arm cost, hence one arrival
+	// time and one spindle phase.
+	issued := d.nowMs + g.CommandMs
 	curCyl := g.cylOfTrack(d.curTrack)
-	pos := sort.SearchInts(s.cyls, curCyl)
+	nb := int32(len(s.bands))
+	pos := int32(sort.Search(len(s.bands), func(i int) bool { return s.bands[i].cyl >= curCyl }))
 	li := s.liveLeftFrom(pos - 1)
 	ri := s.liveRightFrom(pos)
-	if ri < len(s.cyls) && s.cyls[ri] == curCyl {
+	if ri < nb && s.bands[ri].cyl == curCyl {
 		// Examine the current band first: it holds the only zero-seek
-		// candidates.
-		s.evalBand(ri, curCyl, &best, &bestCost)
-		ri = s.liveRightFrom(s.right[ri])
+		// candidates (the heads' own track) and the head-switch ones.
+		b := &s.bands[ri]
+		for ti := b.tlo; ti < b.thi; ti++ {
+			t := &s.tracks[ti]
+			if t.live == 0 {
+				continue
+			}
+			seekMs := g.HeadSwitchMs
+			if t.track == d.curTrack {
+				seekMs = 0
+			}
+			if posMs := g.CommandMs + seekMs; posMs < best.cost {
+				s.evalTrack(ti, posMs, g.angleAt(issued+seekMs), &best)
+			}
+		}
+		ri = s.liveRightFrom(b.right)
 	}
-	for li >= 0 || ri < len(s.cyls) {
-		var i int
-		if ri >= len(s.cyls) || (li >= 0 && curCyl-s.cyls[li] <= s.cyls[ri]-curCyl) {
+	seekMs, posMs, phase := -1.0, 0.0, 0.0
+	for li >= 0 || ri < nb {
+		var i int32
+		if ri >= nb || (li >= 0 && curCyl-s.bands[li].cyl <= s.bands[ri].cyl-curCyl) {
 			i = li
-			li = s.liveLeftFrom(s.left[li])
+			li = s.liveLeftFrom(s.bands[li].left)
 		} else {
 			i = ri
-			ri = s.liveRightFrom(s.right[ri])
+			ri = s.liveRightFrom(s.bands[ri].right)
 		}
-		dc := s.cyls[i] - curCyl
-		if dc < 0 {
-			dc = -dc
+		b := &s.bands[i]
+		// Inside the settle range every band costs the same seek.
+		if ms := g.SeekTimeMs(b.cyl - curCyl); ms != seekMs {
+			seekMs, posMs, phase = ms, g.CommandMs+ms, g.angleAt(issued+ms)
 		}
 		// Every remaining band is at least this far, so even a request
 		// with zero rotational wait there cannot win: stop searching.
-		if g.CommandMs+g.SeekTimeMs(dc) >= bestCost {
+		if posMs >= best.cost {
 			break
 		}
-		s.evalBand(i, curCyl, &best, &bestCost)
-	}
-	if best != nil {
-		s.remove(best)
-	}
-	return best
-}
-
-// evalBand scores the best candidate on every non-empty track of the
-// band at cyls[i] against the current best.
-func (s *sptfSched) evalBand(i, curCyl int, best **sptfEntry, bestCost *float64) {
-	d, g := s.d, s.d.g
-	base := s.cyls[i] * g.Surfaces
-	for t := base; t < base+g.Surfaces; t++ {
-		b := s.byTrack[t]
-		if b == nil || b.live == 0 {
-			continue
-		}
-		seekMs := g.positionTimeMs(d.curTrack, t)
-		if g.CommandMs+seekMs >= *bestCost {
-			continue
-		}
-		arrive := d.nowMs + g.CommandMs + seekMs
-		if e, w := b.minWait(g, arrive); e != nil {
-			if c := g.CommandMs + seekMs + w; c <= *bestCost {
-				*best, *bestCost = e, c
+		// A zero-wait hit ends the band too: best.cost only falls.
+		for ti := b.tlo; ti < b.thi && posMs < best.cost; ti++ {
+			if s.tracks[ti].live > 0 {
+				s.evalTrack(ti, posMs, phase, &best)
 			}
 		}
 	}
+	r := s.ents[best.at].req
+	s.remove(best.track, best.at)
+	return r
 }
 
-func (s *sptfSched) remove(e *sptfEntry) {
-	e.dead = true
-	s.live--
-	b := s.byTrack[e.track]
-	b.live--
-	b.dead++
-	if b.live == 0 {
-		delete(s.byTrack, e.track)
-	} else if b.dead > b.live && b.dead > 16 {
-		b.compact()
+// continuation returns the pending entry that starts exactly where the
+// last transfer ended (the earliest issued, if several do) and its
+// track, or at < 0 if there is none.
+func (s *sptfSched) continuation() (ti, at int32) {
+	d, g := s.d, s.d.g
+	// Tracks ascend in LBN as in track number: the last one starting at
+	// or before lastEnd is the only one that can hold it.
+	ti = int32(sort.Search(len(s.tracks), func(i int) bool { return s.tracks[i].startLBN > d.lastEnd })) - 1
+	if ti < 0 || s.tracks[ti].live == 0 {
+		return -1, -1
 	}
-	ci := sort.SearchInts(s.cyls, e.cyl)
-	s.liveCyl[ci]--
-	if s.liveCyl[ci] == 0 {
-		// Stitch neighbours so the outward walk skips this band.
-		if l := s.left[ci]; l >= 0 {
-			s.right[l] = s.right[ci]
+	t := &s.tracks[ti]
+	z := g.zoneOfTrack(t.track)
+	sector := d.lastEnd - t.startLBN
+	if sector >= int64(z.SectorsPerTrack) {
+		return -1, -1
+	}
+	es := s.ents[t.lo : t.lo+t.n]
+	angle := g.angleOfSectorIn(z, t.track, int(sector))
+	first := -1
+	for i := sort.Search(len(es), func(i int) bool { return es[i].angle >= angle }); i < len(es) && es[i].angle == angle; i++ {
+		if !es[i].dead && (first < 0 || es[i].arrival < es[first].arrival) {
+			first = i
 		}
-		if r := s.right[ci]; r < len(s.cyls) {
-			s.left[r] = s.left[ci]
+	}
+	if first < 0 {
+		return -1, -1
+	}
+	return ti, t.lo + int32(first)
+}
+
+// evalTrack scores track ti's least-wait entry, for heads that reach
+// the track at spindle phase `phase` after posMs of command and arm
+// time, against the best candidate so far.
+func (s *sptfSched) evalTrack(ti int32, posMs, phase float64, best *sptfPick) {
+	at, w := s.minWait(&s.tracks[ti], phase)
+	if c := posMs + w; c <= best.cost {
+		*best = sptfPick{cost: c, track: ti, at: at}
+	}
+}
+
+// minWait returns the live entry of t (which must have one) with the
+// least rotational wait for heads arriving at the given spindle phase,
+// and that wait. The candidate is the cyclic successor of the arrival
+// angle; the predecessor is also probed to honour waitFromMs's epsilon
+// for exact continuations.
+func (s *sptfSched) minWait(t *sptfTrack, phase float64) (int32, float64) {
+	g := s.d.g
+	es := s.ents[t.lo : t.lo+t.n]
+	if len(es) == 1 {
+		return t.lo, g.waitFromMs(phase, es[0].angle)
+	}
+	succ := sort.Search(len(es), func(i int) bool { return es[i].angle >= phase })
+	pred := succ - 1
+	for {
+		if succ == len(es) {
+			succ = 0
+		}
+		if !es[succ].dead {
+			break
+		}
+		succ++
+	}
+	for {
+		if pred < 0 {
+			pred = len(es) - 1
+		}
+		if !es[pred].dead {
+			break
+		}
+		pred--
+	}
+	at, w := succ, g.waitFromMs(phase, es[succ].angle)
+	if pred != succ {
+		if pw := g.waitFromMs(phase, es[pred].angle); pw < w {
+			at, w = pred, pw
+		}
+	}
+	return t.lo + int32(at), w
+}
+
+// remove tombstones entry at of track ti and takes it out of the live
+// counts that steer the walk.
+func (s *sptfSched) remove(ti, at int32) {
+	s.ents[at].dead = true
+	s.live--
+	t := &s.tracks[ti]
+	t.live--
+	if dead := t.n - t.live; t.live > 0 && dead > t.live && dead > 16 {
+		kept := s.ents[t.lo:t.lo]
+		for _, e := range s.ents[t.lo : t.lo+t.n] {
+			if !e.dead {
+				kept = append(kept, e)
+			}
+		}
+		t.n = t.live
+	}
+	b := &s.bands[t.band]
+	b.live--
+	if b.live == 0 {
+		// Stitch neighbours so the outward walk skips this band.
+		if b.left >= 0 {
+			s.bands[b.left].right = b.right
+		}
+		if b.right < int32(len(s.bands)) {
+			s.bands[b.right].left = b.left
 		}
 	}
 }
@@ -300,12 +356,12 @@ func (d *Disk) serveSPTF(reqs []Request) ([]Completion, error) {
 	}
 	s := newSPTF(d, reqs)
 	for s.live > 0 {
-		e := s.pop()
-		cost, err := d.Access(e.req)
+		r := s.pop()
+		cost, err := d.Access(r)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Completion{Req: e.req, Cost: cost, FinishMs: d.nowMs})
+		out = append(out, Completion{Req: r, Cost: cost, FinishMs: d.nowMs})
 	}
 	return out, nil
 }
@@ -324,15 +380,16 @@ func (d *Disk) serveElevator(reqs []Request) ([]Completion, error) {
 		p := d.g.mustDecode(r.LBN)
 		order[i] = elevEntry{req: r, track: p.Track, sector: p.Sector}
 	}
+	// (track, sector) determines the LBN; Count completes the order, so
+	// the sweep does not depend on how the sort breaks ties.
 	slices.SortFunc(order, func(a, b elevEntry) int {
-		switch {
-		case a.track != b.track:
-			return a.track - b.track
-		case a.sector != b.sector:
-			return a.sector - b.sector
-		default:
-			return int(a.req.LBN - b.req.LBN)
+		if c := cmp.Compare(a.track, b.track); c != 0 {
+			return c
 		}
+		if c := cmp.Compare(a.sector, b.sector); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.req.Count, b.req.Count)
 	})
 	split := sort.Search(len(order), func(i int) bool { return order[i].track >= d.curTrack })
 	out := make([]Completion, 0, len(reqs))

@@ -3,6 +3,7 @@ package lvm
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -663,4 +664,61 @@ func TestCowSpansAndResolve(t *testing.T) {
 	if err := v.ResolveCOW([]Request{{VLBN: v.DiskStart(1) - 1, Count: 2}}); err == nil {
 		t.Fatal("cross-segment COW span accepted")
 	}
+}
+
+// TestSharedDriveSPTFIsolation is the pool-tenant arrangement under
+// load: two volumes carved from ONE drive, each hammered with SPTF
+// batches from its own goroutine. Every call must return exactly its
+// own requests — the scheduler's window state and the completion slice
+// belong to the call, and the drive is touched only under its mutex
+// (run with -race).
+func TestSharedDriveSPTFIsolation(t *testing.T) {
+	g := disk.AtlasTenKIII()
+	dr := NewDrive(g)
+	const blocks = 1 << 20
+	var vols [2]*Volume
+	for i := range vols {
+		v, err := NewFromExtents(16, []Extent{{Drive: dr, PhysStart: int64(i) * blocks, Blocks: blocks}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vols[i] = v
+	}
+	rounds := 200
+	if testing.Short() {
+		rounds = 50
+	}
+	var wg sync.WaitGroup
+	for i, v := range vols {
+		wg.Add(1)
+		go func(i int, v *Volume) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(i)))
+			for round := 0; round < rounds; round++ {
+				reqs := make([]Request, 2+rng.Intn(120))
+				want := map[Request]int{}
+				for k := range reqs {
+					// A narrow span, so that windows pile up on few
+					// tracks and repeat requests.
+					reqs[k] = Request{VLBN: rng.Int63n(4096), Count: 1 + rng.Intn(4)}
+					want[reqs[k]]++
+				}
+				comps, _, err := v.ServeBatch(reqs, disk.SchedSPTF)
+				if err != nil {
+					t.Errorf("tenant %d round %d: %v", i, round, err)
+					return
+				}
+				for _, c := range comps {
+					want[c.Req]--
+				}
+				for r, n := range want {
+					if n != 0 {
+						t.Errorf("tenant %d round %d: request %+v issued %d more times than completed", i, round, r, n)
+						return
+					}
+				}
+			}
+		}(i, v)
+	}
+	wg.Wait()
 }
