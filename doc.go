@@ -36,7 +36,13 @@
 // comparison runs — and the engine aggregates completions into Stats.
 // The storage manager's planner streams: a query box is sliced along
 // its slowest dimension into bounded sub-boxes, so huge ranges never
-// materialize every block at once. The WithPolicy and WithChunkCells
+// materialize every block at once. On the Z-order, Hilbert and Gray
+// layouts a sub-box is planned by walking the curve's own hierarchy
+// (internal/sfc): an aligned block of the key space is one contiguous
+// key interval, so a box costs a few intervals per unit of its surface
+// rather than a key per cell, and the same walk over the whole grid
+// yields the runs of in-grid keys that pack a non-power-of-two grid
+// densely (§5.2). The WithPolicy and WithChunkCells
 // open options expose the scheduler and chunking knobs; cmd/mmbench
 // mirrors them as -policy and -chunk.
 //

@@ -24,13 +24,9 @@ func newCurveMapper(kind Kind, vol *lvm.Volume, dims []int, curve sfc.Curve, opt
 	if err != nil {
 		return nil, err
 	}
-	r, err := sfc.NewRanked(curve)
-	if err != nil {
-		return nil, err
-	}
 	return &curveMapper{
 		kind: kind, dims: append([]int(nil), dims...),
-		ranked: r, base: base, cellBlocks: opts.CellBlocks, diskIdx: diskIdx,
+		ranked: sfc.NewRanked(curve), base: base, cellBlocks: opts.CellBlocks, diskIdx: diskIdx,
 	}, nil
 }
 
@@ -56,56 +52,17 @@ func (c *curveMapper) CellExtents(cell []int) ([]lvm.Request, error) {
 }
 
 // BoxRequests expands the box [lo,hi) into ascending coalesced
-// requests: raw curve keys for every cell, one bulk sort, one bulk
-// rank conversion, and an on-the-fly coalesce of consecutive ranks.
+// requests: one request per maximal interval of curve ranks the box
+// occupies, found by walking the curve's hierarchy rather than by
+// visiting the box's cells.
 func (c *curveMapper) BoxRequests(lo, hi []int) ([]lvm.Request, error) {
-	if len(lo) != len(c.dims) || len(hi) != len(c.dims) {
-		return nil, fmt.Errorf("mapping: box arity mismatch")
-	}
-	n := int64(1)
-	for i := range c.dims {
-		if lo[i] < 0 || hi[i] > c.dims[i] || lo[i] >= hi[i] {
-			return nil, fmt.Errorf("mapping: bad box [%d,%d) on dim %d", lo[i], hi[i], i)
-		}
-		n *= int64(hi[i] - lo[i])
-	}
-	keys := make([]uint64, 0, n)
-	cell := append([]int(nil), lo...)
-	for {
-		k, err := c.ranked.KeyOf(cell)
-		if err != nil {
-			return nil, err
-		}
-		keys = append(keys, k)
-		done := true
-		for i := 0; i < len(cell); i++ {
-			cell[i]++
-			if cell[i] < hi[i] {
-				done = false
-				break
-			}
-			cell[i] = lo[i]
-		}
-		if done {
-			break
-		}
-	}
-	sfc.SortKeys(keys)
-	if err := c.ranked.RanksOfSortedKeys(keys); err != nil {
-		return nil, err
-	}
 	b := int64(c.cellBlocks)
 	var out []lvm.Request
-	for i := 0; i < len(keys); {
-		j := i + 1
-		for j < len(keys) && keys[j] == keys[j-1]+1 {
-			j++
-		}
-		out = append(out, lvm.Request{
-			VLBN:  c.base + int64(keys[i])*b,
-			Count: (j - i) * int(b),
-		})
-		i = j
+	err := c.ranked.BoxRuns(lo, hi, func(rank0, n int64) {
+		out = append(out, lvm.Request{VLBN: c.base + rank0*b, Count: int(n * b)})
+	})
+	if err != nil {
+		return nil, fmt.Errorf("mapping: %s box: %w", c.kind, err)
 	}
 	return out, nil
 }

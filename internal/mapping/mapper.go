@@ -90,8 +90,10 @@ type SemiSequential interface {
 
 // BoxPlanner is implemented by mappers that can expand a whole query
 // box [lo,hi) into ascending, coalesced requests directly — cheaper
-// than one CellVLBN lookup per cell. The curve mappings use it to
-// replace per-cell rank searches with one bulk sort-and-merge.
+// than one CellVLBN lookup per cell. The curve mappings use it to walk
+// the curve's hierarchy instead: the box comes out as the maximal
+// intervals of curve ranks it occupies, already in ascending order, at
+// a cost that grows with the box's surface, not its volume.
 type BoxPlanner interface {
 	BoxRequests(lo, hi []int) ([]lvm.Request, error)
 }

@@ -361,8 +361,8 @@ func (e *Executor) planBox(lo, hi []int) ([]lvm.Request, disk.SchedPolicy, int64
 		return engine.SortCoalesce(reqs), disk.SchedFIFO, 0, nil
 	}
 
-	// Curve mappings that support bulk expansion: ascending coalesced
-	// requests in one sort-and-merge pass.
+	// Curve mappings plan the box themselves, from the curve's
+	// hierarchy: the requests arrive ascending and coalesced.
 	if bp, ok := e.m.(mapping.BoxPlanner); ok {
 		reqs, err := bp.BoxRequests(lo, hi)
 		if err != nil {

@@ -9,9 +9,9 @@ import "fmt"
 // implementation which orders the dataset's cells by curve value and
 // packs them densely (§5.2).
 type Hilbert struct {
-	dims    []int
-	order   int // bits per dimension
-	keyBits int
+	dims  []int
+	order int // bits per dimension
+	hier  hierarchy
 }
 
 // NewHilbert builds a Hilbert curve over the given grid shape.
@@ -28,11 +28,14 @@ func NewHilbert(dims []int) (*Hilbert, error) {
 			order = b
 		}
 	}
-	kb := order * len(dims)
-	if kb > 63 {
-		return nil, fmt.Errorf("sfc: Hilbert key needs %d bits, max 63", kb)
+	if kb := order * len(dims); kb > maxKeyBits {
+		return nil, fmt.Errorf("sfc: Hilbert key needs %d bits, max %d", kb, maxKeyBits)
 	}
-	return &Hilbert{dims: append([]int(nil), dims...), order: order, keyBits: kb}, nil
+	bw := make([]int, len(dims))
+	for i := range bw {
+		bw[i] = order
+	}
+	return &Hilbert{dims: append([]int(nil), dims...), order: order, hier: newHierarchy(bw, true, true)}, nil
 }
 
 // Dims returns the grid shape.
@@ -42,14 +45,17 @@ func (h *Hilbert) Dims() []int { return h.dims }
 func (h *Hilbert) Order() int { return h.order }
 
 // KeyBits returns the number of significant bits in a key.
-func (h *Hilbert) KeyBits() int { return h.keyBits }
+func (h *Hilbert) KeyBits() int { return h.hier.keyBits }
+
+func (h *Hilbert) tree() *hierarchy { return &h.hier }
 
 // Key maps a cell coordinate to its Hilbert index.
 func (h *Hilbert) Key(cell []int) (uint64, error) {
 	if len(cell) != len(h.dims) {
 		return 0, fmt.Errorf("sfc: cell has %d dims, want %d", len(cell), len(h.dims))
 	}
-	x := make([]uint32, len(cell))
+	var scratch [maxKeyBits]uint32
+	x := scratch[:len(cell)]
 	for i, c := range cell {
 		if c < 0 || c >= 1<<uint(h.order) {
 			return 0, fmt.Errorf("sfc: coordinate %d = %d outside curve space [0,%d)", i, c, 1<<uint(h.order))
@@ -65,10 +71,12 @@ func (h *Hilbert) Cell(key uint64, out []int) error {
 	if len(out) != len(h.dims) {
 		return fmt.Errorf("sfc: out has %d dims, want %d", len(out), len(h.dims))
 	}
-	if h.keyBits < 64 && key >= 1<<uint(h.keyBits) {
+	if key >= 1<<uint(h.hier.keyBits) {
 		return fmt.Errorf("sfc: key %d outside curve space", key)
 	}
-	x := h.deinterleaveTransposed(key)
+	var scratch [maxKeyBits]uint32
+	x := scratch[:len(out)]
+	h.deinterleaveTransposed(key, x)
 	transposeToAxes(x, h.order)
 	for i := range out {
 		out[i] = int(x[i])
@@ -89,16 +97,15 @@ func (h *Hilbert) interleaveTransposed(x []uint32) uint64 {
 	return key
 }
 
-func (h *Hilbert) deinterleaveTransposed(key uint64) []uint32 {
-	x := make([]uint32, len(h.dims))
-	shift := h.keyBits
+// deinterleaveTransposed inverts interleaveTransposed into the zeroed x.
+func (h *Hilbert) deinterleaveTransposed(key uint64, x []uint32) {
+	shift := h.hier.keyBits
 	for level := h.order - 1; level >= 0; level-- {
 		for i := range x {
 			shift--
 			x[i] |= uint32(key>>uint(shift)&1) << uint(level)
 		}
 	}
-	return x
 }
 
 // axesToTranspose converts coordinates to the transposed Hilbert index

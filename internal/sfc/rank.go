@@ -2,7 +2,7 @@ package sfc
 
 import (
 	"fmt"
-	"slices"
+	"sort"
 )
 
 // Curve is an invertible mapping between grid cells and positions along
@@ -16,6 +16,8 @@ type Curve interface {
 	Key(cell []int) (uint64, error)
 	// Cell inverts Key into out.
 	Cell(key uint64, out []int) error
+	// tree returns the curve's hierarchy, which Ranked walks.
+	tree() *hierarchy
 }
 
 // NumCells returns the number of cells in a grid shape.
@@ -30,80 +32,39 @@ func NumCells(dims []int) int64 {
 // Ranked densifies a curve over its grid: cells are numbered 0..N-1 in
 // curve order with no gaps. This reproduces the paper's layout step
 // where cells ordered by curve value are "stored sequentially on disks"
-// (§5.2). For power-of-two grids the curve is already dense and no
-// auxiliary memory is used; otherwise Ranked materializes the sorted
-// key list once (8 bytes per cell).
+// (§5.2). The numbering is kept as the maximal runs of consecutive
+// in-grid keys, each with the rank of its first cell — 16 bytes per
+// run, and the runs number about as many as the cells on the grid's
+// non-power-of-two faces (259³: 117 133 for Z-order, 49 489 for
+// Hilbert); a power-of-two grid is a single run.
 type Ranked struct {
 	curve Curve
 	n     int64
-	keys  []uint64 // nil when the curve is dense on this grid
+	// runs ascends in both fields; the last entry is a sentinel one past
+	// the key space with rank0 == n, so run i holds
+	// runs[i+1].rank0-runs[i].rank0 cells.
+	runs []run
 }
 
-// NewRanked builds the dense ranking for the curve over its grid.
-func NewRanked(curve Curve) (*Ranked, error) {
+// run is a maximal interval of in-grid keys starting at key0, whose
+// cells take the dense ranks from rank0 on.
+type run struct {
+	key0  uint64
+	rank0 int64
+}
+
+// NewRanked builds the dense ranking for the curve over its grid, in one
+// walk of the curve's hierarchy over the grid box.
+func NewRanked(curve Curve) *Ranked {
 	dims := curve.Dims()
-	n := NumCells(dims)
-	r := &Ranked{curve: curve, n: n}
-	if denseOnGrid(curve) {
-		return r, nil
-	}
-	keys := make([]uint64, 0, n)
-	cell := make([]int, len(dims))
-	for {
-		k, err := curve.Key(cell)
-		if err != nil {
-			return nil, fmt.Errorf("sfc: ranking: %w", err)
-		}
-		keys = append(keys, k)
-		if !nextCell(cell, dims) {
-			break
-		}
-	}
-	SortKeys(keys)
-	for i := 1; i < len(keys); i++ {
-		if keys[i] == keys[i-1] {
-			return nil, fmt.Errorf("sfc: curve is not injective: duplicate key %d", keys[i])
-		}
-	}
-	r.keys = keys
-	return r, nil
-}
-
-// denseOnGrid reports whether the curve's key space exactly matches the
-// grid (every dimension a power of two of the curve's width), so keys
-// are already dense ranks.
-func denseOnGrid(curve Curve) bool {
-	switch c := curve.(type) {
-	case *ZOrder:
-		for i, d := range c.dims {
-			if d != 1<<uint(c.bw[i]) {
-				return false
-			}
-		}
-		return true
-	case *Hilbert:
-		for _, d := range c.dims {
-			if d != 1<<uint(c.order) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
-}
-
-// nextCell advances cell through the grid in row-major order (first
-// dimension fastest) and reports whether it wrapped to the end.
-func nextCell(cell, dims []int) bool {
-	for i := 0; i < len(dims); i++ {
-		cell[i]++
-		if cell[i] < dims[i] {
-			return true
-		}
-		cell[i] = 0
-	}
-	return false
+	h := curve.tree()
+	r := &Ranked{curve: curve}
+	h.walk(make([]int, len(dims)), dims, func(key0, n uint64) {
+		r.runs = append(r.runs, run{key0, r.n})
+		r.n += int64(n)
+	})
+	r.runs = append(r.runs, run{1 << uint(h.keyBits), r.n})
+	return r
 }
 
 // Len returns the number of cells.
@@ -112,62 +73,43 @@ func (r *Ranked) Len() int64 { return r.n }
 // Dims returns the grid shape.
 func (r *Ranked) Dims() []int { return r.curve.Dims() }
 
+// runOfKey returns the index of the last run starting at or before key,
+// searching from run from, which must itself start at or before key: a
+// gallop forward and then a binary search, so a caller moving through
+// ascending keys pays for the distance moved, not for the table.
+func (r *Ranked) runOfKey(key uint64, from int) int {
+	lo, hi := from, len(r.runs)-1
+	for step := 1; lo+step < hi; step <<= 1 {
+		if r.runs[lo+step].key0 > key {
+			hi = lo + step
+			break
+		}
+		lo += step
+	}
+	for hi-lo > 1 {
+		if mid := int(uint(lo+hi) >> 1); r.runs[mid].key0 <= key {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // Rank returns the cell's dense position along the curve, in [0, Len).
 func (r *Ranked) Rank(cell []int) (int64, error) {
 	k, err := r.curve.Key(cell)
 	if err != nil {
 		return 0, err
 	}
-	if r.keys == nil {
-		return int64(k), nil
-	}
-	i, ok := slices.BinarySearch(r.keys, k)
-	if !ok {
+	// The origin is in every grid and has key 0, so run 0 starts at or
+	// before any key.
+	i := r.runOfKey(k, 0)
+	off := int64(k - r.runs[i].key0)
+	if off >= r.runs[i+1].rank0-r.runs[i].rank0 {
 		return 0, fmt.Errorf("sfc: cell %v not in ranked grid", cell)
 	}
-	return int64(i), nil
-}
-
-// KeyOf returns the raw (sparse) curve key of a cell; pair with
-// RanksOfSortedKeys for bulk conversion.
-func (r *Ranked) KeyOf(cell []int) (uint64, error) { return r.curve.Key(cell) }
-
-// RanksOfSortedKeys converts ascending raw curve keys into dense ranks
-// in place. Small batches use per-key binary search; batches comparable
-// to the grid size use a single linear merge over the sorted key list,
-// which is what makes bulk range planning O(n) instead of O(n log N).
-func (r *Ranked) RanksOfSortedKeys(keys []uint64) error {
-	if r.keys == nil {
-		// Dense curve: keys are ranks already; only bounds need checking,
-		// and keys are ascending so the last one suffices.
-		if n := len(keys); n > 0 && keys[n-1] >= uint64(r.n) {
-			return fmt.Errorf("sfc: key %d not in ranked grid", keys[n-1])
-		}
-		return nil
-	}
-	if int64(len(keys))*32 < int64(len(r.keys)) {
-		for i, k := range keys {
-			j, ok := slices.BinarySearch(r.keys, k)
-			if !ok {
-				return fmt.Errorf("sfc: key %d not in ranked grid", k)
-			}
-			keys[i] = uint64(j)
-		}
-		return nil
-	}
-	j := 0
-	for i, k := range keys {
-		for j < len(r.keys) && r.keys[j] < k {
-			j++
-		}
-		if j == len(r.keys) || r.keys[j] != k {
-			return fmt.Errorf("sfc: key %d not in ranked grid", k)
-		}
-		keys[i] = uint64(j)
-		// Duplicate input keys (multi-visit callers) keep the same rank,
-		// so j is not advanced here.
-	}
-	return nil
+	return r.runs[i].rank0 + off, nil
 }
 
 // CellAt inverts Rank, writing the cell with the given dense position
@@ -176,9 +118,41 @@ func (r *Ranked) CellAt(rank int64, out []int) error {
 	if rank < 0 || rank >= r.n {
 		return fmt.Errorf("sfc: rank %d out of [0,%d)", rank, r.n)
 	}
-	k := uint64(rank)
-	if r.keys != nil {
-		k = r.keys[rank]
+	// The run holding rank: the first whose successor starts past it.
+	i := sort.Search(len(r.runs)-1, func(i int) bool { return r.runs[i+1].rank0 > rank })
+	return r.curve.Cell(r.runs[i].key0+uint64(rank-r.runs[i].rank0), out)
+}
+
+// BoxRuns calls emit(rank0, n) for the maximal intervals of dense ranks
+// [rank0, rank0+n) that the cells of the box [lo,hi) occupy, in
+// ascending order. The hierarchy walk yields the box as key intervals;
+// an interval of in-grid keys lies within one run, so one run lookup
+// turns it into ranks, and intervals the compaction brought together
+// (the keys between them are off the grid) are merged.
+func (r *Ranked) BoxRuns(lo, hi []int, emit func(rank0, n int64)) error {
+	dims := r.curve.Dims()
+	if len(lo) != len(dims) || len(hi) != len(dims) {
+		return fmt.Errorf("sfc: box has %d and %d dims, want %d", len(lo), len(hi), len(dims))
 	}
-	return r.curve.Cell(k, out)
+	for i, d := range dims {
+		if lo[i] < 0 || hi[i] > d || lo[i] >= hi[i] {
+			return fmt.Errorf("sfc: bad box [%d,%d) on dimension %d of length %d", lo[i], hi[i], i, d)
+		}
+	}
+	var rank0, n int64 // the interval being merged; n == 0 when none
+	at := 0
+	r.curve.tree().walk(lo, hi, func(key0, count uint64) {
+		at = r.runOfKey(key0, at)
+		rank := r.runs[at].rank0 + int64(key0-r.runs[at].key0)
+		if n > 0 && rank0+n == rank {
+			n += int64(count)
+			return
+		}
+		if n > 0 {
+			emit(rank0, n)
+		}
+		rank0, n = rank, int64(count)
+	})
+	emit(rank0, n)
+	return nil
 }

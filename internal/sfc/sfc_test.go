@@ -2,7 +2,6 @@ package sfc
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -20,7 +19,7 @@ func enumerate(dims []int) [][]int {
 	return out
 }
 
-func curvesFor(t *testing.T, dims []int) map[string]Curve {
+func curvesFor(t testing.TB, dims []int) map[string]Curve {
 	t.Helper()
 	z, err := NewZOrder(dims)
 	if err != nil {
@@ -105,6 +104,51 @@ func TestCurveValidation(t *testing.T) {
 	}
 }
 
+// TestCellRejectsKeyOutsideCurve: a key with bits above the curve's
+// width is not a position on it; dropping the high bits would alias a
+// valid cell.
+func TestCellRejectsKeyOutsideCurve(t *testing.T) {
+	dims := []int{5, 3, 3} // 3+2+2 key bits for Z-order and Gray, 3*3 for Hilbert
+	for name, c := range curvesFor(t, dims) {
+		t.Run(name, func(t *testing.T) {
+			bits := c.tree().keyBits
+			out := make([]int, len(dims))
+			if err := c.Cell(1<<uint(bits)-1, out); err != nil {
+				t.Errorf("last key of the curve rejected: %v", err)
+			}
+			for _, k := range []uint64{1 << uint(bits), 1<<uint(bits) | 5, 1 << 63, ^uint64(0)} {
+				if err := c.Cell(k, out); err == nil {
+					t.Errorf("key %#x accepted on a %d-bit curve as cell %v", k, bits, out)
+				}
+			}
+		})
+	}
+}
+
+// TestLookupsDoNotAllocate pins the per-cell paths under CellVLBN,
+// fetch and insert: scratch lives on the stack.
+func TestLookupsDoNotAllocate(t *testing.T) {
+	dims := []int{19, 19, 19}
+	cell, out := []int{7, 18, 3}, make([]int, 3)
+	for name, c := range curvesFor(t, dims) {
+		r := NewRanked(c)
+		key, err := c.Key(cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for op, f := range map[string]func(){
+			"Key":    func() { _, _ = c.Key(cell) },
+			"Cell":   func() { _ = c.Cell(key, out) },
+			"Rank":   func() { _, _ = r.Rank(cell) },
+			"CellAt": func() { _ = r.CellAt(r.Len()/2, out) },
+		} {
+			if a := testing.AllocsPerRun(100, f); a != 0 {
+				t.Errorf("%s %s: %v allocs per call, want 0", name, op, a)
+			}
+		}
+	}
+}
+
 // TestHilbertUnitSteps: consecutive Hilbert keys map to cells at
 // Manhattan distance exactly 1 — the curve's defining continuity
 // property, and the reason it clusters better than Z-order.
@@ -184,12 +228,9 @@ func TestZOrderKeyBitsCompact(t *testing.T) {
 
 func TestRankedDenseOnPow2(t *testing.T) {
 	for name, c := range curvesFor(t, []int{8, 8, 8}) {
-		r, err := NewRanked(c)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if name != "gray" && r.keys != nil {
-			t.Errorf("%s: pow-2 grid should not materialize keys", name)
+		r := NewRanked(c)
+		if len(r.runs) != 2 {
+			t.Errorf("%s: pow-2 grid is %d runs, want one (and the sentinel)", name, len(r.runs)-1)
 		}
 		if r.Len() != 512 {
 			t.Errorf("%s: Len=%d, want 512", name, r.Len())
@@ -200,10 +241,7 @@ func TestRankedDenseOnPow2(t *testing.T) {
 func TestRankedBijective(t *testing.T) {
 	dims := []int{5, 3, 3}
 	for name, c := range curvesFor(t, dims) {
-		r, err := NewRanked(c)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		r := NewRanked(c)
 		if r.Len() != 45 {
 			t.Fatalf("%s: Len=%d, want 45", name, r.Len())
 		}
@@ -238,10 +276,7 @@ func TestRankedPreservesCurveOrder(t *testing.T) {
 	// never reorders.
 	dims := []int{6, 5, 4}
 	for name, c := range curvesFor(t, dims) {
-		r, err := NewRanked(c)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := NewRanked(c)
 		type pair struct {
 			key  uint64
 			rank int64
@@ -264,10 +299,7 @@ func TestRankedPreservesCurveOrder(t *testing.T) {
 
 func TestRankedCellAtBounds(t *testing.T) {
 	c, _ := NewZOrder([]int{3, 3})
-	r, err := NewRanked(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := NewRanked(c)
 	out := make([]int, 2)
 	if err := r.CellAt(-1, out); err == nil {
 		t.Error("negative rank accepted")
@@ -321,103 +353,5 @@ func TestHilbertClustersBetterThanZ(t *testing.T) {
 	zRuns, hRuns := runs(z), runs(h)
 	if hRuns >= zRuns {
 		t.Errorf("Hilbert runs/query %.1f not better than Z-order %.1f", hRuns, zRuns)
-	}
-}
-
-func TestSortKeysMatchesSlicesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{0, 1, 100, radixSortThreshold + 1000} {
-		keys := make([]uint64, n)
-		want := make([]uint64, n)
-		for i := range keys {
-			// Mix of small and huge keys so whole byte lanes are constant.
-			keys[i] = uint64(rng.Int63n(1 << 20))
-			if i%7 == 0 {
-				keys[i] |= uint64(rng.Int63()) << 20
-			}
-			want[i] = keys[i]
-		}
-		SortKeys(keys)
-		slices.Sort(want)
-		if !slices.Equal(keys, want) {
-			t.Fatalf("n=%d: radix order differs from comparison sort", n)
-		}
-	}
-}
-
-func TestRanksOfSortedKeysMatchesRank(t *testing.T) {
-	dims := []int{7, 5, 6} // non-power-of-two: sparse keys, real ranking
-	c, err := NewHilbert(dims)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRanked(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var keys []uint64
-	var cells [][]int
-	cell := []int{1, 0, 2}
-	lo, hi := []int{1, 0, 2}, []int{6, 4, 5}
-	for {
-		k, err := r.KeyOf(cell)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys = append(keys, k)
-		cells = append(cells, append([]int(nil), cell...))
-		done := true
-		for i := 0; i < len(cell); i++ {
-			cell[i]++
-			if cell[i] < hi[i] {
-				done = false
-				break
-			}
-			cell[i] = lo[i]
-		}
-		if done {
-			break
-		}
-	}
-	want := map[uint64]bool{}
-	for _, cl := range cells {
-		rk, err := r.Rank(cl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[uint64(rk)] = true
-	}
-	SortKeys(keys)
-	if err := r.RanksOfSortedKeys(keys); err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		if !want[k] {
-			t.Fatalf("bulk rank %d (index %d) not produced by per-cell Rank", k, i)
-		}
-		if i > 0 && keys[i] < keys[i-1] {
-			t.Fatalf("bulk ranks not ascending at %d", i)
-		}
-	}
-	// An out-of-grid key must be rejected.
-	bad := []uint64{^uint64(0) >> 8}
-	if err := r.RanksOfSortedKeys(bad); err == nil {
-		t.Error("foreign key accepted")
-	}
-	// Same contract on a dense (power-of-two) grid, where keys are
-	// already ranks and only bounds are checked.
-	dc, err := NewHilbert([]int{8, 8, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dr, err := NewRanked(dc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dr.RanksOfSortedKeys([]uint64{0, 511}); err != nil {
-		t.Errorf("in-grid dense keys rejected: %v", err)
-	}
-	if err := dr.RanksOfSortedKeys([]uint64{0, 512}); err == nil {
-		t.Error("dense grid accepted out-of-range key")
 	}
 }

@@ -3,6 +3,12 @@
 // Gray-coded curve (Faloutsos), plus the rank compaction that packs a
 // curve over a non-power-of-two grid into a dense sequence of cells
 // "stored sequentially on disks" (§5.2).
+//
+// Each curve is also a hierarchy (walk.go): an aligned sub-box of the
+// key space is one contiguous key interval, so a box of cells is a few
+// intervals per unit of its surface rather than one key per cell. One
+// in-order walk of that hierarchy builds the rank compaction (the runs
+// of in-grid keys) and plans a query box (Ranked.BoxRuns).
 package sfc
 
 import (
@@ -20,50 +26,51 @@ func bitsFor(n int) int {
 }
 
 // checkDims validates a grid shape and returns the per-dimension bit
-// widths and their sum.
-func checkDims(dims []int) ([]int, int, error) {
+// widths.
+func checkDims(dims []int) ([]int, error) {
 	if len(dims) == 0 {
-		return nil, 0, fmt.Errorf("sfc: empty dimension list")
+		return nil, fmt.Errorf("sfc: empty dimension list")
 	}
 	bw := make([]int, len(dims))
 	total := 0
 	for i, d := range dims {
 		if d <= 0 {
-			return nil, 0, fmt.Errorf("sfc: dimension %d has non-positive length %d", i, d)
+			return nil, fmt.Errorf("sfc: dimension %d has non-positive length %d", i, d)
 		}
 		bw[i] = bitsFor(d)
 		total += bw[i]
 	}
-	if total > 63 {
-		return nil, 0, fmt.Errorf("sfc: grid needs %d key bits, max 63", total)
+	if total > maxKeyBits {
+		return nil, fmt.Errorf("sfc: grid needs %d key bits, max %d", total, maxKeyBits)
 	}
-	return bw, total, nil
+	return bw, nil
 }
 
 // ZOrder enumerates an N-dimensional grid in Z (Morton) order, with
 // per-dimension bit widths so elongated grids interleave only as many
 // bits as each dimension needs.
 type ZOrder struct {
-	dims    []int
-	bw      []int // bit width per dimension
-	keyBits int
+	dims []int
+	bw   []int // bit width per dimension
+	hier hierarchy
 }
 
 // NewZOrder builds a Z-order curve over the given grid shape.
 func NewZOrder(dims []int) (*ZOrder, error) {
-	bw, total, err := checkDims(dims)
+	bw, err := checkDims(dims)
 	if err != nil {
 		return nil, err
 	}
-	z := &ZOrder{dims: append([]int(nil), dims...), bw: bw, keyBits: total}
-	return z, nil
+	return &ZOrder{dims: append([]int(nil), dims...), bw: bw, hier: newHierarchy(bw, false, false)}, nil
 }
 
 // Dims returns the grid shape.
 func (z *ZOrder) Dims() []int { return z.dims }
 
 // KeyBits returns the number of significant bits in a key.
-func (z *ZOrder) KeyBits() int { return z.keyBits }
+func (z *ZOrder) KeyBits() int { return z.hier.keyBits }
+
+func (z *ZOrder) tree() *hierarchy { return &z.hier }
 
 // Key maps a cell coordinate to its Z-order key. Bits are interleaved
 // round-robin from the most significant downward, skipping dimensions
@@ -74,19 +81,8 @@ func (z *ZOrder) Key(cell []int) (uint64, error) {
 		return 0, err
 	}
 	var key uint64
-	maxBW := 0
-	for _, b := range z.bw {
-		if b > maxBW {
-			maxBW = b
-		}
-	}
-	for level := maxBW - 1; level >= 0; level-- {
-		for i := range z.dims {
-			if level >= z.bw[i] {
-				continue
-			}
-			key = key<<1 | uint64(cell[i]>>uint(level))&1
-		}
+	for j := 0; j < z.hier.keyBits; j++ {
+		key = key<<1 | uint64(cell[z.hier.axis[j]]>>z.hier.shift[j])&1
 	}
 	return key, nil
 }
@@ -96,25 +92,15 @@ func (z *ZOrder) Cell(key uint64, out []int) error {
 	if len(out) != len(z.dims) {
 		return fmt.Errorf("sfc: out has %d dims, want %d", len(out), len(z.dims))
 	}
+	if key >= 1<<uint(z.hier.keyBits) {
+		return fmt.Errorf("sfc: key %d outside curve space", key)
+	}
 	for i := range out {
 		out[i] = 0
 	}
-	maxBW := 0
-	for _, b := range z.bw {
-		if b > maxBW {
-			maxBW = b
-		}
-	}
 	// Consume bits in the same order Key produced them.
-	shift := z.keyBits
-	for level := maxBW - 1; level >= 0; level-- {
-		for i := range z.dims {
-			if level >= z.bw[i] {
-				continue
-			}
-			shift--
-			out[i] |= int(key>>uint(shift)&1) << uint(level)
-		}
+	for j := 0; j < z.hier.keyBits; j++ {
+		out[z.hier.axis[j]] |= int(key>>uint(z.hier.keyBits-1-j)&1) << z.hier.shift[j]
 	}
 	return nil
 }
@@ -124,8 +110,9 @@ func (z *ZOrder) validate(cell []int) error {
 		return fmt.Errorf("sfc: cell has %d dims, want %d", len(cell), len(z.dims))
 	}
 	for i, c := range cell {
-		if c < 0 || c >= 1<<uint(z.bw[i]) {
-			return fmt.Errorf("sfc: coordinate %d = %d outside key space [0,%d)", i, c, 1<<uint(z.bw[i]))
+		// Unsigned: a negative coordinate is large, and 1<<63 fits.
+		if uint64(c) >= 1<<uint(z.bw[i]) {
+			return fmt.Errorf("sfc: coordinate %d = %d outside key space [0,%d)", i, c, uint64(1)<<uint(z.bw[i]))
 		}
 	}
 	return nil
@@ -136,7 +123,8 @@ func (z *ZOrder) validate(cell []int) error {
 // differ in one interleaved bit, improving clustering slightly over
 // plain Z-order.
 type GrayCurve struct {
-	z *ZOrder
+	z    *ZOrder
+	hier hierarchy // z's, Gray-decoded
 }
 
 // NewGrayCurve builds a Gray-coded curve over the grid shape.
@@ -145,11 +133,15 @@ func NewGrayCurve(dims []int) (*GrayCurve, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &GrayCurve{z: z}, nil
+	g := &GrayCurve{z: z, hier: z.hier}
+	g.hier.gray = true
+	return g, nil
 }
 
 // Dims returns the grid shape.
 func (g *GrayCurve) Dims() []int { return g.z.dims }
+
+func (g *GrayCurve) tree() *hierarchy { return &g.hier }
 
 // Key maps a cell to its position along the Gray-coded curve.
 func (g *GrayCurve) Key(cell []int) (uint64, error) {
@@ -162,6 +154,9 @@ func (g *GrayCurve) Key(cell []int) (uint64, error) {
 
 // Cell inverts Key.
 func (g *GrayCurve) Cell(key uint64, out []int) error {
+	if key >= 1<<uint(g.hier.keyBits) {
+		return fmt.Errorf("sfc: key %d outside curve space", key)
+	}
 	return g.z.Cell(binaryToGray(key), out)
 }
 
