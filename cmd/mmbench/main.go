@@ -83,8 +83,7 @@ func main() {
 		wbIvl    = flag.Duration("wb-interval", 0, "write-back flush interval, e.g. 2ms: dirty data older than this is committed (0 = engine default); needs -wb")
 		fair     = flag.Int64("fair", 0, "weighted-fair (deficit-round-robin) admission quantum in blocks for -exp burst/tenants, e.g. 1024: each admission pass grants every backlogged QoS class quantum*weight blocks of credit (omit = fair sharing off)")
 		qos      = flag.String("qos", "", "comma-separated QoS class specs name:weight[:urgent] registered for -fair runs, e.g. 'interactive:1,bulk:4,ops:2:urgent' (default: the burst benchmark's built-in interactive:1,bulk:4,writer:1 mix); needs -fair")
-		pipeline = flag.Int("pipeline", 0, "dispatch pipeline depth per -exp serve/burst service, e.g. 2: the service keeps up to N disk batches in flight while scheduling the next admission pass (0 = lockstep dispatch, bit-identical schedules)")
-		jsonOut  = flag.String("json", "", "write -exp burst's structured result (schema mmbench-burst/v3: p50/p99 per QoS class, p999 on large samples, host wall/allocs-per-op) or -exp tenants' (schema mmbench-tenants/v1: lifecycle phases + live-burst latency) to this file")
+		jsonOut  = flag.String("json", "", "write -exp burst's structured result (p50/p99 per QoS class, p999 on large samples, host wall/allocs-per-op) or -exp tenants' (lifecycle phases + live-burst latency) as JSON to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment run to this file (inspect with 'go tool pprof')")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile taken after the experiment run to this file (inspect with 'go tool pprof')")
 		remote   = flag.String("remote", "", "client mode: drive serve-style load against a running mmserved daemon at this address (host:port) instead of running experiments in-process; uses -store, -class, -clients, -queries, -writes, -deadline, -seed")
@@ -111,9 +110,6 @@ func main() {
 	}
 	if *wbWater < 0 || *wbIvl < 0 {
 		usageErr("-wb-watermark and -wb-interval must be non-negative")
-	}
-	if *pipeline < 0 {
-		usageErr("-pipeline %d is negative; want a depth of in-flight batches (0 = lockstep)", *pipeline)
 	}
 	if *scale <= 0 || *scale > 1 {
 		usageErr("-scale %v is out of range; want a fraction in (0,1]", *scale)
@@ -197,7 +193,6 @@ func main() {
 		Deadline: *deadline, DeadlineAging: *aging,
 		WriteBack: *wb, WBWatermark: *wbWater, WBInterval: *wbIvl,
 		FairQuantum: *fair, QoSClasses: qosClasses,
-		PipelineDepth: *pipeline,
 	}
 	if *disks != "" {
 		for _, d := range strings.Split(*disks, ",") {

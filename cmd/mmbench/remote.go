@@ -9,6 +9,7 @@ import (
 	"time"
 
 	multimap "repro"
+	"repro/internal/engine"
 	"repro/internal/server"
 )
 
@@ -111,12 +112,14 @@ func runRemote(cfg remoteConfig) error {
 	var sum multimap.Stats
 	for _, row := range rows {
 		sum.Accumulate(row.stats)
+		sort.Float64s(row.hostMs)
+		sort.Float64s(row.firstChunk)
 		fmt.Printf("%-8s %8d %8d %6d %12.4f %12.3f %14.3f %10d\n",
 			fmt.Sprintf("c%d/%s", row.id, row.session),
 			row.queries, row.chunks, row.errs,
 			row.stats.MsPerCell(),
-			percentile(row.hostMs, 0.50),
-			percentile(row.firstChunk, 0.50),
+			engine.Percentile(row.hostMs, 0.50),
+			engine.Percentile(row.firstChunk, 0.50),
 			row.stats.Cancelled+row.stats.DeadlineExceeded)
 	}
 	fmt.Printf("total: cells=%d requests=%d simulated-ms=%.1f\n",
@@ -201,21 +204,4 @@ func randomBox(rng *rand.Rand, dims []int) (lo, hi []int) {
 		hi[d] = lo[d] + w
 	}
 	return lo, hi
-}
-
-// percentile returns the q-quantile of xs (0 when empty), interpolated
-// on the sorted sample.
-func percentile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	rank := q * float64(len(s)-1)
-	i := int(rank)
-	if i >= len(s)-1 {
-		return s[len(s)-1]
-	}
-	frac := rank - float64(i)
-	return s[i]*(1-frac) + s[i+1]*frac
 }

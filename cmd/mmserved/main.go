@@ -11,8 +11,9 @@
 //	mmserved -addr 127.0.0.1:0 -open '{"name":"demo","disks":["atlas10k3"],
 //	    "mapping":"multimap","dims":[64,4,4,4]}'
 //
-// -open takes an OpenStoreRequest JSON spec and may repeat; each spec
-// is opened before the listener starts, so a readiness poll on
+// -open takes an OpenStoreRequest JSON spec and may repeat (a spec with
+// an unknown field is a usage error); each spec is opened before the
+// listener starts, so a readiness poll on
 // /v1/stores sees the boot datasets. On SIGINT/SIGTERM the daemon
 // stops accepting connections, drains in-flight requests (streamed
 // queries retire or get cancelled by their clients), closes every
@@ -21,13 +22,13 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -67,7 +68,7 @@ func main() {
 	srv := server.New()
 	for _, raw := range opens {
 		var req server.OpenStoreRequest
-		if err := json.Unmarshal([]byte(raw), &req); err != nil {
+		if err := server.DecodeOpen(strings.NewReader(raw), &req); err != nil {
 			usageErr("bad -open spec %q: %v", raw, err)
 		}
 		info, err := srv.OpenStore(context.Background(), req)

@@ -124,12 +124,8 @@
 // diffs empty). cmd/mmbench mirrors the knobs as
 // -wb/-wb-watermark/-wb-interval, and -exp burst runs a closed-loop
 // burst workload of three QoS classes (interactive/bulk/writer)
-// reporting p50/p99/p999 host latency per class, persisted via -json
-// under the mmbench-burst/v3 schema — which adds host wall-clock
-// seconds, GOMAXPROCS, allocations per operation, and the pipeline
-// depth, so the committed trajectory (BENCH_6.json through
-// BENCH_9.json, validated by cmd/benchtraj) tracks host efficiency
-// alongside simulated latency.
+// reporting p50/p99/p999 host latency per class (-json dumps the
+// result struct).
 //
 // # Sharded scatter-gather execution
 //
@@ -275,27 +271,7 @@
 // without the caller ever seeing core.ErrOverflowExhausted. A
 // genuinely full drive still errors. Auto-grown capacity is audited
 // per drive in Pool.Usage (DriveUsage.AutoGrownBlocks); cmd/mmbench's
-// -exp tenants workload exercises the path and persists the total in
-// its artifact.
-//
-// # Pipelined batch dispatch
-//
-// WithPipeline(depth) overlaps the service loop's pipeline stages —
-// admit → schedule → dispatch → complete/attribute — instead of
-// running them in lockstep. The scheduling stage stays the sole owner
-// of the extent cache, dirty buffer, and COW state, so every
-// coherence contract above is computed exactly as in lockstep; only
-// the simulated disk service of already-scheduled batches (the
-// dominant host cost) runs concurrently, on per-disk completion
-// queues up to the configured depth. Batches retire in issue order,
-// so attribution, Stats, and ServiceTotals are unchanged — session
-// sums still equal ServiceTotals.Attributed at any depth — and
-// simulated time is untouched: only host wall-clock changes. A read
-// overlapping a still-in-flight write stalls the pipeline for exactly
-// that dependency; cancellation drops undispatched batches costlessly.
-// Depth 0 (the default) is the lockstep loop, bit-identical to the
-// pre-pipeline engine (fig6probe diffs empty). cmd/mmbench mirrors
-// the knob as -pipeline.
+// -exp tenants workload exercises the path and reports the total.
 //
 // # Network daemon: sessions over the wire
 //

@@ -76,11 +76,6 @@ type ExperimentConfig struct {
 	// (mmbench -qos). Empty keeps the burst experiment's built-in
 	// interactive:1, bulk:4, writer:1 mix.
 	QoSClasses []QoSClass
-	// PipelineDepth, when positive, lets every shard service keep that
-	// many dispatched disk batches in flight while scheduling the next
-	// admission pass (mmbench -pipeline; see WithPipeline). 0 keeps
-	// lockstep dispatch.
-	PipelineDepth int
 }
 
 // ExperimentIDs lists the regenerable paper artifacts plus the two
@@ -94,11 +89,10 @@ func ExperimentIDs() []string {
 // ExperimentTable is a printable experiment result.
 type ExperimentTable = experiments.Table
 
-// BurstResult is the burst benchmark's JSON-stable artifact: per-QoS-
+// BurstResult is the burst benchmark's structured result: per-QoS-
 // class host-latency percentiles (p50/p99, and p999 when the sample is
 // large enough to support it) plus fair-share and group-commit
-// evidence, under the "mmbench-burst/v2" schema (v1 artifacts still
-// decode and validate).
+// evidence. mmbench -exp burst -json dumps it as JSON.
 type BurstResult = experiments.BurstResult
 
 // BurstClass is one QoS class's row in a BurstResult: its registered
@@ -118,15 +112,6 @@ func RunBurst(cfg ExperimentConfig) (*ExperimentTable, *BurstResult, error) {
 	return experiments.BurstTraffic(ic)
 }
 
-// ValidateBurstJSON checks raw JSON against its declared mmbench-burst
-// schema version (v1 or v2): every required key present, all three QoS
-// classes with traffic, and p50 ≤ p99 ≤ p999 (where present) per
-// class. The CI bench-trajectory step runs it over every committed
-// artifact.
-func ValidateBurstJSON(data []byte) (*BurstResult, error) {
-	return experiments.ValidateBurstJSON(data)
-}
-
 // internal translates the public config for the experiments package.
 func (cfg ExperimentConfig) internal() (experiments.Config, error) {
 	ic := experiments.Config{
@@ -137,9 +122,8 @@ func (cfg ExperimentConfig) internal() (experiments.Config, error) {
 		Shards:        cfg.Shards, BatchWindow: cfg.BatchWindow,
 		Deadline: cfg.Deadline, DeadlineAging: cfg.DeadlineAging,
 		WriteBack: cfg.WriteBack, WBWatermark: cfg.WBWatermark, WBInterval: cfg.WBInterval,
-		FairQuantum:   cfg.FairQuantum,
-		QoSClasses:    cfg.QoSClasses,
-		PipelineDepth: cfg.PipelineDepth,
+		FairQuantum: cfg.FairQuantum,
+		QoSClasses:  cfg.QoSClasses,
 	}
 	for _, m := range cfg.Disks {
 		g, err := disk.ModelByName(string(m))

@@ -6,13 +6,10 @@ package multimap
 // its overflow capacity (absorbed online by the pool's WithAutoGrow),
 // grown further by an explicit Grow, snapshotted, cloned, queried on
 // the clone, dirtied past the snapshot (copy-on-write faults), and
-// destroyed — for several rounds. The result serializes to the stable
-// "mmbench-tenants/v1" JSON schema the CI bench-trajectory step
-// validates alongside the burst artifacts.
+// destroyed — for several rounds.
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -21,11 +18,11 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
-// TenantsSchema versions the tenants benchmark's JSON artifact. Bump
-// it whenever a field changes meaning; the trajectory checker accepts
-// every version it knows and refuses anything else.
+// TenantsSchema tags the tenants benchmark's JSON dump (mmbench -exp
+// tenants -json) with the result struct it was marshalled from.
 const TenantsSchema = "mmbench-tenants/v1"
 
 // tenantsPhases is the canonical lifecycle order every round follows
@@ -59,8 +56,7 @@ type TenantsResult struct {
 	// AutoGrownBlocks is the capacity the pool's WithAutoGrow hook
 	// allocated when tenant B's fill exhausted its overflow pool —
 	// direct evidence auto-grow absorbed the exhaustion instead of
-	// erroring. Optional in the v1 schema: artifacts from before
-	// auto-grow existed decode as 0.
+	// erroring.
 	AutoGrownBlocks int64 `json:"auto_grown_blocks,omitempty"`
 	// CowFaultBlocks counts parent blocks copied out by post-snapshot
 	// writes — direct evidence the copy-on-write path engaged.
@@ -88,21 +84,6 @@ func tenantsDims(scale float64) (a, b []int) {
 	a = []int{d(40, 8), d(16, 6), d(8, 4)}
 	b = []int{d(12, 6), d(6, 4), d(4, 3)}
 	return a, b
-}
-
-// tenantsPctl returns the p-quantile of an ascending-sorted sample by
-// linear rank interpolation (same method as the burst artifact).
-func tenantsPctl(sorted []float64, p float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	rank := p * float64(n-1)
-	lo := int(math.Floor(rank))
-	if lo >= n-1 {
-		return sorted[n-1]
-	}
-	return sorted[lo] + (rank-float64(lo))*(sorted[lo+1]-sorted[lo])
 }
 
 // RunTenants runs the multi-tenant churn benchmark (experiment id
@@ -363,8 +344,8 @@ func RunTenants(cfg ExperimentConfig) (*ExperimentTable, *TenantsResult, error) 
 	}
 	sort.Float64s(lat)
 	res.BurstOps = len(lat)
-	res.BurstP50Ms = tenantsPctl(lat, 0.50)
-	res.BurstP99Ms = tenantsPctl(lat, 0.99)
+	res.BurstP50Ms = engine.Percentile(lat, 0.50)
+	res.BurstP99Ms = engine.Percentile(lat, 0.99)
 	for _, name := range tenantsPhases {
 		res.Phases = append(res.Phases, *phases[name])
 	}
@@ -385,14 +366,6 @@ func RunTenants(cfg ExperimentConfig) (*ExperimentTable, *TenantsResult, error) 
 	t.Rows = append(t.Rows, []string{"live burst (p50/p99 ms)", fmt.Sprint(res.BurstOps),
 		fmt.Sprintf("%.3f / %.3f", res.BurstP50Ms, res.BurstP99Ms)})
 	return t, res, nil
-}
-
-// tenantsRequiredKeys is the explicit key diff ValidateTenantsJSON
-// demands beyond a successful decode, mirroring the burst checker.
-var tenantsRequiredKeys = struct{ top, phase []string }{
-	top: []string{"schema", "disk", "scale", "drives", "rounds", "fair_quantum", "wall_seconds",
-		"grown_blocks", "cow_fault_blocks", "burst_ops", "burst_p50_ms", "burst_p99_ms", "phases"},
-	phase: []string{"phase", "ops", "ms"},
 }
 
 // ValidateTenants checks a tenants artifact's invariants: the known
@@ -448,40 +421,4 @@ func ValidateTenants(res *TenantsResult) error {
 		}
 	}
 	return nil
-}
-
-// ValidateTenantsJSON checks raw JSON against the mmbench-tenants
-// schema: every required key present (missing keys decode silently, so
-// this is an explicit diff) and the decoded result's invariants hold.
-// The CI bench-trajectory step runs it over every committed tenants
-// artifact.
-func ValidateTenantsJSON(data []byte) (*TenantsResult, error) {
-	var top map[string]json.RawMessage
-	if err := json.Unmarshal(data, &top); err != nil {
-		return nil, fmt.Errorf("tenants: not a JSON object: %w", err)
-	}
-	for _, k := range tenantsRequiredKeys.top {
-		if _, ok := top[k]; !ok {
-			return nil, fmt.Errorf("tenants: missing key %q", k)
-		}
-	}
-	var phases []map[string]json.RawMessage
-	if err := json.Unmarshal(top["phases"], &phases); err != nil {
-		return nil, fmt.Errorf("tenants: phases not a JSON array: %w", err)
-	}
-	for i, ph := range phases {
-		for _, k := range tenantsRequiredKeys.phase {
-			if _, ok := ph[k]; !ok {
-				return nil, fmt.Errorf("tenants: phases[%d] missing key %q", i, k)
-			}
-		}
-	}
-	var res TenantsResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		return nil, fmt.Errorf("tenants: %w", err)
-	}
-	if err := ValidateTenants(&res); err != nil {
-		return nil, err
-	}
-	return &res, nil
 }

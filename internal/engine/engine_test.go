@@ -201,3 +201,76 @@ func BenchmarkExecuteFIFO(b *testing.B) {
 		})
 	}
 }
+
+// TestPercentile table-tests the one percentile definition against the
+// three bodies it replaced: tenantsPctl (same arithmetic, so ==),
+// percentileSorted and mmbench's percentile (both a(1-f)+bf, equal up
+// to rounding; percentileSorted indexed out of range on an empty
+// sample, where the others — and Percentile — return 0).
+func TestPercentile(t *testing.T) {
+	tenantsPctl := func(sorted []float64, p float64) float64 {
+		n := len(sorted)
+		if n == 0 {
+			return 0
+		}
+		rank := p * float64(n-1)
+		lo := int(math.Floor(rank))
+		if lo >= n-1 {
+			return sorted[n-1]
+		}
+		return sorted[lo] + (rank-float64(lo))*(sorted[lo+1]-sorted[lo])
+	}
+	percentileSorted := func(sorted []float64, q float64) float64 {
+		n := len(sorted)
+		if n == 1 {
+			return sorted[0]
+		}
+		rank := q * float64(n-1)
+		lo := int(math.Floor(rank))
+		hi := int(math.Ceil(rank))
+		if lo == hi {
+			return sorted[lo]
+		}
+		frac := rank - float64(lo)
+		return sorted[lo]*(1-frac) + sorted[hi]*frac
+	}
+	remotePercentile := func(s []float64, q float64) float64 {
+		if len(s) == 0 {
+			return 0
+		}
+		rank := q * float64(len(s)-1)
+		i := int(rank)
+		if i >= len(s)-1 {
+			return s[len(s)-1]
+		}
+		frac := rank - float64(i)
+		return s[i]*(1-frac) + s[i+1]*frac
+	}
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*(1+math.Abs(b)) }
+	for _, tc := range []struct {
+		sample []float64
+		q      float64
+		want   float64
+	}{
+		{nil, 0, 0}, {nil, 0.5, 0}, {nil, 0.99, 0}, {nil, 1, 0},
+		{[]float64{7}, 0, 7}, {[]float64{7}, 0.5, 7}, {[]float64{7}, 0.99, 7}, {[]float64{7}, 1, 7},
+		{[]float64{1, 3}, 0, 1}, {[]float64{1, 3}, 0.5, 2}, {[]float64{1, 3}, 0.99, 2.98}, {[]float64{1, 3}, 1, 3},
+		{[]float64{0.1, 0.2, 0.4, 0.8, 1.6}, 0.5, 0.4}, {[]float64{0.1, 0.2, 0.4, 0.8, 1.6}, 0.99, 1.568},
+	} {
+		got := Percentile(tc.sample, tc.q)
+		if !near(got, tc.want) {
+			t.Errorf("Percentile(%v, %v) = %v, want %v", tc.sample, tc.q, got, tc.want)
+		}
+		if ref := tenantsPctl(tc.sample, tc.q); got != ref {
+			t.Errorf("Percentile(%v, %v) = %v, tenantsPctl gave %v", tc.sample, tc.q, got, ref)
+		}
+		if ref := remotePercentile(tc.sample, tc.q); !near(got, ref) {
+			t.Errorf("Percentile(%v, %v) = %v, mmbench percentile gave %v", tc.sample, tc.q, got, ref)
+		}
+		if len(tc.sample) > 0 {
+			if ref := percentileSorted(tc.sample, tc.q); !near(got, ref) {
+				t.Errorf("Percentile(%v, %v) = %v, percentileSorted gave %v", tc.sample, tc.q, got, ref)
+			}
+		}
+	}
+}

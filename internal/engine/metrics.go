@@ -65,26 +65,25 @@ func (r *LatencyRing) Snapshot() (count int64, p50, p99 float64) {
 	window := append([]float64(nil), r.buf[:r.fill]...)
 	count = r.count
 	r.mu.Unlock()
-	if len(window) == 0 {
-		return count, 0, 0
-	}
 	slices.Sort(window)
-	return count, percentileSorted(window, 0.50), percentileSorted(window, 0.99)
+	return count, Percentile(window, 0.50), Percentile(window, 0.99)
 }
 
-// percentileSorted interpolates the q-th percentile (q in [0,1]) of an
-// ascending sample.
-func percentileSorted(sorted []float64, q float64) float64 {
+// Percentile returns the q-quantile (q in [0,1]) of an ascending-sorted
+// sample by linear rank interpolation (the R-7 / NumPy "linear" method):
+// rank q×(n-1) interpolated between its two closest order statistics,
+// so distinct percentiles of a small sample collapse onto one order
+// statistic only when the sample cannot tell them apart. An empty
+// sample yields 0. It is the one percentile definition outside bench/.
+func Percentile(sorted []float64, q float64) float64 {
 	n := len(sorted)
-	if n == 1 {
-		return sorted[0]
+	if n == 0 {
+		return 0
 	}
 	rank := q * float64(n-1)
 	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
+	if lo >= n-1 {
+		return sorted[n-1]
 	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return sorted[lo] + (rank-float64(lo))*(sorted[lo+1]-sorted[lo])
 }

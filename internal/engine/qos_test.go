@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -350,5 +351,74 @@ func TestStatsAccumulatePartial(t *testing.T) {
 	sum.Accumulate(Stats{Cells: 3})
 	if !sum.Partial {
 		t.Fatal("Partial lost in accumulation")
+	}
+}
+
+// qosGroupsRef is qosGroups as it stood before it was expressed through
+// isUrgent and sortUrgent: its own urgency test and effective-deadline
+// sort, kept as the reference.
+func qosGroupsRef(ops []*serviceOp, aging time.Duration, now time.Time) [][]*serviceOp {
+	if len(ops) == 0 {
+		return nil
+	}
+	if aging <= 0 {
+		return [][]*serviceOp{ops}
+	}
+	var urgent, bulk []*serviceOp
+	for _, op := range ops {
+		if !op.deadline.IsZero() || now.Sub(op.enqueued) >= aging {
+			urgent = append(urgent, op)
+		} else {
+			bulk = append(bulk, op)
+		}
+	}
+	eff := func(op *serviceOp) time.Time {
+		if !op.deadline.IsZero() {
+			return op.deadline
+		}
+		return op.enqueued.Add(aging)
+	}
+	slices.SortStableFunc(urgent, func(a, b *serviceOp) int { return eff(a).Compare(eff(b)) })
+	var groups [][]*serviceOp
+	if len(urgent) > 0 {
+		groups = append(groups, urgent)
+	}
+	if len(bulk) > 0 {
+		groups = append(groups, bulk)
+	}
+	return groups
+}
+
+// TestQoSGroupsMatchesUrgentFront: for random op lists — deadlines or
+// none, enqueue ages below, exactly at and above the aging cap, several
+// classes — qosGroups returns exactly the groups the reference does.
+// Ages exactly at the cap pin isUrgent's >= comparison; ties in
+// effective deadline pin the stable order.
+func TestQoSGroupsMatchesUrgentFront(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	now := time.Unix(1_000_000, 0)
+	classes := []string{"", "bulk", "interactive"}
+	for trial := 0; trial < 500; trial++ {
+		aging := time.Duration(rng.Intn(4)) * time.Millisecond // 0 = off
+		ops := make([]*serviceOp, rng.Intn(12))
+		for i := range ops {
+			op := &serviceOp{kind: opChunk, class: classes[rng.Intn(len(classes))]}
+			// Ages in half-millisecond steps land on the cap exactly.
+			op.enqueued = now.Add(-time.Duration(rng.Intn(10)) * time.Millisecond / 2)
+			if rng.Intn(3) == 0 {
+				op.deadline = now.Add(time.Duration(rng.Intn(5)-1) * time.Millisecond)
+			}
+			ops[i] = op
+		}
+		want := qosGroupsRef(slices.Clone(ops), aging, now)
+		got := qosGroups(slices.Clone(ops), aging, now)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d (aging %v): %d groups, want %d", trial, aging, len(got), len(want))
+		}
+		for g := range want {
+			if !slices.Equal(got[g], want[g]) {
+				t.Fatalf("trial %d (aging %v): group %d differs", trial, aging, g)
+			}
+		}
 	}
 }

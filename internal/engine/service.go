@@ -73,10 +73,8 @@ type Service struct {
 	// opWriteBackCfg control op, which the loop itself executes).
 	wb *dirtySet
 
-	// pl is the dispatch-stage state (per-drive dispatcher queues and
-	// the in-flight batch FIFO); scratch and spare are the loop's
-	// reusable buffers. All three are owned by the loop goroutine.
-	pl      pipelineState
+	// scratch and spare are the loop's reusable buffers, owned by the
+	// loop goroutine.
 	scratch svcScratch
 	spare   []*serviceOp // recycled admission-queue backing array
 }
@@ -87,9 +85,9 @@ type Service struct {
 // per-pass allocations.
 type svcScratch struct {
 	reads, writes []*serviceOp
-	kept          []lvm.Request // serveSingle's cache-probe survivor list
+	kept          []lvm.Request // planSingle's cache-probe survivor list
 	rr, split     []lvm.Request // read-dependency screen buffers
-	merge         mergeScratch  // lockstep merged-batch plan buffers
+	merge         mergeScratch  // merged-batch plan buffers
 	touched       map[string]bool
 	flushComp     map[int64]lvm.Completion
 }
@@ -144,14 +142,6 @@ type ServiceOptions struct {
 	// reference classes by SessionOptions.Class; unregistered classes
 	// get weight 1 and no cache reserve.
 	Classes []QoSClass
-	// Pipeline is the dispatch pipeline depth: how many admission
-	// batches' read I/O may be in flight on the per-drive dispatcher
-	// goroutines while the schedule stage admits and plans the next
-	// batch. 0 (the default) runs the stages in lockstep on the loop
-	// goroutine — bit-identical to the pre-pipeline service. See
-	// pipeline.go for the staged-pipeline coherence contract (what
-	// stalls, what overlaps, what drains). Negative is treated as 0.
-	Pipeline int
 	// WriteBack configures write-back caching with group commit: write
 	// ops are absorbed into a dirty buffer instead of being charged
 	// immediately, and the buffer is committed as one SPTF batch on
@@ -219,7 +209,6 @@ const (
 	opFlush
 	opWriteBackCfg
 	opQoSCfg
-	opPipelineCfg
 )
 
 // serviceOp is one message to the service loop.
@@ -256,8 +245,6 @@ type serviceOp struct {
 	// opQoSCfg fields.
 	qosQuantum int64
 	qosClasses []QoSClass
-	// opPipelineCfg field.
-	pipelineDepth int
 
 	reply chan opResult
 }
@@ -318,9 +305,6 @@ func NewService(vol *lvm.Volume, opts ServiceOptions) *Service {
 	if opts.WriteBack.Enabled {
 		s.opts.WriteBack = opts.WriteBack.withDefaults()
 		s.wb = &dirtySet{}
-	}
-	if s.opts.Pipeline < 0 {
-		s.opts.Pipeline = 0
 	}
 	s.scratch.touched = make(map[string]bool, 8)
 	s.applyQoS(opts.FairQuantum, opts.Classes)
@@ -402,22 +386,6 @@ func (s *Service) SetFairShare(quantum int64, classes []QoSClass) error {
 	op.kind = opQoSCfg
 	op.qosQuantum = quantum
 	op.qosClasses = classes
-	return s.control(op)
-}
-
-// SetPipeline reconfigures the dispatch pipeline depth (see
-// ServiceOptions.Pipeline). Like every control op it is a barrier: all
-// in-flight batches drain first, so the pipeline is empty when the new
-// depth takes effect and the per-drive dispatcher queues are rebuilt
-// lazily at the new capacity. Negative depths are treated as 0, which
-// restores the lockstep loop.
-func (s *Service) SetPipeline(depth int) error {
-	if depth < 0 {
-		depth = 0
-	}
-	op := getOp()
-	op.kind = opPipelineCfg
-	op.pipelineDepth = depth
 	return s.control(op)
 }
 
@@ -611,19 +579,10 @@ func (s *Service) loop() {
 				// with, so the backlog is served out in one drain.
 				s.mu.Unlock()
 				if closed {
-					s.drainDeferred(aging)
+					s.drainDeferred()
 				} else {
 					s.serveWork(nil, aging)
 				}
-				continue
-			}
-			if len(s.pl.inflight) > 0 {
-				// In-flight pipelined batches keep the loop alive: park
-				// until the next completion token (retiring completed
-				// batches in dispatch order) or a wake signal delivers new
-				// work to overlap with them.
-				s.mu.Unlock()
-				s.plAwait()
 				continue
 			}
 			if s.wb != nil && s.wb.blocks > 0 {
@@ -643,10 +602,6 @@ func (s *Service) loop() {
 				s.flushDirty()
 				continue
 			}
-			// Idle: retire the dispatcher goroutines with the loop (the
-			// pipeline is empty, so they are parked on their queues and
-			// never touch mu) — an idle service holds no goroutines.
-			s.plShutdown()
 			s.running = false
 			s.idle.Broadcast()
 			s.mu.Unlock()
@@ -721,10 +676,7 @@ func (s *Service) process(batch []*serviceOp, aging time.Duration) {
 	isWork := func(k opKind) bool { return k == opChunk || k == opWrite }
 	for i := 0; i < len(batch); {
 		if !isWork(batch[i].kind) {
-			s.drainDeferred(aging)
-			// Control ops are pipeline barriers too: the deferred drain
-			// above may have dispatched, so drain after it.
-			s.plDrain()
+			s.drainDeferred()
 			s.handleControl(batch[i])
 			i++
 			continue
@@ -798,7 +750,7 @@ func (s *Service) serveGroup(group []*serviceOp) {
 // drainDeferred serves the entire DRR backlog immediately — per class
 // in sorted class order — forfeiting all credit. Runs ahead of control
 // barriers and on close.
-func (s *Service) drainDeferred(aging time.Duration) {
+func (s *Service) drainDeferred() {
 	for _, group := range s.drr.drain() {
 		s.serveGroup(s.dropCancelled(group))
 	}
@@ -899,14 +851,6 @@ func (s *Service) dropCancelled(ops []*serviceOp) []*serviceOp {
 				}
 				var inv int64
 				if op.kind == opWrite {
-					// An in-flight read batch overlapping the dropped
-					// write's extents will insert them into the cache at
-					// retirement; invalidating before that insertion would
-					// leave stale data readable, so the invalidation stalls
-					// behind the batch.
-					if s.plOverlaps(op.chunk.Reqs) {
-						s.plDrain()
-					}
 					split := s.splitInto(s.scratch.split[:0], op.chunk.Reqs)
 					s.scratch.split = split[:0]
 					for _, r := range split {
@@ -941,9 +885,10 @@ func (s *Service) dropCancelled(ops []*serviceOp) []*serviceOp {
 // qosGroups splits one admission pass's live work ops into served
 // batches (see ServiceOptions.DeadlineAging). With aging off the whole
 // pass is one batch in submission order — the pre-QoS behavior, bit
-// for bit. With aging on, urgent ops (explicit context deadline, or
-// queued at least the aging duration) form their own front batch,
-// ordered by effective deadline, and are never coalesced with the
+// for bit. With aging on, urgent ops (isUrgent with no class registry:
+// explicit context deadline, or queued at least the aging duration —
+// an Urgent-flagged class is inert without fair sharing) form their
+// own front batch in sortUrgent order, never coalesced with the
 // remaining bulk.
 func qosGroups(ops []*serviceOp, aging time.Duration, now time.Time) [][]*serviceOp {
 	if len(ops) == 0 {
@@ -954,19 +899,13 @@ func qosGroups(ops []*serviceOp, aging time.Duration, now time.Time) [][]*servic
 	}
 	var urgent, bulk []*serviceOp
 	for _, op := range ops {
-		if !op.deadline.IsZero() || now.Sub(op.enqueued) >= aging {
+		if isUrgent(op, nil, aging, now) {
 			urgent = append(urgent, op)
 		} else {
 			bulk = append(bulk, op)
 		}
 	}
-	eff := func(op *serviceOp) time.Time {
-		if !op.deadline.IsZero() {
-			return op.deadline
-		}
-		return op.enqueued.Add(aging)
-	}
-	slices.SortStableFunc(urgent, func(a, b *serviceOp) int { return eff(a).Compare(eff(b)) })
+	sortUrgent(urgent, aging)
 	var groups [][]*serviceOp
 	if len(urgent) > 0 {
 		groups = append(groups, urgent)
@@ -1004,14 +943,6 @@ func (s *Service) handleControl(op *serviceOp) {
 		cache.setShares(cacheShares(op.cacheBlocks, quantum, s.classes))
 	case opQoSCfg:
 		s.applyQoS(op.qosQuantum, op.qosClasses)
-	case opPipelineCfg:
-		// The control barrier drained the pipeline; retire the dispatcher
-		// goroutines so their queues are rebuilt at the new depth on the
-		// next dispatch.
-		s.plShutdown()
-		s.mu.Lock()
-		s.opts.Pipeline = op.pipelineDepth
-		s.mu.Unlock()
 	case opFlush:
 		if op.ctx != nil {
 			if cerr := op.ctx.Err(); cerr != nil {
@@ -1063,7 +994,6 @@ func (s *Service) serveChunks(items []*serviceOp) {
 	s.scratch.reads, s.scratch.writes = reads, writes
 	s.mu.Lock()
 	wb := s.opts.WriteBack
-	depth := s.opts.Pipeline
 	s.mu.Unlock()
 	wbOn := wb.Enabled && s.wb != nil
 	if wbOn && len(reads) > 0 && len(s.wb.extents) > 0 {
@@ -1079,12 +1009,6 @@ func (s *Service) serveChunks(items []*serviceOp) {
 	}
 	switch {
 	case len(reads) == 0:
-	case depth > 0:
-		if len(reads) == 1 {
-			s.dispatchSingle(depth, reads[0])
-		} else {
-			s.dispatchMerged(depth, reads)
-		}
 	case len(reads) == 1:
 		s.serveSingle(reads[0])
 	default:
@@ -1092,17 +1016,8 @@ func (s *Service) serveChunks(items []*serviceOp) {
 	}
 	for _, op := range writes {
 		if wbOn {
-			// Absorption performs no I/O, so it needs no barrier — unless
-			// it would invalidate an extent an in-flight batch will insert
-			// (stale data would become readable), or it must COW-fault
-			// (loop-side I/O must not interleave with the dispatchers).
-			if len(s.pl.inflight) > 0 && (s.vol.HasCOW() || s.plOverlaps(op.chunk.Reqs)) {
-				s.plDrain()
-			}
 			s.absorbWrite(op)
 		} else {
-			// Write-through I/O runs on the loop goroutine — a barrier.
-			s.plDrain()
 			s.serveWrite(op)
 		}
 	}
@@ -1111,19 +1026,14 @@ func (s *Service) serveChunks(items []*serviceOp) {
 	}
 }
 
-// splitAtSegmentEnds clips extents at member-disk segment boundaries:
-// a request must stay within one disk (the same invariant the read
-// coalescer enforces), but write submitters coalesce the blocks a
-// mutation dirties by plain VLBN adjacency, and an overflow extent
-// ending exactly at one disk's tail can sit adjacent to the next
-// disk's first block. Out-of-range addresses pass through unchanged so
-// ServeBatch surfaces the error to the submitter.
-func (s *Service) splitAtSegmentEnds(reqs []lvm.Request) []lvm.Request {
-	return s.splitInto(make([]lvm.Request, 0, len(reqs)), reqs)
-}
-
-// splitInto is splitAtSegmentEnds appending into a caller-provided
-// buffer, for hot-path callers that reuse loop scratch.
+// splitInto clips extents at member-disk segment boundaries, appending
+// the pieces to out (loop scratch on the hot path): a request must stay
+// within one disk (the same invariant the read coalescer enforces), but
+// write submitters coalesce the blocks a mutation dirties by plain VLBN
+// adjacency, and an overflow extent ending exactly at one disk's tail
+// can sit adjacent to the next disk's first block. Out-of-range
+// addresses pass through unchanged so ServeBatch surfaces the error to
+// the submitter.
 func (s *Service) splitInto(out []lvm.Request, reqs []lvm.Request) []lvm.Request {
 	for _, r := range reqs {
 		for {
@@ -1158,7 +1068,7 @@ func (s *Service) splitInto(out []lvm.Request, reqs []lvm.Request) []lvm.Request
 // segments detects the no-op with one atomic load.
 //
 // Ordering matters: callers must re-derive segment boundaries
-// (splitAtSegmentEnds) AFTER a successful fault, because resolving
+// (splitInto) AFTER a successful fault, because resolving
 // splits segments and renumbers their indices.
 func (s *Service) cowFault(op *serviceOp, res *opResult) (int, error) {
 	spans := s.vol.CowSpans(op.chunk.Reqs)
@@ -1281,8 +1191,6 @@ func (s *Service) absorbWrite(op *serviceOp) {
 	s.scratch.split = screen[:0]
 	for _, r := range screen {
 		if _, _, err := s.vol.Locate(r.VLBN); err != nil {
-			// Write-through fallback performs I/O on the loop goroutine.
-			s.plDrain()
 			s.serveWrite(op)
 			return
 		}
@@ -1350,10 +1258,6 @@ func (s *Service) flushDirty() error {
 	if s.wb == nil || len(s.wb.extents) == 0 {
 		return nil
 	}
-	// The group commit serves I/O on the loop goroutine — a pipeline
-	// barrier, so the flush batch never interleaves with dispatched
-	// reads on any drive's schedule.
-	s.plDrain()
 	extents := s.wb.take()
 	reqs := make([]lvm.Request, len(extents))
 	for i, e := range extents {
@@ -1441,14 +1345,13 @@ func (s *Service) flushDirty() error {
 // planSingle is a lone chunk's schedule stage: probe the cache,
 // folding hits into res, and return the requests that must reach the
 // disks. With the cache off the chunk's own request slice is returned
-// untouched; otherwise the survivors are appended to dst[:0] (callers
-// that reuse scratch must not store the result back when the cache is
-// off — it would alias the submitter's memory).
-func (s *Service) planSingle(op *serviceOp, res *opResult, dst []lvm.Request) []lvm.Request {
+// untouched; otherwise the survivors are collected in the loop's probe
+// buffer, valid until the next plan.
+func (s *Service) planSingle(op *serviceOp, res *opResult) []lvm.Request {
 	if s.cache == nil {
 		return op.chunk.Reqs
 	}
-	kept := dst[:0]
+	kept := s.scratch.kept[:0]
 	for _, r := range op.chunk.Reqs {
 		if s.cache.covered(r.VLBN, r.VLBN+int64(r.Count)) {
 			res.hits++
@@ -1458,6 +1361,7 @@ func (s *Service) planSingle(op *serviceOp, res *opResult, dst []lvm.Request) []
 		res.misses++
 		kept = append(kept, r)
 	}
+	s.scratch.kept = kept[:0] // keep the grown probe buffer
 	return kept
 }
 
@@ -1480,15 +1384,10 @@ func (s *Service) finishSingle(op *serviceOp, res opResult, issued int, comps []
 
 // serveSingle services a lone chunk exactly as Run would: the planner's
 // requests, the chunk's policy, no re-coalescing. With the cache off
-// this path is bit-identical to the synchronous engine. This is the
-// lockstep (depth-0) plan→dispatch→finish path; dispatchSingle is the
-// pipelined one.
+// this path is bit-identical to the synchronous engine.
 func (s *Service) serveSingle(op *serviceOp) {
 	var res opResult
-	reqs := s.planSingle(op, &res, s.scratch.kept)
-	if s.cache != nil {
-		s.scratch.kept = reqs[:0] // keep the grown probe buffer
-	}
+	reqs := s.planSingle(op, &res)
 	if len(reqs) > 0 {
 		comps, elapsed, err := s.vol.ServeBatch(reqs, op.policy)
 		if err != nil {
@@ -1507,10 +1406,8 @@ type mergeEntry struct {
 	req  lvm.Request
 }
 
-// mergeScratch is the buffer set one merged plan builds into. The loop
-// owns one (svcScratch.merge) for the lockstep path and reuses it
-// across batches; each in-flight pipelined batch carries its own,
-// since its plan must survive until retirement.
+// mergeScratch is the buffer set a merged plan builds into; the loop
+// owns one (svcScratch.merge) and reuses it across batches.
 type mergeScratch struct {
 	entries []mergeEntry
 	reqs    []lvm.Request // the coalesced extents to issue
@@ -1545,18 +1442,9 @@ func (sc *mergeScratch) pushMember(idx int) {
 	sc.members = append(sc.members, []int{idx})
 }
 
-// mergedPlan is one planned multi-chunk read batch: the items, the
-// scratch holding the coalesced extents and per-item results, and the
-// batch's issue policy.
-type mergedPlan struct {
-	items  []*serviceOp
-	sc     *mergeScratch
-	policy disk.SchedPolicy
-}
-
-// fail replies the error to every item of the plan.
-func (mp *mergedPlan) fail(err error) {
-	for _, it := range mp.items {
+// failAll replies the error to every item of a merged batch.
+func failAll(items []*serviceOp, err error) {
+	for _, it := range items {
 		it.reply <- opResult{err: err}
 	}
 }
@@ -1566,11 +1454,13 @@ func (mp *mergedPlan) fail(err error) {
 // extents (merging overlap and exact adjacency, never across a
 // disk-segment boundary), and pick the batch policy — the chunks'
 // unanimous policy, or SPTF when the batch mixes policies (cross-query
-// order is the drive's to choose). Returns ok=false after replying the
-// error to every item when an extent fails to locate.
-func (s *Service) planMerged(items []*serviceOp, sc *mergeScratch) (*mergedPlan, bool) {
+// order is the drive's to choose). The coalesced extents and per-item
+// results are left in the loop's merge scratch for finishMerged.
+// Returns ok=false after replying the error to every item when an
+// extent fails to locate.
+func (s *Service) planMerged(items []*serviceOp) (policy disk.SchedPolicy, ok bool) {
+	sc := &s.scratch.merge
 	sc.reset(len(items))
-	mp := &mergedPlan{items: items, sc: sc}
 	for i, it := range items {
 		for _, r := range it.chunk.Reqs {
 			if s.cache != nil {
@@ -1585,7 +1475,7 @@ func (s *Service) planMerged(items []*serviceOp, sc *mergeScratch) (*mergedPlan,
 		}
 	}
 	if len(sc.entries) == 0 {
-		return mp, true
+		return items[0].policy, true
 	}
 	slices.SortStableFunc(sc.entries, func(a, b mergeEntry) int {
 		switch {
@@ -1618,21 +1508,20 @@ func (s *Service) planMerged(items []*serviceOp, sc *mergeScratch) (*mergedPlan,
 		}
 		di, lbn, err := s.vol.Locate(start)
 		if err != nil {
-			mp.fail(err)
-			return nil, false
+			failAll(items, err)
+			return policy, false
 		}
 		boundary = start - lbn + s.vol.DiskBlocks(di)
 		sc.reqs = append(sc.reqs, lvm.Request{VLBN: start, Count: e.req.Count})
 		sc.pushMember(idx)
 	}
-	mp.policy = items[0].policy
+	policy = items[0].policy
 	for _, it := range items[1:] {
-		if it.policy != mp.policy {
-			mp.policy = disk.SchedSPTF
-			break
+		if it.policy != policy {
+			return disk.SchedSPTF, true
 		}
 	}
-	return mp, true
+	return policy, true
 }
 
 // finishMerged is a merged batch's completion stage: map each served
@@ -1640,8 +1529,8 @@ func (s *Service) planMerged(items []*serviceOp, sc *mergeScratch) (*mergedPlan,
 // proportion to the blocks each asked for (blocks wanted by several
 // queries are read once; every query is still credited its own cells),
 // insert the extents into the cache, account, trace, reply.
-func (s *Service) finishMerged(mp *mergedPlan, comps []lvm.Completion, elapsed float64) {
-	sc, items := mp.sc, mp.items
+func (s *Service) finishMerged(items []*serviceOp, comps []lvm.Completion, elapsed float64) {
+	sc := &s.scratch.merge
 	if len(sc.reqs) > 0 {
 		// Extents are disjoint, so a completion maps back by start VLBN.
 		if sc.compAt == nil {
@@ -1696,25 +1585,23 @@ func (s *Service) finishMerged(mp *mergedPlan, comps []lvm.Completion, elapsed f
 
 // serveMerged coalesces the batch's requests across queries into shared
 // extents, serves them as one batch, and splits each served extent's
-// cost among its contributors. This is the lockstep (depth-0)
-// plan→dispatch→finish path, reusing the loop's merge scratch;
-// dispatchMerged is the pipelined one.
+// cost among its contributors.
 func (s *Service) serveMerged(items []*serviceOp) {
-	mp, ok := s.planMerged(items, &s.scratch.merge)
+	policy, ok := s.planMerged(items)
 	if !ok {
 		return
 	}
 	var comps []lvm.Completion
 	var elapsed float64
-	if len(mp.sc.reqs) > 0 {
+	if reqs := s.scratch.merge.reqs; len(reqs) > 0 {
 		var err error
-		comps, elapsed, err = s.vol.ServeBatch(mp.sc.reqs, mp.policy)
+		comps, elapsed, err = s.vol.ServeBatch(reqs, policy)
 		if err != nil {
-			mp.fail(err)
+			failAll(items, err)
 			return
 		}
 	}
-	s.finishMerged(mp, comps, elapsed)
+	s.finishMerged(items, comps, elapsed)
 }
 
 // account folds one served admission batch into the service totals,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -171,6 +172,95 @@ func TestServiceConcurrentSessions(t *testing.T) {
 	}
 	if sum.TotalMs <= 0 {
 		t.Fatal("no simulated time attributed")
+	}
+}
+
+// TestAttributionSumsConcurrent runs concurrent mixed read/write
+// sessions (run with -race) and asserts the attribution-sum invariant
+// — summed per-session Stats == ServiceTotals.Attributed == summed
+// ClassTotals, ElapsedMs aside — with the cache off, on, and on with
+// write-back, under GOMAXPROCS 1 and 4.
+func TestAttributionSumsConcurrent(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		for _, cfg := range []struct {
+			name   string
+			cache  int64
+			wrBack bool
+		}{
+			{"plain", 0, false},
+			{"cache", 1 << 22, false},
+			{"cache+wb", 1 << 22, true},
+		} {
+			t.Run(fmt.Sprintf("procs=%d/%s", procs, cfg.name), func(t *testing.T) {
+				old := runtime.GOMAXPROCS(procs)
+				defer runtime.GOMAXPROCS(old)
+				attributionWorkload(t, cfg.cache, cfg.wrBack)
+			})
+		}
+	}
+}
+
+func attributionWorkload(t *testing.T, cacheBlocks int64, writeBack bool) {
+	t.Helper()
+	v := testVolume(t, disk.SmallTestDisk(), disk.SmallTestDisk(), disk.SmallTestDisk())
+	opts := ServiceOptions{CacheBlocks: cacheBlocks}
+	if writeBack {
+		opts.WriteBack = WriteBackOptions{Enabled: true}
+	}
+	svc := NewService(v, opts)
+	defer svc.Close()
+
+	const clients = 6
+	var wg sync.WaitGroup
+	sums := make([]Stats, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + c)))
+			sess := svc.NewSession(SessionOptions{MaxInflight: 2, Class: fmt.Sprintf("c%d", c%2)})
+			for q := 0; q < 6; q++ {
+				chunks := randomChunks(rng, v, 4, 25)
+				if _, err := sess.RunPlan(context.Background(), chunkPlan(chunks), Options{}); err != nil {
+					t.Errorf("client %d: %v", c, err)
+					return
+				}
+				if q%2 == 1 {
+					if _, err := sess.Write(context.Background(), SortCoalesce(randomReqs(rng, v, 6)), disk.SchedSPTF); err != nil {
+						t.Errorf("client %d write: %v", c, err)
+						return
+					}
+				}
+			}
+			if err := sess.Flush(context.Background()); err != nil {
+				t.Errorf("client %d flush: %v", c, err)
+			}
+			// Flush credits land in lifetime totals, not RunPlan returns,
+			// so the session's totals are its contribution.
+			sums[c] = sess.Totals()
+		}(c)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	svc.Close() // drain everything, including the final write-back flush
+
+	var sum, classSum Stats
+	for c := range sums {
+		sum.Accumulate(sums[c])
+	}
+	for _, ct := range svc.ClassTotals() {
+		classSum.Accumulate(ct.Attributed)
+	}
+	att := svc.Totals().Attributed
+	sum.ElapsedMs, classSum.ElapsedMs, att.ElapsedMs = 0, 0, 0 // documented exception to the sum
+	statsClose(sum, att, t)
+	statsClose(classSum, att, t)
+	for _, got := range []Stats{sum, classSum} {
+		if got.FlushBatches != att.FlushBatches || got.CowFaultBlocks != att.CowFaultBlocks {
+			t.Fatalf("write-back attribution differs: %+v vs %+v", got, att)
+		}
 	}
 }
 

@@ -9,13 +9,10 @@ package experiments
 // simulated disk time, so a write-back run shows directly where group
 // commit buys tail latency: writer ops return as soon as the buffer
 // absorbs them, and readers pay the (merged, cheaper) flushes instead
-// of queueing behind every small write. The result serializes to the
-// versioned "mmbench-burst" JSON schema (see BurstSchema) the CI
-// bench-trajectory step diffs.
+// of queueing behind every small write.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -29,35 +26,15 @@ import (
 	"repro/internal/shard"
 )
 
-// BurstSchema versions the burst benchmark's JSON artifact. Bump it
-// whenever a field changes meaning; the trajectory checker accepts
-// every version it knows (v1, v2, v3) and refuses anything else, so a
-// committed trajectory may span schema bumps without rewriting
-// history.
-//
-// v2 over v1: adds the top-level "fair_quantum" (the weighted-fair
-// admission quantum the run used; 0 = QoS off) and the per-class
-// "weight" and "deferred_ops"; percentiles move from nearest-rank to
-// linear rank interpolation; "p999_ms" becomes optional — omitted
-// when the class's sample is too small (< 1000 ops) for the 99.9th
-// percentile to be distinguishable from the maximum.
-//
-// v3 over v2: adds the host-side efficiency dimension the pipelined
-// dispatch work optimizes — top-level "gomaxprocs" (the host
-// parallelism the run had), "allocs_per_op" (mean heap allocations
-// per client op over the whole run, from runtime.MemStats.Mallocs),
-// and "pipeline_depth" (ServiceOptions.Pipeline; 0 = lockstep
-// dispatch). "wall_seconds" keeps its v1 meaning but is now a
-// first-class trajectory axis next to the simulated times.
-const (
-	BurstSchema   = "mmbench-burst/v3"
-	BurstSchemaV2 = "mmbench-burst/v2"
-	BurstSchemaV1 = "mmbench-burst/v1"
-)
+// BurstSchema tags the burst benchmark's JSON dump (mmbench -exp burst
+// -json) with the result struct it was marshalled from. No committed
+// artifact or reader of it remains, so the tag is not bumped when a
+// field goes.
+const BurstSchema = "mmbench-burst/v3"
 
 // burstP999MinOps is the smallest per-class sample for which p999 is
 // reported: below 1000 ops the 99.9th percentile is just the sample
-// maximum, which BENCH_6.json demonstrated (p99 == p999 at 96 ops).
+// maximum (p99 == p999 at 96 ops).
 const burstP999MinOps = 1000
 
 // BurstClass is one QoS class's latency trajectory.
@@ -89,15 +66,10 @@ type BurstResult struct {
 	WriteBack     bool    `json:"write_back"`
 	CacheBlocks   int64   `json:"cache_blocks"`
 	// FairQuantum is the weighted-fair admission quantum in blocks per
-	// weight unit per pass; 0 = QoS off (v1 artifacts decode as 0).
+	// weight unit per pass; 0 = QoS off.
 	FairQuantum int64 `json:"fair_quantum"`
-	// PipelineDepth is the service dispatch pipeline depth the run used
-	// (engine ServiceOptions.Pipeline); 0 = lockstep dispatch (and the
-	// only value pre-v3 artifacts can decode as).
-	PipelineDepth int `json:"pipeline_depth"`
 	// GOMAXPROCS is the host parallelism the run had — wall_seconds and
 	// allocs_per_op are only comparable between runs at the same value.
-	// Pre-v3 artifacts decode as 0 (unrecorded).
 	GOMAXPROCS  int     `json:"gomaxprocs"`
 	WallSeconds float64 `json:"wall_seconds"`
 	// AllocsPerOp is the mean number of heap allocations per client op
@@ -268,9 +240,8 @@ func BurstTraffic(cfg Config) (*Table, *BurstResult, error) {
 		Disk:   g.Name, Scale: cfg.Scale, Shards: shards,
 		WriteFraction: cfg.WriteFraction, WriteBack: cfg.WriteBack,
 		CacheBlocks: cfg.CacheBlocks, FairQuantum: cfg.FairQuantum,
-		PipelineDepth: cfg.PipelineDepth,
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		WallSeconds:   wall,
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		WallSeconds: wall,
 	}
 	if totalOps > 0 {
 		res.AllocsPerOp = float64(memAfter.Mallocs-memBefore.Mallocs) / float64(totalOps)
@@ -300,12 +271,12 @@ func BurstTraffic(cfg Config) (*Table, *BurstResult, error) {
 			Class:   class,
 			Weight:  burstWeight(cfg.QoSClasses, cfg.FairQuantum, class),
 			Clients: n, Ops: len(lat),
-			P50Ms:       pctl(lat, 0.50),
-			P99Ms:       pctl(lat, 0.99),
+			P50Ms:       engine.Percentile(lat, 0.50),
+			P99Ms:       engine.Percentile(lat, 0.99),
 			DeferredOps: deferredBy[class],
 		}
 		if len(lat) >= burstP999MinOps {
-			p := pctl(lat, 0.999)
+			p := engine.Percentile(lat, 0.999)
 			bc.P999Ms = &p
 		}
 		if len(lat) > 0 {
@@ -324,8 +295,8 @@ func BurstTraffic(cfg Config) (*Table, *BurstResult, error) {
 	}
 	t := &Table{
 		ID: "burst",
-		Title: fmt.Sprintf("Closed-loop burst traffic on %s, %v cells, write-back %s, QoS %s, pipeline %d, %d flushes, %d coalesced; %.2fs wall, %.0f allocs/op at GOMAXPROCS=%d",
-			g.Name, dims, wbMode, qosMode, res.PipelineDepth, res.FlushBatches, res.Coalesced,
+		Title: fmt.Sprintf("Closed-loop burst traffic on %s, %v cells, write-back %s, QoS %s, %d flushes, %d coalesced; %.2fs wall, %.0f allocs/op at GOMAXPROCS=%d",
+			g.Name, dims, wbMode, qosMode, res.FlushBatches, res.Coalesced,
 			res.WallSeconds, res.AllocsPerOp, res.GOMAXPROCS),
 		Header: []string{"class", "weight", "clients", "ops", "p50 ms", "p99 ms", "p999 ms", "sim ms/op", "deferred"},
 	}
@@ -359,38 +330,12 @@ func runBulkScan(ctx context.Context, sess *shard.Session, dims []int, rng *rand
 	return sess.Box(ctx, lo, hi)
 }
 
-// pctl returns the p-quantile of an ascending-sorted sample by linear
-// rank interpolation (the R-7 / NumPy "linear" method): rank p×(n-1)
-// interpolated between its two closest order statistics. Unlike the
-// nearest-rank method this never collapses distinct percentiles of a
-// small sample onto the same order statistic unless the sample truly
-// cannot distinguish them.
-func pctl(sorted []float64, p float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	rank := p * float64(n-1)
-	lo := int(math.Floor(rank))
-	if lo < 0 {
-		lo = 0
-	}
-	if lo >= n-1 {
-		return sorted[n-1]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
-}
-
-// ValidateBurst checks a burst artifact's invariants: a known schema
-// version, all three QoS classes present with traffic, and a sane
-// latency trajectory (0 ≤ p50 ≤ p99 ≤ p999 where present) per class.
+// ValidateBurst checks a burst result's invariants: the schema tag,
+// all three QoS classes present with traffic, and a sane latency
+// trajectory (0 ≤ p50 ≤ p99 ≤ p999 where present) per class.
 func ValidateBurst(res *BurstResult) error {
-	switch res.Schema {
-	case BurstSchema, BurstSchemaV2, BurstSchemaV1:
-	default:
-		return fmt.Errorf("burst: schema %q, want %q, %q, or %q",
-			res.Schema, BurstSchema, BurstSchemaV2, BurstSchemaV1)
+	if res.Schema != BurstSchema {
+		return fmt.Errorf("burst: schema %q, want %q", res.Schema, BurstSchema)
 	}
 	if res.Disk == "" {
 		return fmt.Errorf("burst: missing disk name")
@@ -401,13 +346,10 @@ func ValidateBurst(res *BurstResult) error {
 	if res.FairQuantum < 0 {
 		return fmt.Errorf("burst: negative fair_quantum %d", res.FairQuantum)
 	}
-	if res.PipelineDepth < 0 {
-		return fmt.Errorf("burst: negative pipeline_depth %d", res.PipelineDepth)
-	}
 	if res.AllocsPerOp < 0 {
 		return fmt.Errorf("burst: negative allocs_per_op %v", res.AllocsPerOp)
 	}
-	if res.Schema == BurstSchema && res.GOMAXPROCS < 1 {
+	if res.GOMAXPROCS < 1 {
 		return fmt.Errorf("burst: gomaxprocs %d below 1", res.GOMAXPROCS)
 	}
 	want := map[string]bool{"interactive": false, "bulk": false, "writer": false}
@@ -431,7 +373,7 @@ func ValidateBurst(res *BurstResult) error {
 			return fmt.Errorf("burst: class %q latency trajectory out of order: p99=%v p999=%v",
 				bc.Class, bc.P99Ms, *bc.P999Ms)
 		}
-		if res.Schema != BurstSchemaV1 && bc.Weight < 1 {
+		if bc.Weight < 1 {
 			return fmt.Errorf("burst: class %q weight %d below 1", bc.Class, bc.Weight)
 		}
 		if bc.MeanSimMs < 0 {
@@ -447,73 +389,4 @@ func ValidateBurst(res *BurstResult) error {
 		}
 	}
 	return nil
-}
-
-// burstRequiredKeys are the per-schema top-level and per-class JSON
-// keys the trajectory checker demands — a schema diff, not just a
-// decode. p999_ms is required in v1 (always emitted there) and
-// optional in v2 (omitted on small samples).
-var burstRequiredKeys = map[string]struct{ top, class []string }{
-	BurstSchemaV1: {
-		top: []string{"schema", "disk", "scale", "shards", "write_fraction", "write_back",
-			"cache_blocks", "wall_seconds", "flush_batches", "coalesced_writes", "classes"},
-		class: []string{"class", "clients", "ops", "p50_ms", "p99_ms", "p999_ms", "mean_sim_ms"},
-	},
-	BurstSchemaV2: {
-		top: []string{"schema", "disk", "scale", "shards", "write_fraction", "write_back",
-			"cache_blocks", "fair_quantum", "wall_seconds", "flush_batches", "coalesced_writes", "classes"},
-		class: []string{"class", "weight", "clients", "ops", "p50_ms", "p99_ms", "mean_sim_ms", "deferred_ops"},
-	},
-	BurstSchema: {
-		top: []string{"schema", "disk", "scale", "shards", "write_fraction", "write_back",
-			"cache_blocks", "fair_quantum", "pipeline_depth", "gomaxprocs", "wall_seconds",
-			"allocs_per_op", "flush_batches", "coalesced_writes", "classes"},
-		class: []string{"class", "weight", "clients", "ops", "p50_ms", "p99_ms", "mean_sim_ms", "deferred_ops"},
-	},
-}
-
-// ValidateBurstJSON checks raw JSON against its declared mmbench-burst
-// schema version: every required key present (missing keys decode
-// silently, so this is an explicit diff) and the decoded result's
-// invariants hold.
-func ValidateBurstJSON(data []byte) (*BurstResult, error) {
-	var top map[string]json.RawMessage
-	if err := json.Unmarshal(data, &top); err != nil {
-		return nil, fmt.Errorf("burst: not a JSON object: %w", err)
-	}
-	var schema string
-	if raw, ok := top["schema"]; ok {
-		if err := json.Unmarshal(raw, &schema); err != nil {
-			return nil, fmt.Errorf("burst: schema key: %w", err)
-		}
-	}
-	required, ok := burstRequiredKeys[schema]
-	if !ok {
-		return nil, fmt.Errorf("burst: schema %q, want %q, %q, or %q",
-			schema, BurstSchema, BurstSchemaV2, BurstSchemaV1)
-	}
-	for _, k := range required.top {
-		if _, ok := top[k]; !ok {
-			return nil, fmt.Errorf("burst: missing key %q", k)
-		}
-	}
-	var classes []map[string]json.RawMessage
-	if err := json.Unmarshal(top["classes"], &classes); err != nil {
-		return nil, fmt.Errorf("burst: classes not a JSON array: %w", err)
-	}
-	for i, c := range classes {
-		for _, k := range required.class {
-			if _, ok := c[k]; !ok {
-				return nil, fmt.Errorf("burst: classes[%d] missing key %q", i, k)
-			}
-		}
-	}
-	var res BurstResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		return nil, fmt.Errorf("burst: %w", err)
-	}
-	if err := ValidateBurst(&res); err != nil {
-		return nil, err
-	}
-	return &res, nil
 }

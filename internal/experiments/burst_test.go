@@ -9,8 +9,7 @@ import (
 // TestBurstTraffic runs the closed-loop burst benchmark small, with and
 // without write-back, and checks the artifact: all three QoS classes
 // carry traffic, the trajectory is ordered, group commit shows up in
-// the write-back run, and the JSON round-trips through the schema
-// checker.
+// the write-back run, and the JSON dump round-trips.
 func TestBurstTraffic(t *testing.T) {
 	cfg := fastCfg()
 	cfg.Clients = 4
@@ -45,12 +44,17 @@ func TestBurstTraffic(t *testing.T) {
 		t.Fatalf("write-back run shows no group commit: %+v", wb)
 	}
 
+	// mmbench -json is a plain dump of the struct: it must survive the
+	// round trip with its invariants intact.
 	data, err := json.Marshal(wb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ValidateBurstJSON(data)
-	if err != nil {
+	var back BurstResult
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateBurst(&back); err != nil {
 		t.Fatalf("round-trip rejected: %v", err)
 	}
 	if back.Coalesced != wb.Coalesced || len(back.Classes) != len(wb.Classes) {
@@ -86,180 +90,51 @@ func TestBurstTraffic(t *testing.T) {
 		t.Fatalf("QoS-off table title missing mode: %s", tb.Title)
 	}
 
-	// v3 host-efficiency fields: recorded on every run, and a pipelined
-	// run carries its depth through to the artifact.
-	if qos.GOMAXPROCS < 1 || qos.AllocsPerOp <= 0 || qos.PipelineDepth != 0 {
-		t.Fatalf("v3 host fields wrong on lockstep run: %+v", qos)
-	}
-	cfg.PipelineDepth = 2
-	tp, piped, err := BurstTraffic(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateBurst(piped); err != nil {
-		t.Fatalf("pipelined artifact invalid: %v", err)
-	}
-	if piped.PipelineDepth != 2 {
-		t.Fatalf("pipeline depth not recorded: %+v", piped)
-	}
-	if !strings.Contains(tp.Title, "pipeline 2") {
-		t.Fatalf("table title missing pipeline depth: %s", tp.Title)
+	// Host-efficiency fields are recorded on every run.
+	if qos.GOMAXPROCS < 1 || qos.AllocsPerOp <= 0 {
+		t.Fatalf("host fields wrong: %+v", qos)
 	}
 }
 
-// TestValidateBurstJSON exercises the schema checker's rejections: the
-// CI trajectory diff must catch a wrong schema tag, a missing key, a
-// missing class, and an out-of-order trajectory.
-func TestValidateBurstJSON(t *testing.T) {
-	good := `{
-		"schema": "mmbench-burst/v1", "disk": "d", "scale": 1, "shards": 1,
-		"write_fraction": 0.3, "write_back": true, "cache_blocks": 0,
-		"wall_seconds": 0.5, "flush_batches": 1, "coalesced_writes": 2,
-		"classes": [
-			{"class": "interactive", "clients": 2, "ops": 12, "p50_ms": 1, "p99_ms": 2, "p999_ms": 3, "mean_sim_ms": 4},
-			{"class": "bulk", "clients": 1, "ops": 6, "p50_ms": 1, "p99_ms": 1, "p999_ms": 1, "mean_sim_ms": 0},
-			{"class": "writer", "clients": 1, "ops": 6, "p50_ms": 0, "p99_ms": 0, "p999_ms": 0, "mean_sim_ms": 0}
-		]
-	}`
-	if _, err := ValidateBurstJSON([]byte(good)); err != nil {
-		t.Fatalf("valid artifact rejected: %v", err)
-	}
-	for name, mangle := range map[string]func(string) string{
-		"unknown schema": func(s string) string {
-			return strings.Replace(s, "mmbench-burst/v1", "mmbench-burst/v9", 1)
-		},
-		"v2 tag on v1 body": func(s string) string {
-			// A v1 body relabeled v2 lacks fair_quantum / weight /
-			// deferred_ops — the checker must demand the v2 keys.
-			return strings.Replace(s, "mmbench-burst/v1", "mmbench-burst/v2", 1)
-		},
-		"missing key": func(s string) string {
-			return strings.Replace(s, `"wall_seconds": 0.5,`, "", 1)
-		},
-		"missing class key": func(s string) string {
-			return strings.Replace(s, `"p999_ms": 3,`, "", 1)
-		},
-		"missing class": func(s string) string {
-			return strings.Replace(s, `"class": "writer"`, `"class": "bulk"`, 1)
-		},
-		"out-of-order trajectory": func(s string) string {
-			return strings.Replace(s, `"p99_ms": 2`, `"p99_ms": 9`, 1)
-		},
-		"no traffic": func(s string) string {
-			return strings.Replace(s, `"ops": 12`, `"ops": 0`, 1)
-		},
-		"not json": func(string) string { return "{" },
-	} {
-		if _, err := ValidateBurstJSON([]byte(mangle(good))); err == nil {
-			t.Errorf("%s accepted", name)
+// TestValidateBurstRejects exercises ValidateBurst's rejections: a
+// wrong schema tag, a missing or duplicated class, a class without
+// traffic, an out-of-order trajectory, and out-of-range counters.
+func TestValidateBurstRejects(t *testing.T) {
+	p999 := 3.0
+	good := func() *BurstResult {
+		return &BurstResult{
+			Schema: BurstSchema, Disk: "d", Scale: 1, Shards: 1,
+			FairQuantum: 4096, GOMAXPROCS: 4, WallSeconds: 0.5, AllocsPerOp: 812.5,
+			Classes: []BurstClass{
+				{Class: "interactive", Weight: 1, Clients: 2, Ops: 12, P50Ms: 1, P99Ms: 2, P999Ms: &p999, MeanSimMs: 4},
+				{Class: "bulk", Weight: 4, Clients: 1, Ops: 6, P50Ms: 1, P99Ms: 1, DeferredOps: 3},
+				{Class: "writer", Weight: 1, Clients: 1, Ops: 6},
+			},
 		}
 	}
-}
-
-// TestValidateBurstJSONV3 pins the v3 schema contract: pipeline_depth,
-// gomaxprocs, and allocs_per_op are required on top of the v2 keys, a
-// v2 body relabeled v3 is rejected, and the v3-only invariants reject
-// a zero gomaxprocs and negative depths/allocs.
-func TestValidateBurstJSONV3(t *testing.T) {
-	good := `{
-		"schema": "mmbench-burst/v3", "disk": "d", "scale": 1, "shards": 1,
-		"write_fraction": 0.3, "write_back": true, "cache_blocks": 0,
-		"fair_quantum": 4096, "pipeline_depth": 2, "gomaxprocs": 4,
-		"wall_seconds": 0.5, "allocs_per_op": 812.5, "flush_batches": 1,
-		"coalesced_writes": 2,
-		"classes": [
-			{"class": "interactive", "weight": 1, "clients": 2, "ops": 12, "p50_ms": 1, "p99_ms": 2, "mean_sim_ms": 4, "deferred_ops": 0},
-			{"class": "bulk", "weight": 4, "clients": 1, "ops": 6, "p50_ms": 1, "p99_ms": 1, "mean_sim_ms": 0, "deferred_ops": 3},
-			{"class": "writer", "weight": 1, "clients": 1, "ops": 6, "p50_ms": 0, "p99_ms": 0, "mean_sim_ms": 0, "deferred_ops": 0}
-		]
-	}`
-	res, err := ValidateBurstJSON([]byte(good))
-	if err != nil {
-		t.Fatalf("valid v3 artifact rejected: %v", err)
+	if err := ValidateBurst(good()); err != nil {
+		t.Fatalf("valid result rejected: %v", err)
 	}
-	if res.PipelineDepth != 2 || res.GOMAXPROCS != 4 || res.AllocsPerOp != 812.5 {
-		t.Fatalf("v3 fields lost in decode: %+v", res)
-	}
-	for name, mangle := range map[string]func(string) string{
-		"v3 tag on v2 body": func(s string) string {
-			s = strings.Replace(s, `"pipeline_depth": 2, "gomaxprocs": 4,`, "", 1)
-			return strings.Replace(s, `"allocs_per_op": 812.5, `, "", 1)
-		},
-		"missing pipeline_depth": func(s string) string {
-			return strings.Replace(s, `"pipeline_depth": 2, `, "", 1)
-		},
-		"missing gomaxprocs": func(s string) string {
-			return strings.Replace(s, `"gomaxprocs": 4,`, "", 1)
-		},
-		"missing allocs_per_op": func(s string) string {
-			return strings.Replace(s, `"allocs_per_op": 812.5, `, "", 1)
-		},
-		"negative pipeline_depth": func(s string) string {
-			return strings.Replace(s, `"pipeline_depth": 2`, `"pipeline_depth": -1`, 1)
-		},
-		"zero gomaxprocs": func(s string) string {
-			return strings.Replace(s, `"gomaxprocs": 4`, `"gomaxprocs": 0`, 1)
-		},
-		"negative allocs_per_op": func(s string) string {
-			return strings.Replace(s, `"allocs_per_op": 812.5`, `"allocs_per_op": -1`, 1)
-		},
+	for name, mangle := range map[string]func(*BurstResult){
+		"unknown schema":         func(r *BurstResult) { r.Schema = "mmbench-burst/v9" },
+		"missing disk":           func(r *BurstResult) { r.Disk = "" },
+		"zero wall_seconds":      func(r *BurstResult) { r.WallSeconds = 0 },
+		"negative fair_quantum":  func(r *BurstResult) { r.FairQuantum = -1 },
+		"negative allocs_per_op": func(r *BurstResult) { r.AllocsPerOp = -1 },
+		"zero gomaxprocs":        func(r *BurstResult) { r.GOMAXPROCS = 0 },
+		"missing class":          func(r *BurstResult) { r.Classes = r.Classes[:2] },
+		"duplicate class":        func(r *BurstResult) { r.Classes[2].Class = "bulk" },
+		"unknown class":          func(r *BurstResult) { r.Classes[2].Class = "ops" },
+		"no traffic":             func(r *BurstResult) { r.Classes[0].Ops = 0 },
+		"p50 above p99":          func(r *BurstResult) { r.Classes[0].P50Ms = 9 },
+		"p999 below p99":         func(r *BurstResult) { low := 0.5; r.Classes[0].P999Ms = &low },
+		"zero weight":            func(r *BurstResult) { r.Classes[1].Weight = 0 },
+		"negative mean_sim_ms":   func(r *BurstResult) { r.Classes[0].MeanSimMs = -1 },
+		"negative deferred_ops":  func(r *BurstResult) { r.Classes[1].DeferredOps = -1 },
 	} {
-		if _, err := ValidateBurstJSON([]byte(mangle(good))); err == nil {
-			t.Errorf("%s accepted", name)
-		}
-	}
-}
-
-// TestValidateBurstJSONV2 pins the v2 schema contract: fair_quantum,
-// per-class weight and deferred_ops are required, p999_ms is optional
-// (small samples omit it), and the v2-only invariants reject bad
-// weights and negative deferrals.
-func TestValidateBurstJSONV2(t *testing.T) {
-	good := `{
-		"schema": "mmbench-burst/v2", "disk": "d", "scale": 1, "shards": 1,
-		"write_fraction": 0.3, "write_back": true, "cache_blocks": 0,
-		"fair_quantum": 4096, "wall_seconds": 0.5, "flush_batches": 1,
-		"coalesced_writes": 2,
-		"classes": [
-			{"class": "interactive", "weight": 1, "clients": 2, "ops": 12, "p50_ms": 1, "p99_ms": 2, "mean_sim_ms": 4, "deferred_ops": 0},
-			{"class": "bulk", "weight": 4, "clients": 1, "ops": 6, "p50_ms": 1, "p99_ms": 1, "p999_ms": 1, "mean_sim_ms": 0, "deferred_ops": 3},
-			{"class": "writer", "weight": 1, "clients": 1, "ops": 6, "p50_ms": 0, "p99_ms": 0, "mean_sim_ms": 0, "deferred_ops": 0}
-		]
-	}`
-	res, err := ValidateBurstJSON([]byte(good))
-	if err != nil {
-		t.Fatalf("valid v2 artifact rejected: %v", err)
-	}
-	if res.FairQuantum != 4096 {
-		t.Fatalf("fair_quantum lost in decode: %+v", res)
-	}
-	if res.Classes[0].P999Ms != nil || res.Classes[1].P999Ms == nil {
-		t.Fatalf("optional p999 decoded wrong: %+v", res.Classes)
-	}
-	for name, mangle := range map[string]func(string) string{
-		"missing fair_quantum": func(s string) string {
-			return strings.Replace(s, `"fair_quantum": 4096,`, "", 1)
-		},
-		"missing weight": func(s string) string {
-			return strings.Replace(s, `"weight": 4, `, "", 1)
-		},
-		"zero weight": func(s string) string {
-			return strings.Replace(s, `"weight": 4`, `"weight": 0`, 1)
-		},
-		"missing deferred_ops": func(s string) string {
-			return strings.Replace(s, `, "deferred_ops": 3`, "", 1)
-		},
-		"negative deferred_ops": func(s string) string {
-			return strings.Replace(s, `"deferred_ops": 3`, `"deferred_ops": -1`, 1)
-		},
-		"p999 below p99": func(s string) string {
-			return strings.Replace(s, `"p999_ms": 1,`, `"p999_ms": 0.5,`, 1)
-		},
-		"negative fair_quantum": func(s string) string {
-			return strings.Replace(s, `"fair_quantum": 4096`, `"fair_quantum": -1`, 1)
-		},
-	} {
-		if _, err := ValidateBurstJSON([]byte(mangle(good))); err == nil {
+		r := good()
+		mangle(r)
+		if err := ValidateBurst(r); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}

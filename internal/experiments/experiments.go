@@ -86,12 +86,6 @@ type Config struct {
 	// Empty selects the burst experiment's built-in mix when
 	// FairQuantum is positive.
 	QoSClasses []engine.QoSClass
-	// PipelineDepth, when positive, lets every shard service keep that
-	// many dispatched batches in flight on the disks while the loop
-	// schedules the next admission pass (engine ServiceOptions.Pipeline).
-	// 0 keeps the lockstep schedule-then-wait loop, bit-identical to the
-	// pre-pipeline behavior.
-	PipelineDepth int
 }
 
 // Defaults fills unset fields: both paper drives, full scale, 15 runs.
@@ -138,9 +132,6 @@ func (c Config) validate() error {
 	}
 	if c.FairQuantum < 0 {
 		return fmt.Errorf("experiments: fair-share quantum must be non-negative")
-	}
-	if c.PipelineDepth < 0 {
-		return fmt.Errorf("experiments: pipeline depth must be non-negative")
 	}
 	if _, err := c.execOptions(); err != nil {
 		return err

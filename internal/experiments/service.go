@@ -187,7 +187,6 @@ func buildServeRig(cfg Config, g *disk.Geometry, dims []int, shards int) (*serve
 			DeadlineAging: cfg.DeadlineAging,
 			FairQuantum:   cfg.FairQuantum,
 			Classes:       cfg.QoSClasses,
-			Pipeline:      cfg.PipelineDepth,
 			WriteBack: engine.WriteBackOptions{
 				Enabled:         cfg.WriteBack,
 				WatermarkBlocks: cfg.WBWatermark,

@@ -70,9 +70,9 @@ const defaultMetricsInterval = time.Second
 // kinds interleave on one stream:
 //
 //	event: metrics — a MetricsResponse snapshot of every open store
-//	  (queue depths, admission batch sizes, cache hit rate,
-//	  flush/pipeline counters, latency percentiles), sent immediately
-//	  on connect and then every interval_ms (default 1000, min 10).
+//	  (queue depths, admission batch sizes, cache hit rate, flush
+//	  counters, latency percentiles), sent immediately on connect and
+//	  then every interval_ms (default 1000, min 10).
 //	event: lifecycle — an Event for each store/pool/session open and
 //	  close, sent as it happens.
 //

@@ -251,9 +251,6 @@ func buildOptions(req OpenStoreRequest) []multimap.Option {
 	if req.DefaultClass != "" {
 		opts = append(opts, multimap.WithQoS(req.DefaultClass))
 	}
-	if req.Pipeline != 0 {
-		opts = append(opts, multimap.WithPipeline(req.Pipeline))
-	}
 	if req.Updatable {
 		opts = append(opts, multimap.Updatable(multimap.UpdateOptions{}))
 	}
@@ -332,9 +329,19 @@ func (s *Server) OpenStore(ctx context.Context, req OpenStoreRequest) (StoreInfo
 	return info, nil
 }
 
+// DecodeOpen decodes an open request (store or pool) strictly: an
+// unknown field — a removed knob, or a misspelt one — is an error
+// naming it, never a setting silently ignored. Only the open paths pay
+// for the check; per-op bodies decode leniently.
+func DecodeOpen(r io.Reader, req any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(req)
+}
+
 func (s *Server) handleOpenStore(w http.ResponseWriter, r *http.Request) {
 	var req OpenStoreRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := DecodeOpen(r.Body, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -396,7 +403,7 @@ func (s *Server) handleStoreMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleOpenPool(w http.ResponseWriter, r *http.Request) {
 	var req OpenPoolRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := DecodeOpen(r.Body, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}

@@ -395,7 +395,12 @@ func TestDisconnectCancelsAndAttributes(t *testing.T) {
 // deadline: an impossible deadline_ms yields a deadline error and
 // DeadlineExceeded drops, not a hung request.
 func TestDeadlinePropagation(t *testing.T) {
-	srv, ts, c := startDaemon(t, testSpec("ddl"))
+	// A store large enough that streaming it whole (8192 chunks) cannot
+	// beat a 1 ms deadline: the 1024-cell testSpec store finishes inside
+	// it more often than not since the simulator got faster.
+	spec := testSpec("ddl")
+	spec.Dims = []int{128, 32, 32}
+	srv, ts, c := startDaemon(t, spec)
 	defer ts.Close()
 	defer srv.Close(context.Background())
 
@@ -410,7 +415,7 @@ func TestDeadlinePropagation(t *testing.T) {
 	deadline := int64(1)
 	var sawErr error
 	for i := 0; i < 50 && sawErr == nil; i++ {
-		_, sawErr = c.RangeQuery(ctx, "ddl", sess, []int{0, 0, 0}, []int{16, 8, 8}, deadline, nil)
+		_, sawErr = c.RangeQuery(ctx, "ddl", sess, []int{0, 0, 0}, []int{128, 32, 32}, deadline, nil)
 	}
 	if sawErr == nil {
 		t.Skip("1ms deadline never expired on this host")
@@ -537,5 +542,41 @@ func TestPoolOverWire(t *testing.T) {
 	}
 	if err := c.CloseStore(ctx, "ten"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOpenRejectsUnknownFields: an open request carrying a removed knob
+// ("pipeline") or a misspelt one gets 400 naming the field instead of
+// running silently at another setting, and opens nothing.
+func TestOpenRejectsUnknownFields(t *testing.T) {
+	srv, ts, c := startDaemon(t)
+	defer ts.Close()
+	defer srv.Close(context.Background())
+
+	for _, tc := range []struct{ path, body, field string }{
+		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"pipeline":2}`, "pipeline"},
+		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"cache_blokcs":4096}`, "cache_blokcs"},
+		{"/v1/pools", `{"name":"p","drives":["mediumtest"],"adj_depth":32,"pipeline":2}`, "pipeline"},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: error body: %v", tc.path, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(er.Error, `"`+tc.field+`"`) {
+			t.Errorf("%s with %q: status %d, error %q; want 400 naming the field", tc.path, tc.field, resp.StatusCode, er.Error)
+		}
+	}
+	stores, err := c.Stores(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stores) != 0 {
+		t.Fatalf("rejected opens left stores behind: %+v", stores)
 	}
 }

@@ -117,7 +117,6 @@ type OpenStoreRequest struct {
 	FairQuantum       int64       `json:"fair_quantum,omitempty"`
 	Classes           []ClassSpec `json:"classes,omitempty"`
 	DefaultClass      string      `json:"default_class,omitempty"`
-	Pipeline          int         `json:"pipeline,omitempty"`
 	Updatable         bool        `json:"updatable,omitempty"`
 
 	// Pool-tenant placement (Pool names an open pool; the rest are
@@ -286,8 +285,8 @@ type ShardMetricsWire struct {
 }
 
 // MetricsWire is one store's Metrics snapshot on the wire — queue
-// depths, admission batch evidence, cache hit rate, flush/pipeline
-// counters, and completed-query latency percentiles.
+// depths, admission batch evidence, cache hit rate, flush counters,
+// and completed-query latency percentiles.
 type MetricsWire struct {
 	QueueDepth   int                `json:"queue_depth"`
 	CacheHitRate float64            `json:"cache_hit_rate"`

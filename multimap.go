@@ -384,9 +384,6 @@ func applyServiceConfig(svcs []*engine.Service, c config) error {
 				return err
 			}
 		}
-		if c.pipeline > 0 {
-			svc.SetPipeline(c.pipeline)
-		}
 	}
 	return nil
 }

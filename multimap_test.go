@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -340,6 +341,42 @@ func TestRunExperimentFacade(t *testing.T) {
 	}
 	if len(ExperimentIDs()) != 12 {
 		t.Errorf("want 12 experiment ids, got %v", ExperimentIDs())
+	}
+}
+
+// TestRunTenants runs the multi-tenant churn benchmark small with QoS
+// on and checks the result's invariants — every lifecycle phase with
+// traffic, online growth and copy-on-write evidence, an ordered burst
+// latency pair — and that ValidateTenants rejects a result missing any
+// of them.
+func TestRunTenants(t *testing.T) {
+	cfg := ExperimentConfig{Disks: []DiskModel{AtlasTenKIII}, Scale: 0.05, Seed: 1,
+		Clients: 2, Queries: 4, FairQuantum: 4096}
+	tb, res, err := RunTenants(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateTenants(res); err != nil {
+		t.Fatalf("tenants result invalid: %v", err)
+	}
+	if res.FairQuantum != 4096 || !strings.Contains(tb.Title, "QoS quantum 4096") {
+		t.Fatalf("QoS mode not recorded: %+v / %s", res, tb.Title)
+	}
+	for name, mangle := range map[string]func(*TenantsResult){
+		"unknown schema":     func(r *TenantsResult) { r.Schema = "mmbench-tenants/v9" },
+		"no growth":          func(r *TenantsResult) { r.GrownBlocks = 0 },
+		"no cow faults":      func(r *TenantsResult) { r.CowFaultBlocks = 0 },
+		"no phases":          func(r *TenantsResult) { r.Phases = nil },
+		"phase out of order": func(r *TenantsResult) { r.Phases[0], r.Phases[1] = r.Phases[1], r.Phases[0] },
+		"no burst traffic":   func(r *TenantsResult) { r.BurstOps = 0 },
+		"p50 above p99":      func(r *TenantsResult) { r.BurstP50Ms = r.BurstP99Ms + 1 },
+	} {
+		r := *res
+		r.Phases = slices.Clone(res.Phases)
+		mangle(&r)
+		if err := ValidateTenants(&r); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 

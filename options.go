@@ -28,7 +28,6 @@ type config struct {
 	wbWatermark   int64
 	wbInterval    time.Duration
 	fairQuantum   int64
-	pipeline      int
 	classes       []engine.QoSClass
 	qosClass      string
 	updatable     bool
@@ -269,30 +268,6 @@ func WithFairShare(quantum int64) Option {
 			quantum = engine.DefaultFairQuantum
 		}
 		c.fairQuantum = quantum
-		return nil
-	}
-}
-
-// WithPipeline lets every shard service this store uses keep up to
-// depth dispatched disk batches in flight while its loop schedules the
-// next admission pass — admission, scheduling (QoS, coalescing, cache,
-// write-back), dispatch, and completion attribution run as overlapping
-// pipeline stages with per-disk completion queues instead of the
-// lockstep schedule-then-wait loop. Simulated Stats are unchanged (the
-// simulated clock is per-drive either way); what the depth buys is
-// host throughput when clients are concurrent. Coherence is preserved
-// at every depth: reads overlapping an in-flight batch's cache inserts
-// stall until it retires, writes drain or barrier per the service's
-// write mode, and cancellation drops undispatched work at zero cost.
-// 0 (the default) keeps lockstep dispatch, bit-identical to the
-// pre-pipeline behavior; negative depths fail the open. Like WithCache
-// this reconfigures the (possibly shared) volume service.
-func WithPipeline(depth int) Option {
-	return func(c *config) error {
-		if depth < 0 {
-			return fmt.Errorf("multimap: pipeline depth must be non-negative")
-		}
-		c.pipeline = depth
 		return nil
 	}
 }
