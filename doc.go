@@ -44,7 +44,14 @@
 // yields the runs of in-grid keys that pack a non-power-of-two grid
 // densely (§5.2). The WithPolicy and WithChunkCells
 // open options expose the scheduler and chunking knobs; cmd/mmbench
-// mirrors them as -policy and -chunk.
+// mirrors them as -policy and -chunk. The concurrent service of the
+// next section runs the same pipeline one admission batch at a time,
+// and its four stages are one file each in internal/engine: service.go
+// (lifecycle, options, the loop goroutine that owns everything below),
+// admit.go (what is served now, what waits, what is dropped), serve.go
+// (schedule + coherence + simulate: cache, dirty buffer, COW, disks)
+// and attribute.go (costs back to sessions and the totals they sum
+// to); each opens with what it may touch.
 //
 // # Concurrent query service
 //
@@ -218,7 +225,9 @@
 // of discarding it. Per-class bookkeeping (ops, urgent ops, deferrals,
 // attributed Stats — summing to ServiceTotals.Attributed per class,
 // group-wide on a sharded store) is surfaced by Store.ClassTotals.
-// With WithFairShare omitted, admission, cache, and Stats are
+// There is one admission scheduler: with WithFairShare omitted it runs
+// as a single class with unbounded credit — nothing is deferred, the
+// class registry is not consulted — so admission, cache, and Stats are
 // bit-identical to the pre-QoS engine (fig6probe diffs empty).
 // cmd/mmbench mirrors the knob as -fair <quantum> (the burst
 // workload registers interactive/bulk/writer at weights 1/4/1), and

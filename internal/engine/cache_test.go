@@ -176,8 +176,7 @@ func TestWriteSplitsAtSegmentBoundary(t *testing.T) {
 
 // TestServiceBatchWindow: with a time-based admission window, ops
 // submitted shortly after the first one must land in the same admission
-// batch instead of being admitted immediately — and the default window
-// of zero admits each lone submission on its own as before.
+// batch instead of being admitted immediately.
 func TestServiceBatchWindow(t *testing.T) {
 	v := testVolume(t)
 	// A generous window: the submits below must all land inside it even
@@ -211,27 +210,5 @@ func TestServiceBatchWindow(t *testing.T) {
 	tot := svc.Totals()
 	if tot.Batches != 1 || tot.MaxBatchChunks != n {
 		t.Fatalf("window did not coalesce the burst into one batch: %+v", tot)
-	}
-
-	// SetBatchWindow(0) restores immediate admission; sequential lone
-	// submissions each form their own batch.
-	svc.SetBatchWindow(0)
-	for i := 0; i < 2; i++ {
-		op := &serviceOp{
-			kind:   opChunk,
-			chunk:  Chunk{Reqs: []lvm.Request{{VLBN: 500, Count: 2}}, Policy: disk.SchedSPTF},
-			policy: disk.SchedSPTF,
-			reply:  make(chan opResult, 1),
-		}
-		if err := svc.submit(op); err != nil {
-			t.Fatal(err)
-		}
-		if r := <-op.reply; r.err != nil {
-			t.Fatal(r.err)
-		}
-	}
-	tot = svc.Totals()
-	if tot.Batches != 3 || tot.MaxBatchChunks != n {
-		t.Fatalf("zero window still batching: %+v", tot)
 	}
 }

@@ -182,9 +182,10 @@ func TestCancelledWriteStillInvalidates(t *testing.T) {
 	}
 }
 
-// TestQoSGroups covers the admission classifier directly: aging off is
-// one batch in submission order; aging on carves deadline-carrying and
-// over-age ops into a front batch ordered by effective deadline.
+// TestQoSGroups covers the admission classifier directly, as a
+// FairQuantum-0 scheduler pass: aging off is one batch in submission
+// order; aging on carves deadline-carrying and over-age ops into a
+// front batch ordered by effective deadline.
 func TestQoSGroups(t *testing.T) {
 	now := time.Now()
 	mk := func(deadline time.Time, age time.Duration) *serviceOp {
@@ -197,10 +198,10 @@ func TestQoSGroups(t *testing.T) {
 	aged := mk(time.Time{}, 50*time.Millisecond)
 
 	ops := []*serviceOp{bulk1, urgent, bulk2, aged, urgentSoon}
-	if g := qosGroups(ops, 0, now); len(g) != 1 || len(g[0]) != 5 {
+	if g := passGroups(ops, nil, 0, 0, now); len(g) != 1 || len(g[0]) != 5 {
 		t.Fatalf("aging off: got %d groups", len(g))
 	}
-	g := qosGroups(ops, 10*time.Millisecond, now)
+	g := passGroups(ops, nil, 0, 10*time.Millisecond, now)
 	if len(g) != 2 {
 		t.Fatalf("aging on: got %d groups, want urgent+bulk", len(g))
 	}

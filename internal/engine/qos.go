@@ -1,14 +1,15 @@
 package engine
 
 import (
+	"cmp"
+	"math"
 	"slices"
-	"sort"
 	"time"
 )
 
-// Weighted fair QoS admission. Sessions declare a QoS class
-// (SessionOptions.Class); the service registers classes with weights
-// (ServiceOptions.Classes / SetFairShare). When FairQuantum is
+// Weighted fair QoS admission — the one admission scheduler. Sessions
+// declare a QoS class (SessionOptions.Class); the service registers
+// classes with weights (ServiceOptions.Classes). When FairQuantum is
 // positive the admission batcher runs deficit round-robin over
 // simulated block cost: each admission pass grants every class with
 // pending work quantum × weight blocks of credit (deficits carry
@@ -32,9 +33,15 @@ import (
 // weighted sharing may defer anyone. Urgent service is not charged
 // against the class's deficit.
 //
-// With FairQuantum 0 the DRR machinery is never engaged: admission
-// degenerates to exactly the PR 5 behavior (DeadlineAging on) or the
-// pre-QoS submission order (aging off), bit for bit.
+// FairQuantum 0 is the same scheduler with one class and unbounded
+// credit: every op is queued under the default class whatever its
+// session declared, the class registry is not consulted (an Urgent
+// class is inert), and each pass grants the whole backlog as one group
+// in submission order — nothing is ever deferred. With DeadlineAging on
+// the urgent front still runs ahead of that group (deadline-carrying
+// and aged ops, PR 5's behavior bit for bit); with aging off too there
+// is no urgent front at all and explicit deadlines do not reorder
+// anything — the pre-QoS submission order.
 
 // QoSClass declares one admission class.
 type QoSClass struct {
@@ -80,11 +87,17 @@ func opCost(op *serviceOp) int64 {
 }
 
 // drrSched is the loop-owned deficit-round-robin state: per-class FIFO
-// backlogs and credit counters. Only the service loop touches it.
+// backlogs and credit counters. Only the service loop touches it. names,
+// urgent and groups are scratch reused from pass to pass, so what pass
+// returns is valid until the next pass or drain.
 type drrSched struct {
 	pending map[string][]*serviceOp
 	deficit map[string]int64
 	count   int
+
+	names  []string
+	urgent []*serviceOp
+	groups [][]*serviceOp
 }
 
 func newDRRSched() *drrSched {
@@ -94,35 +107,56 @@ func newDRRSched() *drrSched {
 	}
 }
 
-// push appends ops to their classes' backlogs in submission order.
-func (d *drrSched) push(ops []*serviceOp) {
+// pass runs one admission pass: ops join the backlog in submission
+// order, whatever has become urgent leaves it as the strict-priority
+// front batch (in sortUrgent order), and one DRR round grants the rest.
+// The caller serves urgent first, then groups in order, each as its own
+// admission batch. quantum 0 is the one-class, unbounded-credit reading
+// described at the top of this file; a nil ops slice is a pure backlog
+// pass.
+func (d *drrSched) pass(ops []*serviceOp, classes map[string]QoSClass, quantum int64, aging time.Duration, now time.Time) (urgent []*serviceOp, groups [][]*serviceOp) {
+	fair := quantum > 0
+	if !fair {
+		classes = nil
+	}
 	for _, op := range ops {
-		d.pending[op.class] = append(d.pending[op.class], op)
+		key := ""
+		if fair {
+			key = op.class
+		}
+		d.pending[key] = append(d.pending[key], op)
 		d.count++
 	}
+	if fair || aging > 0 {
+		urgent = d.takeUrgent(classes, aging, now)
+		sortUrgent(urgent, aging)
+	}
+	return urgent, d.grant(classes, quantum)
 }
 
 // activeClasses returns the backlogged class names in sorted order —
 // the deterministic round-robin sequence.
 func (d *drrSched) activeClasses() []string {
-	names := make([]string, 0, len(d.pending))
+	names := d.names[:0]
 	for name, q := range d.pending {
 		if len(q) > 0 {
 			names = append(names, name)
 		}
 	}
-	sort.Strings(names)
+	slices.Sort(names)
+	d.names = names
 	return names
 }
 
 // takeUrgent pulls every backlogged op that has become urgent — aged
 // past the aging cap, holding an explicit deadline, or in an Urgent
-// class — out of the class backlogs, preserving order within each
-// class. This is how aging promotes a DRR-deferred op into the urgent
-// class.
+// class — out of the class backlogs, in class-name order and preserving
+// order within each class. This is how aging promotes a DRR-deferred op
+// into the urgent class.
 func (d *drrSched) takeUrgent(classes map[string]QoSClass, aging time.Duration, now time.Time) []*serviceOp {
-	var urgent []*serviceOp
-	for name, q := range d.pending {
+	urgent := d.urgent[:0]
+	for _, name := range d.activeClasses() {
+		q := d.pending[name]
 		kept := q[:0]
 		for _, op := range q {
 			if isUrgent(op, classes, aging, now) {
@@ -134,52 +168,61 @@ func (d *drrSched) takeUrgent(classes map[string]QoSClass, aging time.Duration, 
 		}
 		d.pending[name] = kept
 	}
+	d.urgent = urgent
 	return urgent
 }
 
 // grant runs one DRR round: every backlogged class earns quantum ×
-// weight credit, then admits ops FIFO while the credit covers their
-// block cost. A class whose backlog drains forfeits its leftover
-// credit. When a full round admits nothing (every class's head op
-// costs more than its accumulated credit), rounds repeat until one op
-// is admitted — progress per pass is guaranteed. Returns the admitted
-// ops grouped per class, cheapest group first: groups are served
-// sequentially within the pass, so a light latency-sensitive group
-// (an interactive class's point reads) completes ahead of a heavy
-// scan group's simulation instead of waiting it out, at the cost of
-// delaying the heavy group by only the light groups' small service
-// time. Ties break on class name, keeping the order deterministic.
+// weight credit (unbounded credit at quantum 0), then admits ops FIFO
+// while the credit covers their block cost. A class whose backlog
+// drains forfeits its leftover credit — and hands its queue's backing
+// array back for the next pass's ops, which is safe because a pass's
+// groups are served before the next pass begins. When a full round
+// admits nothing (every class's head op costs more than its accumulated
+// credit), rounds repeat until one op is admitted — progress per pass
+// is guaranteed. Returns the admitted ops grouped per class, cheapest
+// group first: groups are served sequentially within the pass, so a
+// light latency-sensitive group (an interactive class's point reads)
+// completes ahead of a heavy scan group's simulation instead of waiting
+// it out, at the cost of delaying the heavy group by only the light
+// groups' small service time. Ties break on class name, keeping the
+// order deterministic.
 func (d *drrSched) grant(classes map[string]QoSClass, quantum int64) [][]*serviceOp {
 	if d.count == 0 {
 		return nil
 	}
-	var groups [][]*serviceOp
+	groups := d.groups[:0]
 	for len(groups) == 0 {
 		for _, name := range d.activeClasses() {
-			d.deficit[name] += quantum * classWeight(classes, name)
+			credit := int64(math.MaxInt64)
+			if quantum > 0 {
+				credit = d.deficit[name] + quantum*classWeight(classes, name)
+			}
 			q := d.pending[name]
 			n := 0
-			for n < len(q) && opCost(q[n]) <= d.deficit[name] {
-				d.deficit[name] -= opCost(q[n])
+			for n < len(q) {
+				cost := opCost(q[n])
+				if cost > credit {
+					break
+				}
+				credit -= cost
 				n++
 			}
 			if n > 0 {
 				groups = append(groups, q[:n:n])
-				d.pending[name] = q[n:]
 				d.count -= n
 			}
-			if len(d.pending[name]) == 0 {
-				d.deficit[name] = 0
+			if n == len(q) {
+				d.pending[name], d.deficit[name] = q[:0], 0
+			} else {
+				d.pending[name], d.deficit[name] = q[n:], credit
 			}
 		}
 	}
-	sort.SliceStable(groups, func(i, j int) bool {
-		ci, cj := groupCost(groups[i]), groupCost(groups[j])
-		if ci != cj {
-			return ci < cj
-		}
-		return groups[i][0].class < groups[j][0].class
+	slices.SortStableFunc(groups, func(a, b []*serviceOp) int {
+		return cmp.Or(cmp.Compare(groupCost(a), groupCost(b)), cmp.Compare(a[0].class, b[0].class))
 	})
+	d.groups = groups
 	return groups
 }
 
@@ -234,25 +277,4 @@ func sortUrgent(ops []*serviceOp, aging time.Duration) {
 		return op.enqueued.Add(aging)
 	}
 	slices.SortStableFunc(ops, func(a, b *serviceOp) int { return eff(a).Compare(eff(b)) })
-}
-
-// ClassTotals is one QoS class's slice of the service bookkeeping.
-// Summing every class's Attributed reproduces ServiceTotals.Attributed
-// field for field — the attribution-sum property, now per class —
-// except ElapsedMs: a batch's elapsed time is observed once per
-// contributing class (like sessions observe it), so summed class
-// ElapsedMs can exceed the service's.
-type ClassTotals struct {
-	// Class is the class name ("" is the default class).
-	Class string
-	// Ops counts work ops (read chunks and writes) served or absorbed
-	// for the class; UrgentOps counts the subset that went through the
-	// strict-priority front; Deferred counts deferral events — an op
-	// held back by DRR for at least one admission pass.
-	Ops       int64
-	UrgentOps int64
-	Deferred  int64
-	// Attributed is the class's share of ServiceTotals.Attributed:
-	// exactly what was handed back to the class's sessions.
-	Attributed Stats
 }

@@ -22,6 +22,14 @@ func drrOp(class string, cost int64) *serviceOp {
 	}
 }
 
+// pushOps queues ops under their own classes, as a fair-share pass does.
+func pushOps(d *drrSched, ops ...*serviceOp) {
+	for _, op := range ops {
+		d.pending[op.class] = append(d.pending[op.class], op)
+		d.count++
+	}
+}
+
 func groupClasses(groups [][]*serviceOp) []string {
 	var names []string
 	for _, g := range groups {
@@ -38,7 +46,7 @@ func groupClasses(groups [][]*serviceOp) []string {
 func TestDRRDeficitCarry(t *testing.T) {
 	classes := map[string]QoSClass{}
 	d := newDRRSched()
-	d.push([]*serviceOp{drrOp("a", 8), drrOp("a", 8), drrOp("b", 4)})
+	pushOps(d, drrOp("a", 8), drrOp("a", 8), drrOp("b", 4))
 
 	// Pass 1, quantum 10: a affords one 8-cost op (deficit 2 carries),
 	// b affords its whole 4-cost backlog and resets to 0 on drain.
@@ -82,7 +90,7 @@ func TestDRRWeightedShare(t *testing.T) {
 	}
 	d := newDRRSched()
 	for i := 0; i < 4; i++ {
-		d.push([]*serviceOp{drrOp("light", 10), drrOp("heavy", 10)})
+		pushOps(d, drrOp("light", 10), drrOp("heavy", 10))
 	}
 	groups := d.grant(classes, 10)
 	admitted := map[string]int{}
@@ -99,7 +107,7 @@ func TestDRRWeightedShare(t *testing.T) {
 // is admitted, so a huge scan cannot wedge the scheduler.
 func TestDRRAntiLivelock(t *testing.T) {
 	d := newDRRSched()
-	d.push([]*serviceOp{drrOp("big", 1000)})
+	pushOps(d, drrOp("big", 1000))
 	groups := d.grant(map[string]QoSClass{}, 10)
 	if len(groups) != 1 || len(groups[0]) != 1 {
 		t.Fatalf("expensive op not admitted: %v", groupClasses(groups))
@@ -114,11 +122,11 @@ func TestDRRAntiLivelock(t *testing.T) {
 // complete ahead of a heavy scan group instead of waiting it out.
 func TestDRRCheapestGroupFirst(t *testing.T) {
 	d := newDRRSched()
-	d.push([]*serviceOp{
+	pushOps(d,
 		drrOp("aheavy", 90),
 		drrOp("zlight", 2),
 		drrOp("mid", 40),
-	})
+	)
 	groups := d.grant(map[string]QoSClass{}, 100)
 	if got := groupClasses(groups); len(got) != 3 ||
 		got[0] != "zlight" || got[1] != "mid" || got[2] != "aheavy" {
@@ -128,7 +136,7 @@ func TestDRRCheapestGroupFirst(t *testing.T) {
 	// Equal-cost groups fall back to class-name order — deterministic
 	// whatever map iteration did.
 	d2 := newDRRSched()
-	d2.push([]*serviceOp{drrOp("b", 5), drrOp("a", 5)})
+	pushOps(d2, drrOp("b", 5), drrOp("a", 5))
 	groups = d2.grant(map[string]QoSClass{}, 100)
 	if got := groupClasses(groups); got[0] != "a" || got[1] != "b" {
 		t.Fatalf("tie order %v, want [a b]", got)
@@ -141,7 +149,7 @@ func TestDRRCheapestGroupFirst(t *testing.T) {
 // deferral).
 func TestDRRDrainAndUrgentPromotion(t *testing.T) {
 	d := newDRRSched()
-	d.push([]*serviceOp{drrOp("b", 5), drrOp("a", 5), drrOp("b", 5)})
+	pushOps(d, drrOp("b", 5), drrOp("a", 5), drrOp("b", 5))
 	d.deficit["a"] = 3
 	groups := d.drain()
 	if got := groupClasses(groups); len(got) != 2 || got[0] != "a" || got[1] != "b" {
@@ -165,7 +173,7 @@ func TestDRRDrainAndUrgentPromotion(t *testing.T) {
 	dl.deadline = now.Add(time.Millisecond)
 	urgent := drrOp("rt", 5)
 	urgent.enqueued = now
-	d.push([]*serviceOp{aged, fresh, dl, urgent})
+	pushOps(d, aged, fresh, dl, urgent)
 	got := d.takeUrgent(classes, 100*time.Millisecond, now)
 	if len(got) != 3 {
 		t.Fatalf("takeUrgent pulled %d ops, want 3 (aged, deadline, urgent class)", len(got))
@@ -354,46 +362,12 @@ func TestStatsAccumulatePartial(t *testing.T) {
 	}
 }
 
-// qosGroupsRef is qosGroups as it stood before it was expressed through
-// isUrgent and sortUrgent: its own urgency test and effective-deadline
-// sort, kept as the reference.
-func qosGroupsRef(ops []*serviceOp, aging time.Duration, now time.Time) [][]*serviceOp {
-	if len(ops) == 0 {
-		return nil
-	}
-	if aging <= 0 {
-		return [][]*serviceOp{ops}
-	}
-	var urgent, bulk []*serviceOp
-	for _, op := range ops {
-		if !op.deadline.IsZero() || now.Sub(op.enqueued) >= aging {
-			urgent = append(urgent, op)
-		} else {
-			bulk = append(bulk, op)
-		}
-	}
-	eff := func(op *serviceOp) time.Time {
-		if !op.deadline.IsZero() {
-			return op.deadline
-		}
-		return op.enqueued.Add(aging)
-	}
-	slices.SortStableFunc(urgent, func(a, b *serviceOp) int { return eff(a).Compare(eff(b)) })
-	var groups [][]*serviceOp
-	if len(urgent) > 0 {
-		groups = append(groups, urgent)
-	}
-	if len(bulk) > 0 {
-		groups = append(groups, bulk)
-	}
-	return groups
-}
-
 // TestQoSGroupsMatchesUrgentFront: for random op lists — deadlines or
 // none, enqueue ages below, exactly at and above the aging cap, several
-// classes — qosGroups returns exactly the groups the reference does.
-// Ages exactly at the cap pin isUrgent's >= comparison; ties in
-// effective deadline pin the stable order.
+// classes — a FairQuantum-0 pass serves exactly the groups the reference
+// classifier does. Ages exactly at the cap pin isUrgent's >= comparison
+// (flip it to > and this fails); ties in effective deadline pin the
+// stable order.
 func TestQoSGroupsMatchesUrgentFront(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	now := time.Unix(1_000_000, 0)
@@ -411,7 +385,7 @@ func TestQoSGroupsMatchesUrgentFront(t *testing.T) {
 			ops[i] = op
 		}
 		want := qosGroupsRef(slices.Clone(ops), aging, now)
-		got := qosGroups(slices.Clone(ops), aging, now)
+		got := passGroups(slices.Clone(ops), nil, 0, aging, now)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d (aging %v): %d groups, want %d", trial, aging, len(got), len(want))
 		}
@@ -420,5 +394,38 @@ func TestQoSGroupsMatchesUrgentFront(t *testing.T) {
 				t.Fatalf("trial %d (aging %v): group %d differs", trial, aging, g)
 			}
 		}
+	}
+}
+
+// TestUrgentOpsCountedWithoutFairShare: the strict-priority front is
+// the same code with fair sharing off, so ClassTotals.UrgentOps counts
+// the ops that went through it there too — with aging on and no
+// quantum, every op under a context deadline, and only those (the aging
+// cap is an hour away).
+func TestUrgentOpsCountedWithoutFairShare(t *testing.T) {
+	v := testVolume(t)
+	svc := NewService(v, ServiceOptions{DeadlineAging: time.Hour})
+	defer svc.Close()
+	sess := svc.NewSession(SessionOptions{Class: "int"})
+	withDeadline, cancel := context.WithDeadline(context.Background(), time.Now().Add(time.Hour))
+	defer cancel()
+	const n = 8
+	for i := 0; i < n; i++ {
+		ctx := context.Background()
+		if i%2 == 1 {
+			ctx = withDeadline
+		}
+		plan := Static([]lvm.Request{{VLBN: int64(100 * i), Count: 2}}, disk.SchedSPTF)
+		if _, err := sess.RunPlan(ctx, plan, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cts := svc.ClassTotals()
+	if len(cts) != 1 || cts[0].Class != "int" || cts[0].Ops != n {
+		t.Fatalf("ClassTotals = %+v, want one class with %d ops", cts, n)
+	}
+	if cts[0].UrgentOps != n/2 || cts[0].Deferred != 0 {
+		t.Fatalf("urgent %d deferred %d, want %d urgent (the deadline ops) and none deferred",
+			cts[0].UrgentOps, cts[0].Deferred, n/2)
 	}
 }

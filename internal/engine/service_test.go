@@ -604,7 +604,7 @@ func TestServiceBatchReadsBeforeWrites(t *testing.T) {
 	// Write submitted BEFORE the read, same admission batch: the read
 	// must still be served first (miss — nothing cached yet), then the
 	// write invalidates what the read just cached.
-	svc.process([]*serviceOp{write, read}, 0)
+	svc.process([]*serviceOp{write, read})
 	rr, rw := <-read.reply, <-write.reply
 	if rr.err != nil || rw.err != nil {
 		t.Fatal(rr.err, rw.err)
@@ -699,7 +699,7 @@ func TestServiceMaxBatch(t *testing.T) {
 			reply:  make(chan opResult, 1),
 		}
 	}
-	svc.process(ops, 0)
+	svc.process(ops)
 	var credited int64
 	for i, op := range ops {
 		r := <-op.reply

@@ -66,9 +66,9 @@ type SessionOptions struct {
 	// Class is the session's QoS class name (see QoSClass). Every op the
 	// session submits is queued, scheduled, cached, and accounted under
 	// it. "" is the default class; class names of sessions on one
-	// service should be registered via ServiceOptions.Classes /
-	// SetFairShare when fair sharing is on (unregistered names get
-	// weight 1 and no cache reserve).
+	// service should be registered via ServiceOptions.Classes when fair
+	// sharing is on (unregistered names get weight 1 and no cache
+	// reserve).
 	Class string
 }
 
@@ -331,27 +331,3 @@ func (s *Session) creditFlush(st Stats) {
 }
 
 var _ QuerySession = (*Session)(nil)
-
-// Accumulate folds another query's stats into s — lifetime session
-// totals, experiment aggregation.
-func (s *Stats) Accumulate(q Stats) {
-	s.Cells += q.Cells
-	s.Padding += q.Padding
-	s.Requests += q.Requests
-	s.TotalMs += q.TotalMs
-	s.ElapsedMs += q.ElapsedMs
-	s.CommandMs += q.CommandMs
-	s.SeekMs += q.SeekMs
-	s.RotateMs += q.RotateMs
-	s.TransferMs += q.TransferMs
-	s.CacheHits += q.CacheHits
-	s.CacheMisses += q.CacheMisses
-	s.Writes += q.Writes
-	s.InvalidatedBlocks += q.InvalidatedBlocks
-	s.CoalescedWrites += q.CoalescedWrites
-	s.CowFaultBlocks += q.CowFaultBlocks
-	s.FlushBatches += q.FlushBatches
-	s.Cancelled += q.Cancelled
-	s.DeadlineExceeded += q.DeadlineExceeded
-	s.Partial = s.Partial || q.Partial
-}

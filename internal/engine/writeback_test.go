@@ -358,10 +358,10 @@ func TestWriteBackCancelledWriteInvalidates(t *testing.T) {
 	}
 }
 
-// TestWriteBackSetWriteBack: reconfiguring flushes under the old
-// configuration first, and turning write-back off restores the
-// write-through path.
-func TestWriteBackSetWriteBack(t *testing.T) {
+// TestWriteBackApplyFlushesFirst: reconfiguring write-back commits the
+// dirty buffer under the old configuration first, and the new
+// watermark then governs.
+func TestWriteBackApplyFlushesFirst(t *testing.T) {
 	v := testVolume(t)
 	svc := wbService(t, v, 0)
 	defer svc.Close()
@@ -369,23 +369,21 @@ func TestWriteBackSetWriteBack(t *testing.T) {
 	if _, err := sess.Write(context.Background(), []lvm.Request{{VLBN: 100, Count: 8}}, disk.SchedSPTF); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.SetWriteBack(WriteBackOptions{}); err != nil {
+	if err := svc.Apply(ServiceOptions{WriteBack: WriteBackOptions{
+		Enabled: true, WatermarkBlocks: 4, FlushInterval: time.Hour,
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	tot := svc.Totals()
 	if tot.FlushBatches != 1 || tot.DirtyBlocks != 0 {
 		t.Fatalf("reconfiguration stranded the dirty buffer: %+v", tot)
 	}
-	// Now write-through: a write pays immediately.
-	st, err := sess.Write(context.Background(), []lvm.Request{{VLBN: 400, Count: 4}}, disk.SchedSPTF)
-	if err != nil {
+	// The new watermark: a 4-block write fills the buffer and commits.
+	if _, err := sess.Write(context.Background(), []lvm.Request{{VLBN: 400, Count: 4}}, disk.SchedSPTF); err != nil {
 		t.Fatal(err)
 	}
-	if st.TotalMs <= 0 || st.Requests != 1 {
-		t.Fatalf("write after disabling write-back was buffered: %+v", st)
-	}
-	if tot := svc.Totals(); tot.DirtyBlocks != 0 {
-		t.Fatalf("dirty data accumulated with write-back off: %+v", tot)
+	if tot := svc.Totals(); tot.FlushBatches != 2 || tot.DirtyBlocks != 0 {
+		t.Fatalf("new watermark not in force: %+v", tot)
 	}
 }
 

@@ -392,46 +392,60 @@ func TestDisconnectCancelsAndAttributes(t *testing.T) {
 }
 
 // TestDeadlinePropagation proves a wire deadline becomes an engine
-// deadline: an impossible deadline_ms yields a deadline error and
-// DeadlineExceeded drops, not a hung request.
+// deadline: a deadline_ms that has run out by the time the query's
+// first chunk is admitted yields a deadline error and a
+// DeadlineExceeded drop, not a served (or hung) request. The expiry is
+// arranged, not hoped for: the store has a long admission window, a
+// beam without a deadline opens one, and the deadline query is sent
+// only once that beam is seen queued — so its first chunk sits in the
+// queue while the loop sleeps the window out (a window already running
+// is not shortened by a later arrival), 1 ms passes many times over,
+// and the pass that finally admits the beam finds the chunk expired. If
+// the deadline did not reach the engine the query would simply succeed,
+// and the test fails.
 func TestDeadlinePropagation(t *testing.T) {
-	// A store large enough that streaming it whole (8192 chunks) cannot
-	// beat a 1 ms deadline: the 1024-cell testSpec store finishes inside
-	// it more often than not since the simulator got faster.
 	spec := testSpec("ddl")
-	spec.Dims = []int{128, 32, 32}
+	spec.BatchWindowUs = 250_000
 	srv, ts, c := startDaemon(t, spec)
 	defer ts.Close()
 	defer srv.Close(context.Background())
 
 	ctx := context.Background()
+	holder, err := c.Begin(ctx, "ddl", "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	sess, err := c.Begin(ctx, "ddl", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Burn the deadline before the query is admitted: the engine sees an
-	// already-expired context and drops every chunk.
-	start := time.Now()
-	deadline := int64(1)
-	var sawErr error
-	for i := 0; i < 50 && sawErr == nil; i++ {
-		_, sawErr = c.RangeQuery(ctx, "ddl", sess, []int{0, 0, 0}, []int{128, 32, 32}, deadline, nil)
+	beamDone := make(chan error, 1)
+	go func() {
+		_, err := c.Beam(ctx, "ddl", holder, 0, []int{0, 1, 1}, 0)
+		beamDone <- err
+	}()
+	store := underlying(t, srv, "ddl")
+	for waited := time.Now(); store.Metrics().QueueDepth == 0; time.Sleep(100 * time.Microsecond) {
+		if time.Since(waited) > 10*time.Second {
+			t.Fatal("the beam never reached the admission queue")
+		}
 	}
-	if sawErr == nil {
-		t.Skip("1ms deadline never expired on this host")
+	_, err = c.RangeQuery(ctx, "ddl", sess, []int{0, 0, 0}, []int{16, 8, 8}, 1, nil)
+	if err == nil {
+		t.Fatal("range query under an expired 1 ms deadline succeeded: the wire deadline never reached the engine")
 	}
-	if !strings.Contains(sawErr.Error(), "deadline") && !strings.Contains(sawErr.Error(), "cancel") {
-		t.Fatalf("unexpected error %v", sawErr)
+	if !strings.Contains(err.Error(), "deadline") {
+		t.Fatalf("unexpected error %v", err)
 	}
-	if time.Since(start) > 30*time.Second {
-		t.Fatal("deadline queries took implausibly long")
+	if err := <-beamDone; err != nil {
+		t.Fatalf("the beam holding the window open: %v", err)
 	}
 	wireStats, err := c.SessionStats(ctx, "ddl", sess)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wireStats.DeadlineExceeded == 0 && wireStats.Cancelled == 0 {
-		t.Fatalf("no drops recorded: %+v", wireStats)
+	if wireStats.DeadlineExceeded == 0 {
+		t.Fatalf("no deadline drop recorded: %+v", wireStats)
 	}
 }
 

@@ -175,10 +175,7 @@ func (g *Group) ClassTotals() []engine.ClassTotals {
 				byName[ct.Class] = agg
 				names = append(names, ct.Class)
 			}
-			agg.Ops += ct.Ops
-			agg.UrgentOps += ct.UrgentOps
-			agg.Deferred += ct.Deferred
-			agg.Attributed.Accumulate(ct.Attributed)
+			agg.Accumulate(ct)
 		}
 	}
 	sort.Strings(names)
@@ -187,19 +184,6 @@ func (g *Group) ClassTotals() []engine.ClassTotals {
 		out[i] = *byName[name]
 	}
 	return out
-}
-
-// SetFairShare reconfigures weighted-fair admission on every member
-// service (see engine.Service.SetFairShare), in shard order; the first
-// error is returned after all shards were attempted.
-func (g *Group) SetFairShare(quantum int64, classes []engine.QoSClass) error {
-	var first error
-	for i := range g.members {
-		if err := g.members[i].Svc.SetFairShare(quantum, classes); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }
 
 // Begin opens a scatter-gather session: one engine session per shard

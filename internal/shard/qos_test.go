@@ -17,11 +17,13 @@ func TestGroupClassTotalsMerge(t *testing.T) {
 	dims := []int{40, 12, 8}
 	g, closeAll := testGroup(t, mapping.MultiMap, dims, 3, 4096)
 	defer closeAll()
-	if err := g.SetFairShare(256, []engine.QoSClass{
-		{Name: "interactive", Weight: 1},
-		{Name: "bulk", Weight: 4},
-	}); err != nil {
-		t.Fatal(err)
+	for i := range g.members {
+		if err := g.members[i].Svc.Apply(engine.ServiceOptions{FairQuantum: 256, Classes: []engine.QoSClass{
+			{Name: "interactive", Weight: 1},
+			{Name: "bulk", Weight: 4},
+		}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// One session per class plus an unclassed one, every query spanning

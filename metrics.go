@@ -64,33 +64,13 @@ func (s *Store) Metrics() Metrics {
 	for i, t := range totals {
 		m.Shards[i] = ServiceMetrics{Shard: i, QueueDepth: depths[i], Totals: t}
 		m.QueueDepth += depths[i]
-		accumulateServiceTotals(&m.Totals, t)
+		m.Totals.Accumulate(t)
 	}
 	if probes := m.Totals.Attributed.CacheHits + m.Totals.Attributed.CacheMisses; probes > 0 {
 		m.CacheHitRate = float64(m.Totals.Attributed.CacheHits) / float64(probes)
 	}
 	m.Queries, m.LatencyP50Ms, m.LatencyP99Ms = s.lat.Snapshot()
 	return m
-}
-
-// accumulateServiceTotals folds one shard's totals into a group-wide
-// sum: counters add, the max-batch high-water mark takes the maximum,
-// and the attributed Stats accumulate field-wise.
-func accumulateServiceTotals(sum *ServiceTotals, t ServiceTotals) {
-	sum.Batches += t.Batches
-	sum.MergedBatches += t.MergedBatches
-	if t.MaxBatchChunks > sum.MaxBatchChunks {
-		sum.MaxBatchChunks = t.MaxBatchChunks
-	}
-	sum.IssuedRequests += t.IssuedRequests
-	sum.WriteOps += t.WriteOps
-	sum.InvalidatedBlocks += t.InvalidatedBlocks
-	sum.FlushBatches += t.FlushBatches
-	sum.CoalescedWrites += t.CoalescedWrites
-	sum.DirtyBlocks += t.DirtyBlocks
-	sum.Cancelled += t.Cancelled
-	sum.DeadlineExceeded += t.DeadlineExceeded
-	sum.Attributed.Accumulate(t.Attributed)
 }
 
 // latencyRingSize is how many completed-query latencies the store

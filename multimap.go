@@ -352,37 +352,15 @@ func open(vol *Volume, kind Mapping, dims []int, c config) (*Store, error) {
 	return s, nil
 }
 
-// applyServiceConfig pushes the config's service-level knobs (cache,
+// applyServiceConfig overlays the config's service-level knobs (cache,
 // admission window, deadline aging, write-back, fair sharing) onto
 // every shard service — shared by open and the pool's clone path,
 // which rebuilds services for cloned volumes under the parent's
 // config.
 func applyServiceConfig(svcs []*engine.Service, c config) error {
 	for _, svc := range svcs {
-		if c.cacheBlocks > 0 {
-			if err := svc.ConfigureCache(c.cacheBlocks); err != nil {
-				return err
-			}
-		}
-		if c.batchWindow > 0 {
-			svc.SetBatchWindow(c.batchWindow)
-		}
-		if c.deadlineAging > 0 {
-			svc.SetDeadlineAging(c.deadlineAging)
-		}
-		if c.writeBack {
-			if err := svc.SetWriteBack(engine.WriteBackOptions{
-				Enabled:         true,
-				WatermarkBlocks: c.wbWatermark,
-				FlushInterval:   c.wbInterval,
-			}); err != nil {
-				return err
-			}
-		}
-		if c.fairQuantum > 0 {
-			if err := svc.SetFairShare(c.fairQuantum, c.classes); err != nil {
-				return err
-			}
+		if err := svc.Apply(c.svc); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -13,25 +13,23 @@ import (
 // fails the open instead of being silently clamped.
 type Option func(*config) error
 
-// config is the resolved option set behind Open.
+// config is the resolved option set behind Open. svc holds the
+// service-level knobs exactly as the shard services take them: the
+// With* options fill it and open hands it to engine.Service.Apply,
+// whose overlay rule — a zero field means "option omitted" and leaves
+// the (possibly shared) volume service's current setting alone — is the
+// one those options' docs refer to.
 type config struct {
-	diskIdx       int
-	cellBlocks    int
-	policy        string
-	chunkCells    int64
-	cacheBlocks   int64
-	maxInflight   int
-	shards        int
-	batchWindow   time.Duration
-	deadlineAging time.Duration
-	writeBack     bool
-	wbWatermark   int64
-	wbInterval    time.Duration
-	fairQuantum   int64
-	classes       []engine.QoSClass
-	qosClass      string
-	updatable     bool
-	update        UpdateOptions
+	diskIdx     int
+	cellBlocks  int
+	policy      string
+	chunkCells  int64
+	maxInflight int
+	shards      int
+	svc         engine.ServiceOptions
+	qosClass    string
+	updatable   bool
+	update      UpdateOptions
 
 	// Pool-only state. poolOpen marks a config assembled by Pool.Create;
 	// the two pool-only options below validate against it, so plain Open
@@ -99,15 +97,17 @@ func WithChunkCells(n int64) Option {
 
 // WithCache sizes the volume's shared extent cache in blocks. The
 // cache is a service-level resource: it starts off, a positive value
-// reconfigures it for every store sharing the volume, and 0 leaves the
-// volume's current cache configuration unchanged. Overlapping queries
-// skip re-simulated I/O (Stats.CacheHits).
+// reconfigures it for every store sharing the volume, and 0 — like
+// every service-level option left at zero, the overlay rule of
+// engine.Service.Apply — leaves the volume's current configuration
+// unchanged. Overlapping queries skip re-simulated I/O
+// (Stats.CacheHits).
 func WithCache(blocks int64) Option {
 	return func(c *config) error {
 		if blocks < 0 {
 			return fmt.Errorf("multimap: CacheBlocks must be non-negative")
 		}
-		c.cacheBlocks = blocks
+		c.svc.CacheBlocks = blocks
 		return nil
 	}
 }
@@ -162,7 +162,7 @@ func WithBatchWindow(d time.Duration) Option {
 		if d < 0 {
 			return fmt.Errorf("multimap: BatchWindow must be non-negative")
 		}
-		c.batchWindow = d
+		c.svc.BatchWindow = d
 		return nil
 	}
 }
@@ -184,7 +184,7 @@ func WithDeadlineAging(d time.Duration) Option {
 		if d < 0 {
 			return fmt.Errorf("multimap: DeadlineAging must be non-negative")
 		}
-		c.deadlineAging = d
+		c.svc.DeadlineAging = d
 		return nil
 	}
 }
@@ -202,9 +202,9 @@ func WithDeadlineAging(d time.Duration) Option {
 // negative values fail the open. Cache coherence is unchanged —
 // buffered writes still invalidate overlapping cached extents
 // immediately. Like WithCache this reconfigures the (possibly shared)
-// volume service; omitting the option leaves the service's current
-// write-back setting unchanged (default: off, bit-identical to the
-// write-through path).
+// volume service under the same overlay rule: omitting the option
+// leaves the service's current write-back setting unchanged (default:
+// off, bit-identical to the write-through path).
 func WithWriteBack(watermarkBlocks int64, flushInterval time.Duration) Option {
 	return func(c *config) error {
 		if watermarkBlocks < 0 {
@@ -213,9 +213,9 @@ func WithWriteBack(watermarkBlocks int64, flushInterval time.Duration) Option {
 		if flushInterval < 0 {
 			return fmt.Errorf("multimap: write-back flush interval must be non-negative")
 		}
-		c.writeBack = true
-		c.wbWatermark = watermarkBlocks
-		c.wbInterval = flushInterval
+		c.svc.WriteBack = engine.WriteBackOptions{
+			Enabled: true, WatermarkBlocks: watermarkBlocks, FlushInterval: flushInterval,
+		}
 		return nil
 	}
 }
@@ -235,12 +235,12 @@ func WithQoSClass(name string, weight int, urgent bool) Option {
 		if weight < 1 {
 			return fmt.Errorf("multimap: QoS class %q weight must be at least 1", name)
 		}
-		for _, cl := range c.classes {
+		for _, cl := range c.svc.Classes {
 			if cl.Name == name {
 				return fmt.Errorf("multimap: QoS class %q registered twice", name)
 			}
 		}
-		c.classes = append(c.classes, engine.QoSClass{Name: name, Weight: weight, Urgent: urgent})
+		c.svc.Classes = append(c.svc.Classes, engine.QoSClass{Name: name, Weight: weight, Urgent: urgent})
 		return nil
 	}
 }
@@ -257,8 +257,10 @@ func WithQoSClass(name string, weight int, urgent bool) Option {
 // reserve floors with borrow-but-evict-borrowers-first semantics.
 // quantum 0 selects the engine default (engine.DefaultFairQuantum);
 // negative fails the open. Like WithCache this reconfigures the
-// (possibly shared) volume service; omitting the option leaves fair
-// sharing off — admission bit-identical to the pre-QoS behavior.
+// (possibly shared) volume service under the same overlay rule, the
+// WithQoSClass registry riding along as one setting with the quantum;
+// omitting the option leaves the service's fair-share setting unchanged
+// (default: off — admission bit-identical to the pre-QoS behavior).
 func WithFairShare(quantum int64) Option {
 	return func(c *config) error {
 		if quantum < 0 {
@@ -267,7 +269,7 @@ func WithFairShare(quantum int64) Option {
 		if quantum == 0 {
 			quantum = engine.DefaultFairQuantum
 		}
-		c.fairQuantum = quantum
+		c.svc.FairQuantum = quantum
 		return nil
 	}
 }
