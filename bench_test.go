@@ -22,7 +22,7 @@ import (
 // benchCfg is the shared reduced-scale configuration.
 func benchCfg() experiments.Config {
 	return experiments.Config{
-		Disks: []*disk.Geometry{disk.AtlasTenKIII(), disk.CheetahThirtySixES()},
+		Disks: []disk.ModelName{"atlas10k3", "cheetah36es"},
 		Scale: 0.5,
 		Runs:  5,
 		Seed:  1,

@@ -10,7 +10,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -68,7 +67,7 @@ func main() {
 		runs     = flag.Int("runs", 0, "randomized repetitions (0 = paper's 15)")
 		seed     = flag.Int64("seed", 1, "workload random seed")
 		disks    = flag.String("disks", "", "comma-separated disk models (default: the paper's two drives); available: "+strings.Join(multimap.DiskModels(), ", "))
-		policy   = flag.String("policy", "", "force the drive scheduler for every query: fifo, sptf, or elevator (default: each mapping's preferred policy)")
+		policy   = flag.String("policy", "", "force the drive scheduler for every query: fifo or sptf (default: each mapping's preferred policy)")
 		chunk    = flag.Int64("chunk", 0, "streaming-planner chunk size in cells for grid box queries (0 = plan each query as one chunk; fig7's octree leaf planner is never chunked)")
 		clients  = flag.Int("clients", 0, "concurrent query sessions for -exp serve (0 = default 4); the table reports queries/sec, cache hit rate, and per-query ms/cell")
 		queries  = flag.Int("queries", 0, "queries each -exp serve client issues (0 = default 32)")
@@ -83,7 +82,6 @@ func main() {
 		wbIvl    = flag.Duration("wb-interval", 0, "write-back flush interval, e.g. 2ms: dirty data older than this is committed (0 = engine default); needs -wb")
 		fair     = flag.Int64("fair", 0, "weighted-fair (deficit-round-robin) admission quantum in blocks for -exp burst/tenants, e.g. 1024: each admission pass grants every backlogged QoS class quantum*weight blocks of credit (omit = fair sharing off)")
 		qos      = flag.String("qos", "", "comma-separated QoS class specs name:weight[:urgent] registered for -fair runs, e.g. 'interactive:1,bulk:4,ops:2:urgent' (default: the burst benchmark's built-in interactive:1,bulk:4,writer:1 mix); needs -fair")
-		jsonOut  = flag.String("json", "", "write -exp burst's structured result (p50/p99 per QoS class, p999 on large samples, host wall/allocs-per-op) or -exp tenants' (lifecycle phases + live-burst latency) as JSON to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment run to this file (inspect with 'go tool pprof')")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile taken after the experiment run to this file (inspect with 'go tool pprof')")
 		remote   = flag.String("remote", "", "client mode: drive serve-style load against a running mmserved daemon at this address (host:port) instead of running experiments in-process; uses -store, -class, -clients, -queries, -writes, -deadline, -seed")
@@ -92,56 +90,23 @@ func main() {
 	)
 	flag.Parse()
 
-	// Negative magnitudes are flag misuse, not workload configs: report
+	// Out-of-range values are flag misuse, not workload configs: report
 	// them as usage errors before any experiment spins up.
 	usageErr := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "mmbench: "+format+"\n", args...)
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *writes < 0 {
-		usageErr("-writes %v is negative; want a fraction in [0,1)", *writes)
-	}
-	if *window < 0 {
-		usageErr("-window %v is negative; want a duration like 200us", *window)
-	}
-	if *aging < 0 {
-		usageErr("-aging %v is negative; want a duration like 1ms", *aging)
-	}
-	if *wbWater < 0 || *wbIvl < 0 {
-		usageErr("-wb-watermark and -wb-interval must be non-negative")
-	}
-	if *scale <= 0 || *scale > 1 {
-		usageErr("-scale %v is out of range; want a fraction in (0,1]", *scale)
-	}
-	if *runs < 0 {
-		usageErr("-runs %d is negative; want a repetition count (0 = paper's 15)", *runs)
-	}
-	if *chunk < 0 {
-		usageErr("-chunk %d is negative; want a chunk size in cells (0 = one chunk per query)", *chunk)
-	}
-	if *clients < 0 {
-		usageErr("-clients %d is negative; want a session count (0 = default 4)", *clients)
-	}
-	if *queries < 0 {
-		usageErr("-queries %d is negative; want a per-client query count (0 = default 32)", *queries)
-	}
-	if *cache < 0 {
-		usageErr("-cache %d is negative; want a capacity in blocks (0 = cache off)", *cache)
-	}
-	if *shards < 0 {
-		usageErr("-shards %d is negative; want a max shard count (0 or 1 = single shard)", *shards)
-	}
-	if *deadline < 0 {
-		usageErr("-deadline %v is negative; want a duration like 5ms (0 = none)", *deadline)
-	}
-	// -fair 0 is indistinguishable from the off default by value, so
-	// catch an explicit zero (or negative) quantum by flag presence: a
-	// stated quantum must be positive, and omitting the flag is the only
-	// way to mean "fair sharing off".
+	// -fair 0 and -scale 0 are indistinguishable from "omitted" by value
+	// (the config reads 0 as fair sharing off / paper scale), so catch an
+	// explicit zero by flag presence: a stated quantum or scale must be
+	// positive.
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "fair" && *fair <= 0 {
 			usageErr("-fair %d is not a usable quantum; want a positive number of blocks (omit the flag to keep fair sharing off)", *fair)
+		}
+		if f.Name == "scale" && *scale == 0 {
+			usageErr("-scale 0 is out of range; want a fraction in (0,1]")
 		}
 	})
 	qosClasses, err := parseQoSSpecs(*qos)
@@ -150,6 +115,27 @@ func main() {
 	}
 	if len(qosClasses) > 0 && *fair <= 0 {
 		usageErr("-qos needs -fair: class weights only apply under weighted-fair admission")
+	}
+
+	cfg := multimap.ExperimentConfig{
+		Scale: *scale, Runs: *runs, Seed: *seed,
+		Policy: *policy, ChunkCells: *chunk,
+		Clients: *clients, Queries: *queries, CacheBlocks: *cache,
+		WriteFraction: *writes,
+		Shards:        *shards, BatchWindow: *window,
+		Deadline: *deadline, DeadlineAging: *aging,
+		WriteBack: *wb, WBWatermark: *wbWater, WBInterval: *wbIvl,
+		FairQuantum: *fair, QoSClasses: qosClasses,
+	}
+	if *disks != "" {
+		for _, d := range strings.Split(*disks, ",") {
+			cfg.Disks = append(cfg.Disks, multimap.DiskModel(strings.TrimSpace(d)))
+		}
+	}
+	// Every numeric range has one definition, the config's own validator
+	// (each experiment runs it again on entry).
+	if err := cfg.Defaults().Validate(); err != nil {
+		usageErr("%v", err)
 	}
 
 	if *remote != "" {
@@ -184,22 +170,6 @@ func main() {
 		defer f.Close()
 	}
 
-	cfg := multimap.ExperimentConfig{
-		Scale: *scale, Runs: *runs, Seed: *seed,
-		Policy: *policy, ChunkCells: *chunk,
-		Clients: *clients, Queries: *queries, CacheBlocks: *cache,
-		WriteFraction: *writes,
-		Shards:        *shards, BatchWindow: *window,
-		Deadline: *deadline, DeadlineAging: *aging,
-		WriteBack: *wb, WBWatermark: *wbWater, WBInterval: *wbIvl,
-		FairQuantum: *fair, QoSClasses: qosClasses,
-	}
-	if *disks != "" {
-		for _, d := range strings.Split(*disks, ",") {
-			cfg.Disks = append(cfg.Disks, multimap.DiskModel(strings.TrimSpace(d)))
-		}
-	}
-
 	ids := []string{*exp}
 	if *exp == "all" {
 		ids = multimap.ExperimentIDs()
@@ -209,34 +179,7 @@ func main() {
 	exitCode := 0
 	for _, id := range ids {
 		start := time.Now()
-		var (
-			table *multimap.ExperimentTable
-			err   error
-		)
-		writeJSON := func(res any) error {
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return err
-			}
-			data = append(data, '\n')
-			return os.WriteFile(*jsonOut, data, 0o644)
-		}
-		switch {
-		case id == "burst" && *jsonOut != "":
-			var res *multimap.BurstResult
-			table, res, err = multimap.RunBurst(cfg)
-			if err == nil {
-				err = writeJSON(res)
-			}
-		case id == "tenants" && *jsonOut != "":
-			var res *multimap.TenantsResult
-			table, res, err = multimap.RunTenants(cfg)
-			if err == nil {
-				err = writeJSON(res)
-			}
-		default:
-			table, err = multimap.RunExperiment(id, cfg)
-		}
+		table, err := multimap.RunExperiment(id, cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mmbench: %s: %v\n", id, err)
 			exitCode = 1

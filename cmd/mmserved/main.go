@@ -68,7 +68,7 @@ func main() {
 	srv := server.New()
 	for _, raw := range opens {
 		var req server.OpenStoreRequest
-		if err := server.DecodeOpen(strings.NewReader(raw), &req); err != nil {
+		if err := server.DecodeStrict(strings.NewReader(raw), &req); err != nil {
 			usageErr("bad -open spec %q: %v", raw, err)
 		}
 		info, err := srv.OpenStore(context.Background(), req)

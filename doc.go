@@ -32,8 +32,9 @@
 // internal scheduler — a shortest-positioning-time (SPTF) scheduler
 // that sorts each window once into a slab in which cylinders and
 // tracks are index ranges, picks by a pruned search outward from the
-// heads and breaks every tie by a stated rule, or C-LOOK for
-// comparison runs — and the engine aggregates completions into Stats.
+// heads and breaks every tie by a stated rule (or plain arrival order
+// under the FIFO policy) — and the engine aggregates completions into
+// Stats.
 // The storage manager's planner streams: a query box is sliced along
 // its slowest dimension into bounded sub-boxes, so huge ranges never
 // materialize every block at once. On the Z-order, Hilbert and Gray
@@ -131,8 +132,7 @@
 // diffs empty). cmd/mmbench mirrors the knobs as
 // -wb/-wb-watermark/-wb-interval, and -exp burst runs a closed-loop
 // burst workload of three QoS classes (interactive/bulk/writer)
-// reporting p50/p99/p999 host latency per class (-json dumps the
-// result struct).
+// reporting p50/p99/p999 host latency per class.
 //
 // # Sharded scatter-gather execution
 //

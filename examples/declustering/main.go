@@ -5,65 +5,46 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"repro/internal/core"
-	"repro/internal/disk"
-	"repro/internal/lvm"
+	multimap "repro"
 )
 
 func main() {
 	dims := []int{130, 130, 130}
+	// A large slab: every Dim0 run for half the (x1, x2) plane.
+	lo, hi := []int{0, 0, 0}, []int{dims[0], dims[1], dims[2] / 2}
 
 	fmt.Printf("range query (half the %v dataset) on 1, 2, and 4 drives:\n\n", dims)
 	fmt.Printf("%7s %14s %14s %10s\n", "drives", "busy ms (sum)", "elapsed ms", "speedup")
 
 	var base float64
 	for _, n := range []int{1, 2, 4} {
-		geoms := make([]*disk.Geometry, n)
-		for i := range geoms {
-			geoms[i] = disk.AtlasTenKIII()
+		models := make([]multimap.DiskModel, n)
+		for i := range models {
+			models[i] = multimap.AtlasTenKIII
 		}
-		vol, err := lvm.New(0, geoms...)
+		vol, err := multimap.OpenVolume(models...)
 		if err != nil {
 			log.Fatal(err)
 		}
-		// DiskIdx -1 declusters the basic cubes across all drives.
-		m, err := core.NewMapping(vol, dims, core.MapOptions{DiskIdx: -1})
+		// WithDiskIdx(-1) declusters the basic cubes across all drives.
+		store, err := multimap.Open(vol, multimap.MultiMap, dims, multimap.WithDiskIdx(-1))
 		if err != nil {
 			log.Fatal(err)
 		}
-
-		// Fetch a large slab: all Dim0 runs for half the (x1, x2) plane.
-		var reqs []lvm.Request
-		for x2 := 0; x2 < dims[2]/2; x2++ {
-			for x1 := 0; x1 < dims[1]; x1++ {
-				rs, err := m.Dim0Run([]int{0, x1, x2}, dims[0])
-				if err != nil {
-					log.Fatal(err)
-				}
-				reqs = append(reqs, rs...)
-			}
-		}
-		comps, elapsed, err := vol.ServeBatch(reqs, disk.SchedSPTF)
+		st, err := store.RangeQuery(context.Background(), lo, hi)
 		if err != nil {
 			log.Fatal(err)
 		}
-		var busy float64
-		for _, c := range comps {
-			busy += c.Cost.TotalMs()
-		}
+		// TotalMs sums every drive's busy time; ElapsedMs is the wall
+		// clock of the drives working in parallel.
 		if n == 1 {
-			base = elapsed
+			base = st.ElapsedMs
 		}
-		fmt.Printf("%7d %14.0f %14.0f %9.2fx\n", n, busy, elapsed, base/elapsed)
-
-		perDisk := map[int]int{}
-		for _, c := range comps {
-			perDisk[c.DiskIdx] += c.Req.Count
-		}
-		fmt.Printf("        blocks per drive: %v\n", perDisk)
+		fmt.Printf("%7d %14.0f %14.0f %9.2fx\n", n, st.TotalMs, st.ElapsedMs, base/st.ElapsedMs)
 	}
 
 	fmt.Println("\nTotal positioning work is constant; wall-clock time drops as")

@@ -21,53 +21,42 @@ import (
 	"repro/internal/engine"
 )
 
-// TenantsSchema tags the tenants benchmark's JSON dump (mmbench -exp
-// tenants -json) with the result struct it was marshalled from.
-const TenantsSchema = "mmbench-tenants/v1"
-
 // tenantsPhases is the canonical lifecycle order every round follows
-// and every artifact must report.
+// and every result reports.
 var tenantsPhases = []string{
 	"create", "fill", "grow", "snapshot", "clone", "query_clone", "cow_writes", "destroy",
 }
 
-// TenantsPhase aggregates one lifecycle phase across all churn rounds.
-type TenantsPhase struct {
-	Phase string `json:"phase"`
+// tenantsPhase aggregates one lifecycle phase across all churn rounds.
+type tenantsPhase struct {
+	Phase string
 	// Ops counts the phase's lifecycle operations (inserts for fill and
 	// cow_writes, API calls otherwise) across rounds.
-	Ops int     `json:"ops"`
-	Ms  float64 `json:"ms"` // total host wall ms across rounds
+	Ops int
+	Ms  float64 // total host wall ms across rounds
 }
 
-// TenantsResult is the tenants benchmark's full artifact.
-type TenantsResult struct {
-	Schema      string  `json:"schema"`
-	Disk        string  `json:"disk"`
-	Scale       float64 `json:"scale"`
-	Drives      int     `json:"drives"`
-	Rounds      int     `json:"rounds"`
-	FairQuantum int64   `json:"fair_quantum"`
-	WallSeconds float64 `json:"wall_seconds"`
+// tenantsResult is the tenants benchmark's structured result.
+type tenantsResult struct {
 	// GrownBlocks is the capacity added by online Grow calls — direct
 	// evidence the overflow-exhausted tenant kept growing without a
 	// re-open.
-	GrownBlocks int64 `json:"grown_blocks"`
+	GrownBlocks int64
 	// AutoGrownBlocks is the capacity the pool's WithAutoGrow hook
 	// allocated when tenant B's fill exhausted its overflow pool —
 	// direct evidence auto-grow absorbed the exhaustion instead of
 	// erroring.
-	AutoGrownBlocks int64 `json:"auto_grown_blocks,omitempty"`
+	AutoGrownBlocks int64
 	// CowFaultBlocks counts parent blocks copied out by post-snapshot
 	// writes — direct evidence the copy-on-write path engaged.
-	CowFaultBlocks int64 `json:"cow_fault_blocks"`
+	CowFaultBlocks int64
 	// BurstOps and the percentiles describe tenant A's live traffic:
 	// the ops its sessions completed while tenant B churned, and their
 	// host-observed latency.
-	BurstOps   int            `json:"burst_ops"`
-	BurstP50Ms float64        `json:"burst_p50_ms"`
-	BurstP99Ms float64        `json:"burst_p99_ms"`
-	Phases     []TenantsPhase `json:"phases"`
+	BurstOps   int
+	BurstP50Ms float64
+	BurstP99Ms float64
+	Phases     []tenantsPhase
 }
 
 // tenantsDims scales the two tenants' dataset shapes. Tenant B stays
@@ -86,33 +75,21 @@ func tenantsDims(scale float64) (a, b []int) {
 	return a, b
 }
 
-// RunTenants runs the multi-tenant churn benchmark (experiment id
+// runTenants runs the multi-tenant churn benchmark (experiment id
 // "tenants") and returns its table together with the structured
-// result, for callers that persist the trajectory (mmbench -json).
-// Honored config fields: Disks (first model, hosted twice), Scale,
-// Seed, Clients (tenant A burst sessions, default 3), FairQuantum and
-// QoSClasses (tenant A admission), WriteBack/WBWatermark/WBInterval
-// (tenant B's write path).
-func RunTenants(cfg ExperimentConfig) (*ExperimentTable, *TenantsResult, error) {
-	if cfg.Scale == 0 {
-		cfg.Scale = 1
+// result. Honored config fields: Disks (first model, hosted twice),
+// Scale, Seed, Clients (tenant A burst sessions, default 3),
+// FairQuantum and QoSClasses (tenant A admission),
+// WriteBack/WBWatermark/WBInterval (tenant B's write path).
+func runTenants(cfg ExperimentConfig) (*ExperimentTable, *tenantsResult, error) {
+	cfg = cfg.Defaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
 	}
-	if cfg.Scale < 0 || cfg.Scale > 1 {
-		return nil, nil, fmt.Errorf("multimap: scale %v outside (0,1]", cfg.Scale)
-	}
-	if cfg.FairQuantum < 0 {
-		return nil, nil, fmt.Errorf("multimap: fair-share quantum must be non-negative")
-	}
-	model := AtlasTenKIII
-	if len(cfg.Disks) > 0 {
-		model = cfg.Disks[0]
-	}
+	model := cfg.Disks[0]
 	clients := cfg.Clients
 	if clients == 0 {
 		clients = 3
-	}
-	if clients < 1 {
-		return nil, nil, fmt.Errorf("multimap: clients must be non-negative")
 	}
 	const rounds = 2
 	ctx := context.Background()
@@ -147,7 +124,7 @@ func RunTenants(cfg ExperimentConfig) (*ExperimentTable, *TenantsResult, error) 
 
 	// Burst workers: closed-loop sessions on tenant A that keep serving
 	// until the churn loop finishes. Each completes at least one op so
-	// every artifact carries live-traffic evidence.
+	// every result carries live-traffic evidence.
 	type worker struct {
 		hostMs []float64
 		err    error
@@ -155,7 +132,6 @@ func RunTenants(cfg ExperimentConfig) (*ExperimentTable, *TenantsResult, error) 
 	workers := make([]*worker, clients)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	start := time.Now()
 	for i := range workers {
 		w := &worker{}
 		workers[i] = w
@@ -194,15 +170,10 @@ func RunTenants(cfg ExperimentConfig) (*ExperimentTable, *TenantsResult, error) 
 		}(i)
 	}
 
-	res := &TenantsResult{
-		Schema: TenantsSchema,
-		Disk:   string(model), Scale: cfg.Scale,
-		Drives: 2, Rounds: rounds, FairQuantum: cfg.FairQuantum,
-	}
-	phases := make(map[string]*TenantsPhase, len(tenantsPhases))
+	res := &tenantsResult{}
+	phases := make(map[string]*tenantsPhase, len(tenantsPhases))
 	for _, name := range tenantsPhases {
-		ph := &TenantsPhase{Phase: name}
-		phases[name] = ph
+		phases[name] = &tenantsPhase{Phase: name}
 	}
 	step := func(phase string, ops int, f func() error) error {
 		t0 := time.Now()
@@ -333,7 +304,6 @@ func RunTenants(cfg ExperimentConfig) (*ExperimentTable, *TenantsResult, error) 
 			return nil, nil, w.err
 		}
 	}
-	res.WallSeconds = time.Since(start).Seconds()
 	for _, u := range p.Usage() {
 		res.AutoGrownBlocks += u.AutoGrownBlocks
 	}
@@ -366,59 +336,4 @@ func RunTenants(cfg ExperimentConfig) (*ExperimentTable, *TenantsResult, error) 
 	t.Rows = append(t.Rows, []string{"live burst (p50/p99 ms)", fmt.Sprint(res.BurstOps),
 		fmt.Sprintf("%.3f / %.3f", res.BurstP50Ms, res.BurstP99Ms)})
 	return t, res, nil
-}
-
-// ValidateTenants checks a tenants artifact's invariants: the known
-// schema, every lifecycle phase present once in canonical order with
-// traffic where the lifecycle demands it, online growth and
-// copy-on-write evidence present, and a sane burst latency pair.
-func ValidateTenants(res *TenantsResult) error {
-	if res.Schema != TenantsSchema {
-		return fmt.Errorf("tenants: schema %q, want %q", res.Schema, TenantsSchema)
-	}
-	if res.Disk == "" {
-		return fmt.Errorf("tenants: missing disk name")
-	}
-	if res.Drives < 2 {
-		return fmt.Errorf("tenants: %d drives, want at least 2 (live traffic needs its own drive)", res.Drives)
-	}
-	if res.Rounds < 1 {
-		return fmt.Errorf("tenants: non-positive rounds %d", res.Rounds)
-	}
-	if res.FairQuantum < 0 {
-		return fmt.Errorf("tenants: negative fair_quantum %d", res.FairQuantum)
-	}
-	if res.WallSeconds <= 0 {
-		return fmt.Errorf("tenants: non-positive wall_seconds %v", res.WallSeconds)
-	}
-	if res.GrownBlocks <= 0 {
-		return fmt.Errorf("tenants: grown_blocks %d — the lifecycle must grow the tenant online", res.GrownBlocks)
-	}
-	if res.AutoGrownBlocks < 0 {
-		return fmt.Errorf("tenants: negative auto_grown_blocks %d", res.AutoGrownBlocks)
-	}
-	if res.CowFaultBlocks <= 0 {
-		return fmt.Errorf("tenants: cow_fault_blocks %d — post-snapshot writes must fault", res.CowFaultBlocks)
-	}
-	if res.BurstOps < 1 {
-		return fmt.Errorf("tenants: no live burst traffic")
-	}
-	if res.BurstP50Ms < 0 || res.BurstP50Ms > res.BurstP99Ms {
-		return fmt.Errorf("tenants: burst latency out of order: p50=%v p99=%v", res.BurstP50Ms, res.BurstP99Ms)
-	}
-	if len(res.Phases) != len(tenantsPhases) {
-		return fmt.Errorf("tenants: %d phases, want %d", len(res.Phases), len(tenantsPhases))
-	}
-	for i, ph := range res.Phases {
-		if ph.Phase != tenantsPhases[i] {
-			return fmt.Errorf("tenants: phases[%d] is %q, want %q", i, ph.Phase, tenantsPhases[i])
-		}
-		if ph.Ops < 1 {
-			return fmt.Errorf("tenants: phase %q has no operations", ph.Phase)
-		}
-		if ph.Ms < 0 {
-			return fmt.Errorf("tenants: phase %q negative ms %v", ph.Phase, ph.Ms)
-		}
-	}
-	return nil
 }

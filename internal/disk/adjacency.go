@@ -20,14 +20,6 @@ func (g *Geometry) settleSectors(spt int) int {
 	return int(math.Ceil((g.CommandMs + g.SettleMs) / g.rotationMs * float64(spt)))
 }
 
-// AdjOffsetSectors returns the rotational offset, in sectors of lbn's
-// zone, between a block and each of its adjacent blocks. The offset is
-// the same for all D adjacent blocks — the paper's "same physical
-// offset" property — and equals the settle-time rotation plus a guard.
-func (g *Geometry) AdjOffsetSectors(lbn int64) int {
-	return g.settleSectors(g.TrackLen(lbn)) + adjGuardSectors
-}
-
 // AdjSpan returns the largest usable adjacency depth D: the number of
 // tracks reachable within the settle-dominated seek range (the paper's
 // D <= R*C). Callers may configure any D up to this value.

@@ -150,6 +150,10 @@ func MediumTestDisk() *Geometry {
 	})
 }
 
+// ModelName names a registered drive model (the public
+// multimap.DiskModel).
+type ModelName string
+
 // modelRegistry maps CLI-friendly names to constructors.
 var modelRegistry = map[string]func() *Geometry{
 	"atlas10k3":   AtlasTenKIII,

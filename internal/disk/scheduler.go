@@ -16,11 +16,6 @@ const (
 	// scheduler" that fetches MultiMap's unsorted semi-sequential
 	// batches along the most efficient path (§5.2).
 	SchedSPTF
-	// SchedELEVATOR services requests in C-LOOK order: one ascending
-	// track sweep from the current head position, then a wrap to the
-	// outermost pending request. A seek-only scheduler for comparison
-	// runs against the positioning-aware SPTF.
-	SchedELEVATOR
 )
 
 func (p SchedPolicy) String() string {
@@ -29,8 +24,6 @@ func (p SchedPolicy) String() string {
 		return "fifo"
 	case SchedSPTF:
 		return "sptf"
-	case SchedELEVATOR:
-		return "elevator"
 	default:
 		return "unknown"
 	}
@@ -43,8 +36,6 @@ func ParsePolicy(s string) (SchedPolicy, error) {
 		return SchedFIFO, nil
 	case "sptf":
 		return SchedSPTF, nil
-	case "elevator", "clook", "c-look":
-		return SchedELEVATOR, nil
 	default:
 		return 0, fmt.Errorf("disk: unknown scheduling policy %q", s)
 	}
@@ -68,9 +59,7 @@ func (d *Disk) ServeBatch(reqs []Request, policy SchedPolicy) ([]Completion, err
 	}
 	switch policy {
 	case SchedSPTF:
-		return d.serveWindowed(reqs, d.serveSPTF)
-	case SchedELEVATOR:
-		return d.serveWindowed(reqs, d.serveElevator)
+		return d.serveWindowed(reqs)
 	default:
 		out := make([]Completion, 0, len(reqs))
 		for _, r := range reqs {
@@ -84,10 +73,10 @@ func (d *Disk) ServeBatch(reqs []Request, policy SchedPolicy) ([]Completion, err
 	}
 }
 
-// serveWindowed applies a reordering scheduler window by window.
-func (d *Disk) serveWindowed(reqs []Request, serve func([]Request) ([]Completion, error)) ([]Completion, error) {
+// serveWindowed applies the SPTF scheduler window by window.
+func (d *Disk) serveWindowed(reqs []Request) ([]Completion, error) {
 	if len(reqs) <= maxSPTFBatch {
-		return serve(reqs)
+		return d.serveSPTF(reqs)
 	}
 	out := make([]Completion, 0, len(reqs))
 	for start := 0; start < len(reqs); start += maxSPTFBatch {
@@ -95,7 +84,7 @@ func (d *Disk) serveWindowed(reqs []Request, serve func([]Request) ([]Completion
 		if end > len(reqs) {
 			end = len(reqs)
 		}
-		comps, err := serve(reqs[start:end])
+		comps, err := d.serveSPTF(reqs[start:end])
 		if err != nil {
 			return nil, err
 		}

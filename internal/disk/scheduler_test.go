@@ -2,7 +2,6 @@ package disk
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -288,84 +287,21 @@ func TestSPTFPicksTrueArgmin(t *testing.T) {
 	}
 }
 
-func TestElevatorCLOOKOrder(t *testing.T) {
-	d := New(SmallTestDisk())
-	// Park the heads mid-disk so the sweep must wrap.
-	if _, err := d.Access(Request{LBN: d.g.TotalBlocks() / 2, Count: 1}); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	reqs := make([]Request, 64)
-	for i := range reqs {
-		reqs[i] = Request{LBN: rng.Int63n(d.g.TotalBlocks()), Count: 1}
-	}
-	comps, err := d.ServeBatch(reqs, SchedELEVATOR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(comps) != len(reqs) {
-		t.Fatalf("served %d of %d", len(comps), len(reqs))
-	}
-	// Tracks ascend from the head position, wrap exactly once, then
-	// ascend again.
-	startTrack := d.g.mustDecode(d.g.TotalBlocks() / 2).Track
-	wraps := 0
-	prev := -1
-	for i, c := range comps {
-		tr := d.g.mustDecode(c.Req.LBN).Track
-		if i == 0 && tr < startTrack {
-			t.Fatalf("sweep started below the heads (track %d < %d)", tr, startTrack)
-		}
-		if prev >= 0 && tr < prev {
-			wraps++
-		}
-		prev = tr
-	}
-	if wraps > 1 {
-		t.Errorf("C-LOOK wrapped %d times", wraps)
-	}
-}
-
-// Requests for one LBN are swept in ascending Count, whatever order
-// they were issued in and however the sort breaks ties.
-func TestElevatorOrdersSameLBNByCount(t *testing.T) {
-	comps, err := New(SmallTestDisk()).ServeBatch([]Request{{LBN: 500, Count: 3}, {LBN: 500, Count: 1}, {LBN: 90, Count: 2}, {LBN: 500, Count: 2}}, SchedELEVATOR)
-	if want := []Request{{90, 2}, {500, 1}, {500, 2}, {500, 3}}; err != nil || !slices.EqualFunc(comps, want, func(c Completion, r Request) bool { return c.Req == r }) {
-		t.Fatalf("elevator served %+v (err %v), want requests %v", comps, err, want)
-	}
-}
-
-func TestElevatorNotWorseThanFIFOOnRandom(t *testing.T) {
-	g := AtlasTenKIII()
-	rng := rand.New(rand.NewSource(31))
-	reqs := make([]Request, 150)
-	for i := range reqs {
-		reqs[i] = Request{LBN: rng.Int63n(g.TotalBlocks()), Count: 1}
-	}
-	dE, dF := New(g), New(g)
-	if _, err := dE.ServeBatch(reqs, SchedELEVATOR); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dF.ServeBatch(reqs, SchedFIFO); err != nil {
-		t.Fatal(err)
-	}
-	if dE.NowMs() > dF.NowMs() {
-		t.Errorf("elevator %.1f ms worse than FIFO %.1f ms on random batch", dE.NowMs(), dF.NowMs())
-	}
-}
-
 func TestParsePolicy(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want SchedPolicy
-	}{{"fifo", SchedFIFO}, {"sptf", SchedSPTF}, {"elevator", SchedELEVATOR}, {"clook", SchedELEVATOR}} {
+	}{{"fifo", SchedFIFO}, {"sptf", SchedSPTF}} {
 		got, err := ParsePolicy(tc.in)
 		if err != nil || got != tc.want {
 			t.Errorf("ParsePolicy(%q) = %v, %v", tc.in, got, err)
 		}
 	}
-	if _, err := ParsePolicy("lifo"); err == nil {
-		t.Error("bad policy name accepted")
+	// The C-LOOK policy is gone: its names must fail, not fall back.
+	for _, in := range []string{"lifo", "elevator", "clook", "c-look"} {
+		if _, err := ParsePolicy(in); err == nil {
+			t.Errorf("ParsePolicy(%q) accepted", in)
+		}
 	}
 }
 
@@ -385,7 +321,7 @@ func TestBatchTimeMs(t *testing.T) {
 }
 
 func TestSchedPolicyString(t *testing.T) {
-	if SchedFIFO.String() != "fifo" || SchedSPTF.String() != "sptf" || SchedELEVATOR.String() != "elevator" {
+	if SchedFIFO.String() != "fifo" || SchedSPTF.String() != "sptf" {
 		t.Error("policy names wrong")
 	}
 	if SchedPolicy(99).String() != "unknown" {

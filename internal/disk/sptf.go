@@ -365,49 +365,3 @@ func (d *Disk) serveSPTF(reqs []Request) ([]Completion, error) {
 	}
 	return out, nil
 }
-
-// serveElevator services one window in C-LOOK order: ascending track
-// (and angle within a track) starting from the current head position,
-// wrapping once to the outermost pending request.
-func (d *Disk) serveElevator(reqs []Request) ([]Completion, error) {
-	type elevEntry struct {
-		req    Request
-		track  int
-		sector int
-	}
-	order := make([]elevEntry, len(reqs))
-	for i, r := range reqs {
-		p := d.g.mustDecode(r.LBN)
-		order[i] = elevEntry{req: r, track: p.Track, sector: p.Sector}
-	}
-	// (track, sector) determines the LBN; Count completes the order, so
-	// the sweep does not depend on how the sort breaks ties.
-	slices.SortFunc(order, func(a, b elevEntry) int {
-		if c := cmp.Compare(a.track, b.track); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.sector, b.sector); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.req.Count, b.req.Count)
-	})
-	split := sort.Search(len(order), func(i int) bool { return order[i].track >= d.curTrack })
-	out := make([]Completion, 0, len(reqs))
-	serve := func(es []elevEntry) error {
-		for _, e := range es {
-			cost, err := d.Access(e.req)
-			if err != nil {
-				return err
-			}
-			out = append(out, Completion{Req: e.req, Cost: cost, FinishMs: d.nowMs})
-		}
-		return nil
-	}
-	if err := serve(order[split:]); err != nil {
-		return nil, err
-	}
-	if err := serve(order[:split]); err != nil {
-		return nil, err
-	}
-	return out, nil
-}

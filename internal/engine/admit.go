@@ -45,8 +45,7 @@ func (s *Service) process(batch []*serviceOp) {
 // ops join the scheduler's backlog and one admission pass runs (see
 // drrSched.pass): urgent work first (strict priority, ordered by
 // effective deadline), then each backlogged class's granted ops as
-// their own batch, never coalescing across classes. MaxBatch caps each
-// served batch's size. A nil ops slice runs a pure backlog pass — how
+// their own batch, never coalescing across classes. A nil ops slice runs a pure backlog pass — how
 // the loop drains deferred work when the queue is empty.
 func (s *Service) serveWork(ops []*serviceOp) {
 	live := s.dropCancelled(ops)
@@ -54,24 +53,12 @@ func (s *Service) serveWork(ops []*serviceOp) {
 	urgent, groups := s.drr.pass(live, s.classes, s.opts.FairQuantum, s.opts.DeadlineAging, time.Now())
 	if len(urgent) > 0 {
 		s.countUrgent(urgent)
-		s.serveGroup(urgent)
+		s.serveChunks(urgent)
 	}
 	for _, group := range groups {
-		s.serveGroup(group)
+		s.serveChunks(group)
 	}
 	s.markDeferred()
-}
-
-// serveGroup serves one scheduler-admitted group in MaxBatch slices.
-func (s *Service) serveGroup(group []*serviceOp) {
-	for len(group) > 0 {
-		k := len(group)
-		if m := s.opts.MaxBatch; m > 0 && k > m {
-			k = m
-		}
-		s.serveChunks(group[:k])
-		group = group[k:]
-	}
 }
 
 // dropCancelled replies to — and filters out — every op whose context
@@ -134,7 +121,9 @@ func (s *Service) dropCancelled(ops []*serviceOp) []*serviceOp {
 // barriers and on close.
 func (s *Service) drainDeferred() {
 	for _, group := range s.drr.drain() {
-		s.serveGroup(s.dropCancelled(group))
+		if live := s.dropCancelled(group); len(live) > 0 {
+			s.serveChunks(live)
+		}
 	}
 }
 

@@ -152,7 +152,7 @@ func (s *Service) attributed(class string) (*ClassTotals, [2]*Stats) {
 }
 
 // finishSingle is a lone chunk's completion stage: insert the served
-// extents into the cache, account, trace, reply. issued is the number
+// extents into the cache, account, reply. issued is the number
 // of requests that reached the disks (the plan's survivors).
 func (s *Service) finishSingle(op *serviceOp, res opResult, issued int, comps []lvm.Completion, elapsed float64) {
 	if issued > 0 {
@@ -162,9 +162,6 @@ func (s *Service) finishSingle(op *serviceOp, res opResult, issued int, comps []
 		}
 	}
 	s.account([]*serviceOp{op}, []opResult{res}, int64(issued), res.elapsed)
-	if op.trace != nil && len(res.comps) > 0 {
-		op.trace(res.comps)
-	}
 	op.reply <- res
 }
 
@@ -172,7 +169,7 @@ func (s *Service) finishSingle(op *serviceOp, res opResult, issued int, comps []
 // extent's completion back to its contributors, splitting its cost in
 // proportion to the blocks each asked for (blocks wanted by several
 // queries are read once; every query is still credited its own cells),
-// insert the extents into the cache, account, trace, reply.
+// insert the extents into the cache, account, reply.
 func (s *Service) finishMerged(items []*serviceOp, comps []lvm.Completion, elapsed float64) {
 	sc := &s.scratch.merge
 	if len(sc.reqs) > 0 {
@@ -220,9 +217,6 @@ func (s *Service) finishMerged(items []*serviceOp, comps []lvm.Completion, elaps
 	}
 	s.account(items, sc.results, int64(len(sc.reqs)), elapsed)
 	for i, it := range items {
-		if it.trace != nil && len(sc.results[i].comps) > 0 {
-			it.trace(sc.results[i].comps)
-		}
 		it.reply <- sc.results[i]
 	}
 }

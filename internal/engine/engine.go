@@ -7,7 +7,7 @@
 // paper's storage manager would choose for it (§5.2). Run drains the
 // plan chunk by chunk through the logical volume — whose member disks
 // service their sub-batches concurrently and apply the drive-internal
-// scheduler (SPTF, or C-LOOK for comparison runs) — and aggregates the
+// scheduler (SPTF, or arrival order under FIFO) — and aggregates the
 // completions into Stats. Layers therefore share one serve-and-sum
 // loop instead of each hand-rolling its own, and a planner can yield a
 // large query in bounded-memory chunks instead of materializing every
@@ -191,11 +191,12 @@ func Static(reqs []lvm.Request, policy disk.SchedPolicy) Plan {
 // Options tunes one execution.
 type Options struct {
 	// Policy, when non-nil, overrides every chunk's issue policy — the
-	// knob behind comparison runs (e.g. forcing C-LOOK under a
+	// knob behind comparison runs (e.g. forcing FIFO under a
 	// MultiMap plan). Nil keeps the planner's choice.
 	Policy *disk.SchedPolicy
 	// Trace, when set, receives every chunk's completions in service
-	// order (the mmtrace hook).
+	// order (the mmtrace hook). Honoured by the synchronous runner
+	// (Run/RunContext) only; a Session's RunPlan ignores it.
 	Trace func([]lvm.Completion)
 	// OnChunk, when set, receives each served chunk's own Stats as the
 	// chunk retires, in chunk order — the hook behind wire-level result

@@ -43,20 +43,21 @@ import (
 // is no urgent front at all and explicit deadlines do not reorder
 // anything — the pre-QoS submission order.
 
-// QoSClass declares one admission class.
+// QoSClass declares one admission class. The JSON tags are its wire
+// form in the daemon's open-store request.
 type QoSClass struct {
 	// Name is the class label sessions reference via
 	// SessionOptions.Class. The empty name is the default class every
 	// unlabelled session belongs to.
-	Name string
+	Name string `json:"name"`
 	// Weight is the class's share of each admission pass: a pass
 	// grants the class FairQuantum × Weight blocks of credit. Values
 	// below 1 are treated as 1.
-	Weight int
+	Weight int `json:"weight"`
 	// Urgent marks a strict-priority class: its ops always join the
 	// urgent front batch (ahead of all weighted sharing), exactly as
 	// if each carried an explicit context deadline.
-	Urgent bool
+	Urgent bool `json:"urgent,omitempty"`
 }
 
 // DefaultFairQuantum is the DRR quantum applied when fair-share

@@ -111,9 +111,6 @@ type ServiceOptions struct {
 	// CacheBlocks is the shared extent cache capacity in blocks;
 	// 0 disables the cache.
 	CacheBlocks int64
-	// MaxBatch caps how many chunks one admission batch may merge;
-	// 0 means no cap (admit everything queued).
-	MaxBatch int
 	// BatchWindow is the time-based admission window: when positive, the
 	// loop waits the window out after noticing a non-empty queue before
 	// admitting it as a batch, so bursty concurrent clients coalesce
@@ -200,7 +197,6 @@ type serviceOp struct {
 	// Deferred counter counts each op once.
 	chunk    Chunk
 	policy   disk.SchedPolicy // effective issue policy (session override applied)
-	trace    func([]lvm.Completion)
 	owner    *Session
 	class    string
 	deferred bool
@@ -258,7 +254,6 @@ func NewService(vol *lvm.Volume, opts ServiceOptions) *Service {
 // a schedulable class of their own.
 func (o ServiceOptions) normalized() ServiceOptions {
 	o.CacheBlocks = max(o.CacheBlocks, 0)
-	o.MaxBatch = max(o.MaxBatch, 0)
 	o.BatchWindow = max(o.BatchWindow, 0)
 	o.DeadlineAging = max(o.DeadlineAging, 0)
 	o.FairQuantum = max(o.FairQuantum, 0)
@@ -281,9 +276,6 @@ func (o ServiceOptions) normalized() ServiceOptions {
 func (cur ServiceOptions) overlay(o ServiceOptions) ServiceOptions {
 	if o.CacheBlocks > 0 {
 		cur.CacheBlocks = o.CacheBlocks
-	}
-	if o.MaxBatch > 0 {
-		cur.MaxBatch = o.MaxBatch
 	}
 	if o.BatchWindow > 0 {
 		cur.BatchWindow = o.BatchWindow

@@ -683,48 +683,6 @@ func TestServiceConcurrentWrites(t *testing.T) {
 	}
 }
 
-// TestServiceMaxBatch: a MaxBatch cap must split one admission run into
-// several batches, with every chunk still answered and accounted.
-func TestServiceMaxBatch(t *testing.T) {
-	v := testVolume(t)
-	svc := NewService(v, ServiceOptions{MaxBatch: 2})
-	defer svc.Close()
-	rng := rand.New(rand.NewSource(21))
-	ops := make([]*serviceOp, 5)
-	for i := range ops {
-		ops[i] = &serviceOp{
-			kind:   opChunk,
-			chunk:  Chunk{Reqs: SortCoalesce(randomReqs(rng, v, 8)), Policy: disk.SchedSPTF},
-			policy: disk.SchedSPTF,
-			reply:  make(chan opResult, 1),
-		}
-	}
-	svc.process(ops)
-	var credited int64
-	for i, op := range ops {
-		r := <-op.reply
-		if r.err != nil {
-			t.Fatalf("op %d: %v", i, r.err)
-		}
-		for _, c := range r.comps {
-			credited += int64(c.Req.Count)
-		}
-	}
-	var want int64
-	for _, op := range ops {
-		for _, r := range op.chunk.Reqs {
-			want += int64(r.Count)
-		}
-	}
-	if credited != want {
-		t.Fatalf("credited %d blocks across split batches, want %d", credited, want)
-	}
-	tot := svc.Totals()
-	if tot.Batches != 3 || tot.MaxBatchChunks != 2 || tot.MergedBatches != 2 {
-		t.Fatalf("MaxBatch=2 over 5 chunks should give 3 batches (2+2+1): %+v", tot)
-	}
-}
-
 // TestServiceClose: submitting after Close fails cleanly, Close is
 // idempotent, and Reset on a closed service reports the error.
 func TestServiceClose(t *testing.T) {

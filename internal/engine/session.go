@@ -110,9 +110,8 @@ func (s *Session) Totals() Stats {
 // chunks are in flight, and up to MaxInflight chunks ride the service
 // queue at once. Costs attributed by the service loop are folded into
 // this query's Stats in chunk order, so a lone session with the cache
-// off returns bit-identical Stats to Run. Options.Trace, when set, is
-// invoked from the service loop with this query's attributed
-// completions.
+// off returns bit-identical Stats to Run. Options.Trace is not
+// honoured here — only the synchronous Run traces.
 //
 // Cancellation: the submit loop checks ctx before every chunk, and the
 // service drops this query's already-queued chunks before admission —
@@ -187,10 +186,10 @@ func (s *Session) RunPlan(ctx context.Context, p Plan, opts Options) (Stats, err
 	}
 	// finish folds (or, after a failure, waits out) every outstanding
 	// op. Submitted chunks are always drained to their reply: the query
-	// must not return while the loop could still serve its chunks and
-	// fire its Trace callback. Chunks the loop already served are folded
-	// into the session's lifetime totals even when the query fails, so
-	// summing session totals still reproduces ServiceTotals.Attributed.
+	// must not return while the loop could still serve its chunks.
+	// Chunks the loop already served are folded into the session's
+	// lifetime totals even when the query fails, so summing session
+	// totals still reproduces ServiceTotals.Attributed.
 	finish := func(failed error) (Stats, error) {
 		var err error
 		for _, op := range pending {
@@ -233,7 +232,6 @@ func (s *Session) RunPlan(ctx context.Context, p Plan, opts Options) (Stats, err
 		op.ctx = ctx
 		op.chunk = pl.c
 		op.policy = policy
-		op.trace = opts.Trace
 		op.class = s.class
 		if err := s.svc.submit(op); err != nil {
 			putOp(op) // never queued: submit sends no reply

@@ -13,7 +13,8 @@ import (
 // more than 10 dimensions."
 func DimensionSupport(cfg Config) (*Table, error) {
 	cfg = cfg.Defaults()
-	if err := cfg.validate(); err != nil {
+	disks, err := cfg.resolve()
+	if err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -27,7 +28,7 @@ func DimensionSupport(cfg Config) (*Table, error) {
 			fmt.Sprintf("%d", core.MaxDims(d)),
 		})
 	}
-	for _, g := range cfg.Disks {
+	for _, g := range disks {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%s (D<=%d)", g.Name, g.AdjSpan()),
 			fmt.Sprintf("%d", core.MaxDims(g.AdjSpan())),
@@ -43,7 +44,8 @@ func DimensionSupport(cfg Config) (*Table, error) {
 // (T mod K0)/T up to 50% — is what the packing pass avoids.
 func SpaceEfficiency(cfg Config) (*Table, error) {
 	cfg = cfg.Defaults()
-	if err := cfg.validate(); err != nil {
+	disks, err := cfg.resolve()
+	if err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -51,7 +53,7 @@ func SpaceEfficiency(cfg Config) (*Table, error) {
 		Title: "Track space stranded by MultiMap vs dataset Dim0 length (§4.4)",
 	}
 	t.Header = []string{"S0"}
-	for _, g := range cfg.Disks {
+	for _, g := range disks {
 		outer := g.ZoneByIndex(0).SectorsPerTrack
 		t.Header = append(t.Header,
 			fmt.Sprintf("%s T=%d naive-K0", g.Name, outer),
@@ -60,7 +62,7 @@ func SpaceEfficiency(cfg Config) (*Table, error) {
 	}
 	for _, s0 := range []int{64, 128, 259, 400, 591, 800, 1200} {
 		row := []string{fmt.Sprintf("%d", s0)}
-		for _, g := range cfg.Disks {
+		for _, g := range disks {
 			tlen := g.ZoneByIndex(0).SectorsPerTrack
 			// Naive choice: K0 = min(S0, T), one cube per slot count.
 			k0 := s0

@@ -26,12 +26,6 @@ import (
 	"repro/internal/shard"
 )
 
-// BurstSchema tags the burst benchmark's JSON dump (mmbench -exp burst
-// -json) with the result struct it was marshalled from. No committed
-// artifact or reader of it remains, so the tag is not bumped when a
-// field goes.
-const BurstSchema = "mmbench-burst/v3"
-
 // burstP999MinOps is the smallest per-class sample for which p999 is
 // reported: below 1000 ops the 99.9th percentile is just the sample
 // maximum (p99 == p999 at 96 ops).
@@ -39,48 +33,38 @@ const burstP999MinOps = 1000
 
 // BurstClass is one QoS class's latency trajectory.
 type BurstClass struct {
-	Class   string `json:"class"`
-	Weight  int    `json:"weight"` // DRR weight the run used (1 when QoS off)
-	Clients int    `json:"clients"`
+	Class   string
+	Weight  int // DRR weight the run used (1 when QoS off)
+	Clients int
 	// Ops is the class's sample size — read it before trusting the tail
 	// percentiles.
-	Ops   int     `json:"ops"`
-	P50Ms float64 `json:"p50_ms"` // host-observed per-op latency percentiles
-	P99Ms float64 `json:"p99_ms"` // (closed loop: queueing included)
-	// P999Ms is omitted (nil) when Ops < burstP999MinOps.
-	P999Ms    *float64 `json:"p999_ms,omitempty"`
-	MeanSimMs float64  `json:"mean_sim_ms"` // mean simulated disk ms per op
+	Ops   int
+	P50Ms float64 // host-observed per-op latency percentiles
+	P99Ms float64 // (closed loop: queueing included)
+	// P999Ms is 0 (not reported) when Ops < burstP999MinOps.
+	P999Ms    float64
+	MeanSimMs float64 // mean simulated disk ms per op
 	// DeferredOps counts ops the weighted-fair scheduler held back for
 	// at least one admission pass — direct evidence DRR engaged (0 when
 	// QoS off).
-	DeferredOps int64 `json:"deferred_ops"`
+	DeferredOps int64
 }
 
-// BurstResult is the burst benchmark's full artifact.
+// BurstResult is the burst benchmark's structured result.
 type BurstResult struct {
-	Schema        string  `json:"schema"`
-	Disk          string  `json:"disk"`
-	Scale         float64 `json:"scale"`
-	Shards        int     `json:"shards"`
-	WriteFraction float64 `json:"write_fraction"`
-	WriteBack     bool    `json:"write_back"`
-	CacheBlocks   int64   `json:"cache_blocks"`
-	// FairQuantum is the weighted-fair admission quantum in blocks per
-	// weight unit per pass; 0 = QoS off.
-	FairQuantum int64 `json:"fair_quantum"`
-	// GOMAXPROCS is the host parallelism the run had — wall_seconds and
-	// allocs_per_op are only comparable between runs at the same value.
-	GOMAXPROCS  int     `json:"gomaxprocs"`
-	WallSeconds float64 `json:"wall_seconds"`
+	// GOMAXPROCS is the host parallelism the run had — WallSeconds and
+	// AllocsPerOp are only comparable between runs at the same value.
+	GOMAXPROCS  int
+	WallSeconds float64
 	// AllocsPerOp is the mean number of heap allocations per client op
 	// across the whole closed-loop run (runtime.MemStats.Mallocs delta
 	// over total ops) — the admission hot path's allocation trajectory.
 	// Host-side noise (GC bookkeeping, other goroutines) is included, so
 	// read it as a trend line, not an exact -benchmem figure.
-	AllocsPerOp  float64      `json:"allocs_per_op"`
-	FlushBatches int64        `json:"flush_batches"`
-	Coalesced    int64        `json:"coalesced_writes"`
-	Classes      []BurstClass `json:"classes"`
+	AllocsPerOp  float64
+	FlushBatches int64
+	Coalesced    int64
+	Classes      []BurstClass
 }
 
 // burstQoSClasses is the class registry a QoS-on burst run uses: the
@@ -142,14 +126,15 @@ func BurstTraffic(cfg Config) (*Table, *BurstResult, error) {
 	if cfg.FairQuantum > 0 && len(cfg.QoSClasses) == 0 {
 		cfg.QoSClasses = burstQoSClasses
 	}
-	if err := cfg.validate(); err != nil {
+	disks, err := cfg.resolve()
+	if err != nil {
 		return nil, nil, err
 	}
 	shards := cfg.Shards
 	if shards < 1 {
 		shards = 1
 	}
-	g := cfg.Disks[0]
+	g := disks[0]
 	dims := synthChunkDims(cfg.Scale)
 	grid, err := dataset.NewGrid(dims...)
 	if err != nil {
@@ -235,14 +220,7 @@ func BurstTraffic(cfg Config) (*Table, *BurstResult, error) {
 	runtime.ReadMemStats(&memAfter)
 	totalOps := cfg.Clients * cfg.Queries
 
-	res := &BurstResult{
-		Schema: BurstSchema,
-		Disk:   g.Name, Scale: cfg.Scale, Shards: shards,
-		WriteFraction: cfg.WriteFraction, WriteBack: cfg.WriteBack,
-		CacheBlocks: cfg.CacheBlocks, FairQuantum: cfg.FairQuantum,
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		WallSeconds: wall,
-	}
+	res := &BurstResult{GOMAXPROCS: runtime.GOMAXPROCS(0), WallSeconds: wall}
 	if totalOps > 0 {
 		res.AllocsPerOp = float64(memAfter.Mallocs-memBefore.Mallocs) / float64(totalOps)
 	}
@@ -276,8 +254,7 @@ func BurstTraffic(cfg Config) (*Table, *BurstResult, error) {
 			DeferredOps: deferredBy[class],
 		}
 		if len(lat) >= burstP999MinOps {
-			p := engine.Percentile(lat, 0.999)
-			bc.P999Ms = &p
+			bc.P999Ms = engine.Percentile(lat, 0.999)
 		}
 		if len(lat) > 0 {
 			bc.MeanSimMs = sim / float64(len(lat))
@@ -302,8 +279,8 @@ func BurstTraffic(cfg Config) (*Table, *BurstResult, error) {
 	}
 	for _, bc := range res.Classes {
 		p999 := "-"
-		if bc.P999Ms != nil {
-			p999 = f3(*bc.P999Ms)
+		if bc.Ops >= burstP999MinOps {
+			p999 = f3(bc.P999Ms)
 		}
 		t.Rows = append(t.Rows, []string{
 			bc.Class, fmt.Sprint(bc.Weight), fmt.Sprint(bc.Clients), fmt.Sprint(bc.Ops),
@@ -328,65 +305,4 @@ func runBulkScan(ctx context.Context, sess *shard.Session, dims []int, rng *rand
 		hi[i] = lo[i] + side
 	}
 	return sess.Box(ctx, lo, hi)
-}
-
-// ValidateBurst checks a burst result's invariants: the schema tag,
-// all three QoS classes present with traffic, and a sane latency
-// trajectory (0 ≤ p50 ≤ p99 ≤ p999 where present) per class.
-func ValidateBurst(res *BurstResult) error {
-	if res.Schema != BurstSchema {
-		return fmt.Errorf("burst: schema %q, want %q", res.Schema, BurstSchema)
-	}
-	if res.Disk == "" {
-		return fmt.Errorf("burst: missing disk name")
-	}
-	if res.WallSeconds <= 0 {
-		return fmt.Errorf("burst: non-positive wall_seconds %v", res.WallSeconds)
-	}
-	if res.FairQuantum < 0 {
-		return fmt.Errorf("burst: negative fair_quantum %d", res.FairQuantum)
-	}
-	if res.AllocsPerOp < 0 {
-		return fmt.Errorf("burst: negative allocs_per_op %v", res.AllocsPerOp)
-	}
-	if res.GOMAXPROCS < 1 {
-		return fmt.Errorf("burst: gomaxprocs %d below 1", res.GOMAXPROCS)
-	}
-	want := map[string]bool{"interactive": false, "bulk": false, "writer": false}
-	for _, bc := range res.Classes {
-		seen, known := want[bc.Class]
-		if !known {
-			return fmt.Errorf("burst: unknown class %q", bc.Class)
-		}
-		if seen {
-			return fmt.Errorf("burst: duplicate class %q", bc.Class)
-		}
-		want[bc.Class] = true
-		if bc.Clients < 1 || bc.Ops < 1 {
-			return fmt.Errorf("burst: class %q has no traffic: %+v", bc.Class, bc)
-		}
-		if bc.P50Ms < 0 || bc.P50Ms > bc.P99Ms {
-			return fmt.Errorf("burst: class %q latency trajectory out of order: p50=%v p99=%v",
-				bc.Class, bc.P50Ms, bc.P99Ms)
-		}
-		if bc.P999Ms != nil && bc.P99Ms > *bc.P999Ms {
-			return fmt.Errorf("burst: class %q latency trajectory out of order: p99=%v p999=%v",
-				bc.Class, bc.P99Ms, *bc.P999Ms)
-		}
-		if bc.Weight < 1 {
-			return fmt.Errorf("burst: class %q weight %d below 1", bc.Class, bc.Weight)
-		}
-		if bc.MeanSimMs < 0 {
-			return fmt.Errorf("burst: class %q negative simulated ms %v", bc.Class, bc.MeanSimMs)
-		}
-		if bc.DeferredOps < 0 {
-			return fmt.Errorf("burst: class %q negative deferred_ops %d", bc.Class, bc.DeferredOps)
-		}
-	}
-	for class, seen := range want {
-		if !seen {
-			return fmt.Errorf("burst: class %q missing", class)
-		}
-	}
-	return nil
 }

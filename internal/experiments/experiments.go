@@ -15,10 +15,12 @@ import (
 	"repro/internal/query"
 )
 
-// Config scopes an experiment run.
+// Config scopes an experiment run. It is the public
+// multimap.ExperimentConfig.
 type Config struct {
-	// Disks to evaluate; defaults to the paper's two drives.
-	Disks []*disk.Geometry
+	// Disks to evaluate, by model name; defaults to the paper's two
+	// drives.
+	Disks []disk.ModelName
 	// Scale in (0,1] shrinks datasets for fast runs; 1 is paper size.
 	Scale float64
 	// Runs is the number of repetitions with random parameters
@@ -27,7 +29,7 @@ type Config struct {
 	// Seed makes runs reproducible.
 	Seed int64
 	// Policy forces the drive-internal scheduling policy for every
-	// query ("fifo", "sptf", "elevator"); empty keeps each mapping's
+	// query ("fifo", "sptf"); empty keeps each mapping's
 	// preferred policy — the paper's configuration.
 	Policy string
 	// ChunkCells bounds how many cells the streaming planner expands
@@ -91,7 +93,7 @@ type Config struct {
 // Defaults fills unset fields: both paper drives, full scale, 15 runs.
 func (c Config) Defaults() Config {
 	if len(c.Disks) == 0 {
-		c.Disks = []*disk.Geometry{disk.AtlasTenKIII(), disk.CheetahThirtySixES()}
+		c.Disks = []disk.ModelName{"atlas10k3", "cheetah36es"}
 	}
 	if c.Scale == 0 {
 		c.Scale = 1
@@ -105,38 +107,54 @@ func (c Config) Defaults() Config {
 	return c
 }
 
-func (c Config) validate() error {
+// Validate checks every range of a defaulted config — the one
+// definition the experiments and mmbench's flag parsing share.
+func (c Config) Validate() error {
+	_, err := c.resolve()
+	return err
+}
+
+// resolve is Validate returning the drives' geometries.
+func (c Config) resolve() ([]*disk.Geometry, error) {
 	if c.Scale <= 0 || c.Scale > 1 {
-		return fmt.Errorf("experiments: scale %v outside (0,1]", c.Scale)
+		return nil, fmt.Errorf("experiments: scale %v outside (0,1]", c.Scale)
 	}
 	if c.Runs < 1 {
-		return fmt.Errorf("experiments: runs must be positive")
+		return nil, fmt.Errorf("experiments: runs must be positive")
 	}
 	if c.Clients < 0 || c.Queries < 0 || c.CacheBlocks < 0 {
-		return fmt.Errorf("experiments: clients, queries, and cache blocks must be non-negative")
+		return nil, fmt.Errorf("experiments: clients, queries, and cache blocks must be non-negative")
 	}
 	if c.WriteFraction < 0 || c.WriteFraction >= 1 {
-		return fmt.Errorf("experiments: write fraction %v outside [0,1)", c.WriteFraction)
+		return nil, fmt.Errorf("experiments: write fraction %v outside [0,1)", c.WriteFraction)
 	}
 	if c.Shards < 0 {
-		return fmt.Errorf("experiments: shard count must be non-negative")
+		return nil, fmt.Errorf("experiments: shard count must be non-negative")
 	}
 	if c.BatchWindow < 0 {
-		return fmt.Errorf("experiments: batch window must be non-negative")
+		return nil, fmt.Errorf("experiments: batch window must be non-negative")
 	}
 	if c.Deadline < 0 || c.DeadlineAging < 0 {
-		return fmt.Errorf("experiments: deadline and deadline aging must be non-negative")
+		return nil, fmt.Errorf("experiments: deadline and deadline aging must be non-negative")
 	}
 	if c.WBWatermark < 0 || c.WBInterval < 0 {
-		return fmt.Errorf("experiments: write-back watermark and interval must be non-negative")
+		return nil, fmt.Errorf("experiments: write-back watermark and interval must be non-negative")
 	}
 	if c.FairQuantum < 0 {
-		return fmt.Errorf("experiments: fair-share quantum must be non-negative")
+		return nil, fmt.Errorf("experiments: fair-share quantum must be non-negative")
 	}
 	if _, err := c.execOptions(); err != nil {
-		return err
+		return nil, err
 	}
-	return nil
+	geoms := make([]*disk.Geometry, len(c.Disks))
+	for i, m := range c.Disks {
+		g, err := disk.ModelByName(string(m))
+		if err != nil {
+			return nil, err
+		}
+		geoms[i] = g
+	}
+	return geoms, nil
 }
 
 // execOptions translates the engine knobs for the query layer.

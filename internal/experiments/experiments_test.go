@@ -12,7 +12,7 @@ import (
 // datasets, few repetitions.
 func fastCfg() Config {
 	return Config{
-		Disks: []*disk.Geometry{disk.AtlasTenKIII()},
+		Disks: []disk.ModelName{"atlas10k3"},
 		Scale: 0.15,
 		Runs:  3,
 		Seed:  7,
@@ -25,13 +25,49 @@ func TestConfigDefaults(t *testing.T) {
 		t.Errorf("defaults wrong: %+v", c)
 	}
 	bad := Config{Scale: 2, Runs: 1, Seed: 1, Disks: c.Disks}
-	if err := bad.validate(); err == nil {
+	if err := bad.Validate(); err == nil {
 		t.Error("scale 2 accepted")
 	}
 	bad = Config{Scale: 0.5, Runs: 0, Seed: 1, Disks: c.Disks}
 	bad.Runs = -1
-	if err := bad.validate(); err == nil {
+	if err := bad.Validate(); err == nil {
 		t.Error("negative runs accepted")
+	}
+}
+
+// TestConfigValidateRanges: the one validator rejects every
+// out-of-range value mmbench's flags can carry (it restated these
+// thirteen ranges itself before), an unknown drive and a removed
+// policy — and passes the zero config once Defaults has filled it.
+func TestConfigValidateRanges(t *testing.T) {
+	if err := (Config{}).Defaults().Validate(); err != nil {
+		t.Fatalf("defaulted zero config rejected: %v", err)
+	}
+	for flag, mangle := range map[string]func(*Config){
+		"writes":       func(c *Config) { c.WriteFraction = -0.1 },
+		"writes>=1":    func(c *Config) { c.WriteFraction = 1 },
+		"window":       func(c *Config) { c.BatchWindow = -1 },
+		"aging":        func(c *Config) { c.DeadlineAging = -1 },
+		"wb-watermark": func(c *Config) { c.WBWatermark = -1 },
+		"wb-interval":  func(c *Config) { c.WBInterval = -1 },
+		"scale":        func(c *Config) { c.Scale = 1.5 },
+		"scale<0":      func(c *Config) { c.Scale = -0.5 },
+		"runs":         func(c *Config) { c.Runs = -1 },
+		"chunk":        func(c *Config) { c.ChunkCells = -1 },
+		"clients":      func(c *Config) { c.Clients = -1 },
+		"queries":      func(c *Config) { c.Queries = -1 },
+		"cache":        func(c *Config) { c.CacheBlocks = -1 },
+		"shards":       func(c *Config) { c.Shards = -1 },
+		"deadline":     func(c *Config) { c.Deadline = -1 },
+		"fair":         func(c *Config) { c.FairQuantum = -1 },
+		"disks":        func(c *Config) { c.Disks = []disk.ModelName{"nonsense"} },
+		"policy":       func(c *Config) { c.Policy = "elevator" },
+	} {
+		c := Config{}
+		mangle(&c)
+		if err := c.Defaults().Validate(); err == nil {
+			t.Errorf("-%s out of range accepted: %+v", flag, c)
+		}
 	}
 }
 
@@ -115,7 +151,7 @@ func TestFig6aPaperScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale fig6a takes ~20s")
 	}
-	cfg := Config{Disks: []*disk.Geometry{disk.AtlasTenKIII()}, Scale: 1, Runs: 5, Seed: 3}
+	cfg := Config{Disks: []disk.ModelName{"atlas10k3"}, Scale: 1, Runs: 5, Seed: 3}
 	_, res, err := Fig6aBeams(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +199,7 @@ func TestFig6bPaperScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale fig6b takes minutes")
 	}
-	cfg := Config{Disks: []*disk.Geometry{disk.AtlasTenKIII()}, Scale: 1, Runs: 3, Seed: 3}
+	cfg := Config{Disks: []disk.ModelName{"atlas10k3"}, Scale: 1, Runs: 3, Seed: 3}
 	_, res, err := Fig6bRanges(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +237,7 @@ func TestFig7aShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig7a shape needs the depth-6 tree (~10s)")
 	}
-	cfg := Config{Disks: []*disk.Geometry{disk.AtlasTenKIII()}, Scale: 0.5, Runs: 8, Seed: 7}
+	cfg := Config{Disks: []disk.ModelName{"atlas10k3"}, Scale: 0.5, Runs: 8, Seed: 7}
 	_, res, err := Fig7aQuakeBeams(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +316,7 @@ func TestFig8PaperScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale fig8 takes ~30s")
 	}
-	cfg := Config{Disks: []*disk.Geometry{disk.AtlasTenKIII()}, Scale: 1, Runs: 2, Seed: 3}
+	cfg := Config{Disks: []disk.ModelName{"atlas10k3"}, Scale: 1, Runs: 2, Seed: 3}
 	_, res, err := Fig8OLAP(cfg)
 	if err != nil {
 		t.Fatal(err)

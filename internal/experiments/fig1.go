@@ -12,7 +12,8 @@ import (
 // for short distances. One column per configured disk.
 func Fig1aSeekProfile(cfg Config) (*Table, error) {
 	cfg = cfg.Defaults()
-	if err := cfg.validate(); err != nil {
+	disks, err := cfg.resolve()
+	if err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -20,12 +21,12 @@ func Fig1aSeekProfile(cfg Config) (*Table, error) {
 		Title:  "Seek time vs cylinder distance (settle plateau at short distances)",
 		Header: []string{"distance_cyls"},
 	}
-	for _, g := range cfg.Disks {
+	for _, g := range disks {
 		t.Header = append(t.Header, g.Name+" [ms]")
 	}
 	// Log-spaced distances plus the settle boundary of each disk.
 	dists := []int{1, 2, 4, 8, 16, 24, 32, 40, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}
-	for _, g := range cfg.Disks {
+	for _, g := range disks {
 		dists = append(dists, g.SettleCyls, g.SettleCyls+1, g.Cylinders()-1)
 	}
 	seen := map[int]bool{}
@@ -43,7 +44,7 @@ func Fig1aSeekProfile(cfg Config) (*Table, error) {
 	}
 	for _, d := range uniq {
 		row := []string{fmt.Sprintf("%d", d)}
-		for _, g := range cfg.Disks {
+		for _, g := range disks {
 			if d >= g.Cylinders() {
 				row = append(row, "-")
 				continue
@@ -62,7 +63,8 @@ func Fig1aSeekProfile(cfg Config) (*Table, error) {
 // flat across k, unlike a rotational-latency access.
 func Fig1bAdjacency(cfg Config) (*Table, error) {
 	cfg = cfg.Defaults()
-	if err := cfg.validate(); err != nil {
+	disks, err := cfg.resolve()
+	if err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -70,14 +72,14 @@ func Fig1bAdjacency(cfg Config) (*Table, error) {
 		Title:  "Positioning cost of the k-th adjacent block (flat = no rotational latency)",
 		Header: []string{"k"},
 	}
-	for _, g := range cfg.Disks {
+	for _, g := range disks {
 		t.Header = append(t.Header, g.Name+" [ms]", g.Name+" rot-latency access [ms]")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	ks := []int{1, 2, 4, 8, 16, 32, 64, 96, 128}
 	for _, k := range ks {
 		row := []string{fmt.Sprintf("%d", k)}
-		for _, g := range cfg.Disks {
+		for _, g := range disks {
 			d := disk.New(g)
 			var adjPos, rotPos float64
 			const trials = 20

@@ -47,7 +47,8 @@ type Fig6aResult map[string]map[string][3]float64
 // cfg.Runs random beams.
 func Fig6aBeams(cfg Config) (*Table, Fig6aResult, error) {
 	cfg = cfg.Defaults()
-	if err := cfg.validate(); err != nil {
+	disks, err := cfg.resolve()
+	if err != nil {
 		return nil, nil, err
 	}
 	dims := synthChunkDims(cfg.Scale)
@@ -61,7 +62,7 @@ func Fig6aBeams(cfg Config) (*Table, Fig6aResult, error) {
 		Title:  fmt.Sprintf("Synthetic 3-D beam queries, %v cells/disk: avg I/O time per cell [ms]", dims),
 		Header: []string{"disk", "mapping", "Dim0", "Dim1", "Dim2"},
 	}
-	for _, g := range cfg.Disks {
+	for _, g := range disks {
 		res[g.Name] = map[string][3]float64{}
 		for _, kind := range mapping.Kinds() {
 			e, v, err := buildExecutor(cfg, g, kind, dims)
@@ -108,7 +109,8 @@ type Fig6bResult map[string]map[string]map[float64]float64
 // to Naive on the same boxes.
 func Fig6bRanges(cfg Config) (*Table, Fig6bResult, error) {
 	cfg = cfg.Defaults()
-	if err := cfg.validate(); err != nil {
+	disks, err := cfg.resolve()
+	if err != nil {
 		return nil, nil, err
 	}
 	dims := synthChunkDims(cfg.Scale)
@@ -122,7 +124,7 @@ func Fig6bRanges(cfg Config) (*Table, Fig6bResult, error) {
 		Title: fmt.Sprintf("Synthetic 3-D range queries, %v cells/disk: speedup relative to Naive", dims),
 	}
 	t.Header = []string{"selectivity_%"}
-	for _, g := range cfg.Disks {
+	for _, g := range disks {
 		for _, kind := range mapping.Kinds() {
 			if kind == mapping.Naive {
 				continue
@@ -134,7 +136,7 @@ func Fig6bRanges(cfg Config) (*Table, Fig6bResult, error) {
 	type cell struct{ total float64 }
 	// totals[disk][kind][sel]
 	totals := map[string]map[string]map[float64]*cell{}
-	for _, g := range cfg.Disks {
+	for _, g := range disks {
 		totals[g.Name] = map[string]map[float64]*cell{}
 		for _, kind := range mapping.Kinds() {
 			e, v, err := buildExecutor(cfg, g, kind, dims)
@@ -165,7 +167,7 @@ func Fig6bRanges(cfg Config) (*Table, Fig6bResult, error) {
 			}
 		}
 	}
-	for _, g := range cfg.Disks {
+	for _, g := range disks {
 		res[g.Name] = map[string]map[float64]float64{}
 		for _, kind := range mapping.Kinds() {
 			if kind == mapping.Naive {
@@ -176,7 +178,7 @@ func Fig6bRanges(cfg Config) (*Table, Fig6bResult, error) {
 	}
 	for _, sel := range Fig6bSelectivities {
 		row := []string{fmt.Sprintf("%g", sel)}
-		for _, g := range cfg.Disks {
+		for _, g := range disks {
 			naive := totals[g.Name][mapping.Naive.String()][sel].total
 			for _, kind := range mapping.Kinds() {
 				if kind == mapping.Naive {

@@ -56,7 +56,8 @@ type Fig7aResult map[string]map[string][3]float64
 // earthquake dataset, average I/O time per fetched element.
 func Fig7aQuakeBeams(cfg Config) (*Table, Fig7aResult, error) {
 	cfg = cfg.Defaults()
-	if err := cfg.validate(); err != nil {
+	disks, err := cfg.resolve()
+	if err != nil {
 		return nil, nil, err
 	}
 	md := quakeDepth(cfg.Scale)
@@ -66,7 +67,7 @@ func Fig7aQuakeBeams(cfg Config) (*Table, Fig7aResult, error) {
 		Title:  fmt.Sprintf("Earthquake dataset beam queries (octree depth %d): avg I/O time per cell [ms]", md),
 		Header: []string{"disk", "mapping", "X", "Y", "Z"},
 	}
-	for _, g := range cfg.Disks {
+	for _, g := range disks {
 		res[g.Name] = map[string][3]float64{}
 		for _, kind := range mapping.Kinds() {
 			s, v, tr, err := quakeStore(cfg, g, kind, md)
@@ -118,7 +119,8 @@ type Fig7bResult map[string]map[string]map[float64]float64
 // earthquake dataset; total I/O time in ms.
 func Fig7bQuakeRanges(cfg Config) (*Table, Fig7bResult, error) {
 	cfg = cfg.Defaults()
-	if err := cfg.validate(); err != nil {
+	disks, err := cfg.resolve()
+	if err != nil {
 		return nil, nil, err
 	}
 	md := quakeDepth(cfg.Scale)
@@ -128,7 +130,7 @@ func Fig7bQuakeRanges(cfg Config) (*Table, Fig7bResult, error) {
 		Title: fmt.Sprintf("Earthquake dataset range queries (octree depth %d): total I/O time [ms]", md),
 	}
 	t.Header = []string{"selectivity_%"}
-	for _, g := range cfg.Disks {
+	for _, g := range disks {
 		for _, kind := range mapping.Kinds() {
 			t.Header = append(t.Header, g.Name+"/"+kind.String())
 		}
@@ -138,7 +140,7 @@ func Fig7bQuakeRanges(cfg Config) (*Table, Fig7bResult, error) {
 	stores := map[sk]*octree.Store{}
 	vols := map[sk]*lvm.Volume{}
 	var domain int
-	for _, g := range cfg.Disks {
+	for _, g := range disks {
 		for _, kind := range mapping.Kinds() {
 			s, v, tr, err := quakeStore(cfg, g, kind, md)
 			if err != nil {
@@ -160,7 +162,7 @@ func Fig7bQuakeRanges(cfg Config) (*Table, Fig7bResult, error) {
 		if side < 1 {
 			side = 1
 		}
-		for _, g := range cfg.Disks {
+		for _, g := range disks {
 			for _, kind := range mapping.Kinds() {
 				s := stores[sk{g.Name, kind.String()}]
 				v := vols[sk{g.Name, kind.String()}]

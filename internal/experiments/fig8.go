@@ -15,7 +15,8 @@ type Fig8Result map[string]map[string]map[string]float64
 // derived 4-D cube chunk; average I/O time per cell.
 func Fig8OLAP(cfg Config) (*Table, Fig8Result, error) {
 	cfg = cfg.Defaults()
-	if err := cfg.validate(); err != nil {
+	disks, err := cfg.resolve()
+	if err != nil {
 		return nil, nil, err
 	}
 	dims, err := olap.ScaledChunkDims(cfg.Scale)
@@ -28,7 +29,7 @@ func Fig8OLAP(cfg Config) (*Table, Fig8Result, error) {
 		Title:  fmt.Sprintf("OLAP queries on the TPC-H cube chunk %v: avg I/O time per cell [ms]", dims),
 		Header: []string{"disk", "mapping", "Q1", "Q2", "Q3", "Q4", "Q5"},
 	}
-	for _, g := range cfg.Disks {
+	for _, g := range disks {
 		res[g.Name] = map[string]map[string]float64{}
 		for _, kind := range mapping.Kinds() {
 			e, v, err := buildExecutor(cfg, g, kind, dims)

@@ -100,7 +100,8 @@ func ServiceThroughput(cfg Config) (*Table, ServeResult, error) {
 	if cfg.Queries == 0 {
 		cfg.Queries = 32
 	}
-	if err := cfg.validate(); err != nil {
+	disks, err := cfg.resolve()
+	if err != nil {
 		return nil, nil, err
 	}
 	dims := synthChunkDims(cfg.Scale)
@@ -121,7 +122,7 @@ func ServiceThroughput(cfg Config) (*Table, ServeResult, error) {
 			"hit rate", "max batch", "merged", "issued reqs", "writes", "inval blk",
 			"flushes", "coalesced", "cancel", "expired", "dl ms/q"},
 	}
-	for _, g := range cfg.Disks {
+	for _, g := range disks {
 		for _, shards := range shardCounts(cfg.Shards) {
 			run, err := serveOneDisk(cfg, g, grid, dims, shards)
 			if err != nil {
@@ -202,12 +203,12 @@ func buildServeRig(cfg Config, g *disk.Geometry, dims []int, shards int) (*serve
 
 	// The update layer for the write share: per shard, overflow pages
 	// live past the mapped span, clear of every cell (the same invariant
-	// the public UpdatableStore validates per disk).
+	// the public store's Updatable option validates per disk).
 	if cfg.WriteFraction > 0 {
 		rig.cells = make([]*core.CellStore, shards)
 		for i := range rig.cells {
 			member := rig.grp.Member(i)
-			_, hi := member.Map.(mapping.Spanned).SpanVLBN()
+			_, hi := member.Map.SpanVLBN()
 			overflow := member.Vol.TotalBlocks() - hi
 			if overflow <= 0 {
 				rig.close()

@@ -3,7 +3,12 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/disk"
 )
+
+// atlas is the drive name fastCfg's runs are keyed by in a ServeResult.
+var atlas = disk.AtlasTenKIII().Name
 
 // TestServiceThroughput runs the concurrent serving benchmark at a
 // small scale, cache off and on, and checks its invariants: every query
@@ -22,9 +27,9 @@ func TestServiceThroughput(t *testing.T) {
 	if len(byDisk) != len(cfg.Disks) {
 		t.Fatalf("want one run per disk, got %d for %d disks", len(byDisk), len(cfg.Disks))
 	}
-	runs, ok := byDisk[cfg.Disks[0].Name]
+	runs, ok := byDisk[atlas]
 	if !ok || len(runs) != 1 {
-		t.Fatalf("want one single-shard run for %s: %v", cfg.Disks[0].Name, byDisk)
+		t.Fatalf("want one single-shard run for %s: %v", atlas, byDisk)
 	}
 	res := runs[0]
 	if res.Shards != 1 {
@@ -55,7 +60,7 @@ func TestServiceThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := warmByDisk[cfg.Disks[0].Name][0]
+	warm := warmByDisk[atlas][0]
 	if warm.HitRate <= 0 || warm.HitRate > 1 {
 		t.Fatalf("hot-region workload should hit the cache: %+v", warm)
 	}
@@ -90,14 +95,14 @@ func TestServiceThroughputWithWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ro := readOnly[cfg.Disks[0].Name][0]
+	ro := readOnly[atlas][0]
 
 	cfg.WriteFraction = 0.3
 	tb, mixedByDisk, err := ServiceThroughput(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixed := mixedByDisk[cfg.Disks[0].Name][0]
+	mixed := mixedByDisk[atlas][0]
 	if mixed.WriteOps == 0 || mixed.BlocksWritten == 0 {
 		t.Fatalf("write fraction 0.3 produced no write ops: %+v", mixed)
 	}
@@ -149,7 +154,7 @@ func TestServiceThroughputSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs := byDisk[cfg.Disks[0].Name]
+	runs := byDisk[atlas]
 	if len(runs) != 3 {
 		t.Fatalf("want rungs at 1/2/4 shards, got %d runs", len(runs))
 	}

@@ -15,7 +15,8 @@
 // speaks (segment index, VLBN), and for classic volumes segment index
 // and drive index coincide, so the paper path is bit-identical.
 //
-// Chunk-grain declustering (§4.4) is provided by Declusterer. All
+// Chunk-grain declustering (§4.4) is the mapping's job: core.Mapping
+// places its basic cubes round-robin across the member disks. All
 // adjacency relations stay within a single segment, as they must:
 // adjacency is a property of one arm and one platter stack, and a
 // pooled extent's neighbors may belong to another tenant.

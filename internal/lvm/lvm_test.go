@@ -298,90 +298,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestDeclusterer(t *testing.T) {
-	v := twoDiskVolume(t)
-	d, err := NewDeclusterer(v, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[int64]bool{}
-	var disks []int
-	for i := 0; i < 10; i++ {
-		vlbn, di, err := d.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seen[vlbn] {
-			t.Fatalf("unit %d allocated twice", vlbn)
-		}
-		seen[vlbn] = true
-		disks = append(disks, di)
-		// Unit must lie fully within its disk segment.
-		ld, lbn, _ := v.Locate(vlbn)
-		if ld != di || lbn%100 != 0 {
-			t.Fatalf("unit at %d not unit-aligned on disk %d", vlbn, di)
-		}
-	}
-	// Round-robin: alternating disks.
-	for i := 1; i < len(disks); i++ {
-		if disks[i] == disks[i-1] {
-			t.Fatalf("round-robin broken: %v", disks)
-		}
-	}
-	alloc := d.Allocated()
-	if alloc[0]+alloc[1] != 10 {
-		t.Fatalf("allocated %v, want total 10", alloc)
-	}
-}
-
-func TestDeclustererAllocOn(t *testing.T) {
-	v := twoDiskVolume(t)
-	d, err := NewDeclusterer(v, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := d.AllocOn(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := d.AllocOn(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b != a+50 {
-		t.Fatalf("consecutive units on one disk not contiguous: %d then %d", a, b)
-	}
-	if _, err := d.AllocOn(7); err == nil {
-		t.Error("bad disk index accepted")
-	}
-}
-
-func TestDeclustererExhaustion(t *testing.T) {
-	v, err := New(16, disk.SmallTestDisk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	unit := v.DiskBlocks(0) / 2
-	d, err := NewDeclusterer(v, unit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, _, err := d.Alloc(); err != nil {
-			t.Fatalf("alloc %d: %v", i, err)
-		}
-	}
-	if _, _, err := d.Alloc(); err == nil {
-		t.Error("allocation past capacity accepted")
-	}
-	if _, err := NewDeclusterer(v, v.DiskBlocks(0)+1); err == nil {
-		t.Error("unit larger than disk accepted")
-	}
-	if _, err := NewDeclusterer(v, 0); err == nil {
-		t.Error("zero unit accepted")
-	}
-}
-
 // zone0TL returns the track length of the geometry's first zone, the
 // granule pool-style extents are aligned to in these tests.
 func zone0TL(g *disk.Geometry) int64 {

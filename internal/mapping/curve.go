@@ -89,10 +89,4 @@ func (c *curveMapper) SpanOnDisk(di int) (int64, int64) {
 	return c.SpanVLBN()
 }
 
-var (
-	_ Mapper      = (*curveMapper)(nil)
-	_ CellSized   = (*curveMapper)(nil)
-	_ BoxPlanner  = (*curveMapper)(nil)
-	_ Spanned     = (*curveMapper)(nil)
-	_ DiskSpanned = (*curveMapper)(nil)
-)
+var _ BoxPlanner = (*curveMapper)(nil)

@@ -72,6 +72,25 @@ type Mapper interface {
 	Dims() []int
 	// CellVLBN returns the volume LBN storing the cell.
 	CellVLBN(cell []int) (int64, error)
+	// CellBlocks reports the cell size in blocks, CellExtents the full
+	// extent list of one cell (two extents only when a MultiMap cell
+	// wraps its circular track).
+	CellBlocks() int
+	CellExtents(cell []int) ([]lvm.Request, error)
+	// SpanVLBN reports the half-open VLBN interval the dataset occupies
+	// on the volume. The interval is conservative (it may include
+	// allocation gaps and unfilled edge-cube space); layers that carve
+	// auxiliary extents — like the update layer's overflow pages — use
+	// it to prove they do not collide with mapped cells.
+	SpanVLBN() (start, end int64)
+	// SpanOnDisk refines SpanVLBN per member disk: the conservative VLBN
+	// interval the dataset occupies within disk di's segment (start ==
+	// end when the dataset does not touch that disk). The update layer
+	// validates one overflow extent per disk against only the cells
+	// actually placed there — under a declustered MultiMap dataset the
+	// global span straddles every disk and would falsely collide with
+	// any per-disk tail extent.
+	SpanOnDisk(di int) (start, end int64)
 }
 
 // Dim0Runner is implemented by mappers that can expand a run of cells
@@ -123,35 +142,6 @@ func (o Options) normalize() (Options, error) {
 		return o, fmt.Errorf("mapping: cell size %d must be positive", o.CellBlocks)
 	}
 	return o, nil
-}
-
-// Spanned is implemented by every mapper; SpanVLBN reports the
-// half-open VLBN interval the dataset occupies on the volume. The
-// interval is conservative (it may include allocation gaps and
-// unfilled edge-cube space); layers that carve auxiliary extents —
-// like the update layer's overflow pages — use it to prove they do not
-// collide with mapped cells.
-type Spanned interface {
-	SpanVLBN() (start, end int64)
-}
-
-// DiskSpanned refines Spanned per member disk: SpanOnDisk reports the
-// conservative VLBN interval the dataset occupies within disk di's
-// segment (start == end when the dataset does not touch that disk).
-// The update layer uses it to validate one overflow extent per disk
-// against only the cells actually placed there — under a declustered
-// MultiMap dataset the global span straddles every disk and would
-// falsely collide with any per-disk tail extent.
-type DiskSpanned interface {
-	SpanOnDisk(di int) (start, end int64)
-}
-
-// CellSized is implemented by every mapper; it reports the cell size in
-// blocks and the full extent list of one cell (two extents only when a
-// MultiMap cell wraps its circular track).
-type CellSized interface {
-	CellBlocks() int
-	CellExtents(cell []int) ([]lvm.Request, error)
 }
 
 // New builds a mapper of the given kind for a dataset.
@@ -274,7 +264,4 @@ func (mm *multiMapper) SpanOnDisk(di int) (int64, int64) { return mm.m.SpanOnDis
 var (
 	_ Dim0Runner     = (*multiMapper)(nil)
 	_ SemiSequential = (*multiMapper)(nil)
-	_ CellSized      = (*multiMapper)(nil)
-	_ Spanned        = (*multiMapper)(nil)
-	_ DiskSpanned    = (*multiMapper)(nil)
 )

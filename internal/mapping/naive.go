@@ -99,9 +99,4 @@ func (n *naiveMapper) SpanOnDisk(di int) (int64, int64) {
 	return n.SpanVLBN()
 }
 
-var (
-	_ Dim0Runner  = (*naiveMapper)(nil)
-	_ CellSized   = (*naiveMapper)(nil)
-	_ Spanned     = (*naiveMapper)(nil)
-	_ DiskSpanned = (*naiveMapper)(nil)
-)
+var _ Dim0Runner = (*naiveMapper)(nil)

@@ -51,7 +51,7 @@ type ExecOptions struct {
 }
 
 // ExecOptionsFor translates the user-facing engine knobs — a policy
-// name ("", "fifo", "sptf", "elevator") and a planner chunk bound —
+// name ("", "fifo", "sptf") and a planner chunk bound —
 // into ExecOptions. It is the one place the string knobs are parsed,
 // shared by the root API and the experiment drivers.
 func ExecOptionsFor(policy string, chunkCells int64) (ExecOptions, error) {
@@ -182,10 +182,7 @@ func (e *Executor) rangeOn(ctx context.Context, r engine.Runner, lo, hi []int, o
 	}
 	var hook func(engine.Stats)
 	if onChunk != nil {
-		cb := int64(1)
-		if cs, ok := e.m.(mapping.CellSized); ok {
-			cb = int64(cs.CellBlocks())
-		}
+		cb := int64(e.m.CellBlocks())
 		hook = func(d engine.Stats) {
 			// Chunks are planned in whole cells, so the per-chunk block
 			// count is a multiple of the cell size plus its own padding —
@@ -200,11 +197,7 @@ func (e *Executor) rangeOn(ctx context.Context, r engine.Runner, lo, hi []int, o
 	// cells so MsPerCell stays the paper's metric. Partial results get
 	// the same conversion so a cancelled query's Stats stay in cell
 	// units.
-	b := int64(1)
-	if cs, ok := e.m.(mapping.CellSized); ok {
-		b = int64(cs.CellBlocks())
-	}
-	st.Cells = (st.Cells - st.Padding) / b
+	st.Cells = (st.Cells - st.Padding) / int64(e.m.CellBlocks())
 	if runErr != nil {
 		// Speculative partial result: when the context died mid-plan but
 		// some cells were already aggregated, hand them back flagged
@@ -372,10 +365,7 @@ func (e *Executor) planBox(lo, hi []int) ([]lvm.Request, disk.SchedPolicy, int64
 	}
 
 	// Fallback: per-cell extents, sorted ascending and coalesced.
-	b := 1
-	if cs, ok := e.m.(mapping.CellSized); ok {
-		b = cs.CellBlocks()
-	}
+	b := e.m.CellBlocks()
 	var lbns []int64
 	cell := append([]int(nil), lo...)
 	for {

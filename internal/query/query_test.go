@@ -313,8 +313,7 @@ func TestMultiBlockCellsAcrossMappings(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
-		cs, ok := m.(mapping.CellSized)
-		if !ok || cs.CellBlocks() != b {
+		if m.CellBlocks() != b {
 			t.Fatalf("%v: cell size not visible", k)
 		}
 		e := NewExecutor(v, m)
@@ -330,7 +329,7 @@ func TestMultiBlockCellsAcrossMappings(t *testing.T) {
 			t.Errorf("%v: no transfer time", k)
 		}
 		// Extent coverage is exactly b blocks per cell.
-		exts, err := cs.CellExtents([]int{2, 2, 2})
+		exts, err := m.CellExtents([]int{2, 2, 2})
 		if err != nil {
 			t.Fatal(err)
 		}

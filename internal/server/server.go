@@ -89,12 +89,12 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/stores/{store}/sessions", s.handleBeginSession)
 	s.mux.HandleFunc("GET /v1/stores/{store}/sessions/{session}", s.handleSessionInfo)
 	s.mux.HandleFunc("DELETE /v1/stores/{store}/sessions/{session}", s.handleCloseSession)
-	s.mux.HandleFunc("POST /v1/stores/{store}/sessions/{session}/beam", s.opHandler(s.opBeam))
+	s.mux.HandleFunc("POST /v1/stores/{store}/sessions/{session}/beam", opHandler(s, opBeam))
 	s.mux.HandleFunc("POST /v1/stores/{store}/sessions/{session}/range", s.handleRange)
-	s.mux.HandleFunc("POST /v1/stores/{store}/sessions/{session}/fetch", s.opHandler(s.opFetch))
-	s.mux.HandleFunc("POST /v1/stores/{store}/sessions/{session}/insert", s.opHandler(s.opInsert))
-	s.mux.HandleFunc("POST /v1/stores/{store}/sessions/{session}/delete", s.opHandler(s.opDelete))
-	s.mux.HandleFunc("POST /v1/stores/{store}/sessions/{session}/flush", s.opHandler(s.opFlush))
+	s.mux.HandleFunc("POST /v1/stores/{store}/sessions/{session}/fetch", opHandler(s, opFetch))
+	s.mux.HandleFunc("POST /v1/stores/{store}/sessions/{session}/insert", opHandler(s, opInsert))
+	s.mux.HandleFunc("POST /v1/stores/{store}/sessions/{session}/delete", opHandler(s, opDelete))
+	s.mux.HandleFunc("POST /v1/stores/{store}/sessions/{session}/flush", opHandler(s, opFlush))
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/events", s.handleEvents)
 }
@@ -329,19 +329,25 @@ func (s *Server) OpenStore(ctx context.Context, req OpenStoreRequest) (StoreInfo
 	return info, nil
 }
 
-// DecodeOpen decodes an open request (store or pool) strictly: an
-// unknown field — a removed knob, or a misspelt one — is an error
-// naming it, never a setting silently ignored. Only the open paths pay
-// for the check; per-op bodies decode leniently.
-func DecodeOpen(r io.Reader, req any) error {
+// DecodeStrict decodes a request body — open, session-begin or per-op
+// — strictly: an unknown field (a removed knob, or a misspelt one) is
+// an error naming it, never a setting silently ignored, and so is
+// anything after the one JSON value.
+func DecodeStrict(r io.Reader, req any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	return dec.Decode(req)
+	if err := dec.Decode(req); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("unexpected data after the request body")
+	}
+	return nil
 }
 
 func (s *Server) handleOpenStore(w http.ResponseWriter, r *http.Request) {
 	var req OpenStoreRequest
-	if err := DecodeOpen(r.Body, &req); err != nil {
+	if err := DecodeStrict(r.Body, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -403,7 +409,7 @@ func (s *Server) handleStoreMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleOpenPool(w http.ResponseWriter, r *http.Request) {
 	var req OpenPoolRequest
-	if err := DecodeOpen(r.Body, &req); err != nil {
+	if err := DecodeStrict(r.Body, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -485,7 +491,7 @@ func (s *Server) handleBeginSession(w http.ResponseWriter, r *http.Request) {
 	}
 	var req BeginSessionRequest
 	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := DecodeStrict(r.Body, &req); err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
@@ -567,24 +573,24 @@ func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 
 // ---- plain (non-streamed) session operations ----
 
-// opFunc runs one decoded session operation under the session's op
-// lock with the wire-derived context.
-type opFunc func(ctx context.Context, e *sessionEntry, body []byte) (multimap.Stats, error)
-
-// opHandler wraps an operation: wire context (disconnect + deadline),
-// op lock, and the StatsResponse envelope. Operation errors travel in
-// the envelope with status 200 — partial Stats (deadline expiry
-// mid-plan) are a result, not a transport failure.
-func (s *Server) opHandler(op opFunc) http.HandlerFunc {
+// opHandler wraps one session operation: strict body decode (a
+// malformed body or unknown field is a 400; no body is the zero
+// request), wire context (disconnect + deadline), op lock, and the
+// StatsResponse envelope. Operation errors travel in the envelope with
+// status 200 — partial Stats (deadline expiry mid-plan) are a result,
+// not a transport failure.
+func opHandler[Req any](s *Server, op func(context.Context, *multimap.Session, Req) (multimap.Stats, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		_, e := s.lookupSession(w, r)
 		if e == nil {
 			return
 		}
-		body, err := readBody(r)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
+		var req Req
+		if r.ContentLength != 0 {
+			if err := DecodeStrict(io.LimitReader(r.Body, 1<<20), &req); err != nil {
+				writeErr(w, http.StatusBadRequest, err)
+				return
+			}
 		}
 		ctx, cancel, err := wireContext(r)
 		if err != nil {
@@ -593,7 +599,7 @@ func (s *Server) opHandler(op opFunc) http.HandlerFunc {
 		}
 		defer cancel()
 		e.opMu.RLock()
-		st, opErr := op(ctx, e, body)
+		st, opErr := op(ctx, e.sess, req)
 		e.opMu.RUnlock()
 		resp := StatsResponse{Stats: statsWire(st)}
 		if opErr != nil {
@@ -603,40 +609,24 @@ func (s *Server) opHandler(op opFunc) http.HandlerFunc {
 	}
 }
 
-func (s *Server) opBeam(ctx context.Context, e *sessionEntry, body []byte) (multimap.Stats, error) {
-	var req BeamRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return multimap.Stats{}, err
-	}
-	return e.sess.Beam(ctx, req.Dim, req.Fixed)
+func opBeam(ctx context.Context, q *multimap.Session, req BeamRequest) (multimap.Stats, error) {
+	return q.Beam(ctx, req.Dim, req.Fixed)
 }
 
-func (s *Server) opFetch(ctx context.Context, e *sessionEntry, body []byte) (multimap.Stats, error) {
-	var req CellRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return multimap.Stats{}, err
-	}
-	return e.sess.FetchCell(ctx, req.Cell)
+func opFetch(ctx context.Context, q *multimap.Session, req CellRequest) (multimap.Stats, error) {
+	return q.FetchCell(ctx, req.Cell)
 }
 
-func (s *Server) opInsert(ctx context.Context, e *sessionEntry, body []byte) (multimap.Stats, error) {
-	var req CellRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return multimap.Stats{}, err
-	}
-	return e.sess.Insert(ctx, req.Cell)
+func opInsert(ctx context.Context, q *multimap.Session, req CellRequest) (multimap.Stats, error) {
+	return q.Insert(ctx, req.Cell)
 }
 
-func (s *Server) opDelete(ctx context.Context, e *sessionEntry, body []byte) (multimap.Stats, error) {
-	var req CellRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return multimap.Stats{}, err
-	}
-	return e.sess.Delete(ctx, req.Cell)
+func opDelete(ctx context.Context, q *multimap.Session, req CellRequest) (multimap.Stats, error) {
+	return q.Delete(ctx, req.Cell)
 }
 
-func (s *Server) opFlush(ctx context.Context, e *sessionEntry, _ []byte) (multimap.Stats, error) {
-	return multimap.Stats{}, e.sess.Flush(ctx)
+func opFlush(ctx context.Context, q *multimap.Session, _ struct{}) (multimap.Stats, error) {
+	return multimap.Stats{}, q.Flush(ctx)
 }
 
 // ---- metrics ----
@@ -670,16 +660,4 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, ErrorResponse{Error: err.Error()})
-}
-
-func readBody(r *http.Request) ([]byte, error) {
-	if r.Body == nil {
-		return nil, nil
-	}
-	defer r.Body.Close()
-	buf, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		return nil, err
-	}
-	return buf, nil
 }

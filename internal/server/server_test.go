@@ -41,7 +41,7 @@ func testSpec(name string) OpenStoreRequest {
 		Mapping:    "multimap",
 		Dims:       []int{16, 8, 8},
 		ChunkCells: 16,
-		Classes:    []ClassSpec{{Name: "interactive", Weight: 2}},
+		Classes:    []multimap.QoSClass{{Name: "interactive", Weight: 2}},
 	}
 }
 
@@ -559,18 +559,27 @@ func TestPoolOverWire(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsUnknownFields: an open request carrying a removed knob
-// ("pipeline") or a misspelt one gets 400 naming the field instead of
-// running silently at another setting, and opens nothing.
+// TestOpenRejectsUnknownFields: a request body — open, session-begin
+// or per-op — carrying a removed knob ("pipeline", the "elevator"
+// policy) or a misspelt field gets 400 naming it instead of running
+// silently at another setting, and opens nothing.
 func TestOpenRejectsUnknownFields(t *testing.T) {
-	srv, ts, c := startDaemon(t)
+	srv, ts, c := startDaemon(t, testSpec("u"))
 	defer ts.Close()
 	defer srv.Close(context.Background())
+	sess, err := c.Begin(context.Background(), "u", "")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, tc := range []struct{ path, body, field string }{
 		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"pipeline":2}`, "pipeline"},
 		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"cache_blokcs":4096}`, "cache_blokcs"},
+		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"policy":"elevator"}`, "elevator"},
 		{"/v1/pools", `{"name":"p","drives":["mediumtest"],"adj_depth":32,"pipeline":2}`, "pipeline"},
+		{"/v1/stores/u/sessions", `{"clas":"interactive"}`, "clas"},
+		{"/v1/stores/u/sessions/" + sess + "/beam", `{"dim":0,"fixd":[0,0,0]}`, "fixd"},
+		{"/v1/stores/u/sessions/" + sess + "/range", `{"lo":[0,0,0],"hi":[4,4,4],"chunk":8}`, "chunk"},
 	} {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -586,11 +595,41 @@ func TestOpenRejectsUnknownFields(t *testing.T) {
 			t.Errorf("%s with %q: status %d, error %q; want 400 naming the field", tc.path, tc.field, resp.StatusCode, er.Error)
 		}
 	}
+	// One JSON value per body: what json.Unmarshal used to reject on the
+	// per-op paths stays rejected.
+	resp, err := http.Post(ts.URL+"/v1/stores/u/sessions/"+sess+"/fetch", "application/json", strings.NewReader(`{"cell":[0,0,0]} {}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("trailing data after the body: status %d, want 400", resp.StatusCode)
+	}
 	stores, err := c.Stores(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stores) != 0 {
-		t.Fatalf("rejected opens left stores behind: %+v", stores)
+	if len(stores) != 1 || stores[0].Sessions != 1 {
+		t.Fatalf("rejected requests left stores or sessions behind: %+v", stores)
+	}
+}
+
+// TestQoSClassWireBytes pins the open request's bytes across the move
+// from the server's own ClassSpec mirror to the tagged engine type:
+// the literals are the parent commit's encoding.
+func TestQoSClassWireBytes(t *testing.T) {
+	spec := testSpec("pin")
+	for _, want := range []string{
+		`{"name":"pin","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[16,8,8],"chunk_cells":16,"classes":[{"name":"interactive","weight":2}]}`,
+		`{"name":"pin","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[16,8,8],"chunk_cells":16,"classes":[{"name":"interactive","weight":2},{"name":"ops","weight":1,"urgent":true}]}`,
+	} {
+		got, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want {
+			t.Errorf("open request encodes as\n%s\nwant\n%s", got, want)
+		}
+		spec.Classes = append(spec.Classes, multimap.QoSClass{Name: "ops", Weight: 1, Urgent: true})
 	}
 }

@@ -48,7 +48,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RangeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := DecodeStrict(r.Body, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}

@@ -86,13 +86,6 @@ func statsWire(st multimap.Stats) StatsWire {
 	}
 }
 
-// ClassSpec registers one QoS class at store open.
-type ClassSpec struct {
-	Name   string `json:"name"`
-	Weight int    `json:"weight"`
-	Urgent bool   `json:"urgent,omitempty"`
-}
-
 // OpenStoreRequest opens a store over the wire. Disks builds a private
 // volume for the store (required unless Pool names an open pool to
 // create the dataset in). The knob fields mirror the library's
@@ -104,20 +97,20 @@ type OpenStoreRequest struct {
 	Mapping  string   `json:"mapping"`
 	Dims     []int    `json:"dims"`
 
-	Policy            string      `json:"policy,omitempty"`
-	ChunkCells        int64       `json:"chunk_cells,omitempty"`
-	CacheBlocks       int64       `json:"cache_blocks,omitempty"`
-	MaxInflight       int         `json:"max_inflight,omitempty"`
-	Shards            int         `json:"shards,omitempty"`
-	BatchWindowUs     int64       `json:"batch_window_us,omitempty"`
-	DeadlineAgingUs   int64       `json:"deadline_aging_us,omitempty"`
-	WriteBack         bool        `json:"write_back,omitempty"`
-	WBWatermarkBlocks int64       `json:"wb_watermark_blocks,omitempty"`
-	WBIntervalUs      int64       `json:"wb_interval_us,omitempty"`
-	FairQuantum       int64       `json:"fair_quantum,omitempty"`
-	Classes           []ClassSpec `json:"classes,omitempty"`
-	DefaultClass      string      `json:"default_class,omitempty"`
-	Updatable         bool        `json:"updatable,omitempty"`
+	Policy            string              `json:"policy,omitempty"`
+	ChunkCells        int64               `json:"chunk_cells,omitempty"`
+	CacheBlocks       int64               `json:"cache_blocks,omitempty"`
+	MaxInflight       int                 `json:"max_inflight,omitempty"`
+	Shards            int                 `json:"shards,omitempty"`
+	BatchWindowUs     int64               `json:"batch_window_us,omitempty"`
+	DeadlineAgingUs   int64               `json:"deadline_aging_us,omitempty"`
+	WriteBack         bool                `json:"write_back,omitempty"`
+	WBWatermarkBlocks int64               `json:"wb_watermark_blocks,omitempty"`
+	WBIntervalUs      int64               `json:"wb_interval_us,omitempty"`
+	FairQuantum       int64               `json:"fair_quantum,omitempty"`
+	Classes           []multimap.QoSClass `json:"classes,omitempty"`
+	DefaultClass      string              `json:"default_class,omitempty"`
+	Updatable         bool                `json:"updatable,omitempty"`
 
 	// Pool-tenant placement (Pool names an open pool; the rest are
 	// forwarded to Pool.Create).

@@ -19,7 +19,7 @@ import (
 )
 
 // DiskModel names a simulated drive.
-type DiskModel string
+type DiskModel = disk.ModelName
 
 // The built-in drive models. The first two are the paper's testbed.
 const (
@@ -180,7 +180,7 @@ func (v *Volume) Reset() {
 		v.mu.Lock()
 		svc := v.svc
 		if svc == nil {
-			// No service: holding mu excludes a concurrent NewStore from
+			// No service: holding mu excludes a concurrent Open from
 			// starting one mid-reset, so the direct reset is race-free.
 			v.v.Reset()
 			v.mu.Unlock()
@@ -209,7 +209,7 @@ func (v *Volume) Close() {
 	}
 	// Drain before forgetting the service: while batches are still in
 	// flight the loop goroutine owns the disk head state, so v.svc must
-	// keep pointing at it — otherwise a concurrent Reset or NewStore
+	// keep pointing at it — otherwise a concurrent Reset or Open
 	// would see "no service" and touch the disks alongside the loop.
 	v.retire(svc)
 }
@@ -225,10 +225,6 @@ func (v *Volume) ServiceTotals() ServiceTotals {
 	}
 	return svc.Totals()
 }
-
-// Internal exposes the underlying LVM volume for advanced use (the
-// experiment drivers and examples use it).
-func (v *Volume) Internal() *lvm.Volume { return v.v }
 
 // ErrClosed is returned by store and session operations after the
 // backing query service has been shut down — Store.Close on the
@@ -534,12 +530,7 @@ func (q *Session) Close(ctx context.Context) error {
 func (q *Session) Stats() Stats { return q.ss.Totals() }
 
 // CellBlocks returns the store's cell size in blocks.
-func (s *Store) CellBlocks() int {
-	if cs, ok := s.grp.Member(0).Map.(mapping.CellSized); ok {
-		return cs.CellBlocks()
-	}
-	return 1
-}
+func (s *Store) CellBlocks() int { return s.grp.Member(0).Map.CellBlocks() }
 
 // Mapping returns the store's placement algorithm.
 func (s *Store) Mapping() Mapping { return s.grp.Member(0).Map.Kind() }
@@ -548,7 +539,7 @@ func (s *Store) Mapping() Mapping { return s.grp.Member(0).Map.Kind() }
 func (s *Store) Dims() []int { return s.dims }
 
 // NumShards returns how many shard volumes the dataset spans (1 unless
-// StoreOptions.Shards asked for more).
+// WithShards asked for more).
 func (s *Store) NumShards() int { return s.grp.NumShards() }
 
 // ShardOf returns the index of the shard owning a cell — the Dim0 slab

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -325,6 +324,45 @@ func TestAnalyticModelFacade(t *testing.T) {
 	}
 }
 
+// TestWithDiskIdxDeclusters covers the public handle on §4.4: on a
+// two-drive volume, WithDiskIdx(-1) spreads MultiMap's basic cubes over
+// both drives, so they serve one box in parallel (elapsed < summed busy
+// time); pinned to drive 0 the same box is served by one drive alone.
+func TestWithDiskIdxDeclusters(t *testing.T) {
+	dims := []int{64, 32, 16}
+	query := func(idx int) Stats {
+		t.Helper()
+		v, err := OpenVolumeDepth(32, MediumTestDisk, MediumTestDisk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(v, MultiMap, dims, WithDiskIdx(idx))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := s.RangeQuery(context.Background(), []int{0, 0, 0}, dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	if st := query(-1); st.ElapsedMs >= st.TotalMs {
+		t.Errorf("declustered: elapsed %v ms not below busy %v ms", st.ElapsedMs, st.TotalMs)
+	}
+	// One drive: elapsed is its clock, busy the sum of per-request
+	// costs — equal up to the order the floats were added in.
+	if st := query(0); math.Abs(st.ElapsedMs-st.TotalMs) > 1e-9*st.TotalMs {
+		t.Errorf("pinned to drive 0: elapsed %v ms != busy %v ms", st.ElapsedMs, st.TotalMs)
+	}
+	v, err := OpenVolumeDepth(32, MediumTestDisk, MediumTestDisk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(v, MultiMap, dims, WithDiskIdx(-2)); err == nil {
+		t.Error("WithDiskIdx(-2) accepted")
+	}
+}
+
 func TestRunExperimentFacade(t *testing.T) {
 	cfg := ExperimentConfig{Disks: []DiskModel{AtlasTenKIII}, Scale: 0.15, Runs: 2, Seed: 5}
 	for _, id := range []string{"fig1a", "fig1b"} {
@@ -336,6 +374,17 @@ func TestRunExperimentFacade(t *testing.T) {
 			t.Errorf("%s: empty table", id)
 		}
 	}
+	// The burst rig keeps only this door: the CI harness-smoke config.
+	burst := ExperimentConfig{Disks: []DiskModel{AtlasTenKIII}, Scale: 0.15, Seed: 1,
+		Clients: 4, Queries: 6, CacheBlocks: 4194304, WriteFraction: 0.3,
+		WriteBack: true, FairQuantum: 4096}
+	tb, err := RunExperiment("burst", burst)
+	if err != nil {
+		t.Fatalf("burst: %v", err)
+	}
+	if len(tb.Rows) != 3 || !strings.Contains(tb.Title, "QoS quantum 4096") {
+		t.Errorf("burst: want one row per class under QoS:\n%s", tb)
+	}
 	if _, err := RunExperiment("fig99", cfg); err == nil {
 		t.Error("unknown experiment accepted")
 	}
@@ -345,38 +394,49 @@ func TestRunExperimentFacade(t *testing.T) {
 }
 
 // TestRunTenants runs the multi-tenant churn benchmark small with QoS
-// on and checks the result's invariants — every lifecycle phase with
-// traffic, online growth and copy-on-write evidence, an ordered burst
-// latency pair — and that ValidateTenants rejects a result missing any
-// of them.
+// on and checks the result's invariants — every lifecycle phase once,
+// in canonical order, with traffic; online growth and copy-on-write
+// evidence; an ordered burst latency pair.
 func TestRunTenants(t *testing.T) {
 	cfg := ExperimentConfig{Disks: []DiskModel{AtlasTenKIII}, Scale: 0.05, Seed: 1,
 		Clients: 2, Queries: 4, FairQuantum: 4096}
-	tb, res, err := RunTenants(cfg)
+	tb, res, err := runTenants(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateTenants(res); err != nil {
-		t.Fatalf("tenants result invalid: %v", err)
+	if !strings.Contains(tb.Title, "QoS quantum 4096") {
+		t.Fatalf("QoS mode not recorded: %s", tb.Title)
 	}
-	if res.FairQuantum != 4096 || !strings.Contains(tb.Title, "QoS quantum 4096") {
-		t.Fatalf("QoS mode not recorded: %+v / %s", res, tb.Title)
+	if res.GrownBlocks <= 0 {
+		t.Errorf("grown blocks %d: the lifecycle must grow the tenant online", res.GrownBlocks)
 	}
-	for name, mangle := range map[string]func(*TenantsResult){
-		"unknown schema":     func(r *TenantsResult) { r.Schema = "mmbench-tenants/v9" },
-		"no growth":          func(r *TenantsResult) { r.GrownBlocks = 0 },
-		"no cow faults":      func(r *TenantsResult) { r.CowFaultBlocks = 0 },
-		"no phases":          func(r *TenantsResult) { r.Phases = nil },
-		"phase out of order": func(r *TenantsResult) { r.Phases[0], r.Phases[1] = r.Phases[1], r.Phases[0] },
-		"no burst traffic":   func(r *TenantsResult) { r.BurstOps = 0 },
-		"p50 above p99":      func(r *TenantsResult) { r.BurstP50Ms = r.BurstP99Ms + 1 },
-	} {
-		r := *res
-		r.Phases = slices.Clone(res.Phases)
-		mangle(&r)
-		if err := ValidateTenants(&r); err == nil {
-			t.Errorf("%s accepted", name)
+	if res.AutoGrownBlocks < 0 {
+		t.Errorf("negative auto-grown blocks %d", res.AutoGrownBlocks)
+	}
+	if res.CowFaultBlocks <= 0 {
+		t.Errorf("COW fault blocks %d: post-snapshot writes must fault", res.CowFaultBlocks)
+	}
+	if res.BurstOps < 1 {
+		t.Error("no live burst traffic")
+	}
+	if res.BurstP50Ms < 0 || res.BurstP50Ms > res.BurstP99Ms {
+		t.Errorf("burst latency out of order: p50=%v p99=%v", res.BurstP50Ms, res.BurstP99Ms)
+	}
+	if len(res.Phases) != len(tenantsPhases) {
+		t.Fatalf("%d phases, want %d", len(res.Phases), len(tenantsPhases))
+	}
+	for i, ph := range res.Phases {
+		if ph.Phase != tenantsPhases[i] {
+			t.Errorf("phases[%d] is %q, want %q", i, ph.Phase, tenantsPhases[i])
 		}
+		if ph.Ops < 1 || ph.Ms < 0 {
+			t.Errorf("phase %q: %d ops in %v ms", ph.Phase, ph.Ops, ph.Ms)
+		}
+	}
+	// The hand-rolled range checks are gone: the shared validator runs.
+	cfg.Scale = 2
+	if _, _, err := runTenants(cfg); err == nil {
+		t.Error("scale 2 accepted")
 	}
 }
 

@@ -72,7 +72,7 @@ func WithCellBlocks(n int) Option {
 }
 
 // WithPolicy forces the drive-internal scheduling policy for every
-// query ("fifo", "sptf", "elevator"); the default keeps each mapping's
+// query ("fifo", "sptf"); the default keeps each mapping's
 // preferred policy (§5.2). Use it for scheduler comparison runs.
 func WithPolicy(name string) Option {
 	return func(c *config) error {

@@ -137,9 +137,6 @@ type Tenant struct {
 	allowed []int // WithDrives restriction; nil = every pool drive
 }
 
-// Name returns the tenant's pool-unique name.
-func (t *Tenant) Name() string { return t.name }
-
 // Store returns the tenant's dataset store — the ordinary query and
 // update surface.
 func (t *Tenant) Store() *Store { return t.store }
@@ -430,9 +427,6 @@ type Snapshot struct {
 	eo     query.ExecOptions
 	freed  bool
 }
-
-// Tenant returns the name of the tenant the snapshot was taken from.
-func (s *Snapshot) Tenant() string { return s.tenant }
 
 // Snapshot freezes a tenant's current state copy-on-write. The
 // tenant's write-back dirty buffers are flushed first, so the frozen

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/mapping"
 )
 
 // poolPair returns a two-drive test pool: drive 0 for the long-lived
@@ -259,21 +257,13 @@ func TestGrownVolumeSpans(t *testing.T) {
 	}
 	st := tb.Store()
 	m := st.grp.Member(0).Map
-	sp, ok := m.(mapping.Spanned)
-	if !ok {
-		t.Fatalf("%T does not report SpanVLBN", m)
-	}
-	ds, ok := m.(mapping.DiskSpanned)
-	if !ok {
-		t.Fatalf("%T does not report SpanOnDisk", m)
-	}
 	lv := st.vol.v
 	nd := lv.NumDisks()
 	oldTotal := lv.TotalBlocks()
-	preLo, preHi := sp.SpanVLBN()
+	preLo, preHi := m.SpanVLBN()
 	pre := make([][2]int64, nd)
 	for i := range pre {
-		lo, hi := ds.SpanOnDisk(i)
+		lo, hi := m.SpanOnDisk(i)
 		pre[i] = [2]int64{lo, hi}
 	}
 
@@ -320,16 +310,16 @@ func TestGrownVolumeSpans(t *testing.T) {
 		}
 		// ...that the mapper never placed cells on: their spans are empty,
 		// so a collision check against a new extent always passes.
-		if lo, hi := ds.SpanOnDisk(i); lo != 0 || hi != 0 {
+		if lo, hi := m.SpanOnDisk(i); lo != 0 || hi != 0 {
 			t.Fatalf("new segment %d has span [%d,%d), want empty", i, lo, hi)
 		}
 	}
 	// ...and left every pre-growth span byte-identical.
-	if lo, hi := sp.SpanVLBN(); lo != preLo || hi != preHi {
+	if lo, hi := m.SpanVLBN(); lo != preLo || hi != preHi {
 		t.Fatalf("SpanVLBN moved: [%d,%d) -> [%d,%d)", preLo, preHi, lo, hi)
 	}
 	for i := range pre {
-		if lo, hi := ds.SpanOnDisk(i); lo != pre[i][0] || hi != pre[i][1] {
+		if lo, hi := m.SpanOnDisk(i); lo != pre[i][0] || hi != pre[i][1] {
 			t.Fatalf("segment %d span moved: [%d,%d) -> [%d,%d)", i, pre[i][0], pre[i][1], lo, hi)
 		}
 	}

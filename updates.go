@@ -122,19 +122,7 @@ func overflowExtents(vol *lvm.Volume, m mapping.Mapper, total int64) ([]lvm.Requ
 		if start < vol.DiskStart(d) {
 			return nil, fmt.Errorf("multimap: overflow extent [%d,+%d) larger than disk %d", start, q, d)
 		}
-		lo, hi := int64(0), int64(0)
-		if ds, ok := m.(mapping.DiskSpanned); ok {
-			lo, hi = ds.SpanOnDisk(d)
-		} else if sp, ok := m.(mapping.Spanned); ok {
-			// Conservative fallback: clip the global span to the disk.
-			lo, hi = sp.SpanVLBN()
-			if lo < vol.DiskStart(d) {
-				lo = vol.DiskStart(d)
-			}
-			if hi > end {
-				hi = end
-			}
-		}
+		lo, hi := m.SpanOnDisk(d)
 		if lo < hi && lo < end && hi > start {
 			return nil, fmt.Errorf(
 				"multimap: overflow extent [%d,%d) collides with dataset cells [%d,%d) on disk %d; shrink OverflowBlocks (%d)",

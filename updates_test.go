@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"repro/internal/mapping"
 )
 
 func newUpdatable(t *testing.T, opts UpdateOptions, extra ...Option) *Store {
@@ -228,7 +226,7 @@ func TestOverflowSpreadAcrossDisks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, hi := probe.grp.Member(0).Map.(mapping.Spanned).SpanVLBN()
+	_, hi := probe.grp.Member(0).Map.SpanVLBN()
 	free0 := v.v.DiskStart(0) + v.v.DiskBlocks(0) - hi
 	if free0 <= 0 {
 		t.Fatalf("dataset fills disk 0 (span end %d)", hi)
