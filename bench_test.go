@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/disk"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/lvm"
 	"repro/internal/mapping"
@@ -231,7 +232,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 				rand.New(rand.NewSource(3)).Shuffle(len(reqs), func(i, j int) {
 					reqs[i], reqs[j] = reqs[j], reqs[i]
 				})
-				st, err := query.Execute(v, reqs, policy)
+				st, err := engine.Execute(v, reqs, policy)
 				if err != nil {
 					b.Fatal(err)
 				}

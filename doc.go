@@ -33,8 +33,8 @@
 // that sorts each window once into a slab in which cylinders and
 // tracks are index ranges, picks by a pruned search outward from the
 // heads and breaks every tie by a stated rule (or plain arrival order
-// under the FIFO policy) — and the engine aggregates completions into
-// Stats.
+// under the FIFO policy) — and the engine prices each chunk once, as a
+// Stats, and a query's Stats is the sum of its chunks'.
 // The storage manager's planner streams: a query box is sliced along
 // its slowest dimension into bounded sub-boxes, so huge ranges never
 // materialize every block at once. On the Z-order, Hilbert and Gray
@@ -62,9 +62,12 @@
 // of goroutines may query one volume at once. The loop admits everything queued
 // since its last pass as one admission batch, coalesces requests
 // across the in-flight queries into shared SPTF extents (blocks wanted
-// by several queries are read once), and attributes per-request costs
-// back to each originating session — every query keeps its own Stats,
-// and their sum reproduces the service's totals (Volume.ServiceTotals).
+// by several queries are read once), and prices each op once, as a
+// Stats — a shared extent's cost split in proportion to the blocks each
+// query asked for. The loop folds that value into its totals and
+// answers the session with it, and the session accumulates the same
+// value: every query keeps its own Stats, and their sum reproduces the
+// service's totals (Volume.ServiceTotals) by construction.
 // A batch holding a single chunk is served verbatim, which is why one
 // session with the cache off is bit-identical to the synchronous
 // engine (cmd/fig6probe's "serve" mode diffs the two). An optional
@@ -80,8 +83,9 @@
 // operation walks or copies the population, a cached extent costs no
 // allocation, and the garbage collector has nothing to scan. Store.Begin
 // opens sessions; WithCache and WithMaxInflight (chunks a session keeps
-// in flight; planning is pipelined with service either way) are the
-// knobs, mirrored by cmd/mmbench as -cache and the -clients/-queries
+// in flight; a query plans on the goroutine that runs it, one chunk
+// ahead of what is in flight, so planning overlaps service either way)
+// are the knobs, mirrored by cmd/mmbench as -cache and the -clients/-queries
 // throughput mode (-exp serve). Volume.Reset is serialized through the
 // loop and safe under live traffic.
 //

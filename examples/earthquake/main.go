@@ -10,10 +10,10 @@ import (
 	"math/rand"
 
 	"repro/internal/disk"
+	"repro/internal/engine"
 	"repro/internal/lvm"
 	"repro/internal/mapping"
 	"repro/internal/octree"
-	"repro/internal/query"
 )
 
 func main() {
@@ -55,7 +55,7 @@ func main() {
 				if err != nil {
 					log.Fatal(err)
 				}
-				st, err := query.Execute(vol, reqs, policy)
+				st, err := engine.Execute(vol, reqs, policy)
 				if err != nil {
 					log.Fatal(err)
 				}

@@ -36,6 +36,17 @@ func (c AccessCost) TotalMs() float64 {
 	return c.CommandMs + c.SeekMs + c.RotateMs + c.TransferMs
 }
 
+// Scaled returns the cost with every component multiplied by f: one
+// contributor's share of a request that was served for several.
+func (c AccessCost) Scaled(f float64) AccessCost {
+	return AccessCost{
+		CommandMs:  c.CommandMs * f,
+		SeekMs:     c.SeekMs * f,
+		RotateMs:   c.RotateMs * f,
+		TransferMs: c.TransferMs * f,
+	}
+}
+
 // Completion records the service of one request within a batch.
 type Completion struct {
 	Req      Request

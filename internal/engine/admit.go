@@ -63,9 +63,10 @@ func (s *Service) serveWork(ops []*serviceOp) {
 
 // dropCancelled replies to — and filters out — every op whose context
 // is done, counting the drops in the service totals. The reply carries
-// the context error and no completions; the submitting session folds
-// the drop into its own Cancelled/DeadlineExceeded counters, so the
-// two sides agree event for event. A dropped write op still performs
+// the context error and the drop's price — the matching
+// Cancelled/DeadlineExceeded counter and no I/O — which the submitting
+// session accumulates like any other, so the two sides agree event for
+// event. A dropped write op still performs
 // its cache invalidation: the submitter's cell state already mutated
 // by the time the write was queued, so skipping the invalidation would
 // leave stale extents readable — the coherence contract survives
@@ -77,24 +78,26 @@ func (s *Service) dropCancelled(ops []*serviceOp) []*serviceOp {
 	for _, op := range ops {
 		if op.ctx != nil {
 			if err := op.ctx.Err(); err != nil {
+				var d Stats
 				if errors.Is(err, context.DeadlineExceeded) {
 					expired++
+					d.DeadlineExceeded = 1
 				} else {
 					cancelled++
+					d.Cancelled = 1
 				}
-				var inv int64
 				if op.kind == opWrite {
 					split := s.splitInto(s.scratch.split[:0], op.chunk.Reqs)
 					s.scratch.split = split[:0]
 					for _, r := range split {
-						inv += s.cache.invalidate(r.VLBN, r.VLBN+int64(r.Count)) // nil-safe
+						d.InvalidatedBlocks += s.cache.invalidate(r.VLBN, r.VLBN+int64(r.Count)) // nil-safe
 					}
 					if perClass == nil {
 						perClass = make(map[string]int64, 4)
 					}
-					perClass[op.class] += inv
+					perClass[op.class] += d.InvalidatedBlocks
 				}
-				op.reply <- opResult{err: err, invalidated: inv}
+				op.reply <- opResult{stats: d, err: err}
 				continue
 			}
 		}

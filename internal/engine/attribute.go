@@ -1,22 +1,24 @@
 package engine
 
-// The service loop — ATTRIBUTE stage (service.go maps the stages). A
-// served batch's costs go back to the sessions that asked for them, and
-// into the totals those sessions must sum to: ServiceTotals, the
-// per-class ClassTotals, and the one Accumulate each totals type has.
-// Every fold into Attributed is written once and applied to the
-// service-wide and the per-class Stats together (attributed). This is
-// the code that holds mu on the loop's side: it may touch totals and
-// perClass, and of the loop-owned state only the scratch it is handed
-// and the extent cache, into which finish* insert what was just served.
-// The snapshots other goroutines read (Totals, ClassTotals) live here
-// too.
+// The service loop — ATTRIBUTE stage (service.go maps the stages). An
+// op is priced once, here on the loop's side, as a Stats: the plan stage
+// counts its cache hits and misses into opResult.stats, finish* add each
+// served request's cost (or the op's share of it) and cells, the write
+// paths their writes, invalidations and COW faults. account and
+// chargeWrite Accumulate that one value into the totals the sessions
+// must sum to — ServiceTotals.Attributed and the per-class ClassTotals,
+// together (attributed) — and reply with it; the session Accumulates the
+// same value on its side, so the sum property holds by construction.
+// This is the code that holds mu on the loop's side: it may touch totals
+// and perClass, and of the loop-owned state only the scratch it is
+// handed and the extent cache, into which finish* insert what was just
+// served. The snapshots other goroutines read (Totals, ClassTotals) live
+// here too.
 
 import (
 	"cmp"
 	"slices"
 
-	"repro/internal/disk"
 	"repro/internal/lvm"
 )
 
@@ -88,21 +90,14 @@ type ClassTotals struct {
 	Attributed Stats
 }
 
-// opResult is the loop's answer to one chunk: the completions
-// attributed to that chunk (synthesized shares when the batch merged
-// requests across queries), cache accounting, and the batch's elapsed
-// time.
+// opResult is the loop's answer to one op: what the op cost its
+// session — the value already folded into Attributed, ElapsedMs aside
+// (each op of a shared batch observes the batch's in full) — and why it
+// failed, if it did. A dropped op's stats carry its cancellation counter
+// and, for a write, the invalidation it still performed.
 type opResult struct {
-	comps       []lvm.Completion
-	hits        int64 // requests served whole from the extent cache
-	hitCells    int64 // blocks those hits covered
-	misses      int64 // requests that reached the disks (cache enabled only)
-	invalidated int64 // cached blocks dropped by a write op's invalidation
-	written     int64 // blocks absorbed into the write-back buffer
-	coalesced   int64 // 1 when the absorbed op coalesced with dirty data
-	cowFaults   int64 // blocks faulted out of shared COW extents for this write
-	elapsed     float64
-	err         error
+	stats Stats
+	err   error
 }
 
 // Totals snapshots the service-loop bookkeeping.
@@ -151,25 +146,22 @@ func (s *Service) attributed(class string) (*ClassTotals, [2]*Stats) {
 	return ct, [2]*Stats{&s.totals.Attributed, &ct.Attributed}
 }
 
-// finishSingle is a lone chunk's completion stage: insert the served
-// extents into the cache, account, reply. issued is the number
-// of requests that reached the disks (the plan's survivors).
-func (s *Service) finishSingle(op *serviceOp, res opResult, issued int, comps []lvm.Completion, elapsed float64) {
-	if issued > 0 {
-		res.comps, res.elapsed = comps, elapsed
-		for _, c := range comps {
-			s.cache.insertFor(c.Req.VLBN, c.Req.VLBN+int64(c.Req.Count), op.class) // nil-safe
-		}
+// finishSingle is a lone chunk's completion stage: price the served
+// requests (the plan's survivors) into res, insert them into the cache,
+// account and reply.
+func (s *Service) finishSingle(op *serviceOp, res opResult, comps []lvm.Completion, elapsed float64) {
+	res.stats.AddCompletions(comps, 0)
+	for _, c := range comps {
+		s.cache.insertFor(c.Req.VLBN, c.Req.VLBN+int64(c.Req.Count), op.class) // nil-safe
 	}
-	s.account([]*serviceOp{op}, []opResult{res}, int64(issued), res.elapsed)
-	op.reply <- res
+	s.account([]*serviceOp{op}, []opResult{res}, int64(len(comps)), elapsed)
 }
 
-// finishMerged is a merged batch's completion stage: map each served
-// extent's completion back to its contributors, splitting its cost in
-// proportion to the blocks each asked for (blocks wanted by several
-// queries are read once; every query is still credited its own cells),
-// insert the extents into the cache, account, reply.
+// finishMerged is a merged batch's completion stage: charge each served
+// extent to its contributors, splitting its cost in proportion to the
+// blocks each asked for (blocks wanted by several queries are read once;
+// every query is still credited its own cells), insert the extents into
+// the cache, account and reply.
 func (s *Service) finishMerged(items []*serviceOp, comps []lvm.Completion, elapsed float64) {
 	sc := &s.scratch.merge
 	if len(sc.reqs) > 0 {
@@ -186,46 +178,29 @@ func (s *Service) finishMerged(items []*serviceOp, comps []lvm.Completion, elaps
 			c := sc.compAt[r.VLBN]
 			// A shared extent is tagged with its first contributor's class.
 			s.cache.insertFor(r.VLBN, r.VLBN+int64(r.Count), items[sc.entries[sc.members[k][0]].item].class) // nil-safe
-			if len(sc.members[k]) == 1 {
-				e := sc.entries[sc.members[k][0]]
-				sc.results[e.item].comps = append(sc.results[e.item].comps, c)
-				continue
-			}
 			var owned int64
 			for _, mi := range sc.members[k] {
 				owned += int64(sc.entries[mi].req.Count)
 			}
+			// A sole contributor's share is the cost times exactly 1.
 			for _, mi := range sc.members[k] {
 				e := sc.entries[mi]
-				f := float64(e.req.Count) / float64(owned)
-				sc.results[e.item].comps = append(sc.results[e.item].comps, lvm.Completion{
-					Req:     e.req,
-					DiskIdx: c.DiskIdx,
-					Cost: disk.AccessCost{
-						CommandMs:  c.Cost.CommandMs * f,
-						SeekMs:     c.Cost.SeekMs * f,
-						RotateMs:   c.Cost.RotateMs * f,
-						TransferMs: c.Cost.TransferMs * f,
-					},
-					FinishMs: c.FinishMs,
-				})
+				st := &sc.results[e.item].stats
+				st.addCost(c.Cost.Scaled(float64(e.req.Count) / float64(owned)))
+				st.Cells += int64(e.req.Count)
 			}
 		}
 	}
-	for i := range sc.results {
-		sc.results[i].elapsed = elapsed
-	}
 	s.account(items, sc.results, int64(len(sc.reqs)), elapsed)
-	for i, it := range items {
-		it.reply <- sc.results[i]
-	}
 }
 
-// account folds one served admission batch into the service totals,
-// mirroring exactly the folds the sessions will perform.
+// account closes one served admission batch: each op's price gains its
+// chunk's padding and is Accumulated into the service totals, the
+// batch's elapsed time is charged once to the service and once per
+// contributing class, and every op is answered with its price — which
+// observes that elapsed time in full.
 func (s *Service) account(items []*serviceOp, results []opResult, issued int64, elapsed float64) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	t := &s.totals
 	t.Batches++
 	if len(items) > 1 {
@@ -236,19 +211,20 @@ func (s *Service) account(items []*serviceOp, results []opResult, issued int64, 
 	touched := s.scratch.touched
 	clear(touched)
 	for i, it := range items {
-		r := &results[i]
+		results[i].stats.Padding = it.chunk.Padding
 		ct, dst := s.attributed(it.class)
 		ct.Ops++
 		for _, a := range dst {
-			a.AddCompletions(r.comps, 0)
-			a.Padding += it.chunk.Padding
-			a.Cells += r.hitCells
-			a.CacheHits += r.hits
-			a.CacheMisses += r.misses
+			a.Accumulate(results[i].stats)
 		}
 		touched[it.class] = true
 	}
 	s.addElapsed(touched, elapsed)
+	s.mu.Unlock()
+	for i, it := range items {
+		results[i].stats.ElapsedMs = elapsed
+		it.reply <- results[i]
+	}
 }
 
 // addElapsed charges one batch's elapsed time: once to the service, and
@@ -264,15 +240,16 @@ func (s *Service) addElapsed(classes map[string]bool, elapsed float64) {
 // chargeWrite closes one write op, however it ended — served
 // write-through, absorbed into the dirty buffer, or failed with err
 // after its COW fault and invalidation had already happened: those stay
-// visible to later reads, so they stay in the bookkeeping and in the
-// reply too, and the session's totals still sum to Attributed. issued
-// is the number of requests that reached the disks on the op's behalf.
+// visible to later reads, so they stay in res.stats, which is folded
+// into the bookkeeping and sent back either way, and the session's
+// totals still sum to Attributed. issued is the number of requests that
+// reached the disks on the op's behalf.
 func (s *Service) chargeWrite(op *serviceOp, res opResult, issued int, err error) {
 	s.mu.Lock()
 	t := &s.totals
 	t.WriteOps++
-	t.CoalescedWrites += res.coalesced
-	t.InvalidatedBlocks += res.invalidated
+	t.CoalescedWrites += res.stats.CoalescedWrites
+	t.InvalidatedBlocks += res.stats.InvalidatedBlocks
 	t.IssuedRequests += int64(issued)
 	if s.wb != nil {
 		t.DirtyBlocks = s.wb.blocks
@@ -280,11 +257,7 @@ func (s *Service) chargeWrite(op *serviceOp, res opResult, issued int, err error
 	ct, dst := s.attributed(op.class)
 	ct.Ops++
 	for _, a := range dst {
-		a.AddWriteCompletions(res.comps, res.elapsed)
-		a.Writes += res.written
-		a.InvalidatedBlocks += res.invalidated
-		a.CoalescedWrites += res.coalesced
-		a.CowFaultBlocks += res.cowFaults
+		a.Accumulate(res.stats)
 	}
 	s.mu.Unlock()
 	res.err = err

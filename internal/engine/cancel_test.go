@@ -13,8 +13,8 @@ import (
 )
 
 // settleGoroutines waits for the goroutine count to drop back to the
-// baseline (loop goroutines exit once their queues drain; planner
-// goroutines exit with their queries).
+// baseline (loop goroutines exit once their queues drain; a query has
+// no goroutine of its own).
 func settleGoroutines(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -81,7 +81,7 @@ func TestRunPlanCancelMidPipeline(t *testing.T) {
 	}
 	gate <- struct{}{} // chunk 2 planned
 	cancel()
-	close(gate) // release the planner; the submit loop must stop on ctx
+	close(gate) // release the plan; the submit loop must stop on ctx
 	<-done
 
 	if !errors.Is(err, context.Canceled) {
@@ -107,6 +107,57 @@ func TestRunPlanCancelMidPipeline(t *testing.T) {
 			lt.Cancelled, tot.Cancelled)
 	}
 	settleGoroutines(t, baseline)
+}
+
+// TestRunPlanLooksAheadOneChunk pins how far RunPlan runs ahead of the
+// disks: it plans on the calling goroutine — so a Plan needs no locking
+// and is never touched after RunPlan returns — and asks for chunk
+// k+MaxInflight only when it is about to wait for chunk k. When chunk
+// k retires the plan has therefore produced at most k+MaxInflight+1
+// chunks, and once ctx is cancelled Next is not called again.
+func TestRunPlanLooksAheadOneChunk(t *testing.T) {
+	v := testVolume(t)
+	chunks := randomChunks(rand.New(rand.NewSource(9)), v, 8, 10)
+	for _, mi := range []int{1, 2} {
+		svc := NewService(v, ServiceOptions{})
+		sess := svc.NewSession(SessionOptions{MaxInflight: mi})
+		produced, retired := 0, 0
+		counting := planFunc(func() (Chunk, bool, error) {
+			if produced == len(chunks) {
+				return Chunk{}, false, nil
+			}
+			produced++
+			return chunks[produced-1], true, nil
+		})
+		_, err := sess.RunPlan(context.Background(), counting, Options{OnChunk: func(Stats) {
+			if produced > retired+mi+1 {
+				t.Errorf("MaxInflight %d: %d chunks planned when chunk %d retired, want <= %d",
+					mi, produced, retired, retired+mi+1)
+			}
+			retired++
+		}})
+		if err != nil || retired != len(chunks) {
+			t.Fatalf("MaxInflight %d: retired %d of %d chunks, err %v", mi, retired, len(chunks), err)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		produced, retired = 0, 0
+		atCancel := -1
+		_, err = sess.RunPlan(ctx, counting, Options{OnChunk: func(Stats) {
+			if retired++; retired == 2 {
+				cancel()
+				atCancel = produced
+			}
+		}})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("MaxInflight %d: err = %v, want context.Canceled", mi, err)
+		}
+		if atCancel < 0 || produced != atCancel {
+			t.Fatalf("MaxInflight %d: plan produced %d chunks, had produced %d when ctx was cancelled", mi, produced, atCancel)
+		}
+		cancel()
+		svc.Close()
+	}
 }
 
 // TestRunPlanDeadlineExceeded runs a query under an already-expired

@@ -7,22 +7,23 @@
 // paper's storage manager would choose for it (§5.2). Run drains the
 // plan chunk by chunk through the logical volume — whose member disks
 // service their sub-batches concurrently and apply the drive-internal
-// scheduler (SPTF, or arrival order under FIFO) — and aggregates the
-// completions into Stats. Layers therefore share one serve-and-sum
-// loop instead of each hand-rolling its own, and a planner can yield a
-// large query in bounded-memory chunks instead of materializing every
-// block up front.
+// scheduler (SPTF, or arrival order under FIFO) — prices each chunk
+// once, as a Stats, and sums those into the query's. Layers therefore
+// share one serve-and-sum loop instead of each hand-rolling its own,
+// and a planner can yield a large query in bounded-memory chunks
+// instead of materializing every block up front.
 //
 // Run is the synchronous single-caller path. For concurrent clients,
 // Service runs a per-volume loop goroutine that owns all disk head
-// state: Sessions submit plan chunks over its queue (pipelined — chunk
-// N+1 is planned while chunk N is on the disks), the loop merges
-// everything queued since its last pass into one admission batch
-// (cross-query coalescing into shared SPTF extents), serves it, and
-// attributes per-request costs back to the originating sessions. An
-// optional shared extent cache (LRU over coalesced [lbn, lbn+count)
-// extents) lets overlapping queries skip re-simulated I/O, with
-// hit/miss accounting in Stats.
+// state: a Session plans on its caller's goroutine and submits plan
+// chunks over the loop's queue (chunk N+1 is planned while chunk N is
+// on the disks), the loop merges everything queued since its last pass
+// into one admission batch (cross-query coalescing into shared SPTF
+// extents), serves it, and prices each op — its own requests, its
+// share of the shared ones — as the Stats it both folds into its
+// totals and answers the session with. An optional shared extent cache
+// (LRU over coalesced [lbn, lbn+count) extents) lets overlapping
+// queries skip re-simulated I/O, with hit/miss accounting in Stats.
 package engine
 
 import (
@@ -107,51 +108,33 @@ func (s Stats) MsPerCell() float64 {
 	return s.TotalMs / float64(s.Cells)
 }
 
-// AddCompletions folds one served batch into the running totals.
+// addCost folds one served request's service time into the running
+// totals — the one cost fold every path goes through, whole requests and
+// disk.AccessCost.Scaled shares alike. The blocks it moved are the
+// caller's to count: Cells for a read, Writes for a write, nothing for
+// a group commit's share (counted in Writes when it was absorbed).
+func (s *Stats) addCost(c disk.AccessCost) {
+	s.Requests++
+	s.TotalMs += c.TotalMs()
+	s.CommandMs += c.CommandMs
+	s.SeekMs += c.SeekMs
+	s.RotateMs += c.RotateMs
+	s.TransferMs += c.TransferMs
+}
+
+// addServed folds one served batch into the running totals, counting
+// its blocks into *blocks — s.Cells for reads, s.Writes for writes.
+func (s *Stats) addServed(comps []lvm.Completion, elapsed float64, blocks *int64) {
+	for _, c := range comps {
+		s.addCost(c.Cost)
+		*blocks += int64(c.Req.Count)
+	}
+	s.ElapsedMs += elapsed
+}
+
+// AddCompletions folds one served read batch into the running totals.
 func (s *Stats) AddCompletions(comps []lvm.Completion, elapsed float64) {
-	for _, c := range comps {
-		s.Requests++
-		s.Cells += int64(c.Req.Count)
-		s.TotalMs += c.Cost.TotalMs()
-		s.CommandMs += c.Cost.CommandMs
-		s.SeekMs += c.Cost.SeekMs
-		s.RotateMs += c.Cost.RotateMs
-		s.TransferMs += c.Cost.TransferMs
-	}
-	s.ElapsedMs += elapsed
-}
-
-// AddWriteCompletions folds one served write batch into the running
-// totals: same time accounting as reads, but blocks land in Writes
-// instead of Cells.
-func (s *Stats) AddWriteCompletions(comps []lvm.Completion, elapsed float64) {
-	for _, c := range comps {
-		s.Requests++
-		s.Writes += int64(c.Req.Count)
-		s.TotalMs += c.Cost.TotalMs()
-		s.CommandMs += c.Cost.CommandMs
-		s.SeekMs += c.Cost.SeekMs
-		s.RotateMs += c.Cost.RotateMs
-		s.TransferMs += c.Cost.TransferMs
-	}
-	s.ElapsedMs += elapsed
-}
-
-// AddFlushCompletions folds one group-commit flush's attributed share
-// into the running totals: cost and request accounting like writes,
-// but no blocks land in Writes — the flushed blocks were already
-// counted there when the service absorbed the write ops that dirtied
-// them.
-func (s *Stats) AddFlushCompletions(comps []lvm.Completion, elapsed float64) {
-	for _, c := range comps {
-		s.Requests++
-		s.TotalMs += c.Cost.TotalMs()
-		s.CommandMs += c.Cost.CommandMs
-		s.SeekMs += c.Cost.SeekMs
-		s.RotateMs += c.Cost.RotateMs
-		s.TransferMs += c.Cost.TransferMs
-	}
-	s.ElapsedMs += elapsed
+	s.addServed(comps, elapsed, &s.Cells)
 }
 
 // Chunk is one dispatch window of planned requests.
@@ -199,12 +182,13 @@ type Options struct {
 	// (Run/RunContext) only; a Session's RunPlan ignores it.
 	Trace func([]lvm.Completion)
 	// OnChunk, when set, receives each served chunk's own Stats as the
-	// chunk retires, in chunk order — the hook behind wire-level result
-	// streaming: a network front-end ships every retired chunk to its
-	// client while later chunks are still being planned and served.
-	// Invoked from the submitting goroutine (never concurrently for one
-	// query); dropped chunks (cancellation, deadline) invoke nothing.
-	// Nil leaves the execution path bit-identical.
+	// chunk retires, in chunk order — the very value the query's total
+	// accumulates, so the hook changes nothing about how that total is
+	// summed. It is the hook behind wire-level result streaming: a
+	// network front-end ships every retired chunk to its client while
+	// later chunks are still being planned and served. Invoked from the
+	// goroutine that called RunPlan (never concurrently for one query);
+	// dropped chunks (cancellation, deadline) invoke nothing.
 	OnChunk func(Stats)
 }
 
@@ -248,19 +232,18 @@ func RunContext(ctx context.Context, vol *lvm.Volume, p Plan, opts Options) (Sta
 		if err != nil {
 			return st, err
 		}
-		st.AddCompletions(comps, elapsed)
-		st.Padding += c.Padding
+		// The chunk is priced once, as its own Stats, and that value is
+		// what the query's total accumulates and what the hook sees — the
+		// shape a Session's RunPlan has, so Run == a lone cache-off
+		// session on chunked plans too.
+		var d Stats
+		d.AddCompletions(comps, elapsed)
+		d.Padding = c.Padding
+		st.Accumulate(d)
 		if opts.Trace != nil {
 			opts.Trace(comps)
 		}
 		if opts.OnChunk != nil {
-			// The chunk's own delta is rebuilt from the completions
-			// rather than diffed off st, so the running totals keep their
-			// exact accumulation order (bit-equivalence when OnChunk is
-			// nil is trivial; when set, st is still summed identically).
-			var d Stats
-			d.AddCompletions(comps, elapsed)
-			d.Padding = c.Padding
 			opts.OnChunk(d)
 		}
 	}

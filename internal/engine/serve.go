@@ -119,9 +119,9 @@ func (s *Service) splitInto(out []lvm.Request, reqs []lvm.Request) []lvm.Request
 // clone) are read at their current shared location — the simulated
 // copy-out — and then remapped onto privately allocated extents, so the
 // write I/O that follows lands in storage this volume owns. The fault
-// read's completions and elapsed time are folded into the op's result,
-// so its cost is attributed to the writing session exactly like the
-// write itself; the faulted block count lands in CowFaultBlocks.
+// read is priced into the op's result like the write itself (cost,
+// elapsed time, blocks in Writes), so it is attributed to the writing
+// session; the faulted block count lands in CowFaultBlocks.
 // Returns the number of fault requests issued. A volume with no COW
 // segments detects the no-op with one atomic load.
 //
@@ -140,10 +140,9 @@ func (s *Service) cowFault(op *serviceOp, res *opResult) (int, error) {
 	if err := s.vol.ResolveCOW(spans); err != nil {
 		return 0, err
 	}
-	res.comps = append(res.comps, comps...)
-	res.elapsed += elapsed
+	res.stats.addServed(comps, elapsed, &res.stats.Writes)
 	for _, sp := range spans {
-		res.cowFaults += int64(sp.Count)
+		res.stats.CowFaultBlocks += int64(sp.Count)
 	}
 	return len(spans), nil
 }
@@ -169,7 +168,7 @@ func (s *Service) serveWrite(op *serviceOp) {
 	op.chunk.Reqs = split
 	for _, r := range op.chunk.Reqs {
 		// invalidate is nil-safe when the cache is off.
-		res.invalidated += s.cache.invalidate(r.VLBN, r.VLBN+int64(r.Count))
+		res.stats.InvalidatedBlocks += s.cache.invalidate(r.VLBN, r.VLBN+int64(r.Count))
 	}
 	issued := faultReqs
 	if len(op.chunk.Reqs) > 0 {
@@ -178,8 +177,7 @@ func (s *Service) serveWrite(op *serviceOp) {
 			s.chargeWrite(op, res, issued, err)
 			return
 		}
-		res.comps = append(res.comps, comps...)
-		res.elapsed += elapsed
+		res.stats.addServed(comps, elapsed, &res.stats.Writes)
 		issued += len(op.chunk.Reqs)
 	}
 	s.chargeWrite(op, res, issued, nil)
@@ -226,13 +224,13 @@ func (s *Service) absorbWrite(op *serviceOp) {
 	now := time.Now()
 	for _, r := range op.chunk.Reqs {
 		start, end := r.VLBN, r.VLBN+int64(r.Count)
-		res.invalidated += s.cache.invalidate(start, end) // nil-safe
+		res.stats.InvalidatedBlocks += s.cache.invalidate(start, end) // nil-safe
 		di, lbn, _ := s.vol.Locate(start)
 		boundary := start - lbn + s.vol.DiskBlocks(di)
 		if s.wb.absorb(op.owner, start, end, boundary, now) {
-			res.coalesced = 1
+			res.stats.CoalescedWrites = 1
 		}
-		res.written += int64(r.Count)
+		res.stats.Writes += int64(r.Count)
 	}
 	s.chargeWrite(op, res, faultReqs, nil)
 }
@@ -294,17 +292,9 @@ func (s *Service) flushDirty() error {
 				st = &Stats{}
 				perOwner[owner] = st
 			}
-			st.AddFlushCompletions([]lvm.Completion{{
-				Req:     lvm.Request{VLBN: e.start, Count: int(n)},
-				DiskIdx: c.DiskIdx,
-				Cost: disk.AccessCost{
-					CommandMs:  c.Cost.CommandMs * f,
-					SeekMs:     c.Cost.SeekMs * f,
-					RotateMs:   c.Cost.RotateMs * f,
-					TransferMs: c.Cost.TransferMs * f,
-				},
-				FinishMs: c.FinishMs,
-			}}, 0)
+			// No blocks land in Writes here: they were counted when the
+			// write ops that dirtied the extent were absorbed.
+			st.addCost(c.Cost.Scaled(f))
 		}
 	}
 	s.mu.Lock()
@@ -338,10 +328,11 @@ func (s *Service) flushDirty() error {
 }
 
 // planSingle is a lone chunk's schedule stage: probe the cache,
-// folding hits into res, and return the requests that must reach the
-// disks. With the cache off the chunk's own request slice is returned
-// untouched; otherwise the survivors are collected in the loop's probe
-// buffer, valid until the next plan.
+// counting hits, the cells they covered and misses into res, and return
+// the requests that must reach the disks. With the cache off the
+// chunk's own request slice is returned untouched; otherwise the
+// survivors are collected in the loop's probe buffer, valid until the
+// next plan.
 func (s *Service) planSingle(op *serviceOp, res *opResult) []lvm.Request {
 	if s.cache == nil {
 		return op.chunk.Reqs
@@ -349,11 +340,11 @@ func (s *Service) planSingle(op *serviceOp, res *opResult) []lvm.Request {
 	kept := s.scratch.kept[:0]
 	for _, r := range op.chunk.Reqs {
 		if s.cache.covered(r.VLBN, r.VLBN+int64(r.Count)) {
-			res.hits++
-			res.hitCells += int64(r.Count)
+			res.stats.CacheHits++
+			res.stats.Cells += int64(r.Count)
 			continue
 		}
-		res.misses++
+		res.stats.CacheMisses++
 		kept = append(kept, r)
 	}
 	s.scratch.kept = kept[:0] // keep the grown probe buffer
@@ -366,16 +357,17 @@ func (s *Service) planSingle(op *serviceOp, res *opResult) []lvm.Request {
 func (s *Service) serveSingle(op *serviceOp) {
 	var res opResult
 	reqs := s.planSingle(op, &res)
+	var comps []lvm.Completion
+	var elapsed float64
 	if len(reqs) > 0 {
-		comps, elapsed, err := s.vol.ServeBatch(reqs, op.policy)
+		var err error
+		comps, elapsed, err = s.vol.ServeBatch(reqs, op.policy)
 		if err != nil {
 			op.reply <- opResult{err: err}
 			return
 		}
-		s.finishSingle(op, res, len(reqs), comps, elapsed)
-		return
 	}
-	s.finishSingle(op, res, 0, nil, 0)
+	s.finishSingle(op, res, comps, elapsed)
 }
 
 // mergeEntry ties one item's request to its slot in a merged plan.
@@ -443,11 +435,11 @@ func (s *Service) planMerged(items []*serviceOp) (policy disk.SchedPolicy, ok bo
 		for _, r := range it.chunk.Reqs {
 			if s.cache != nil {
 				if s.cache.covered(r.VLBN, r.VLBN+int64(r.Count)) {
-					sc.results[i].hits++
-					sc.results[i].hitCells += int64(r.Count)
+					sc.results[i].stats.CacheHits++
+					sc.results[i].stats.Cells += int64(r.Count)
 					continue
 				}
-				sc.results[i].misses++
+				sc.results[i].stats.CacheMisses++
 			}
 			sc.entries = append(sc.entries, mergeEntry{item: i, req: r})
 		}

@@ -305,9 +305,7 @@ func TestServeMergedAttribution(t *testing.T) {
 	if tot.Batches != 1 || tot.MergedBatches != 1 || tot.MaxBatchChunks != 2 {
 		t.Fatalf("batch bookkeeping wrong: %+v", tot)
 	}
-	var stA, stB Stats
-	stA.AddCompletions(ra.comps, ra.elapsed)
-	stB.AddCompletions(rb.comps, rb.elapsed)
+	stA, stB := ra.stats, rb.stats
 	if stA.Cells != 16+8+4 || stB.Cells != 16+8+8 {
 		t.Fatalf("cells credited A=%d B=%d, want 28 and 32", stA.Cells, stB.Cells)
 	}
@@ -327,20 +325,19 @@ func TestServeMergedAttribution(t *testing.T) {
 	if diff := math.Abs(diskMs - sum.TotalMs); diff > 1e-6*(1+diskMs) {
 		t.Fatalf("attributed %.6f ms != disk busy %.6f ms", sum.TotalMs, diskMs)
 	}
-	// The identical request must have cost each query half the extent.
-	var costA, costB float64
-	for _, c := range ra.comps {
-		if c.Req.VLBN == 5000 {
-			costA = c.Cost.TotalMs()
-		}
+	// An identical request must cost each query half the extent: two
+	// one-request ops, so each op's price is its share of that extent.
+	c, d := mk(lvm.Request{VLBN: 5000, Count: 8}), mk(lvm.Request{VLBN: 5000, Count: 8})
+	svc.serveMerged([]*serviceOp{c, d})
+	rc, rd := <-c.reply, <-d.reply
+	if rc.err != nil || rd.err != nil {
+		t.Fatal(rc.err, rd.err)
 	}
-	for _, c := range rb.comps {
-		if c.Req.VLBN == 5000 {
-			costB = c.Cost.TotalMs()
-		}
+	if rc.stats.TotalMs <= 0 || rc.stats != rd.stats {
+		t.Fatalf("shared extent split unevenly: %+v vs %+v", rc.stats, rd.stats)
 	}
-	if costA <= 0 || math.Abs(costA-costB) > 1e-9 {
-		t.Fatalf("shared extent split unevenly: %.6f vs %.6f", costA, costB)
+	if got := svc.Totals().IssuedRequests; got != 4 {
+		t.Fatalf("issued %d extents after the identical pair, want 4", got)
 	}
 }
 
@@ -364,9 +361,13 @@ func TestServeMergedRespectsDiskBoundaries(t *testing.T) {
 	if tot := svc.Totals(); tot.IssuedRequests != 2 {
 		t.Fatalf("issued %d requests, want 2 (no cross-disk merge)", tot.IssuedRequests)
 	}
-	if ra.comps[0].DiskIdx != 0 || rb.comps[0].DiskIdx != 1 {
-		t.Fatalf("requests routed to disks %d/%d, want 0/1",
-			ra.comps[0].DiskIdx, rb.comps[0].DiskIdx)
+	if ra.stats.Requests != 1 || rb.stats.Requests != 1 || ra.stats.Cells != 8 || rb.stats.Cells != 8 {
+		t.Fatalf("each op should be charged its own request: %+v / %+v", ra.stats, rb.stats)
+	}
+	for di, ds := range v.Stats() {
+		if ds.Requests != 1 || ds.Blocks != 8 {
+			t.Fatalf("disk %d served %d requests / %d blocks, want 1 / 8 (one op's request each)", di, ds.Requests, ds.Blocks)
+		}
 	}
 }
 
@@ -609,11 +610,11 @@ func TestServiceBatchReadsBeforeWrites(t *testing.T) {
 	if rr.err != nil || rw.err != nil {
 		t.Fatal(rr.err, rw.err)
 	}
-	if rr.hits != 0 || rr.misses != 1 {
-		t.Fatalf("read in mixed batch: hits=%d misses=%d, want 0/1", rr.hits, rr.misses)
+	if rr.stats.CacheHits != 0 || rr.stats.CacheMisses != 1 {
+		t.Fatalf("read in mixed batch: hits=%d misses=%d, want 0/1", rr.stats.CacheHits, rr.stats.CacheMisses)
 	}
-	if rw.invalidated != 8 {
-		t.Fatalf("write invalidated %d blocks, want the read's fresh extent (8)", rw.invalidated)
+	if rw.stats.InvalidatedBlocks != 8 {
+		t.Fatalf("write invalidated %d blocks, want the read's fresh extent (8)", rw.stats.InvalidatedBlocks)
 	}
 	// After the batch, the blocks are uncached.
 	sess := svc.NewSession(SessionOptions{})

@@ -25,22 +25,6 @@ type Runner interface {
 	RunPlan(ctx context.Context, p Plan, opts Options) (Stats, error)
 }
 
-// QuerySession is the full session surface a query layer needs from
-// one volume's service: plan execution, write submission, and lifetime
-// totals. It is the interchange point between the single-volume
-// *Session and the shard layer — a scatter-gather session hands out one
-// QuerySession per shard, so code written against the interface (the
-// update path, cell fetches) runs unchanged whether the dataset lives
-// on one volume or on many.
-type QuerySession interface {
-	Runner
-	Write(ctx context.Context, reqs []lvm.Request, policy disk.SchedPolicy) (Stats, error)
-	// Flush commits the service's write-back dirty buffer (a no-op with
-	// write-back off); see Session.Flush.
-	Flush(ctx context.Context) error
-	Totals() Stats
-}
-
 // volumeRunner adapts the synchronous RunContext to the Runner
 // interface.
 type volumeRunner struct{ vol *lvm.Volume }
@@ -57,9 +41,9 @@ func OnVolume(vol *lvm.Volume) Runner { return volumeRunner{vol: vol} }
 // SessionOptions tunes one session.
 type SessionOptions struct {
 	// MaxInflight is how many plan chunks the session keeps outstanding
-	// in the service at once (minimum and default 1). Even at 1 the
-	// planner is pipelined: chunk N+1 is planned while chunk N is on
-	// the disks. Values above 1 let one query's chunks share admission
+	// in the service at once (minimum and default 1). Even at 1 planning
+	// overlaps the disks: chunk N+1 is planned while chunk N is being
+	// served. Values above 1 let one query's chunks share admission
 	// batches, trading exact single-stream schedule reproduction for
 	// more cross-chunk coalescing.
 	MaxInflight int
@@ -105,148 +89,90 @@ func (s *Session) Totals() Stats {
 	return s.totals
 }
 
-// RunPlan drains a plan through the service, planning ahead of the
-// disks: a planner goroutine produces the next chunk while earlier
-// chunks are in flight, and up to MaxInflight chunks ride the service
-// queue at once. Costs attributed by the service loop are folded into
-// this query's Stats in chunk order, so a lone session with the cache
-// off returns bit-identical Stats to Run. Options.Trace is not
+// RunPlan drains a plan through the service on the calling goroutine:
+// plan chunk k, wait for an in-flight slot (the reply to chunk
+// k−MaxInflight), check ctx, submit. Chunk k is therefore planned while
+// up to MaxInflight earlier chunks are queued or on the disks, and the
+// plan is never asked for more than one chunk beyond what is in flight.
+// The service loop prices every chunk (see opResult); the query's Stats
+// are those prices accumulated in chunk order, so a lone session with
+// the cache off returns the same Stats as Run. Options.Trace is not
 // honoured here — only the synchronous Run traces.
 //
-// Cancellation: the submit loop checks ctx before every chunk, and the
-// service drops this query's already-queued chunks before admission —
-// dropped chunks free their inflight slots, charge no simulated I/O,
-// and bump Stats.Cancelled/DeadlineExceeded. On any error RunPlan
-// returns the partial Stats of the chunks that were served (the same
-// partial work is folded into the session's lifetime totals, so
-// summing session totals still reproduces ServiceTotals.Attributed for
-// issued work).
+// Cancellation: ctx is checked before every submission, and the service
+// drops this query's already-queued chunks before admission — dropped
+// chunks free their inflight slots, charge no simulated I/O, and bump
+// Stats.Cancelled/DeadlineExceeded. On any error RunPlan returns the
+// partial Stats of the chunks that were served (the same partial work
+// is folded into the session's lifetime totals, so summing session
+// totals still reproduces ServiceTotals.Attributed for issued work).
 func (s *Session) RunPlan(ctx context.Context, p Plan, opts Options) (Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	type planned struct {
-		c   Chunk
-		ok  bool
-		err error
-	}
-	quit := make(chan struct{})
-	defer close(quit)
-	planCh := make(chan planned, s.maxInflight)
-	go func() {
-		defer close(planCh)
-		for {
-			c, ok, err := p.Next()
-			select {
-			case planCh <- planned{c: c, ok: ok, err: err}:
-				if !ok || err != nil {
-					return
-				}
-			case <-quit:
-				return
-			}
-		}
-	}()
-
 	var st Stats
-	var pending []*serviceOp
-	// credit folds one served chunk's attributed results into the
-	// query's Stats — the single copy both the success path and the
-	// failure drain use, so the attribution-sum property cannot drift
-	// between them. A dropped chunk contributes only its cancellation
-	// counter.
-	credit := func(op *serviceOp, r opResult) {
-		if r.err != nil {
-			st.countContextErr(r.err)
-			return
-		}
-		st.AddCompletions(r.comps, r.elapsed)
-		st.Padding += op.chunk.Padding
-		st.Cells += r.hitCells
-		st.CacheHits += r.hits
-		st.CacheMisses += r.misses
-		if opts.OnChunk != nil {
-			// Rebuild the chunk's own delta from its results instead of
-			// diffing st, so the query's running totals accumulate in
-			// exactly the same order whether streaming is on or off.
-			var d Stats
-			d.AddCompletions(r.comps, r.elapsed)
-			d.Padding = op.chunk.Padding
-			d.Cells += r.hitCells
-			d.CacheHits = r.hits
-			d.CacheMisses = r.misses
-			opts.OnChunk(d)
-		}
-	}
-	fold := func(op *serviceOp) error {
+	pending := make([]*serviceOp, 0, s.maxInflight)
+	// retire waits for the oldest outstanding chunk's reply and folds the
+	// loop's price for it into the query — the one copy the steady state
+	// and the failure drain both use. A dropped chunk's price is its
+	// cancellation counter; the hook sees served chunks only.
+	retire := func() error {
+		op := pending[0]
+		copy(pending, pending[1:]) // at most MaxInflight-1 pointers; keeps the one backing array
+		pending = pending[:len(pending)-1]
 		r := <-op.reply
-		credit(op, r)
 		putOp(op) // reply consumed: this goroutine is the last holder
+		st.Accumulate(r.stats)
+		if r.err == nil && opts.OnChunk != nil {
+			opts.OnChunk(r.stats)
+		}
 		return r.err
 	}
-	// finish folds (or, after a failure, waits out) every outstanding
-	// op. Submitted chunks are always drained to their reply: the query
-	// must not return while the loop could still serve its chunks.
-	// Chunks the loop already served are folded into the session's
-	// lifetime totals even when the query fails, so summing session
-	// totals still reproduces ServiceTotals.Attributed.
-	finish := func(failed error) (Stats, error) {
-		var err error
-		for _, op := range pending {
-			if failed != nil || err != nil {
-				credit(op, <-op.reply)
-				putOp(op)
-				continue
+	// finish retires every outstanding chunk — the query must not return
+	// while the loop could still serve one — and folds what was served,
+	// even by a query that failed, into the session's lifetime totals.
+	finish := func(err error) (Stats, error) {
+		for len(pending) > 0 {
+			if rerr := retire(); err == nil {
+				err = rerr
 			}
-			err = fold(op)
-		}
-		pending = nil
-		if failed == nil {
-			failed = err
 		}
 		s.mu.Lock()
 		s.totals.Accumulate(st)
 		s.mu.Unlock()
-		return st, failed
+		return st, err
 	}
-
-	for pl := range planCh {
-		if pl.err != nil {
-			return finish(pl.err)
-		}
-		if !pl.ok {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			// Stop planning: this chunk was never queued, so it counts
-			// here rather than in the service's drop bookkeeping.
-			st.countContextErr(err)
+	for {
+		c, ok, err := p.Next()
+		if err != nil || !ok {
 			return finish(err)
 		}
-		policy := pl.c.Policy
-		if opts.Policy != nil {
-			policy = *opts.Policy
+		if len(pending) == s.maxInflight {
+			if err := retire(); err != nil {
+				return finish(err)
+			}
+		}
+		if err := ctx.Err(); err != nil {
+			// This chunk is never queued, so it counts here rather than
+			// in the service's drop bookkeeping.
+			st.countContextErr(err)
+			return finish(err)
 		}
 		op := getOp()
 		op.kind = opChunk
 		op.ctx = ctx
-		op.chunk = pl.c
-		op.policy = policy
+		op.chunk = c
+		op.policy = c.Policy
+		if opts.Policy != nil {
+			op.policy = *opts.Policy
+		}
 		op.class = s.class
 		if err := s.svc.submit(op); err != nil {
 			putOp(op) // never queued: submit sends no reply
 			return finish(err)
 		}
 		pending = append(pending, op)
-		if len(pending) >= s.maxInflight {
-			if err := fold(pending[0]); err != nil {
-				pending = pending[1:]
-				return finish(err)
-			}
-			pending = pending[1:]
-		}
 	}
-	return finish(nil)
 }
 
 // Write submits one batch of block writes through the service as a
@@ -255,8 +181,12 @@ func (s *Session) RunPlan(ctx context.Context, p Plan, opts Options) (Stats, err
 // write's simulated I/O is served under the given policy; by the time
 // Write returns, no stale extent over those blocks survives, so a
 // subsequent read through any session pays the full disk cost. The
-// returned Stats carry the write's I/O time with the blocks in Writes
-// (not Cells) and the invalidation count in InvalidatedBlocks.
+// returned Stats are the loop's price for the op: the write's I/O time
+// with the blocks in Writes (not Cells) and the invalidation count in
+// InvalidatedBlocks. A write the write-back buffer absorbed costs no
+// I/O yet — its blocks land in Writes at absorb time, and the deferred
+// I/O is credited to the session's lifetime totals when the group
+// commit flushes (see Service.flushDirty).
 //
 // A write whose ctx is cancelled or past its deadline before admission
 // is dropped before any simulated I/O is issued or charged — but its
@@ -279,32 +209,14 @@ func (s *Session) Write(ctx context.Context, reqs []lvm.Request, policy disk.Sch
 	}
 	r := <-op.reply
 	putOp(op)
-	var st Stats
-	if r.err != nil {
-		// A drop before admission carries a context error; a served
-		// write that failed carries a volume error, which the classifier
-		// ignores.
-		st.countContextErr(r.err)
-	}
-	st.AddWriteCompletions(r.comps, r.elapsed)
-	// Write-back absorption acknowledges the op with zero I/O cost: the
-	// blocks land in Writes here, at absorb time, and the deferred I/O
-	// is credited to the session's lifetime totals when the group commit
-	// flushes (see Service.flushDirty).
-	st.Writes += r.written
-	st.CoalescedWrites = r.coalesced
-	st.InvalidatedBlocks = r.invalidated
-	st.CowFaultBlocks = r.cowFaults
-	// Invalidation sticks even when the write I/O itself failed, so it
-	// is folded into the lifetime totals either way (the sum property
-	// against ServiceTotals.Attributed holds for failed writes too).
+	// Invalidation and COW faults stick even when the write I/O itself
+	// failed, so the price is folded into the lifetime totals either way
+	// (the sum property against ServiceTotals.Attributed holds for failed
+	// writes too).
 	s.mu.Lock()
-	s.totals.Accumulate(st)
+	s.totals.Accumulate(r.stats)
 	s.mu.Unlock()
-	if r.err != nil {
-		return st, r.err
-	}
-	return st, nil
+	return r.stats, r.err
 }
 
 // Flush commits the service's write-back dirty buffer as one group
@@ -327,5 +239,3 @@ func (s *Session) creditFlush(st Stats) {
 	s.totals.Accumulate(st)
 	s.mu.Unlock()
 }
-
-var _ QuerySession = (*Session)(nil)

@@ -3,8 +3,11 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -31,8 +34,7 @@ func submitTogether(svc *Service, ops []*serviceOp) {
 
 // bitIdenticalTotals is what TestServiceTotalsBitIdentical printed at
 // the commit before the attribution folds were written once (%+v prints
-// a float64 in its shortest round-tripping form, so string equality is
-// == on every float).
+// a float64 in its shortest round-tripping form).
 var bitIdenticalTotals = []string{
 	"{Batches:13 MergedBatches:1 MaxBatchChunks:3 IssuedRequests:71 WriteOps:6 InvalidatedBlocks:4 FlushBatches:0 CoalescedWrites:0 DirtyBlocks:0 Cancelled:1 DeadlineExceeded:0 Attributed:{Cells:430 Padding:15 Requests:71 TotalMs:229.50000000000014 ElapsedMs:229.50000000000003 CommandMs:14.199999999999982 SeekMs:58.733893419027694 RotateMs:111.7161065809725 TransferMs:44.849999999999994 CacheHits:106 CacheMisses:62 Writes:133 InvalidatedBlocks:4 CoalescedWrites:0 FlushBatches:0 Cancelled:0 DeadlineExceeded:0 CowFaultBlocks:120 Partial:false}}",
 	"{Class:a Ops:13 UrgentOps:0 Deferred:0 Attributed:{Cells:223 Padding:8 Requests:59 TotalMs:194.70000000000007 ElapsedMs:213.45000000000002 CommandMs:11.79999999999999 SeekMs:50.03389341902769 RotateMs:93.26610658097243 TransferMs:39.6 CacheHits:37 CacheMisses:51 Writes:132 InvalidatedBlocks:3 CoalescedWrites:0 FlushBatches:0 Cancelled:0 DeadlineExceeded:0 CowFaultBlocks:120 Partial:false}}",
@@ -47,8 +49,10 @@ var bitIdenticalTotals = []string{
 // writes with a COW fault, a cancelled write, then write-back absorbs
 // (one coalescing, one faulting) and a flush — and compares Totals()
 // and ClassTotals() with the values the hand-mirrored folds produced.
-// Every attributed float is the result of the same additions in the
-// same order per destination, so the comparison is exact.
+// Every integer field is ==. The floats (the *Ms fields) are within
+// 1e-12 relative: the recorded rows added each completion's cost into
+// Attributed one by one, and the loop now adds each op's own sum — the
+// same addends, associated per op.
 func TestServiceTotalsBitIdentical(t *testing.T) {
 	lv, cleanup := cowVolume(t)
 	defer cleanup()
@@ -151,9 +155,95 @@ func TestServiceTotalsBitIdentical(t *testing.T) {
 		t.Fatalf("recorded %d totals, reference has %d", len(got), len(bitIdenticalTotals))
 	}
 	for i := range got {
-		if got[i] != bitIdenticalTotals[i] {
+		if !sameTotals(got[i], bitIdenticalTotals[i]) {
 			t.Errorf("totals %d differ:\n got %s\nwant %s", i, got[i], bitIdenticalTotals[i])
 		}
+	}
+}
+
+// sameTotals compares two %+v renderings field by field: a field named
+// *Ms is a float and may differ by 1e-12 relative, everything else —
+// names, structure, integers, flags — must be equal as printed.
+func sameTotals(got, want string) bool {
+	g, w := strings.Fields(got), strings.Fields(want)
+	if len(g) != len(w) {
+		return false
+	}
+	for i := range g {
+		if g[i] == w[i] {
+			continue
+		}
+		gn, gv, _ := strings.Cut(g[i], ":")
+		wn, wv, _ := strings.Cut(w[i], ":")
+		gf, gerr := strconv.ParseFloat(strings.TrimRight(gv, "}"), 64)
+		wf, werr := strconv.ParseFloat(strings.TrimRight(wv, "}"), 64)
+		if gn != wn || !strings.HasSuffix(gn, "Ms") || gerr != nil || werr != nil ||
+			math.Abs(gf-wf) > 1e-12*math.Abs(wf) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSessionTotalsEqualAttributed: the loop prices an op once and both
+// sides Accumulate that one value, so for a lone session of
+// single-chunk ops — reads, cached re-reads, write-through writes with a
+// COW fault, a failed write, a cancelled write — the session's lifetime
+// totals == ServiceTotals.Attributed, exactly, floats included. The
+// documented exceptions stay out of the comparison: ElapsedMs, and the
+// drop counters, which Attributed never carries — the service counts
+// drops beside it.
+func TestSessionTotalsEqualAttributed(t *testing.T) {
+	lv, cleanup := cowVolume(t)
+	defer cleanup()
+	svc := NewService(lv, ServiceOptions{CacheBlocks: 512})
+	defer svc.Close()
+	sess := svc.NewSession(SessionOptions{})
+	ctx := context.Background()
+	dead, cancel := context.WithCancel(ctx)
+	cancel()
+
+	chunks := randomChunks(rand.New(rand.NewSource(5)), lv, 4, 12)
+	readAll := func() {
+		t.Helper()
+		for _, c := range chunks {
+			if _, err := sess.RunPlan(ctx, chunkPlan([]Chunk{c}), Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	readAll()
+	readAll() // served from the cache
+	for i, w := range [][]lvm.Request{
+		{{VLBN: 10, Count: 2}},                         // first write to a frozen track: COW fault
+		{{VLBN: 300, Count: 4}, {VLBN: 420, Count: 2}}, // two extents, two more faults
+		{{VLBN: chunks[0].Reqs[0].VLBN, Count: 1}},     // invalidates a cached extent
+		{{VLBN: lv.TotalBlocks() + 5, Count: 1}},       // out of range: fails
+		{{VLBN: chunks[1].Reqs[0].VLBN, Count: 2}},     // cancelled: invalidates, never served
+	} {
+		wctx := ctx
+		if i == 4 {
+			wctx = dead
+		}
+		if _, err := sess.Write(wctx, w, disk.SchedSPTF); (err != nil) != (i >= 3) {
+			t.Fatalf("write %d: err = %v", i, err)
+		}
+	}
+	readAll() // misses what the writes invalidated
+
+	got, tot := sess.Totals(), svc.Totals()
+	if got.Cancelled != 1 || got.Cancelled != tot.Cancelled || got.DeadlineExceeded != tot.DeadlineExceeded {
+		t.Fatalf("drop counters: session %d/%d, service %d/%d, want one cancelled write on both",
+			got.Cancelled, got.DeadlineExceeded, tot.Cancelled, tot.DeadlineExceeded)
+	}
+	if got.CowFaultBlocks == 0 || got.CacheHits == 0 || got.InvalidatedBlocks == 0 || got.Requests < 2*len(chunks) {
+		t.Fatalf("op list did not exercise every path: %+v", got)
+	}
+	want := tot.Attributed
+	got.ElapsedMs, want.ElapsedMs = 0, 0
+	got.Cancelled = 0
+	if got != want {
+		t.Fatalf("session totals != Attributed:\n got %+v\nwant %+v", got, want)
 	}
 }
 

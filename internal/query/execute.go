@@ -2,25 +2,8 @@ package query
 
 import (
 	"repro/internal/disk"
-	"repro/internal/engine"
 	"repro/internal/lvm"
 )
-
-// Execute services a prepared request batch through the shared engine
-// and returns its statistics. Dataset stores that plan their own
-// requests (the octree and OLAP layers) use this instead of Executor.
-func Execute(vol *lvm.Volume, reqs []lvm.Request, policy disk.SchedPolicy) (Stats, error) {
-	return engine.Execute(vol, reqs, policy)
-}
-
-// SortCoalesce sorts requests in ascending VLBN order and merges
-// contiguous ones — the storage manager's issue optimization for the
-// linear mappings (§5.2).
-func SortCoalesce(reqs []lvm.Request) []lvm.Request { return engine.SortCoalesce(reqs) }
-
-// CoalesceSortedLBNs merges an already-ascending list of single-block
-// LBNs into contiguous requests.
-func CoalesceSortedLBNs(lbns []int64) []lvm.Request { return engine.CoalesceSortedLBNs(lbns) }
 
 // PolicyFor returns the issue policy a mapping kind uses: MultiMap
 // leaves ordering to the disk's internal scheduler, linear mappings

@@ -364,32 +364,10 @@ func (e *Executor) planBox(lo, hi []int) ([]lvm.Request, disk.SchedPolicy, int64
 		return reqs, disk.SchedFIFO, 0, nil
 	}
 
-	// Fallback: per-cell extents, sorted ascending and coalesced.
-	b := e.m.CellBlocks()
-	var lbns []int64
-	cell := append([]int(nil), lo...)
-	for {
-		vlbn, err := e.m.CellVLBN(cell)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		lbns = append(lbns, vlbn)
-		if !nextInBox(cell, lo, hi) {
-			break
-		}
-	}
-	if b == 1 {
-		reqs := make([]lvm.Request, len(lbns))
-		for i, l := range lbns {
-			reqs[i] = lvm.Request{VLBN: l, Count: 1}
-		}
-		return engine.SortCoalesce(reqs), disk.SchedFIFO, 0, nil
-	}
-	reqs := make([]lvm.Request, len(lbns))
-	for i, l := range lbns {
-		reqs[i] = lvm.Request{VLBN: l, Count: b}
-	}
-	return engine.SortCoalesce(reqs), disk.SchedFIFO, 0, nil
+	// Every mapping kind is a Dim0Runner or a BoxPlanner (the var _
+	// assertions in internal/mapping); a mapper that is neither has no
+	// planner here.
+	return nil, 0, 0, fmt.Errorf("query: %v mapping plans neither Dim0 runs nor boxes", e.m.Kind())
 }
 
 // maxBridgeGap caps the gap-bridging threshold (see NewExecutorOptions).
@@ -412,19 +390,6 @@ func runsForBox(runner mapping.Dim0Runner, lo, hi []int) ([]lvm.Request, error) 
 			return out, nil
 		}
 	}
-}
-
-// nextInBox advances cell within [lo,hi) in row-major order (dim 0
-// fastest); reports false after the last cell.
-func nextInBox(cell, lo, hi []int) bool {
-	for i := 0; i < len(cell); i++ {
-		cell[i]++
-		if cell[i] < hi[i] {
-			return true
-		}
-		cell[i] = lo[i]
-	}
-	return false
 }
 
 // nextInBoxAbove0 advances only dimensions >= 1.

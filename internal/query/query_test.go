@@ -233,7 +233,7 @@ func TestMultiMapRangeFavoursSequential(t *testing.T) {
 
 func TestSortCoalesce(t *testing.T) {
 	in := []lvm.Request{{VLBN: 10, Count: 2}, {VLBN: 5, Count: 1}, {VLBN: 13, Count: 3}, {VLBN: 6, Count: 4}}
-	out := SortCoalesce(in)
+	out := engine.SortCoalesce(in)
 	want := []lvm.Request{{VLBN: 5, Count: 7}, {VLBN: 13, Count: 3}}
 	if len(out) != len(want) {
 		t.Fatalf("got %v, want %v", out, want)
@@ -243,13 +243,13 @@ func TestSortCoalesce(t *testing.T) {
 			t.Fatalf("got %v, want %v", out, want)
 		}
 	}
-	if got := SortCoalesce(nil); len(got) != 0 {
+	if got := engine.SortCoalesce(nil); len(got) != 0 {
 		t.Error("empty input should stay empty")
 	}
 }
 
 func TestCoalesceSorted(t *testing.T) {
-	out := CoalesceSortedLBNs([]int64{1, 2, 3, 7, 8, 20})
+	out := engine.CoalesceSortedLBNs([]int64{1, 2, 3, 7, 8, 20})
 	want := []lvm.Request{{VLBN: 1, Count: 3}, {VLBN: 7, Count: 2}, {VLBN: 20, Count: 1}}
 	if len(out) != len(want) {
 		t.Fatalf("got %v", out)
@@ -259,7 +259,7 @@ func TestCoalesceSorted(t *testing.T) {
 			t.Fatalf("got %v, want %v", out, want)
 		}
 	}
-	if CoalesceSortedLBNs(nil) != nil {
+	if engine.CoalesceSortedLBNs(nil) != nil {
 		t.Error("nil input should return nil")
 	}
 }
@@ -398,4 +398,17 @@ func TestRangeOnPartialResults(t *testing.T) {
 	if st.Partial {
 		t.Fatalf("complete query flagged Partial: %+v", st)
 	}
+}
+
+// nextInBox advances cell within [lo,hi) in row-major order (dim 0
+// fastest); reports false after the last cell.
+func nextInBox(cell, lo, hi []int) bool {
+	for i := 0; i < len(cell); i++ {
+		cell[i]++
+		if cell[i] < hi[i] {
+			return true
+		}
+		cell[i] = lo[i]
+	}
+	return false
 }

@@ -259,13 +259,6 @@ func (c *Client) Metrics(ctx context.Context, store string) (MetricsWire, error)
 	return m, err
 }
 
-// AllMetrics fetches the /v1/metrics document covering every store.
-func (c *Client) AllMetrics(ctx context.Context) (MetricsResponse, error) {
-	var m MetricsResponse
-	err := c.do(ctx, http.MethodGet, "/v1/metrics", nil, &m)
-	return m, err
-}
-
 // Events subscribes to the SSE feed and calls onFrame for each frame
 // (event name plus raw JSON payload) until the context ends, the
 // server closes the stream, or onFrame returns false.

@@ -41,9 +41,6 @@ func NewHilbert(dims []int) (*Hilbert, error) {
 // Dims returns the grid shape.
 func (h *Hilbert) Dims() []int { return h.dims }
 
-// Order returns the bits per dimension.
-func (h *Hilbert) Order() int { return h.order }
-
 // KeyBits returns the number of significant bits in a key.
 func (h *Hilbert) KeyBits() int { return h.hier.keyBits }
 

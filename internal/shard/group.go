@@ -222,7 +222,7 @@ type Session struct {
 // operations that target one shard directly: the update layer routes a
 // cell mutation's write ops and chain fetches through the owning
 // shard's member session.
-func (s *Session) Member(i int) engine.QuerySession { return s.es[i] }
+func (s *Session) Member(i int) *engine.Session { return s.es[i] }
 
 // Flush commits every member service's write-back dirty buffer, in
 // shard order. A shard whose flush fails does not strand the others:

@@ -21,9 +21,8 @@ import (
 // Routing is pure address arithmetic — no shared state, safe for any
 // number of goroutines.
 type Router struct {
-	dims  []int
-	cuts  []int // len NumShards+1; cuts[0]=0, cuts[n]=dims[0]
-	align int
+	dims []int
+	cuts []int // len NumShards+1; cuts[0]=0, cuts[n]=dims[0]
 }
 
 // NewRouter partitions a grid of the given side lengths into shards
@@ -53,7 +52,7 @@ func NewRouter(dims []int, shards, align int) (*Router, error) {
 			"shard: %d shards over Dim0 length %d at alignment %d leaves an empty shard (%d slab quanta)",
 			shards, dims[0], align, quanta)
 	}
-	r := &Router{dims: append([]int(nil), dims...), align: align}
+	r := &Router{dims: append([]int(nil), dims...)}
 	r.cuts = make([]int, shards+1)
 	for i := 1; i < shards; i++ {
 		r.cuts[i] = align * (i * quanta / shards)
@@ -67,9 +66,6 @@ func (r *Router) NumShards() int { return len(r.cuts) - 1 }
 
 // Dims returns the global dataset side lengths.
 func (r *Router) Dims() []int { return r.dims }
-
-// Align returns the Dim0 alignment quantum the cuts honour.
-func (r *Router) Align() int { return r.align }
 
 // Slab returns shard i's global Dim0 interval [lo, hi).
 func (r *Router) Slab(i int) (lo, hi int) { return r.cuts[i], r.cuts[i+1] }

@@ -308,20 +308,15 @@ func open(vol *Volume, kind Mapping, dims []int, c config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{vol: vol, dims: append([]int(nil), dims...), maxInflight: c.maxInflight,
-		qosClass: c.qosClass, cfg: c, eo: eo, lat: newLatencyRing()}
 	shardVols := []*Volume{vol}
 	if c.provision != nil {
 		if len(c.provision) != c.shards || c.provision[0] != vol {
 			return nil, fmt.Errorf("multimap: provisioned %d shard volumes for %d shards", len(c.provision), c.shards)
 		}
 		shardVols = c.provision
-		s.extra = append(s.extra, c.provision[1:]...)
 	} else {
 		for i := 1; i < c.shards; i++ {
-			sv := &Volume{v: lvm.NewLike(vol.v)}
-			s.extra = append(s.extra, sv)
-			shardVols = append(shardVols, sv)
+			shardVols = append(shardVols, &Volume{v: lvm.NewLike(vol.v)})
 		}
 	}
 	vols := make([]*lvm.Volume, c.shards)
@@ -330,7 +325,7 @@ func open(vol *Volume, kind Mapping, dims []int, c config) (*Store, error) {
 		vols[i] = sv.v
 		svcs[i] = sv.service()
 	}
-	s.grp, err = shard.Build(vols, svcs, kind, dims, mapping.Options{
+	grp, err := shard.Build(vols, svcs, kind, dims, mapping.Options{
 		DiskIdx: c.diskIdx, CellBlocks: c.cellBlocks,
 	}, eo)
 	if err != nil {
@@ -339,13 +334,34 @@ func open(vol *Volume, kind Mapping, dims []int, c config) (*Store, error) {
 	if err := applyServiceConfig(svcs, c); err != nil {
 		return nil, err
 	}
+	s := newStore(shardVols, grp, c, eo)
 	if c.updatable {
 		if err := s.initUpdatable(c.update); err != nil {
 			return nil, err
 		}
 	}
-	s.def = s.Begin()
 	return s, nil
+}
+
+// newStore assembles a Store over a built shard group (vols[0] is the
+// primary volume). It is the one place a Store's fields are filled in:
+// open and Pool.Clone both go through it, so a field one of them needs
+// cannot be forgotten by the other. The update layer (cells, autoGrow)
+// is the caller's to attach.
+func newStore(vols []*Volume, grp *shard.Group, c config, eo query.ExecOptions) *Store {
+	s := &Store{
+		vol:         vols[0],
+		extra:       vols[1:],
+		grp:         grp,
+		dims:        append([]int(nil), grp.Router().Dims()...),
+		maxInflight: c.maxInflight,
+		qosClass:    c.qosClass,
+		cfg:         c,
+		eo:          eo,
+		lat:         newLatencyRing(),
+	}
+	s.def = s.Begin()
+	return s
 }
 
 // applyServiceConfig overlays the config's service-level knobs (cache,

@@ -422,7 +422,6 @@ type Snapshot struct {
 	snaps  []*pool.Snap
 	cells  []*core.CellStore // frozen chain state; nil for read-only tenants
 	grp    *shard.Group      // parent group at snapshot time (shares Mappers)
-	dims   []int
 	cfg    config
 	eo     query.ExecOptions
 	freed  bool
@@ -447,8 +446,7 @@ func (p *Pool) Snapshot(ctx context.Context, name string) (*Snapshot, error) {
 	if err := t.store.Flush(ctx); err != nil {
 		return nil, err
 	}
-	s := &Snapshot{tenant: name, grp: t.store.grp, dims: t.store.dims,
-		cfg: t.store.cfg, eo: t.store.eo}
+	s := &Snapshot{tenant: name, grp: t.store.grp, cfg: t.store.cfg, eo: t.store.eo}
 	for _, pv := range t.vols {
 		sn, err := pv.Snapshot()
 		if err != nil {
@@ -540,24 +538,13 @@ func (p *Pool) Clone(ctx context.Context, snap *Snapshot, name string) (*Tenant,
 	if err != nil {
 		return fail(err)
 	}
-	st := &Store{
-		vol:         wrapped[0],
-		extra:       wrapped[1:],
-		grp:         grp,
-		dims:        append([]int(nil), snap.dims...),
-		maxInflight: snap.cfg.maxInflight,
-		qosClass:    snap.cfg.qosClass,
-		cfg:         snap.cfg,
-		eo:          snap.eo,
-		lat:         newLatencyRing(),
-	}
+	st := newStore(wrapped, grp, snap.cfg, snap.eo)
 	if snap.cells != nil {
 		st.cells = make([]*core.CellStore, shards)
 		for i, cs := range snap.cells {
 			st.cells[i] = cs.Clone(grp.Member(i).Map.CellVLBN)
 		}
 	}
-	st.def = st.Begin()
 	if p.autoGrow > 0 && st.cells != nil {
 		st.autoGrow = p.autoGrowHook(name)
 	}

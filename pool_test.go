@@ -3,6 +3,7 @@ package multimap
 import (
 	"context"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -488,5 +489,70 @@ func TestPoolAutoGrow(t *testing.T) {
 	// The increment must be positive.
 	if _, err := OpenPool(WithAutoGrow(0)); err == nil {
 		t.Fatal("WithAutoGrow(0) accepted")
+	}
+}
+
+// TestCloneStoreFieldsMatchOpen: a cloned tenant's Store is assembled
+// by the same newStore as an opened one, so no field the open path
+// fills can be missing from a clone (a nil latency ring once was). It
+// reflects over Store: every field non-zero in an opened updatable
+// tenant is non-zero in its clone, and the operations that lean on
+// those fields work on the clone.
+func TestCloneStoreFieldsMatchOpen(t *testing.T) {
+	ctx := context.Background()
+	p, err := OpenPool(WithPoolDrives(MediumTestDisk, MediumTestDisk),
+		WithPoolDepth(32), WithAutoGrow(128))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent, err := p.Create(ctx, "parent", MultiMap, []int{12, 6, 4},
+		WithShards(2), WithMaxInflight(2), WithQoS("gold"), WithCache(4096),
+		Updatable(UpdateOptions{PointsPerBlock: 4, FillFactor: Frac(1)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := []int{1, 2, 3}
+	if _, err := parent.Store().Insert(ctx, cell); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := p.Snapshot(ctx, "parent")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Free()
+	tc, err := p.Clone(ctx, snap, "clone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened, cloned := reflect.ValueOf(parent.Store()).Elem(), reflect.ValueOf(tc.Store()).Elem()
+	for i := 0; i < opened.NumField(); i++ {
+		if name := opened.Type().Field(i).Name; !opened.Field(i).IsZero() && cloned.Field(i).IsZero() {
+			t.Errorf("Store.%s is set by open but zero in a clone", name)
+		}
+	}
+
+	clone := tc.Store()
+	if _, err := clone.FetchCell(ctx, cell); err != nil {
+		t.Fatalf("clone fetch: %v", err)
+	}
+	if m := clone.Metrics(); m.Queries != 1 {
+		t.Fatalf("clone metrics count %d queries after one fetch: %+v", m.Queries, m)
+	}
+	st, err := clone.Insert(ctx, cell)
+	if err != nil {
+		t.Fatalf("clone insert: %v", err)
+	}
+	if st.CowFaultBlocks == 0 {
+		t.Fatalf("first write to a cloned track faulted nothing: %+v", st)
+	}
+	if n, err := clone.Points(cell); err != nil || n != 2 {
+		t.Fatalf("clone holds %d points (err %v), want the parent's 1 plus its own", n, err)
+	}
+	if err := clone.Flush(ctx); err != nil {
+		t.Fatalf("clone flush: %v", err)
+	}
+	clone.Reset()
+	if tot := clone.Metrics().Totals; tot.Batches != 0 || tot.WriteOps != 0 {
+		t.Fatalf("clone service totals not cleared by Reset: %+v", tot)
 	}
 }
