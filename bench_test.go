@@ -1,7 +1,7 @@
 package multimap
 
 // One benchmark per paper artifact (Fig. 1, 6, 7, 8) plus ablations for
-// the design choices DESIGN.md calls out. Benchmarks run the figure
+// the design choices PAPER.md calls out. Benchmarks run the figure
 // drivers at a reduced scale so `go test -bench=.` completes in
 // minutes; `cmd/mmbench` runs them at paper scale.
 //
@@ -152,7 +152,7 @@ func BenchmarkBurstTraffic(b *testing.B) {
 		}
 	}
 	b.ReportMetric(res.Classes[0].MeanSimMs, "sim-ms/op-interactive")
-	b.ReportMetric(float64(res.Coalesced), "coalesced-writes")
+	b.ReportMetric(float64(res.Totals.CoalescedWrites), "coalesced-writes")
 }
 
 func shortName(disk string) string {

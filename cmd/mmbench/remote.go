@@ -36,7 +36,6 @@ type remoteClientRow struct {
 	stats      multimap.Stats // summed per-query simulated stats
 	hostMs     []float64      // per-query host wall latency
 	firstChunk []float64      // per-query first-chunk host latency
-	lifetime   multimap.Stats // session lifetime stats from the daemon
 }
 
 // runRemote drives serve-style load against a running mmserved daemon:
@@ -136,8 +135,8 @@ func runRemote(cfg remoteConfig) error {
 }
 
 // runRemoteClient is one client goroutine: open a session, issue the
-// query mix, close the session, and fold the daemon-reported lifetime
-// stats into the row.
+// query mix, fold each query's stats into the row, and close the session
+// (which flushes its write-back residue).
 func runRemoteClient(ctx context.Context, c *server.Client, cfg remoteConfig, id int, dims []int, queries int, deadlineMs int64) remoteClientRow {
 	row := remoteClientRow{id: id}
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(id)*7919))
@@ -163,7 +162,7 @@ func runRemoteClient(ctx context.Context, c *server.Client, cfg remoteConfig, id
 		lo, hi := randomBox(rng, dims)
 		start := time.Now()
 		first := -1.0
-		tr, err := c.RangeQuery(ctx, cfg.Store, sess, lo, hi, deadlineMs, func(ch server.ChunkWire) {
+		tr, err := c.RangeQuery(ctx, cfg.Store, sess, lo, hi, deadlineMs, func(multimap.RangeChunk) {
 			if first < 0 {
 				first = time.Since(start).Seconds() * 1e3
 			}
@@ -173,14 +172,14 @@ func runRemoteClient(ctx context.Context, c *server.Client, cfg remoteConfig, id
 		if first >= 0 {
 			row.firstChunk = append(row.firstChunk, first)
 		}
-		row.stats.Accumulate(tr.Stats.Stats())
+		row.stats.Accumulate(tr.Stats)
 		if err != nil {
 			row.errs++
 		}
 		row.queries++
 	}
-	if life, err := c.CloseSession(ctx, cfg.Store, sess); err == nil {
-		row.lifetime = life
+	if _, err := c.CloseSession(ctx, cfg.Store, sess); err != nil {
+		row.errs++
 	}
 	return row
 }

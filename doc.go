@@ -319,6 +319,6 @@
 //	stats, _ := store.Beam(context.Background(), 1, []int{10, 0, 42}) // beam along Dim1
 //	fmt.Printf("%.3f ms/cell\n", stats.MsPerCell())
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-versus-measured record of every figure.
+// See PAPER.md for the paper's mechanisms and the system inventory, and
+// CHANGES.md for what each change measured.
 package multimap

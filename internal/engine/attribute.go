@@ -23,24 +23,25 @@ import (
 )
 
 // ServiceTotals is the service loop's own bookkeeping, the ground truth
-// the per-session Stats must add up to.
+// the per-session Stats must add up to. Like Stats, it goes onto the
+// daemon's wire as is: the json tags are the format.
 type ServiceTotals struct {
 	// Batches counts admission batches served; MergedBatches counts
 	// those that coalesced more than one chunk, and MaxBatchChunks is
 	// the largest admission batch seen — direct evidence of how many
 	// queries were in flight together.
-	Batches        int64
-	MergedBatches  int64
-	MaxBatchChunks int
+	Batches        int64 `json:"batches"`
+	MergedBatches  int64 `json:"merged_batches"`
+	MaxBatchChunks int   `json:"max_batch_chunks"`
 	// IssuedRequests counts requests actually sent to the disks after
 	// cross-query coalescing and cache hits.
-	IssuedRequests int64
+	IssuedRequests int64 `json:"issued_requests"`
 	// WriteOps counts write ops served (write-through) or absorbed into
 	// the write-back buffer; InvalidatedBlocks counts cached blocks
 	// their write-aware invalidation dropped (also folded into
 	// Attributed.InvalidatedBlocks).
-	WriteOps          int64
-	InvalidatedBlocks int64
+	WriteOps          int64 `json:"write_ops,omitempty"`
+	InvalidatedBlocks int64 `json:"invalidated_blocks,omitempty"`
 	// FlushBatches counts group commits of the write-back buffer — each
 	// flush issues the whole dirty set as one SPTF batch.
 	// CoalescedWrites counts write ops absorbed into an already-dirty
@@ -49,9 +50,9 @@ type ServiceTotals struct {
 	// cost. DirtyBlocks is the current write-back buffer size in blocks
 	// — a gauge, not a counter; it returns to 0 after every flush. All
 	// three stay zero with write-back off.
-	FlushBatches    int64
-	CoalescedWrites int64
-	DirtyBlocks     int64
+	FlushBatches    int64 `json:"flush_batches,omitempty"`
+	CoalescedWrites int64 `json:"coalesced_writes,omitempty"`
+	DirtyBlocks     int64 `json:"dirty_blocks,omitempty"`
 	// Cancelled and DeadlineExceeded count queued operations dropped
 	// before admission because their context was cancelled or past its
 	// deadline. Dropped ops charge no simulated I/O and contribute
@@ -60,13 +61,13 @@ type ServiceTotals struct {
 	// include drops that never reached the queue (a session aborting
 	// between planner chunks), so summed session counters are an upper
 	// bound on these fields, not an equality.
-	Cancelled        int64
-	DeadlineExceeded int64
+	Cancelled        int64 `json:"cancelled,omitempty"`
+	DeadlineExceeded int64 `json:"deadline_exceeded,omitempty"`
 	// Attributed aggregates exactly what was handed back to sessions:
 	// summing every session's per-query Stats reproduces these fields
 	// (ElapsedMs aside — each chunk of a merged batch observes the full
 	// batch's elapsed time, while Attributed counts it once).
-	Attributed Stats
+	Attributed Stats `json:"attributed"`
 }
 
 // ClassTotals is one QoS class's slice of the service bookkeeping.
@@ -74,20 +75,21 @@ type ServiceTotals struct {
 // field for field — the attribution-sum property, now per class —
 // except ElapsedMs: a batch's elapsed time is observed once per
 // contributing class (like sessions observe it), so summed class
-// ElapsedMs can exceed the service's.
+// ElapsedMs can exceed the service's. The json tags are the daemon's
+// wire format.
 type ClassTotals struct {
 	// Class is the class name ("" is the default class).
-	Class string
+	Class string `json:"class"`
 	// Ops counts work ops (read chunks and writes) served or absorbed
 	// for the class; UrgentOps counts the subset that went through the
 	// strict-priority front; Deferred counts deferral events — an op
 	// held back by DRR for at least one admission pass.
-	Ops       int64
-	UrgentOps int64
-	Deferred  int64
+	Ops       int64 `json:"ops"`
+	UrgentOps int64 `json:"urgent_ops,omitempty"`
+	Deferred  int64 `json:"deferred,omitempty"`
 	// Attributed is the class's share of ServiceTotals.Attributed:
 	// exactly what was handed back to the class's sessions.
-	Attributed Stats
+	Attributed Stats `json:"attributed"`
 }
 
 // opResult is the loop's answer to one op: what the op cost its

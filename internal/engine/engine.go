@@ -34,44 +34,46 @@ import (
 	"repro/internal/lvm"
 )
 
-// Stats summarizes the I/O work of one query.
+// Stats summarizes the I/O work of one query. The json tags are the
+// daemon's wire format (internal/server/wire.go): editing one is a
+// protocol change.
 type Stats struct {
-	Cells      int64   // useful cells fetched (excludes bridged padding)
-	Padding    int64   // padding blocks read and discarded by gap bridging
-	Requests   int     // I/O requests issued after coalescing
-	TotalMs    float64 // summed service time across disks
-	ElapsedMs  float64 // wall-clock time (disks work in parallel)
-	CommandMs  float64
-	SeekMs     float64
-	RotateMs   float64
-	TransferMs float64
+	Cells      int64   `json:"cells"`             // useful cells fetched (excludes bridged padding)
+	Padding    int64   `json:"padding,omitempty"` // padding blocks read and discarded by gap bridging
+	Requests   int     `json:"requests"`          // I/O requests issued after coalescing
+	TotalMs    float64 `json:"total_ms"`          // summed service time across disks
+	ElapsedMs  float64 `json:"elapsed_ms"`        // wall-clock time (disks work in parallel)
+	CommandMs  float64 `json:"command_ms,omitempty"`
+	SeekMs     float64 `json:"seek_ms,omitempty"`
+	RotateMs   float64 `json:"rotate_ms,omitempty"`
+	TransferMs float64 `json:"transfer_ms,omitempty"`
 	// CacheHits counts requests served entirely from the service's
 	// shared extent cache (no disk I/O); CacheMisses counts requests
 	// that reached the disks. Both stay zero when queries run without a
 	// service or with the cache disabled.
-	CacheHits   int64
-	CacheMisses int64
+	CacheHits   int64 `json:"cache_hits,omitempty"`
+	CacheMisses int64 `json:"cache_misses,omitempty"`
 	// Writes counts blocks written through the service's write path
 	// (Session.Write); write I/O requests fold into Requests and their
 	// simulated time into TotalMs/ElapsedMs like reads, while written
 	// blocks stay out of Cells. Note that on a mixed workload MsPerCell
 	// therefore spreads total I/O time — write time included — over the
 	// read cells only.
-	Writes int64
+	Writes int64 `json:"writes,omitempty"`
 	// InvalidatedBlocks counts cached blocks dropped by write-aware
 	// invalidation on behalf of this query's writes.
-	InvalidatedBlocks int64
+	InvalidatedBlocks int64 `json:"invalidated_blocks,omitempty"`
 	// CoalescedWrites counts write ops of this session that the
 	// write-back buffer absorbed into an already-dirty extent
 	// (overlapping or adjacent), so they will share one group-commit
 	// I/O with the writes already buffered there. Zero with write-back
 	// off.
-	CoalescedWrites int64
+	CoalescedWrites int64 `json:"coalesced_writes,omitempty"`
 	// FlushBatches counts group-commit flushes that carried buffered
 	// writes of this session. Like ElapsedMs, a flush shared by several
 	// sessions is observed by each of them, so summed session counters
 	// can exceed the service's own ServiceTotals.FlushBatches.
-	FlushBatches int64
+	FlushBatches int64 `json:"flush_batches,omitempty"`
 	// Cancelled and DeadlineExceeded count this query's operations
 	// (plan chunks or write ops) dropped because their context was
 	// cancelled or had passed its deadline — either by the service
@@ -80,8 +82,8 @@ type Stats struct {
 	// are never issued to the disks and charge no simulated I/O, so
 	// everything else in a partial Stats still sums to
 	// ServiceTotals.Attributed for the work that WAS issued.
-	Cancelled        int64
-	DeadlineExceeded int64
+	Cancelled        int64 `json:"cancelled,omitempty"`
+	DeadlineExceeded int64 `json:"deadline_exceeded,omitempty"`
 	// CowFaultBlocks counts blocks this query's writes faulted out of
 	// shared copy-on-write extents: each first write to a frozen track
 	// (snapshotted parent, or clone) reads the track at its shared
@@ -89,15 +91,23 @@ type Stats struct {
 	// own I/O. The fault copy's blocks also land in Writes and its I/O
 	// time in the usual cost fields, attributed to the writing session.
 	// Zero on volumes never snapshotted or cloned.
-	CowFaultBlocks int64
+	CowFaultBlocks int64 `json:"cow_fault_blocks,omitempty"`
 	// Partial marks a speculative partial result: the query's context
 	// expired (or was cancelled) mid-plan, and these Stats carry the
 	// cells already aggregated rather than the full box — returned
 	// alongside the context error instead of discarding the work. Folded
 	// with OR by Accumulate, so a session's lifetime totals record
 	// whether any query returned partial data.
-	Partial bool
+	Partial bool `json:"partial,omitempty"`
 }
+
+// Stats returns s. It exists only for bench/, which a PR outside it may
+// not edit and which still calls a Stats() conversion on the Stats
+// values it decodes from the wire (server.StatsWire is an alias of this
+// type). Nothing else may call it; the [benchmark] PR that decodes into
+// the benchmark's own types deletes it together with the server's
+// *Wire alias names.
+func (s Stats) Stats() Stats { return s }
 
 // MsPerCell returns the paper's headline metric: average I/O time per
 // cell, including initial positioning (§5.3).

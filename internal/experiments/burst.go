@@ -61,10 +61,11 @@ type BurstResult struct {
 	// over total ops) — the admission hot path's allocation trajectory.
 	// Host-side noise (GC bookkeeping, other goroutines) is included, so
 	// read it as a trend line, not an exact -benchmem figure.
-	AllocsPerOp  float64
-	FlushBatches int64
-	Coalesced    int64
-	Classes      []BurstClass
+	AllocsPerOp float64
+	// Totals folds the shard services' totals; the table's title reads
+	// its group-commit and coalescing counters.
+	Totals  engine.ServiceTotals
+	Classes []BurstClass
 }
 
 // burstQoSClasses is the class registry a QoS-on burst run uses: the
@@ -225,8 +226,7 @@ func BurstTraffic(cfg Config) (*Table, *BurstResult, error) {
 		res.AllocsPerOp = float64(memAfter.Mallocs-memBefore.Mallocs) / float64(totalOps)
 	}
 	for _, tot := range rig.grp.ServiceTotals() {
-		res.FlushBatches += tot.FlushBatches
-		res.Coalesced += tot.CoalescedWrites
+		res.Totals.Accumulate(tot)
 	}
 	deferredBy := map[string]int64{}
 	for _, ct := range rig.grp.ClassTotals() {
@@ -273,7 +273,7 @@ func BurstTraffic(cfg Config) (*Table, *BurstResult, error) {
 	t := &Table{
 		ID: "burst",
 		Title: fmt.Sprintf("Closed-loop burst traffic on %s, %v cells, write-back %s, QoS %s, %d flushes, %d coalesced; %.2fs wall, %.0f allocs/op at GOMAXPROCS=%d",
-			g.Name, dims, wbMode, qosMode, res.FlushBatches, res.Coalesced,
+			g.Name, dims, wbMode, qosMode, res.Totals.FlushBatches, res.Totals.CoalescedWrites,
 			res.WallSeconds, res.AllocsPerOp, res.GOMAXPROCS),
 		Header: []string{"class", "weight", "clients", "ops", "p50 ms", "p99 ms", "p999 ms", "sim ms/op", "deferred"},
 	}

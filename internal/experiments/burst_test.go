@@ -58,7 +58,7 @@ func TestBurstTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkBurst(t, plain)
-	if plain.FlushBatches != 0 || plain.Coalesced != 0 {
+	if plain.Totals.FlushBatches != 0 || plain.Totals.CoalescedWrites != 0 {
 		t.Fatalf("write-back evidence in a write-through run: %+v", plain)
 	}
 	if !strings.Contains(tb.String(), "p999 ms") {
@@ -74,7 +74,7 @@ func TestBurstTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkBurst(t, wb)
-	if wb.Coalesced == 0 || wb.FlushBatches == 0 {
+	if wb.Totals.CoalescedWrites == 0 || wb.Totals.FlushBatches == 0 {
 		t.Fatalf("write-back run shows no group commit: %+v", wb)
 	}
 

@@ -41,26 +41,21 @@ type ServeResult map[string][]ServeRun
 // ServeRun summarizes one service-throughput run (one drive model, one
 // shard count).
 type ServeRun struct {
-	Shards         int
-	Clients        int
-	Queries        int     // total completed queries (writes included)
-	WallSeconds    float64 // host wall-clock time
-	QueriesPerSec  float64
-	MsPerCell      float64 // aggregate simulated ms per cell
-	MeanQueryMs    float64 // mean simulated TotalMs per query
-	HitRate        float64 // cache hits / (hits + misses); 0 with cache off
-	MaxBatchChunks int     // largest admission batch on any shard
-	MergedBatches  int64
-	IssuedRequests int64
-	WriteOps       int64 // write ops served by the service loops
-	BlocksWritten  int64
-	Invalidated    int64                  // cached blocks dropped by write invalidation
-	Flushes        int64                  // write-back group commits across the shards
-	Coalesced      int64                  // write ops absorbed into already-dirty extents
-	Cancelled      int64                  // ops dropped before admission on cancelled contexts
-	Expired        int64                  // ops dropped before admission on passed deadlines
-	PerSession     []engine.Stats         // lifetime stats of each client session
-	PerShard       []engine.ServiceTotals // each shard service's own totals
+	Shards        int
+	Clients       int
+	Queries       int     // total completed queries (writes included)
+	WallSeconds   float64 // host wall-clock time
+	QueriesPerSec float64
+	MsPerCell     float64 // aggregate simulated ms per cell
+	MeanQueryMs   float64 // mean simulated TotalMs per query
+	HitRate       float64 // cache hits / (hits + misses); 0 with cache off
+	BlocksWritten int64
+	// Totals folds the shard services' own totals (PerShard) the way
+	// Store.Metrics does: counters summed, MaxBatchChunks the largest
+	// admission batch on any shard.
+	Totals     engine.ServiceTotals
+	PerSession []engine.Stats         // lifetime stats of each client session
+	PerShard   []engine.ServiceTotals // each shard service's own totals
 	// The deadline (QoS) session — client 0 when cfg.Deadline > 0:
 	// how many of its queries completed inside the deadline vs.
 	// expired, and the mean simulated elapsed ms it observed per
@@ -137,11 +132,11 @@ func ServiceThroughput(cfg Config) (*Table, ServeResult, error) {
 				g.Name, fmt.Sprint(run.Shards), fmt.Sprint(run.Clients), fmt.Sprint(run.Queries),
 				fmt.Sprintf("%.1f", run.QueriesPerSec), f3(run.MsPerCell),
 				fmt.Sprintf("%.1f", run.MeanQueryMs), fmt.Sprintf("%.2f", run.HitRate),
-				fmt.Sprint(run.MaxBatchChunks), fmt.Sprint(run.MergedBatches),
-				fmt.Sprint(run.IssuedRequests), fmt.Sprint(run.BlocksWritten),
-				fmt.Sprint(run.Invalidated),
-				fmt.Sprint(run.Flushes), fmt.Sprint(run.Coalesced),
-				fmt.Sprint(run.Cancelled), fmt.Sprint(run.Expired), dl,
+				fmt.Sprint(run.Totals.MaxBatchChunks), fmt.Sprint(run.Totals.MergedBatches),
+				fmt.Sprint(run.Totals.IssuedRequests), fmt.Sprint(run.BlocksWritten),
+				fmt.Sprint(run.Totals.InvalidatedBlocks),
+				fmt.Sprint(run.Totals.FlushBatches), fmt.Sprint(run.Totals.CoalescedWrites),
+				fmt.Sprint(run.Totals.Cancelled), fmt.Sprint(run.Totals.DeadlineExceeded), dl,
 			})
 		}
 	}
@@ -333,17 +328,7 @@ func serveOneDisk(cfg Config, g *disk.Geometry, grid *dataset.Grid, dims []int, 
 		run.HitRate = float64(sum.CacheHits) / float64(lookups)
 	}
 	for _, tot := range run.PerShard {
-		if tot.MaxBatchChunks > run.MaxBatchChunks {
-			run.MaxBatchChunks = tot.MaxBatchChunks
-		}
-		run.MergedBatches += tot.MergedBatches
-		run.IssuedRequests += tot.IssuedRequests
-		run.WriteOps += tot.WriteOps
-		run.Invalidated += tot.InvalidatedBlocks
-		run.Flushes += tot.FlushBatches
-		run.Coalesced += tot.CoalescedWrites
-		run.Cancelled += tot.Cancelled
-		run.Expired += tot.DeadlineExceeded
+		run.Totals.Accumulate(tot)
 	}
 	run.BlocksWritten = sum.Writes
 	return run, nil

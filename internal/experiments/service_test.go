@@ -48,8 +48,8 @@ func TestServiceThroughput(t *testing.T) {
 	for _, st := range res.PerSession {
 		cells += st.Cells
 	}
-	if cells != attributedCells(res) {
-		t.Fatalf("session cells %d != attributed %d", cells, attributedCells(res))
+	if cells != res.Totals.Attributed.Cells {
+		t.Fatalf("session cells %d != attributed %d", cells, res.Totals.Attributed.Cells)
 	}
 	if !strings.Contains(tb.String(), "q/s") {
 		t.Fatalf("table missing throughput column:\n%s", tb)
@@ -64,9 +64,9 @@ func TestServiceThroughput(t *testing.T) {
 	if warm.HitRate <= 0 || warm.HitRate > 1 {
 		t.Fatalf("hot-region workload should hit the cache: %+v", warm)
 	}
-	if warm.IssuedRequests >= res.IssuedRequests {
+	if warm.Totals.IssuedRequests >= res.Totals.IssuedRequests {
 		t.Fatalf("cache did not reduce issued requests: %d vs %d",
-			warm.IssuedRequests, res.IssuedRequests)
+			warm.Totals.IssuedRequests, res.Totals.IssuedRequests)
 	}
 
 	bad := cfg
@@ -103,10 +103,10 @@ func TestServiceThroughputWithWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	mixed := mixedByDisk[atlas][0]
-	if mixed.WriteOps == 0 || mixed.BlocksWritten == 0 {
+	if mixed.Totals.WriteOps == 0 || mixed.BlocksWritten == 0 {
 		t.Fatalf("write fraction 0.3 produced no write ops: %+v", mixed)
 	}
-	if mixed.Invalidated == 0 {
+	if mixed.Totals.InvalidatedBlocks == 0 {
 		t.Fatalf("hot-region writes invalidated nothing: %+v", mixed)
 	}
 	if mixed.HitRate >= ro.HitRate {
@@ -126,15 +126,6 @@ func TestServiceThroughputWithWrites(t *testing.T) {
 	if !strings.Contains(tb.String(), "inval blk") {
 		t.Fatalf("table missing invalidation column:\n%s", tb)
 	}
-}
-
-// attributedCells sums the attributed cell counts over a run's shards.
-func attributedCells(r ServeRun) int64 {
-	var n int64
-	for _, tot := range r.PerShard {
-		n += tot.Attributed.Cells
-	}
-	return n
 }
 
 // TestServiceThroughputSharded runs the scaling ladder at up to 4

@@ -213,7 +213,7 @@ func TestOLAPQueryOrderingMatchesFig8(t *testing.T) {
 	// Q5 (4-D range): MultiMap best, and clearly ahead of Hilbert and
 	// Naive. (Our Z-order's very fine fragmentation suffers rotational
 	// near-misses under command overhead, so unlike the paper it can
-	// fall behind Naive here; see EXPERIMENTS.md.)
+	// fall behind Naive here.)
 	q5 := perCell["Q5"]
 	if q5["MultiMap"] >= q5["Naive"] || q5["MultiMap"] >= q5["Z-order"] || q5["MultiMap"] >= q5["Hilbert"] {
 		t.Errorf("Q5 ordering wrong: %v", q5)

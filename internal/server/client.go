@@ -13,27 +13,6 @@ import (
 	multimap "repro"
 )
 
-// Stats converts a wire Stats back to the library's Stats, so remote
-// callers (mmbench -remote) aggregate and report exactly like embedded
-// ones.
-func (w StatsWire) Stats() multimap.Stats {
-	return multimap.Stats{
-		Cells: w.Cells, Padding: w.Padding, Requests: w.Requests,
-		TotalMs: w.TotalMs, ElapsedMs: w.ElapsedMs,
-		CommandMs: w.CommandMs, SeekMs: w.SeekMs,
-		RotateMs: w.RotateMs, TransferMs: w.TransferMs,
-		CacheHits: w.CacheHits, CacheMisses: w.CacheMisses,
-		Writes:            w.Writes,
-		InvalidatedBlocks: w.InvalidatedBlocks,
-		CoalescedWrites:   w.CoalescedWrites,
-		FlushBatches:      w.FlushBatches,
-		Cancelled:         w.Cancelled,
-		DeadlineExceeded:  w.DeadlineExceeded,
-		CowFaultBlocks:    w.CowFaultBlocks,
-		Partial:           w.Partial,
-	}
-}
-
 // Client speaks the daemon's wire protocol. The zero HTTPClient means
 // http.DefaultClient; Base accepts "host:port" or a full http:// URL.
 type Client struct {
@@ -138,14 +117,14 @@ func (c *Client) Begin(ctx context.Context, store, class string) (string, error)
 func (c *Client) CloseSession(ctx context.Context, store, session string) (multimap.Stats, error) {
 	var info SessionInfo
 	err := c.do(ctx, http.MethodDelete, "/v1/stores/"+store+"/sessions/"+session, nil, &info)
-	return info.Stats.Stats(), err
+	return info.Stats, err
 }
 
 // SessionStats fetches a session's lifetime stats without closing it.
 func (c *Client) SessionStats(ctx context.Context, store, session string) (multimap.Stats, error) {
 	var info SessionInfo
 	err := c.do(ctx, http.MethodGet, "/v1/stores/"+store+"/sessions/"+session, nil, &info)
-	return info.Stats.Stats(), err
+	return info.Stats, err
 }
 
 // deadlineSuffix renders the wire deadline for an operation URL.
@@ -164,11 +143,10 @@ func (c *Client) op(ctx context.Context, store, session, op string, deadlineMs i
 	if err := c.do(ctx, http.MethodPost, path, in, &resp); err != nil {
 		return multimap.Stats{}, err
 	}
-	st := resp.Stats.Stats()
 	if resp.Error != "" {
-		return st, fmt.Errorf("%s", resp.Error)
+		return resp.Stats, fmt.Errorf("%s", resp.Error)
 	}
-	return st, nil
+	return resp.Stats, nil
 }
 
 // Beam runs a beam query on a wire session. deadlineMs <= 0 means no
@@ -203,7 +181,7 @@ func (c *Client) Flush(ctx context.Context, store, session string) error {
 // daemon. The returned trailer carries the aggregate Stats, the
 // session's lifetime Stats, and per-class totals; a query error is
 // surfaced as the error return after any partial chunks.
-func (c *Client) RangeQuery(ctx context.Context, store, session string, lo, hi []int, deadlineMs int64, onChunk func(ChunkWire)) (RangeTrailer, error) {
+func (c *Client) RangeQuery(ctx context.Context, store, session string, lo, hi []int, deadlineMs int64, onChunk func(multimap.RangeChunk)) (RangeTrailer, error) {
 	data, err := json.Marshal(RangeRequest{Lo: lo, Hi: hi})
 	if err != nil {
 		return RangeTrailer{}, err
@@ -253,8 +231,8 @@ func (c *Client) RangeQuery(ctx context.Context, store, session string, lo, hi [
 }
 
 // Metrics fetches one store's metrics snapshot.
-func (c *Client) Metrics(ctx context.Context, store string) (MetricsWire, error) {
-	var m MetricsWire
+func (c *Client) Metrics(ctx context.Context, store string) (multimap.Metrics, error) {
+	var m multimap.Metrics
 	err := c.do(ctx, http.MethodGet, "/v1/stores/"+store+"/metrics", nil, &m)
 	return m, err
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -72,7 +71,7 @@ const defaultMetricsInterval = time.Second
 //	event: metrics — a MetricsResponse snapshot of every open store
 //	  (queue depths, admission batch sizes, cache hit rate, flush
 //	  counters, latency percentiles), sent immediately on connect and
-//	  then every interval_ms (default 1000, min 10).
+//	  then every interval_ms (default 1000, min 10, max 3600000).
 //	event: lifecycle — an Event for each store/pool/session open and
 //	  close, sent as it happens.
 //
@@ -86,15 +85,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	interval := defaultMetricsInterval
 	if raw := r.URL.Query().Get("interval_ms"); raw != "" {
-		ms, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil || ms <= 0 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid interval_ms %q", raw))
+		d, err := parseWireMs("interval_ms", raw)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		if ms < 10 {
-			ms = 10
-		}
-		interval = time.Duration(ms) * time.Millisecond
+		interval = max(d, 10*time.Millisecond)
 	}
 
 	id, ch := s.events.subscribe()

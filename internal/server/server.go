@@ -345,10 +345,23 @@ func DecodeStrict(r io.Reader, req any) error {
 	return nil
 }
 
+// maxBodyBytes bounds every request body: the largest legitimate one
+// is an open request with a few class names.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the request's body strictly into req, reading at
+// most maxBodyBytes of it; on failure it answers 400 and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, req any) bool {
+	if err := DecodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), req); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return false
+	}
+	return true
+}
+
 func (s *Server) handleOpenStore(w http.ResponseWriter, r *http.Request) {
 	var req OpenStoreRequest
-	if err := DecodeStrict(r.Body, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	info, err := s.OpenStore(r.Context(), req)
@@ -404,13 +417,12 @@ func (s *Server) handleStoreMetrics(w http.ResponseWriter, r *http.Request) {
 	if se == nil {
 		return
 	}
-	writeJSON(w, http.StatusOK, metricsWire(se.store.Metrics()))
+	writeJSON(w, http.StatusOK, se.store.Metrics())
 }
 
 func (s *Server) handleOpenPool(w http.ResponseWriter, r *http.Request) {
 	var req OpenPoolRequest
-	if err := DecodeStrict(r.Body, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Name == "" {
@@ -447,19 +459,11 @@ func (s *Server) handleOpenPool(w http.ResponseWriter, r *http.Request) {
 }
 
 func poolInfo(name string, p *multimap.Pool) PoolInfo {
-	info := PoolInfo{Name: name, Tenants: []string{}}
+	info := PoolInfo{Name: name, Tenants: []string{}, Usage: p.Usage()}
 	for _, t := range p.Tenants() {
 		info.Tenants = append(info.Tenants, t.Name)
 	}
 	sort.Strings(info.Tenants)
-	for _, u := range p.Usage() {
-		info.Usage = append(info.Usage, PoolDriveWire{
-			Name:            u.Name,
-			TotalBlocks:     u.TotalBlocks,
-			FreeBlocks:      u.FreeBlocks,
-			AutoGrownBlocks: u.AutoGrownBlocks,
-		})
-	}
 	return info
 }
 
@@ -490,11 +494,8 @@ func (s *Server) handleBeginSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BeginSessionRequest
-	if r.ContentLength != 0 {
-		if err := DecodeStrict(r.Body, &req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
+	if r.ContentLength != 0 && !decodeBody(w, r, &req) {
+		return
 	}
 	var sess *multimap.Session
 	if req.Class != "" {
@@ -517,7 +518,7 @@ func (s *Server) sessionInfo(se *storeEntry, e *sessionEntry) SessionInfo {
 		Session: e.id,
 		Store:   se.name,
 		Class:   e.class,
-		Stats:   statsWire(e.sess.Stats()),
+		Stats:   e.sess.Stats(),
 	}
 }
 
@@ -586,11 +587,8 @@ func opHandler[Req any](s *Server, op func(context.Context, *multimap.Session, R
 			return
 		}
 		var req Req
-		if r.ContentLength != 0 {
-			if err := DecodeStrict(io.LimitReader(r.Body, 1<<20), &req); err != nil {
-				writeErr(w, http.StatusBadRequest, err)
-				return
-			}
+		if r.ContentLength != 0 && !decodeBody(w, r, &req) {
+			return
 		}
 		ctx, cancel, err := wireContext(r)
 		if err != nil {
@@ -601,7 +599,7 @@ func opHandler[Req any](s *Server, op func(context.Context, *multimap.Session, R
 		e.opMu.RLock()
 		st, opErr := op(ctx, e.sess, req)
 		e.opMu.RUnlock()
-		resp := StatsResponse{Stats: statsWire(st)}
+		resp := StatsResponse{Stats: st}
 		if opErr != nil {
 			resp.Error = opErr.Error()
 		}
@@ -642,9 +640,9 @@ func (s *Server) metricsSnapshot() MetricsResponse {
 		entries[name] = se
 	}
 	s.mu.Unlock()
-	resp := MetricsResponse{Stores: make(map[string]MetricsWire, len(entries))}
+	resp := MetricsResponse{Stores: make(map[string]multimap.Metrics, len(entries))}
 	for name, se := range entries {
-		resp.Stores[name] = metricsWire(se.store.Metrics())
+		resp.Stores[name] = se.store.Metrics()
 	}
 	return resp
 }

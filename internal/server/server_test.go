@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -96,7 +97,7 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 
 	chunks := 0
-	tr, err := c.RangeQuery(ctx, "life", sess, []int{0, 0, 0}, []int{8, 8, 8}, 0, func(ChunkWire) { chunks++ })
+	tr, err := c.RangeQuery(ctx, "life", sess, []int{0, 0, 0}, []int{8, 8, 8}, 0, func(multimap.RangeChunk) { chunks++ })
 	if err != nil {
 		t.Fatalf("range: %v", err)
 	}
@@ -110,8 +111,8 @@ func TestDaemonLifecycle(t *testing.T) {
 	// aggregate (floats via the same additions, so exact equality on
 	// counters suffices here).
 	var sum multimap.Stats
-	_, err = c.RangeQuery(ctx, "life", sess, []int{0, 0, 0}, []int{8, 8, 8}, 0, func(ch ChunkWire) {
-		sum.Accumulate(ch.Stats.Stats())
+	_, err = c.RangeQuery(ctx, "life", sess, []int{0, 0, 0}, []int{8, 8, 8}, 0, func(ch multimap.RangeChunk) {
+		sum.Accumulate(ch.Stats)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -611,6 +612,87 @@ func TestOpenRejectsUnknownFields(t *testing.T) {
 	}
 	if len(stores) != 1 || stores[0].Sessions != 1 {
 		t.Fatalf("rejected requests left stores or sessions behind: %+v", stores)
+	}
+}
+
+// hostile serves one request straight through the handler — no socket,
+// so a handler panic fails the test instead of being recovered and
+// logged by net/http — and returns the status and the error body.
+func hostile(t *testing.T, srv *Server, method, target string, body io.Reader) (int, string) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(method, target, body))
+	var er ErrorResponse
+	if rec.Code/100 != 2 {
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
+			t.Errorf("%s %s: status %d with body %q, not an ErrorResponse", method, target, rec.Code, rec.Body)
+		}
+	}
+	return rec.Code, er.Error
+}
+
+// TestOversizedWireMs: a millisecond parameter large enough to overflow
+// its conversion to a Duration is refused with 400 — interval_ms used
+// to panic time.NewTicker with the negative result, deadline_ms to wrap
+// into a deadline already past — and the ceiling itself is accepted.
+func TestOversizedWireMs(t *testing.T) {
+	srv, ts, c := startDaemon(t, testSpec("ms"))
+	defer ts.Close()
+	defer srv.Close(context.Background())
+	sess, err := c.Begin(context.Background(), "ms", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	beam := "/v1/stores/ms/sessions/" + sess + "/beam?deadline_ms="
+	for _, tc := range []struct{ method, target, body, param string }{
+		{"GET", "/v1/events?interval_ms=9223372036855", "", "interval_ms"},
+		{"GET", "/v1/events?interval_ms=3600001", "", "interval_ms"},
+		{"POST", beam + "9223372036855", `{"dim":0,"fixed":[0,1,1]}`, "deadline_ms"},
+		{"POST", "/v1/stores/ms/sessions/" + sess + "/range?deadline_ms=3600001", `{"lo":[0,0,0],"hi":[2,2,2]}`, "deadline_ms"},
+	} {
+		code, msg := hostile(t, srv, tc.method, tc.target, strings.NewReader(tc.body))
+		if code != http.StatusBadRequest || !strings.Contains(msg, tc.param) {
+			t.Errorf("%s: status %d, error %q; want 400 naming %s", tc.target, code, msg, tc.param)
+		}
+	}
+	if code, msg := hostile(t, srv, "POST", beam+"3600000", strings.NewReader(`{"dim":0,"fixed":[0,1,1]}`)); code != http.StatusOK {
+		t.Errorf("deadline_ms at the ceiling: status %d, error %q", code, msg)
+	}
+}
+
+// TestOversizedBodies: every route that decodes a body stops reading at
+// maxBodyBytes. The bodies here are valid requests behind 2 MiB of
+// whitespace, so a handler that reads them whole would act on them.
+func TestOversizedBodies(t *testing.T) {
+	srv, ts, c := startDaemon(t, testSpec("big"))
+	defer ts.Close()
+	defer srv.Close(context.Background())
+	ctx := context.Background()
+	sess, err := c.Begin(ctx, "big", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := strings.Repeat(" ", 2<<20)
+	for _, tc := range []struct{ target, body string }{
+		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4]}`},
+		{"/v1/pools", `{"name":"p","drives":["mediumtest"],"adj_depth":32}`},
+		{"/v1/stores/big/sessions", `{"class":"interactive"}`},
+		{"/v1/stores/big/sessions/" + sess + "/beam", `{"dim":0,"fixed":[0,1,1]}`},
+		{"/v1/stores/big/sessions/" + sess + "/range", `{"lo":[0,0,0],"hi":[2,2,2]}`},
+	} {
+		if code, msg := hostile(t, srv, "POST", tc.target, strings.NewReader(pad+tc.body)); code/100 != 4 {
+			t.Errorf("%s with a 2 MiB body: status %d, error %q; want 4xx", tc.target, code, msg)
+		}
+	}
+	if st, err := c.Beam(ctx, "big", sess, 0, []int{0, 1, 1}, 0); err != nil || st.Cells == 0 {
+		t.Errorf("store unusable after the oversized bodies: %+v, %v", st, err)
+	}
+	stores, err := c.Stores(ctx)
+	srv.mu.Lock()
+	pools := len(srv.pools)
+	srv.mu.Unlock()
+	if err != nil || len(stores) != 1 || stores[0].Sessions != 1 || pools != 0 {
+		t.Errorf("oversized requests were acted on: stores %+v, %d pools, %v", stores, pools, err)
 	}
 }
 

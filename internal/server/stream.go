@@ -11,6 +11,20 @@ import (
 	multimap "repro"
 )
 
+// maxWireMs is the ceiling on deadline_ms and interval_ms: an hour is
+// beyond any use of either, and a value near MaxInt64 would overflow
+// the conversion to a Duration into a negative one.
+const maxWireMs = 3_600_000
+
+// parseWireMs reads a millisecond parameter in 1..maxWireMs.
+func parseWireMs(name, raw string) (time.Duration, error) {
+	ms, err := strconv.ParseInt(raw, 10, 64)
+	if err != nil || ms <= 0 || ms > maxWireMs {
+		return 0, fmt.Errorf("invalid %s %q: want 1..%d", name, raw, maxWireMs)
+	}
+	return time.Duration(ms) * time.Millisecond, nil
+}
+
 // wireContext derives the operation context from the wire: the base is
 // the request's own context, so a client disconnect cancels the
 // operation (the engine drops its queued chunks and counts them in
@@ -27,11 +41,11 @@ func wireContext(r *http.Request) (context.Context, context.CancelFunc, error) {
 		ctx, cancel := context.WithCancel(r.Context())
 		return ctx, cancel, nil
 	}
-	ms, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil || ms <= 0 {
-		return nil, nil, fmt.Errorf("invalid deadline_ms %q", raw)
+	d, err := parseWireMs("deadline_ms", raw)
+	if err != nil {
+		return nil, nil, err
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), time.Duration(ms)*time.Millisecond)
+	ctx, cancel := context.WithTimeout(r.Context(), d)
 	return ctx, cancel, nil
 }
 
@@ -48,8 +62,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RangeRequest
-	if err := DecodeStrict(r.Body, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	ctx, cancel, err := wireContext(r)
@@ -67,8 +80,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 
 	chunks := 0
 	onChunk := func(c multimap.RangeChunk) {
-		line := StreamLine{Chunk: &ChunkWire{Seq: c.Seq, Shard: c.Shard, Stats: statsWire(c.Stats)}}
-		_ = enc.Encode(line)
+		_ = enc.Encode(StreamLine{Chunk: &c})
 		if fl != nil {
 			fl.Flush()
 		}
@@ -81,10 +93,10 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	e.opMu.RLock()
 	st, qerr := e.sess.RangeQueryStream(ctx, req.Lo, req.Hi, onChunk)
 	trailer := RangeTrailer{
-		Stats:        statsWire(st),
+		Stats:        st,
 		Chunks:       chunks,
-		SessionStats: statsWire(e.sess.Stats()),
-		Classes:      classWire(se.store.ClassTotals()),
+		SessionStats: e.sess.Stats(),
+		Classes:      se.store.ClassTotals(),
 	}
 	e.opMu.RUnlock()
 	if qerr != nil {

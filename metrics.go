@@ -9,14 +9,14 @@ import (
 // ServiceMetrics is one shard service's slice of a Metrics snapshot.
 type ServiceMetrics struct {
 	// Shard is the service's shard index (0 on an unsharded store).
-	Shard int
+	Shard int `json:"shard"`
 	// QueueDepth is the admission backlog: operations queued at the
 	// service loop awaiting admission at snapshot time (a gauge).
-	QueueDepth int
+	QueueDepth int `json:"queue_depth"`
 	// Totals is the service's lifetime bookkeeping — admission batches,
 	// merged-batch and max-batch evidence, issued requests, write and
 	// flush counters, and the attributed Stats ground truth.
-	Totals ServiceTotals
+	Totals ServiceTotals `json:"totals"`
 }
 
 // Metrics is a lock-cheap point-in-time snapshot of a store's serving
@@ -26,27 +26,27 @@ type ServiceMetrics struct {
 // the services already maintain, plus a sort of the retained latency
 // window.
 type Metrics struct {
-	// Shards holds one entry per shard service, in shard order.
-	Shards []ServiceMetrics
-	// Totals sums the per-shard service totals (MaxBatchChunks takes
-	// the maximum; Attributed accumulates).
-	Totals ServiceTotals
-	// Classes is the per-QoS-class bookkeeping merged across shards and
-	// sorted by class name (see Store.ClassTotals).
-	Classes []ClassTotals
 	// QueueDepth sums the per-shard admission backlogs.
-	QueueDepth int
+	QueueDepth int `json:"queue_depth"`
 	// CacheHitRate is hits/(hits+misses) over the summed attributed
 	// cache counters, 0 when no cache-eligible request has been served.
-	CacheHitRate float64
+	CacheHitRate float64 `json:"cache_hit_rate"`
 	// Queries counts completed queries (Beam, RangeQuery, FetchCell —
 	// streamed or not) recorded by the store's latency ring.
-	Queries int64
+	Queries int64 `json:"queries"`
 	// LatencyP50Ms and LatencyP99Ms are host-latency percentiles over
 	// the last completed queries (the ring retains the most recent
 	// window; zero until the first query completes).
-	LatencyP50Ms float64
-	LatencyP99Ms float64
+	LatencyP50Ms float64 `json:"latency_p50_ms"`
+	LatencyP99Ms float64 `json:"latency_p99_ms"`
+	// Totals sums the per-shard service totals (MaxBatchChunks takes
+	// the maximum; Attributed accumulates).
+	Totals ServiceTotals `json:"totals"`
+	// Shards holds one entry per shard service, in shard order.
+	Shards []ServiceMetrics `json:"shards"`
+	// Classes is the per-QoS-class bookkeeping merged across shards and
+	// sorted by class name (see Store.ClassTotals).
+	Classes []ClassTotals `json:"classes,omitempty"`
 }
 
 // Metrics snapshots the store's serving state: per-service queue depth

@@ -478,9 +478,9 @@ func (q *Session) RangeQuery(ctx context.Context, lo, hi []int) (Stats, error) {
 // shard that served it, and its 0-based delivery sequence within the
 // query.
 type RangeChunk struct {
-	Seq   int
-	Shard int
-	Stats Stats
+	Seq   int   `json:"seq"`
+	Shard int   `json:"shard"`
+	Stats Stats `json:"stats"`
 }
 
 // RangeQueryStream runs the box [lo, hi) like RangeQuery while

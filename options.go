@@ -7,10 +7,8 @@ import (
 	"repro/internal/engine"
 )
 
-// Option configures Open. Options replace the old StoreOptions /
-// UpdateOptions / ServiceOptions struct triplet with one composable
-// list; every knob validates when Open applies it, so a bad value
-// fails the open instead of being silently clamped.
+// Option configures Open. Every knob validates when Open applies it,
+// so a bad value fails the open instead of being silently clamped.
 type Option func(*config) error
 
 // config is the resolved option set behind Open. svc holds the

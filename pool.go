@@ -173,14 +173,14 @@ func (p *Pool) Tenants() []TenantInfo {
 
 // DriveUsage is one pool drive's space accounting.
 type DriveUsage struct {
-	Name        string // drive model name
-	TotalBlocks int64
-	FreeBlocks  int64
+	Name        string `json:"name"` // drive model name
+	TotalBlocks int64  `json:"total_blocks"`
+	FreeBlocks  int64  `json:"free_blocks"`
 	// AutoGrownBlocks is how many of the drive's allocated blocks came
 	// from WithAutoGrow growths rather than explicit Create/Grow calls —
 	// the thin-provisioning drift auto-grow introduced. Always 0 without
 	// WithAutoGrow.
-	AutoGrownBlocks int64
+	AutoGrownBlocks int64 `json:"auto_grown_blocks,omitempty"`
 }
 
 // Usage returns per-drive space accounting, in drive index order.
