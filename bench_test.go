@@ -9,6 +9,7 @@ package multimap
 // (ms/cell, speedup) so the bench output doubles as a results table.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -232,7 +233,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 				rand.New(rand.NewSource(3)).Shuffle(len(reqs), func(i, j int) {
 					reqs[i], reqs[j] = reqs[j], reqs[i]
 				})
-				st, err := engine.Execute(v, reqs, policy)
+				st, err := engine.OnVolume(v).RunPlan(context.Background(), engine.Static(reqs, policy), engine.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

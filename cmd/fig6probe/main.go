@@ -2,18 +2,18 @@
 // Figure-6 configurations (beams and ranges on the synthetic 3-D grid)
 // so two builds can be diffed value by value.
 //
-// Args: "small" shrinks the grid to 64³ (seconds instead of minutes);
-// "serve" routes every query through a single session of the
-// concurrent query service instead of the synchronous engine — diffing
-// the two modes is the service's single-session equivalence evidence;
-// "shard" routes every query through a single-shard scatter-gather
-// session instead — diffing against the plain mode is the shard
-// layer's single-shard equivalence evidence.
+// Args: "small" shrinks the grid to 64³ (milliseconds instead of about a
+// second); "shard" routes every query through a single-shard
+// scatter-gather session instead of a lone session on the volume —
+// diffing against the plain mode is the shard layer's single-shard
+// equivalence evidence. main_test.go pins the small (plain and shard)
+// and full-scale outputs to testdata/*.golden.
 package main
 
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -33,23 +33,32 @@ func main() {
 		switch arg {
 		case "small":
 			side = 64
-		case "serve", "shard":
+		case "shard":
 			mode = arg
 		default:
-			fmt.Fprintf(os.Stderr, "fig6probe: unknown arg %q (want small, serve, or shard)\n", arg)
+			fmt.Fprintf(os.Stderr, "fig6probe: unknown arg %q (want small or shard)\n", arg)
 			os.Exit(2)
 		}
 	}
+	if err := probe(os.Stdout, side, mode); err != nil {
+		fmt.Fprintln(os.Stderr, "fig6probe:", err)
+		os.Exit(1)
+	}
+}
+
+// probe writes one line per Fig-6 query on a side³ grid, for every
+// layout, running each query in the given mode ("" or "shard").
+func probe(w io.Writer, side int, mode string) error {
 	dims := []int{side, side, side}
 	grid, err := dataset.NewGrid(dims...)
 	if err != nil {
-		panic(err)
+		return err
 	}
 	g := disk.AtlasTenKIII()
 	for _, kind := range mapping.Kinds() {
 		v, err := lvm.New(0, g)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		// beam and rangeQ run one query in the selected execution mode.
 		var beam func(dim int, fixed []int) (engine.Stats, error)
@@ -61,7 +70,7 @@ func main() {
 			grp, err := shard.Build([]*lvm.Volume{v}, []*engine.Service{svc},
 				kind, dims, mapping.Options{DiskIdx: 0}, query.ExecOptions{})
 			if err != nil {
-				panic(err)
+				return err
 			}
 			ss := grp.Begin(engine.SessionOptions{})
 			beam = func(dim int, fixed []int) (engine.Stats, error) {
@@ -73,21 +82,10 @@ func main() {
 		default:
 			m, err := mapping.New(kind, v, dims, mapping.Options{DiskIdx: 0})
 			if err != nil {
-				panic(err)
+				return err
 			}
 			e := query.NewExecutor(v, m)
-			runner := engine.OnVolume(v)
-			if mode == "serve" {
-				svc := engine.NewService(v, engine.ServiceOptions{})
-				defer svc.Close()
-				runner = svc.NewSession(engine.SessionOptions{})
-			}
-			beam = func(dim int, fixed []int) (engine.Stats, error) {
-				return e.BeamOn(context.Background(), runner, dim, fixed)
-			}
-			rangeQ = func(lo, hi []int) (engine.Stats, error) {
-				return e.RangeOn(context.Background(), runner, lo, hi)
-			}
+			beam, rangeQ = e.Beam, e.Range
 		}
 		// Fig 6(a): beams along each dimension.
 		for dim := 0; dim < 3; dim++ {
@@ -96,13 +94,13 @@ func main() {
 				v.Disk(0).RandomizePosition(rng)
 				fixed, err := grid.RandomBeam(rng, dim)
 				if err != nil {
-					panic(err)
+					return err
 				}
 				st, err := beam(dim, fixed)
 				if err != nil {
-					panic(err)
+					return err
 				}
-				fmt.Printf("%s beam d%d r%d total=%.6f cells=%d reqs=%d\n",
+				fmt.Fprintf(w, "%s beam d%d r%d total=%.6f cells=%d reqs=%d\n",
 					kind, dim, r, st.TotalMs, st.Cells, st.Requests)
 			}
 		}
@@ -112,14 +110,15 @@ func main() {
 			v.Disk(0).RandomizePosition(rng)
 			lo, hi, err := grid.RandomRange(rng, sel/100)
 			if err != nil {
-				panic(err)
+				return err
 			}
 			st, err := rangeQ(lo, hi)
 			if err != nil {
-				panic(err)
+				return err
 			}
-			fmt.Printf("%s range sel%g total=%.6f cells=%d reqs=%d pad=%d\n",
+			fmt.Fprintf(w, "%s range sel%g total=%.6f cells=%d reqs=%d pad=%d\n",
 				kind, sel, st.TotalMs, st.Cells, st.Requests, st.Padding)
 		}
 	}
+	return nil
 }

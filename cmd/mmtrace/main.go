@@ -18,7 +18,6 @@ import (
 	"strings"
 
 	"repro/internal/disk"
-	"repro/internal/engine"
 	"repro/internal/lvm"
 	"repro/internal/mapping"
 	"repro/internal/query"
@@ -62,29 +61,38 @@ func main() {
 		die(err)
 	}
 
-	// Build the request plan through the executor, then serve it while
-	// capturing completions.
 	lo, hi, err := queryBox(dims, *beamDim, *rangeA)
 	if err != nil {
 		die(err)
 	}
-	e := query.NewExecutor(v, m)
-	reqs, policy, _, err := query.PlanForTrace(e, lo, hi)
+	p, err := query.NewExecutor(v, m).Plan(lo, hi)
 	if err != nil {
 		die(err)
 	}
-	// Serve the plan through the shared engine, capturing every
-	// completion for the trace.
+	// Serve the executor's plan chunk by chunk straight through the
+	// volume, capturing every completion for the trace.
 	tr := &trace.Trace{}
-	st, err := engine.Run(v, engine.Static(reqs, policy), engine.Options{
-		Trace: tr.Add,
-	})
-	if err != nil {
-		die(err)
+	var elapsedMs float64
+	var policy disk.SchedPolicy
+	for {
+		c, ok, err := p.Next()
+		if err != nil {
+			die(err)
+		}
+		if !ok {
+			break
+		}
+		policy = c.Policy
+		comps, elapsed, err := v.ServeBatch(c.Reqs, policy)
+		if err != nil {
+			die(err)
+		}
+		tr.Add(comps)
+		elapsedMs += elapsed
 	}
 
 	fmt.Printf("%s over %v on %s: box [%v, %v), policy %v, elapsed %.1f ms\n\n",
-		kind, dims, g.Name, lo, hi, policy, st.ElapsedMs)
+		kind, dims, g.Name, lo, hi, policy, elapsedMs)
 	fmt.Println(tr.Summarize().String())
 	fmt.Println()
 	fmt.Print(tr.Dump(*n))

@@ -68,9 +68,10 @@
 // answers the session with it, and the session accumulates the same
 // value: every query keeps its own Stats, and their sum reproduces the
 // service's totals (Volume.ServiceTotals) by construction.
-// A batch holding a single chunk is served verbatim, which is why one
-// session with the cache off is bit-identical to the synchronous
-// engine (cmd/fig6probe's "serve" mode diffs the two). An optional
+// A batch holding a single chunk is served verbatim, so one session
+// with the cache off is the paper's own storage manager, and it is the
+// one runner: the paper's figures run as a lone session on a fresh
+// service (cmd/fig6probe's golden test pins their values). An optional
 // shared extent cache — an LRU over coalesced [lbn, lbn+count) block
 // extents — lets overlapping queries skip re-simulated I/O entirely,
 // with hits and misses surfaced in Stats. The extents live in one
@@ -132,8 +133,8 @@
 // ServiceTotals.Attributed; ServiceTotals.DirtyBlocks gauges the
 // buffer. A cancelled Flush context commits nothing (the dirty set
 // stays whole for the next trigger). With write-back off the write
-// path is bit-identical to the pre-write-back engine (fig6probe
-// diffs empty). cmd/mmbench mirrors the knobs as
+// path is bit-identical to the pre-write-back engine (the fig6probe
+// golden test holds). cmd/mmbench mirrors the knobs as
 // -wb/-wb-watermark/-wb-interval, and -exp burst runs a closed-loop
 // burst workload of three QoS classes (interactive/bulk/writer)
 // reporting p50/p99/p999 host latency per class.
@@ -158,7 +159,8 @@
 // cell, with a per-shard overflow pool spread round-robin across that
 // shard's member-disk tails. With one shard the group degenerates to
 // exactly the single-volume stack, so the default path is unchanged
-// bit for bit (cmd/fig6probe's "shard" mode diffs the two).
+// bit for bit (cmd/fig6probe's "shard" mode is held to the same
+// golden file as its plain mode).
 // Store.Close releases the internal shard volumes; Store.Reset
 // restores all of them. cmd/mmbench mirrors the knob as
 // -exp serve -shards N, printing queries/sec at 1, 2, 4, ... N shards;
@@ -232,7 +234,8 @@
 // There is one admission scheduler: with WithFairShare omitted it runs
 // as a single class with unbounded credit — nothing is deferred, the
 // class registry is not consulted — so admission, cache, and Stats are
-// bit-identical to the pre-QoS engine (fig6probe diffs empty).
+// bit-identical to the pre-QoS engine (the fig6probe golden test
+// holds).
 // cmd/mmbench mirrors the knob as -fair <quantum> (the burst
 // workload registers interactive/bulk/writer at weights 1/4/1), and
 // its -cpuprofile/-memprofile flags write pprof profiles for hunting
@@ -273,8 +276,8 @@
 // extents only ever cover private (never shared) storage and group
 // commit needs no COW awareness. A tenant whose volumes fully own
 // their drives behaves bit-identically to the classic single-tenant
-// path — the pool layer costs nothing when unused (fig6probe diffs
-// empty).
+// path — the pool layer costs nothing when unused (the fig6probe
+// golden test holds).
 //
 // WithAutoGrow(increment) arms every updatable tenant with online
 // capacity growth: when an Insert or LoadCell exhausts the tenant's
@@ -309,8 +312,8 @@
 // mirrors the client side as -remote <addr> -store <name>, driving
 // serve-style load against a live daemon and reporting first-chunk
 // latency (the streaming proof) alongside the usual tables. With the
-// daemon out of the picture the library path is untouched — fig6probe
-// diffs stay empty.
+// daemon out of the picture the library path is untouched — the
+// fig6probe golden test holds.
 //
 // Quick start:
 //

@@ -10,7 +10,6 @@ import (
 	"math/rand"
 
 	"repro/internal/disk"
-	"repro/internal/engine"
 	"repro/internal/lvm"
 	"repro/internal/mapping"
 	"repro/internal/octree"
@@ -51,11 +50,7 @@ func main() {
 				if err != nil {
 					log.Fatal(err)
 				}
-				reqs, policy, err := store.Plan(leaves)
-				if err != nil {
-					log.Fatal(err)
-				}
-				st, err := engine.Execute(vol, reqs, policy)
+				st, err := store.Query(leaves)
 				if err != nil {
 					log.Fatal(err)
 				}

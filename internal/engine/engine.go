@@ -4,26 +4,27 @@
 // A planner (the storage manager in internal/query, the octree and OLAP
 // dataset stores, or a tool with a prepared request batch) produces a
 // Plan: a stream of request Chunks, each carrying the issue policy the
-// paper's storage manager would choose for it (§5.2). Run drains the
-// plan chunk by chunk through the logical volume — whose member disks
-// service their sub-batches concurrently and apply the drive-internal
-// scheduler (SPTF, or arrival order under FIFO) — prices each chunk
-// once, as a Stats, and sums those into the query's. Layers therefore
-// share one serve-and-sum loop instead of each hand-rolling its own,
-// and a planner can yield a large query in bounded-memory chunks
-// instead of materializing every block up front.
+// paper's storage manager would choose for it (§5.2). A Session drains
+// the plan chunk by chunk through its volume's Service — whose member
+// disks service their sub-batches concurrently and apply the
+// drive-internal scheduler (SPTF, or arrival order under FIFO) — prices
+// each chunk once, as a Stats, and sums those into the query's. Layers
+// therefore share one serve-and-sum loop instead of each hand-rolling
+// its own, and a planner can yield a large query in bounded-memory
+// chunks instead of materializing every block up front.
 //
-// Run is the synchronous single-caller path. For concurrent clients,
-// Service runs a per-volume loop goroutine that owns all disk head
-// state: a Session plans on its caller's goroutine and submits plan
-// chunks over the loop's queue (chunk N+1 is planned while chunk N is
-// on the disks), the loop merges everything queued since its last pass
-// into one admission batch (cross-query coalescing into shared SPTF
-// extents), serves it, and prices each op — its own requests, its
-// share of the shared ones — as the Stats it both folds into its
-// totals and answers the session with. An optional shared extent cache
-// (LRU over coalesced [lbn, lbn+count) extents) lets overlapping
-// queries skip re-simulated I/O, with hit/miss accounting in Stats.
+// There is one runner. The Service runs a per-volume loop goroutine
+// that owns all disk head state: a Session plans on its caller's
+// goroutine and submits plan chunks over the loop's queue (chunk N+1 is
+// planned while chunk N is on the disks), the loop merges everything
+// queued since its last pass into one admission batch (cross-query
+// coalescing into shared SPTF extents), serves it, and prices each op —
+// its own requests, its share of the shared ones — as the Stats it both
+// folds into its totals and answers the session with. An optional
+// shared extent cache (LRU over coalesced [lbn, lbn+count) extents) lets
+// overlapping queries skip re-simulated I/O, with hit/miss accounting
+// in Stats. The paper's own configuration — one caller, every option
+// off — is OnVolume: a lone session on a fresh service.
 package engine
 
 import (
@@ -49,8 +50,7 @@ type Stats struct {
 	TransferMs float64 `json:"transfer_ms,omitempty"`
 	// CacheHits counts requests served entirely from the service's
 	// shared extent cache (no disk I/O); CacheMisses counts requests
-	// that reached the disks. Both stay zero when queries run without a
-	// service or with the cache disabled.
+	// that reached the disks. Both stay zero with the cache disabled.
 	CacheHits   int64 `json:"cache_hits,omitempty"`
 	CacheMisses int64 `json:"cache_misses,omitempty"`
 	// Writes counts blocks written through the service's write path
@@ -187,10 +187,6 @@ type Options struct {
 	// knob behind comparison runs (e.g. forcing FIFO under a
 	// MultiMap plan). Nil keeps the planner's choice.
 	Policy *disk.SchedPolicy
-	// Trace, when set, receives every chunk's completions in service
-	// order (the mmtrace hook). Honoured by the synchronous runner
-	// (Run/RunContext) only; a Session's RunPlan ignores it.
-	Trace func([]lvm.Completion)
 	// OnChunk, when set, receives each served chunk's own Stats as the
 	// chunk retires, in chunk order — the very value the query's total
 	// accumulates, so the hook changes nothing about how that total is
@@ -202,63 +198,6 @@ type Options struct {
 	OnChunk func(Stats)
 }
 
-// Run drains a plan through the volume and aggregates its statistics.
-func Run(vol *lvm.Volume, p Plan, opts Options) (Stats, error) {
-	st, err := RunContext(context.Background(), vol, p, opts)
-	if err != nil {
-		return Stats{}, err
-	}
-	return st, nil
-}
-
-// RunContext is Run observing a context: the drain loop checks ctx
-// between chunks and stops planning as soon as it is cancelled or past
-// its deadline. On a context error the Stats accumulated so far are
-// returned alongside it — the partial-stats contract — with the
-// matching Cancelled or DeadlineExceeded counter bumped once for the
-// chunk that was not issued.
-func RunContext(ctx context.Context, vol *lvm.Volume, p Plan, opts Options) (Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var st Stats
-	for {
-		if err := ctx.Err(); err != nil {
-			st.countContextErr(err)
-			return st, err
-		}
-		c, ok, err := p.Next()
-		if err != nil {
-			return st, err
-		}
-		if !ok {
-			return st, nil
-		}
-		policy := c.Policy
-		if opts.Policy != nil {
-			policy = *opts.Policy
-		}
-		comps, elapsed, err := vol.ServeBatch(c.Reqs, policy)
-		if err != nil {
-			return st, err
-		}
-		// The chunk is priced once, as its own Stats, and that value is
-		// what the query's total accumulates and what the hook sees — the
-		// shape a Session's RunPlan has, so Run == a lone cache-off
-		// session on chunked plans too.
-		var d Stats
-		d.AddCompletions(comps, elapsed)
-		d.Padding = c.Padding
-		st.Accumulate(d)
-		if opts.Trace != nil {
-			opts.Trace(comps)
-		}
-		if opts.OnChunk != nil {
-			opts.OnChunk(d)
-		}
-	}
-}
-
 // countContextErr folds one dropped (never-issued) operation into the
 // cancellation counters, classifying by the context error.
 func (s *Stats) countContextErr(err error) {
@@ -267,11 +206,4 @@ func (s *Stats) countContextErr(err error) {
 	} else if errors.Is(err, context.Canceled) {
 		s.Cancelled++
 	}
-}
-
-// Execute services a prepared request batch under one policy — the
-// entry point for layers that plan their own batches (octree, OLAP,
-// updates, tools).
-func Execute(vol *lvm.Volume, reqs []lvm.Request, policy disk.SchedPolicy) (Stats, error) {
-	return Run(vol, Static(reqs, policy), Options{})
 }

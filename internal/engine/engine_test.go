@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -34,13 +35,18 @@ func randomReqs(rng *rand.Rand, v *lvm.Volume, n int) []lvm.Request {
 	return reqs
 }
 
+// execute serves one prepared batch under one policy on a lone session.
+func execute(v *lvm.Volume, reqs []lvm.Request, policy disk.SchedPolicy) (Stats, error) {
+	return OnVolume(v).RunPlan(context.Background(), Static(reqs, policy), Options{})
+}
+
 func TestExecuteMatchesDirectServe(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	vEng := testVolume(t)
 	vRef := testVolume(t)
 	reqs := randomReqs(rng, vEng, 200)
 
-	st, err := Execute(vEng, reqs, disk.SchedSPTF)
+	st, err := execute(vEng, reqs, disk.SchedSPTF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +70,7 @@ func TestRunStreamsChunks(t *testing.T) {
 	reqs := randomReqs(rng, v, 90)
 
 	// A three-chunk plan must aggregate the same cells/blocks as one
-	// static chunk and deliver every completion to the trace hook.
+	// static chunk and price every completion in some chunk's Stats.
 	chunks := []Chunk{
 		{Reqs: reqs[:30], Policy: disk.SchedSPTF, Padding: 1},
 		{Reqs: reqs[30:60], Policy: disk.SchedFIFO, Padding: 2},
@@ -78,8 +84,8 @@ func TestRunStreamsChunks(t *testing.T) {
 		i++
 		return chunks[i-1], true, nil
 	})
-	var traced int
-	st, err := Run(v, p, Options{Trace: func(cs []lvm.Completion) { traced += len(cs) }})
+	var priced, calls int
+	st, err := OnVolume(v).RunPlan(context.Background(), p, Options{OnChunk: func(d Stats) { priced += d.Requests; calls++ }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +99,8 @@ func TestRunStreamsChunks(t *testing.T) {
 	if st.Padding != 3 {
 		t.Errorf("padding %d, want 3", st.Padding)
 	}
-	if traced != len(reqs) {
-		t.Errorf("trace saw %d completions, want %d", traced, len(reqs))
+	if priced != len(reqs) || calls != len(chunks) {
+		t.Errorf("OnChunk saw %d completions in %d calls, want %d in %d", priced, calls, len(reqs), len(chunks))
 	}
 }
 
@@ -111,11 +117,11 @@ func TestPolicyOverride(t *testing.T) {
 
 	// Forcing FIFO over an SPTF chunk must reproduce the FIFO schedule.
 	fifo := disk.SchedFIFO
-	stForced, err := Run(vA, Static(reqs, disk.SchedSPTF), Options{Policy: &fifo})
+	stForced, err := OnVolume(vA).RunPlan(context.Background(), Static(reqs, disk.SchedSPTF), Options{Policy: &fifo})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stFIFO, err := Execute(vB, reqs, disk.SchedFIFO)
+	stFIFO, err := execute(vB, reqs, disk.SchedFIFO)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,14 +131,14 @@ func TestPolicyOverride(t *testing.T) {
 }
 
 // TestExecuteMultiDiskConcurrent exercises the per-disk goroutines of
-// the volume layer through the engine; run with -race to verify drive
-// isolation.
+// the volume layer through a lone session; run with -race to verify
+// drive isolation.
 func TestExecuteMultiDiskConcurrent(t *testing.T) {
 	v := testVolume(t, disk.SmallTestDisk(), disk.SmallTestDisk(), disk.SmallTestDisk())
 	rng := rand.New(rand.NewSource(4))
 	for round := 0; round < 4; round++ {
 		reqs := randomReqs(rng, v, 240)
-		st, err := Execute(v, reqs, disk.SchedSPTF)
+		st, err := execute(v, reqs, disk.SchedSPTF)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,9 +162,10 @@ func TestStatsMsPerCell(t *testing.T) {
 	}
 }
 
-// BenchmarkExecuteSPTF measures the full plan-free execution path —
-// routing, scheduling, and aggregation — across batch sizes spanning
-// 1e3 to 1e5 requests on the paper's primary drive.
+// BenchmarkExecuteSPTF measures the full plan-free execution path — a
+// lone session's submission, routing, scheduling, and aggregation —
+// across batch sizes spanning 1e3 to 1e5 requests on the paper's
+// primary drive.
 func BenchmarkExecuteSPTF(b *testing.B) {
 	for _, n := range []int{1_000, 10_000, 100_000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -170,10 +177,11 @@ func BenchmarkExecuteSPTF(b *testing.B) {
 			for i := range reqs {
 				reqs[i] = lvm.Request{VLBN: base + rng.Int63n(400_000), Count: 1}
 			}
+			sess := OnVolume(v)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				v.Reset()
-				if _, err := Execute(v, reqs, disk.SchedSPTF); err != nil {
+				if _, err := sess.RunPlan(context.Background(), Static(reqs, disk.SchedSPTF), Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -191,10 +199,11 @@ func BenchmarkExecuteFIFO(b *testing.B) {
 			for i := range reqs {
 				reqs[i] = lvm.Request{VLBN: int64(i) * 16, Count: 8}
 			}
+			sess := OnVolume(v)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				v.Reset()
-				if _, err := Execute(v, reqs, disk.SchedFIFO); err != nil {
+				if _, err := sess.RunPlan(context.Background(), Static(reqs, disk.SchedFIFO), Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -351,9 +351,10 @@ func (s *Service) planSingle(op *serviceOp, res *opResult) []lvm.Request {
 	return kept
 }
 
-// serveSingle services a lone chunk exactly as Run would: the planner's
-// requests, the chunk's policy, no re-coalescing. With the cache off
-// this path is bit-identical to the synchronous engine.
+// serveSingle services a lone chunk verbatim: the planner's requests,
+// the chunk's policy, no re-coalescing. With the cache off it is
+// bit-identical to serving the chunk through ServeBatch by hand — refRun
+// in run_ref_test.go and the fig6probe golden files hold it there.
 func (s *Service) serveSingle(op *serviceOp) {
 	var res opResult
 	reqs := s.planSingle(op, &res)

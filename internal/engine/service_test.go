@@ -41,54 +41,6 @@ func randomChunks(rng *rand.Rand, v *lvm.Volume, nChunks, perChunk int) []Chunk 
 	return chunks
 }
 
-// TestSessionSingleMatchesRun: a lone session with the cache off must
-// return bit-identical Stats to the synchronous engine — same chunks,
-// same policies, same floating-point fold order.
-func TestSessionSingleMatchesRun(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	vRun := testVolume(t)
-	vSvc := testVolume(t)
-	chunks := randomChunks(rng, vRun, 5, 40)
-
-	want, err := Run(vRun, chunkPlan(chunks), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := NewService(vSvc, ServiceOptions{})
-	defer svc.Close()
-	sess := svc.NewSession(SessionOptions{})
-	got, err := sess.RunPlan(context.Background(), chunkPlan(chunks), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("session stats %+v != engine.Run stats %+v", got, want)
-	}
-	if tot := svc.Totals(); tot.Attributed != want || tot.Batches != 5 || tot.MergedBatches != 0 {
-		t.Fatalf("service totals %+v inconsistent with %+v", tot, want)
-	}
-	if sess.Totals() != want {
-		t.Fatalf("session lifetime totals %+v != %+v", sess.Totals(), want)
-	}
-
-	// The policy override must flow through sessions too.
-	vRun2, vSvc2 := testVolume(t), testVolume(t)
-	fifo := disk.SchedFIFO
-	want2, err := Run(vRun2, chunkPlan(chunks), Options{Policy: &fifo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc2 := NewService(vSvc2, ServiceOptions{})
-	defer svc2.Close()
-	got2, err := svc2.NewSession(SessionOptions{}).RunPlan(context.Background(), chunkPlan(chunks), Options{Policy: &fifo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2 != want2 {
-		t.Fatalf("override via session %+v != via Run %+v", got2, want2)
-	}
-}
-
 // statsClose compares two stats up to floating-point attribution drift.
 func statsClose(a, b Stats, tb testing.TB) {
 	tb.Helper()
@@ -735,8 +687,8 @@ func TestSessionPlanError(t *testing.T) {
 
 // BenchmarkService measures end-to-end service throughput at 1, 4, and
 // 16 concurrent clients, cache off and on, with a pure-read and a
-// 10%-writes workload, next to the raw Execute benchmarks: each op is
-// one client-query of 200 requests over a compact band (overlapping
+// 10%-writes workload, next to the lone-session Execute benchmarks: each
+// op is one client-query of 200 requests over a compact band (overlapping
 // across clients, so the cache has work — and the writes give its
 // invalidation path work).
 func BenchmarkService(b *testing.B) {

@@ -15,28 +15,24 @@ import (
 // panicking or hanging on the retired loop; test with errors.Is.
 var ErrClosed = errors.New("engine: service is closed")
 
-// Runner executes a plan and aggregates its statistics. Two
-// implementations exist: OnVolume (the synchronous single-caller path,
-// identical to Run) and Session (submission through a volume's
-// concurrent Service). The context governs cancellation: a cancelled or
-// past-deadline context stops the drain between chunks and returns the
-// partial Stats of the work already issued alongside ctx's error.
+// Runner executes a plan and aggregates its statistics. Session is its
+// one implementation; the interface is the seam through which a test
+// substitutes a fake runner (internal/query's fakeRunner). The context
+// governs cancellation: a cancelled or past-deadline context stops the
+// drain between chunks and returns the partial Stats of the work
+// already issued alongside ctx's error.
 type Runner interface {
 	RunPlan(ctx context.Context, p Plan, opts Options) (Stats, error)
 }
 
-// volumeRunner adapts the synchronous RunContext to the Runner
-// interface.
-type volumeRunner struct{ vol *lvm.Volume }
-
-func (r volumeRunner) RunPlan(ctx context.Context, p Plan, opts Options) (Stats, error) {
-	return RunContext(ctx, r.vol, p, opts)
+// OnVolume returns a lone session on a new service over vol with every
+// option off — the paper's configuration: one caller, no cache, no
+// coalescing partner, each chunk served verbatim under its own policy.
+// Use it only when nothing else touches the volume; concurrent callers
+// share one Service and open their Sessions on it.
+func OnVolume(vol *lvm.Volume) *Session {
+	return NewService(vol, ServiceOptions{}).NewSession(SessionOptions{})
 }
-
-// OnVolume returns the synchronous Runner for a volume: RunPlan is
-// exactly RunContext. Use it only when nothing else touches the volume
-// — for concurrent callers, go through a Service and its Sessions.
-func OnVolume(vol *lvm.Volume) Runner { return volumeRunner{vol: vol} }
 
 // SessionOptions tunes one session.
 type SessionOptions struct {
@@ -95,13 +91,15 @@ func (s *Session) Totals() Stats {
 // up to MaxInflight earlier chunks are queued or on the disks, and the
 // plan is never asked for more than one chunk beyond what is in flight.
 // The service loop prices every chunk (see opResult); the query's Stats
-// are those prices accumulated in chunk order, so a lone session with
-// the cache off returns the same Stats as Run. Options.Trace is not
-// honoured here — only the synchronous Run traces.
+// are those prices accumulated in chunk order. A lone session with the
+// cache off serves each chunk verbatim, so its Stats are those of
+// draining the plan straight through lvm.Volume.ServeBatch — the
+// reference kept in run_ref_test.go holds it to that with ==.
 //
-// Cancellation: ctx is checked before every submission, and the service
-// drops this query's already-queued chunks before admission — dropped
-// chunks free their inflight slots, charge no simulated I/O, and bump
+// Cancellation: ctx is checked before the first chunk is planned and
+// before every submission, and the service drops this query's
+// already-queued chunks before admission — dropped chunks free their
+// inflight slots, charge no simulated I/O, and bump
 // Stats.Cancelled/DeadlineExceeded. On any error RunPlan returns the
 // partial Stats of the chunks that were served (the same partial work
 // is folded into the session's lifetime totals, so summing session
@@ -141,6 +139,11 @@ func (s *Session) RunPlan(ctx context.Context, p Plan, opts Options) (Stats, err
 		s.totals.Accumulate(st)
 		s.mu.Unlock()
 		return st, err
+	}
+	if err := ctx.Err(); err != nil {
+		// Dead on arrival: nothing is planned, even for an empty plan.
+		st.countContextErr(err)
+		return finish(err)
 	}
 	for {
 		c, ok, err := p.Next()

@@ -176,10 +176,16 @@ func TestWriteBackWatermarkTrigger(t *testing.T) {
 	if _, err := sess.Write(context.Background(), []lvm.Request{{VLBN: 100, Count: 8}}, disk.SchedSPTF); err != nil {
 		t.Fatal(err)
 	}
-	// Below the watermark: Flush here would commit, so check via a
-	// barrier-free snapshot after the write's ack (the loop flushed — or
-	// not — before replying to nothing else; WriteOps==1 proves the pass
-	// ran).
+	// The ack races a watermark flush, which would run after the reply in
+	// the same pass; an empty Apply is a control op, so it waits for that
+	// pass, and with WriteBack unset it commits nothing itself. An
+	// explicit Flush would commit whether or not the watermark fired.
+	barrier := func() {
+		if err := svc.Apply(ServiceOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	barrier()
 	if tot := svc.Totals(); tot.FlushBatches != 0 || tot.DirtyBlocks != 8 {
 		t.Fatalf("flushed below watermark: %+v", tot)
 	}
@@ -187,11 +193,8 @@ func TestWriteBackWatermarkTrigger(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 12 dirty blocks == watermark: the serving pass flushes right after
-	// absorbing. The ack races the flush by a hair, so synchronize on an
-	// (empty, free) explicit Flush barrier before asserting.
-	if err := sess.Flush(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	// absorbing.
+	barrier()
 	tot := svc.Totals()
 	if tot.FlushBatches != 1 || tot.DirtyBlocks != 0 {
 		t.Fatalf("watermark did not trigger exactly one flush: %+v", tot)
@@ -380,6 +383,11 @@ func TestWriteBackApplyFlushesFirst(t *testing.T) {
 	}
 	// The new watermark: a 4-block write fills the buffer and commits.
 	if _, err := sess.Write(context.Background(), []lvm.Request{{VLBN: 400, Count: 4}}, disk.SchedSPTF); err != nil {
+		t.Fatal(err)
+	}
+	// The ack races the watermark flush, which runs after the reply in
+	// the same pass: an empty Apply is a barrier that flushes nothing.
+	if err := svc.Apply(ServiceOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if tot := svc.Totals(); tot.FlushBatches != 2 || tot.DirtyBlocks != 0 {

@@ -36,9 +36,9 @@
 // Head-state mutators — ServeBatch, Reset, and direct Disk access such
 // as RandomizePosition — take each Drive's own mutex, because pooled
 // drives are shared between tenants' service loops. Within one volume
-// the owner rule of the paper path still holds: a single synchronous
-// caller (engine.Run, the experiment drivers) or the per-volume
-// engine.Service loop goroutine issues every batch, and ServeBatch's
+// the owner rule of the paper path still holds: the per-volume
+// engine.Service loop goroutine (or a tool driving a volume nothing
+// else touches, as mmtrace does) issues every batch, and ServeBatch's
 // own per-drive goroutines touch each drive only under its lock.
 //
 // The same ownership rule covers the service's extent cache over this

@@ -1,6 +1,7 @@
 package octree
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -349,8 +350,8 @@ func (s *Store) Plan(leaves []Leaf) ([]lvm.Request, disk.SchedPolicy, error) {
 	return engine.CoalesceSortedLBNs(lbns), disk.SchedFIFO, nil
 }
 
-// Query plans a leaf set and services it through the shared execution
-// engine, returning the simulated I/O statistics.
+// Query plans a leaf set and services it as one chunk on a lone session
+// of the store's volume, returning the simulated I/O statistics.
 func (s *Store) Query(leaves []Leaf) (engine.Stats, error) {
 	reqs, policy, err := s.Plan(leaves)
 	if err != nil {
@@ -359,5 +360,5 @@ func (s *Store) Query(leaves []Leaf) (engine.Stats, error) {
 	if s.policyOverride != nil {
 		policy = *s.policyOverride
 	}
-	return engine.Execute(s.vol, reqs, policy)
+	return engine.OnVolume(s.vol).RunPlan(context.Background(), engine.Static(reqs, policy), engine.Options{})
 }

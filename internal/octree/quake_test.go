@@ -1,9 +1,11 @@
 package octree
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/disk"
+	"repro/internal/engine"
 	"repro/internal/lvm"
 	"repro/internal/mapping"
 )
@@ -170,6 +172,59 @@ func TestQuakePlanPoliciesAndExecution(t *testing.T) {
 		}
 		if st.Cells != int64(len(leaves)) {
 			t.Errorf("%s: fetched %d blocks for %d leaves", name, st.Cells, len(leaves))
+		}
+	}
+}
+
+// TestQueryMatchesDirectServe is Fig. 7's value-level oracle: Store.Query
+// runs on a lone session, and every query's Stats must equal (==) those
+// of serving Store.Plan's batch through ServeBatch on a twin volume with
+// the same head positions — beams along every axis and a range, query
+// after query, so head state carries over as it does in the figure.
+func TestQueryMatchesDirectServe(t *testing.T) {
+	for _, kind := range []mapping.Kind{mapping.MultiMap, mapping.Naive} {
+		v, tr := quakeFixture(t)
+		twin, _ := quakeFixture(t)
+		s, err := NewStore(v, tr, kind, StoreOptions{DiskIdx: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng, twinRng := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+		var queries [][]Leaf
+		for axis := 0; axis < 3; axis++ {
+			for _, p := range [][3]int{{3, 3, 3}, {5, 9, 17}, {20, 28, 30}} {
+				leaves, err := s.BeamLeaves(axis, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				queries = append(queries, leaves)
+			}
+		}
+		box, err := s.RangeLeaves([3]int{2, 4, 1}, [3]int{14, 12, 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, box)
+		for i, leaves := range queries {
+			v.Disk(0).RandomizePosition(rng)
+			twin.Disk(0).RandomizePosition(twinRng)
+			got, err := s.Query(leaves)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs, policy, err := s.Plan(leaves)
+			if err != nil {
+				t.Fatal(err)
+			}
+			comps, elapsed, err := twin.ServeBatch(reqs, policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want engine.Stats
+			want.AddCompletions(comps, elapsed)
+			if got != want {
+				t.Fatalf("%v query %d: Store.Query %+v != direct serve %+v", kind, i, got, want)
+			}
 		}
 	}
 }

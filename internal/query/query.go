@@ -17,10 +17,10 @@
 //
 // The planner streams: a query box is sliced along its slowest
 // dimension into sub-boxes of at most ChunkCells cells, each planned
-// with the strategy above and yielded to engine.Run as its own chunk,
-// so a huge range never materializes every block at once. The default
-// (ChunkCells 0) plans each query as a single chunk, which preserves
-// the global sort the issue optimization depends on.
+// with the strategy above and yielded to the session running it as its
+// own chunk, so a huge range never materializes every block at once.
+// The default (ChunkCells 0) plans each query as a single chunk, which
+// preserves the global sort the issue optimization depends on.
 package query
 
 import (
@@ -136,9 +136,9 @@ func BeamBox(dims []int, dim int, fixed []int) (lo, hi []int, err error) {
 }
 
 // BeamOn runs a beam query through an explicit engine runner — a
-// concurrent-service Session, or engine.OnVolume for the synchronous
-// single-caller path Beam uses. The context carries cancellation and
-// deadline down to the engine's admission batches.
+// Session of a shared service, or the lone engine.OnVolume session Beam
+// uses. The context carries cancellation and deadline down to the
+// engine's admission batches.
 func (e *Executor) BeamOn(ctx context.Context, r engine.Runner, dim int, fixed []int) (Stats, error) {
 	lo, hi, err := BeamBox(e.m.Dims(), dim, fixed)
 	if err != nil {
@@ -294,30 +294,6 @@ func (p *boxPlan) Next() (engine.Chunk, bool, error) {
 		return engine.Chunk{}, false, err
 	}
 	return engine.Chunk{Reqs: reqs, Policy: policy, Padding: padding}, true, nil
-}
-
-// plan materializes the whole plan of a box — the non-streaming view
-// used by tools and tests.
-func (e *Executor) plan(lo, hi []int) ([]lvm.Request, disk.SchedPolicy, int64, error) {
-	p, err := e.Plan(lo, hi)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	var reqs []lvm.Request
-	var policy disk.SchedPolicy
-	var padding int64
-	for {
-		c, ok, err := p.Next()
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		if !ok {
-			return reqs, policy, padding, nil
-		}
-		reqs = append(reqs, c.Reqs...)
-		policy = c.Policy
-		padding += c.Padding
-	}
 }
 
 // planBox translates one sub-box into requests, the issue policy, and

@@ -21,6 +21,30 @@ func testVolume(t *testing.T) *lvm.Volume {
 	return v
 }
 
+// plan materializes the whole plan of a box — the non-streaming view
+// the planner tests inspect.
+func (e *Executor) plan(lo, hi []int) ([]lvm.Request, disk.SchedPolicy, int64, error) {
+	p, err := e.Plan(lo, hi)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	var reqs []lvm.Request
+	var policy disk.SchedPolicy
+	var padding int64
+	for {
+		c, ok, err := p.Next()
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		if !ok {
+			return reqs, policy, padding, nil
+		}
+		reqs = append(reqs, c.Reqs...)
+		policy = c.Policy
+		padding += c.Padding
+	}
+}
+
 func allMappers(t *testing.T, v *lvm.Volume, dims []int) map[string]mapping.Mapper {
 	t.Helper()
 	out := map[string]mapping.Mapper{}

@@ -149,9 +149,9 @@ func testGroup(t testing.TB, kind mapping.Kind, dims []int, shards int, cacheBlo
 }
 
 // TestSingleShardMatchesDirectExecutor: a 1-shard scatter-gather
-// session must reproduce the synchronous executor's Stats bit for bit,
+// session must reproduce a plain executor's Stats bit for bit,
 // for every mapping — the shard layer's equivalence guarantee
-// (cmd/fig6probe's "shard" mode diffs the same property at Fig-6
+// (cmd/fig6probe's golden test checks the same property at Fig-6
 // scale).
 func TestSingleShardMatchesDirectExecutor(t *testing.T) {
 	dims := []int{40, 12, 8}

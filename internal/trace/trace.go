@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/lvm"
 )
 
@@ -65,7 +66,7 @@ type Summary struct {
 	SeekMs   float64
 	RotMs    float64
 	XferMs   float64
-	// Positioning percentiles (cmd+seek+rot) in ms.
+	// Positioning percentiles (cmd+seek+rot) in ms, by engine.Percentile.
 	P50, P90, P99, Max float64
 }
 
@@ -87,8 +88,8 @@ func (t *Trace) Summarize() Summary {
 		return s
 	}
 	sort.Float64s(pos)
-	q := func(p float64) float64 { return pos[int(p*float64(len(pos)-1))] }
-	s.P50, s.P90, s.P99, s.Max = q(0.50), q(0.90), q(0.99), pos[len(pos)-1]
+	s.P50, s.P90, s.P99 = engine.Percentile(pos, 0.50), engine.Percentile(pos, 0.90), engine.Percentile(pos, 0.99)
+	s.Max = pos[len(pos)-1]
 	return s
 }
 

@@ -2,10 +2,12 @@ package trace
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/disk"
+	"repro/internal/engine"
 	"repro/internal/lvm"
 )
 
@@ -61,6 +63,22 @@ func TestSummarize(t *testing.T) {
 	}
 	if s.P50 > s.P90 || s.P90 > s.P99 || s.P99 > s.Max {
 		t.Fatalf("percentiles not monotone: %+v", s)
+	}
+	// The percentiles are engine.Percentile's, the one definition.
+	var pos []float64
+	for _, r := range tr.Records() {
+		pos = append(pos, r.CmdMs+r.SeekMs+r.RotMs)
+	}
+	sort.Float64s(pos)
+	for _, c := range []struct {
+		got, q float64
+	}{{s.P50, 0.50}, {s.P90, 0.90}, {s.P99, 0.99}} {
+		if want := engine.Percentile(pos, c.q); c.got != want {
+			t.Errorf("p%g = %v, engine.Percentile gives %v", 100*c.q, c.got, want)
+		}
+	}
+	if s.Max != pos[len(pos)-1] {
+		t.Errorf("max %v, want %v", s.Max, pos[len(pos)-1])
 	}
 	out := s.String()
 	for _, want := range []string{"requests 3", "command", "positioning"} {

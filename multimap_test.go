@@ -104,8 +104,8 @@ func TestStoreQueries(t *testing.T) {
 }
 
 // TestStoreMatchesDirectExecutor: the store's service path (one
-// session, cache off) must reproduce the synchronous executor's Stats
-// bit for bit — the refactor's equivalence guarantee at the API level.
+// session, cache off) must reproduce a plain executor's Stats bit for
+// bit — the refactor's equivalence guarantee at the API level.
 func TestStoreMatchesDirectExecutor(t *testing.T) {
 	dims := []int{40, 12, 8}
 	for _, kind := range Mappings() {
