@@ -3,6 +3,10 @@ package multimap
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -77,6 +81,130 @@ func TestUseAfterVolumeClose(t *testing.T) {
 	}
 	if _, err := s.RangeQuery(context.Background(), []int{0, 0, 0}, []int{2, 2, 2}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Store.RangeQuery after Volume.Close: %v, want ErrClosed", err)
+	}
+}
+
+// The volume lifecycle is a two-state machine: open, then closed, with
+// Volume.Close the one transition. Out of closed, Open is illegal and
+// fails loudly with ErrClosed, and Reset is a documented no-op; neither
+// may quietly start a second service on the same drives.
+
+// TestOpenAfterVolumeClose walks the illegal transitions one at a time.
+func TestOpenAfterVolumeClose(t *testing.T) {
+	v, err := OpenVolumeDepth(32, MediumTestDisk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dims := []int{30, 8, 5}
+	s, err := Open(v, MultiMap, dims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := s.Beam(ctx, 1, []int{5, 0, 3}); err != nil {
+		t.Fatal(err)
+	}
+	v.Close()
+	v.Close() // idempotent
+	for _, opts := range [][]Option{nil, {WithShards(2)}, {WithCache(4096)}, {Updatable(UpdateOptions{})}} {
+		if st, err := Open(v, MultiMap, dims, opts...); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Open on a closed volume with %d options: store %v, err %v; want ErrClosed", len(opts), st != nil, err)
+		}
+	}
+	// Reset after Close leaves the service's books (and the drives) as
+	// the last batch left them.
+	before, drive := v.ServiceTotals(), v.svc.Volume().Disk(0)
+	clock, served := drive.NowMs(), drive.Stats()
+	if before.Batches == 0 || clock == 0 {
+		t.Fatal("the beam before Close left no trace to compare against")
+	}
+	v.Reset()
+	s.Reset()
+	if got := v.ServiceTotals(); got != before {
+		t.Fatalf("Reset after Close touched the service: %+v, was %+v", got, before)
+	}
+	if drive.NowMs() != clock || drive.Stats() != served {
+		t.Fatal("Reset after Close touched the drives")
+	}
+	if _, err := s.Beam(ctx, 1, []int{5, 0, 3}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Store.Beam after Volume.Close: %v, want ErrClosed", err)
+	}
+}
+
+// TestVolumeLifecycleRace races the legal and illegal transitions
+// (run with -race): workers loop Open → Beam → Volume.Reset while
+// another goroutine closes the volume. Every Open returns a working
+// store or ErrClosed, every Open or query that starts after Close has
+// returned fails with ErrClosed, nothing hangs, and no goroutine
+// outlives the volume.
+func TestVolumeLifecycleRace(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	v, err := OpenVolumeDepth(32, MediumTestDisk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dims := []int{30, 8, 5}
+	const workers = 4
+	var (
+		closed atomic.Bool  // set once v.Close has returned
+		beams  atomic.Int64 // beams served before the close
+		wg     sync.WaitGroup
+	)
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				after := closed.Load()
+				s, err := Open(v, MultiMap, dims, WithShards(1+i%2))
+				if errors.Is(err, ErrClosed) {
+					return
+				}
+				if err != nil || after {
+					errs <- fmt.Errorf("worker %d: Open (started after Close: %v): %v; want a store, or ErrClosed after Close", w, after, err)
+					return
+				}
+				// Dim0 = w < 15 keeps every beam on shard 0, the caller's
+				// volume, even on the 2-shard stores.
+				after = closed.Load()
+				_, err = s.Beam(context.Background(), i%3, []int{w, i % 8, i % 5})
+				switch {
+				case err == nil && after:
+					errs <- fmt.Errorf("worker %d: a beam started after Close succeeded", w)
+					return
+				case err == nil:
+					beams.Add(1)
+				case !errors.Is(err, ErrClosed):
+					errs <- fmt.Errorf("worker %d: Beam: %v; want success or ErrClosed", w, err)
+					return
+				}
+				v.Reset()
+				s.Close()
+			}
+		}(w)
+	}
+	for beams.Load() < 2*workers && len(errs) == 0 {
+		runtime.Gosched()
+	}
+	v.Close()
+	closed.Store(true)
+
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("workers hung after Volume.Close")
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d running, baseline %d", runtime.NumGoroutine(), baseline)
+		}
 	}
 }
 

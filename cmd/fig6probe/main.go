@@ -67,8 +67,8 @@ func probe(w io.Writer, side int, mode string) error {
 		case "shard":
 			svc := engine.NewService(v, engine.ServiceOptions{})
 			defer svc.Close()
-			grp, err := shard.Build([]*lvm.Volume{v}, []*engine.Service{svc},
-				kind, dims, mapping.Options{DiskIdx: 0}, query.ExecOptions{})
+			grp, err := shard.Build([]*engine.Service{svc}, kind, dims,
+				mapping.Options{DiskIdx: 0}, query.ExecOptions{})
 			if err != nil {
 				return err
 			}

@@ -154,7 +154,7 @@
 // streaming plans through all shard services concurrently (shards
 // scale across CPUs, not just across an admission batch), and merges
 // the per-shard Stats by summation, so session totals still sum to the
-// per-shard service totals (Store.ShardServiceTotals): the attribution
+// per-shard service totals (Store.Metrics().Shards): the attribution
 // property holds group-wide. Updates route to the shard owning their
 // cell, with a per-shard overflow pool spread round-robin across that
 // shard's member-disk tails. With one shard the group degenerates to
@@ -185,7 +185,9 @@
 // Stats.Cancelled/DeadlineExceeded counting the dropped operations —
 // and the attribution-sum property survives: session totals still sum
 // to ServiceTotals.Attributed for issued work. Closed stores and
-// volumes fail fast with ErrClosed.
+// volumes fail fast with ErrClosed. A volume keeps the one service it
+// was built with for life, so Volume.Close is terminal: Open on a
+// closed volume fails with ErrClosed too, and Volume.Reset is a no-op.
 //
 // Deadlines are the QoS signal. With WithDeadlineAging(d), each
 // admission pass serves urgent requests — those whose context carries

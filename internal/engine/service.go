@@ -364,13 +364,9 @@ func (s *Service) Close() {
 	}
 }
 
-// Closed reports whether Close has been called. A closed service may
-// still be draining; Close (idempotent) waits for quiescence.
-func (s *Service) Closed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
+// Volume returns the volume the service owns — the one NewService was
+// given, for life.
+func (s *Service) Volume() *lvm.Volume { return s.vol }
 
 // Reset restores every member disk to its initial state and clears the
 // extent cache and totals, serialized after all in-flight batches.

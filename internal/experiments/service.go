@@ -170,14 +170,12 @@ func buildServeRig(cfg Config, g *disk.Geometry, dims []int, shards int) (*serve
 	rig := &serveRig{
 		svcs: make([]*engine.Service, shards),
 	}
-	vols := make([]*lvm.Volume, shards)
-	for i := range vols {
+	for i := range rig.svcs {
 		v, err := lvm.New(0, g)
 		if err != nil {
 			rig.close()
 			return nil, err
 		}
-		vols[i] = v
 		rig.svcs[i] = engine.NewService(v, engine.ServiceOptions{
 			CacheBlocks: cfg.CacheBlocks, BatchWindow: cfg.BatchWindow,
 			DeadlineAging: cfg.DeadlineAging,
@@ -190,7 +188,7 @@ func buildServeRig(cfg Config, g *disk.Geometry, dims []int, shards int) (*serve
 			},
 		})
 	}
-	rig.grp, err = shard.Build(vols, rig.svcs, mapping.MultiMap, dims, mapping.Options{DiskIdx: 0}, eo)
+	rig.grp, err = shard.Build(rig.svcs, mapping.MultiMap, dims, mapping.Options{DiskIdx: 0}, eo)
 	if err != nil {
 		rig.close()
 		return nil, err
@@ -204,7 +202,8 @@ func buildServeRig(cfg Config, g *disk.Geometry, dims []int, shards int) (*serve
 		for i := range rig.cells {
 			member := rig.grp.Member(i)
 			_, hi := member.Map.SpanVLBN()
-			overflow := member.Vol.TotalBlocks() - hi
+			total := member.Svc.Volume().TotalBlocks()
+			overflow := total - hi
 			if overflow <= 0 {
 				rig.close()
 				return nil, fmt.Errorf("experiments: no room for an overflow extent past VLBN %d", hi)
@@ -213,7 +212,7 @@ func buildServeRig(cfg Config, g *disk.Geometry, dims []int, shards int) (*serve
 				overflow = 1 << 16
 			}
 			rig.cells[i], err = core.NewCellStore(member.Map.CellVLBN, 64, 0.75, 0.25,
-				[]lvm.Request{{VLBN: member.Vol.TotalBlocks() - overflow, Count: int(overflow)}})
+				[]lvm.Request{{VLBN: total - overflow, Count: int(overflow)}})
 			if err != nil {
 				rig.close()
 				return nil, err

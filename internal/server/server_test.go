@@ -303,8 +303,8 @@ func TestDisconnectCancelsAndAttributes(t *testing.T) {
 	ctx := context.Background()
 	st := underlying(t, srv, "drop")
 	cancelled := func() (n int64) {
-		for _, tot := range st.ShardServiceTotals() {
-			n += tot.Cancelled
+		for _, sm := range st.Metrics().Shards {
+			n += sm.Totals.Cancelled
 		}
 		return n
 	}
@@ -377,8 +377,8 @@ func TestDisconnectCancelsAndAttributes(t *testing.T) {
 		wireStats.Accumulate(ss)
 	}
 	var attr multimap.Stats
-	for _, tot := range st.ShardServiceTotals() {
-		attr.Accumulate(tot.Attributed)
+	for _, sm := range st.Metrics().Shards {
+		attr.Accumulate(sm.Totals.Attributed)
 	}
 	if wireStats.Cells != attr.Cells || wireStats.Requests != attr.Requests ||
 		wireStats.CacheHits != attr.CacheHits || wireStats.CacheMisses != attr.CacheMisses {

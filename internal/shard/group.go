@@ -8,17 +8,15 @@ import (
 	"sync"
 
 	"repro/internal/engine"
-	"repro/internal/lvm"
 	"repro/internal/mapping"
 	"repro/internal/query"
 )
 
-// Member is one shard's full execution stack: an independent volume,
-// the engine.Service loop that owns its head state and extent cache,
-// the shard-local mapping of the slab's grid, and the storage-manager
-// planner over it.
+// Member is one shard's full execution stack: the engine.Service loop
+// that owns an independent volume's head state and extent cache (the
+// volume is Svc.Volume()), the shard-local mapping of the slab's grid,
+// and the storage-manager planner over it.
 type Member struct {
-	Vol  *lvm.Volume
 	Svc  *engine.Service
 	Map  mapping.Mapper
 	Exec *query.Executor
@@ -31,24 +29,21 @@ type Group struct {
 	members []Member
 }
 
-// Build maps a dataset of the given shape across one volume per shard
-// (each with its running service), choosing the Dim0 slab alignment
-// from the placement (MultiMap's basic-cube side K0; 1 for the linear
-// mappings) and mapping each shard's slab grid onto its own volume with
-// the same placement options and executor options throughout. With one
+// Build maps a dataset of the given shape across one service's volume
+// per shard, choosing the Dim0 slab alignment from the placement
+// (MultiMap's basic-cube side K0; 1 for the linear mappings) and
+// mapping each shard's slab grid onto its own volume with the same
+// placement options and executor options throughout. With one
 // volume the group degenerates to exactly the single-volume stack —
 // same mapping, same planner, same service — which is what makes
 // single-shard scatter-gather execution bit-identical to the unsharded
 // path.
-func Build(vols []*lvm.Volume, svcs []*engine.Service, kind mapping.Kind, dims []int,
+func Build(svcs []*engine.Service, kind mapping.Kind, dims []int,
 	mo mapping.Options, eo query.ExecOptions) (*Group, error) {
-	if len(vols) == 0 {
-		return nil, fmt.Errorf("shard: at least one volume required")
+	if len(svcs) == 0 {
+		return nil, fmt.Errorf("shard: at least one service required")
 	}
-	if len(vols) != len(svcs) {
-		return nil, fmt.Errorf("shard: %d volumes but %d services", len(vols), len(svcs))
-	}
-	align, err := mapping.Dim0Align(kind, vols[0], dims, mo)
+	align, err := mapping.Dim0Align(kind, svcs[0].Volume(), dims, mo)
 	if err != nil {
 		return nil, err
 	}
@@ -60,30 +55,30 @@ func Build(vols []*lvm.Volume, svcs []*engine.Service, kind mapping.Kind, dims [
 	// per-shard sequential and semi-sequential locality is unaffected,
 	// only the slab cuts stop coinciding with the unsharded layout's
 	// cube boundaries.
-	for align > 1 && (dims[0]+align-1)/align < len(vols) {
+	for align > 1 && (dims[0]+align-1)/align < len(svcs) {
 		align = (align + 1) / 2
 	}
-	r, err := NewRouter(dims, len(vols), align)
+	r, err := NewRouter(dims, len(svcs), align)
 	if err != nil {
 		return nil, err
 	}
-	g := &Group{r: r, members: make([]Member, len(vols))}
-	for i := range vols {
-		m, err := mapping.New(kind, vols[i], r.LocalDims(i), mo)
+	g := &Group{r: r, members: make([]Member, len(svcs))}
+	for i, svc := range svcs {
+		m, err := mapping.New(kind, svc.Volume(), r.LocalDims(i), mo)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		g.members[i] = Member{
-			Vol:  vols[i],
-			Svc:  svcs[i],
-			Map:  m,
-			Exec: query.NewExecutorOptions(vols[i], m, eo),
-		}
+		g.members[i] = member(svc, m, eo)
 	}
 	return g, nil
 }
 
-// Rebind builds a new Group over fresh volumes and services while
+// member assembles one shard's stack over svc's volume.
+func member(svc *engine.Service, m mapping.Mapper, eo query.ExecOptions) Member {
+	return Member{Svc: svc, Map: m, Exec: query.NewExecutorOptions(svc.Volume(), m, eo)}
+}
+
+// Rebind builds a new Group over fresh services (and their volumes) while
 // sharing the source group's router and per-shard mappings — the clone
 // hook: a cloned dataset's volumes carry bit-for-bit the parent's
 // blocks at snapshot time, so the parent's cell placement is exactly
@@ -93,22 +88,13 @@ func Build(vols []*lvm.Volume, svcs []*engine.Service, kind mapping.Kind, dims [
 // snapshot), so the Mapper objects are shared outright — they are
 // immutable after construction. Only the executors are rebuilt, bound
 // to the new volumes.
-func Rebind(g *Group, vols []*lvm.Volume, svcs []*engine.Service, eo query.ExecOptions) (*Group, error) {
-	if len(vols) != len(g.members) {
-		return nil, fmt.Errorf("shard: rebind needs %d volumes, got %d", len(g.members), len(vols))
+func Rebind(g *Group, svcs []*engine.Service, eo query.ExecOptions) (*Group, error) {
+	if len(svcs) != len(g.members) {
+		return nil, fmt.Errorf("shard: rebind needs %d services, got %d", len(g.members), len(svcs))
 	}
-	if len(vols) != len(svcs) {
-		return nil, fmt.Errorf("shard: %d volumes but %d services", len(vols), len(svcs))
-	}
-	ng := &Group{r: g.r, members: make([]Member, len(vols))}
-	for i := range vols {
-		m := g.members[i].Map
-		ng.members[i] = Member{
-			Vol:  vols[i],
-			Svc:  svcs[i],
-			Map:  m,
-			Exec: query.NewExecutorOptions(vols[i], m, eo),
-		}
+	ng := &Group{r: g.r, members: make([]Member, len(svcs))}
+	for i, svc := range svcs {
+		ng.members[i] = member(svc, g.members[i].Map, eo)
 	}
 	return ng, nil
 }

@@ -127,17 +127,15 @@ func TestRouterRejects(t *testing.T) {
 
 func testGroup(t testing.TB, kind mapping.Kind, dims []int, shards int, cacheBlocks int64) (*Group, func()) {
 	t.Helper()
-	vols := make([]*lvm.Volume, shards)
 	svcs := make([]*engine.Service, shards)
-	for i := range vols {
+	for i := range svcs {
 		v, err := lvm.New(16, disk.MediumTestDisk())
 		if err != nil {
 			t.Fatal(err)
 		}
-		vols[i] = v
 		svcs[i] = engine.NewService(v, engine.ServiceOptions{CacheBlocks: cacheBlocks})
 	}
-	g, err := Build(vols, svcs, kind, dims, mapping.Options{DiskIdx: 0}, query.ExecOptions{})
+	g, err := Build(svcs, kind, dims, mapping.Options{DiskIdx: 0}, query.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,14 +18,12 @@ import (
 // commits.
 func wbGroup(t testing.TB, shards int) (*Group, func()) {
 	t.Helper()
-	vols := make([]*lvm.Volume, shards)
 	svcs := make([]*engine.Service, shards)
-	for i := range vols {
+	for i := range svcs {
 		v, err := lvm.New(16, disk.MediumTestDisk())
 		if err != nil {
 			t.Fatal(err)
 		}
-		vols[i] = v
 		svcs[i] = engine.NewService(v, engine.ServiceOptions{
 			WriteBack: engine.WriteBackOptions{
 				Enabled:         true,
@@ -34,7 +32,7 @@ func wbGroup(t testing.TB, shards int) (*Group, func()) {
 			},
 		})
 	}
-	g, err := Build(vols, svcs, mapping.MultiMap, []int{40, 12, 8},
+	g, err := Build(svcs, mapping.MultiMap, []int{40, 12, 8},
 		mapping.Options{DiskIdx: 0}, query.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)

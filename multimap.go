@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -75,16 +74,22 @@ type ClassTotals = engine.ClassTotals
 // Volume is a logical volume over one or more simulated drives,
 // exporting the paper's adjacency interface.
 //
-// All simulated head state lives behind a per-volume query service: a
+// A volume is built with its query service and keeps it for life: a
 // single service-loop goroutine (running only while queries are in
 // flight) owns the member disks, so any number of stores and sessions
-// may query the volume concurrently. Reset is serialized through that
-// loop.
+// may query the volume concurrently, and Reset is serialized through
+// that loop. Close is terminal: it shuts the service, after which Open
+// on the volume and every operation of its stores and sessions fail
+// with ErrClosed.
 type Volume struct {
-	v *lvm.Volume
-
-	mu  sync.Mutex
 	svc *engine.Service
+}
+
+// newVolume pairs lv with the query service that owns its head state —
+// the one way a Volume is built, for the caller's volumes, a store's
+// internal shard volumes and a pool's tenant volumes alike.
+func newVolume(lv *lvm.Volume) *Volume {
+	return &Volume{svc: engine.NewService(lv, engine.ServiceOptions{})}
 }
 
 // OpenVolume builds a volume from drive model names with the paper's
@@ -111,125 +116,55 @@ func OpenVolumeDepth(adjDepth int, models ...DiskModel) (*Volume, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Volume{v: v}, nil
+	return newVolume(v), nil
 }
 
 // NumDisks returns the number of member drives.
-func (v *Volume) NumDisks() int { return v.v.NumDisks() }
+func (v *Volume) NumDisks() int { return v.svc.Volume().NumDisks() }
 
 // TotalBlocks returns the volume capacity in 512-byte blocks.
-func (v *Volume) TotalBlocks() int64 { return v.v.TotalBlocks() }
+func (v *Volume) TotalBlocks() int64 { return v.svc.Volume().TotalBlocks() }
 
 // AdjacencyDepth returns the exported D.
-func (v *Volume) AdjacencyDepth() int { return v.v.AdjacencyDepth() }
+func (v *Volume) AdjacencyDepth() int { return v.svc.Volume().AdjacencyDepth() }
 
 // GetAdjacent returns up to d adjacent blocks of a volume LBN — the
 // first interface call of the paper's LVM (§3.2).
 func (v *Volume) GetAdjacent(vlbn int64, d int) ([]int64, error) {
-	return v.v.GetAdjacent(vlbn, d)
+	return v.svc.Volume().GetAdjacent(vlbn, d)
 }
 
 // GetTrackBoundaries returns the half-open LBN interval of the track
 // containing vlbn — the second interface call of the paper's LVM.
 func (v *Volume) GetTrackBoundaries(vlbn int64) (start, next int64, err error) {
-	return v.v.GetTrackBoundaries(vlbn)
-}
-
-// service returns the volume's query service, created on first use.
-// Its loop goroutine runs only while queries are in flight, so an idle
-// volume holds no goroutine. A service found mid-Close is waited out
-// (Close is idempotent and returns at quiescence) and replaced, so a
-// store built concurrently with Volume.Close still gets a live
-// service rather than a permanently dead one.
-func (v *Volume) service() *engine.Service {
-	for {
-		v.mu.Lock()
-		if v.svc == nil {
-			v.svc = engine.NewService(v.v, engine.ServiceOptions{})
-			svc := v.svc
-			v.mu.Unlock()
-			return svc
-		}
-		svc := v.svc
-		v.mu.Unlock()
-		if !svc.Closed() {
-			return svc
-		}
-		v.retire(svc)
-	}
-}
-
-// retire waits for a closed service to drain and clears it from v.svc
-// (unless another goroutine already replaced it). Only after the drain
-// may anything else own the disks.
-func (v *Volume) retire(svc *engine.Service) {
-	svc.Close()
-	v.mu.Lock()
-	if v.svc == svc {
-		v.svc = nil
-	}
-	v.mu.Unlock()
+	return v.svc.Volume().GetTrackBoundaries(vlbn)
 }
 
 // Reset restores all drives to their initial head positions and clears
-// statistics and the extent cache. When the query service is running,
-// the reset is serialized after every in-flight batch, so it is safe to
-// call while other goroutines query the volume.
+// statistics and the extent cache. The reset is serialized after every
+// in-flight batch, so it is safe to call while other goroutines query
+// the volume. On a closed volume Reset is a no-op: the drives keep the
+// state the last batch left them in.
 func (v *Volume) Reset() {
-	for {
-		v.mu.Lock()
-		svc := v.svc
-		if svc == nil {
-			// No service: holding mu excludes a concurrent Open from
-			// starting one mid-reset, so the direct reset is race-free.
-			v.v.Reset()
-			v.mu.Unlock()
-			return
-		}
-		v.mu.Unlock()
-		if svc.Reset() == nil {
-			return
-		}
-		// That service was closed concurrently. Wait out its drain and
-		// clear it, then re-evaluate — no spinning while it drains.
-		v.retire(svc)
-	}
+	_ = v.svc.Reset() // ErrClosed after Close: nothing is reset
 }
 
-// Close shuts the volume's query service, waiting for in-flight
-// batches so the caller regains exclusive use of the volume. Queries on
-// existing stores and sessions fail afterwards; a new store restarts
-// the service. Close is optional — an idle service holds no resources.
-func (v *Volume) Close() {
-	v.mu.Lock()
-	svc := v.svc
-	v.mu.Unlock()
-	if svc == nil {
-		return
-	}
-	// Drain before forgetting the service: while batches are still in
-	// flight the loop goroutine owns the disk head state, so v.svc must
-	// keep pointing at it — otherwise a concurrent Reset or Open
-	// would see "no service" and touch the disks alongside the loop.
-	v.retire(svc)
-}
+// Close shuts the volume's query service for good, waiting for
+// in-flight batches (and committing write-back buffers) so the caller
+// regains exclusive use of the drives. Afterwards Open on the volume
+// and every operation of its stores and sessions fail with ErrClosed,
+// and Reset is a no-op. Close is idempotent, and optional: an idle
+// service holds no goroutine.
+func (v *Volume) Close() { v.svc.Close() }
 
-// ServiceTotals snapshots the query service's bookkeeping (zero before
-// the first store is built).
-func (v *Volume) ServiceTotals() ServiceTotals {
-	v.mu.Lock()
-	svc := v.svc
-	v.mu.Unlock()
-	if svc == nil {
-		return ServiceTotals{}
-	}
-	return svc.Totals()
-}
+// ServiceTotals snapshots the query service's bookkeeping.
+func (v *Volume) ServiceTotals() ServiceTotals { return v.svc.Totals() }
 
-// ErrClosed is returned by store and session operations after the
-// backing query service has been shut down — Store.Close on the
-// store's internally created shard volumes, or Volume.Close on the
-// caller's own volume. Test with errors.Is.
+// ErrClosed is returned by Open on a closed volume, and by store and
+// session operations once a service they run on has been shut down —
+// by Store.Close on the store's internally created shard volumes, or by
+// Volume.Close on the caller's own volume. Both closes are terminal.
+// Test with errors.Is.
 var ErrClosed = engine.ErrClosed
 
 // ErrNotUpdatable is returned by the update operations (Insert,
@@ -258,8 +193,9 @@ var ErrNotUpdatable = errors.New("multimap: store opened without Updatable")
 // volume plus internally created ones, every query fanning out to the
 // shards it touches.
 type Store struct {
-	vol         *Volume   // primary volume (shard 0)
-	extra       []*Volume // internally created shard volumes 1..N-1
+	// vols holds one volume per shard: vols[0] is the one the store was
+	// opened on, vols[1:] the store's own (WithShards, or a pool tenant's).
+	vols        []*Volume
 	grp         *shard.Group
 	dims        []int
 	maxInflight int
@@ -295,37 +231,24 @@ func Open(vol *Volume, kind Mapping, dims []int, opts ...Option) (*Store, error)
 			return nil, err
 		}
 	}
-	return open(vol, kind, dims, c)
+	return open([]*Volume{vol}, kind, dims, c)
 }
 
 // open builds a store from a resolved config — the shared tail of Open
-// and Pool.Create. When c.provision is set (pool tenants), the shard
-// volumes were pre-allocated from the pool, shard 0 included;
-// otherwise shards 1..N-1 mirror the caller's volume hardware via
-// NewLike, exactly the classic path.
-func open(vol *Volume, kind Mapping, dims []int, c config) (*Store, error) {
+// and Pool.Create. Pool tenants arrive with every shard volume
+// allocated from the pool; otherwise vols is the caller's one volume
+// and shards 1..N-1 mirror its hardware via NewLike. On a closed volume
+// configuring the service fails, so Open returns ErrClosed.
+func open(vols []*Volume, kind Mapping, dims []int, c config) (*Store, error) {
 	eo, err := query.ExecOptionsFor(c.policy, c.chunkCells)
 	if err != nil {
 		return nil, err
 	}
-	shardVols := []*Volume{vol}
-	if c.provision != nil {
-		if len(c.provision) != c.shards || c.provision[0] != vol {
-			return nil, fmt.Errorf("multimap: provisioned %d shard volumes for %d shards", len(c.provision), c.shards)
-		}
-		shardVols = c.provision
-	} else {
-		for i := 1; i < c.shards; i++ {
-			shardVols = append(shardVols, &Volume{v: lvm.NewLike(vol.v)})
-		}
+	for len(vols) < c.shards {
+		vols = append(vols, newVolume(lvm.NewLike(vols[0].svc.Volume())))
 	}
-	vols := make([]*lvm.Volume, c.shards)
-	svcs := make([]*engine.Service, c.shards)
-	for i, sv := range shardVols {
-		vols[i] = sv.v
-		svcs[i] = sv.service()
-	}
-	grp, err := shard.Build(vols, svcs, kind, dims, mapping.Options{
+	svcs := services(vols)
+	grp, err := shard.Build(svcs, kind, dims, mapping.Options{
 		DiskIdx: c.diskIdx, CellBlocks: c.cellBlocks,
 	}, eo)
 	if err != nil {
@@ -334,7 +257,7 @@ func open(vol *Volume, kind Mapping, dims []int, c config) (*Store, error) {
 	if err := applyServiceConfig(svcs, c); err != nil {
 		return nil, err
 	}
-	s := newStore(shardVols, grp, c, eo)
+	s := newStore(vols, grp, c, eo)
 	if c.updatable {
 		if err := s.initUpdatable(c.update); err != nil {
 			return nil, err
@@ -343,15 +266,14 @@ func open(vol *Volume, kind Mapping, dims []int, c config) (*Store, error) {
 	return s, nil
 }
 
-// newStore assembles a Store over a built shard group (vols[0] is the
-// primary volume). It is the one place a Store's fields are filled in:
-// open and Pool.Clone both go through it, so a field one of them needs
-// cannot be forgotten by the other. The update layer (cells, autoGrow)
-// is the caller's to attach.
+// newStore assembles a Store over a shard group built on the services
+// of vols. It is the one place a Store's fields are filled in: open and
+// Pool.Clone both go through it, so a field one of them needs cannot be
+// forgotten by the other. The update layer (cells, autoGrow) is the
+// caller's to attach.
 func newStore(vols []*Volume, grp *shard.Group, c config, eo query.ExecOptions) *Store {
 	s := &Store{
-		vol:         vols[0],
-		extra:       vols[1:],
+		vols:        vols,
 		grp:         grp,
 		dims:        append([]int(nil), grp.Router().Dims()...),
 		maxInflight: c.maxInflight,
@@ -362,6 +284,15 @@ func newStore(vols []*Volume, grp *shard.Group, c config, eo query.ExecOptions) 
 	}
 	s.def = s.Begin()
 	return s
+}
+
+// services lists the volumes' services, in shard order.
+func services(vols []*Volume) []*engine.Service {
+	svcs := make([]*engine.Service, len(vols))
+	for i, v := range vols {
+		svcs[i] = v.svc
+	}
+	return svcs
 }
 
 // applyServiceConfig overlays the config's service-level knobs (cache,
@@ -396,10 +327,10 @@ type Session struct {
 
 // Begin opens a new session on the store: one engine session per shard
 // service, driven scatter-gather. Sessions are bound to the services
-// the store was built on: after Store.Close or Volume.Close they fail
-// with ErrClosed, rather than resurrecting a service. The session
-// inherits the store's default QoS class (WithQoS); use BeginQoS for
-// an explicit class.
+// the store was built on, which are its volumes' for life: after
+// Store.Close or Volume.Close every operation fails with ErrClosed. The
+// session inherits the store's default QoS class (WithQoS); use
+// BeginQoS for an explicit class.
 func (s *Store) Begin() *Session {
 	return s.BeginQoS(s.qosClass)
 }
@@ -571,28 +502,21 @@ func (s *Store) CellLBN(cell []int) (int64, error) {
 	return vlbn, err
 }
 
-// ShardServiceTotals snapshots every shard service's bookkeeping in
-// shard order. Summing all sessions' Stats reproduces the sum of the
-// entries' Attributed fields — the attribution-sum property, group
-// wide. On the default single shard this is the one-volume
-// ServiceTotals in a one-element slice.
-func (s *Store) ShardServiceTotals() []ServiceTotals { return s.grp.ServiceTotals() }
-
 // ClassTotals snapshots the per-QoS-class slice of the service
 // bookkeeping, merged across every shard service and sorted by class
 // name. Each class's Attributed is that class's share of the summed
-// ShardServiceTotals Attributed: the attribution-sum property per
+// Metrics().Totals Attributed: the attribution-sum property per
 // class, group wide (ElapsedMs aside — a shared batch's elapsed time
 // is observed once per contributing class).
 func (s *Store) ClassTotals() []ClassTotals { return s.grp.ClassTotals() }
 
 // Close retires the store: subsequent operations on it and on its
 // sessions fail with ErrClosed, and the shard volumes the store
-// created internally (WithShards > 1) have their services drained and
-// shut down. The caller's own volume — shard 0 — is untouched; close
-// it separately via Volume.Close when desired (operations then fail
-// with ErrClosed through the service layer instead). Close is
-// idempotent.
+// created internally (WithShards > 1) are closed, their services
+// drained and shut down. The caller's own volume — shard 0 — stays
+// open; close it separately via Volume.Close when desired (operations
+// then fail with ErrClosed through the service layer instead). Close
+// is idempotent.
 func (s *Store) Close() {
 	if s.closed.Swap(true) {
 		return
@@ -602,8 +526,8 @@ func (s *Store) Close() {
 	// left holding this store's buffered writes. The internal shard
 	// volumes flush on their own Close (the engine's fifth trigger).
 	s.def.ss.Flush(context.Background())
-	for _, sv := range s.extra {
-		sv.Close()
+	for _, v := range s.vols[1:] {
+		v.Close()
 	}
 }
 
@@ -617,11 +541,11 @@ func (s *Store) Flush(ctx context.Context) error {
 // Reset restores every shard volume of the store — the caller's and
 // the internal ones — to pristine head state, clearing their caches
 // and service totals. Like Volume.Reset it is safe under live traffic,
-// serializing after in-flight batches on each shard.
+// serializing after in-flight batches on each shard, and a no-op on a
+// closed volume.
 func (s *Store) Reset() {
-	s.vol.Reset()
-	for _, sv := range s.extra {
-		sv.Reset()
+	for _, v := range s.vols {
+		v.Reset()
 	}
 }
 

@@ -533,16 +533,16 @@ func TestShardedStoreEquivalenceAndScatter(t *testing.T) {
 	}
 	// The Dim0 queries put work on every shard; session sums must equal
 	// the per-shard attributed sums.
-	totals := s4.ShardServiceTotals()
-	if len(totals) != 4 {
-		t.Fatalf("ShardServiceTotals returned %d entries", len(totals))
+	shards := s4.Metrics().Shards
+	if len(shards) != 4 {
+		t.Fatalf("Metrics has %d shards", len(shards))
 	}
 	var attr Stats
-	for i, tot := range totals {
-		if tot.Batches == 0 {
+	for i, sm := range shards {
+		if sm.Totals.Batches == 0 {
 			t.Fatalf("shard %d served nothing", i)
 		}
-		attr.Accumulate(tot.Attributed)
+		attr.Accumulate(sm.Totals.Attributed)
 	}
 	sum := s4.def.Stats()
 	if sum.Cells != attr.Cells || sum.Requests != attr.Requests ||
@@ -556,9 +556,9 @@ func TestShardedStoreEquivalenceAndScatter(t *testing.T) {
 	// Store.Reset clears every shard; Store.Close kills the internal
 	// shard services (queries fail), while the caller's volume survives.
 	s4.Reset()
-	for i, tot := range s4.ShardServiceTotals() {
-		if tot.Batches != 0 {
-			t.Fatalf("shard %d totals survived Reset: %+v", i, tot)
+	for i, sm := range s4.Metrics().Shards {
+		if sm.Totals.Batches != 0 {
+			t.Fatalf("shard %d totals survived Reset: %+v", i, sm.Totals)
 		}
 	}
 	if st, err := s4.Beam(context.Background(), 0, []int{0, 0, 0}); err != nil || st.Cells != int64(dims[0]) {
@@ -652,8 +652,8 @@ func TestShardedConcurrentSessions(t *testing.T) {
 	for _, sess := range sessions {
 		sum.Accumulate(sess.Stats())
 	}
-	for _, tot := range s.ShardServiceTotals() {
-		attr.Accumulate(tot.Attributed)
+	for _, sm := range s.Metrics().Shards {
+		attr.Accumulate(sm.Totals.Attributed)
 	}
 	if sum.Cells != attr.Cells || sum.Requests != attr.Requests ||
 		sum.CacheHits != attr.CacheHits || sum.CacheMisses != attr.CacheMisses {

@@ -31,13 +31,10 @@ type config struct {
 
 	// Pool-only state. poolOpen marks a config assembled by Pool.Create;
 	// the two pool-only options below validate against it, so plain Open
-	// rejects them. provision carries the pre-built thin shard volumes
-	// (index 0 included) Create allocated from the pool, replacing the
-	// NewLike loop.
-	poolOpen  bool
-	provision []*Volume
-	capacity  int64
-	drives    []int
+	// rejects them.
+	poolOpen bool
+	capacity int64
+	drives   []int
 }
 
 func defaultConfig() config {

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/disk"
-	"repro/internal/engine"
 	"repro/internal/lvm"
 	"repro/internal/pool"
 	"repro/internal/query"
@@ -263,10 +262,9 @@ func (p *Pool) Create(ctx context.Context, name string, kind Mapping, dims []int
 		}
 		wrapped := make([]*Volume, c.shards)
 		for i, pv := range vols {
-			wrapped[i] = &Volume{v: pv.Volume()}
+			wrapped[i] = newVolume(pv.Volume())
 		}
-		c.provision = wrapped
-		st, err := open(wrapped[0], kind, dims, c)
+		st, err := open(wrapped, kind, dims, c)
 		if err == nil {
 			if p.autoGrow > 0 && st.cells != nil {
 				st.autoGrow = p.autoGrowHook(name)
@@ -522,25 +520,21 @@ func (p *Pool) Clone(ctx context.Context, snap *Snapshot, name string) (*Tenant,
 		}
 		t.vols = append(t.vols, pv)
 	}
-	shards := len(t.vols)
-	wrapped := make([]*Volume, shards)
-	lvols := make([]*lvm.Volume, shards)
-	svcs := make([]*engine.Service, shards)
+	wrapped := make([]*Volume, len(t.vols))
 	for i, pv := range t.vols {
-		wrapped[i] = &Volume{v: pv.Volume()}
-		lvols[i] = pv.Volume()
-		svcs[i] = wrapped[i].service()
+		wrapped[i] = newVolume(pv.Volume())
 	}
+	svcs := services(wrapped)
 	if err := applyServiceConfig(svcs, snap.cfg); err != nil {
 		return fail(err)
 	}
-	grp, err := shard.Rebind(snap.grp, lvols, svcs, snap.eo)
+	grp, err := shard.Rebind(snap.grp, svcs, snap.eo)
 	if err != nil {
 		return fail(err)
 	}
 	st := newStore(wrapped, grp, snap.cfg, snap.eo)
 	if snap.cells != nil {
-		st.cells = make([]*core.CellStore, shards)
+		st.cells = make([]*core.CellStore, len(snap.cells))
 		for i, cs := range snap.cells {
 			st.cells[i] = cs.Clone(grp.Member(i).Map.CellVLBN)
 		}
@@ -573,7 +567,7 @@ func (p *Pool) Destroy(ctx context.Context, name string) error {
 		return fmt.Errorf("multimap: no tenant %q", name)
 	}
 	t.store.Close()
-	t.store.vol.Close()
+	t.store.vols[0].Close()
 	for _, pv := range t.vols {
 		pv.Free()
 	}

@@ -207,8 +207,8 @@ func TestPoolLifecycleUnderLiveTraffic(t *testing.T) {
 		sum.Accumulate(sess.Stats())
 	}
 	var attr Stats
-	for _, tot := range ta.Store().ShardServiceTotals() {
-		attr.Accumulate(tot.Attributed)
+	for _, sm := range ta.Store().Metrics().Shards {
+		attr.Accumulate(sm.Totals.Attributed)
 	}
 	if sum.Cells != attr.Cells || sum.Requests != attr.Requests || sum.Padding != attr.Padding ||
 		sum.CacheHits != attr.CacheHits || sum.CacheMisses != attr.CacheMisses ||
@@ -258,7 +258,7 @@ func TestGrownVolumeSpans(t *testing.T) {
 	}
 	st := tb.Store()
 	m := st.grp.Member(0).Map
-	lv := st.vol.v
+	lv := st.grp.Member(0).Svc.Volume()
 	nd := lv.NumDisks()
 	oldTotal := lv.TotalBlocks()
 	preLo, preHi := m.SpanVLBN()

@@ -149,7 +149,7 @@ func (s *Store) initUpdatable(opts UpdateOptions) error {
 		if err != nil {
 			return err
 		}
-		extents, err := overflowExtents(member.Vol, member.Map, o.OverflowBlocks)
+		extents, err := overflowExtents(member.Svc.Volume(), member.Map, o.OverflowBlocks)
 		if err != nil {
 			if si > 0 {
 				err = fmt.Errorf("shard %d: %w", si, err)

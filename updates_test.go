@@ -77,12 +77,12 @@ func TestUpdatableFetchCostGrowsWithChain(t *testing.T) {
 	if _, err := u.LoadCell(context.Background(), b, 12); err != nil { // six blocks
 		t.Fatal(err)
 	}
-	u.vol.Reset()
+	u.Reset()
 	stA, err := u.FetchCell(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u.vol.Reset()
+	u.Reset()
 	stB, err := u.FetchCell(context.Background(), b)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestOverflowSpreadAcrossDisks(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, hi := probe.grp.Member(0).Map.SpanVLBN()
-	free0 := v.v.DiskStart(0) + v.v.DiskBlocks(0) - hi
+	free0 := v.svc.Volume().DiskStart(0) + v.svc.Volume().DiskBlocks(0) - hi
 	if free0 <= 0 {
 		t.Fatalf("dataset fills disk 0 (span end %d)", hi)
 	}
@@ -252,7 +252,7 @@ func TestOverflowSpreadAcrossDisks(t *testing.T) {
 	}
 	onDisk := map[int]int{}
 	for _, r := range reqs[1:] {
-		di, _, err := v.v.Locate(r.VLBN)
+		di, _, err := v.svc.Volume().Locate(r.VLBN)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,8 +316,8 @@ func TestUpdatableShardedRouting(t *testing.T) {
 		}
 	}
 	// Both shards must have served write ops for their own cells.
-	for i, tot := range u.ShardServiceTotals() {
-		if tot.WriteOps == 0 {
+	for i, sm := range u.Metrics().Shards {
+		if sm.Totals.WriteOps == 0 {
 			t.Fatalf("shard %d served no write ops", i)
 		}
 	}
@@ -528,7 +528,7 @@ func TestUpdatableConcurrentSessions(t *testing.T) {
 			t.Fatalf("client %d: %v", i, err)
 		}
 	}
-	tot := u.vol.ServiceTotals()
+	tot := u.vols[0].ServiceTotals()
 	if tot.WriteOps == 0 {
 		t.Fatal("no write ops reached the service")
 	}

@@ -70,7 +70,7 @@ func TestFetchCellWriteBackCoherence(t *testing.T) {
 	if st, err := plain.LoadCell(context.Background(), cell, 2); err != nil || st.TotalMs <= 0 {
 		t.Fatalf("write-through load not charged: %+v err=%v", st, err)
 	}
-	if tot := wb.ShardServiceTotals()[0]; tot.DirtyBlocks == 0 {
+	if tot := wb.Metrics().Shards[0].Totals; tot.DirtyBlocks == 0 {
 		t.Fatalf("nothing buffered after load: %+v", tot)
 	}
 
@@ -79,7 +79,7 @@ func TestFetchCellWriteBackCoherence(t *testing.T) {
 	// to the write-through write — so the fetch costs must match exactly.
 	a, b := both("fetch-cold", fetch)
 	compare("fetch-cold", a, b)
-	if tot := wb.ShardServiceTotals()[0]; tot.DirtyBlocks != 0 || tot.FlushBatches != 1 {
+	if tot := wb.Metrics().Shards[0].Totals; tot.DirtyBlocks != 0 || tot.FlushBatches != 1 {
 		t.Fatalf("read dependency did not commit the buffered load: %+v", tot)
 	}
 
@@ -125,7 +125,7 @@ func TestFetchCellWriteBackCoherence(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		both("insert-burst", func(u *Store) (Stats, error) { return u.Insert(context.Background(), cell) })
 	}
-	if tot := wb.ShardServiceTotals()[0]; tot.CoalescedWrites == 0 {
+	if tot := wb.Metrics().Shards[0].Totals; tot.CoalescedWrites == 0 {
 		t.Fatalf("insert burst did not coalesce in the write-back buffer: %+v", tot)
 	}
 	ca, _ := wb.ChainLen(cell)
@@ -140,7 +140,7 @@ func TestFetchCellWriteBackCoherence(t *testing.T) {
 	if a.Cells != b.Cells || a.Requests != b.Requests || a.CacheMisses != b.CacheMisses {
 		t.Fatalf("fetch-after-burst shape differs: write-back %+v vs write-through %+v", a, b)
 	}
-	if tot := wb.ShardServiceTotals()[0]; tot.DirtyBlocks != 0 {
+	if tot := wb.Metrics().Shards[0].Totals; tot.DirtyBlocks != 0 {
 		t.Fatalf("dirty data survived the dependent fetch: %+v", tot)
 	}
 
@@ -175,7 +175,8 @@ func TestWriteBackShardedSessionClose(t *testing.T) {
 			t.Fatalf("load %v not absorbed: %+v err=%v", cell, st, err)
 		}
 	}
-	for i, tot := range s.ShardServiceTotals() {
+	for i, sm := range s.Metrics().Shards {
+		tot := sm.Totals
 		if tot.DirtyBlocks == 0 {
 			t.Fatalf("shard %d has nothing buffered: %+v", i, tot)
 		}
@@ -183,7 +184,8 @@ func TestWriteBackShardedSessionClose(t *testing.T) {
 	if err := sess.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	for i, tot := range s.ShardServiceTotals() {
+	for i, sm := range s.Metrics().Shards {
+		tot := sm.Totals
 		if tot.DirtyBlocks != 0 || tot.FlushBatches != 1 {
 			t.Fatalf("shard %d not flushed on session close: %+v", i, tot)
 		}
@@ -257,7 +259,7 @@ func TestWriteBackConcurrentUpdates(t *testing.T) {
 		sum.Accumulate(q.Stats())
 	}
 	sum.Accumulate(s.def.Stats()) // store-level Flush rides the default session
-	tot := s.ShardServiceTotals()[0]
+	tot := s.Metrics().Shards[0].Totals
 	if tot.DirtyBlocks != 0 {
 		t.Fatalf("dirty data left after the closing flush: %+v", tot)
 	}
