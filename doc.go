@@ -37,15 +37,21 @@
 // Stats, and a query's Stats is the sum of its chunks'.
 // The storage manager's planner streams: a query box is sliced along
 // its slowest dimension into bounded sub-boxes, so huge ranges never
-// materialize every block at once. On the Z-order, Hilbert and Gray
-// layouts a sub-box is planned by walking the curve's own hierarchy
-// (internal/sfc): an aligned block of the key space is one contiguous
-// key interval, so a box costs a few intervals per unit of its surface
-// rather than a key per cell, and the same walk over the whole grid
-// yields the runs of in-grid keys that pack a non-power-of-two grid
-// densely (§5.2). The WithPolicy and WithChunkCells
-// open options expose the scheduler and chunking knobs; cmd/mmbench
-// mirrors them as -policy and -chunk. The concurrent service of the
+// materialize every block at once. Every layout expands a sub-box into
+// its ascending, coalesced extents itself (mapping.Mapper.BoxRequests),
+// with no lookup per cell, and the planner adds only the issue policy.
+// Naive's extents are runs of whole lower-dimension slabs, computed
+// directly. MultiMap steps the sub-box's Dim0 rows through its basic
+// cubes — a row is a chain head plus offset arithmetic, wrapping at the
+// track end — into one slice, sorted once only when the rows did not
+// come out ascending. On the Z-order, Hilbert and Gray layouts the
+// planner walks the curve's own hierarchy (internal/sfc): an aligned
+// block of the key space is one contiguous key interval, so a box costs
+// a few intervals per unit of its surface rather than a key per cell,
+// and the same walk over the whole grid yields the runs of in-grid keys
+// that pack a non-power-of-two grid densely (§5.2). The WithPolicy and
+// WithChunkCells open options expose the scheduler and chunking knobs;
+// cmd/mmbench mirrors them as -policy and -chunk. The concurrent service of the
 // next section runs the same pipeline one admission batch at a time,
 // and its four stages are one file each in internal/engine: service.go
 // (lifecycle, options, the loop goroutine that owns everything below),

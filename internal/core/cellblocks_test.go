@@ -23,36 +23,55 @@ func multiBlockMapping(t *testing.T, dims []int, b int) (*lvm.Volume, *Mapping) 
 }
 
 // TestMultiBlockCellsDisjoint: cells occupy non-overlapping B-block
-// extents.
+// extents — also where cubes are packed several to a track and a chain
+// head's first cell wraps its track end, so the next head's hop must
+// start from the wrapped tail (the layouts after the 4-block one once
+// double-booked 20–374 blocks each).
 func TestMultiBlockCellsDisjoint(t *testing.T) {
-	const b = 4
-	dims := []int{15, 6, 4}
-	_, m := multiBlockMapping(t, dims, b)
-	if m.CellBlocks() != b {
-		t.Fatalf("CellBlocks=%d", m.CellBlocks())
+	small, err := lvm.New(16, disk.SmallTestDisk())
+	if err != nil {
+		t.Fatal(err)
 	}
-	used := map[int64][]int{}
-	enumCells(dims, func(cell []int) {
-		exts, err := m.CellExtents(cell)
-		if err != nil {
-			t.Fatalf("CellExtents(%v): %v", cell, err)
-		}
-		total := 0
-		for _, e := range exts {
-			total += e.Count
-			for i := int64(0); i < int64(e.Count); i++ {
-				if prev, clash := used[e.VLBN+i]; clash {
-					t.Fatalf("block %d used by both %v and %v", e.VLBN+i, prev, cell)
-				}
-				used[e.VLBN+i] = append([]int(nil), cell...)
+	medium, err := lvm.New(16, disk.MediumTestDisk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, m4 := multiBlockMapping(t, []int{15, 6, 4}, 4)
+	for _, m := range []*Mapping{
+		m4,
+		mustMapping(t, small, []int{9, 33}, MapOptions{DiskIdx: 0, CellBlocks: 2}),
+		mustMapping(t, small, []int{40, 12, 6}, MapOptions{DiskIdx: 0, CellBlocks: 3}),
+		mustMapping(t, medium, []int{20, 20, 20}, MapOptions{DiskIdx: 0, CellBlocks: 2}),
+		mustMapping(t, medium, []int{11, 5, 4}, MapOptions{DiskIdx: 0, CellBlocks: 3}),
+	} {
+		b, dims := m.CellBlocks(), m.Dims()
+		used := map[int64][]int{}
+		enumCells(dims, func(cell []int) {
+			exts, err := m.CellExtents(cell)
+			if err != nil {
+				t.Fatalf("CellExtents(%v): %v", cell, err)
 			}
+			total := 0
+			for _, e := range exts {
+				total += e.Count
+				for i := int64(0); i < int64(e.Count); i++ {
+					if prev, clash := used[e.VLBN+i]; clash {
+						t.Fatalf("%v x%d: block %d used by both %v and %v", dims, b, e.VLBN+i, prev, cell)
+					}
+					used[e.VLBN+i] = append([]int(nil), cell...)
+				}
+			}
+			if total != b {
+				t.Fatalf("%v x%d: cell %v extents cover %d blocks, want %d", dims, b, cell, total, b)
+			}
+		})
+		cells := 1
+		for _, d := range dims {
+			cells *= d
 		}
-		if total != b {
-			t.Fatalf("cell %v extents cover %d blocks, want %d", cell, total, b)
+		if len(used) != cells*b {
+			t.Fatalf("%v x%d: %d blocks used, want %d", dims, b, len(used), cells*b)
 		}
-	})
-	if len(used) != 15*6*4*b {
-		t.Fatalf("%d blocks used, want %d", len(used), 15*6*4*b)
 	}
 }
 
@@ -130,12 +149,13 @@ func TestMultiBlockSemiSeqTiming(t *testing.T) {
 	}
 }
 
-// TestMultiBlockDim0RunBlocks: Dim0Run emits cells*B blocks.
+// TestMultiBlockDim0RunBlocks: a run of cells along Dim0 plans to
+// cells*B blocks.
 func TestMultiBlockDim0RunBlocks(t *testing.T) {
 	const b = 2
 	dims := []int{18, 5, 3}
 	_, m := multiBlockMapping(t, dims, b)
-	reqs, err := m.Dim0Run([]int{2, 1, 1}, 9)
+	reqs, err := m.BoxRequests([]int{2, 1, 1}, []int{11, 2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}

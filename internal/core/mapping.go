@@ -288,8 +288,17 @@ func (m *Mapping) buildChains() error {
 			counter[dim]++
 			stride := m.spec.strides[dim]
 			// Hop from the last block of the previous cell so the
-			// adjacency window opens right after its transfer ends.
-			prev := cp.heads[idx-stride] + int64(m.cellBlocks-1)
+			// adjacency window opens right after its transfer ends. A
+			// cell that runs past its track's end ends at the track's
+			// start: hopping from the next track instead would shift this
+			// chain off its neighbours' and onto a packed cube's cells.
+			// A single-block cell ends where it starts, which spares the
+			// paper's layouts two divisions per head.
+			prev := cp.heads[idx-stride]
+			if m.cellBlocks > 1 {
+				trackStart, off, trackLen := cp.locate(idx-stride, 0, m.cellBlocks)
+				prev = trackStart + (off+int64(m.cellBlocks-1))%trackLen
+			}
 			head, err := m.vol.GetAdjacentK(prev, stride)
 			if err != nil {
 				return fmt.Errorf("core: chain for cube %d head %d: %w", ci, idx, err)
@@ -315,40 +324,44 @@ func (m *Mapping) CubesPerDim() []int { return m.cubesPerDim }
 // CubeDisk returns the disk index holding cube ci.
 func (m *Mapping) CubeDisk(ci int) int { return m.cubes[ci].diskIdx }
 
-// split returns the cube index and in-cube coordinates of a cell.
-func (m *Mapping) split(cell []int) (cubeIdx int, r []int, err error) {
+// split locates a cell: the index of its basic cube, its Dim0 offset
+// r0 within the cube, and the inner index of its chain head —
+// sum(r_i * strides[i]), to which Dim0 adds nothing (strides[0] is 0).
+func (m *Mapping) split(cell []int) (cubeIdx, r0, inner int, err error) {
 	if len(cell) != len(m.dims) {
-		return 0, nil, fmt.Errorf("core: cell has %d dims, want %d", len(cell), len(m.dims))
+		return 0, 0, 0, fmt.Errorf("core: cell has %d dims, want %d", len(cell), len(m.dims))
 	}
-	r = make([]int, len(cell))
 	for i, x := range cell {
 		if x < 0 || x >= m.dims[i] {
-			return 0, nil, fmt.Errorf("core: coordinate %d = %d outside [0,%d)", i, x, m.dims[i])
+			return 0, 0, 0, fmt.Errorf("core: coordinate %d = %d outside [0,%d)", i, x, m.dims[i])
 		}
 		cubeIdx += x / m.spec.K[i] * m.cubeStride[i]
-		r[i] = x % m.spec.K[i]
+		inner += x % m.spec.K[i] * m.spec.strides[i]
 	}
-	return cubeIdx, r, nil
+	return cubeIdx, cell[0] % m.spec.K[0], inner, nil
 }
 
 // CellVLBN maps a cell coordinate to the volume LBN storing it.
 func (m *Mapping) CellVLBN(cell []int) (int64, error) {
-	ci, r, err := m.split(cell)
+	ci, r0, inner, err := m.split(cell)
 	if err != nil {
 		return 0, err
 	}
-	cp := &m.cubes[ci]
-	inner := 0
-	for i := 1; i < len(r); i++ {
-		inner += r[i] * m.spec.strides[i]
-	}
+	trackStart, off, _ := m.cubes[ci].locate(inner, r0, m.cellBlocks)
+	return trackStart + off, nil
+}
+
+// locate places the cell at Dim0 offset r0 on chain inner of the cube:
+// the start of the chain head's track, the cell's first block as an
+// offset on that track, and the track length. The cell lies r0 cells
+// (of cellBlocks sectors each) past the head, wrapping at the track
+// end: tracks are rotationally circular, so the wrapped successor is
+// still transfer-adjacent.
+func (cp *cubePlace) locate(inner, r0, cellBlocks int) (trackStart, off, trackLen int64) {
 	head := cp.heads[inner]
-	// Walk r[0] cells (of cellBlocks sectors each) along the head's
-	// track, wrapping at the track end: tracks are rotationally
-	// circular, so the wrapped successor is still transfer-adjacent.
-	off := (head - cp.zoneStart) % int64(cp.trackLen)
-	trackStart := head - off
-	return trackStart + (off+int64(r[0])*int64(m.cellBlocks))%int64(cp.trackLen), nil
+	trackLen = int64(cp.trackLen)
+	off = (head - cp.zoneStart) % trackLen
+	return head - off, (off + int64(r0)*int64(cellBlocks)) % trackLen, trackLen
 }
 
 // CellBlocks returns the cell size in blocks.
@@ -359,73 +372,79 @@ func (m *Mapping) CellBlocks() int { return m.cellBlocks }
 // rotationally contiguous with the head, so fetching both costs pure
 // transfer). For single-block cells this is always one extent.
 func (m *Mapping) CellExtents(cell []int) ([]lvm.Request, error) {
-	start, err := m.CellVLBN(cell)
+	ci, r0, inner, err := m.split(cell)
 	if err != nil {
 		return nil, err
 	}
-	ci, _, err := m.split(cell)
-	if err != nil {
-		return nil, err
-	}
-	cp := &m.cubes[ci]
-	off := (start - cp.zoneStart) % int64(cp.trackLen)
-	trackStart := start - off
-	first := int64(cp.trackLen) - off
-	if first >= int64(m.cellBlocks) {
-		return []lvm.Request{{VLBN: start, Count: m.cellBlocks}}, nil
-	}
-	return []lvm.Request{
-		{VLBN: start, Count: int(first)},
-		{VLBN: trackStart, Count: m.cellBlocks - int(first)},
-	}, nil
+	trackStart, off, trackLen := m.cubes[ci].locate(inner, r0, m.cellBlocks)
+	return appendRun(nil, trackStart, off, trackLen, int64(m.cellBlocks)), nil
 }
 
-// Dim0Run expands a run of cells along Dim0 starting at cell (which
-// must be in range) into at most a few contiguous VLBN requests: one
-// per basic cube crossed, plus one extra when a run wraps past its
-// track end. length cells are covered.
-func (m *Mapping) Dim0Run(cell []int, length int) ([]lvm.Request, error) {
-	if length <= 0 {
-		return nil, fmt.Errorf("core: run length must be positive, got %d", length)
+// appendRun appends the requests reading blocks consecutive blocks of a
+// track from offset off: one request, or two when the run wraps past
+// the track end.
+func appendRun(out []lvm.Request, trackStart, off, trackLen, blocks int64) []lvm.Request {
+	seg := min(trackLen-off, blocks)
+	out = append(out, lvm.Request{VLBN: trackStart + off, Count: int(seg)})
+	if rest := blocks - seg; rest > 0 {
+		out = append(out, lvm.Request{VLBN: trackStart, Count: int(rest)})
 	}
-	if cell[0]+length > m.dims[0] {
-		return nil, fmt.Errorf("core: run [%d,+%d) exceeds Dim0 length %d", cell[0], length, m.dims[0])
+	return out
+}
+
+// BoxRequests expands the box [lo,hi) into the ascending, coalesced
+// requests that read it. Each Dim0 row of the box is one run per basic
+// cube it crosses (two where a run wraps its track end), placed from
+// the cube's chain head by offset arithmetic alone. The runs go into
+// one slice sized from the row count, which is sorted in place only
+// when they did not come out ascending and disjoint already.
+func (m *Mapping) BoxRequests(lo, hi []int) ([]lvm.Request, error) {
+	n := len(m.dims)
+	if len(lo) != n || len(hi) != n {
+		return nil, fmt.Errorf("core: box has %d and %d dims, want %d", len(lo), len(hi), n)
 	}
-	cur := append([]int(nil), cell...)
-	var out []lvm.Request
-	remaining := length
-	for remaining > 0 {
-		ci, r, err := m.split(cur)
-		if err != nil {
-			return nil, err
+	rows := 1
+	for i, d := range m.dims {
+		if lo[i] < 0 || hi[i] > d || lo[i] >= hi[i] {
+			return nil, fmt.Errorf("core: bad box [%d,%d) on dimension %d of length %d", lo[i], hi[i], i, d)
 		}
-		cp := &m.cubes[ci]
-		inCube := m.spec.K[0] - r[0]
-		if inCube > remaining {
-			inCube = remaining
+		if i > 0 {
+			rows *= hi[i] - lo[i]
 		}
-		inner := 0
-		for i := 1; i < len(r); i++ {
-			inner += r[i] * m.spec.strides[i]
-		}
-		head := cp.heads[inner]
-		off := (head - cp.zoneStart) % int64(cp.trackLen)
-		trackStart := head - off
-		start := (off + int64(r[0])*int64(m.cellBlocks)) % int64(cp.trackLen)
-		blocks := int64(inCube) * int64(m.cellBlocks)
-		// First segment: up to the track end.
-		seg := int64(cp.trackLen) - start
-		if seg > blocks {
-			seg = blocks
-		}
-		out = append(out, lvm.Request{VLBN: trackStart + start, Count: int(seg)})
-		if rest := blocks - seg; rest > 0 {
-			out = append(out, lvm.Request{VLBN: trackStart, Count: int(rest)})
-		}
-		cur[0] += inCube
-		remaining -= inCube
 	}
-	return out, nil
+	k0 := m.spec.K[0]
+	cubesPerRow := (hi[0]-1)/k0 - lo[0]/k0 + 1
+	reqs := make([]lvm.Request, 0, 2*rows*cubesPerRow)
+	// x steps the rows through dims >= 1, Dim1 fastest; x[0] is unused.
+	var buf [8]int
+	x := append(buf[:0], lo...)
+	cb := int64(m.cellBlocks)
+	for {
+		cubeIdx, inner := 0, 0
+		for i := 1; i < n; i++ {
+			cubeIdx += x[i] / m.spec.K[i] * m.cubeStride[i]
+			inner += x[i] % m.spec.K[i] * m.spec.strides[i]
+		}
+		// Dim0 is the cube grid's fastest dimension (cubeStride[0] is 1).
+		for x0 := lo[0]; x0 < hi[0]; {
+			r0 := x0 % k0
+			cells := min(k0-r0, hi[0]-x0)
+			trackStart, off, trackLen := m.cubes[cubeIdx+x0/k0].locate(inner, r0, m.cellBlocks)
+			reqs = appendRun(reqs, trackStart, off, trackLen, int64(cells)*cb)
+			x0 += cells
+		}
+		i := 1
+		for ; i < n; i++ {
+			if x[i]++; x[i] < hi[i] {
+				break
+			}
+			x[i] = lo[i]
+		}
+		if i == n {
+			break
+		}
+	}
+	return lvm.SortCoalesce(reqs), nil
 }
 
 // Blocks returns the total number of blocks reserved by the mapping,

@@ -77,9 +77,13 @@ func TestMappingMatchesFig5(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ci, r, err := m.split(cell)
+		ci, _, _, err := m.split(cell)
 		if err != nil {
 			t.Fatal(err)
+		}
+		r := make([]int, len(cell))
+		for i, x := range cell {
+			r[i] = x % spec.K[i]
 		}
 		want, err := MapCellFig5(v, m.cubes[ci].base, spec, r)
 		if err != nil {
@@ -234,6 +238,8 @@ func TestMappingValidation(t *testing.T) {
 	}
 }
 
+// TestDim0RunCoversCells: a box one row thick plans to exactly the
+// blocks of its run of cells along Dim0.
 func TestDim0RunCoversCells(t *testing.T) {
 	dims := []int{33, 5, 4}
 	v := testVolume(t)
@@ -241,10 +247,9 @@ func TestDim0RunCoversCells(t *testing.T) {
 	for _, run := range []struct{ start, length int }{
 		{0, 33}, {5, 20}, {30, 3}, {0, 1},
 	} {
-		cell := []int{run.start, 2, 1}
-		reqs, err := m.Dim0Run(cell, run.length)
+		reqs, err := m.BoxRequests([]int{run.start, 2, 1}, []int{run.start + run.length, 3, 2})
 		if err != nil {
-			t.Fatalf("Dim0Run(%v,%d): %v", cell, run.length, err)
+			t.Fatalf("run %+v: %v", run, err)
 		}
 		want := map[int64]bool{}
 		for x := run.start; x < run.start+run.length; x++ {
@@ -268,10 +273,10 @@ func TestDim0RunCoversCells(t *testing.T) {
 			}
 		}
 	}
-	if _, err := m.Dim0Run([]int{30, 0, 0}, 10); err == nil {
+	if _, err := m.BoxRequests([]int{30, 0, 0}, []int{40, 1, 1}); err == nil {
 		t.Error("run past Dim0 end accepted")
 	}
-	if _, err := m.Dim0Run([]int{0, 0, 0}, 0); err == nil {
+	if _, err := m.BoxRequests([]int{0, 0, 0}, []int{0, 1, 1}); err == nil {
 		t.Error("zero-length run accepted")
 	}
 }

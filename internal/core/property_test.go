@@ -102,8 +102,8 @@ func zeroCell(dims []int, ci int, m *Mapping) []int {
 	return cell
 }
 
-// TestDim0RunMatchesPerCellQuick: Dim0Run covers exactly the blocks of
-// the per-cell mapping for random runs.
+// TestDim0RunMatchesPerCellQuick: a random run of cells along Dim0
+// plans to exactly the blocks of the per-cell mapping.
 func TestDim0RunMatchesPerCellQuick(t *testing.T) {
 	v, err := lvm.New(16, disk.MediumTestDisk())
 	if err != nil {
@@ -119,7 +119,7 @@ func TestDim0RunMatchesPerCellQuick(t *testing.T) {
 		x1, x2 := rng.Intn(dims[1]), rng.Intn(dims[2])
 		start := rng.Intn(dims[0])
 		length := 1 + rng.Intn(dims[0]-start)
-		reqs, err := m.Dim0Run([]int{start, x1, x2}, length)
+		reqs, err := m.BoxRequests([]int{start, x1, x2}, []int{start + length, x1 + 1, x2 + 1})
 		if err != nil {
 			return false
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/disk"
+	"repro/internal/lvm"
 )
 
 // Allocation budgets for the session↔loop boundary
@@ -22,7 +23,7 @@ import (
 // boundary itself adds nothing to that list.
 func TestRunPlanAllocBudget(t *testing.T) {
 	v := testVolume(t)
-	reqs := SortCoalesce(randomReqs(rand.New(rand.NewSource(1)), v, 40))
+	reqs := lvm.SortCoalesce(randomReqs(rand.New(rand.NewSource(1)), v, 40))
 	for _, tc := range []struct {
 		name   string
 		cache  int64
@@ -53,7 +54,7 @@ func TestRunPlanAllocBudget(t *testing.T) {
 // loop's scratch.
 func TestServeMergedAllocsNothingPerItem(t *testing.T) {
 	v := testVolume(t)
-	reqs := SortCoalesce(randomReqs(rand.New(rand.NewSource(1)), v, 40))
+	reqs := lvm.SortCoalesce(randomReqs(rand.New(rand.NewSource(1)), v, 40))
 	allocs := func(n int) float64 {
 		svc := NewService(v, ServiceOptions{})
 		defer svc.Close()

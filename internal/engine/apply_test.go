@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/disk"
+	"repro/internal/lvm"
 )
 
 // TestApplyUnderTraffic: six sessions in two classes issue reads and
@@ -38,7 +39,7 @@ func TestApplyUnderTraffic(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(300 + c)))
 			for q := 0; q < 4 || !done.Load(); q++ {
 				if q%3 == 2 {
-					if _, err := sessions[c].Write(context.Background(), SortCoalesce(randomReqs(rng, v, 5)), disk.SchedSPTF); err != nil {
+					if _, err := sessions[c].Write(context.Background(), lvm.SortCoalesce(randomReqs(rng, v, 5)), disk.SchedSPTF); err != nil {
 						t.Errorf("client %d write: %v", c, err)
 						return
 					}

@@ -1,38 +1,6 @@
 package engine
 
-import (
-	"slices"
-
-	"repro/internal/lvm"
-)
-
-// SortCoalesce sorts requests by VLBN and merges contiguous ones — the
-// storage manager's issue optimization for the linear mappings (§5.2).
-func SortCoalesce(reqs []lvm.Request) []lvm.Request {
-	if len(reqs) <= 1 {
-		return reqs
-	}
-	slices.SortFunc(reqs, func(a, b lvm.Request) int {
-		switch {
-		case a.VLBN < b.VLBN:
-			return -1
-		case a.VLBN > b.VLBN:
-			return 1
-		default:
-			return a.Count - b.Count
-		}
-	})
-	out := reqs[:1]
-	for _, r := range reqs[1:] {
-		last := &out[len(out)-1]
-		if r.VLBN == last.VLBN+int64(last.Count) {
-			last.Count += r.Count
-		} else {
-			out = append(out, r)
-		}
-	}
-	return out
-}
+import "repro/internal/lvm"
 
 // BridgedCoalesce merges ascending-sorted requests whose gaps are at
 // most maxGap blocks, returning the merged set and the total padding

@@ -116,7 +116,7 @@ func refChunks(rng *rand.Rand, v *lvm.Volume) []Chunk {
 		}
 		reqs := randomReqs(rng, v, 1+rng.Intn(60))
 		if rng.Intn(2) == 0 {
-			reqs = SortCoalesce(reqs)
+			reqs = lvm.SortCoalesce(reqs)
 		}
 		chunks[i] = Chunk{Reqs: reqs, Policy: policy, Padding: int64(rng.Intn(4))}
 	}

@@ -33,7 +33,7 @@ func randomChunks(rng *rand.Rand, v *lvm.Volume, nChunks, perChunk int) []Chunk 
 			policy = disk.SchedFIFO
 		}
 		chunks[i] = Chunk{
-			Reqs:    SortCoalesce(randomReqs(rng, v, perChunk)),
+			Reqs:    lvm.SortCoalesce(randomReqs(rng, v, perChunk)),
 			Policy:  policy,
 			Padding: int64(i % 3),
 		}
@@ -178,7 +178,7 @@ func attributionWorkload(t *testing.T, cacheBlocks int64, writeBack bool) {
 					return
 				}
 				if q%2 == 1 {
-					if _, err := sess.Write(context.Background(), SortCoalesce(randomReqs(rng, v, 6)), disk.SchedSPTF); err != nil {
+					if _, err := sess.Write(context.Background(), lvm.SortCoalesce(randomReqs(rng, v, 6)), disk.SchedSPTF); err != nil {
 						t.Errorf("client %d write: %v", c, err)
 						return
 					}
@@ -598,7 +598,7 @@ func TestServiceConcurrentWrites(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(500 + i)))
 			for q := 0; q < 8; q++ {
 				if q%3 == 2 {
-					reqs := SortCoalesce(randomReqs(rng, v, 5))
+					reqs := lvm.SortCoalesce(randomReqs(rng, v, 5))
 					if _, err := sessions[i].Write(context.Background(), reqs, disk.SchedSPTF); err != nil {
 						errs[i] = err
 						return

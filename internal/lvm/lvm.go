@@ -51,7 +51,9 @@
 package lvm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -67,6 +69,36 @@ const DefaultAdjacencyDepth = 128
 type Request struct {
 	VLBN  int64
 	Count int
+}
+
+// SortCoalesce sorts requests by VLBN (then length) in place and merges
+// contiguous ones — the storage manager's issue optimization (§5.2).
+// The sort is skipped when every request already begins at or past its
+// predecessor's end, where sorting would leave them as they are.
+func SortCoalesce(reqs []Request) []Request {
+	if len(reqs) <= 1 {
+		return reqs
+	}
+	for i := 1; i < len(reqs); i++ {
+		if prev := reqs[i-1]; reqs[i].VLBN < prev.VLBN+int64(prev.Count) {
+			slices.SortFunc(reqs, func(a, b Request) int {
+				if c := cmp.Compare(a.VLBN, b.VLBN); c != 0 {
+					return c
+				}
+				return a.Count - b.Count
+			})
+			break
+		}
+	}
+	out := reqs[:1]
+	for _, r := range reqs[1:] {
+		if last := &out[len(out)-1]; r.VLBN == last.VLBN+int64(last.Count) {
+			last.Count += r.Count
+		} else {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // Completion records one serviced request and the segment that served

@@ -43,14 +43,6 @@ func (c *curveMapper) CellVLBN(cell []int) (int64, error) {
 
 func (c *curveMapper) CellBlocks() int { return c.cellBlocks }
 
-func (c *curveMapper) CellExtents(cell []int) ([]lvm.Request, error) {
-	vlbn, err := c.CellVLBN(cell)
-	if err != nil {
-		return nil, err
-	}
-	return []lvm.Request{{VLBN: vlbn, Count: c.cellBlocks}}, nil
-}
-
 // BoxRequests expands the box [lo,hi) into ascending coalesced
 // requests: one request per maximal interval of curve ranks the box
 // occupies, found by walking the curve's hierarchy rather than by
@@ -88,5 +80,3 @@ func (c *curveMapper) SpanOnDisk(di int) (int64, int64) {
 	}
 	return c.SpanVLBN()
 }
-
-var _ BoxPlanner = (*curveMapper)(nil)

@@ -106,52 +106,63 @@ func (r *refCurve) boxRequests(t testing.TB, lo, hi []int) []lvm.Request {
 	return out
 }
 
-var curveKinds = []Kind{ZOrder, Hilbert, Gray}
+// boxRef is an oracle for one mapper's BoxRequests.
+type boxRef interface {
+	boxRequests(t testing.TB, lo, hi []int) []lvm.Request
+}
+
+// refKinds are the layouts with an oracle in this package; MultiMap's
+// is in internal/core.
+var refKinds = []Kind{ZOrder, Hilbert, Gray, Naive}
 
 // planPair builds the production mapper and its oracle on one extent.
-func planPair(t testing.TB, v *lvm.Volume, kind Kind, dims []int, cellBlocks int) (BoxPlanner, *refCurve) {
+func planPair(t testing.TB, v *lvm.Volume, kind Kind, dims []int, cellBlocks int) (Mapper, boxRef) {
 	t.Helper()
 	const baseVLBN = 100
 	m, err := New(kind, v, dims, Options{DiskIdx: 0, BaseVLBN: baseVLBN, CellBlocks: cellBlocks})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m.(BoxPlanner), newRefCurve(t, kind, dims, v.DiskStart(0)+baseVLBN, cellBlocks)
+	if kind == Naive {
+		return m, refNaive{m.(*naiveMapper)}
+	}
+	return m, newRefCurve(t, kind, dims, v.DiskStart(0)+baseVLBN, cellBlocks)
 }
 
-func checkBox(t testing.TB, bp BoxPlanner, ref *refCurve, lo, hi []int) {
+func checkBox(t testing.TB, m Mapper, ref boxRef, lo, hi []int) {
 	t.Helper()
-	got, err := bp.BoxRequests(lo, hi)
+	got, err := m.BoxRequests(lo, hi)
 	if err != nil {
 		t.Fatalf("box [%v,%v): %v", lo, hi, err)
 	}
 	if want := ref.boxRequests(t, lo, hi); !slices.Equal(got, want) {
-		t.Fatalf("box [%v,%v):\n walk %v\n ref  %v", lo, hi, got, want)
+		t.Fatalf("box [%v,%v):\n plan %v\n ref  %v", lo, hi, got, want)
 	}
 }
 
-// TestBoxRequestsMatchesRef: the walk's request list is == the sorted
-// per-cell plan's on every curve, over grids that are elongated, square
-// off a power of two, 2-D, one bit wide in a dimension, 4-D, a single
+// TestBoxRequestsMatchesRef: the curve walk's request list is == the
+// sorted per-cell plan's on every curve, and Naive's slab arithmetic
+// is == the per-row plan's, over grids that are elongated, square off
+// a power of two, 2-D, one bit wide in a dimension, 4-D, a single
 // cell, and a power of two — simulated time depends on every request.
 func TestBoxRequestsMatchesRef(t *testing.T) {
 	v := testVolume(t)
 	shapes := [][]int{{11, 5, 4}, {19, 19, 19}, {9, 33}, {33, 2, 5}, {5, 3, 7, 4}, {1, 1}, {16, 16, 16}}
 	rng := rand.New(rand.NewSource(23))
-	for _, kind := range curveKinds {
+	for _, kind := range refKinds {
 		for _, dims := range shapes {
 			for _, cb := range []int{1, 2} {
 				t.Run(fmt.Sprint(kind, dims, "x", cb), func(t *testing.T) {
-					bp, ref := planPair(t, v, kind, dims, cb)
+					m, ref := planPair(t, v, kind, dims, cb)
 					lo, hi := make([]int, len(dims)), make([]int, len(dims))
 					copy(hi, dims)
-					checkBox(t, bp, ref, lo, hi) // the whole grid
+					checkBox(t, m, ref, lo, hi) // the whole grid
 					for trial := 0; trial < 60; trial++ {
 						for i, d := range dims {
 							lo[i] = rng.Intn(d)
 							hi[i] = lo[i] + 1 + rng.Intn(d-lo[i])
 						}
-						checkBox(t, bp, ref, lo, hi)
+						checkBox(t, m, ref, lo, hi)
 					}
 					// Beams along every dimension.
 					for k := range dims {
@@ -161,7 +172,7 @@ func TestBoxRequestsMatchesRef(t *testing.T) {
 								hi[i] = lo[i] + 1
 							}
 							lo[k], hi[k] = 0, dims[k]
-							checkBox(t, bp, ref, lo, hi)
+							checkBox(t, m, ref, lo, hi)
 						}
 					}
 				})
@@ -170,7 +181,7 @@ func TestBoxRequestsMatchesRef(t *testing.T) {
 		// Every box of a small grid.
 		dims := []int{5, 4, 3}
 		for _, cb := range []int{1, 2} {
-			bp, ref := planPair(t, v, kind, dims, cb)
+			m, ref := planPair(t, v, kind, dims, cb)
 			lo, hi := make([]int, 3), make([]int, 3)
 			for lo[0] = 0; lo[0] < dims[0]; lo[0]++ {
 				for hi[0] = lo[0] + 1; hi[0] <= dims[0]; hi[0]++ {
@@ -178,7 +189,7 @@ func TestBoxRequestsMatchesRef(t *testing.T) {
 						for hi[1] = lo[1] + 1; hi[1] <= dims[1]; hi[1]++ {
 							for lo[2] = 0; lo[2] < dims[2]; lo[2]++ {
 								for hi[2] = lo[2] + 1; hi[2] <= dims[2]; hi[2]++ {
-									checkBox(t, bp, ref, lo, hi)
+									checkBox(t, m, ref, lo, hi)
 								}
 							}
 						}
@@ -190,99 +201,25 @@ func TestBoxRequestsMatchesRef(t *testing.T) {
 }
 
 func TestBoxRequestsRejectsBadBox(t *testing.T) {
-	bp, _ := planPair(t, testVolume(t), Hilbert, []int{6, 5}, 1)
-	for _, b := range [][2][]int{
-		{{0}, {1}}, {{-1, 0}, {1, 1}}, {{0, 0}, {7, 5}}, {{2, 2}, {2, 3}},
-	} {
-		if reqs, err := bp.BoxRequests(b[0], b[1]); err == nil {
-			t.Errorf("box %v accepted: %v", b, reqs)
+	v := testVolume(t)
+	for _, kind := range []Kind{Naive, ZOrder, Hilbert, Gray, MultiMap} {
+		m, err := New(kind, v, []int{6, 5}, Options{DiskIdx: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range [][2][]int{
+			{{0}, {1}}, {{-1, 0}, {1, 1}}, {{0, 0}, {7, 5}}, {{2, 2}, {2, 3}},
+		} {
+			if reqs, err := m.BoxRequests(b[0], b[1]); err == nil {
+				t.Errorf("%v: box %v accepted: %v", kind, b, reqs)
+			}
 		}
 	}
-}
-
-// FuzzCurveBox: any grid, curve and box the fuzzer can spell plans to
-// the reference's request list, and that list covers each cell of the
-// box exactly once.
-func FuzzCurveBox(f *testing.F) {
-	f.Add(uint8(0), uint8(1), []byte{11, 5, 4}, []byte{2, 9, 0, 5, 1, 3})
-	f.Add(uint8(1), uint8(2), []byte{19, 19, 19}, []byte{3, 17, 18, 19, 0, 1})
-	f.Add(uint8(2), uint8(1), []byte{9, 33}, []byte{0, 255, 7, 8})
-	f.Add(uint8(1), uint8(1), []byte{5, 3, 7, 4}, []byte{1, 2, 0, 3, 6, 7, 0, 4})
-	f.Add(uint8(1), uint8(1), []byte{1, 1}, []byte{})
-	v, err := lvm.New(16, disk.MediumTestDisk())
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Fuzz(func(t *testing.T, kindByte, cellBlocks uint8, shape, box []byte) {
-		if len(shape) == 0 || len(shape) > 5 {
-			return
-		}
-		dims := make([]int, len(shape))
-		cells := 1
-		for i, s := range shape {
-			dims[i] = 1 + int(s)%40
-			cells *= dims[i]
-		}
-		if cells > 1<<15 {
-			return
-		}
-		kind := curveKinds[int(kindByte)%len(curveKinds)]
-		cb := 1 + int(cellBlocks)%3
-		bp, ref := planPair(t, v, kind, dims, cb)
-		// Two bytes a dimension place the box; missing bytes read as 0.
-		at := func(i int) int {
-			if i < len(box) {
-				return int(box[i])
-			}
-			return 0
-		}
-		lo, hi := make([]int, len(dims)), make([]int, len(dims))
-		for i, d := range dims {
-			lo[i] = at(2*i) % d
-			hi[i] = lo[i] + 1 + at(2*i+1)%(d-lo[i])
-		}
-		checkBox(t, bp, ref, lo, hi)
-
-		reqs, _ := bp.BoxRequests(lo, hi)
-		blocks := 0
-		for i, r := range reqs {
-			if i > 0 && reqs[i-1].VLBN+int64(reqs[i-1].Count) >= r.VLBN {
-				t.Fatalf("requests %v and %v overlap, touch or descend", reqs[i-1], r)
-			}
-			blocks += r.Count
-		}
-		want := cb
-		cell := slices.Clone(lo)
-		for ; ; want += cb {
-			vlbn, err := bp.(Mapper).CellVLBN(cell)
-			if err != nil {
-				t.Fatal(err)
-			}
-			i, _ := slices.BinarySearchFunc(reqs, vlbn, func(r lvm.Request, v int64) int {
-				if r.VLBN+int64(r.Count) <= v {
-					return -1
-				}
-				if r.VLBN > v {
-					return 1
-				}
-				return 0
-			})
-			if i == len(reqs) || vlbn < reqs[i].VLBN || vlbn+int64(cb) > reqs[i].VLBN+int64(reqs[i].Count) {
-				t.Fatalf("cell %v at VLBN %d is in no request", cell, vlbn)
-			}
-			if !nextInBox(cell, lo, hi) {
-				break
-			}
-		}
-		// Disjoint requests holding every cell, and no block more.
-		if blocks != want {
-			t.Fatalf("requests read %d blocks, the box has %d", blocks, want)
-		}
-	})
 }
 
 // BenchmarkBoxRequests plans the paper's query shapes on its 259³ grid:
-// the hierarchy walk beside the per-cell reference.
+// each curve's hierarchy walk, and Naive's slab arithmetic, beside its
+// reference.
 func BenchmarkBoxRequests(b *testing.B) {
 	v, err := lvm.New(16, disk.AtlasTenKIII())
 	if err != nil {
@@ -298,9 +235,9 @@ func BenchmarkBoxRequests(b *testing.B) {
 		{"4^3", [3]int{4, 4, 4}}, {"16^3", [3]int{16, 16, 16}},
 		{"32^3", [3]int{32, 32, 32}}, {"128^3", [3]int{128, 128, 128}},
 	}
-	for _, kind := range curveKinds {
+	for _, kind := range refKinds {
 		b.Run(kind.String(), func(b *testing.B) {
-			bp, ref := planPair(b, v, kind, dims, 1)
+			m, ref := planPair(b, v, kind, dims, 1)
 			for _, sh := range shapes {
 				// 16 placements a shape, so no one alignment sets the figure.
 				rng := rand.New(rand.NewSource(5))
@@ -315,7 +252,7 @@ func BenchmarkBoxRequests(b *testing.B) {
 				b.Run(sh.name+"/walk", func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						if _, err := bp.BoxRequests(los[i%16], his[i%16]); err != nil {
+						if _, err := m.BoxRequests(los[i%16], his[i%16]); err != nil {
 							b.Fatal(err)
 						}
 					}

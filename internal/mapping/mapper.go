@@ -70,13 +70,15 @@ type Mapper interface {
 	Kind() Kind
 	// Dims returns the dataset side lengths.
 	Dims() []int
-	// CellVLBN returns the volume LBN storing the cell.
+	// CellVLBN returns the volume LBN storing the cell's first block.
 	CellVLBN(cell []int) (int64, error)
-	// CellBlocks reports the cell size in blocks, CellExtents the full
-	// extent list of one cell (two extents only when a MultiMap cell
-	// wraps its circular track).
+	// CellBlocks reports the cell size in blocks.
 	CellBlocks() int
-	CellExtents(cell []int) ([]lvm.Request, error)
+	// BoxRequests expands the box [lo,hi) into the ascending, coalesced
+	// requests that read exactly its cells, without one lookup per cell:
+	// Naive and MultiMap step the box's Dim0 rows, the curves walk the
+	// curve's hierarchy.
+	BoxRequests(lo, hi []int) ([]lvm.Request, error)
 	// SpanVLBN reports the half-open VLBN interval the dataset occupies
 	// on the volume. The interval is conservative (it may include
 	// allocation gaps and unfilled edge-cube space); layers that carve
@@ -93,28 +95,11 @@ type Mapper interface {
 	SpanOnDisk(di int) (start, end int64)
 }
 
-// Dim0Runner is implemented by mappers that can expand a run of cells
-// along Dim0 into contiguous requests directly (MultiMap and Naive);
-// the storage manager uses it to favour sequential access (§5.2).
-type Dim0Runner interface {
-	Dim0Run(cell []int, length int) ([]lvm.Request, error)
-}
-
 // SemiSequential is implemented by mappers whose non-Dim0 neighbours
 // are adjacent blocks, so beam queries should be issued unsorted and
 // left to the disk's internal scheduler (§5.2).
 type SemiSequential interface {
 	semiSequential()
-}
-
-// BoxPlanner is implemented by mappers that can expand a whole query
-// box [lo,hi) into ascending, coalesced requests directly — cheaper
-// than one CellVLBN lookup per cell. The curve mappings use it to walk
-// the curve's hierarchy instead: the box comes out as the maximal
-// intervals of curve ranks it occupies, already in ascending order, at
-// a cost that grows with the box's surface, not its volume.
-type BoxPlanner interface {
-	BoxRequests(lo, hi []int) ([]lvm.Request, error)
 }
 
 // Options configures dataset placement for all mappers.
@@ -129,7 +114,7 @@ type Options struct {
 	BaseVLBN int64
 	// CellBlocks is the cell size in blocks (default 1) — the paper's
 	// "a single cell can occupy multiple LBNs" (§4). CellVLBN returns
-	// the first block; CellExtents covers the full cell.
+	// the first block; BoxRequests covers the full cells.
 	CellBlocks int
 }
 
@@ -241,17 +226,13 @@ func (mm *multiMapper) Dims() []int { return mm.m.Dims() }
 
 func (mm *multiMapper) CellVLBN(cell []int) (int64, error) { return mm.m.CellVLBN(cell) }
 
-func (mm *multiMapper) Dim0Run(cell []int, length int) ([]lvm.Request, error) {
-	return mm.m.Dim0Run(cell, length)
+func (mm *multiMapper) BoxRequests(lo, hi []int) ([]lvm.Request, error) {
+	return mm.m.BoxRequests(lo, hi)
 }
 
 func (mm *multiMapper) semiSequential() {}
 
 func (mm *multiMapper) CellBlocks() int { return mm.m.CellBlocks() }
-
-func (mm *multiMapper) CellExtents(cell []int) ([]lvm.Request, error) {
-	return mm.m.CellExtents(cell)
-}
 
 // Core exposes the underlying core.Mapping (for inspection by
 // experiments and tests).
@@ -261,7 +242,4 @@ func (mm *multiMapper) SpanVLBN() (int64, int64) { return mm.m.SpanVLBN() }
 
 func (mm *multiMapper) SpanOnDisk(di int) (int64, int64) { return mm.m.SpanOnDisk(di) }
 
-var (
-	_ Dim0Runner     = (*multiMapper)(nil)
-	_ SemiSequential = (*multiMapper)(nil)
-)
+var _ SemiSequential = (*multiMapper)(nil)

@@ -155,24 +155,28 @@ func TestNaiveRowMajor(t *testing.T) {
 	}
 }
 
+// TestNaiveDim0Run: a run along the major order plans to one request,
+// and so does a box of whole rows.
 func TestNaiveDim0Run(t *testing.T) {
 	v := testVolume(t)
 	m, err := New(Naive, v, []int{10, 3}, Options{DiskIdx: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := m.(Dim0Runner)
-	reqs, err := r.Dim0Run([]int{2, 1}, 5)
+	reqs, err := m.BoxRequests([]int{2, 1}, []int{7, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reqs) != 1 || reqs[0].Count != 5 {
-		t.Fatalf("got %v, want one 5-block run", reqs)
+	if len(reqs) != 1 || reqs[0].Count != 5 || reqs[0].VLBN != v.DiskStart(0)+12 {
+		t.Fatalf("got %v, want one 5-block run at offset 12", reqs)
 	}
-	if _, err := r.Dim0Run([]int{8, 0}, 5); err == nil {
+	if reqs, err := m.BoxRequests([]int{0, 1}, []int{10, 3}); err != nil || len(reqs) != 1 || reqs[0].Count != 20 {
+		t.Fatalf("two whole rows: got %v, %v; want one 20-block run", reqs, err)
+	}
+	if _, err := m.BoxRequests([]int{8, 0}, []int{13, 1}); err == nil {
 		t.Error("overlong run accepted")
 	}
-	if _, err := r.Dim0Run([]int{0, 0}, 0); err == nil {
+	if _, err := m.BoxRequests([]int{0, 0}, []int{0, 1}); err == nil {
 		t.Error("zero run accepted")
 	}
 }
@@ -233,9 +237,6 @@ func TestMultiMapperInterfaces(t *testing.T) {
 	}
 	if _, ok := m.(SemiSequential); !ok {
 		t.Error("MultiMap must advertise semi-sequential access")
-	}
-	if _, ok := m.(Dim0Runner); !ok {
-		t.Error("MultiMap must support Dim0 runs")
 	}
 	mm := m.(*multiMapper)
 	if mm.Core() == nil {

@@ -46,14 +46,6 @@ func newNaive(vol *lvm.Volume, dims []int, opts Options) (Mapper, error) {
 
 func (n *naiveMapper) CellBlocks() int { return n.cellBlocks }
 
-func (n *naiveMapper) CellExtents(cell []int) ([]lvm.Request, error) {
-	vlbn, err := n.CellVLBN(cell)
-	if err != nil {
-		return nil, err
-	}
-	return []lvm.Request{{VLBN: vlbn, Count: n.cellBlocks}}, nil
-}
-
 func (n *naiveMapper) Kind() Kind  { return Naive }
 func (n *naiveMapper) Dims() []int { return n.dims }
 
@@ -71,19 +63,52 @@ func (n *naiveMapper) CellVLBN(cell []int) (int64, error) {
 	return n.base + off, nil
 }
 
-// Dim0Run: a run along the major order is one contiguous request.
-func (n *naiveMapper) Dim0Run(cell []int, length int) ([]lvm.Request, error) {
-	if length <= 0 {
-		return nil, fmt.Errorf("mapping: run length must be positive, got %d", length)
+// BoxRequests: the box's Dim0 rows are ascending in the major order,
+// and rows join into one contiguous run exactly where every dimension
+// below the first one the box does not span whole (j) is spanned
+// whole. So the box is one request per coordinate of the dimensions
+// above j, each reading dimension j's range of whole lower slabs,
+// appended in ascending order with nothing to sort or merge.
+func (n *naiveMapper) BoxRequests(lo, hi []int) ([]lvm.Request, error) {
+	if len(lo) != len(n.dims) || len(hi) != len(n.dims) {
+		return nil, fmt.Errorf("mapping: box has %d and %d dims, want %d", len(lo), len(hi), len(n.dims))
 	}
-	if cell[0]+length > n.dims[0] {
-		return nil, fmt.Errorf("mapping: run [%d,+%d) exceeds Dim0 length %d", cell[0], length, n.dims[0])
+	for i, d := range n.dims {
+		if lo[i] < 0 || hi[i] > d || lo[i] >= hi[i] {
+			return nil, fmt.Errorf("mapping: bad box [%d,%d) on dimension %d of length %d", lo[i], hi[i], i, d)
+		}
 	}
-	vlbn, err := n.CellVLBN(cell)
-	if err != nil {
-		return nil, err
+	last := len(n.dims) - 1
+	j := 0
+	for j < last && lo[j] == 0 && hi[j] == n.dims[j] {
+		j++
 	}
-	return []lvm.Request{{VLBN: vlbn, Count: length * n.cellBlocks}}, nil
+	count := int(int64(hi[j]-lo[j]) * n.strides[j])
+	runs := 1
+	for i := j + 1; i <= last; i++ {
+		runs *= hi[i] - lo[i]
+	}
+	out := make([]lvm.Request, 0, runs)
+	// x steps the dimensions above j, the lowest fastest.
+	var buf [8]int
+	x := append(buf[:0], lo...)
+	for {
+		vlbn := n.base
+		for i := j; i <= last; i++ {
+			vlbn += int64(x[i]) * n.strides[i]
+		}
+		out = append(out, lvm.Request{VLBN: vlbn, Count: count})
+		i := j + 1
+		for ; i <= last; i++ {
+			if x[i]++; x[i] < hi[i] {
+				break
+			}
+			x[i] = lo[i]
+		}
+		if i > last {
+			return out, nil
+		}
+	}
 }
 
 // SpanVLBN: a naive dataset is one contiguous extent.
@@ -98,5 +123,3 @@ func (n *naiveMapper) SpanOnDisk(di int) (int64, int64) {
 	}
 	return n.SpanVLBN()
 }
-
-var _ Dim0Runner = (*naiveMapper)(nil)

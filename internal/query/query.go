@@ -3,17 +3,20 @@
 // mapped dataset into disk requests, applying each mapping's preferred
 // issue strategy, and executes them through the shared engine.
 //
-//   - Linear mappings (Naive, Z-order, Hilbert, Gray): identify the
-//     blocks, sort ascending by LBN, coalesce contiguous runs, issue in
-//     order — "an easy optimization ... that significantly improves
-//     performance in practice".
-//   - MultiMap beams along Dim0: contiguous sequential runs.
-//   - MultiMap beams along other dimensions: issue the blocks unsorted,
-//     all at once; the disk's internal (SPTF) scheduler fetches them
-//     along the semi-sequential path.
-//   - MultiMap range queries: favour sequential over semi-sequential
-//     access — fetch Dim0 runs first, stepping the remaining dimensions
-//     in adjacency-chain order.
+// Every mapping expands a query box into its blocks' ascending,
+// coalesced extents itself (mapping.Mapper.BoxRequests) — Naive and
+// MultiMap from the box's Dim0 rows, the curves from a walk of the
+// curve's hierarchy — without a lookup per cell. The storage manager
+// adds only the issue strategy:
+//
+//   - Linear mappings (Naive, Z-order, Hilbert, Gray): issue the extents
+//     in ascending LBN order — "an easy optimization ... that
+//     significantly improves performance in practice".
+//   - MultiMap: favour sequential over semi-sequential access. Its
+//     extents are the Dim0 runs (a Dim0 beam is contiguous sequential
+//     runs); bridge the small same-track gaps between them and issue
+//     them all at once, so the disk's internal (SPTF) scheduler fetches
+//     the steps along the other dimensions on the semi-sequential path.
 //
 // The planner streams: a query box is sliced along its slowest
 // dimension into sub-boxes of at most ChunkCells cells, each planned
@@ -253,17 +256,23 @@ func (e *Executor) Plan(lo, hi []int) (engine.Plan, error) {
 // newBoxPlan builds the streaming plan for an already-validated box.
 func (e *Executor) newBoxPlan(lo, hi []int) engine.Plan {
 	// Copy the bounds: the plan is drained lazily, after the caller may
-	// have reused its buffers for the next box.
-	lo = append([]int(nil), lo...)
-	hi = append([]int(nil), hi...)
-	return &boxPlan{e: e, lo: lo, hi: hi, next: lo[len(lo)-1]}
+	// have reused its buffers for the next box. One buffer holds them
+	// and the bounds of the chunk being planned.
+	n := len(lo)
+	buf := make([]int, 4*n)
+	p := &boxPlan{e: e, lo: buf[:n:n], hi: buf[n : 2*n : 2*n], clo: buf[2*n : 3*n : 3*n], chi: buf[3*n:]}
+	copy(p.lo, lo)
+	copy(p.hi, hi)
+	p.next = lo[n-1]
+	return p
 }
 
 // boxPlan streams a box query as sub-box chunks.
 type boxPlan struct {
-	e      *Executor
-	lo, hi []int
-	next   int // next unplanned slice of the slowest dimension
+	e        *Executor
+	lo, hi   []int
+	clo, chi []int // the current chunk's bounds, rewritten by each Next
+	next     int   // next unplanned slice of the slowest dimension
 }
 
 func (p *boxPlan) Next() (engine.Chunk, bool, error) {
@@ -285,11 +294,11 @@ func (p *boxPlan) Next() (engine.Chunk, bool, error) {
 			end = e
 		}
 	}
-	lo := append([]int(nil), p.lo...)
-	hi := append([]int(nil), p.hi...)
-	lo[last], hi[last] = p.next, end
+	copy(p.clo, p.lo)
+	copy(p.chi, p.hi)
+	p.clo[last], p.chi[last] = p.next, end
 	p.next = end
-	reqs, policy, padding, err := p.e.planBox(lo, hi)
+	reqs, policy, padding, err := p.e.planBox(p.clo, p.chi)
 	if err != nil {
 		return engine.Chunk{}, false, err
 	}
@@ -298,84 +307,28 @@ func (p *boxPlan) Next() (engine.Chunk, bool, error) {
 
 // planBox translates one sub-box into requests, the issue policy, and
 // the number of padding blocks the request set reads beyond the box.
+// Every mapping expands the box itself, into ascending coalesced
+// requests; the linear mappings issue them in that order.
 func (e *Executor) planBox(lo, hi []int) ([]lvm.Request, disk.SchedPolicy, int64, error) {
-	_, semiSeq := e.m.(mapping.SemiSequential)
-	runner, hasRuns := e.m.(mapping.Dim0Runner)
-
-	// MultiMap: favour sequential access along Dim0 (§5.2), then leave
-	// the final order to the disk's internal scheduler (SPTF). Sorting
-	// first merges the track-sharing segments of packed cubes into
-	// whole-track reads and keeps each scheduler window confined to a
-	// narrow band of tracks, where every candidate is one settle away.
-	if semiSeq && hasRuns {
-		reqs, err := runsForBox(runner, lo, hi)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		// Bridge the small gaps MultiMap's own layout leaves on a track
-		// (unfilled edge-cube sectors, §4.4): reading a few padding
-		// blocks and discarding them is far cheaper than a separate
-		// positioning. Gaps from adjacency chains span tracks and stay
-		// unbridged.
-		merged, padding := engine.BridgedCoalesce(engine.SortCoalesce(reqs), e.bridgeGap)
-		return merged, disk.SchedSPTF, padding, nil
+	reqs, err := e.m.BoxRequests(lo, hi)
+	if err != nil {
+		return nil, 0, 0, err
 	}
-
-	// Naive: contiguous Dim0 runs, then sort+coalesce.
-	if hasRuns {
-		reqs, err := runsForBox(runner, lo, hi)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return engine.SortCoalesce(reqs), disk.SchedFIFO, 0, nil
-	}
-
-	// Curve mappings plan the box themselves, from the curve's
-	// hierarchy: the requests arrive ascending and coalesced.
-	if bp, ok := e.m.(mapping.BoxPlanner); ok {
-		reqs, err := bp.BoxRequests(lo, hi)
-		if err != nil {
-			return nil, 0, 0, err
-		}
+	if _, ok := e.m.(mapping.SemiSequential); !ok {
 		return reqs, disk.SchedFIFO, 0, nil
 	}
-
-	// Every mapping kind is a Dim0Runner or a BoxPlanner (the var _
-	// assertions in internal/mapping); a mapper that is neither has no
-	// planner here.
-	return nil, 0, 0, fmt.Errorf("query: %v mapping plans neither Dim0 runs nor boxes", e.m.Kind())
+	// MultiMap: its requests are the Dim0 runs (§5.2's sequential access
+	// first), and the final order is left to the disk's internal
+	// scheduler (SPTF). Sorting merged the track-sharing segments of
+	// packed cubes into whole-track reads and keeps each scheduler window
+	// confined to a narrow band of tracks, where every candidate is one
+	// settle away. Bridge the small gaps the layout leaves on a track
+	// (unfilled edge-cube sectors, §4.4): reading a few padding blocks
+	// and discarding them is far cheaper than a separate positioning.
+	// Gaps from adjacency chains span tracks and stay unbridged.
+	merged, padding := engine.BridgedCoalesce(reqs, e.bridgeGap)
+	return merged, disk.SchedSPTF, padding, nil
 }
 
 // maxBridgeGap caps the gap-bridging threshold (see NewExecutorOptions).
 const maxBridgeGap = 64
-
-// runsForBox expands a box into Dim0 runs, stepping the remaining
-// dimensions in row-major order (Dim1 fastest — adjacency-chain order
-// for MultiMap).
-func runsForBox(runner mapping.Dim0Runner, lo, hi []int) ([]lvm.Request, error) {
-	length := hi[0] - lo[0]
-	cell := append([]int(nil), lo...)
-	var out []lvm.Request
-	for {
-		reqs, err := runner.Dim0Run(cell, length)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, reqs...)
-		if !nextInBoxAbove0(cell, lo, hi) {
-			return out, nil
-		}
-	}
-}
-
-// nextInBoxAbove0 advances only dimensions >= 1.
-func nextInBoxAbove0(cell, lo, hi []int) bool {
-	for i := 1; i < len(cell); i++ {
-		cell[i]++
-		if cell[i] < hi[i] {
-			return true
-		}
-		cell[i] = lo[i]
-	}
-	return false
-}

@@ -257,7 +257,7 @@ func TestMultiMapRangeFavoursSequential(t *testing.T) {
 
 func TestSortCoalesce(t *testing.T) {
 	in := []lvm.Request{{VLBN: 10, Count: 2}, {VLBN: 5, Count: 1}, {VLBN: 13, Count: 3}, {VLBN: 6, Count: 4}}
-	out := engine.SortCoalesce(in)
+	out := lvm.SortCoalesce(in)
 	want := []lvm.Request{{VLBN: 5, Count: 7}, {VLBN: 13, Count: 3}}
 	if len(out) != len(want) {
 		t.Fatalf("got %v, want %v", out, want)
@@ -267,7 +267,7 @@ func TestSortCoalesce(t *testing.T) {
 			t.Fatalf("got %v, want %v", out, want)
 		}
 	}
-	if got := engine.SortCoalesce(nil); len(got) != 0 {
+	if got := lvm.SortCoalesce(nil); len(got) != 0 {
 		t.Error("empty input should stay empty")
 	}
 }
@@ -352,17 +352,24 @@ func TestMultiBlockCellsAcrossMappings(t *testing.T) {
 		if st.TransferMs <= 0 {
 			t.Errorf("%v: no transfer time", k)
 		}
-		// Extent coverage is exactly b blocks per cell.
-		exts, err := m.CellExtents([]int{2, 2, 2})
+		// A one-cell box reads exactly the cell's b blocks, from the
+		// block CellVLBN names (its track's start too, if it wraps).
+		cell := []int{2, 2, 2}
+		first, err := m.CellVLBN(cell)
 		if err != nil {
 			t.Fatal(err)
 		}
-		total := 0
+		exts, err := m.BoxRequests(cell, []int{3, 3, 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		total, holds := 0, false
 		for _, r := range exts {
 			total += r.Count
+			holds = holds || r.VLBN == first
 		}
-		if total != b {
-			t.Errorf("%v: cell extents cover %d blocks, want %d", k, total, b)
+		if total != m.CellBlocks() || !holds {
+			t.Errorf("%v: cell at %d planned as %v, want %d blocks from it", k, first, exts, m.CellBlocks())
 		}
 	}
 }
