@@ -95,9 +95,12 @@ var sptfSink []Completion
 
 // BenchmarkSPTF times one scheduling window of the production SPTF
 // scheduler ("slab") and of the map-based reference it replaced
-// ("ref") on the two shapes the layouts produce: a shuffled
-// semi-sequential adjacency chain (MultiMap's many small windows) and
-// uniform random blocks (Z-order's few large ones).
+// ("ref"), and reports ns per request, on three shapes: a shuffled
+// semi-sequential adjacency chain, uniform random blocks (Z-order's few
+// large windows), and MultiMap's range windows — Dim0 runs stepped along
+// adjacency chains across several basic cubes (multimapSPTFScript),
+// the shape of the paper's own layout and the yardstick for the
+// scheduler's per-pick cost.
 func BenchmarkSPTF(b *testing.B) {
 	g := AtlasTenKIII()
 	shapes := []struct {
@@ -126,12 +129,16 @@ func BenchmarkSPTF(b *testing.B) {
 			}
 			return reqs
 		}},
+		{"multimap", func(n int) []Request {
+			_, _, windows := decodeSPTFScript(multimapSPTFScript(rand.New(rand.NewSource(5)), 0, n))
+			return windows[0]
+		}},
 	}
 	impls := []struct {
 		name  string
 		serve func(*Disk, []Request) ([]Completion, error)
 	}{
-		{"slab", (*Disk).serveSPTF},
+		{"slab", func(d *Disk, reqs []Request) ([]Completion, error) { return d.serveSPTF(reqs), nil }},
 		{"ref", serveSPTFRef},
 	}
 	for _, shape := range shapes {
@@ -149,6 +156,7 @@ func BenchmarkSPTF(b *testing.B) {
 						}
 						sptfSink = comps
 					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reqs)), "ns/request")
 				})
 			}
 		}

@@ -147,6 +147,18 @@ func (d *Disk) Access(r Request) (AccessCost, error) {
 	if err := r.validate(d.g); err != nil {
 		return AccessCost{}, err
 	}
+	return d.accessValid(r), nil
+}
+
+// accessValid is Access for a request already validated.
+func (d *Disk) accessValid(r Request) AccessCost {
+	p := d.g.mustDecode(r.LBN)
+	return d.access(r, &d.g.Zones[p.Zone], p.Track, p.Sector)
+}
+
+// access is Access for a validated request whose first block is
+// already decoded: sector of track, in zone z.
+func (d *Disk) access(r Request, z *Zone, track, sector int) AccessCost {
 	var cost AccessCost
 	// Command processing: free only when the request continues exactly
 	// where the previous transfer ended (prefetch-buffer hit).
@@ -156,44 +168,28 @@ func (d *Disk) Access(r Request) (AccessCost, error) {
 	}
 	remaining := r.Count
 	cur := r.LBN
-	for remaining > 0 {
-		p := d.g.mustDecode(cur)
-		z := &d.g.Zones[p.Zone]
-		run := z.SectorsPerTrack - p.Sector
-		if run > remaining {
-			run = remaining
-		}
-
-		seekMs := d.g.positionTimeMs(d.curTrack, p.Track)
+	for {
+		run := min(z.SectorsPerTrack-sector, remaining)
+		seekMs := d.g.positionTimeMs(d.curTrack, track)
 		arrive := d.nowMs + seekMs
-		rotMs := d.g.rotateWaitMs(arrive, d.g.angleOfSectorIn(z, p.Track, p.Sector))
+		rotMs := d.g.rotateWaitMs(arrive, d.g.angleOfSectorIn(z, track, sector))
 		xferMs := float64(run) * d.g.rotationMs / float64(z.SectorsPerTrack)
 
 		cost.SeekMs += seekMs
 		cost.RotateMs += rotMs
 		cost.TransferMs += xferMs
 		d.nowMs = arrive + rotMs + xferMs
-		d.curTrack = p.Track
+		d.curTrack = track
 
 		remaining -= run
 		cur += int64(run)
+		if remaining == 0 {
+			break
+		}
+		p := d.g.mustDecode(cur)
+		z, track, sector = &d.g.Zones[p.Zone], p.Track, p.Sector
 	}
 	d.lastEnd = cur
 	d.stats.add(r, cost)
-	return cost, nil
-}
-
-// positioningEstimateMs estimates the positioning (seek + rotational
-// wait) cost of starting request r now, without moving the heads. Used
-// by the SPTF scheduler.
-func (d *Disk) positioningEstimateMs(r Request) float64 {
-	var cmd float64
-	if r.LBN != d.lastEnd {
-		cmd = d.g.CommandMs
-	}
-	p := d.g.mustDecode(r.LBN)
-	seekMs := d.g.positionTimeMs(d.curTrack, p.Track)
-	arrive := d.nowMs + cmd + seekMs
-	rotMs := d.g.rotateWaitMs(arrive, d.g.angleOfSectorIn(&d.g.Zones[p.Zone], p.Track, p.Sector))
-	return cmd + seekMs + rotMs
+	return cost
 }

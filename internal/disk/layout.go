@@ -2,6 +2,7 @@ package disk
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -57,10 +58,15 @@ func (g *Geometry) zoneOfTrack(track int) *Zone {
 	if track < 0 || track >= g.TotalTracks() {
 		return nil
 	}
-	i := sort.Search(len(g.Zones), func(i int) bool {
+	return &g.Zones[g.zoneIndexOfTrack(track)]
+}
+
+// zoneIndexOfTrack returns the index of the zone containing a track
+// known to lie on the drive.
+func (g *Geometry) zoneIndexOfTrack(track int) int {
+	return sort.Search(len(g.Zones), func(i int) bool {
 		return g.Zones[i].startTrack > track
 	}) - 1
-	return &g.Zones[i]
 }
 
 // Encode maps (global track, sector) back to an LBN. It is the inverse
@@ -160,11 +166,12 @@ func (g *Geometry) rotateWaitMs(nowMs, target float64) float64 {
 }
 
 // waitFromMs is rotateWaitMs from a spindle phase already computed.
+// Whether the target lies behind the phase is a coin toss per call, so
+// the wrap adds d's sign bit rather than branching on it: for phases and
+// targets in [0,1) the result is bit for bit that of `if d < 0 { d++ }`.
 func (g *Geometry) waitFromMs(phase, target float64) float64 {
 	d := target - phase
-	if d < 0 {
-		d += 1.0
-	}
+	d += float64(math.Float64bits(d) >> 63)
 	if d < 0 || d > 1-rotAngleEps {
 		d = 0
 	}

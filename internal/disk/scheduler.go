@@ -57,40 +57,27 @@ func (d *Disk) ServeBatch(reqs []Request, policy SchedPolicy) ([]Completion, err
 			return nil, err
 		}
 	}
-	switch policy {
-	case SchedSPTF:
-		return d.serveWindowed(reqs)
-	default:
-		out := make([]Completion, 0, len(reqs))
-		for _, r := range reqs {
-			cost, err := d.Access(r)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, Completion{Req: r, Cost: cost, FinishMs: d.nowMs})
-		}
-		return out, nil
+	if policy == SchedSPTF {
+		return d.serveWindowed(reqs), nil
 	}
+	out := make([]Completion, 0, len(reqs))
+	for _, r := range reqs {
+		cost := d.accessValid(r)
+		out = append(out, Completion{Req: r, Cost: cost, FinishMs: d.nowMs})
+	}
+	return out, nil
 }
 
 // serveWindowed applies the SPTF scheduler window by window.
-func (d *Disk) serveWindowed(reqs []Request) ([]Completion, error) {
+func (d *Disk) serveWindowed(reqs []Request) []Completion {
 	if len(reqs) <= maxSPTFBatch {
 		return d.serveSPTF(reqs)
 	}
 	out := make([]Completion, 0, len(reqs))
 	for start := 0; start < len(reqs); start += maxSPTFBatch {
-		end := start + maxSPTFBatch
-		if end > len(reqs) {
-			end = len(reqs)
-		}
-		comps, err := d.serveSPTF(reqs[start:end])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, comps...)
+		out = append(out, d.serveSPTF(reqs[start:min(start+maxSPTFBatch, len(reqs))])...)
 	}
-	return out, nil
+	return out
 }
 
 // BatchTimeMs sums the service time of a set of completions.

@@ -144,9 +144,9 @@ func serveSPTFGreedy(d *Disk, reqs []Request) ([]Completion, error) {
 	copy(pending, reqs)
 	out := make([]Completion, 0, len(reqs))
 	for len(pending) > 0 {
-		best, bestCost := 0, d.positioningEstimateMs(pending[0])
+		best, bestCost := 0, positioningEstimateMsRef(d, pending[0])
 		for i := 1; i < len(pending); i++ {
-			if c := d.positioningEstimateMs(pending[i]); c < bestCost {
+			if c := positioningEstimateMsRef(d, pending[i]); c < bestCost {
 				best, bestCost = i, c
 			}
 		}
@@ -208,10 +208,7 @@ func TestSPTFMatchesGreedyReference(t *testing.T) {
 			dNew.RandomizePosition(rand.New(rand.NewSource(int64(trial))))
 			dRef.RandomizePosition(rand.New(rand.NewSource(int64(trial))))
 
-			compsNew, err := dNew.serveSPTF(reqs)
-			if err != nil {
-				t.Fatal(err)
-			}
+			compsNew := dNew.serveSPTF(reqs)
 			compsRef, err := serveSPTFGreedy(dRef, reqs)
 			if err != nil {
 				t.Fatal(err)
@@ -259,11 +256,11 @@ func TestSPTFPicksTrueArgmin(t *testing.T) {
 		pending[i] = true
 	}
 	for s.live > 0 {
-		r := s.pop()
-		got := d.positioningEstimateMs(r)
+		r, _ := s.pop()
+		got := positioningEstimateMsRef(d, r)
 		want := -1.0
 		for i := range pending {
-			if c := d.positioningEstimateMs(reqs[i]); want < 0 || c < want {
+			if c := positioningEstimateMsRef(d, reqs[i]); want < 0 || c < want {
 				want = c
 			}
 		}

@@ -57,6 +57,7 @@ type sptfEntry struct {
 type sptfTrack struct {
 	track    int   // global track index
 	startLBN int64 // the track's first block
+	zone     int32 // index of the track's zone
 	lo, n    int32 // ents[lo:lo+n]
 	live     int32
 	band     int32 // index of the track's cylinder in bands
@@ -131,10 +132,12 @@ func newSPTF(d *Disk, reqs []Request) sptfSched {
 				bi := int32(len(bands))
 				bands = append(bands, sptfBand{cyl: cyl, tlo: int32(len(tracks)), left: bi - 1, right: bi + 1})
 			}
-			z := g.zoneOfTrack(tr)
+			zi := g.zoneIndexOfTrack(tr)
+			z := &g.Zones[zi]
 			tracks = append(tracks, sptfTrack{
 				track:    tr,
 				startLBN: z.startLBN + int64(tr-z.startTrack)*int64(z.SectorsPerTrack),
+				zone:     int32(zi),
 				lo:       int32(i),
 				band:     int32(len(bands) - 1),
 			})
@@ -161,16 +164,18 @@ func (s *sptfSched) liveRightFrom(i int32) int32 {
 	return i
 }
 
-// pop removes and returns the pending request with the least estimated
-// positioning cost from the drive's current head state.
-func (s *sptfSched) pop() Request {
+// pop removes the pending request with the least estimated positioning
+// cost from the drive's current head state, and returns it with the
+// index of its track.
+func (s *sptfSched) pop() (Request, int32) {
 	d, g := s.d, s.d.g
 	best := sptfPick{cost: math.Inf(1), at: -1}
 
 	// Prefetch-continuation fast path: the request beginning exactly
 	// where the last transfer ended pays no command overhead.
 	if ti, at := s.continuation(); at >= 0 {
-		best = sptfPick{cost: d.positioningEstimateMs(s.ents[at].req), track: ti, at: at}
+		seekMs := g.positionTimeMs(d.curTrack, s.tracks[ti].track)
+		best = sptfPick{cost: seekMs + g.rotateWaitMs(d.nowMs+seekMs, s.ents[at].angle), track: ti, at: at}
 	}
 
 	// Every other candidate pays the command overhead before the arm
@@ -196,7 +201,10 @@ func (s *sptfSched) pop() Request {
 				seekMs = 0
 			}
 			if posMs := g.CommandMs + seekMs; posMs < best.cost {
-				s.evalTrack(ti, posMs, g.angleAt(issued+seekMs), &best)
+				at, w := s.minWait(t, g.angleAt(issued+seekMs))
+				if c := posMs + w; c <= best.cost {
+					best = sptfPick{cost: c, track: ti, at: at}
+				}
 			}
 		}
 		ri = s.liveRightFrom(b.right)
@@ -212,8 +220,13 @@ func (s *sptfSched) pop() Request {
 			ri = s.liveRightFrom(s.bands[ri].right)
 		}
 		b := &s.bands[i]
-		// Inside the settle range every band costs the same seek.
-		if ms := g.SeekTimeMs(b.cyl - curCyl); ms != seekMs {
+		// Every band within the settle range costs the settle time, the
+		// plateau of the seek curve; only farther ones consult the curve.
+		ms := g.SettleMs
+		if dc := b.cyl - curCyl; dc > g.SettleCyls || dc < -g.SettleCyls {
+			ms = g.SeekTimeMs(dc)
+		}
+		if ms != seekMs {
 			seekMs, posMs, phase = ms, g.CommandMs+ms, g.angleAt(issued+ms)
 		}
 		// Every remaining band is at least this far, so even a request
@@ -223,14 +236,25 @@ func (s *sptfSched) pop() Request {
 		}
 		// A zero-wait hit ends the band too: best.cost only falls.
 		for ti := b.tlo; ti < b.thi && posMs < best.cost; ti++ {
-			if s.tracks[ti].live > 0 {
-				s.evalTrack(ti, posMs, phase, &best)
+			t := &s.tracks[ti]
+			if t.live == 0 {
+				continue
+			}
+			// Most tracks of a window hold one request: score it here.
+			at, w := t.lo, 0.0
+			if t.n == 1 {
+				w = g.waitFromMs(phase, s.ents[at].angle)
+			} else {
+				at, w = s.minWait(t, phase)
+			}
+			if c := posMs + w; c <= best.cost {
+				best = sptfPick{cost: c, track: ti, at: at}
 			}
 		}
 	}
 	r := s.ents[best.at].req
 	s.remove(best.track, best.at)
-	return r
+	return r, best.track
 }
 
 // continuation returns the pending entry that starts exactly where the
@@ -245,7 +269,7 @@ func (s *sptfSched) continuation() (ti, at int32) {
 		return -1, -1
 	}
 	t := &s.tracks[ti]
-	z := g.zoneOfTrack(t.track)
+	z := &g.Zones[t.zone]
 	sector := d.lastEnd - t.startLBN
 	if sector >= int64(z.SectorsPerTrack) {
 		return -1, -1
@@ -253,7 +277,7 @@ func (s *sptfSched) continuation() (ti, at int32) {
 	es := s.ents[t.lo : t.lo+t.n]
 	angle := g.angleOfSectorIn(z, t.track, int(sector))
 	first := -1
-	for i := sort.Search(len(es), func(i int) bool { return es[i].angle >= angle }); i < len(es) && es[i].angle == angle; i++ {
+	for i := searchAngle(es, angle); i < len(es) && es[i].angle == angle; i++ {
 		if !es[i].dead && (first < 0 || es[i].arrival < es[first].arrival) {
 			first = i
 		}
@@ -264,14 +288,20 @@ func (s *sptfSched) continuation() (ti, at int32) {
 	return ti, t.lo + int32(first)
 }
 
-// evalTrack scores track ti's least-wait entry, for heads that reach
-// the track at spindle phase `phase` after posMs of command and arm
-// time, against the best candidate so far.
-func (s *sptfSched) evalTrack(ti int32, posMs, phase float64, best *sptfPick) {
-	at, w := s.minWait(&s.tracks[ti], phase)
-	if c := posMs + w; c <= best.cost {
-		*best = sptfPick{cost: c, track: ti, at: at}
+// searchAngle returns the first index of es, which is in ascending angle
+// order, whose angle is at least a (len(es) if there is none): the
+// sort.Search of the hot path, without the closure call per probe.
+func searchAngle(es []sptfEntry, a float64) int {
+	lo, hi := 0, len(es)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if es[m].angle < a {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
+	return lo
 }
 
 // minWait returns the live entry of t (which must have one) with the
@@ -285,7 +315,7 @@ func (s *sptfSched) minWait(t *sptfTrack, phase float64) (int32, float64) {
 	if len(es) == 1 {
 		return t.lo, g.waitFromMs(phase, es[0].angle)
 	}
-	succ := sort.Search(len(es), func(i int) bool { return es[i].angle >= phase })
+	succ := searchAngle(es, phase)
 	pred := succ - 1
 	for {
 		if succ == len(es) {
@@ -343,25 +373,21 @@ func (s *sptfSched) remove(ti, at int32) {
 	}
 }
 
-// serveSPTF services one scheduling window in shortest-positioning-time
-// order, advancing the drive clock and heads.
-func (d *Disk) serveSPTF(reqs []Request) ([]Completion, error) {
+// serveSPTF services one scheduling window of validated requests in
+// shortest-positioning-time order, advancing the drive clock and heads.
+// Each pick is served from the coordinates decoded on admission.
+func (d *Disk) serveSPTF(reqs []Request) []Completion {
 	out := make([]Completion, 0, len(reqs))
 	if len(reqs) == 1 {
-		cost, err := d.Access(reqs[0])
-		if err != nil {
-			return nil, err
-		}
-		return append(out, Completion{Req: reqs[0], Cost: cost, FinishMs: d.nowMs}), nil
+		cost := d.accessValid(reqs[0])
+		return append(out, Completion{Req: reqs[0], Cost: cost, FinishMs: d.nowMs})
 	}
 	s := newSPTF(d, reqs)
 	for s.live > 0 {
-		r := s.pop()
-		cost, err := d.Access(r)
-		if err != nil {
-			return nil, err
-		}
+		r, ti := s.pop()
+		t := &s.tracks[ti]
+		cost := d.access(r, &d.g.Zones[t.zone], t.track, int(r.LBN-t.startLBN))
 		out = append(out, Completion{Req: r, Cost: cost, FinishMs: d.nowMs})
 	}
-	return out, nil
+	return out
 }

@@ -9,13 +9,87 @@ import (
 )
 
 // This file keeps the map-based SPTF scheduler that sptf.go replaced,
-// verbatim but for two things: its names carry a Ref, and each track is
+// verbatim but for three things: its names carry a Ref, each track is
 // sorted with a stable sort, so that requests equal in (angle, LBN,
 // Count) keep their arrival order — the tie the unstable sort left to
-// chance and the production scheduler now specifies. It is the oracle
-// of TestSPTFMatchesRef and FuzzSPTF: schedules must be equal
-// completion for completion, because simulated time depends on every
-// pick.
+// chance and the production scheduler now specifies — and it prices
+// requests with private copies of the drive's rotational-wait and
+// access arithmetic as they were written then, so that a change to the
+// production copies cannot move both sides at once. It is the oracle of
+// TestSPTFMatchesRef and FuzzSPTF: schedules must be equal completion
+// for completion, because simulated time depends on every pick.
+
+// waitFromMsRef is the rotational wait from spindle phase `phase` to
+// the target angle, with the epsilon that keeps an exact continuation
+// from paying a spurious rotation.
+func waitFromMsRef(g *Geometry, phase, target float64) float64 {
+	d := target - phase
+	if d < 0 {
+		d += 1.0
+	}
+	if d < 0 || d > 1-rotAngleEps {
+		d = 0
+	}
+	return d * g.rotationMs
+}
+
+func rotateWaitMsRef(g *Geometry, nowMs, target float64) float64 {
+	return waitFromMsRef(g, g.angleAt(nowMs), target)
+}
+
+// positioningEstimateMsRef estimates the positioning (seek + rotational
+// wait) cost of starting request r now, without moving the heads.
+func positioningEstimateMsRef(d *Disk, r Request) float64 {
+	var cmd float64
+	if r.LBN != d.lastEnd {
+		cmd = d.g.CommandMs
+	}
+	p := d.g.mustDecode(r.LBN)
+	seekMs := d.g.positionTimeMs(d.curTrack, p.Track)
+	arrive := d.nowMs + cmd + seekMs
+	rotMs := rotateWaitMsRef(d.g, arrive, d.g.angleOfSectorIn(&d.g.Zones[p.Zone], p.Track, p.Sector))
+	return cmd + seekMs + rotMs
+}
+
+// accessRef services one request from the current head state, decoding
+// every track-sized segment from its LBN.
+func accessRef(d *Disk, r Request) (AccessCost, error) {
+	if err := r.validate(d.g); err != nil {
+		return AccessCost{}, err
+	}
+	var cost AccessCost
+	if r.LBN != d.lastEnd {
+		cost.CommandMs = d.g.CommandMs
+		d.nowMs += cost.CommandMs
+	}
+	remaining := r.Count
+	cur := r.LBN
+	for remaining > 0 {
+		p := d.g.mustDecode(cur)
+		z := &d.g.Zones[p.Zone]
+		run := z.SectorsPerTrack - p.Sector
+		if run > remaining {
+			run = remaining
+		}
+
+		seekMs := d.g.positionTimeMs(d.curTrack, p.Track)
+		arrive := d.nowMs + seekMs
+		rotMs := rotateWaitMsRef(d.g, arrive, d.g.angleOfSectorIn(z, p.Track, p.Sector))
+		xferMs := float64(run) * d.g.rotationMs / float64(z.SectorsPerTrack)
+
+		cost.SeekMs += seekMs
+		cost.RotateMs += rotMs
+		cost.TransferMs += xferMs
+		d.nowMs = arrive + rotMs + xferMs
+		d.curTrack = p.Track
+
+		remaining -= run
+		cur += int64(run)
+	}
+	d.lastEnd = cur
+	d.stats.add(r, cost)
+	return cost, nil
+}
 
 // sptfRefEntry is one pending request with its precomputed physical
 // coordinates; the scheduler never re-decodes an LBN after admission.
@@ -50,7 +124,7 @@ func (b *sptfRefTrack) compact() {
 // minWait returns the live entry with the least rotational wait for a
 // head arriving at arriveMs, and that wait. The candidate is the cyclic
 // successor of the arrival angle; the predecessor is also probed to
-// honour rotateWaitMs's epsilon for exact continuations.
+// honour rotateWaitMsRef's epsilon for exact continuations.
 func (b *sptfRefTrack) minWait(g *Geometry, arriveMs float64) (*sptfRefEntry, float64) {
 	es := b.entries
 	target := g.angleAt(arriveMs)
@@ -78,9 +152,9 @@ func (b *sptfRefTrack) minWait(g *Geometry, arriveMs float64) (*sptfRefEntry, fl
 	if succ == nil {
 		return nil, 0
 	}
-	e, w := succ, g.rotateWaitMs(arriveMs, succ.angle)
+	e, w := succ, rotateWaitMsRef(g, arriveMs, succ.angle)
 	if pred != nil && pred != succ {
-		if pw := g.rotateWaitMs(arriveMs, pred.angle); pw < w {
+		if pw := rotateWaitMsRef(g, arriveMs, pred.angle); pw < w {
 			e, w = pred, pw
 		}
 	}
@@ -191,7 +265,7 @@ func (s *sptfRefSched) pop() *sptfRefEntry {
 	// where the last transfer ended pays no command overhead.
 	for _, e := range s.byLBN[d.lastEnd] {
 		if !e.dead {
-			best, bestCost = e, d.positioningEstimateMs(e.req)
+			best, bestCost = e, positioningEstimateMsRef(d, e.req)
 			break
 		}
 	}
@@ -284,7 +358,7 @@ func (s *sptfRefSched) remove(e *sptfRefEntry) {
 func serveSPTFRef(d *Disk, reqs []Request) ([]Completion, error) {
 	out := make([]Completion, 0, len(reqs))
 	if len(reqs) == 1 {
-		cost, err := d.Access(reqs[0])
+		cost, err := accessRef(d, reqs[0])
 		if err != nil {
 			return nil, err
 		}
@@ -293,7 +367,7 @@ func serveSPTFRef(d *Disk, reqs []Request) ([]Completion, error) {
 	s := newSPTFRef(d, reqs)
 	for s.live > 0 {
 		e := s.pop()
-		cost, err := d.Access(e.req)
+		cost, err := accessRef(d, e.req)
 		if err != nil {
 			return nil, err
 		}
@@ -303,17 +377,19 @@ func serveSPTFRef(d *Disk, reqs []Request) ([]Completion, error) {
 }
 
 // An SPTF script is the byte form of a differential run, so that the
-// randomized test and the fuzzer share one decoder: byte 0 picks the
-// geometry, bytes 1–4 seed the head position and the base LBN, and
-// every following 5-byte record [op, v0, v1, v2, c] adds one request to
-// the current window or closes it. Successive windows are served back
-// to back on the same two disks, so head state carries over.
+// randomized test, the fuzzer and the benchmark share one decoder: byte
+// 0 picks the geometry, bytes 1–4 seed the head position and the base
+// LBN, and every following 5-byte record [op, v0, v1, v2, c] adds one
+// request to the current window or closes it. Successive windows are
+// served back to back on the same two disks, so head state carries
+// over.
 const (
+	sptfOpAdj   = 3 // the (1+v0%AdjSpan)-th adjacent block of the request v1|v2<<8 places back
 	sptfOpDup   = 4 // exact duplicate of an earlier request of the window
 	sptfOpSame  = 5 // same LBN as an earlier request, Count from c
 	sptfOpChain = 6 // starts where the previous request ends
 	sptfOpBreak = 7 // closes the window
-	// ops 0–3 draw a fresh LBN from a span of 1<<(6+(op>>3)%20) blocks
+	// ops 0–2 draw a fresh LBN from a span of 1<<(6+(op>>3)%20) blocks
 
 	sptfScriptHeader = 5
 	sptfScriptRecord = 5
@@ -321,60 +397,31 @@ const (
 
 var sptfScriptGeoms = []*Geometry{AtlasTenKIII(), CheetahThirtySixES(), SmallTestDisk()}
 
-// runSPTFScript serves the script's windows with the production
-// scheduler and with the reference and requires equal completions —
-// same request, same cost breakdown, same finish time at every step —
-// and equal head state after every window.
-func runSPTFScript(t testing.TB, script []byte) {
+// decodeSPTFScript returns the script's geometry, its head-position
+// seed and its non-empty windows. Every request fits the drive.
+func decodeSPTFScript(script []byte) (g *Geometry, seed int64, windows [][]Request) {
 	if len(script) < sptfScriptHeader {
-		return
+		return nil, 0, nil
 	}
-	g := sptfScriptGeoms[int(script[0])%len(sptfScriptGeoms)]
-	seed := int64(script[1]) | int64(script[2])<<8 | int64(script[3])<<16 | int64(script[4])<<24
-	dNew, dRef := New(g), New(g)
-	dNew.RandomizePosition(rand.New(rand.NewSource(seed)))
-	dRef.RandomizePosition(rand.New(rand.NewSource(seed)))
+	g = sptfScriptGeoms[int(script[0])%len(sptfScriptGeoms)]
+	seed = int64(script[1]) | int64(script[2])<<8 | int64(script[3])<<16 | int64(script[4])<<24
 	room := g.TotalBlocks() - 8 // every Count is at most 8
 	base := rand.New(rand.NewSource(seed + 1)).Int63n(room)
-
-	windows := 0
-	serve := func(win []Request) {
-		if len(win) == 0 {
-			return
-		}
-		got, err := dNew.ServeBatch(win, SchedSPTF)
-		if err != nil {
-			t.Fatalf("window %d: %v", windows, err)
-		}
-		var want []Completion
-		for start := 0; start < len(win); start += maxSPTFBatch {
-			comps, err := serveSPTFRef(dRef, win[start:min(start+maxSPTFBatch, len(win))])
-			if err != nil {
-				t.Fatalf("window %d: reference: %v", windows, err)
-			}
-			want = append(want, comps...)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("window %d: %d completions, reference %d", windows, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s window %d (n=%d) pick %d: %+v, reference %+v", g.Name, windows, len(win), i, got[i], want[i])
-			}
-		}
-		if dNew.nowMs != dRef.nowMs || dNew.curTrack != dRef.curTrack || dNew.lastEnd != dRef.lastEnd || dNew.stats != dRef.stats {
-			t.Fatalf("%s window %d: head state diverged from the reference", g.Name, windows)
-		}
-		windows++
-	}
 
 	var win []Request
 	for rec := script[sptfScriptHeader:]; len(rec) >= sptfScriptRecord; rec = rec[sptfScriptRecord:] {
 		op, v, count := rec[0], int64(rec[1])|int64(rec[2])<<8|int64(rec[3])<<16, 1+int(rec[4]&7)
 		switch code := op & 7; {
 		case code == sptfOpBreak:
-			serve(win)
-			win = win[:0]
+			if len(win) > 0 {
+				windows = append(windows, win)
+			}
+			win = nil
+		case code == sptfOpAdj && len(win) > 0:
+			prev := win[len(win)-1-int(v>>8)%len(win)]
+			if a, err := g.AdjacentBlock(prev.LBN, 1+int(rec[1])%g.AdjSpan()); err == nil && a <= room {
+				win = append(win, Request{LBN: a, Count: count})
+			}
 		case code == sptfOpDup && len(win) > 0:
 			win = append(win, win[v%int64(len(win))])
 		case code == sptfOpSame && len(win) > 0:
@@ -382,19 +429,62 @@ func runSPTFScript(t testing.TB, script []byte) {
 		case code == sptfOpChain && len(win) > 0 && win[len(win)-1].LBN+int64(win[len(win)-1].Count) <= room:
 			prev := win[len(win)-1]
 			win = append(win, Request{LBN: prev.LBN + int64(prev.Count), Count: count})
-		case code < sptfOpDup:
+		case code < sptfOpAdj:
 			span := int64(1) << (6 + (op>>3)%20)
 			off := (v<<1 | int64(rec[4]>>7)) % span
 			win = append(win, Request{LBN: (base + off) % room, Count: count})
 		}
 	}
-	serve(win)
+	if len(win) > 0 {
+		windows = append(windows, win)
+	}
+	return g, seed, windows
+}
+
+// runSPTFScript serves the script's windows with the production
+// scheduler and with the reference and requires equal completions —
+// same request, same cost breakdown, same finish time at every step —
+// and equal head state after every window.
+func runSPTFScript(t testing.TB, script []byte) {
+	g, seed, windows := decodeSPTFScript(script)
+	if g == nil {
+		return
+	}
+	dNew, dRef := New(g), New(g)
+	dNew.RandomizePosition(rand.New(rand.NewSource(seed)))
+	dRef.RandomizePosition(rand.New(rand.NewSource(seed)))
+	for w, win := range windows {
+		got, err := dNew.ServeBatch(win, SchedSPTF)
+		if err != nil {
+			t.Fatalf("window %d: %v", w, err)
+		}
+		var want []Completion
+		for start := 0; start < len(win); start += maxSPTFBatch {
+			comps, err := serveSPTFRef(dRef, win[start:min(start+maxSPTFBatch, len(win))])
+			if err != nil {
+				t.Fatalf("window %d: reference: %v", w, err)
+			}
+			want = append(want, comps...)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("window %d: %d completions, reference %d", w, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s window %d (n=%d) pick %d: %+v, reference %+v", g.Name, w, len(win), i, got[i], want[i])
+			}
+		}
+		if dNew.nowMs != dRef.nowMs || dNew.curTrack != dRef.curTrack || dNew.lastEnd != dRef.lastEnd || dNew.stats != dRef.stats {
+			t.Fatalf("%s window %d: head state diverged from the reference", g.Name, w)
+		}
+	}
 }
 
 // randomSPTFScript draws a script of the given window sizes whose fresh
 // LBNs fall in a span of 1<<(6+shift) blocks — a pile-up on one track
 // at shift 0, a scatter over a whole zone and more at 19 — mixed with
-// duplicates, same-LBN requests of another Count and continuations.
+// duplicates, same-LBN requests of another Count, continuations and
+// adjacent blocks of earlier requests.
 func randomSPTFScript(rng *rand.Rand, geom, shift int, windows ...int) []byte {
 	script := []byte{byte(geom), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))}
 	for _, n := range windows {
@@ -407,6 +497,8 @@ func randomSPTFScript(rng *rand.Rand, geom, shift int, windows ...int) []byte {
 				op = sptfOpSame
 			case 4, 5, 6:
 				op = sptfOpChain
+			case 7, 8:
+				op = sptfOpAdj
 			}
 			script = append(script, op, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
 		}
@@ -415,9 +507,47 @@ func randomSPTFScript(rng *rand.Rand, geom, shift int, windows ...int) []byte {
 	return script
 }
 
+// multimapSPTFScript draws windows shaped like MultiMap's range
+// queries: each window covers several basic cubes near one another on
+// the drive, and in each cube it reads one Dim0 run (Count 2–8) per row
+// of a K1 × K2 box of rows. The rows follow the cube's adjacency chains
+// as core's buildChains lays them: a step along Dim1 is the next
+// adjacent block of the row before, a step along Dim2 the K1-th adjacent
+// block of the first row of the layer before. So the first row of a
+// layer shares its angle with the second row of the layer before, on
+// another track — the equal-angle tie across tracks that only this
+// shape produces.
+func multimapSPTFScript(rng *rand.Rand, geom int, windows ...int) []byte {
+	depth := sptfScriptGeoms[geom].AdjSpan()
+	script := []byte{byte(geom), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))}
+	for _, n := range windows {
+		// The window's cubes lie within 2¹⁸…2²¹ blocks of one another.
+		fresh := byte((12 + rng.Intn(4)) << 3)
+		k1 := 2 + rng.Intn(min(depth/2, 24)-1)
+		k2 := depth / k1
+		for left := n; left > 0; {
+			b1, b2 := 1+rng.Intn(k1), 1+rng.Intn(k2)
+			c := byte(1 + rng.Intn(7))
+			script = append(script, fresh, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), c|byte(rng.Intn(2))<<7)
+			left--
+			for row := 1; row < b1*b2 && left > 0; row++ {
+				k, back := 1, 0
+				if row%b1 == 0 {
+					k, back = k1, b1-1
+				}
+				script = append(script, sptfOpAdj, byte(k-1), byte(back), byte(back>>8), c)
+				left--
+			}
+		}
+		script = append(script, sptfOpBreak, 0, 0, 0, 0)
+	}
+	return script
+}
+
 // TestSPTFMatchesRef replays random windows — sizes 2…600 and one past
-// maxSPTFBatch, spans 2⁶…2²⁵, three back-to-back windows per run, every
-// geometry — through the production scheduler and the reference.
+// maxSPTFBatch, spans 2⁶…2²⁵, three back-to-back windows per run — and
+// MultiMap-shaped windows of 100…1300 requests, on every geometry,
+// through the production scheduler and the reference.
 func TestSPTFMatchesRef(t *testing.T) {
 	trials := 60
 	if testing.Short() {
@@ -428,6 +558,7 @@ func TestSPTFMatchesRef(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(geom*1000 + trial)))
 			sizes := []int{2 + rng.Intn(599), 2 + rng.Intn(599), 2 + rng.Intn(60)}
 			runSPTFScript(t, randomSPTFScript(rng, geom, trial%20, sizes...))
+			runSPTFScript(t, multimapSPTFScript(rng, geom, 100+rng.Intn(1201), 100+rng.Intn(1201)))
 		}
 		rng := rand.New(rand.NewSource(int64(geom)))
 		runSPTFScript(t, randomSPTFScript(rng, geom, 12+geom, maxSPTFBatch+150, 40))
@@ -440,9 +571,57 @@ func FuzzSPTF(f *testing.F) {
 		f.Add(randomSPTFScript(rng, geom, 0, 40, 40))
 		f.Add(randomSPTFScript(rng, geom, 8, 100, 30, 30))
 		f.Add(randomSPTFScript(rng, geom, 19, 200))
+		f.Add(multimapSPTFScript(rng, geom, 300, 100))
 	}
 	// Windows past maxSPTFBatch are TestSPTFMatchesRef's: scripts that
 	// long make every exec, and the fuzzer's minimizer, slow.
 	const maxScript = sptfScriptHeader + sptfScriptRecord*1024
 	f.Fuzz(func(t *testing.T, script []byte) { runSPTFScript(t, script[:min(len(script), maxScript)]) })
+}
+
+// TestWaitFromMsMatchesRef holds the production rotational wait to the
+// reference's copy, float bits and all: for every sector angle of every
+// zone of every model, from random spindle phases, from phase 0 and the
+// phase just below 1, and from phases within rotAngleEps either side of
+// the target, where the epsilon decides between no wait and a full
+// rotation.
+func TestWaitFromMsMatchesRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	cyclic := func(x float64) float64 {
+		x -= math.Floor(x)
+		if x >= 1 {
+			x = math.Nextafter(1, 0)
+		}
+		return x
+	}
+	checked := 0
+	for _, name := range ModelNames() {
+		g, err := ModelByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for zi := range g.Zones {
+			spt := g.Zones[zi].SectorsPerTrack
+			random := make([]float64, 16)
+			for i := range random {
+				random[i] = rng.Float64()
+			}
+			for k := 0; k < spt; k++ {
+				target := float64(k) / float64(spt)
+				phases := append([]float64{0, math.Nextafter(1, 0),
+					target, cyclic(math.Nextafter(target, -1)), cyclic(math.Nextafter(target, 2))}, random...)
+				for _, eps := range []float64{rotAngleEps / 2, rotAngleEps, 2 * rotAngleEps} {
+					phases = append(phases, cyclic(target-eps), cyclic(target+eps))
+				}
+				for _, phase := range phases {
+					got, want := g.waitFromMs(phase, target), waitFromMsRef(g, phase, target)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s zone %d: waitFromMs(%v, %d/%d) = %v, reference %v", name, zi, phase, k, spt, got, want)
+					}
+					checked++
+				}
+			}
+		}
+	}
+	t.Logf("%d (phase, angle) pairs bit-equal", checked)
 }
