@@ -132,30 +132,6 @@ func BenchmarkFig8OLAP(b *testing.B) {
 	}
 }
 
-// BenchmarkBurstTraffic runs the closed-loop QoS-class workload with
-// write-back group commit on, reporting the interactive class's
-// simulated latency and the coalescing the dirty buffer achieved.
-func BenchmarkBurstTraffic(b *testing.B) {
-	cfg := benchCfg()
-	cfg.Disks = cfg.Disks[:1]
-	cfg.Scale = 0.25
-	cfg.Clients = 4
-	cfg.Queries = 8
-	cfg.CacheBlocks = 1 << 22
-	cfg.WriteFraction = 0.3
-	cfg.WriteBack = true
-	var res *experiments.BurstResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		_, res, err = experiments.BurstTraffic(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.Classes[0].MeanSimMs, "sim-ms/op-interactive")
-	b.ReportMetric(float64(res.Totals.CoalescedWrites), "coalesced-writes")
-}
-
 func shortName(disk string) string {
 	if len(disk) > 6 {
 		return disk[:6]

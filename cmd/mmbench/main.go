@@ -1,6 +1,8 @@
 // Command mmbench regenerates the figures of the MultiMap paper's
 // evaluation (§5) on the simulated testbed and prints the same rows and
-// series the paper reports.
+// series the paper reports. Beside them it runs the serving harnesses
+// (serve, burst, tenants) on the public Store, and -remote drives
+// serve-style load against a running mmserved.
 //
 // Usage:
 //
@@ -12,9 +14,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -62,7 +66,7 @@ func parseQoSSpecs(specs string) ([]multimap.QoSClass, error) {
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id ("+strings.Join(multimap.ExperimentIDs(), ", ")+") or 'all'")
+		exp      = flag.String("exp", "all", "experiment id ("+strings.Join(experimentIDs(), ", ")+") or 'all'")
 		scale    = flag.Float64("scale", 1, "dataset scale in (0,1]; 1 = paper size")
 		runs     = flag.Int("runs", 0, "randomized repetitions (0 = paper's 15)")
 		seed     = flag.Int64("seed", 1, "workload random seed")
@@ -80,7 +84,7 @@ func main() {
 		wb       = flag.Bool("wb", false, "write-back caching with group commit on every -exp serve/burst service: writes are absorbed into dirty extent buffers and committed as one SPTF batch per flush; the tables gain flushes/coalesced columns")
 		wbWater  = flag.Int64("wb-watermark", 0, "write-back flush watermark in dirty blocks (0 = engine default); needs -wb")
 		wbIvl    = flag.Duration("wb-interval", 0, "write-back flush interval, e.g. 2ms: dirty data older than this is committed (0 = engine default); needs -wb")
-		fair     = flag.Int64("fair", 0, "weighted-fair (deficit-round-robin) admission quantum in blocks for -exp burst/tenants, e.g. 1024: each admission pass grants every backlogged QoS class quantum*weight blocks of credit (omit = fair sharing off)")
+		fair     = flag.Int64("fair", 0, "weighted-fair (deficit-round-robin) admission quantum in blocks for -exp serve/burst/tenants, e.g. 1024: each admission pass grants every backlogged QoS class quantum*weight blocks of credit (omit = fair sharing off)")
 		qos      = flag.String("qos", "", "comma-separated QoS class specs name:weight[:urgent] registered for -fair runs, e.g. 'interactive:1,bulk:4,ops:2:urgent' (default: the burst benchmark's built-in interactive:1,bulk:4,writer:1 mix); needs -fair")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment run to this file (inspect with 'go tool pprof')")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile taken after the experiment run to this file (inspect with 'go tool pprof')")
@@ -117,9 +121,11 @@ func main() {
 		usageErr("-qos needs -fair: class weights only apply under weighted-fair admission")
 	}
 
-	cfg := multimap.ExperimentConfig{
-		Scale: *scale, Runs: *runs, Seed: *seed,
-		Policy: *policy, ChunkCells: *chunk,
+	cfg := serveConfig{
+		ExperimentConfig: multimap.ExperimentConfig{
+			Scale: *scale, Runs: *runs, Seed: *seed,
+			Policy: *policy, ChunkCells: *chunk,
+		},
 		Clients: *clients, Queries: *queries, CacheBlocks: *cache,
 		WriteFraction: *writes,
 		Shards:        *shards, BatchWindow: *window,
@@ -132,9 +138,9 @@ func main() {
 			cfg.Disks = append(cfg.Disks, multimap.DiskModel(strings.TrimSpace(d)))
 		}
 	}
-	// Every numeric range has one definition, the config's own validator
+	// Every numeric range has one definition, the config's validator
 	// (each experiment runs it again on entry).
-	if err := cfg.Defaults().Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		usageErr("%v", err)
 	}
 
@@ -172,21 +178,17 @@ func main() {
 
 	ids := []string{*exp}
 	if *exp == "all" {
-		ids = multimap.ExperimentIDs()
+		ids = experimentIDs()
 	}
 	// Experiment failures funnel through this instead of os.Exit so the
 	// profile defers above still flush their files.
 	exitCode := 0
 	for _, id := range ids {
-		start := time.Now()
-		table, err := multimap.RunExperiment(id, cfg)
-		if err != nil {
+		if err := runOne(os.Stdout, id, cfg); err != nil {
 			fmt.Fprintf(os.Stderr, "mmbench: %s: %v\n", id, err)
 			exitCode = 1
 			break
 		}
-		fmt.Print(table.String())
-		fmt.Printf("(%s in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 
 	if *memProf != "" {
@@ -209,4 +211,36 @@ func main() {
 		}
 		os.Exit(exitCode)
 	}
+}
+
+// experimentIDs lists what -exp runs: the paper's figures and analyses,
+// then the serving harnesses.
+func experimentIDs() []string {
+	return append(multimap.ExperimentIDs(), "serve", "burst", "tenants")
+}
+
+// runOne runs one experiment and prints its table and wall time to w.
+func runOne(w io.Writer, id string, cfg serveConfig) error {
+	start := time.Now()
+	var table *multimap.ExperimentTable
+	var err error
+	switch id {
+	case "serve":
+		table, _, err = serve(cfg)
+	case "burst":
+		table, _, err = burst(cfg)
+	case "tenants":
+		table, _, err = tenants(cfg)
+	default:
+		if !slices.Contains(multimap.ExperimentIDs(), id) {
+			return fmt.Errorf("unknown experiment %q (have %v)", id, experimentIDs())
+		}
+		table, err = multimap.RunExperiment(id, cfg.ExperimentConfig)
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(w, table.String())
+	fmt.Fprintf(w, "(%s in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
+	return nil
 }

@@ -17,7 +17,10 @@
 // (Naive, Z-order, Hilbert — plus Gray-code), a storage manager with
 // the paper's query execution strategies, the three evaluation
 // datasets, an analytical cost model, and drivers regenerating every
-// figure in the paper's evaluation.
+// figure in the paper's evaluation: RunExperiment, over the ids
+// ExperimentIDs lists. cmd/mmbench prints them, and beside them runs
+// its serving harnesses (-exp serve, burst, tenants), which build their
+// stores through this package's public API like any user.
 //
 // # Execution engine
 //

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode"
@@ -208,11 +209,84 @@ func (ix *declIndex) check(tok string, bare bool) string {
 	return ""
 }
 
+// mmbenchFlags collects the flags cmd/mmbench defines: the first
+// argument of every flag.*("name", …) call in its non-test files.
+func mmbenchFlags(t *testing.T) map[string]bool {
+	t.Helper()
+	paths, err := filepath.Glob("cmd/mmbench/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := map[string]bool{}
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			pkg, ok := sel.X.(*ast.Ident)
+			lit, isLit := call.Args[0].(*ast.BasicLit)
+			if ok && pkg.Name == "flag" && isLit && lit.Kind == token.STRING {
+				name, _ := strconv.Unquote(lit.Value)
+				flags[name] = true
+			}
+			return true
+		})
+	}
+	return flags
+}
+
+// commandFlags returns the flags of every mmbench command line in text.
+// A command starts at a word naming the program (mmbench,
+// ./cmd/mmbench, …) and runs over the -flag words that follow, each
+// with at most one value, up to the first other word or the word that
+// closes its code span or clause. "-deadline/-aging" names two flags.
+func commandFlags(text string) []string {
+	var out []string
+	words := strings.Fields(text)
+	for i, w := range words {
+		if !strings.HasSuffix(strings.TrimSuffix(strings.Trim(w, "`(["), "'s"), "mmbench") {
+			continue
+		}
+		value := false
+		for _, w := range words[i+1:] {
+			tok, _, _ := strings.Cut(strings.Trim(w, "`()[],;:."), "=")
+			switch {
+			case len(tok) > 1 && tok[0] == '-' && unicode.IsLetter(rune(tok[1])):
+				for _, f := range strings.Split(tok, "/") {
+					out = append(out, strings.TrimPrefix(f, "-"))
+				}
+				value = true
+			case value:
+				value = false
+			default:
+				tok = ""
+			}
+			if tok == "" || strings.ContainsAny(w, "`),;") || strings.HasSuffix(w, ".") {
+				break
+			}
+		}
+	}
+	return out
+}
+
 // TestDocNamesExist holds PAPER.md and the package doc (doc.go) to the
 // tree: every backticked token of PAPER.md, and every dotted name and
 // path in doc.go's prose, must name something that exists — so deleting
 // a declaration or a file the docs cite fails here, not in a reader's
-// hands.
+// hands. Every flag of an mmbench command in PAPER.md, doc.go and the
+// verify skill's notes must be one cmd/mmbench defines.
 func TestDocNamesExist(t *testing.T) {
 	ix := indexTree(t)
 	paper, err := os.ReadFile("PAPER.md")
@@ -241,5 +315,23 @@ func TestDocNamesExist(t *testing.T) {
 				t.Errorf("doc.go: %s: %s", tok, why)
 			}
 		}
+	}
+
+	skill, err := os.ReadFile(".claude/skills/verify/SKILL.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := mmbenchFlags(t)
+	checked := 0
+	for doc, text := range map[string]string{"PAPER.md": string(paper), "doc.go": f.Doc.Text(), "SKILL.md": string(skill)} {
+		for _, name := range commandFlags(text) {
+			checked++
+			if !flags[name] {
+				t.Errorf("%s: mmbench -%s: cmd/mmbench defines no such flag", doc, name)
+			}
+		}
+	}
+	if checked < len(flags) {
+		t.Errorf("only %d mmbench flags found in the docs: is commandFlags still parsing them?", checked)
 	}
 }

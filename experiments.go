@@ -8,16 +8,15 @@ import (
 
 // ExperimentConfig scopes a figure regeneration run; zero fields take
 // the paper's values (Defaults), and Validate checks every range. The
-// fields, one per mmbench flag, are documented on the struct itself:
-// go doc repro/internal/experiments.Config.
+// fields, each mirrored by an mmbench flag, are documented on the
+// struct itself: go doc repro/internal/experiments.Config.
 type ExperimentConfig = experiments.Config
 
 // ExperimentIDs lists the regenerable paper artifacts plus the two
-// analysis tables from §4.3-§4.4 and the beyond-the-paper concurrent
-// serving benchmarks ("serve", "burst", and the multi-tenant pool
-// churn benchmark "tenants").
+// analysis tables from §4.3-§4.4. The serving benchmarks beyond the
+// paper run in cmd/mmbench, on the public Store.
 func ExperimentIDs() []string {
-	return []string{"fig1a", "fig1b", "fig6a", "fig6b", "fig7a", "fig7b", "fig8", "eq5", "space", "serve", "burst", "tenants"}
+	return []string{"fig1a", "fig1b", "fig6a", "fig6b", "fig7a", "fig7b", "fig8", "eq5", "space"}
 }
 
 // ExperimentTable is a printable experiment result.
@@ -50,15 +49,6 @@ func RunExperiment(id string, cfg ExperimentConfig) (*ExperimentTable, error) {
 		return experiments.DimensionSupport(cfg)
 	case "space":
 		return experiments.SpaceEfficiency(cfg)
-	case "serve":
-		t, _, err := experiments.ServiceThroughput(cfg)
-		return t, err
-	case "burst":
-		t, _, err := experiments.BurstTraffic(cfg)
-		return t, err
-	case "tenants":
-		t, _, err := runTenants(cfg)
-		return t, err
 	default:
 		return nil, fmt.Errorf("multimap: unknown experiment %q (have %v)", id, ExperimentIDs())
 	}

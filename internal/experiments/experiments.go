@@ -8,10 +8,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/disk"
-	"repro/internal/engine"
 	"repro/internal/query"
 )
 
@@ -35,59 +33,6 @@ type Config struct {
 	// ChunkCells bounds how many cells the streaming planner expands
 	// per dispatch chunk; 0 plans each query as one chunk.
 	ChunkCells int64
-	// Clients is the number of concurrent query sessions in the
-	// service-throughput experiment (default 4).
-	Clients int
-	// Queries is how many queries each client issues there (default 32).
-	Queries int
-	// CacheBlocks sizes the shared extent cache for that experiment
-	// (0 = cache off).
-	CacheBlocks int64
-	// WriteFraction in [0,1) is the share of each client's operations
-	// that are update bursts (point inserts submitted as service write
-	// ops) in the service-throughput experiment. 0 = read-only.
-	WriteFraction float64
-	// Shards is the maximum shard count for the service-throughput
-	// experiment's scaling ladder: the run repeats at 1, 2, 4, ...
-	// shards up to this value (0 or 1 = single shard only).
-	Shards int
-	// BatchWindow is the time-based admission window of each shard
-	// service in the service-throughput experiment (0 = admit
-	// immediately).
-	BatchWindow time.Duration
-	// Deadline, when positive, gives the service-throughput
-	// experiment's client 0 a context.WithTimeout deadline per query —
-	// the QoS session. Queries it cannot finish in time are dropped by
-	// the services (counted, not fatal) and the table reports the
-	// session's observed latency separately.
-	Deadline time.Duration
-	// DeadlineAging, when positive, turns on deadline/QoS-aware
-	// admission on every shard service (engine
-	// ServiceOptions.DeadlineAging): urgent requests are served ahead
-	// of — and never coalesced with — bulk work. Compare a -deadline
-	// run with and without it to see the QoS policy's effect.
-	DeadlineAging time.Duration
-	// WriteBack turns on write-back caching with group commit on every
-	// shard service: writes are absorbed into per-extent dirty buffers
-	// and committed as one SPTF batch per flush trigger. Compare a
-	// -writes run with and without it to see the group-commit win.
-	WriteBack bool
-	// WBWatermark and WBInterval tune the write-back flush triggers
-	// (dirty-block watermark and oldest-dirty age); 0 keeps the engine
-	// defaults. Ignored unless WriteBack is set.
-	WBWatermark int64
-	WBInterval  time.Duration
-	// FairQuantum, when positive, turns on weighted-fair
-	// (deficit-round-robin) admission on every shard service in the
-	// service-throughput experiment: each admission pass grants every
-	// backlogged QoS class quantum × weight blocks of simulated-cost
-	// credit. 0 keeps fair sharing off — admission bit-identical to the
-	// pre-QoS behavior.
-	FairQuantum int64
-	// QoSClasses registers the class weights used with FairQuantum.
-	// Empty selects the burst experiment's built-in mix when
-	// FairQuantum is positive.
-	QoSClasses []engine.QoSClass
 }
 
 // Defaults fills unset fields: both paper drives, full scale, 15 runs.
@@ -121,27 +66,6 @@ func (c Config) resolve() ([]*disk.Geometry, error) {
 	}
 	if c.Runs < 1 {
 		return nil, fmt.Errorf("experiments: runs must be positive")
-	}
-	if c.Clients < 0 || c.Queries < 0 || c.CacheBlocks < 0 {
-		return nil, fmt.Errorf("experiments: clients, queries, and cache blocks must be non-negative")
-	}
-	if c.WriteFraction < 0 || c.WriteFraction >= 1 {
-		return nil, fmt.Errorf("experiments: write fraction %v outside [0,1)", c.WriteFraction)
-	}
-	if c.Shards < 0 {
-		return nil, fmt.Errorf("experiments: shard count must be non-negative")
-	}
-	if c.BatchWindow < 0 {
-		return nil, fmt.Errorf("experiments: batch window must be non-negative")
-	}
-	if c.Deadline < 0 || c.DeadlineAging < 0 {
-		return nil, fmt.Errorf("experiments: deadline and deadline aging must be non-negative")
-	}
-	if c.WBWatermark < 0 || c.WBInterval < 0 {
-		return nil, fmt.Errorf("experiments: write-back watermark and interval must be non-negative")
-	}
-	if c.FairQuantum < 0 {
-		return nil, fmt.Errorf("experiments: fair-share quantum must be non-negative")
 	}
 	if _, err := c.execOptions(); err != nil {
 		return nil, err

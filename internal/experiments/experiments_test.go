@@ -36,32 +36,20 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 // TestConfigValidateRanges: the one validator rejects every
-// out-of-range value mmbench's flags can carry (it restated these
-// thirteen ranges itself before), an unknown drive and a removed
-// policy — and passes the zero config once Defaults has filled it.
+// out-of-range value mmbench's figure flags can carry, an unknown drive
+// and a removed policy — and passes the zero config once Defaults has
+// filled it.
 func TestConfigValidateRanges(t *testing.T) {
 	if err := (Config{}).Defaults().Validate(); err != nil {
 		t.Fatalf("defaulted zero config rejected: %v", err)
 	}
 	for flag, mangle := range map[string]func(*Config){
-		"writes":       func(c *Config) { c.WriteFraction = -0.1 },
-		"writes>=1":    func(c *Config) { c.WriteFraction = 1 },
-		"window":       func(c *Config) { c.BatchWindow = -1 },
-		"aging":        func(c *Config) { c.DeadlineAging = -1 },
-		"wb-watermark": func(c *Config) { c.WBWatermark = -1 },
-		"wb-interval":  func(c *Config) { c.WBInterval = -1 },
-		"scale":        func(c *Config) { c.Scale = 1.5 },
-		"scale<0":      func(c *Config) { c.Scale = -0.5 },
-		"runs":         func(c *Config) { c.Runs = -1 },
-		"chunk":        func(c *Config) { c.ChunkCells = -1 },
-		"clients":      func(c *Config) { c.Clients = -1 },
-		"queries":      func(c *Config) { c.Queries = -1 },
-		"cache":        func(c *Config) { c.CacheBlocks = -1 },
-		"shards":       func(c *Config) { c.Shards = -1 },
-		"deadline":     func(c *Config) { c.Deadline = -1 },
-		"fair":         func(c *Config) { c.FairQuantum = -1 },
-		"disks":        func(c *Config) { c.Disks = []disk.ModelName{"nonsense"} },
-		"policy":       func(c *Config) { c.Policy = "elevator" },
+		"scale":   func(c *Config) { c.Scale = 1.5 },
+		"scale<0": func(c *Config) { c.Scale = -0.5 },
+		"runs":    func(c *Config) { c.Runs = -1 },
+		"chunk":   func(c *Config) { c.ChunkCells = -1 },
+		"disks":   func(c *Config) { c.Disks = []disk.ModelName{"nonsense"} },
+		"policy":  func(c *Config) { c.Policy = "elevator" },
 	} {
 		c := Config{}
 		mangle(&c)

@@ -206,10 +206,3 @@ func rangeRuns(cfg Config, selPct float64) int {
 		return min(cfg.Runs, 5)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -374,69 +374,14 @@ func TestRunExperimentFacade(t *testing.T) {
 			t.Errorf("%s: empty table", id)
 		}
 	}
-	// The burst rig keeps only this door: the CI harness-smoke config.
-	burst := ExperimentConfig{Disks: []DiskModel{AtlasTenKIII}, Scale: 0.15, Seed: 1,
-		Clients: 4, Queries: 6, CacheBlocks: 4194304, WriteFraction: 0.3,
-		WriteBack: true, FairQuantum: 4096}
-	tb, err := RunExperiment("burst", burst)
-	if err != nil {
-		t.Fatalf("burst: %v", err)
-	}
-	if len(tb.Rows) != 3 || !strings.Contains(tb.Title, "QoS quantum 4096") {
-		t.Errorf("burst: want one row per class under QoS:\n%s", tb)
-	}
-	if _, err := RunExperiment("fig99", cfg); err == nil {
-		t.Error("unknown experiment accepted")
-	}
-	if len(ExperimentIDs()) != 12 {
-		t.Errorf("want 12 experiment ids, got %v", ExperimentIDs())
-	}
-}
-
-// TestRunTenants runs the multi-tenant churn benchmark small with QoS
-// on and checks the result's invariants — every lifecycle phase once,
-// in canonical order, with traffic; online growth and copy-on-write
-// evidence; an ordered burst latency pair.
-func TestRunTenants(t *testing.T) {
-	cfg := ExperimentConfig{Disks: []DiskModel{AtlasTenKIII}, Scale: 0.05, Seed: 1,
-		Clients: 2, Queries: 4, FairQuantum: 4096}
-	tb, res, err := runTenants(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(tb.Title, "QoS quantum 4096") {
-		t.Fatalf("QoS mode not recorded: %s", tb.Title)
-	}
-	if res.GrownBlocks <= 0 {
-		t.Errorf("grown blocks %d: the lifecycle must grow the tenant online", res.GrownBlocks)
-	}
-	if res.AutoGrownBlocks < 0 {
-		t.Errorf("negative auto-grown blocks %d", res.AutoGrownBlocks)
-	}
-	if res.CowFaultBlocks <= 0 {
-		t.Errorf("COW fault blocks %d: post-snapshot writes must fault", res.CowFaultBlocks)
-	}
-	if res.BurstOps < 1 {
-		t.Error("no live burst traffic")
-	}
-	if res.BurstP50Ms < 0 || res.BurstP50Ms > res.BurstP99Ms {
-		t.Errorf("burst latency out of order: p50=%v p99=%v", res.BurstP50Ms, res.BurstP99Ms)
-	}
-	if len(res.Phases) != len(tenantsPhases) {
-		t.Fatalf("%d phases, want %d", len(res.Phases), len(tenantsPhases))
-	}
-	for i, ph := range res.Phases {
-		if ph.Phase != tenantsPhases[i] {
-			t.Errorf("phases[%d] is %q, want %q", i, ph.Phase, tenantsPhases[i])
-		}
-		if ph.Ops < 1 || ph.Ms < 0 {
-			t.Errorf("phase %q: %d ops in %v ms", ph.Phase, ph.Ops, ph.Ms)
+	// The serving harnesses run in cmd/mmbench, on the public Store.
+	for _, id := range []string{"fig99", "serve"} {
+		if _, err := RunExperiment(id, cfg); err == nil {
+			t.Errorf("experiment %q accepted", id)
 		}
 	}
-	// The hand-rolled range checks are gone: the shared validator runs.
-	cfg.Scale = 2
-	if _, _, err := runTenants(cfg); err == nil {
-		t.Error("scale 2 accepted")
+	if len(ExperimentIDs()) != 9 {
+		t.Errorf("want the 9 paper experiment ids, got %v", ExperimentIDs())
 	}
 }
 
