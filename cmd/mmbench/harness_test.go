@@ -117,7 +117,6 @@ func TestServeConfigRanges(t *testing.T) {
 		"aging":        func(c *serveConfig) { c.DeadlineAging = -1 },
 		"wb-watermark": func(c *serveConfig) { c.WBWatermark = -1 },
 		"wb-interval":  func(c *serveConfig) { c.WBInterval = -1 },
-		"fair":         func(c *serveConfig) { c.FairQuantum = -1 },
 		"scale":        func(c *serveConfig) { c.Scale = 1.5 },
 	} {
 		var c serveConfig
@@ -303,182 +302,31 @@ func TestServiceThroughputSharded(t *testing.T) {
 	}
 }
 
-// checkBurst asserts a burst result's invariants: all three QoS classes
-// present once, in order, with traffic and a weight, a sane latency
-// trajectory (0 ≤ p50 ≤ p99 ≤ p999 where reported) per class, and the
-// host-efficiency fields recorded.
-func checkBurst(t *testing.T, res *burstResult) {
-	t.Helper()
-	if res.WallSeconds <= 0 || res.AllocsPerOp <= 0 || res.GOMAXPROCS < 1 {
-		t.Errorf("host fields wrong: %+v", res)
-	}
-	want := []string{"interactive", "bulk", "writer"}
-	if len(res.Classes) != len(want) {
-		t.Fatalf("%d classes, want %v", len(res.Classes), want)
-	}
-	for i, bc := range res.Classes {
-		if bc.Class != want[i] {
-			t.Errorf("classes[%d] is %q, want %q", i, bc.Class, want[i])
-		}
-		if bc.Clients < 1 || bc.Ops < 1 || bc.Weight < 1 {
-			t.Errorf("class %q has no traffic or weight: %+v", bc.Class, bc)
-		}
-		if bc.P50Ms < 0 || bc.P50Ms > bc.P99Ms {
-			t.Errorf("class %q latency out of order: p50=%v p99=%v", bc.Class, bc.P50Ms, bc.P99Ms)
-		}
-		if bc.Ops >= burstP999MinOps && bc.P99Ms > bc.P999Ms {
-			t.Errorf("class %q latency out of order: p99=%v p999=%v", bc.Class, bc.P99Ms, bc.P999Ms)
-		}
-		if bc.Ops < burstP999MinOps && bc.P999Ms != 0 {
-			t.Errorf("class %q reports p999 on %d ops", bc.Class, bc.Ops)
-		}
-		if bc.MeanSimMs < 0 || bc.DeferredOps < 0 {
-			t.Errorf("class %q negative counters: %+v", bc.Class, bc)
-		}
-	}
-}
-
-// TestBurstTraffic runs the closed-loop burst harness small, with and
-// without write-back and with QoS on: all three classes carry traffic,
-// the trajectory is ordered, group commit shows up in the write-back
-// run only, and the QoS run carries the 1:4 interactive:bulk weights.
-func TestBurstTraffic(t *testing.T) {
-	cfg := fastCfg()
-	cfg.Clients = 4
-	cfg.Queries = 6
-	cfg.ChunkCells = 512
-	cfg.CacheBlocks = 1 << 22
-	cfg.WriteFraction = 0.3
-
-	tb, plain, err := burst(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkBurst(t, plain)
-	if plain.Totals.FlushBatches != 0 || plain.Totals.CoalescedWrites != 0 {
-		t.Fatalf("write-back evidence in a write-through run: %+v", plain)
-	}
-	if !strings.Contains(tb.String(), "p999 ms") || !strings.Contains(tb.Title, "QoS off") {
-		t.Fatalf("table missing trajectory columns or QoS mode:\n%s", tb)
-	}
-
-	cfg.WriteBack = true
-	_, wb, err := burst(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkBurst(t, wb)
-	if wb.Totals.CoalescedWrites == 0 || wb.Totals.FlushBatches == 0 {
-		t.Fatalf("write-back run shows no group commit: %+v", wb)
-	}
-
-	cfg.FairQuantum = 4096
-	tq, qos, err := burst(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkBurst(t, qos)
-	wantWeight := map[string]int{"interactive": 1, "bulk": 4, "writer": 1}
-	for _, bc := range qos.Classes {
-		if bc.Weight != wantWeight[bc.Class] {
-			t.Fatalf("class %q weight %d, want %d", bc.Class, bc.Weight, wantWeight[bc.Class])
-		}
-	}
-	if !strings.Contains(tq.Title, "QoS quantum 4096") {
-		t.Fatalf("table title missing QoS mode: %s", tq.Title)
-	}
-}
-
-// TestRunExperimentDispatch drives runOne the way main does: the CI
-// harness-smoke burst config prints one row per class under QoS, a
-// paper figure goes through the library, and -exp all covers the
-// library's nine ids plus the three harnesses.
+// TestRunExperimentDispatch drives runOne the way main does: the serve
+// harness prints its table, a paper figure goes through the library, an
+// unknown id is refused, and -exp all covers the library's nine ids plus
+// serve.
 func TestRunExperimentDispatch(t *testing.T) {
 	cfg := fastCfg()
-	cfg.Seed = 1
-	cfg.Clients, cfg.Queries, cfg.CacheBlocks, cfg.WriteFraction = 4, 6, 4194304, 0.3
-	cfg.WriteBack, cfg.FairQuantum = true, 4096
+	cfg.Clients, cfg.Queries = 2, 4
 	var out bytes.Buffer
-	if err := runOne(&out, "burst", cfg); err != nil {
+	if err := runOne(&out, "serve", cfg); err != nil {
 		t.Fatal(err)
 	}
-	for _, class := range []string{"\ninteractive ", "\nbulk ", "\nwriter ", "QoS quantum 4096", "(burst in "} {
-		if !strings.Contains(out.String(), class) {
-			t.Errorf("burst output lacks %q:\n%s", class, out.String())
+	for _, want := range []string{"== serve", "q/s", "(serve in "} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("serve output lacks %q:\n%s", want, out.String())
 		}
 	}
 	if err := runOne(&out, "fig1b", cfg); err != nil || !strings.Contains(out.String(), "== fig1b") {
 		t.Errorf("fig1b through the library: %v\n%s", err, out.String())
 	}
-	if err := runOne(&out, "fig99", cfg); err == nil {
-		t.Error("unknown experiment accepted")
+	for _, id := range []string{"fig99", "burst", "tenants"} {
+		if err := runOne(&out, id, cfg); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Errorf("-exp %s: got %v, want unknown experiment", id, err)
+		}
 	}
-	if ids := experimentIDs(); len(ids) != 12 || ids[9] != "serve" || ids[11] != "tenants" {
+	if ids := experimentIDs(); len(ids) != 10 || ids[9] != "serve" {
 		t.Errorf("-exp all runs %v", ids)
 	}
-}
-
-// TestRunTenants runs the multi-tenant churn harness small with QoS on
-// and checks the result's invariants — every lifecycle phase once, in
-// order, with traffic; online growth and copy-on-write evidence; an
-// ordered burst latency pair.
-func TestRunTenants(t *testing.T) {
-	cfg := fastCfg()
-	cfg.Scale, cfg.Seed, cfg.Clients, cfg.Queries, cfg.FairQuantum = 0.05, 1, 2, 4, 4096
-	tb, res, err := tenants(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(tb.Title, "QoS quantum 4096") {
-		t.Fatalf("QoS mode not recorded: %s", tb.Title)
-	}
-	if res.GrownBlocks <= 0 {
-		t.Errorf("grown blocks %d: the lifecycle must grow the tenant online", res.GrownBlocks)
-	}
-	if res.AutoGrownBlocks < 0 {
-		t.Errorf("negative auto-grown blocks %d", res.AutoGrownBlocks)
-	}
-	if res.CowFaultBlocks <= 0 {
-		t.Errorf("COW fault blocks %d: post-snapshot writes must fault", res.CowFaultBlocks)
-	}
-	if res.BurstOps < 1 {
-		t.Error("no live burst traffic")
-	}
-	if res.BurstP50Ms < 0 || res.BurstP50Ms > res.BurstP99Ms {
-		t.Errorf("burst latency out of order: p50=%v p99=%v", res.BurstP50Ms, res.BurstP99Ms)
-	}
-	want := []string{"create", "fill", "grow", "snapshot", "clone", "query_clone", "cow_writes", "destroy"}
-	if len(res.Phases) != len(want) {
-		t.Fatalf("%d phases, want %v", len(res.Phases), want)
-	}
-	for i, ph := range res.Phases {
-		if ph.Phase != want[i] {
-			t.Errorf("phases[%d] is %q, want %q", i, ph.Phase, want[i])
-		}
-		if ph.Ops < 1 || ph.Ms < 0 {
-			t.Errorf("phase %q: %d ops in %v ms", ph.Phase, ph.Ops, ph.Ms)
-		}
-	}
-	cfg.Scale = 2
-	if _, _, err := tenants(cfg); err == nil {
-		t.Error("scale 2 accepted")
-	}
-}
-
-// BenchmarkBurstTraffic runs the closed-loop QoS-class workload with
-// write-back group commit on, reporting the interactive class's
-// simulated latency and the coalescing the dirty buffer achieved.
-func BenchmarkBurstTraffic(b *testing.B) {
-	cfg := fastCfg()
-	cfg.Scale, cfg.Seed = 0.25, 1
-	cfg.Clients, cfg.Queries, cfg.CacheBlocks, cfg.WriteFraction, cfg.WriteBack = 4, 8, 1<<22, 0.3, true
-	var res *burstResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		if _, res, err = burst(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.Classes[0].MeanSimMs, "sim-ms/op-interactive")
-	b.ReportMetric(float64(res.Totals.CoalescedWrites), "coalesced-writes")
 }

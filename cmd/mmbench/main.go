@@ -1,8 +1,8 @@
 // Command mmbench regenerates the figures of the MultiMap paper's
 // evaluation (§5) on the simulated testbed and prints the same rows and
-// series the paper reports. Beside them it runs the serving harnesses
-// (serve, burst, tenants) on the public Store, and -remote drives
-// serve-style load against a running mmserved.
+// series the paper reports. Beside them it runs the serve harness on the
+// public Store, and -remote drives serve-style load against a running
+// mmserved.
 //
 // Usage:
 //
@@ -19,50 +19,11 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
 	multimap "repro"
 )
-
-// parseQoSSpecs turns the -qos value — comma-separated
-// name:weight[:urgent] specs — into a class registry. An empty value
-// means "use the experiment's built-in mix".
-func parseQoSSpecs(specs string) ([]multimap.QoSClass, error) {
-	if specs == "" {
-		return nil, nil
-	}
-	var classes []multimap.QoSClass
-	for _, spec := range strings.Split(specs, ",") {
-		parts := strings.Split(strings.TrimSpace(spec), ":")
-		if len(parts) < 2 || len(parts) > 3 {
-			return nil, fmt.Errorf("-qos spec %q is malformed; want name:weight[:urgent]", spec)
-		}
-		name := strings.TrimSpace(parts[0])
-		if name == "" {
-			return nil, fmt.Errorf("-qos spec %q has an empty class name", spec)
-		}
-		weight, err := strconv.Atoi(strings.TrimSpace(parts[1]))
-		if err != nil || weight < 1 {
-			return nil, fmt.Errorf("-qos spec %q: weight %q must be a positive integer", spec, parts[1])
-		}
-		urgent := false
-		if len(parts) == 3 {
-			if strings.TrimSpace(parts[2]) != "urgent" {
-				return nil, fmt.Errorf("-qos spec %q: third field must be the literal \"urgent\"", spec)
-			}
-			urgent = true
-		}
-		for _, c := range classes {
-			if c.Name == name {
-				return nil, fmt.Errorf("-qos class %q registered twice", name)
-			}
-		}
-		classes = append(classes, multimap.QoSClass{Name: name, Weight: weight, Urgent: urgent})
-	}
-	return classes, nil
-}
 
 func main() {
 	var (
@@ -81,11 +42,9 @@ func main() {
 		window   = flag.Duration("window", 0, "time-based admission window per shard service for -exp serve, e.g. 200us (0 = admit immediately)")
 		deadline = flag.Duration("deadline", 0, "per-query context deadline for -exp serve's client 0, e.g. 5ms (0 = none); the table reports that session's ms/query plus cancelled and deadline-expired drop counts")
 		aging    = flag.Duration("aging", 0, "deadline/QoS-aware admission aging for -exp serve, e.g. 1ms: urgent requests (explicit deadline, or queued at least this long) are served ahead of bulk work (0 = off); compare -deadline runs with and without it")
-		wb       = flag.Bool("wb", false, "write-back caching with group commit on every -exp serve/burst service: writes are absorbed into dirty extent buffers and committed as one SPTF batch per flush; the tables gain flushes/coalesced columns")
+		wb       = flag.Bool("wb", false, "write-back caching with group commit on every -exp serve shard service: writes are absorbed into dirty extent buffers and committed as one SPTF batch per flush; the tables gain flushes/coalesced columns")
 		wbWater  = flag.Int64("wb-watermark", 0, "write-back flush watermark in dirty blocks (0 = engine default); needs -wb")
 		wbIvl    = flag.Duration("wb-interval", 0, "write-back flush interval, e.g. 2ms: dirty data older than this is committed (0 = engine default); needs -wb")
-		fair     = flag.Int64("fair", 0, "weighted-fair (deficit-round-robin) admission quantum in blocks for -exp serve/burst/tenants, e.g. 1024: each admission pass grants every backlogged QoS class quantum*weight blocks of credit (omit = fair sharing off)")
-		qos      = flag.String("qos", "", "comma-separated QoS class specs name:weight[:urgent] registered for -fair runs, e.g. 'interactive:1,bulk:4,ops:2:urgent' (default: the burst benchmark's built-in interactive:1,bulk:4,writer:1 mix); needs -fair")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment run to this file (inspect with 'go tool pprof')")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile taken after the experiment run to this file (inspect with 'go tool pprof')")
 		remote   = flag.String("remote", "", "client mode: drive serve-style load against a running mmserved daemon at this address (host:port) instead of running experiments in-process; uses -store, -class, -clients, -queries, -writes, -deadline, -seed")
@@ -101,25 +60,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	// -fair 0 and -scale 0 are indistinguishable from "omitted" by value
-	// (the config reads 0 as fair sharing off / paper scale), so catch an
-	// explicit zero by flag presence: a stated quantum or scale must be
-	// positive.
+	// -scale 0 is indistinguishable from "omitted" by value (the config
+	// reads 0 as paper scale), so catch an explicit zero by flag presence.
 	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "fair" && *fair <= 0 {
-			usageErr("-fair %d is not a usable quantum; want a positive number of blocks (omit the flag to keep fair sharing off)", *fair)
-		}
 		if f.Name == "scale" && *scale == 0 {
 			usageErr("-scale 0 is out of range; want a fraction in (0,1]")
 		}
 	})
-	qosClasses, err := parseQoSSpecs(*qos)
-	if err != nil {
-		usageErr("%v", err)
-	}
-	if len(qosClasses) > 0 && *fair <= 0 {
-		usageErr("-qos needs -fair: class weights only apply under weighted-fair admission")
-	}
 
 	cfg := serveConfig{
 		ExperimentConfig: multimap.ExperimentConfig{
@@ -131,7 +78,6 @@ func main() {
 		Shards:        *shards, BatchWindow: *window,
 		Deadline: *deadline, DeadlineAging: *aging,
 		WriteBack: *wb, WBWatermark: *wbWater, WBInterval: *wbIvl,
-		FairQuantum: *fair, QoSClasses: qosClasses,
 	}
 	if *disks != "" {
 		for _, d := range strings.Split(*disks, ",") {
@@ -172,8 +118,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mmbench: -cpuprofile: %v\n", err)
 			os.Exit(1)
 		}
-		defer pprof.StopCPUProfile()
+		// Deferred calls run last-first: stop the profile, which writes
+		// it out, before closing its file.
 		defer f.Close()
+		defer pprof.StopCPUProfile()
 	}
 
 	ids := []string{*exp}
@@ -214,9 +162,9 @@ func main() {
 }
 
 // experimentIDs lists what -exp runs: the paper's figures and analyses,
-// then the serving harnesses.
+// then the serve harness.
 func experimentIDs() []string {
-	return append(multimap.ExperimentIDs(), "serve", "burst", "tenants")
+	return append(multimap.ExperimentIDs(), "serve")
 }
 
 // runOne runs one experiment and prints its table and wall time to w.
@@ -227,10 +175,6 @@ func runOne(w io.Writer, id string, cfg serveConfig) error {
 	switch id {
 	case "serve":
 		table, _, err = serve(cfg)
-	case "burst":
-		table, _, err = burst(cfg)
-	case "tenants":
-		table, _, err = tenants(cfg)
 	default:
 		if !slices.Contains(multimap.ExperimentIDs(), id) {
 			return fmt.Errorf("unknown experiment %q (have %v)", id, experimentIDs())

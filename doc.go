@@ -19,8 +19,8 @@
 // datasets, an analytical cost model, and drivers regenerating every
 // figure in the paper's evaluation: RunExperiment, over the ids
 // ExperimentIDs lists. cmd/mmbench prints them, and beside them runs
-// its serving harnesses (-exp serve, burst, tenants), which build their
-// stores through this package's public API like any user.
+// its serving harness (-exp serve), which builds its stores through
+// this package's public API like any user.
 //
 // # Execution engine
 //
@@ -144,9 +144,7 @@
 // stays whole for the next trigger). With write-back off the write
 // path is bit-identical to the pre-write-back engine (the fig6probe
 // golden test holds). cmd/mmbench mirrors the knobs as
-// -wb/-wb-watermark/-wb-interval, and -exp burst runs a closed-loop
-// burst workload of three QoS classes (interactive/bulk/writer)
-// reporting p50/p99/p999 host latency per class.
+// -exp serve -wb/-wb-watermark/-wb-interval.
 //
 // # Sharded scatter-gather execution
 //
@@ -246,13 +244,14 @@
 // as a single class with unbounded credit — nothing is deferred, the
 // class registry is not consulted — so admission, cache, and Stats are
 // bit-identical to the pre-QoS engine (the fig6probe golden test
-// holds).
-// cmd/mmbench mirrors the knob as -fair <quantum> (the burst
-// workload registers interactive/bulk/writer at weights 1/4/1), and
-// its -cpuprofile/-memprofile flags write pprof profiles for hunting
-// scheduler hot spots: run e.g.
+// holds). TestFairShareSteppedPass (internal/engine) steps one
+// admission pass by hand and pins the effect in simulated time: with
+// interactive:bulk at 1:4, three small interactive boxes finish in
+// 82.338 ms instead of the 484.338 ms batch they shared with a bulk
+// scan. cmd/mmbench's -cpuprofile/-memprofile flags write pprof
+// profiles for hunting scheduler hot spots: run e.g.
 //
-//	mmbench -exp burst -clients 6 -wb -fair 4096 -cpuprofile cpu.pb.gz
+//	mmbench -exp serve -clients 8 -chunk 256 -wb -cpuprofile cpu.pb.gz
 //	go tool pprof cpu.pb.gz
 //
 // # Multi-tenant volume pool: thin provisioning, growth, snapshots
@@ -297,8 +296,7 @@
 // larger than one increment simply loops — so the update succeeds
 // without the caller ever seeing core.ErrOverflowExhausted. A
 // genuinely full drive still errors. Auto-grown capacity is audited
-// per drive in Pool.Usage (DriveUsage.AutoGrownBlocks); cmd/mmbench's
-// -exp tenants workload exercises the path and reports the total.
+// per drive in Pool.Usage (DriveUsage.AutoGrownBlocks).
 //
 // # Network daemon: sessions over the wire
 //

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -247,6 +248,50 @@ func mmbenchFlags(t *testing.T) map[string]bool {
 	return flags
 }
 
+// mmbenchExpIDs collects what mmbench's -exp accepts: "all", the
+// library's ExperimentIDs, and the string literals cmd/mmbench's
+// experimentIDs appends to them.
+func mmbenchExpIDs(t *testing.T) map[string]bool {
+	t.Helper()
+	ids := map[string]bool{"all": true}
+	for _, id := range ExperimentIDs() {
+		ids[id] = true
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "cmd/mmbench/main.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, decl := range f.Decls {
+		if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == "experimentIDs" {
+			ast.Inspect(fn, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					id, _ := strconv.Unquote(lit.Value)
+					ids[id] = true
+				}
+				return true
+			})
+			return ids
+		}
+	}
+	t.Fatal("cmd/mmbench/main.go declares no experimentIDs")
+	return nil
+}
+
+// unknownExpIDs returns the word after each -exp in text that ids lacks.
+func unknownExpIDs(text string, ids map[string]bool) []string {
+	var out []string
+	words := strings.Fields(text)
+	for i := 0; i+1 < len(words); i++ {
+		if strings.Trim(words[i], "`([") != "-exp" {
+			continue
+		}
+		if id := strings.Trim(words[i+1], "`()[],;:."); !ids[id] {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 // commandFlags returns the flags of every mmbench command line in text.
 // A command starts at a word naming the program (mmbench,
 // ./cmd/mmbench, …) and runs over the -flag words that follow, each
@@ -286,7 +331,8 @@ func commandFlags(text string) []string {
 // path in doc.go's prose, must name something that exists — so deleting
 // a declaration or a file the docs cite fails here, not in a reader's
 // hands. Every flag of an mmbench command in PAPER.md, doc.go and the
-// verify skill's notes must be one cmd/mmbench defines.
+// verify skill's notes must be one cmd/mmbench defines, and every -exp
+// id one it runs.
 func TestDocNamesExist(t *testing.T) {
 	ix := indexTree(t)
 	paper, err := os.ReadFile("PAPER.md")
@@ -321,7 +367,10 @@ func TestDocNamesExist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flags := mmbenchFlags(t)
+	flags, ids := mmbenchFlags(t), mmbenchExpIDs(t)
+	if got := unknownExpIDs("run `mmbench -exp burst`", ids); !slices.Equal(got, []string{"burst"}) {
+		t.Errorf("a retired -exp burst reads as unknown ids %v, want [burst]", got)
+	}
 	checked := 0
 	for doc, text := range map[string]string{"PAPER.md": string(paper), "doc.go": f.Doc.Text(), "SKILL.md": string(skill)} {
 		for _, name := range commandFlags(text) {
@@ -329,6 +378,9 @@ func TestDocNamesExist(t *testing.T) {
 			if !flags[name] {
 				t.Errorf("%s: mmbench -%s: cmd/mmbench defines no such flag", doc, name)
 			}
+		}
+		for _, id := range unknownExpIDs(text, ids) {
+			t.Errorf("%s: -exp %s: mmbench runs no such experiment", doc, id)
 		}
 	}
 	if checked < len(flags) {

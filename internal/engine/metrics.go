@@ -59,7 +59,7 @@ func (r *LatencyRing) Record(ms float64) {
 // Snapshot returns the lifetime count of recorded observations and the
 // p50/p99 latency over the retained window (zeroes when nothing has
 // been recorded). Percentiles use linear rank interpolation over the
-// sorted window, matching the burst benchmark's definition.
+// sorted window (Percentile).
 func (r *LatencyRing) Snapshot() (count int64, p50, p99 float64) {
 	r.mu.Lock()
 	window := append([]float64(nil), r.buf[:r.fill]...)

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/lvm"
+	"repro/internal/mapping"
 )
 
 // drrOp builds a bare work op of one class with an exact block cost,
@@ -427,5 +428,87 @@ func TestUrgentOpsCountedWithoutFairShare(t *testing.T) {
 	if cts[0].UrgentOps != n/2 || cts[0].Deferred != 0 {
 		t.Fatalf("urgent %d deferred %d, want %d urgent (the deadline ops) and none deferred",
 			cts[0].UrgentOps, cts[0].Deferred, n/2)
+	}
+}
+
+// TestFairShareSteppedPass is the QoS claim as simulated time: one
+// admission pass, stepped by hand so nothing depends on host timing,
+// holds a bulk 16³ box and three interactive 4³ hot-region boxes of a
+// 64³ MultiMap grid on an Atlas 10k III. With fair sharing off the four
+// ops coalesce into one batch and each observes its whole elapsed time;
+// at quantum 4096 with interactive:1 and bulk:4 each class's grant is its
+// own batch, the cheaper first, so the interactive boxes no longer wait
+// out the bulk scan. Each class's observed ElapsedMs is pinned.
+func TestFairShareSteppedPass(t *testing.T) {
+	type box struct {
+		class string
+		lo    [3]int
+		side  int
+	}
+	pass := []box{
+		{"bulk", [3]int{24, 24, 24}, 16},
+		{"interactive", [3]int{0, 0, 0}, 4},
+		{"interactive", [3]int{4, 0, 4}, 4},
+		{"interactive", [3]int{0, 4, 4}, 4},
+	}
+	run := func(opts ServiceOptions) map[string]float64 {
+		v, err := lvm.New(0, disk.AtlasTenKIII())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := mapping.New(mapping.MultiMap, v, []int{64, 64, 64}, mapping.Options{DiskIdx: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := NewService(v, opts)
+		defer svc.Close()
+		ops := make([]*serviceOp, len(pass))
+		for i, b := range pass {
+			lo, hi := b.lo[:], []int{b.lo[0] + b.side, b.lo[1] + b.side, b.lo[2] + b.side}
+			reqs, err := m.BoxRequests(lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops[i] = &serviceOp{
+				kind:   opChunk,
+				chunk:  Chunk{Reqs: reqs, Policy: disk.SchedSPTF},
+				policy: disk.SchedSPTF,
+				class:  b.class,
+				reply:  make(chan opResult, 1),
+			}
+		}
+		svc.process(ops)
+		ms := map[string]float64{}
+		for i, op := range ops {
+			r := <-op.reply
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			if prev, ok := ms[op.class]; ok && prev != r.stats.ElapsedMs {
+				t.Fatalf("op %d (%s) observed %v ms, its class-mate %v: not one batch", i, op.class, r.stats.ElapsedMs, prev)
+			}
+			ms[op.class] = r.stats.ElapsedMs
+		}
+		return ms
+	}
+	want := map[string][2]float64{ // class → {off, on}
+		"interactive": {484.3381924198251, 82.33819241982506},
+		"bulk":        {484.3381924198251, 414.7696793002915},
+	}
+	// Three repeats in one process: a stepped pass is a value, not a
+	// sample.
+	for rep := 0; rep < 3; rep++ {
+		off := run(ServiceOptions{})
+		on := run(ServiceOptions{FairQuantum: 4096, Classes: []QoSClass{
+			{Name: "interactive", Weight: 1}, {Name: "bulk", Weight: 4},
+		}})
+		for class, w := range want {
+			if off[class] != w[0] || on[class] != w[1] {
+				t.Errorf("repeat %d: %s %v → %v ms, want %v → %v", rep, class, off[class], on[class], w[0], w[1])
+			}
+		}
+		if on["interactive"]*2 > off["interactive"] {
+			t.Errorf("repeat %d: fair sharing cut interactive from %v to %v ms, want ≥ 2× lower", rep, off["interactive"], on["interactive"])
+		}
 	}
 }

@@ -3,7 +3,9 @@ package engine
 import (
 	"context"
 	"errors"
+	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -457,4 +459,129 @@ func TestWriteBackConcurrentAttribution(t *testing.T) {
 	}
 	sum.ElapsedMs = tot.Attributed.ElapsedMs
 	statsClose(sum, tot.Attributed, t)
+}
+
+// dirtyRefSpace is the VLBN space FuzzDirtySet's scripts write into:
+// small, so that writes collide and coalesce often.
+const dirtyRefSpace = 256
+
+// FuzzDirtySet holds dirtySet.absorb to a per-block reference. A
+// script's first byte picks how many of the next bytes are extra segment
+// ends, so segments of random length tile [0, dirtyRefSpace); each
+// following 3-byte step is one write — its owner (one of three
+// sessions), first block and length (1–16 blocks) — clipped to its
+// segment the way splitInto clips a write op. After every step:
+//   - absorb's coalesced flag says whether the write overlapped or
+//     touched a dirty block of its own segment;
+//   - the extents are the reference's maximal dirty runs cut at segment
+//     ends — so they are sorted and disjoint, none crosses its boundary,
+//     and two extents of one segment never touch;
+//   - blocks is the sum of the extents;
+//   - each extent's contributions are exactly the blocks of the writes
+//     absorbed into it, per session, and its since is its oldest
+//     block's.
+func FuzzDirtySet(f *testing.F) {
+	f.Add([]byte{2, 100, 200, 0, 10, 4, 1, 12, 4, 2, 96, 8, 0, 99, 3, 1, 195, 15})
+	f.Add([]byte{0, 0, 5, 1, 1, 5, 5, 2, 5, 5, 1, 250, 15, 0, 6, 0})
+	f.Add([]byte{7, 16, 32, 48, 64, 80, 96, 112, 0, 14, 15, 1, 30, 15, 2, 0, 255, 1, 47, 0})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) == 0 {
+			return
+		}
+		script = script[:min(len(script), 1+7+3*64)]
+		ends := []int64{dirtyRefSpace}
+		for n := script[0] % 8; n > 0 && len(script) > 1; n-- {
+			ends = append(ends, int64(script[1]))
+			script = script[1:]
+		}
+		script = script[1:]
+		slices.Sort(ends)
+		ends = slices.Compact(ends)
+		// seg returns the segment [lo, hi) holding block b.
+		seg := func(b int64) (lo, hi int64) {
+			i, _ := slices.BinarySearch(ends, b+1)
+			if i > 0 {
+				lo = ends[i-1]
+			}
+			return lo, ends[i]
+		}
+
+		type write struct {
+			owner      *Session
+			start, end int64
+		}
+		owners := []*Session{{}, {}, {}}
+		var (
+			d      dirtySet
+			dirty  [dirtyRefSpace]bool
+			since  [dirtyRefSpace]time.Time
+			writes []write
+		)
+		for step := 0; len(script) >= 3; step, script = step+1, script[3:] {
+			w := write{owner: owners[int(script[0])%len(owners)], start: int64(script[1])}
+			segLo, boundary := seg(w.start)
+			w.end = min(w.start+1+int64(script[2]%16), boundary)
+			now := time.Unix(0, int64(step))
+
+			wantCoalesced := false
+			for b := max(w.start-1, segLo); b < min(w.end+1, boundary); b++ {
+				wantCoalesced = wantCoalesced || dirty[b]
+			}
+			if got := d.absorb(w.owner, w.start, w.end, boundary, now); got != wantCoalesced {
+				t.Fatalf("step %d: absorb [%d,%d) coalesced=%v, want %v", step, w.start, w.end, got, wantCoalesced)
+			}
+			for b := w.start; b < w.end; b++ {
+				if !dirty[b] {
+					dirty[b], since[b] = true, now
+				}
+			}
+			writes = append(writes, w)
+
+			var runs [][2]int64
+			for b := int64(0); b < dirtyRefSpace; b++ {
+				if !dirty[b] {
+					continue
+				}
+				if n := len(runs); n > 0 && runs[n-1][1] == b {
+					if lo, _ := seg(b); lo < b {
+						runs[n-1][1]++
+						continue
+					}
+				}
+				runs = append(runs, [2]int64{b, b + 1})
+			}
+			if len(d.extents) != len(runs) {
+				t.Fatalf("step %d: %d extents, reference has %d runs %v", step, len(d.extents), len(runs), runs)
+			}
+			var blocks int64
+			for i, e := range d.extents {
+				if _, hi := seg(e.start); e.start != runs[i][0] || e.end != runs[i][1] || e.boundary != hi {
+					t.Fatalf("step %d: extent %d is [%d,%d) in segment ending %d, reference [%d,%d) ending %d",
+						step, i, e.start, e.end, e.boundary, runs[i][0], runs[i][1], hi)
+				}
+				blocks += e.end - e.start
+				contribs := map[*Session]int64{}
+				for _, w := range writes {
+					if w.start >= e.start && w.end <= e.end {
+						contribs[w.owner] += w.end - w.start
+					}
+				}
+				if !maps.Equal(e.contribs, contribs) {
+					t.Fatalf("step %d: extent %d contributions %v, want %v", step, i, e.contribs, contribs)
+				}
+				oldest := since[e.start]
+				for b := e.start; b < e.end; b++ {
+					if since[b].Before(oldest) {
+						oldest = since[b]
+					}
+				}
+				if !e.since.Equal(oldest) {
+					t.Fatalf("step %d: extent %d since %v, want its oldest block's %v", step, i, e.since, oldest)
+				}
+			}
+			if d.blocks != blocks {
+				t.Fatalf("step %d: blocks %d, extents sum to %d", step, d.blocks, blocks)
+			}
+		}
+	})
 }

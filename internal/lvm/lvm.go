@@ -227,12 +227,12 @@ type Volume struct {
 	mu       sync.Mutex
 	cowAlloc CowAllocFunc
 
-	// scratch pools ServeBatch's routing buffers: the serve hot path is
-	// allocation-free in steady state apart from the returned
-	// completions. A pool (not a single buffer) because concurrent
-	// callers are legal — the engine's per-drive dispatchers, and
-	// multiple tenants' service loops sharing pooled drives.
-	scratch sync.Pool
+	// scratch is ServeBatch's routing state, reused call after call so
+	// the serve hot path is allocation-free in steady state apart from
+	// the returned completions. One is enough: ServeBatch is serialized
+	// per volume, and tenants sharing a pooled drive each have their own
+	// volume.
+	scratch serveScratch
 }
 
 // serveScratch is one ServeBatch call's reusable routing state.
@@ -560,16 +560,10 @@ func (v *Volume) Zones() []ZoneExtent {
 // through an engine.Service instead of calling it directly.
 func (v *Volume) ServeBatch(reqs []Request, policy disk.SchedPolicy) ([]Completion, float64, error) {
 	ss := v.set.Load()
-	sc, _ := v.scratch.Get().(*serveScratch)
-	if sc == nil {
-		sc = &serveScratch{}
-	}
-	defer func() {
-		// Drop the per-drive completion slices before pooling: they are
-		// owned by the disk layer, not the scratch.
-		clear(sc.comps)
-		v.scratch.Put(sc)
-	}()
+	sc := &v.scratch
+	// Drop the per-drive completion slices on return: they are owned by
+	// the disk layer, not the scratch.
+	defer func() { clear(sc.comps) }()
 	sc.size(len(ss.drives), len(reqs))
 	counts, routed, onDrive := sc.counts, sc.routed, sc.onDrive
 	// Route: one pass to locate and validate, counting per-drive load.

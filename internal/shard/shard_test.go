@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -381,4 +382,103 @@ func BenchmarkScatterGather(b *testing.B) {
 			}
 		})
 	}
+}
+
+// eachCell calls fn on every cell of the box [lo, hi), Dim0 slowest.
+func eachCell(lo, hi []int, fn func(cell []int)) {
+	cell := append([]int(nil), lo...)
+	for {
+		fn(cell)
+		i := len(cell) - 1
+		for ; i >= 0; i-- {
+			if cell[i]++; cell[i] < hi[i] {
+				break
+			}
+			cell[i] = lo[i]
+		}
+		if i < 0 {
+			return
+		}
+	}
+}
+
+// FuzzSplitBox holds Router.SplitBox to ShardOf applied cell by cell.
+// The input picks a grid of one to three dimensions (Dim0 up to 64
+// cells, the others up to 8), a shard count up to 8, an alignment up to
+// 16 and a non-empty box inside the grid. The parts must come in shard
+// order, each non-empty and inside its shard's slab, and together they
+// must hold every cell of the box exactly once — in the part of the
+// shard ShardOf names — and no cell outside it.
+func FuzzSplitBox(f *testing.F) {
+	f.Add([]byte{2, 39, 11, 7, 3, 9, 3, 1, 2, 30, 5, 4})
+	f.Add([]byte{1, 6, 4, 0, 6, 0, 0, 0, 0, 6, 3, 0})
+	f.Add([]byte{0, 63, 0, 0, 7, 15, 17, 0, 0, 40, 0, 0})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		at := func(i int) int {
+			if i < len(in) {
+				return int(in[i])
+			}
+			return 0
+		}
+		dims := make([]int, 1+at(0)%3)
+		dims[0] = 1 + at(1)%64
+		for i := 1; i < len(dims); i++ {
+			dims[i] = 1 + at(1+i)%8
+		}
+		r, err := NewRouter(dims, 1+at(4)%8, 1+at(5)%16)
+		if err != nil {
+			return // fewer aligned slab quanta than shards: TestRouterRejects
+		}
+		lo, hi := make([]int, len(dims)), make([]int, len(dims))
+		for i, d := range dims {
+			lo[i] = at(6+i) % d
+			hi[i] = lo[i] + 1 + at(9+i)%(d-lo[i])
+		}
+
+		// index numbers the grid's cells; owner records which part
+		// holds each, count how many.
+		index := func(cell []int) int {
+			k := 0
+			for i, c := range cell {
+				k = k*dims[i] + c
+			}
+			return k
+		}
+		size := 1
+		for _, d := range dims {
+			size *= d
+		}
+		count, owner := make([]int, size), make([]int, size)
+		prev := -1
+		for _, p := range r.SplitBox(lo, hi) {
+			slo, shi := r.Slab(p.Shard)
+			if p.Shard <= prev || p.Lo[0] < 0 || p.Lo[0] >= p.Hi[0] || p.Hi[0] > shi-slo {
+				t.Fatalf("box %v–%v: part %+v out of order or outside slab [%d,%d)", lo, hi, p, slo, shi)
+			}
+			prev = p.Shard
+			glo, ghi := slices.Clone(p.Lo), slices.Clone(p.Hi)
+			glo[0], ghi[0] = glo[0]+slo, ghi[0]+slo
+			eachCell(glo, ghi, func(cell []int) {
+				count[index(cell)]++
+				owner[index(cell)] = p.Shard
+			})
+		}
+		eachCell(make([]int, len(dims)), dims, func(cell []int) {
+			inBox := true
+			for i, c := range cell {
+				inBox = inBox && c >= lo[i] && c < hi[i]
+			}
+			k := index(cell)
+			switch {
+			case !inBox && count[k] != 0:
+				t.Fatalf("box %v–%v: cell %v outside it split into %d parts", lo, hi, cell, count[k])
+			case inBox && count[k] != 1:
+				t.Fatalf("box %v–%v: cell %v in %d parts, want 1", lo, hi, cell, count[k])
+			case inBox:
+				if si, err := r.ShardOf(cell); err != nil || si != owner[k] {
+					t.Fatalf("box %v–%v: cell %v in shard %d's part, ShardOf says %d (%v)", lo, hi, cell, owner[k], si, err)
+				}
+			}
+		})
+	})
 }
