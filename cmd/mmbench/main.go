@@ -1,8 +1,7 @@
 // Command mmbench regenerates the figures of the MultiMap paper's
 // evaluation (§5) on the simulated testbed and prints the same rows and
-// series the paper reports. Beside them it runs the serve harness on the
-// public Store, and -remote drives serve-style load against a running
-// mmserved.
+// series the paper reports. With -remote it instead drives serve-style
+// load against a running mmserved.
 //
 // Usage:
 //
@@ -18,7 +17,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"strings"
 	"time"
 
@@ -27,24 +25,17 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id ("+strings.Join(experimentIDs(), ", ")+") or 'all'")
+		exp      = flag.String("exp", "all", "experiment id ("+strings.Join(multimap.ExperimentIDs(), ", ")+") or 'all'")
 		scale    = flag.Float64("scale", 1, "dataset scale in (0,1]; 1 = paper size")
 		runs     = flag.Int("runs", 0, "randomized repetitions (0 = paper's 15)")
 		seed     = flag.Int64("seed", 1, "workload random seed")
 		disks    = flag.String("disks", "", "comma-separated disk models (default: the paper's two drives); available: "+strings.Join(multimap.DiskModels(), ", "))
 		policy   = flag.String("policy", "", "force the drive scheduler for every query: fifo or sptf (default: each mapping's preferred policy)")
 		chunk    = flag.Int64("chunk", 0, "streaming-planner chunk size in cells for grid box queries (0 = plan each query as one chunk; fig7's octree leaf planner is never chunked)")
-		clients  = flag.Int("clients", 0, "concurrent query sessions for -exp serve (0 = default 4); the table reports queries/sec, cache hit rate, and per-query ms/cell")
-		queries  = flag.Int("queries", 0, "queries each -exp serve client issues (0 = default 32)")
-		cache    = flag.Int64("cache", 0, "shared extent-cache capacity in blocks for -exp serve (0 = cache off)")
-		writes   = flag.Float64("writes", 0, "fraction in [0,1) of each -exp serve client's operations that are update bursts through the write path (0 = read-only)")
-		shards   = flag.Int("shards", 0, "max shard count for -exp serve: the dataset is split along Dim0 across N volumes/services and the table gains scaling rows at 1, 2, 4, ... N shards (0 or 1 = single shard)")
-		window   = flag.Duration("window", 0, "time-based admission window per shard service for -exp serve, e.g. 200us (0 = admit immediately)")
-		deadline = flag.Duration("deadline", 0, "per-query context deadline for -exp serve's client 0, e.g. 5ms (0 = none); the table reports that session's ms/query plus cancelled and deadline-expired drop counts")
-		aging    = flag.Duration("aging", 0, "deadline/QoS-aware admission aging for -exp serve, e.g. 1ms: urgent requests (explicit deadline, or queued at least this long) are served ahead of bulk work (0 = off); compare -deadline runs with and without it")
-		wb       = flag.Bool("wb", false, "write-back caching with group commit on every -exp serve shard service: writes are absorbed into dirty extent buffers and committed as one SPTF batch per flush; the tables gain flushes/coalesced columns")
-		wbWater  = flag.Int64("wb-watermark", 0, "write-back flush watermark in dirty blocks (0 = engine default); needs -wb")
-		wbIvl    = flag.Duration("wb-interval", 0, "write-back flush interval, e.g. 2ms: dirty data older than this is committed (0 = engine default); needs -wb")
+		clients  = flag.Int("clients", 0, "concurrent wire sessions for -remote (0 = default 4)")
+		queries  = flag.Int("queries", 0, "operations each -remote session issues (0 = default 32)")
+		writes   = flag.Float64("writes", 0, "fraction in [0,1) of each -remote session's operations that are single-point inserts (0 = read-only)")
+		deadline = flag.Duration("deadline", 0, "per-operation deadline of every -remote session, sent as deadline_ms, e.g. 50ms (0 = none)")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment run to this file (inspect with 'go tool pprof')")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile taken after the experiment run to this file (inspect with 'go tool pprof')")
 		remote   = flag.String("remote", "", "client mode: drive serve-style load against a running mmserved daemon at this address (host:port) instead of running experiments in-process; uses -store, -class, -clients, -queries, -writes, -deadline, -seed")
@@ -68,25 +59,27 @@ func main() {
 		}
 	})
 
-	cfg := serveConfig{
-		ExperimentConfig: multimap.ExperimentConfig{
-			Scale: *scale, Runs: *runs, Seed: *seed,
-			Policy: *policy, ChunkCells: *chunk,
-		},
-		Clients: *clients, Queries: *queries, CacheBlocks: *cache,
-		WriteFraction: *writes,
-		Shards:        *shards, BatchWindow: *window,
-		Deadline: *deadline, DeadlineAging: *aging,
-		WriteBack: *wb, WBWatermark: *wbWater, WBInterval: *wbIvl,
+	rc := remoteConfig{
+		Addr: *remote, Store: *store, Class: *class,
+		Clients: *clients, Queries: *queries,
+		Writes: *writes, Deadline: *deadline, Seed: *seed,
+	}
+	cfg := multimap.ExperimentConfig{
+		Scale: *scale, Runs: *runs, Seed: *seed,
+		Policy: *policy, ChunkCells: *chunk,
 	}
 	if *disks != "" {
 		for _, d := range strings.Split(*disks, ",") {
 			cfg.Disks = append(cfg.Disks, multimap.DiskModel(strings.TrimSpace(d)))
 		}
 	}
-	// Every numeric range has one definition, the config's validator
-	// (each experiment runs it again on entry).
-	if err := cfg.validate(); err != nil {
+	// Every numeric range has one definition: -remote's flags in its
+	// config's validator, the paper's in ExperimentConfig.Validate (each
+	// experiment runs it again on entry).
+	if err := rc.validate(); err != nil {
+		usageErr("%v", err)
+	}
+	if err := cfg.Defaults().Validate(); err != nil {
 		usageErr("%v", err)
 	}
 
@@ -94,11 +87,7 @@ func main() {
 		if *store == "" {
 			usageErr("-remote needs -store: name the daemon store to drive")
 		}
-		if err := runRemote(remoteConfig{
-			Addr: *remote, Store: *store, Class: *class,
-			Clients: *clients, Queries: *queries,
-			Writes: *writes, Deadline: *deadline, Seed: *seed,
-		}); err != nil {
+		if err := runRemote(rc); err != nil {
 			fmt.Fprintf(os.Stderr, "mmbench: remote: %v\n", err)
 			os.Exit(1)
 		}
@@ -126,7 +115,7 @@ func main() {
 
 	ids := []string{*exp}
 	if *exp == "all" {
-		ids = experimentIDs()
+		ids = multimap.ExperimentIDs()
 	}
 	// Experiment failures funnel through this instead of os.Exit so the
 	// profile defers above still flush their files.
@@ -161,26 +150,10 @@ func main() {
 	}
 }
 
-// experimentIDs lists what -exp runs: the paper's figures and analyses,
-// then the serve harness.
-func experimentIDs() []string {
-	return append(multimap.ExperimentIDs(), "serve")
-}
-
 // runOne runs one experiment and prints its table and wall time to w.
-func runOne(w io.Writer, id string, cfg serveConfig) error {
+func runOne(w io.Writer, id string, cfg multimap.ExperimentConfig) error {
 	start := time.Now()
-	var table *multimap.ExperimentTable
-	var err error
-	switch id {
-	case "serve":
-		table, _, err = serve(cfg)
-	default:
-		if !slices.Contains(multimap.ExperimentIDs(), id) {
-			return fmt.Errorf("unknown experiment %q (have %v)", id, experimentIDs())
-		}
-		table, err = multimap.RunExperiment(id, cfg.ExperimentConfig)
-	}
+	table, err := multimap.RunExperiment(id, cfg)
 	if err != nil {
 		return err
 	}

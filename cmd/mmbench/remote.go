@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -24,6 +25,20 @@ type remoteConfig struct {
 	Writes   float64
 	Deadline time.Duration
 	Seed     int64
+}
+
+// validate checks the ranges of the flags -remote reads.
+func (c remoteConfig) validate() error {
+	if c.Clients < 0 || c.Queries < 0 {
+		return errors.New("clients and queries must be non-negative")
+	}
+	if c.Writes < 0 || c.Writes >= 1 {
+		return fmt.Errorf("write fraction %v outside [0,1)", c.Writes)
+	}
+	if c.Deadline < 0 {
+		return errors.New("deadline must be non-negative")
+	}
+	return nil
 }
 
 // remoteClientRow is one client session's aggregate over the run.

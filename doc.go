@@ -18,9 +18,7 @@
 // the paper's query execution strategies, the three evaluation
 // datasets, an analytical cost model, and drivers regenerating every
 // figure in the paper's evaluation: RunExperiment, over the ids
-// ExperimentIDs lists. cmd/mmbench prints them, and beside them runs
-// its serving harness (-exp serve), which builds its stores through
-// this package's public API like any user.
+// ExperimentIDs lists. cmd/mmbench prints them.
 //
 // # Execution engine
 //
@@ -95,9 +93,8 @@
 // opens sessions; WithCache and WithMaxInflight (chunks a session keeps
 // in flight; a query plans on the goroutine that runs it, one chunk
 // ahead of what is in flight, so planning overlaps service either way)
-// are the knobs, mirrored by cmd/mmbench as -cache and the -clients/-queries
-// throughput mode (-exp serve). Volume.Reset is serialized through the
-// loop and safe under live traffic.
+// are the knobs. Volume.Reset is serialized through the loop and safe
+// under live traffic.
 //
 // # Write path and cache coherence
 //
@@ -117,8 +114,7 @@
 // session — can replay a stale, pre-update extent: with the cache on,
 // post-update fetch costs are identical to a cache-off run.
 // Store.Begin opens sessions that mix queries with updates
-// concurrently; cmd/mmbench mirrors the mixed workload as
-// -exp serve -writes <fraction>.
+// concurrently.
 //
 // # Write-back caching and group commit
 //
@@ -143,8 +139,10 @@
 // buffer. A cancelled Flush context commits nothing (the dirty set
 // stays whole for the next trigger). With write-back off the write
 // path is bit-identical to the pre-write-back engine (the fig6probe
-// golden test holds). cmd/mmbench mirrors the knobs as
-// -exp serve -wb/-wb-watermark/-wb-interval.
+// golden test holds). TestWriteBackSteppedMix pins the effect in
+// simulated time: four sessions of a mixed workload with 30 % insert
+// bursts cost 17.340 ms per query with write-back, 30.626 ms without,
+// as 137 of their 152 writes coalesce into 4 group commits.
 //
 // # Sharded scatter-gather execution
 //
@@ -169,10 +167,8 @@
 // bit for bit (cmd/fig6probe's "shard" mode is held to the same
 // golden file as its plain mode).
 // Store.Close releases the internal shard volumes; Store.Reset
-// restores all of them. cmd/mmbench mirrors the knob as
-// -exp serve -shards N, printing queries/sec at 1, 2, 4, ... N shards;
-// WithBatchWindow (mmbench -window) adds a time-based admission window
-// so bursty clients coalesce into shared batches.
+// restores all of them. WithBatchWindow adds a time-based admission
+// window so bursty clients coalesce into shared batches.
 //
 // # Context-first API: cancellation, deadlines, QoS admission
 //
@@ -203,11 +199,13 @@
 // an old or urgent request bounds how long coalescing may delay it, so
 // a hot cache or a big concurrent batch cannot starve a
 // latency-sensitive session. examples/deadline demonstrates both the
-// partial-stats contract and the fairness effect; cmd/mmbench mirrors
-// the knobs as -exp serve -deadline/-aging and reports the deadline
-// session's ms/query plus cancelled/expired drop counts. With
-// background contexts and aging off, admission stays in submission
-// order — bit-identical to the pre-QoS engine.
+// partial-stats contract and the fairness effect, and
+// TestDeadlineAgingSteppedPass (internal/engine) steps one admission
+// pass by hand to pin it in simulated time: a small box under a
+// deadline finishes in 25.207 ms instead of the 734.904 ms batch it
+// shared with seven bulk boxes. With background contexts and aging
+// off, admission stays in submission order — bit-identical to the
+// pre-QoS engine.
 //
 // # Weighted-fair QoS classes and the partitioned cache
 //
@@ -251,7 +249,7 @@
 // scan. cmd/mmbench's -cpuprofile/-memprofile flags write pprof
 // profiles for hunting scheduler hot spots: run e.g.
 //
-//	mmbench -exp serve -clients 8 -chunk 256 -wb -cpuprofile cpu.pb.gz
+//	mmbench -exp fig6b -scale 0.5 -cpuprofile cpu.pb.gz
 //	go tool pprof cpu.pb.gz
 //
 // # Multi-tenant volume pool: thin provisioning, growth, snapshots

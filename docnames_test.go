@@ -248,33 +248,14 @@ func mmbenchFlags(t *testing.T) map[string]bool {
 	return flags
 }
 
-// mmbenchExpIDs collects what mmbench's -exp accepts: "all", the
-// library's ExperimentIDs, and the string literals cmd/mmbench's
-// experimentIDs appends to them.
-func mmbenchExpIDs(t *testing.T) map[string]bool {
-	t.Helper()
+// mmbenchExpIDs is what mmbench's -exp accepts: "all" and the
+// library's ExperimentIDs.
+func mmbenchExpIDs() map[string]bool {
 	ids := map[string]bool{"all": true}
 	for _, id := range ExperimentIDs() {
 		ids[id] = true
 	}
-	f, err := parser.ParseFile(token.NewFileSet(), "cmd/mmbench/main.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, decl := range f.Decls {
-		if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == "experimentIDs" {
-			ast.Inspect(fn, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-					id, _ := strconv.Unquote(lit.Value)
-					ids[id] = true
-				}
-				return true
-			})
-			return ids
-		}
-	}
-	t.Fatal("cmd/mmbench/main.go declares no experimentIDs")
-	return nil
+	return ids
 }
 
 // unknownExpIDs returns the word after each -exp in text that ids lacks.
@@ -367,9 +348,9 @@ func TestDocNamesExist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flags, ids := mmbenchFlags(t), mmbenchExpIDs(t)
-	if got := unknownExpIDs("run `mmbench -exp burst`", ids); !slices.Equal(got, []string{"burst"}) {
-		t.Errorf("a retired -exp burst reads as unknown ids %v, want [burst]", got)
+	flags, ids := mmbenchFlags(t), mmbenchExpIDs()
+	if got := unknownExpIDs("run `mmbench -exp burst`, then `mmbench -exp serve`", ids); !slices.Equal(got, []string{"burst", "serve"}) {
+		t.Errorf("the retired -exp burst and -exp serve read as unknown ids %v, want [burst serve]", got)
 	}
 	checked := 0
 	for doc, text := range map[string]string{"PAPER.md": string(paper), "doc.go": f.Doc.Text(), "SKILL.md": string(skill)} {

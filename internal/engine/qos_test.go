@@ -431,65 +431,96 @@ func TestUrgentOpsCountedWithoutFairShare(t *testing.T) {
 	}
 }
 
+// steppedBox is one op of a hand-stepped admission pass: a cube of a
+// 64³ MultiMap grid, in a QoS class, optionally under a context
+// deadline.
+type steppedBox struct {
+	class    string
+	lo       [3]int
+	side     int
+	deadline bool
+}
+
+// steppedPass serves one admission pass of boxes on a fresh Atlas 10k
+// III service with opts — svc.process run by hand, so nothing depends
+// on host timing — and returns each op's observed ElapsedMs. Every op is
+// stamped enqueued at the pass's start: a zero stamp would read as aged
+// under any aging cap, while an hour-long cap then leaves only the
+// context deadline to make an op urgent.
+func steppedPass(t *testing.T, opts ServiceOptions, pass []steppedBox) []float64 {
+	t.Helper()
+	v, err := lvm.New(0, disk.AtlasTenKIII())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := mapping.New(mapping.MultiMap, v, []int{64, 64, 64}, mapping.Options{DiskIdx: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := NewService(v, opts)
+	defer svc.Close()
+	now := time.Now()
+	ctx, cancel := context.WithDeadline(context.Background(), now.Add(time.Hour))
+	defer cancel()
+	ops := make([]*serviceOp, len(pass))
+	for i, b := range pass {
+		lo, hi := b.lo[:], []int{b.lo[0] + b.side, b.lo[1] + b.side, b.lo[2] + b.side}
+		reqs, err := m.BoxRequests(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops[i] = &serviceOp{
+			kind:     opChunk,
+			chunk:    Chunk{Reqs: reqs, Policy: disk.SchedSPTF},
+			policy:   disk.SchedSPTF,
+			class:    b.class,
+			enqueued: now,
+			reply:    make(chan opResult, 1),
+		}
+		if b.deadline {
+			ops[i].ctx, ops[i].deadline = ctx, now.Add(time.Hour)
+		}
+	}
+	svc.process(ops)
+	ms := make([]float64, len(ops))
+	for i, op := range ops {
+		r := <-op.reply
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		ms[i] = r.stats.ElapsedMs
+	}
+	return ms
+}
+
+// byClass folds a stepped pass's observed times per class, failing if
+// two ops of one class observed different times: not one batch.
+func byClass(t *testing.T, pass []steppedBox, ms []float64) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for i, b := range pass {
+		if prev, ok := out[b.class]; ok && prev != ms[i] {
+			t.Fatalf("op %d (%s) observed %v ms, its class-mate %v: not one batch", i, b.class, ms[i], prev)
+		}
+		out[b.class] = ms[i]
+	}
+	return out
+}
+
 // TestFairShareSteppedPass is the QoS claim as simulated time: one
-// admission pass, stepped by hand so nothing depends on host timing,
-// holds a bulk 16³ box and three interactive 4³ hot-region boxes of a
-// 64³ MultiMap grid on an Atlas 10k III. With fair sharing off the four
-// ops coalesce into one batch and each observes its whole elapsed time;
-// at quantum 4096 with interactive:1 and bulk:4 each class's grant is its
-// own batch, the cheaper first, so the interactive boxes no longer wait
-// out the bulk scan. Each class's observed ElapsedMs is pinned.
+// stepped admission pass holds a bulk 16³ box and three interactive 4³
+// hot-region boxes of a 64³ MultiMap grid on an Atlas 10k III. With fair
+// sharing off the four ops coalesce into one batch and each observes its
+// whole elapsed time; at quantum 4096 with interactive:1 and bulk:4 each
+// class's grant is its own batch, the cheaper first, so the interactive
+// boxes no longer wait out the bulk scan. Each class's observed
+// ElapsedMs is pinned.
 func TestFairShareSteppedPass(t *testing.T) {
-	type box struct {
-		class string
-		lo    [3]int
-		side  int
-	}
-	pass := []box{
-		{"bulk", [3]int{24, 24, 24}, 16},
-		{"interactive", [3]int{0, 0, 0}, 4},
-		{"interactive", [3]int{4, 0, 4}, 4},
-		{"interactive", [3]int{0, 4, 4}, 4},
-	}
-	run := func(opts ServiceOptions) map[string]float64 {
-		v, err := lvm.New(0, disk.AtlasTenKIII())
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := mapping.New(mapping.MultiMap, v, []int{64, 64, 64}, mapping.Options{DiskIdx: 0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		svc := NewService(v, opts)
-		defer svc.Close()
-		ops := make([]*serviceOp, len(pass))
-		for i, b := range pass {
-			lo, hi := b.lo[:], []int{b.lo[0] + b.side, b.lo[1] + b.side, b.lo[2] + b.side}
-			reqs, err := m.BoxRequests(lo, hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ops[i] = &serviceOp{
-				kind:   opChunk,
-				chunk:  Chunk{Reqs: reqs, Policy: disk.SchedSPTF},
-				policy: disk.SchedSPTF,
-				class:  b.class,
-				reply:  make(chan opResult, 1),
-			}
-		}
-		svc.process(ops)
-		ms := map[string]float64{}
-		for i, op := range ops {
-			r := <-op.reply
-			if r.err != nil {
-				t.Fatal(r.err)
-			}
-			if prev, ok := ms[op.class]; ok && prev != r.stats.ElapsedMs {
-				t.Fatalf("op %d (%s) observed %v ms, its class-mate %v: not one batch", i, op.class, r.stats.ElapsedMs, prev)
-			}
-			ms[op.class] = r.stats.ElapsedMs
-		}
-		return ms
+	pass := []steppedBox{
+		{class: "bulk", lo: [3]int{24, 24, 24}, side: 16},
+		{class: "interactive", lo: [3]int{0, 0, 0}, side: 4},
+		{class: "interactive", lo: [3]int{4, 0, 4}, side: 4},
+		{class: "interactive", lo: [3]int{0, 4, 4}, side: 4},
 	}
 	want := map[string][2]float64{ // class → {off, on}
 		"interactive": {484.3381924198251, 82.33819241982506},
@@ -498,10 +529,10 @@ func TestFairShareSteppedPass(t *testing.T) {
 	// Three repeats in one process: a stepped pass is a value, not a
 	// sample.
 	for rep := 0; rep < 3; rep++ {
-		off := run(ServiceOptions{})
-		on := run(ServiceOptions{FairQuantum: 4096, Classes: []QoSClass{
+		off := byClass(t, pass, steppedPass(t, ServiceOptions{}, pass))
+		on := byClass(t, pass, steppedPass(t, ServiceOptions{FairQuantum: 4096, Classes: []QoSClass{
 			{Name: "interactive", Weight: 1}, {Name: "bulk", Weight: 4},
-		}})
+		}}, pass))
 		for class, w := range want {
 			if off[class] != w[0] || on[class] != w[1] {
 				t.Errorf("repeat %d: %s %v → %v ms, want %v → %v", rep, class, off[class], on[class], w[0], w[1])
@@ -509,6 +540,39 @@ func TestFairShareSteppedPass(t *testing.T) {
 		}
 		if on["interactive"]*2 > off["interactive"] {
 			t.Errorf("repeat %d: fair sharing cut interactive from %v to %v ms, want ≥ 2× lower", rep, off["interactive"], on["interactive"])
+		}
+	}
+}
+
+// TestDeadlineAgingSteppedPass is the deadline-aging claim as simulated
+// time: one stepped admission pass holds seven bulk 8³ boxes along the
+// grid's diagonal and, last, one 4³ hot-region box under a context
+// deadline, on a 64³ MultiMap grid
+// on an Atlas 10k III. With aging off the eight ops coalesce into one
+// batch and the deadline op observes all of it; with aging on (an
+// hour-long cap, so only the deadline makes an op urgent) the deadline
+// op is the urgent front, served as its own batch ahead of the bulk.
+// The deadline op's and the bulk ops' observed ElapsedMs are pinned.
+func TestDeadlineAgingSteppedPass(t *testing.T) {
+	var pass []steppedBox
+	for i := 0; i < 7; i++ {
+		pass = append(pass, steppedBox{class: "bulk", lo: [3]int{8 + 8*i, 8 + 8*i, 8 + 8*i}, side: 8})
+	}
+	pass = append(pass, steppedBox{class: "deadline", lo: [3]int{0, 0, 0}, side: 4, deadline: true})
+	want := map[string][2]float64{ // class → {aging off, on}
+		"deadline": {734.9037900874636, 25.206997084548103},
+		"bulk":     {734.9037900874636, 702.5422740524781},
+	}
+	for rep := 0; rep < 3; rep++ {
+		off := byClass(t, pass, steppedPass(t, ServiceOptions{}, pass))
+		on := byClass(t, pass, steppedPass(t, ServiceOptions{DeadlineAging: time.Hour}, pass))
+		for class, w := range want {
+			if off[class] != w[0] || on[class] != w[1] {
+				t.Errorf("repeat %d: %s %v → %v ms, want %v → %v", rep, class, off[class], on[class], w[0], w[1])
+			}
+		}
+		if on["deadline"]*5 > off["deadline"] {
+			t.Errorf("repeat %d: aging cut the deadline op from %v to %v ms, want ≥ 5× lower", rep, off["deadline"], on["deadline"])
 		}
 	}
 }

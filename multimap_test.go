@@ -2,12 +2,14 @@ package multimap
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/disk"
 	"repro/internal/lvm"
@@ -374,7 +376,7 @@ func TestRunExperimentFacade(t *testing.T) {
 			t.Errorf("%s: empty table", id)
 		}
 	}
-	// The serving harnesses run in cmd/mmbench, on the public Store.
+	// Only the paper's figures are experiments; serving claims are tests.
 	for _, id := range []string{"fig99", "serve"} {
 		if _, err := RunExperiment(id, cfg); err == nil {
 			t.Errorf("experiment %q accepted", id)
@@ -534,22 +536,66 @@ func TestShardedStoreEquivalenceAndScatter(t *testing.T) {
 // TestShardedConcurrentSessions is the -race exercise for the public
 // scatter-gather path: concurrent sessions over a 2-shard store, mixed
 // beams and ranges, then the attribution-sum check against the
-// per-shard totals.
+// per-shard totals. The second arm is the concurrent run of deadline
+// aging on the public Store: an updatable write-back store with
+// WithDeadlineAging(2ms), where session 0 queries under 50 ms deadlines
+// (urgent ops, some of which may expire), the others mix reads with
+// insert bursts, and a closing Flush commits what is still dirty. The
+// sum then also covers the write counters, and every drop a shard loop
+// counted must have reached a session.
 func TestShardedConcurrentSessions(t *testing.T) {
+	for _, arm := range []struct {
+		name  string
+		opts  []Option
+		mixed bool // a deadline session, insert bursts and a closing Flush
+	}{
+		{"read-only", nil, false},
+		{"write-back-aging", []Option{Updatable(UpdateOptions{}), WithWriteBack(0, 0),
+			WithDeadlineAging(2 * time.Millisecond)}, true},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			testShardedConcurrentSessions(t, arm.opts, arm.mixed)
+		})
+	}
+}
+
+func testShardedConcurrentSessions(t *testing.T, opts []Option, mixed bool) {
 	v, err := OpenVolumeDepth(32, MediumTestDisk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dims := []int{40, 12, 8}
-	s, err := Open(v, MultiMap, dims, WithShards(2), WithCache(4096), WithMaxInflight(2))
+	s, err := Open(v, MultiMap, dims, append([]Option{WithShards(2), WithCache(4096), WithMaxInflight(2)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
+	// read runs one beam or range and checks its cells; a query that
+	// expired returns its partial Stats and the context's error.
+	read := func(ctx context.Context, sess *Session, rng *rand.Rand) error {
+		if rng.Intn(2) == 0 {
+			dim := rng.Intn(3)
+			fixed := []int{rng.Intn(40), rng.Intn(12), rng.Intn(8)}
+			st, err := sess.Beam(ctx, dim, fixed)
+			if err == nil && st.Cells != int64(dims[dim]) {
+				err = errWrongCells(st.Cells, int64(dims[dim]))
+			}
+			return err
+		}
+		lo := []int{rng.Intn(20), rng.Intn(6), rng.Intn(4)}
+		hi := []int{lo[0] + 1 + rng.Intn(20), lo[1] + 1 + rng.Intn(4), lo[2] + 1 + rng.Intn(3)}
+		want := int64(hi[0]-lo[0]) * int64(hi[1]-lo[1]) * int64(hi[2]-lo[2])
+		st, err := sess.RangeQuery(ctx, lo, hi)
+		if err == nil && st.Cells != want {
+			err = errWrongCells(st.Cells, want)
+		}
+		return err
+	}
 	const clients = 4
 	sessions := make([]*Session, clients)
 	errs := make([]error, clients)
+	var expired int64 // session 0's queries that returned a context error
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
 		sessions[i] = s.Begin()
@@ -558,31 +604,26 @@ func TestShardedConcurrentSessions(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(77 + i)))
 			for q := 0; q < 8; q++ {
-				if rng.Intn(2) == 0 {
-					dim := rng.Intn(3)
-					fixed := []int{rng.Intn(40), rng.Intn(12), rng.Intn(8)}
-					st, err := sessions[i].Beam(context.Background(), dim, fixed)
-					if err != nil {
-						errs[i] = err
-						return
+				var err error
+				switch {
+				case mixed && i == 0:
+					ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+					err = read(ctx, sessions[i], rng)
+					cancel()
+					if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+						expired, err = expired+1, nil
 					}
-					if st.Cells != int64(dims[dim]) {
-						errs[i] = errWrongCells(st.Cells, int64(dims[dim]))
-						return
+				case mixed && rng.Intn(10) < 3:
+					cell := []int{rng.Intn(40), rng.Intn(12), rng.Intn(8)}
+					for k := 0; k < 8 && err == nil; k++ {
+						_, err = sessions[i].Insert(context.Background(), cell)
 					}
-				} else {
-					lo := []int{rng.Intn(20), rng.Intn(6), rng.Intn(4)}
-					hi := []int{lo[0] + 1 + rng.Intn(20), lo[1] + 1 + rng.Intn(4), lo[2] + 1 + rng.Intn(3)}
-					want := int64(hi[0]-lo[0]) * int64(hi[1]-lo[1]) * int64(hi[2]-lo[2])
-					st, err := sessions[i].RangeQuery(context.Background(), lo, hi)
-					if err != nil {
-						errs[i] = err
-						return
-					}
-					if st.Cells != want {
-						errs[i] = errWrongCells(st.Cells, want)
-						return
-					}
+				default:
+					err = read(context.Background(), sessions[i], rng)
+				}
+				if err != nil {
+					errs[i] = err
+					return
 				}
 			}
 		}(i)
@@ -593,19 +634,40 @@ func TestShardedConcurrentSessions(t *testing.T) {
 			t.Fatalf("client %d: %v", i, err)
 		}
 	}
+	if err := sessions[0].Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	var sum, attr Stats
+	var tot ServiceTotals
 	for _, sess := range sessions {
 		sum.Accumulate(sess.Stats())
 	}
 	for _, sm := range s.Metrics().Shards {
-		attr.Accumulate(sm.Totals.Attributed)
+		tot.Accumulate(sm.Totals)
 	}
+	attr = tot.Attributed
 	if sum.Cells != attr.Cells || sum.Requests != attr.Requests ||
-		sum.CacheHits != attr.CacheHits || sum.CacheMisses != attr.CacheMisses {
+		sum.CacheHits != attr.CacheHits || sum.CacheMisses != attr.CacheMisses ||
+		sum.Writes != attr.Writes || sum.CoalescedWrites != attr.CoalescedWrites ||
+		sum.FlushBatches != attr.FlushBatches {
 		t.Fatalf("session sums %+v != per-shard attributed %+v", sum, attr)
 	}
 	if diff := math.Abs(sum.TotalMs - attr.TotalMs); diff > 1e-6*(1+sum.TotalMs) {
 		t.Fatalf("attributed time drift %g", diff)
+	}
+	// A drop the loop made is priced to its session; a session also
+	// counts what it dropped before submitting, which no loop saw. An
+	// expired query counts at least one drop.
+	if sum.Cancelled < tot.Cancelled || sum.DeadlineExceeded < tot.DeadlineExceeded {
+		t.Fatalf("sessions counted %d cancelled, %d expired; the loops dropped %d and %d",
+			sum.Cancelled, sum.DeadlineExceeded, tot.Cancelled, tot.DeadlineExceeded)
+	}
+	if st := sessions[0].Stats(); st.Cancelled+st.DeadlineExceeded < expired {
+		t.Fatalf("session 0: %d queries expired, %d drops counted", expired, st.Cancelled+st.DeadlineExceeded)
+	}
+	if mixed && (sum.Writes == 0 || tot.FlushBatches == 0 || tot.DirtyBlocks != 0) {
+		t.Fatalf("write-back arm: %d writes, %d group commits, %d blocks left dirty after Flush",
+			sum.Writes, tot.FlushBatches, tot.DirtyBlocks)
 	}
 }
 
