@@ -167,8 +167,7 @@
 // bit for bit (cmd/fig6probe's "shard" mode is held to the same
 // golden file as its plain mode).
 // Store.Close releases the internal shard volumes; Store.Reset
-// restores all of them. WithBatchWindow adds a time-based admission
-// window so bursty clients coalesce into shared batches.
+// restores all of them.
 //
 // # Context-first API: cancellation, deadlines, QoS admission
 //

@@ -107,7 +107,6 @@ func fairness() {
 		opts := []multimap.Option{
 			multimap.WithChunkCells(256),
 			multimap.WithMaxInflight(2),
-			multimap.WithBatchWindow(500 * time.Microsecond),
 		}
 		if aging > 0 {
 			opts = append(opts, multimap.WithDeadlineAging(aging))

@@ -15,10 +15,10 @@ import (
 // TestApplyUnderTraffic: six sessions in two classes issue reads and
 // writes while another goroutine keeps reconfiguring the service —
 // cache size, write-back with a moving watermark, aging, fair share
-// with moving weights, the admission window. Every Apply is a barrier
-// the loop itself executes, so no op is lost or double-charged across
-// one: after Close the session totals, Totals().Attributed and the
-// summed ClassTotals agree, and nothing is left dirty. Run under -race:
+// with moving weights. Every Apply is a barrier the loop itself
+// executes, so no op is lost or double-charged across one: after Close
+// the session totals, Totals().Attributed and the summed ClassTotals
+// agree, and nothing is left dirty. Run under -race:
 // the options, cache, dirty buffer and class registry are read by the
 // loop without a lock, which is only sound if Apply never writes them
 // from the caller's goroutine.
@@ -59,7 +59,6 @@ func TestApplyUnderTraffic(t *testing.T) {
 			{WriteBack: WriteBackOptions{Enabled: true, WatermarkBlocks: int64(16 << (i % 3)), FlushInterval: time.Millisecond}},
 			{DeadlineAging: time.Duration(1+i) * time.Millisecond},
 			{FairQuantum: int64(16 << (i % 3)), Classes: []QoSClass{{Name: "a", Weight: 1 + i}, {Name: "b", Weight: 4}}},
-			{BatchWindow: 20 * time.Microsecond},
 		} {
 			if err := svc.Apply(o); err != nil {
 				t.Fatalf("round %d Apply(%+v): %v", i, o, err)

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"testing"
-	"time"
 
 	"repro/internal/disk"
 	"repro/internal/lvm"
@@ -171,44 +170,5 @@ func TestWriteSplitsAtSegmentBoundary(t *testing.T) {
 	}
 	if post.CacheMisses != 2 {
 		t.Fatalf("post-write reads: %+v, want both sides invalidated", post)
-	}
-}
-
-// TestServiceBatchWindow: with a time-based admission window, ops
-// submitted shortly after the first one must land in the same admission
-// batch instead of being admitted immediately.
-func TestServiceBatchWindow(t *testing.T) {
-	v := testVolume(t)
-	// A generous window: the submits below must all land inside it even
-	// when a loaded -race CI runner deschedules this goroutine between
-	// them for a while.
-	svc := NewService(v, ServiceOptions{BatchWindow: 500 * time.Millisecond})
-	defer svc.Close()
-
-	const n = 3
-	ops := make([]*serviceOp, n)
-	for i := range ops {
-		ops[i] = &serviceOp{
-			kind:   opChunk,
-			chunk:  Chunk{Reqs: []lvm.Request{{VLBN: int64(1000 * (i + 1)), Count: 4}}, Policy: disk.SchedSPTF},
-			policy: disk.SchedSPTF,
-			reply:  make(chan opResult, 1),
-		}
-	}
-	// The first submission starts the loop, which then waits the window
-	// out; the rest arrive microseconds later, well inside it.
-	for _, op := range ops {
-		if err := svc.submit(op); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, op := range ops {
-		if r := <-op.reply; r.err != nil {
-			t.Fatalf("op %d: %v", i, r.err)
-		}
-	}
-	tot := svc.Totals()
-	if tot.Batches != 1 || tot.MaxBatchChunks != n {
-		t.Fatalf("window did not coalesce the burst into one batch: %+v", tot)
 	}
 }

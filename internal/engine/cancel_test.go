@@ -233,6 +233,49 @@ func TestCancelledWriteStillInvalidates(t *testing.T) {
 	}
 }
 
+// TestDeadChunksDroppedAtAdmission: read chunks whose context is done
+// by their admission pass are dropped there — no simulated I/O — and
+// counted in the service totals, Cancelled or DeadlineExceeded by the
+// context's error, while a live chunk of the same pass is served.
+// submitTogether queues all three before a loop exists, so the drop
+// happens at admission whatever the host's timing.
+func TestDeadChunksDroppedAtAdmission(t *testing.T) {
+	v := testVolume(t)
+	svc := NewService(v, ServiceOptions{})
+	defer svc.Close()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	ctxs := []context.Context{cancelled, expired, context.Background()}
+	chunks := randomChunks(rand.New(rand.NewSource(11)), v, len(ctxs), 10)
+	ops := make([]*serviceOp, len(chunks))
+	for i, c := range chunks {
+		ops[i] = &serviceOp{kind: opChunk, ctx: ctxs[i], chunk: c, policy: c.Policy, reply: make(chan opResult, 1)}
+	}
+	submitTogether(svc, ops)
+	res := make([]opResult, len(ops))
+	for i, op := range ops {
+		res[i] = <-op.reply
+	}
+	if !errors.Is(res[0].err, context.Canceled) || res[0].stats != (Stats{Cancelled: 1}) {
+		t.Fatalf("cancelled chunk: %+v, %v; want only Cancelled 1 and context.Canceled", res[0].stats, res[0].err)
+	}
+	if !errors.Is(res[1].err, context.DeadlineExceeded) || res[1].stats != (Stats{DeadlineExceeded: 1}) {
+		t.Fatalf("expired chunk: %+v, %v; want only DeadlineExceeded 1 and context.DeadlineExceeded", res[1].stats, res[1].err)
+	}
+	if res[2].err != nil || res[2].stats.Requests == 0 {
+		t.Fatalf("live chunk: %+v, %v; want it served", res[2].stats, res[2].err)
+	}
+	tot := svc.Totals()
+	if tot.Cancelled != 1 || tot.DeadlineExceeded != 1 {
+		t.Fatalf("service drops: cancelled %d, expired %d; want 1 and 1", tot.Cancelled, tot.DeadlineExceeded)
+	}
+	if tot.Attributed.Requests != res[2].stats.Requests || tot.Attributed.TotalMs != res[2].stats.TotalMs {
+		t.Fatalf("attributed %+v, want only the live chunk's %+v", tot.Attributed, res[2].stats)
+	}
+}
+
 // TestQoSGroups covers the admission classifier directly, as a
 // FairQuantum-0 scheduler pass: aging off is one batch in submission
 // order; aging on carves deadline-carrying and over-age ops into a

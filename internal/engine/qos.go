@@ -65,8 +65,8 @@ type QoSClass struct {
 // per weight unit per pass.
 const DefaultFairQuantum = int64(1024)
 
-// weight returns the registered weight of a class (1 for unregistered
-// classes, and at least 1 always).
+// classWeight returns the registered weight of a class (1 for
+// unregistered classes, and at least 1 always).
 func classWeight(classes map[string]QoSClass, name string) int64 {
 	if c, ok := classes[name]; ok && c.Weight > 1 {
 		return int64(c.Weight)

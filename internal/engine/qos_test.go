@@ -184,24 +184,31 @@ func TestDRRDrainAndUrgentPromotion(t *testing.T) {
 	}
 }
 
-// TestServiceFairShareDeferral: with a tiny quantum and two chunks in
-// flight, the second chunk of the pass is deferred at least once (the
-// Deferred counter counts it), yet everything still completes and the
-// class's attribution matches the session's observed stats.
+// TestServiceFairShareDeferral: with a tiny quantum and several chunks
+// in one admission pass, DRR defers the chunks the pass's credit cannot
+// cover (the Deferred counter counts them), yet every chunk is still
+// served. submitTogether puts the chunks on the queue before a loop
+// exists, so the first pass holds all of them whatever the host's
+// timing.
 func TestServiceFairShareDeferral(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	v := testVolume(t)
 	svc := NewService(v, ServiceOptions{
-		BatchWindow: 30 * time.Millisecond,
 		FairQuantum: 1,
 		Classes:     []QoSClass{{Name: "bulk", Weight: 1}},
 	})
 	defer svc.Close()
 
-	sess := svc.NewSession(SessionOptions{MaxInflight: 2, Class: "bulk"})
 	chunks := randomChunks(rng, v, 4, 30)
-	if _, err := sess.RunPlan(context.Background(), chunkPlan(chunks), Options{}); err != nil {
-		t.Fatal(err)
+	ops := make([]*serviceOp, len(chunks))
+	for i, c := range chunks {
+		ops[i] = &serviceOp{kind: opChunk, chunk: c, policy: c.Policy, class: "bulk", reply: make(chan opResult, 1)}
+	}
+	submitTogether(svc, ops)
+	for i, op := range ops {
+		if r := <-op.reply; r.err != nil {
+			t.Fatalf("chunk %d: %v", i, r.err)
+		}
 	}
 
 	cts := svc.ClassTotals()
@@ -213,7 +220,7 @@ func TestServiceFairShareDeferral(t *testing.T) {
 		t.Fatalf("bulk served %d ops, want %d", ct.Ops, len(chunks))
 	}
 	if ct.Deferred == 0 {
-		t.Fatal("tiny quantum with pipelined chunks never deferred — DRR not engaged")
+		t.Fatal("tiny quantum with a pass of several chunks never deferred — DRR not engaged")
 	}
 	if ct.UrgentOps != 0 {
 		t.Fatalf("no deadline anywhere but %d urgent ops", ct.UrgentOps)
@@ -398,36 +405,47 @@ func TestQoSGroupsMatchesUrgentFront(t *testing.T) {
 	}
 }
 
-// TestUrgentOpsCountedWithoutFairShare: the strict-priority front is
-// the same code with fair sharing off, so ClassTotals.UrgentOps counts
-// the ops that went through it there too — with aging on and no
-// quantum, every op under a context deadline, and only those (the aging
-// cap is an hour away).
-func TestUrgentOpsCountedWithoutFairShare(t *testing.T) {
-	v := testVolume(t)
-	svc := NewService(v, ServiceOptions{DeadlineAging: time.Hour})
-	defer svc.Close()
-	sess := svc.NewSession(SessionOptions{Class: "int"})
-	withDeadline, cancel := context.WithDeadline(context.Background(), time.Now().Add(time.Hour))
-	defer cancel()
-	const n = 8
-	for i := 0; i < n; i++ {
-		ctx := context.Background()
-		if i%2 == 1 {
-			ctx = withDeadline
-		}
-		plan := Static([]lvm.Request{{VLBN: int64(100 * i), Count: 2}}, disk.SchedSPTF)
-		if _, err := sess.RunPlan(ctx, plan, Options{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cts := svc.ClassTotals()
-	if len(cts) != 1 || cts[0].Class != "int" || cts[0].Ops != n {
-		t.Fatalf("ClassTotals = %+v, want one class with %d ops", cts, n)
-	}
-	if cts[0].UrgentOps != n/2 || cts[0].Deferred != 0 {
-		t.Fatalf("urgent %d deferred %d, want %d urgent (the deadline ops) and none deferred",
-			cts[0].UrgentOps, cts[0].Deferred, n/2)
+// TestUrgentOpsCountedByDeadline: ClassTotals.UrgentOps counts the ops
+// that went through the strict-priority front, and an explicit context
+// deadline puts an op there whenever aging or fair sharing is on. With
+// aging on and no quantum the aging cap is an hour away; with aging off
+// and a quantum no op can exhaust, nothing is deferred. Either way
+// exactly the ops under a context deadline are urgent.
+func TestUrgentOpsCountedByDeadline(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts ServiceOptions
+	}{
+		{"aging, no fair share", ServiceOptions{DeadlineAging: time.Hour}},
+		{"fair share, no aging", ServiceOptions{FairQuantum: 1 << 20, Classes: []QoSClass{{Name: "int", Weight: 1}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v := testVolume(t)
+			svc := NewService(v, tc.opts)
+			defer svc.Close()
+			sess := svc.NewSession(SessionOptions{Class: "int"})
+			withDeadline, cancel := context.WithDeadline(context.Background(), time.Now().Add(time.Hour))
+			defer cancel()
+			const n = 8
+			for i := 0; i < n; i++ {
+				ctx := context.Background()
+				if i%2 == 1 {
+					ctx = withDeadline
+				}
+				plan := Static([]lvm.Request{{VLBN: int64(100 * i), Count: 2}}, disk.SchedSPTF)
+				if _, err := sess.RunPlan(ctx, plan, Options{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cts := svc.ClassTotals()
+			if len(cts) != 1 || cts[0].Class != "int" || cts[0].Ops != n {
+				t.Fatalf("ClassTotals = %+v, want one class with %d ops", cts, n)
+			}
+			if cts[0].UrgentOps != n/2 || cts[0].Deferred != 0 {
+				t.Fatalf("urgent %d deferred %d, want %d urgent (the deadline ops) and none deferred",
+					cts[0].UrgentOps, cts[0].Deferred, n/2)
+			}
+		})
 	}
 }
 

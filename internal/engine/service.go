@@ -113,20 +113,6 @@ type ServiceOptions struct {
 	// CacheBlocks is the shared extent cache capacity in blocks;
 	// 0 disables the cache.
 	CacheBlocks int64
-	// BatchWindow is the time-based admission window: when positive, the
-	// loop waits the window out after noticing a non-empty queue before
-	// admitting it as a batch, so bursty concurrent clients coalesce
-	// into shared batches even when their submissions are microseconds
-	// apart. 0 (the default) admits immediately — bit-for-bit today's
-	// behavior. The window trades per-op latency for batching: a lone
-	// synchronous client pays the full window per chunk with nothing to
-	// coalesce against (pipelined sessions overlap the wait with
-	// planning), so enable it only for genuinely concurrent workloads.
-	// A pass whose queue holds a control op (Reset, Flush, Apply) skips
-	// the window, keeping those prompt; a queued request deadline or age
-	// cap (DeadlineAging) shortens the wait so the window never delays an
-	// urgent request past its deadline.
-	BatchWindow time.Duration
 	// DeadlineAging enables deadline/QoS-aware admission. When positive,
 	// every admission pass classifies its work ops: ops whose context
 	// carries a deadline, and ops that have already been queued for at
@@ -136,8 +122,11 @@ type ServiceOptions struct {
 	// never coalesced with — the pass's non-urgent bulk. An old or
 	// urgent request therefore bounds how long cross-query coalescing
 	// may delay it: at most one batch of similarly urgent peers. 0 (the
-	// default) disables classification — every pass admits in submission
-	// order, bit-for-bit the pre-QoS behavior.
+	// default) turns aging off. With FairQuantum also 0 that disables
+	// classification — every pass admits in submission order, bit-for-bit
+	// the pre-QoS behavior; with FairQuantum positive, ops with an
+	// explicit deadline and ops of an Urgent class still form the urgent
+	// front (only age no longer promotes anything).
 	DeadlineAging time.Duration
 	// FairQuantum enables weighted-fair (deficit-round-robin) admission
 	// when positive: each admission pass grants every backlogged QoS
@@ -256,7 +245,6 @@ func NewService(vol *lvm.Volume, opts ServiceOptions) *Service {
 // a schedulable class of their own.
 func (o ServiceOptions) normalized() ServiceOptions {
 	o.CacheBlocks = max(o.CacheBlocks, 0)
-	o.BatchWindow = max(o.BatchWindow, 0)
 	o.DeadlineAging = max(o.DeadlineAging, 0)
 	o.FairQuantum = max(o.FairQuantum, 0)
 	if o.WriteBack.Enabled {
@@ -278,9 +266,6 @@ func (o ServiceOptions) normalized() ServiceOptions {
 func (cur ServiceOptions) overlay(o ServiceOptions) ServiceOptions {
 	if o.CacheBlocks > 0 {
 		cur.CacheBlocks = o.CacheBlocks
-	}
-	if o.BatchWindow > 0 {
-		cur.BatchWindow = o.BatchWindow
 	}
 	if o.DeadlineAging > 0 {
 		cur.DeadlineAging = o.DeadlineAging
@@ -441,28 +426,11 @@ func (s *Service) signalWake() {
 // loop is the service goroutine: it grabs everything queued since the
 // last pass as one admission batch, serves it, and exits when the queue
 // drains. At most one loop runs at a time (the running flag), so the
-// disks have a single owner. A positive admission window makes the loop
-// wait it out after noticing pending work, admitting everything that
-// arrived meanwhile as one batch — unless a control op is already
-// queued, which is admitted promptly.
+// disks have a single owner. The loop never waits to batch: a pass
+// admits exactly what was queued when it began.
 func (s *Service) loop() {
 	for {
 		s.mu.Lock()
-		if w := s.opts.BatchWindow; w > 0 && len(s.queue) > 0 && !s.queuedControl() {
-			// An urgent queued request bounds the wait: never sleep past
-			// an explicit context deadline, nor past the point where a
-			// queued op's age reaches the QoS aging cap.
-			if wake, ok := s.earliestWake(s.opts.DeadlineAging); ok {
-				if until := time.Until(wake); until < w {
-					w = until
-				}
-			}
-			s.mu.Unlock()
-			if w > 0 {
-				time.Sleep(w)
-			}
-			s.mu.Lock()
-		}
 		batch := s.queue
 		s.queue = s.spare // recycled backing array (nil on first pass)
 		s.spare = nil
@@ -529,40 +497,6 @@ func (s *Service) waitDirty(d time.Duration) {
 	case <-s.wake:
 	case <-t.C:
 	}
-}
-
-// queuedControl reports whether the queue holds a control op (caller
-// must hold mu).
-func (s *Service) queuedControl() bool {
-	for _, op := range s.queue {
-		if op.kind != opChunk && op.kind != opWrite {
-			return true
-		}
-	}
-	return false
-}
-
-// earliestWake returns the soonest instant by which the admission
-// window should end on behalf of a queued urgent request: the earliest
-// explicit context deadline, or the earliest enqueue time plus the
-// aging cap when QoS admission is on (caller must hold mu).
-func (s *Service) earliestWake(aging time.Duration) (time.Time, bool) {
-	var wake time.Time
-	ok := false
-	consider := func(t time.Time) {
-		if !ok || t.Before(wake) {
-			wake, ok = t, true
-		}
-	}
-	for _, op := range s.queue {
-		if !op.deadline.IsZero() {
-			consider(op.deadline)
-		}
-		if aging > 0 {
-			consider(op.enqueued.Add(aging))
-		}
-	}
-	return wake, ok
 }
 
 func (s *Service) handleControl(op *serviceOp) {

@@ -233,9 +233,6 @@ func buildOptions(req OpenStoreRequest) []multimap.Option {
 	if req.Shards != 0 {
 		opts = append(opts, multimap.WithShards(req.Shards))
 	}
-	if req.BatchWindowUs != 0 {
-		opts = append(opts, multimap.WithBatchWindow(time.Duration(req.BatchWindowUs)*time.Microsecond))
-	}
 	if req.DeadlineAgingUs != 0 {
 		opts = append(opts, multimap.WithDeadlineAging(time.Duration(req.DeadlineAgingUs)*time.Microsecond))
 	}

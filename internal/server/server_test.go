@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -239,55 +238,33 @@ func TestStreamingFirstChunkBeforeCompletion(t *testing.T) {
 }
 
 // TestDisconnectCancelsAndAttributes proves wire-level cancellation
-// reaches the engine: a client that disconnects mid-stream bumps the
-// service Cancelled counters, and the attribution invariant — summed
-// session Stats equal ServiceTotals.Attributed — survives the partial
-// query.
+// reaches the engine: a client that disconnects mid-stream cancels the
+// query's context, the session counts the cancelled work, and the
+// attribution invariant — summed session Stats equal
+// ServiceTotals.Attributed — survives the partial query.
 //
-// The service counts a drop only for a chunk that was queued with a
-// live context and found dead at its admission pass (a chunk the
-// session finds dead before submitting is counted in the session's
-// Stats alone), so the test establishes that order by events, not by
-// hoping the disconnect lands in between:
-//
-//  1. The session keeps 4 chunks outstanding, so chunk 4 is submitted,
-//     context alive, after chunk 0 is folded and before chunk 1 is; the
-//     handler is then held at chunk 1's gate. (Chunks 1–3 are long
-//     served by then: the DRR backlog drains in back-to-back passes.)
-//  2. The client drops the connection and the test waits for the
-//     daemon's request context to be done.
-//  3. Chunk 4 is admitted no sooner than one admission window after it
-//     was queued. If step 2 finished within half a window of chunk 0's
-//     gate, the context died first and the pass must drop the chunk;
-//     only then are the counters asserted. On a host stalled for longer
-//     the attempt proves nothing and is repeated on a fresh session.
+// Events fix the order. The handler is held at chunk 1's gate; the
+// client drops the connection, and the test waits for the daemon's
+// request context to be done before releasing the gate. With one chunk
+// in flight the session checks its context before submitting chunk 2,
+// finds it cancelled, and counts Cancelled. That the service loop
+// counts a chunk that died while queued is pinned in internal/engine by
+// TestDeadChunksDroppedAtAdmission.
 func TestDisconnectCancelsAndAttributes(t *testing.T) {
-	const window = 100 * time.Millisecond
-	type gate struct {
-		chunk0  time.Time     // when chunk 0 passed the gate: before chunk 4 is submitted
-		held    chan struct{} // closed once the handler is held at chunk 1
-		release chan struct{}
-	}
-	var current atomic.Pointer[gate]
+	held := make(chan struct{})
+	release := make(chan struct{})
 	srv := New()
 	srv.testChunkGate = func(store, session string, seq int) {
-		switch g := current.Load(); seq {
-		case 0:
-			g.chunk0 = time.Now()
-		case 1:
-			close(g.held)
-			<-g.release
+		if seq == 1 {
+			close(held)
+			<-release
 		}
 	}
-	spec := testSpec("drop")
-	spec.MaxInflight = 4
-	spec.BatchWindowUs = window.Microseconds()
-	spec.FairQuantum = 20
-	if _, err := srv.OpenStore(context.Background(), spec); err != nil {
+	if _, err := srv.OpenStore(context.Background(), testSpec("drop")); err != nil {
 		t.Fatal(err)
 	}
-	// Each range request hands the test its daemon-side context, and
-	// says when its handler has returned.
+	// The range request hands the test its daemon-side context, and says
+	// when its handler has returned.
 	rangeCtx := make(chan context.Context, 1)
 	rangeDone := make(chan struct{}, 1)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -302,79 +279,41 @@ func TestDisconnectCancelsAndAttributes(t *testing.T) {
 	c := NewClient(ts.URL)
 	ctx := context.Background()
 	st := underlying(t, srv, "drop")
-	cancelled := func() (n int64) {
-		for _, sm := range st.Metrics().Shards {
-			n += sm.Totals.Cancelled
-		}
-		return n
-	}
 
-	// disconnect runs steps 1–3 on a fresh session and reports whether
-	// the disconnect provably beat chunk 4's admission.
-	var sessions []string
-	disconnect := func() bool {
-		g := &gate{held: make(chan struct{}), release: make(chan struct{})}
-		current.Store(g)
-		defer close(g.release)
-		sess, err := c.Begin(ctx, "drop", "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		sessions = append(sessions, sess)
-		qctx, qcancel := context.WithCancel(ctx)
-		defer qcancel()
-		req, err := http.NewRequestWithContext(qctx, http.MethodPost,
-			ts.URL+"/v1/stores/drop/sessions/"+sess+"/range",
-			strings.NewReader(`{"lo":[0,0,0],"hi":[16,8,8]}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		daemonCtx := <-rangeCtx
-		if sc := bufio.NewScanner(resp.Body); !sc.Scan() {
-			t.Fatalf("no first chunk: %v", sc.Err())
-		}
-		<-g.held
-		// Disconnect: cancelling the request context closes the
-		// connection, which cancels the handler's request context on the
-		// daemon.
-		qcancel()
-		resp.Body.Close()
-		<-daemonCtx.Done()
-		return time.Since(g.chunk0) < window/2
+	sess, err := c.Begin(ctx, "drop", "")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	for attempt := 1; ; attempt++ {
-		before := cancelled()
-		ordered := disconnect()
-		<-rangeDone // the query has retired and is folded into its session
-		if ordered {
-			// The service replies to a dropped chunk just before it
-			// counts it, so the counter may trail the handler by a moment.
-			for deadline := time.Now().Add(5 * time.Second); cancelled() == before; time.Sleep(time.Millisecond) {
-				if time.Now().After(deadline) {
-					t.Fatal("disconnect never reached the engine Cancelled counters")
-				}
-			}
-			break
-		}
-		if attempt == 5 {
-			t.Fatalf("host too slow: %d disconnects all took over %v to reach the daemon", attempt, window/2)
-		}
+	qctx, qcancel := context.WithCancel(ctx)
+	defer qcancel()
+	req, err := http.NewRequestWithContext(qctx, http.MethodPost,
+		ts.URL+"/v1/stores/drop/sessions/"+sess+"/range",
+		strings.NewReader(`{"lo":[0,0,0],"hi":[16,8,8]}`))
+	if err != nil {
+		t.Fatal(err)
 	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	daemonCtx := <-rangeCtx
+	if sc := bufio.NewScanner(resp.Body); !sc.Scan() {
+		t.Fatalf("no first chunk: %v", sc.Err())
+	}
+	<-held
+	// Disconnect: cancelling the request context closes the connection,
+	// which cancels the handler's request context on the daemon.
+	qcancel()
+	resp.Body.Close()
+	<-daemonCtx.Done()
+	close(release)
+	<-rangeDone // the query has retired and is folded into its session
 
-	// The partial queries must not break attribution: what the wire
-	// sessions were handed still sums to what the services attributed.
-	var wireStats multimap.Stats
-	for _, sess := range sessions {
-		ss, err := c.SessionStats(ctx, "drop", sess)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wireStats.Accumulate(ss)
+	// The partial query must not break attribution: what the wire
+	// session was handed still sums to what the services attributed.
+	wireStats, err := c.SessionStats(ctx, "drop", sess)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var attr multimap.Stats
 	for _, sm := range st.Metrics().Shards {
@@ -393,43 +332,35 @@ func TestDisconnectCancelsAndAttributes(t *testing.T) {
 }
 
 // TestDeadlinePropagation proves a wire deadline becomes an engine
-// deadline: a deadline_ms that has run out by the time the query's
-// first chunk is admitted yields a deadline error and a
-// DeadlineExceeded drop, not a served (or hung) request. The expiry is
-// arranged, not hoped for: the store has a long admission window, a
-// beam without a deadline opens one, and the deadline query is sent
-// only once that beam is seen queued — so its first chunk sits in the
-// queue while the loop sleeps the window out (a window already running
-// is not shortened by a later arrival), 1 ms passes many times over,
-// and the pass that finally admits the beam finds the chunk expired. If
-// the deadline did not reach the engine the query would simply succeed,
-// and the test fails.
+// deadline: a range query under deadline_ms=1 yields a deadline error
+// and a DeadlineExceeded count, not a served (or hung) request. The
+// expiry is arranged by events: the handler's gate sleeps 5 ms after
+// chunk 0, and with one chunk in flight chunk 1 cannot be submitted
+// until the gate returns, by which time the deadline has passed. The
+// query then ends with the deadline error whichever way it happens —
+// dead on arrival, dropped at admission (pinned in internal/engine by
+// TestDeadChunksDroppedAtAdmission), or caught before chunk 1. If the
+// deadline did not reach the engine the query would simply succeed, and
+// the test fails.
 func TestDeadlinePropagation(t *testing.T) {
-	spec := testSpec("ddl")
-	spec.BatchWindowUs = 250_000
-	srv, ts, c := startDaemon(t, spec)
-	defer ts.Close()
-	defer srv.Close(context.Background())
-
-	ctx := context.Background()
-	holder, err := c.Begin(ctx, "ddl", "")
-	if err != nil {
+	srv := New()
+	srv.testChunkGate = func(store, session string, seq int) {
+		if seq == 0 {
+			time.Sleep(5 * time.Millisecond) // five times the 1 ms deadline
+		}
+	}
+	if _, err := srv.OpenStore(context.Background(), testSpec("ddl")); err != nil {
 		t.Fatal(err)
 	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Close(context.Background())
+	c := NewClient(ts.URL)
+
+	ctx := context.Background()
 	sess, err := c.Begin(ctx, "ddl", "")
 	if err != nil {
 		t.Fatal(err)
-	}
-	beamDone := make(chan error, 1)
-	go func() {
-		_, err := c.Beam(ctx, "ddl", holder, 0, []int{0, 1, 1}, 0)
-		beamDone <- err
-	}()
-	store := underlying(t, srv, "ddl")
-	for waited := time.Now(); store.Metrics().QueueDepth == 0; time.Sleep(100 * time.Microsecond) {
-		if time.Since(waited) > 10*time.Second {
-			t.Fatal("the beam never reached the admission queue")
-		}
 	}
 	_, err = c.RangeQuery(ctx, "ddl", sess, []int{0, 0, 0}, []int{16, 8, 8}, 1, nil)
 	if err == nil {
@@ -437,9 +368,6 @@ func TestDeadlinePropagation(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "deadline") {
 		t.Fatalf("unexpected error %v", err)
-	}
-	if err := <-beamDone; err != nil {
-		t.Fatalf("the beam holding the window open: %v", err)
 	}
 	wireStats, err := c.SessionStats(ctx, "ddl", sess)
 	if err != nil {
@@ -561,9 +489,9 @@ func TestPoolOverWire(t *testing.T) {
 }
 
 // TestOpenRejectsUnknownFields: a request body — open, session-begin
-// or per-op — carrying a removed knob ("pipeline", the "elevator"
-// policy) or a misspelt field gets 400 naming it instead of running
-// silently at another setting, and opens nothing.
+// or per-op — carrying a removed knob ("pipeline", "batch_window_us",
+// the "elevator" policy) or a misspelt field gets 400 naming it instead
+// of running silently at another setting, and opens nothing.
 func TestOpenRejectsUnknownFields(t *testing.T) {
 	srv, ts, c := startDaemon(t, testSpec("u"))
 	defer ts.Close()
@@ -575,6 +503,7 @@ func TestOpenRejectsUnknownFields(t *testing.T) {
 
 	for _, tc := range []struct{ path, body, field string }{
 		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"pipeline":2}`, "pipeline"},
+		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"batch_window_us":1000}`, "batch_window_us"},
 		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"cache_blokcs":4096}`, "cache_blokcs"},
 		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"policy":"elevator"}`, "elevator"},
 		{"/v1/pools", `{"name":"p","drives":["mediumtest"],"adj_depth":32,"pipeline":2}`, "pipeline"},

@@ -81,7 +81,6 @@ type OpenStoreRequest struct {
 	CacheBlocks       int64               `json:"cache_blocks,omitempty"`
 	MaxInflight       int                 `json:"max_inflight,omitempty"`
 	Shards            int                 `json:"shards,omitempty"`
-	BatchWindowUs     int64               `json:"batch_window_us,omitempty"`
 	DeadlineAgingUs   int64               `json:"deadline_aging_us,omitempty"`
 	WriteBack         bool                `json:"write_back,omitempty"`
 	WBWatermarkBlocks int64               `json:"wb_watermark_blocks,omitempty"`

@@ -215,9 +215,8 @@ type Store struct {
 // Open maps an N-dimensional grid dataset onto the volume using the
 // given placement and returns the store, configured by functional
 // options (WithPolicy, WithChunkCells, WithCache, WithMaxInflight,
-// WithShards, WithBatchWindow, WithDeadlineAging, WithFairShare,
-// WithQoSClass, WithQoS, WithWriteBack, WithDiskIdx, WithCellBlocks,
-// Updatable). With WithShards(n > 1) the dataset is
+// WithShards, WithDeadlineAging, WithFairShare, WithQoSClass, WithQoS,
+// WithWriteBack, WithDiskIdx, WithCellBlocks, Updatable). With WithShards(n > 1) the dataset is
 // split along Dim0 across that many shard volumes (the given volume
 // plus internally created clones of its hardware); with Updatable the
 // store also serves Insert/Delete/LoadCell.
@@ -296,10 +295,9 @@ func services(vols []*Volume) []*engine.Service {
 }
 
 // applyServiceConfig overlays the config's service-level knobs (cache,
-// admission window, deadline aging, write-back, fair sharing) onto
-// every shard service — shared by open and the pool's clone path,
-// which rebuilds services for cloned volumes under the parent's
-// config.
+// deadline aging, write-back, fair sharing) onto every shard service —
+// shared by open and the pool's clone path, which rebuilds services for
+// cloned volumes under the parent's config.
 func applyServiceConfig(svcs []*engine.Service, c config) error {
 	for _, svc := range svcs {
 		if err := svc.Apply(c.svc); err != nil {

@@ -100,9 +100,6 @@ func TestStoreQueries(t *testing.T) {
 	if _, err := Open(v, MultiMap, []int{40, 12, 8}, WithChunkCells(-1)); err == nil {
 		t.Error("negative PlanChunkCells accepted")
 	}
-	if _, err := Open(v, MultiMap, []int{40, 12, 8}, WithBatchWindow(-1)); err == nil {
-		t.Error("negative BatchWindow accepted")
-	}
 }
 
 // TestStoreMatchesDirectExecutor: the store's service path (one

@@ -144,24 +144,6 @@ func WithShards(n int) Option {
 	}
 }
 
-// WithBatchWindow sets the time-based admission window of every shard
-// service this store uses: when positive, the service loop waits the
-// window out after noticing queued work before admitting it as one
-// batch, so bursty concurrent clients coalesce better. Like WithCache
-// it reconfigures the (possibly shared) volume service; 0 leaves the
-// service's current window unchanged (default: admit immediately). A
-// queued request's context deadline shortens the wait, so the window
-// never expires a request by itself.
-func WithBatchWindow(d time.Duration) Option {
-	return func(c *config) error {
-		if d < 0 {
-			return fmt.Errorf("multimap: BatchWindow must be non-negative")
-		}
-		c.svc.BatchWindow = d
-		return nil
-	}
-}
-
 // WithDeadlineAging turns on deadline/QoS-aware admission for every
 // shard service this store uses. When positive, each admission pass
 // serves urgent requests — those whose context carries a deadline, and
@@ -172,8 +154,11 @@ func WithBatchWindow(d time.Duration) Option {
 // how a session under context.WithDeadline gets latency ahead of big
 // concurrent batch work. Like WithCache this reconfigures the
 // (possibly shared) volume service; 0 leaves the service's current
-// setting unchanged (default: off — admission stays in submission
-// order, bit-identical to the pre-QoS behavior).
+// setting unchanged (default: off). With aging off and fair sharing
+// off, admission stays in submission order, bit-identical to the
+// pre-QoS behavior; under WithFairShare, requests whose context carries
+// a deadline and requests of an urgent class are still served first
+// whatever the aging setting.
 func WithDeadlineAging(d time.Duration) Option {
 	return func(c *config) error {
 		if d < 0 {
