@@ -1,8 +1,10 @@
 package disk
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -95,12 +97,14 @@ var sptfSink []Completion
 
 // BenchmarkSPTF times one scheduling window of the production SPTF
 // scheduler ("slab") and of the map-based reference it replaced
-// ("ref"), and reports ns per request, on three shapes: a shuffled
+// ("ref"), and reports ns per request, on four shapes: a shuffled
 // semi-sequential adjacency chain, uniform random blocks (Z-order's few
-// large windows), and MultiMap's range windows — Dim0 runs stepped along
+// large windows), MultiMap's range windows — Dim0 runs stepped along
 // adjacency chains across several basic cubes (multimapSPTFScript),
-// the shape of the paper's own layout and the yardstick for the
-// scheduler's per-pick cost.
+// the shape of the paper's own layout — and the same windows sorted and
+// coalesced as lvm.SortCoalesce issues them ("multimapasc"), the shape
+// the drive is actually served and the yardstick for the cost of a
+// window.
 func BenchmarkSPTF(b *testing.B) {
 	g := AtlasTenKIII()
 	shapes := []struct {
@@ -132,6 +136,25 @@ func BenchmarkSPTF(b *testing.B) {
 		{"multimap", func(n int) []Request {
 			_, _, windows := decodeSPTFScript(multimapSPTFScript(rand.New(rand.NewSource(5)), 0, n))
 			return windows[0]
+		}},
+		{"multimapasc", func(n int) []Request {
+			_, _, windows := decodeSPTFScript(multimapSPTFScript(rand.New(rand.NewSource(5)), 0, n))
+			reqs := windows[0]
+			slices.SortFunc(reqs, func(a, b Request) int {
+				if c := cmp.Compare(a.LBN, b.LBN); c != 0 {
+					return c
+				}
+				return a.Count - b.Count
+			})
+			out := reqs[:1]
+			for _, r := range reqs[1:] {
+				if last := &out[len(out)-1]; r.LBN == last.LBN+int64(last.Count) {
+					last.Count += r.Count
+				} else {
+					out = append(out, r)
+				}
+			}
+			return out
 		}},
 	}
 	impls := []struct {

@@ -44,8 +44,10 @@ func ParsePolicy(s string) (SchedPolicy, error) {
 // maxSPTFBatch bounds one scheduling window. Real drives hold a bounded
 // number of outstanding commands; larger batches are served in windows
 // of this size, preserving the issue order across windows — which the
-// storage manager arranges to be adjacency-chain order, so each window
-// covers a compact band of tracks.
+// storage manager arranges to be ascending by LBN (the planners emit
+// through lvm.SortCoalesce), so each window covers a compact band of
+// tracks. newSPTF relies on that order for speed only: it builds an
+// ascending window's index without a sort, and sorts any other.
 const maxSPTFBatch = 4096
 
 // ServeBatch services every request in reqs according to the policy and

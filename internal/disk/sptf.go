@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 )
 
 // This file implements the positioning-aware SPTF scheduler. The naive
@@ -23,12 +22,23 @@ import (
 //
 // A window is indexed by one slab and two range tables, all built once
 // on admission and free of pointers: the requests are decoded into an
-// entry array and sorted by (track, angle, Count, arrival position), so
-// a track is a contiguous run of angle-sorted entries, a cylinder band
-// a contiguous run of tracks, and every lookup — the band nearest the
+// entry array in (track, angle, Count, arrival position) order, so a
+// track is a contiguous run of angle-sorted entries, a cylinder band a
+// contiguous run of tracks, and every lookup — the band nearest the
 // heads, a track's successor entry, the entry that continues the last
-// transfer — is a binary search over a sub-slice. Only tracks and bands
-// that hold requests exist, so a pick never probes an empty one.
+// transfer — is a binary search over a sub-slice, tried first at the
+// last pick's track. Only tracks and bands that hold requests exist, so
+// a pick never probes an empty one.
+//
+// The planner issues windows ascending by LBN, and the index is built
+// from that order rather than by sorting. Each request is decoded by
+// stepping from the previous one's zone and track; the zone is searched
+// only when the LBN leaves it. Ascending LBNs on one track are
+// ascending sectors, so a track's run is already in angle order but for
+// one wrap at the skew origin, which is rotated to the front of the
+// run. A window that is not ascending — an LBN inversion, or requests
+// for one sector out of Count order — is sorted instead; both builds
+// give the same index, so the order is relied on for speed only.
 //
 // The order of service is fully specified. Each pick is the argmin of
 // the estimated positioning cost (the greedy reference's choice up to
@@ -79,6 +89,7 @@ type sptfSched struct {
 	tracks []sptfTrack // ascending track
 	bands  []sptfBand  // ascending cylinder
 	live   int
+	last   int32 // track of the previous pick, -1 before the first
 }
 
 // sptfPick is the best candidate found so far within one pick.
@@ -89,32 +100,91 @@ type sptfPick struct {
 }
 
 func newSPTF(d *Disk, reqs []Request) sptfSched {
-	g := d.g
 	ents := make([]sptfEntry, len(reqs))
+	if !decodeSPTF(d.g, reqs, ents) {
+		slices.SortFunc(ents, compareSPTFEntries)
+	}
+	return indexSPTF(d, ents)
+}
+
+// compareSPTFEntries orders entries by (track, angle, Count, arrival).
+// On one track the angle determines the LBN, so Count and arrival
+// position are the only keys left to order requests for one sector.
+func compareSPTFEntries(a, b sptfEntry) int {
+	if c := cmp.Compare(a.track, b.track); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.angle, b.angle); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.req.Count, b.req.Count); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.arrival, b.arrival)
+}
+
+// decodeSPTF decodes reqs into ents, stepping from the previous
+// request's zone and track, and reports whether ents came out in
+// compareSPTFEntries order. They do when reqs ascend by LBN and
+// requests for one sector ascend by Count: a track's run is then in
+// angle order but for the wrap at the skew origin, which is rotated to
+// the front of the run. Otherwise ents are left in issue order.
+func decodeSPTF(g *Geometry, reqs []Request, ents []sptfEntry) (inOrder bool) {
+	var z *Zone
+	var zoneEnd, trackLBN, trackEnd int64
+	var track, skew, spt int
+	run, wrap := 0, -1 // the current track's run starts at ents[run], its wrap (if any) at ents[wrap]
+	inOrder = true
 	for i, r := range reqs {
-		p := g.mustDecode(r.LBN)
-		ents[i] = sptfEntry{
+		if r.LBN < trackLBN || r.LBN >= trackEnd {
+			if inOrder && wrap >= 0 {
+				rotateRun(ents[run:i], wrap-run)
+			}
+			if z == nil || r.LBN < z.startLBN || r.LBN >= zoneEnd {
+				z = &g.Zones[g.ZoneIndexOf(r.LBN)]
+				spt = z.SectorsPerTrack
+				zoneEnd = z.startLBN + int64(z.Cylinders()*g.Surfaces)*int64(spt)
+			}
+			inZone := int((r.LBN - z.startLBN) / int64(spt))
+			track = z.startTrack + inZone
+			trackLBN = z.startLBN + int64(inZone)*int64(spt)
+			trackEnd = trackLBN + int64(spt)
+			skew = g.skewOffsetIn(z, track)
+			run, wrap = i, -1
+		}
+		// angleOfSectorIn, with the track's skew computed once.
+		e := &ents[i]
+		*e = sptfEntry{
 			req:     r,
-			angle:   g.angleOfSectorIn(&g.Zones[p.Zone], p.Track, p.Sector),
-			track:   p.Track,
+			angle:   float64((int(r.LBN-trackLBN)+skew)%spt) / float64(spt),
+			track:   track,
 			arrival: int32(i),
 		}
+		if i > 0 && inOrder {
+			if p := reqs[i-1]; r.LBN < p.LBN || r.LBN == p.LBN && r.Count < p.Count {
+				inOrder = false
+			} else if i > run && e.angle < ents[i-1].angle {
+				wrap = i
+			}
+		}
 	}
-	// On one track the angle determines the LBN, so Count and arrival
-	// position are the only keys left to order requests for one sector.
-	slices.SortFunc(ents, func(a, b sptfEntry) int {
-		if c := cmp.Compare(a.track, b.track); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.angle, b.angle); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.req.Count, b.req.Count); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.arrival, b.arrival)
-	})
+	if inOrder && wrap >= 0 {
+		rotateRun(ents[run:], wrap-run)
+	}
+	return inOrder
+}
 
+// rotateRun rotates es left by k in place, bringing es[k:] to the front.
+func rotateRun(es []sptfEntry, k int) {
+	slices.Reverse(es[:k])
+	slices.Reverse(es[k:])
+	slices.Reverse(es)
+}
+
+// indexSPTF builds the track and band tables over ents, which must be
+// in compareSPTFEntries order.
+func indexSPTF(d *Disk, ents []sptfEntry) sptfSched {
+	g := d.g
 	nt, nb := 0, 0
 	for i := range ents {
 		if i == 0 || ents[i].track != ents[i-1].track {
@@ -126,13 +196,17 @@ func newSPTF(d *Disk, reqs []Request) sptfSched {
 	}
 	tracks := make([]sptfTrack, 0, nt)
 	bands := make([]sptfBand, 0, nb)
+	zi := 0
 	for i := range ents {
 		if tr := ents[i].track; i == 0 || tr != ents[i-1].track {
 			if cyl := g.cylOfTrack(tr); len(bands) == 0 || cyl != bands[len(bands)-1].cyl {
 				bi := int32(len(bands))
 				bands = append(bands, sptfBand{cyl: cyl, tlo: int32(len(tracks)), left: bi - 1, right: bi + 1})
 			}
-			zi := g.zoneIndexOfTrack(tr)
+			// Tracks ascend, so their zones do too.
+			for zi+1 < len(g.Zones) && g.Zones[zi+1].startTrack <= tr {
+				zi++
+			}
 			z := &g.Zones[zi]
 			tracks = append(tracks, sptfTrack{
 				track:    tr,
@@ -147,7 +221,7 @@ func newSPTF(d *Disk, reqs []Request) sptfSched {
 		tracks[len(tracks)-1].live++
 		bands[len(bands)-1].live++
 	}
-	return sptfSched{d: d, ents: ents, tracks: tracks, bands: bands, live: len(reqs)}
+	return sptfSched{d: d, ents: ents, tracks: tracks, bands: bands, live: len(ents), last: -1}
 }
 
 func (s *sptfSched) liveLeftFrom(i int32) int32 {
@@ -184,7 +258,7 @@ func (s *sptfSched) pop() (Request, int32) {
 	issued := d.nowMs + g.CommandMs
 	curCyl := g.cylOfTrack(d.curTrack)
 	nb := int32(len(s.bands))
-	pos := int32(sort.Search(len(s.bands), func(i int) bool { return s.bands[i].cyl >= curCyl }))
+	pos := s.bandAtOrAfter(curCyl)
 	li := s.liveLeftFrom(pos - 1)
 	ri := s.liveRightFrom(pos)
 	if ri < nb && s.bands[ri].cyl == curCyl {
@@ -254,6 +328,7 @@ func (s *sptfSched) pop() (Request, int32) {
 	}
 	r := s.ents[best.at].req
 	s.remove(best.track, best.at)
+	s.last = best.track
 	return r, best.track
 }
 
@@ -262,9 +337,7 @@ func (s *sptfSched) pop() (Request, int32) {
 // track, or at < 0 if there is none.
 func (s *sptfSched) continuation() (ti, at int32) {
 	d, g := s.d, s.d.g
-	// Tracks ascend in LBN as in track number: the last one starting at
-	// or before lastEnd is the only one that can hold it.
-	ti = int32(sort.Search(len(s.tracks), func(i int) bool { return s.tracks[i].startLBN > d.lastEnd })) - 1
+	ti = s.trackAtOrBefore(d.lastEnd)
 	if ti < 0 || s.tracks[ti].live == 0 {
 		return -1, -1
 	}
@@ -286,6 +359,55 @@ func (s *sptfSched) continuation() (ti, at int32) {
 		return -1, -1
 	}
 	return ti, t.lo + int32(first)
+}
+
+// trackAtOrBefore returns the last track starting at or before lbn, -1
+// if there is none: tracks ascend in LBN as in track number, so it is
+// the only one that can hold lbn. A transfer usually ends on the last
+// pick's track or at the start of the next one, so those two are tried
+// before the search.
+func (s *sptfSched) trackAtOrBefore(lbn int64) int32 {
+	ts := s.tracks
+	if i := s.last; i >= 0 && ts[i].startLBN <= lbn {
+		if int(i)+1 == len(ts) || ts[i+1].startLBN > lbn {
+			return i
+		}
+		if int(i)+2 == len(ts) || ts[i+2].startLBN > lbn {
+			return i + 1
+		}
+	}
+	lo, hi := 0, len(ts)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ts[m].startLBN <= lbn {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return int32(lo) - 1
+}
+
+// bandAtOrAfter returns the first band whose cylinder is at least cyl,
+// len(bands) if there is none. The heads usually stay on the last
+// pick's cylinder, so its band is tried before the search.
+func (s *sptfSched) bandAtOrAfter(cyl int) int32 {
+	if s.last >= 0 {
+		if b := s.tracks[s.last].band; s.bands[b].cyl == cyl {
+			return b
+		}
+	}
+	bs := s.bands
+	lo, hi := 0, len(bs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if bs[m].cyl < cyl {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return int32(lo)
 }
 
 // searchAngle returns the first index of es, which is in ascending angle

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -17,7 +18,9 @@ import (
 // access arithmetic as they were written then, so that a change to the
 // production copies cannot move both sides at once. It is the oracle of
 // TestSPTFMatchesRef and FuzzSPTF: schedules must be equal completion
-// for completion, because simulated time depends on every pick.
+// for completion, because simulated time depends on every pick. It also
+// keeps the production index's sort-built constructor, newSPTFBySort,
+// the oracle of the build that reads the issue order.
 
 // waitFromMsRef is the rotational wait from spindle phase `phase` to
 // the target angle, with the epsilon that keeps an exact continuation
@@ -376,6 +379,73 @@ func serveSPTFRef(d *Disk, reqs []Request) ([]Completion, error) {
 	return out, nil
 }
 
+// newSPTFBySort is the window index as newSPTF built it before it read
+// the issue order: every request decoded from scratch, then the slab
+// sorted by (track, angle, Count, arrival). It is the oracle of
+// TestSPTFIndexMatchesSort: newSPTF's ents, tracks and bands must be
+// equal to its own for every window.
+func newSPTFBySort(d *Disk, reqs []Request) sptfSched {
+	g := d.g
+	ents := make([]sptfEntry, len(reqs))
+	for i, r := range reqs {
+		p := g.mustDecode(r.LBN)
+		ents[i] = sptfEntry{
+			req:     r,
+			angle:   g.angleOfSectorIn(&g.Zones[p.Zone], p.Track, p.Sector),
+			track:   p.Track,
+			arrival: int32(i),
+		}
+	}
+	// On one track the angle determines the LBN, so Count and arrival
+	// position are the only keys left to order requests for one sector.
+	slices.SortFunc(ents, func(a, b sptfEntry) int {
+		if c := cmp.Compare(a.track, b.track); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.angle, b.angle); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.req.Count, b.req.Count); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.arrival, b.arrival)
+	})
+
+	nt, nb := 0, 0
+	for i := range ents {
+		if i == 0 || ents[i].track != ents[i-1].track {
+			nt++
+			if i == 0 || g.cylOfTrack(ents[i].track) != g.cylOfTrack(ents[i-1].track) {
+				nb++
+			}
+		}
+	}
+	tracks := make([]sptfTrack, 0, nt)
+	bands := make([]sptfBand, 0, nb)
+	for i := range ents {
+		if tr := ents[i].track; i == 0 || tr != ents[i-1].track {
+			if cyl := g.cylOfTrack(tr); len(bands) == 0 || cyl != bands[len(bands)-1].cyl {
+				bi := int32(len(bands))
+				bands = append(bands, sptfBand{cyl: cyl, tlo: int32(len(tracks)), left: bi - 1, right: bi + 1})
+			}
+			zi := g.zoneIndexOfTrack(tr)
+			z := &g.Zones[zi]
+			tracks = append(tracks, sptfTrack{
+				track:    tr,
+				startLBN: z.startLBN + int64(tr-z.startTrack)*int64(z.SectorsPerTrack),
+				zone:     int32(zi),
+				lo:       int32(i),
+				band:     int32(len(bands) - 1),
+			})
+			bands[len(bands)-1].thi = int32(len(tracks))
+		}
+		tracks[len(tracks)-1].n++
+		tracks[len(tracks)-1].live++
+		bands[len(bands)-1].live++
+	}
+	return sptfSched{d: d, ents: ents, tracks: tracks, bands: bands, live: len(reqs)}
+}
+
 // An SPTF script is the byte form of a differential run, so that the
 // randomized test, the fuzzer and the benchmark share one decoder: byte
 // 0 picks the geometry, bytes 1–4 seed the head position and the base
@@ -441,14 +511,35 @@ func decodeSPTFScript(script []byte) (g *Geometry, seed int64, windows [][]Reque
 	return g, seed, windows
 }
 
-// runSPTFScript serves the script's windows with the production
-// scheduler and with the reference and requires equal completions —
-// same request, same cost breakdown, same finish time at every step —
-// and equal head state after every window.
+// sptfReplays returns the windows a script's window is served as: as
+// issued, then stably sorted by LBN — the order the planner issues in,
+// with requests for one sector left in arrival order, so of any Count
+// order.
+func sptfReplays(win []Request) [2][]Request {
+	sorted := slices.Clone(win)
+	slices.SortStableFunc(sorted, func(a, b Request) int { return cmp.Compare(a.LBN, b.LBN) })
+	return [2][]Request{win, sorted}
+}
+
+// runSPTFScript serves the script's windows, each as issued and then
+// sorted (sptfReplays), with the production scheduler and with the
+// reference and requires equal completions — same request, same cost
+// breakdown, same finish time at every step — and equal head state
+// after every window.
 func runSPTFScript(t testing.TB, script []byte) {
 	g, seed, windows := decodeSPTFScript(script)
 	if g == nil {
 		return
+	}
+	runSPTFWindows(t, g, seed, windows)
+}
+
+// runSPTFWindows is runSPTFScript on decoded windows.
+func runSPTFWindows(t testing.TB, g *Geometry, seed int64, issued [][]Request) {
+	var windows [][]Request
+	for _, win := range issued {
+		replays := sptfReplays(win)
+		windows = append(windows, replays[:]...)
 	}
 	dNew, dRef := New(g), New(g)
 	dNew.RandomizePosition(rand.New(rand.NewSource(seed)))
@@ -544,24 +635,138 @@ func multimapSPTFScript(rng *rand.Rand, geom int, windows ...int) []byte {
 	return script
 }
 
-// TestSPTFMatchesRef replays random windows — sizes 2…600 and one past
-// maxSPTFBatch, spans 2⁶…2²⁵, three back-to-back windows per run — and
-// MultiMap-shaped windows of 100…1300 requests, on every geometry,
-// through the production scheduler and the reference.
-func TestSPTFMatchesRef(t *testing.T) {
+// sptfTestScripts returns TestSPTFMatchesRef's scripts: random windows
+// — sizes 2…600 and one past maxSPTFBatch, spans 2⁶…2²⁵, three
+// back-to-back windows per run — and MultiMap-shaped windows of
+// 100…1300 requests, on every geometry.
+func sptfTestScripts() [][]byte {
 	trials := 60
 	if testing.Short() {
 		trials = 12
 	}
+	var scripts [][]byte
 	for geom := range sptfScriptGeoms {
 		for trial := 0; trial < trials; trial++ {
 			rng := rand.New(rand.NewSource(int64(geom*1000 + trial)))
 			sizes := []int{2 + rng.Intn(599), 2 + rng.Intn(599), 2 + rng.Intn(60)}
-			runSPTFScript(t, randomSPTFScript(rng, geom, trial%20, sizes...))
-			runSPTFScript(t, multimapSPTFScript(rng, geom, 100+rng.Intn(1201), 100+rng.Intn(1201)))
+			scripts = append(scripts,
+				randomSPTFScript(rng, geom, trial%20, sizes...),
+				multimapSPTFScript(rng, geom, 100+rng.Intn(1201), 100+rng.Intn(1201)))
 		}
 		rng := rand.New(rand.NewSource(int64(geom)))
-		runSPTFScript(t, randomSPTFScript(rng, geom, 12+geom, maxSPTFBatch+150, 40))
+		scripts = append(scripts, randomSPTFScript(rng, geom, 12+geom, maxSPTFBatch+150, 40))
+	}
+	return scripts
+}
+
+// TestSPTFMatchesRef replays sptfTestScripts, each window as issued and
+// sorted, through the production scheduler and the reference.
+func TestSPTFMatchesRef(t *testing.T) {
+	for _, script := range sptfTestScripts() {
+		runSPTFScript(t, script)
+	}
+}
+
+// TestSPTFLongRequestsMatchRef covers what scripts cannot express:
+// requests of up to three tracks, so that a transfer ends tracks past
+// the one its pick started on. Each window lays three chains of
+// requests, each starting where the one before ends, over the same few
+// tracks and shuffles them, so a continuation can start beyond the last
+// pick's track and the next track that holds a request.
+func TestSPTFLongRequestsMatchRef(t *testing.T) {
+	for geom, g := range sptfScriptGeoms {
+		rng := rand.New(rand.NewSource(int64(100 + geom)))
+		spt := g.TrackLen(0) // the longest track: zones shrink inward
+		for trial := 0; trial < 20; trial++ {
+			var windows [][]Request
+			for w := 0; w < 3; w++ {
+				base := rng.Int63n(g.TotalBlocks() - int64(200*spt))
+				var win []Request
+				for chain := 0; chain < 3; chain++ {
+					cur := base + rng.Int63n(int64(2*spt))
+					for n := 5 + rng.Intn(20); n > 0; n-- {
+						win = append(win, Request{LBN: cur, Count: 1 + rng.Intn(3*g.TrackLen(cur))})
+						cur += int64(win[len(win)-1].Count)
+					}
+				}
+				rng.Shuffle(len(win), func(i, j int) { win[i], win[j] = win[j], win[i] })
+				windows = append(windows, win)
+			}
+			runSPTFWindows(t, g, int64(trial), windows)
+		}
+	}
+}
+
+// TestSPTFIndexMatchesSort holds the index newSPTF builds — decoded by
+// stepping, and not sorted when the window is in order — equal to the
+// sort-built one for every window of sptfTestScripts, as issued and
+// sorted.
+func TestSPTFIndexMatchesSort(t *testing.T) {
+	for _, script := range sptfTestScripts() {
+		g, _, windows := decodeSPTFScript(script)
+		d := New(g)
+		for w, win := range windows {
+			for k, reqs := range sptfReplays(win) {
+				got, want := newSPTF(d, reqs), newSPTFBySort(d, reqs)
+				if !slices.Equal(got.ents, want.ents) || !slices.Equal(got.tracks, want.tracks) || !slices.Equal(got.bands, want.bands) {
+					t.Fatalf("%s window %d replay %d (n=%d): index differs from the sort-built one", g.Name, w, k, len(reqs))
+				}
+			}
+		}
+	}
+}
+
+// TestSPTFAscendingSkipsSort pins the fast build itself, which the
+// oracle cannot see because the fallback sort produces the same index:
+// windows ascending by (LBN, Count) — MultiMap-shaped ones and pile-ups
+// on a few tracks, whose runs wrap the skew origin — decode straight
+// into key order, and the same window with one sector's Counts inverted
+// falls back to the sort.
+func TestSPTFAscendingSkipsSort(t *testing.T) {
+	byLBNCount := func(a, b Request) int {
+		if c := cmp.Compare(a.LBN, b.LBN); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Count, b.Count)
+	}
+	rng := rand.New(rand.NewSource(11))
+	wrapped := 0
+	for geom := range sptfScriptGeoms {
+		for trial := 0; trial < 20; trial++ {
+			for _, script := range [][]byte{
+				multimapSPTFScript(rng, geom, 100+rng.Intn(500)),
+				randomSPTFScript(rng, geom, trial%4, 20+rng.Intn(300)),
+			} {
+				g, _, windows := decodeSPTFScript(script)
+				if len(windows) == 0 {
+					continue
+				}
+				win := windows[0]
+				slices.SortStableFunc(win, byLBNCount)
+				ents := make([]sptfEntry, len(win))
+				if !decodeSPTF(g, win, ents) {
+					t.Fatalf("%s: ascending window of %d requests fell back to the sort", g.Name, len(win))
+				}
+				if !slices.IsSortedFunc(ents, compareSPTFEntries) {
+					t.Fatalf("%s: ascending window of %d requests decoded out of key order", g.Name, len(win))
+				}
+				for i := 1; i < len(ents); i++ {
+					if ents[i].track == ents[i-1].track && ents[i].req.LBN < ents[i-1].req.LBN {
+						wrapped++
+						break
+					}
+				}
+
+				k := rng.Intn(len(win))
+				inverted := slices.Insert(slices.Clone(win), k, Request{LBN: win[k].LBN, Count: win[k].Count + 1})
+				if decodeSPTF(g, inverted, make([]sptfEntry, len(inverted))) {
+					t.Fatalf("%s: window with Counts %d, %d on one sector skipped the sort", g.Name, inverted[k].Count, inverted[k+1].Count)
+				}
+			}
+		}
+	}
+	if wrapped == 0 {
+		t.Fatal("no window had a track run that wraps the skew origin")
 	}
 }
 
