@@ -38,14 +38,13 @@ import "slices"
 //
 // covered is O(log n); insertFor and invalidate are O(log n + k) for k
 // extents merged or cut (each of which was paid for by its own
-// insert), plus O(#classes) per evicted victim; setShares is
-// O(#classes); clear is O(1). The arena grows to the largest
+// insert), plus O(#classes) per evicted victim; clear is O(1). The arena grows to the largest
 // population seen and is given back by clear.
 //
 // # QoS partitioning
 //
-// With fair sharing on, setShares installs per-class reserve floors
-// (capacity × weight / Σweights) and the cache becomes class-aware:
+// With fair sharing on, the cache is built with per-class reserve
+// floors (capacity × weight / Σweights) and is class-aware:
 // every extent is tagged with the QoS class that inserted it (a merge
 // re-tags the union to the inserting class), per-class usage is
 // tracked, and eviction turns borrower-first — a class may grow past
@@ -68,9 +67,8 @@ type extentCache struct {
 	free  extentID // head of the recycled nodes, chained through next
 
 	// classes holds one record per QoS class seen since the last clear:
-	// its cached blocks (maintained even with shares nil, so a later
-	// setShares partitions the already-cached population correctly), its
-	// reserve floor and its LRU list. The set is as small as the QoS
+	// its cached blocks (maintained even with shares nil), its reserve
+	// floor and its LRU list. The set is as small as the QoS
 	// registry, so lookup by name is a linear scan.
 	classes []cacheClass
 	// shares is the per-class reserve floor in blocks (nil = plain
@@ -100,33 +98,13 @@ type cacheClass struct {
 	root    extentID
 }
 
-func newExtentCache(capBlocks int64) *extentCache {
+// newExtentCache builds a cache of capBlocks blocks with the given
+// per-class reserve floors (nil: plain LRU); nil when capBlocks is 0.
+func newExtentCache(capBlocks int64, shares map[string]int64) *extentCache {
 	if capBlocks <= 0 {
 		return nil
 	}
-	return &extentCache{capBlocks: capBlocks}
-}
-
-// capacity returns the cache capacity in blocks (0 for the nil cache a
-// zero capacity yields).
-func (c *extentCache) capacity() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.capBlocks
-}
-
-// setShares installs the per-class reserve floors; nil reverts to the
-// plain unpartitioned LRU. Cached contents survive a reconfiguration —
-// only future evictions change policy.
-func (c *extentCache) setShares(shares map[string]int64) {
-	if c == nil {
-		return
-	}
-	c.shares = shares
-	for i := range c.classes {
-		c.classes[i].reserve = shares[c.classes[i].name]
-	}
+	return &extentCache{capBlocks: capBlocks, shares: shares}
 }
 
 // classFor returns the index of the named class's record, creating it
@@ -380,7 +358,7 @@ func (c *extentCache) invalidate(start, end int64) int64 {
 	return dropped
 }
 
-// clear drops every cached extent (volume reset, cache reconfiguration).
+// clear drops every cached extent (volume reset).
 func (c *extentCache) clear() {
 	if c == nil {
 		return

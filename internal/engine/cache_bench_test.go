@@ -59,12 +59,13 @@ func BenchmarkExtentCache(b *testing.B) {
 // extents 0, 2, 4, … in ascending order and returns it with the class
 // the steady-state inserts should use.
 func fullBenchCache(n int64, twoClass bool) (*extentCache, string) {
-	c := newExtentCache(n)
+	var shares map[string]int64
 	class := ""
 	if twoClass {
-		c.setShares(map[string]int64{"pinned": n / 2, "bulk": n / 2})
+		shares = map[string]int64{"pinned": n / 2, "bulk": n / 2}
 		class = "bulk"
 	}
+	c := newExtentCache(n, shares)
 	for i := int64(0); i < n; i++ {
 		if twoClass && i < n/4 {
 			c.insertFor(2*i, 2*i+1, "pinned")

@@ -19,8 +19,7 @@ func checkUsedBy(t *testing.T, c *extentCache) {
 // cache overflows the victim is the LRU-most extent among over-reserve
 // classes — an at-reserve class's colder extents are skipped.
 func TestExtentCacheBorrowThenReclaim(t *testing.T) {
-	c := newExtentCache(100)
-	c.setShares(map[string]int64{"a": 50, "b": 50})
+	c := newExtentCache(100, map[string]int64{"a": 50, "b": 50})
 
 	// a borrows into b's idle reserve: 80 blocks fit without eviction.
 	c.insertFor(0, 80, "a")
@@ -65,8 +64,7 @@ func TestExtentCacheBorrowThenReclaim(t *testing.T) {
 // immune to another class's pressure — repeated bulk inserts can fill
 // every idle block but never push the protected class below its floor.
 func TestExtentCacheReserveFloor(t *testing.T) {
-	c := newExtentCache(100)
-	c.setShares(map[string]int64{"hot": 40, "bulk": 60})
+	c := newExtentCache(100, map[string]int64{"hot": 40, "bulk": 60})
 
 	c.insertFor(0, 40, "hot") // exactly at its reserve
 	for i := int64(0); i < 8; i++ {
@@ -88,7 +86,7 @@ func TestExtentCacheReserveFloor(t *testing.T) {
 // change eviction at all — the victim is the LRU back, whatever class
 // it belongs to (the bit-equivalence the QoS-off path relies on).
 func TestExtentCacheNilSharesPlainLRU(t *testing.T) {
-	c := newExtentCache(100)
+	c := newExtentCache(100, nil)
 	c.insertFor(0, 40, "b")
 	c.insertFor(100, 160, "a")
 	c.insertFor(200, 250, "b")
@@ -109,8 +107,7 @@ func TestExtentCacheNilSharesPlainLRU(t *testing.T) {
 // TestExtentCacheMergeRetags: merging re-tags the union to the
 // inserting class and moves the blocks between the class counters.
 func TestExtentCacheMergeRetags(t *testing.T) {
-	c := newExtentCache(1000)
-	c.setShares(map[string]int64{"a": 500, "b": 500})
+	c := newExtentCache(1000, map[string]int64{"a": 500, "b": 500})
 	c.insertFor(0, 50, "a")
 	c.insertFor(50, 100, "b") // adjacent: merges into [0,100) tagged b
 	checkUsedBy(t, c)
@@ -126,8 +123,7 @@ func TestExtentCacheMergeRetags(t *testing.T) {
 // remnants' class tags and the per-class accounting exact — the
 // write-path invalidation the service runs before charging a write.
 func TestExtentCacheInvalidatePartitioned(t *testing.T) {
-	c := newExtentCache(1000)
-	c.setShares(map[string]int64{"a": 500, "b": 500})
+	c := newExtentCache(1000, map[string]int64{"a": 500, "b": 500})
 	c.insertFor(0, 100, "a")
 	c.insertFor(200, 300, "b")
 
@@ -165,47 +161,32 @@ func TestExtentCacheInvalidatePartitioned(t *testing.T) {
 	}
 }
 
-// TestExtentCacheSetSharesOnExisting: shares installed over an
-// already-populated cache partition the existing contents — usedBy is
-// maintained from the start, so the first over-capacity insert already
-// evicts borrower-first, and unregistered classes (share 0) are the
-// first reclaimed.
-func TestExtentCacheSetSharesOnExisting(t *testing.T) {
-	c := newExtentCache(100)
-	c.insertFor(0, 60, "old") // plain-LRU era population
-	c.insertFor(100, 130, "keep")
-	c.setShares(map[string]int64{"keep": 50}) // "old" unregistered: share 0
-
-	// keep's insert overflows: "old" is over its (zero) reserve and is
-	// reclaimed even though "keep"'s first extent is the LRU back? No —
-	// [0,60) of "old" IS older, but the point is class policy: victims
-	// must come from "old" until it holds nothing.
-	c.insertFor(200, 240, "keep")
+// TestExtentCacheUnregisteredClassReclaimed: a class without a share
+// has a zero reserve, so it is over its floor as soon as it holds a
+// block — its extents are reclaimed first, even when a registered
+// class under its reserve holds an older one that plain LRU would
+// evict.
+func TestExtentCacheUnregisteredClassReclaimed(t *testing.T) {
+	c := newExtentCache(100, map[string]int64{"keep": 50}) // "old" unregistered: share 0
+	c.insertFor(0, 30, "keep")
+	c.insertFor(100, 160, "old")
+	c.insertFor(200, 250, "old") // overflow by 40
 	checkUsedBy(t, c)
-	if c.covered(0, 60) {
-		t.Fatal("unregistered class kept borrowed blocks past setShares")
+	if !c.covered(0, 30) {
+		t.Fatal("under-reserve class lost its LRU-back extent to a share-0 class")
 	}
-	if !c.covered(100, 130) || !c.covered(200, 240) {
-		t.Fatal("registered class lost extents while a share-0 class held blocks")
+	if c.covered(100, 160) || !c.covered(200, 250) {
+		t.Fatal("share-0 class not reclaimed LRU-first")
 	}
-	if c.usedBy("old") != 0 {
-		t.Fatalf("usedBy[old] = %d, want 0", c.usedBy("old"))
-	}
-
-	// Reverting to nil shares restores plain LRU behavior.
-	c.setShares(nil)
-	c.insertFor(300, 400, "new") // 100 blocks: evicts everything else LRU-first
-	checkUsedBy(t, c)
-	if !c.covered(300, 400) || c.used != 100 {
-		t.Fatalf("plain LRU not restored: used=%d", c.used)
+	if c.usedBy("keep") != 30 || c.usedBy("old") != 50 {
+		t.Fatalf("usedBy keep=%d old=%d, want 30/50", c.usedBy("keep"), c.usedBy("old"))
 	}
 }
 
 // TestExtentCacheClearResetsClasses: clear zeroes the per-class
 // counters along with the extents.
 func TestExtentCacheClearResetsClasses(t *testing.T) {
-	c := newExtentCache(100)
-	c.setShares(map[string]int64{"a": 50})
+	c := newExtentCache(100, map[string]int64{"a": 50})
 	c.insertFor(0, 40, "a")
 	c.insertFor(50, 60, "b")
 	c.clear()

@@ -16,8 +16,9 @@ import (
 // rebuilt around a chunked index and intrusive per-class LRU lists: one
 // flat sorted slice of extents, one container/list for recency, and an
 // eviction walk from the list's back. Every operation is O(n), and it
-// is kept unchanged (types renamed, nothing else) because its behaviour
-// is the specification: hit/miss answers, merge/trim/split results,
+// is kept unchanged (types renamed, and its shares taken by the
+// constructor as the production cache's are) because its behaviour is
+// the specification: hit/miss answers, merge/trim/split results,
 // class tags, accounting and eviction order of the production cache
 // must equal it step for step, or simulated time moves.
 
@@ -29,8 +30,7 @@ type refCache struct {
 
 	// shares is the per-class reserve floor in blocks (nil = plain
 	// unpartitioned LRU); usedBy tracks each class's cached blocks
-	// (maintained even with shares nil, so a later setShares partitions
-	// the already-cached population correctly).
+	// (maintained even with shares nil).
 	shares map[string]int64
 	usedBy map[string]int64
 }
@@ -41,21 +41,11 @@ type refExtent struct {
 	elem       *list.Element
 }
 
-func newRefCache(capBlocks int64) *refCache {
+func newRefCache(capBlocks int64, shares map[string]int64) *refCache {
 	if capBlocks <= 0 {
 		return nil
 	}
-	return &refCache{capBlocks: capBlocks, lru: list.New(), usedBy: make(map[string]int64)}
-}
-
-// setShares installs the per-class reserve floors; nil reverts to the
-// plain unpartitioned LRU. Cached contents survive a reconfiguration —
-// only future evictions change policy.
-func (c *refCache) setShares(shares map[string]int64) {
-	if c == nil {
-		return
-	}
-	c.shares = shares
+	return &refCache{capBlocks: capBlocks, lru: list.New(), shares: shares, usedBy: make(map[string]int64)}
 }
 
 // blocks returns the extent's size.
@@ -430,9 +420,9 @@ func compareCaches(ref *refCache, c *extentCache, full bool) error {
 //
 // Operations 0, 1 and 7: insertFor [start, start+(1+n)<<shift) — 7 with
 // n = 255 is clear instead. 2, 3: covered, same range. 4: invalidate,
-// same range. 5: setShares from weights byte1&3, byte2&3, byte3&3 for
-// classes a, b, c (weight 0 leaves a class unregistered, all 0 is nil
-// shares). 6: insertFor 1+n single blocks start, start+stride, … with
+// same range. 5: replace both caches with empty ones whose shares come
+// from weights byte1&3, byte2&3, byte3&3 for classes a, b, c (weight 0
+// leaves a class unregistered, all 0 is nil shares). 6: insertFor 1+n single blocks start, start+stride, … with
 // stride 2+shift, which grows a many-extent population from few bytes.
 type cacheScript []byte
 
@@ -483,7 +473,7 @@ func runCacheScript(t testing.TB, script []byte) {
 		return
 	}
 	capBlocks := 1 + int64(script[0]) + int64(script[1])<<8
-	ref, c := newRefCache(capBlocks), newExtentCache(capBlocks)
+	ref, c := newRefCache(capBlocks, nil), newExtentCache(capBlocks, nil)
 	step := 0
 	for ops := script[2:]; len(ops) >= 4; ops = ops[4:] {
 		code, class, shift := ops[0]&7, scriptClasses[ops[0]>>3&3], int64(ops[0]>>5)
@@ -509,8 +499,8 @@ func runCacheScript(t testing.TB, script []byte) {
 				t.Fatalf("%s: invalidated %d blocks, reference %d", what(), got, want)
 			}
 		case code == 5:
-			ref.setShares(scriptShares(capBlocks, ops[1:4]))
-			c.setShares(scriptShares(capBlocks, ops[1:4]))
+			shares := scriptShares(capBlocks, ops[1:4])
+			ref, c = newRefCache(capBlocks, shares), newExtentCache(capBlocks, shares)
 		case code == 6:
 			for i := int64(0); i <= n; i++ {
 				at := start + i*(2+shift)
@@ -545,8 +535,8 @@ func runCacheScript(t testing.TB, script []byte) {
 	}
 }
 
-// scriptShares turns three weight bytes into a setShares argument the
-// way cacheShares does: capacity × weight / Σweights per registered
+// scriptShares turns three weight bytes into a cache's shares the way
+// cacheShares does: capacity × weight / Σweights per registered
 // class, nil when no class is registered.
 func scriptShares(capBlocks int64, w []byte) map[string]int64 {
 	sum := int64(w[0]&3) + int64(w[1]&3) + int64(w[2]&3)
@@ -591,9 +581,9 @@ func cacheScenarioScripts() []cacheScript {
 		newCacheScript(100).insert(0, 40, "b").insert(100, 160, "a").insert(200, 250, "b"),
 		newCacheScript(1000).shares(1, 1, 0).insert(0, 50, "a").insert(50, 100, "b").
 			insert(200, 300, "b").invalidate(40, 60).invalidate(200, 250).invalidate(0, 1000),
-		// TestExtentCacheSetSharesOnExisting, …ClearResetsClasses.
-		newCacheScript(100).insert(0, 60, "c").insert(100, 130, "a").shares(1, 0, 0).
-			insert(200, 240, "a").shares(0, 0, 0).insert(300, 400, "b"),
+		// TestExtentCacheUnregisteredClassReclaimed, …ClearResetsClasses.
+		newCacheScript(100).shares(1, 0, 0).insert(0, 30, "a").insert(100, 160, "c").
+			insert(200, 250, "c"),
 		newCacheScript(100).shares(1, 0, 0).insert(0, 40, "a").insert(50, 60, "b").clear().insert(0, 10, "a"),
 		// Populations that span many index leaves, cut by wide ranges.
 		newCacheScript(1<<16).stripe(0, 256, 2, "").stripe(600, 256, 3, "a").stripe(2000, 256, 2, "b").
@@ -606,9 +596,11 @@ func cacheScenarioScripts() []cacheScript {
 // randomCacheScript draws a script of the given number of operations.
 // span bounds the start blocks (a small span makes ranges collide and
 // merge, a large one keeps many extents apart), maxShift the range
-// lengths, and stripes the share of bulk single-block inserts.
+// lengths, and stripes the share of bulk single-block inserts. The
+// script opens with the caches' shares, fixed from then on as a
+// service's are.
 func randomCacheScript(rng *rand.Rand, capBlocks int64, ops int, span int64, maxShift int, stripes float64) cacheScript {
-	s := newCacheScript(capBlocks)
+	s := newCacheScript(capBlocks).shares(rng.Int63n(4), rng.Int63n(4), rng.Int63n(4))
 	for i := 0; i < ops; i++ {
 		class := scriptClasses[rng.Intn(4)]
 		start, n, shift := rng.Int63n(span), rng.Int63n(256), rng.Intn(maxShift+1)
@@ -619,10 +611,8 @@ func randomCacheScript(rng *rand.Rand, capBlocks int64, ops int, span int64, max
 			s = s.op(0, class, shift, start, n)
 		case p < 0.75:
 			s = s.op(2, class, shift, start, n)
-		case p < 0.93:
-			s = s.op(4, class, shift, start, n)
 		case p < 0.995:
-			s = s.shares(rng.Int63n(4), rng.Int63n(4), rng.Int63n(4))
+			s = s.op(4, class, shift, start, n)
 		default:
 			s = s.clear()
 		}

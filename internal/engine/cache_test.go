@@ -14,7 +14,7 @@ import (
 // on when a store runs with caching off.
 func TestExtentCacheZeroCapacity(t *testing.T) {
 	for _, capBlocks := range []int64{0, -5} {
-		c := newExtentCache(capBlocks)
+		c := newExtentCache(capBlocks, nil)
 		if c != nil {
 			t.Fatalf("capacity %d built a live cache", capBlocks)
 		}
@@ -35,7 +35,7 @@ func TestExtentCacheZeroCapacity(t *testing.T) {
 // edge drops only the inside part, and exact-cover drops the extent
 // with nothing left behind.
 func TestExtentCacheInvalidateBoundaries(t *testing.T) {
-	c := newExtentCache(1000)
+	c := newExtentCache(1000, nil)
 	c.insert(100, 200)
 
 	// Adjacent-outside ranges: no overlap, nothing dropped.
@@ -79,7 +79,7 @@ func TestExtentCacheInvalidateBoundaries(t *testing.T) {
 // detail: both remnants are present, disjoint, in byStart order, and
 // the accounting matches, including a second split of a remnant.
 func TestExtentCacheSplitKeepsStructure(t *testing.T) {
-	c := newExtentCache(1000)
+	c := newExtentCache(1000, nil)
 	c.insert(100, 300)
 	if got := c.invalidate(180, 220); got != 40 {
 		t.Fatalf("split invalidated %d blocks, want 40", got)
@@ -112,7 +112,7 @@ func TestExtentCacheSplitKeepsStructure(t *testing.T) {
 // original extent's recency slot, so they are evicted before
 // more-recent extents and after less-recent refreshes.
 func TestExtentCacheEvictionOrderAfterSplit(t *testing.T) {
-	c := newExtentCache(120)
+	c := newExtentCache(120, nil)
 	c.insert(0, 40)      // A (oldest)
 	c.insert(100, 140)   // B
 	c.insert(200, 240)   // C (newest); cache is exactly full

@@ -73,11 +73,7 @@ func (s *Service) serveChunks(items []*serviceOp) {
 		s.serveMerged(reads)
 	}
 	for _, op := range writes {
-		if wbOn {
-			s.absorbWrite(op)
-		} else {
-			s.serveWrite(op)
-		}
+		s.serveWrite(op)
 	}
 	if wbOn && s.wb.blocks >= s.opts.WriteBack.WatermarkBlocks {
 		s.flushDirty()
@@ -154,6 +150,19 @@ func (s *Service) cowFault(op *serviceOp, res *opResult) (int, error) {
 // Extents crossing a segment boundary are split here — after the COW
 // resolve, whose segment splits move the boundaries — so Write's
 // contract needs no per-disk precondition from its callers.
+//
+// With write-back on, a write whose every extent locates on the volume
+// is absorbed into the dirty buffer instead of served: the submitter is
+// acknowledged with zero I/O cost (its blocks in Writes, its
+// invalidation count, and the coalesced flag when the op merged into
+// already-dirty data, plus any COW fault it paid) and the simulated I/O
+// waits for the next group commit. Coherence is not deferred: the
+// invalidation and the COW fault have happened, so the absorbed extents
+// only ever cover private segments, which are never re-split, and their
+// recorded flush boundaries stay valid at group-commit time. A write
+// with an address outside the volume is served instead — VLBN validity
+// does not change across the resolve — so the error reaches the
+// submitter now rather than at some later flush.
 func (s *Service) serveWrite(op *serviceOp) {
 	var res opResult
 	faultReqs, err := s.cowFault(op, &res)
@@ -166,9 +175,26 @@ func (s *Service) serveWrite(op *serviceOp) {
 	split := s.splitInto(s.scratch.split[:0], op.chunk.Reqs)
 	s.scratch.split = split[:0]
 	op.chunk.Reqs = split
+	absorb := s.wb != nil
 	for _, r := range op.chunk.Reqs {
 		// invalidate is nil-safe when the cache is off.
 		res.stats.InvalidatedBlocks += s.cache.invalidate(r.VLBN, r.VLBN+int64(r.Count))
+		if absorb {
+			_, _, err := s.vol.Locate(r.VLBN)
+			absorb = err == nil
+		}
+	}
+	if absorb {
+		now := time.Now()
+		for _, r := range op.chunk.Reqs {
+			di, lbn, _ := s.vol.Locate(r.VLBN)
+			if s.wb.absorb(op.owner, r.VLBN, r.VLBN+int64(r.Count), r.VLBN-lbn+s.vol.DiskBlocks(di), now) {
+				res.stats.CoalescedWrites = 1
+			}
+			res.stats.Writes += int64(r.Count)
+		}
+		s.chargeWrite(op, res, faultReqs, nil)
+		return
 	}
 	issued := faultReqs
 	if len(op.chunk.Reqs) > 0 {
@@ -181,58 +207,6 @@ func (s *Service) serveWrite(op *serviceOp) {
 		issued += len(op.chunk.Reqs)
 	}
 	s.chargeWrite(op, res, issued, nil)
-}
-
-// absorbWrite buffers one write op in the write-back dirty set instead
-// of serving it: the submitter is acknowledged immediately with zero
-// I/O cost (its blocks in Writes, its invalidation count, and the
-// coalesced flag when the op merged into already-dirty data), and the
-// simulated I/O is deferred to the next group commit. Cache coherence
-// is NOT deferred — every cached extent overlapping the mutated blocks
-// is invalidated here, exactly as on the write-through path. Extents
-// whose addresses fall outside the volume are routed to the immediate
-// write path instead, so address errors surface to the submitter
-// synchronously rather than at some later flush. COW coherence is not
-// deferred either: target tracks still mapped to shared frozen extents
-// are faulted into private storage here, before absorption — the
-// address screen runs first (VLBN validity is unaffected by the
-// resolve), so the serveWrite fallback never double-charges a fault —
-// and the absorbed extents therefore only ever cover private segments,
-// which are never re-split, keeping their recorded flush boundaries
-// valid at group-commit time.
-func (s *Service) absorbWrite(op *serviceOp) {
-	screen := s.splitInto(s.scratch.split[:0], op.chunk.Reqs)
-	s.scratch.split = screen[:0]
-	for _, r := range screen {
-		if _, _, err := s.vol.Locate(r.VLBN); err != nil {
-			s.serveWrite(op)
-			return
-		}
-	}
-	var res opResult
-	faultReqs, err := s.cowFault(op, &res)
-	if err != nil {
-		s.chargeWrite(op, opResult{}, 0, err)
-		return
-	}
-	// Split after the resolve: it may have split segments under the
-	// target blocks, moving the boundaries the dirty buffer records.
-	// Scratch-backed like serveWrite's split: dead once the op replies.
-	split := s.splitInto(s.scratch.split[:0], op.chunk.Reqs)
-	s.scratch.split = split[:0]
-	op.chunk.Reqs = split
-	now := time.Now()
-	for _, r := range op.chunk.Reqs {
-		start, end := r.VLBN, r.VLBN+int64(r.Count)
-		res.stats.InvalidatedBlocks += s.cache.invalidate(start, end) // nil-safe
-		di, lbn, _ := s.vol.Locate(start)
-		boundary := start - lbn + s.vol.DiskBlocks(di)
-		if s.wb.absorb(op.owner, start, end, boundary, now) {
-			res.stats.CoalescedWrites = 1
-		}
-		res.stats.Writes += int64(r.Count)
-	}
-	s.chargeWrite(op, res, faultReqs, nil)
 }
 
 // flushDirty group-commits the entire dirty buffer as one SPTF batch —
@@ -259,7 +233,7 @@ func (s *Service) flushDirty() error {
 	}
 	comps, elapsed, err := s.vol.ServeBatch(reqs, disk.SchedSPTF)
 	if err != nil {
-		// Unreachable in practice: absorbWrite screens out every address
+		// Unreachable in practice: serveWrite absorbs no address
 		// ServeBatch can reject. Coherence survives regardless (the
 		// invalidation happened at absorb); only the gauge is corrected.
 		s.mu.Lock()

@@ -1,21 +1,22 @@
 package engine
 
 // The service loop — LIFECYCLE, and the map of its stages. This file
-// holds the Service itself: its options (one normalizer, one overlay
-// rule, one install step), the submission queue and control ops, and
-// loop, the goroutine that owns everything the stages touch. The stages
-// a batch passes through, one file each:
+// holds the Service itself: its options (one normalizer, and Configure,
+// the one function that installs them), the submission queue and
+// control ops, and loop, the goroutine that owns everything the stages
+// touch. The stages a batch passes through, one file each:
 //
 //	admit.go      what is served now, what waits, what is dropped
 //	serve.go      schedule + coherence + simulate: cache, dirty buffer, COW, disks
 //	attribute.go  costs back to sessions, and the totals they must sum to
 //
-// Code here may touch the queue and the running/closed flags (under mu)
-// and, from the loop goroutine or before one exists, the loop-owned
-// options and the state install derives from them.
+// Code here may touch the queue and the running/closed/sealed flags
+// (under mu) and, from the loop goroutine or before one exists, the
+// loop-owned options and the state Configure derives from them.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -48,14 +49,15 @@ import (
 // member disks' head state, the extent cache, the write-back dirty
 // buffer, the volume's COW fault state, the admission scheduler (class
 // registry, backlogs, deficits), the options and the scratch buffers.
-// None of it is locked: nothing else reads or writes it. NewService
-// fills it in before a loop can exist, and Apply, Reset and Flush
-// change it only by queueing a control op the loop itself executes.
-// mu guards what other goroutines do touch: the submission queue, the
-// running and closed flags, and the totals (ServiceTotals and the
-// per-class ClassTotals) that Totals and ClassTotals snapshot. The loop
-// takes mu to swap the queue out and to post a batch's folds, and for
-// nothing else.
+// None of it is locked: nothing else reads or writes it. Configure
+// fills in the options and what derives from them before the service
+// is sealed, so before any op was queued and a loop could exist; Reset
+// and Flush change loop-owned state only by queueing a control op the
+// loop itself executes. mu guards what other goroutines do touch: the
+// submission queue, the running, closed and sealed flags, and the
+// totals (ServiceTotals and the per-class ClassTotals) that Totals and
+// ClassTotals snapshot. The loop takes mu to swap the queue out and to
+// post a batch's folds, and for nothing else.
 //
 // # Write path and cache coherence
 //
@@ -80,6 +82,7 @@ type Service struct {
 	queue   []*serviceOp
 	running bool // a loop goroutine exists and owns the disks
 	closed  bool
+	sealed  bool // the options are fixed: Configure installed some, or an op was queued
 	totals  ServiceTotals
 	// perClass is the per-QoS-class slice of totals, keyed by class
 	// name; guarded by mu like totals.
@@ -87,7 +90,7 @@ type Service struct {
 
 	// Loop-owned state (see Ownership above). opts is the normalized
 	// configuration; cache, wb (nil when write-back is off) and classes
-	// (the QoS class registry) are derived from it by install; drr is
+	// (the QoS class registry) are derived from it by Configure; drr is
 	// the admission scheduler's backlog.
 	opts    ServiceOptions
 	cache   *extentCache
@@ -106,9 +109,9 @@ type Service struct {
 	spare   []*serviceOp // recycled admission-queue backing array
 }
 
-// ServiceOptions tunes a service. NewService takes the whole struct;
-// Apply overlays one onto a running service, where a zero field means
-// "option omitted" and leaves the current setting alone.
+// ServiceOptions tunes a service. A service takes them once, before it
+// serves: NewService or Configure install the whole struct, and from
+// then on they are fixed (see Configure).
 type ServiceOptions struct {
 	// CacheBlocks is the shared extent cache capacity in blocks;
 	// 0 disables the cache.
@@ -143,8 +146,7 @@ type ServiceOptions struct {
 	// Classes registers the QoS classes (weights, urgency) the fair
 	// scheduler and the class-partitioned extent cache use. Sessions
 	// reference classes by SessionOptions.Class; unregistered classes
-	// get weight 1 and no cache reserve. The registry is one setting
-	// with FairQuantum: Apply replaces it whenever it sets the quantum.
+	// get weight 1 and no cache reserve.
 	Classes []QoSClass
 	// WriteBack configures write-back caching with group commit: write
 	// ops are absorbed into a dirty buffer instead of being charged
@@ -163,7 +165,6 @@ const (
 	opWrite
 	opReset
 	opFlush
-	opConfigure
 )
 
 // serviceOp is one message to the service loop.
@@ -191,9 +192,6 @@ type serviceOp struct {
 	owner    *Session
 	class    string
 	deferred bool
-
-	// opConfigure field: the options Apply overlays.
-	cfg *ServiceOptions
 
 	reply chan opResult
 }
@@ -223,19 +221,63 @@ func putOp(op *serviceOp) {
 // Reset must go through it. The loop goroutine runs only while work is
 // queued — the first submission of a busy period starts it, and it
 // exits once the queue drains — so an idle or abandoned service holds
-// no goroutine.
+// no goroutine. Non-zero opts are installed by Configure and seal the
+// service.
 func NewService(vol *lvm.Volume, opts ServiceOptions) *Service {
 	s := &Service{
 		vol:      vol,
-		opts:     opts.normalized(),
 		wake:     make(chan struct{}, 1),
 		perClass: make(map[string]*ClassTotals),
 		drr:      newDRRSched(),
 	}
 	s.scratch.touched = make(map[string]bool, 8)
-	s.install(true)
 	s.idle.L = &s.mu
+	_ = s.Configure(opts) // cannot fail: a fresh service is neither closed nor sealed
 	return s
+}
+
+// errSealed is Configure's answer on a service whose options are fixed.
+var errSealed = errors.New("engine: service options are fixed once configured or serving")
+
+// Configure installs the service's options: it normalizes them, then
+// builds the extent cache with its per-class reserve shares, the
+// write-back dirty buffer and the QoS class registry. A service takes
+// options once, before it serves. The rule, in this order: after Close
+// Configure returns ErrClosed; all-zero options install nothing and
+// return nil; a sealed service — one that Configure has installed
+// options on, or that has had an op queued — returns an error;
+// otherwise the options are installed and the service is sealed. No
+// loop can run before the first op is queued, so nothing the loop owns
+// is written while one reads it.
+func (s *Service) Configure(o ServiceOptions) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case s.closed:
+		return ErrClosed
+	case o.zero():
+		return nil
+	case s.sealed:
+		return errSealed
+	}
+	s.opts = o.normalized()
+	s.classes = make(map[string]QoSClass, len(s.opts.Classes))
+	for _, c := range s.opts.Classes {
+		c.Weight = max(c.Weight, 1) // weights below 1 count as 1
+		s.classes[c.Name] = c
+	}
+	s.cache = newExtentCache(s.opts.CacheBlocks, cacheShares(s.opts.CacheBlocks, s.opts.FairQuantum, s.classes))
+	if s.opts.WriteBack.Enabled {
+		s.wb = &dirtySet{}
+	}
+	s.sealed = true
+	return nil
+}
+
+// zero reports whether o names no option at all.
+func (o ServiceOptions) zero() bool {
+	return o.CacheBlocks == 0 && o.DeadlineAging == 0 && o.FairQuantum == 0 &&
+		len(o.Classes) == 0 && o.WriteBack == WriteBackOptions{}
 }
 
 // normalized returns the options in the one form the loop stores:
@@ -258,47 +300,6 @@ func (o ServiceOptions) normalized() ServiceOptions {
 	return o
 }
 
-// overlay returns cur with every setting o names replaced — THE
-// overlay rule: a zero field of o means "option omitted" and keeps
-// cur's. WriteBack is one setting (named by Enabled) and so is
-// FairQuantum with its class registry. o must be normalized. Nothing
-// can be switched off this way; build a new service for that.
-func (cur ServiceOptions) overlay(o ServiceOptions) ServiceOptions {
-	if o.CacheBlocks > 0 {
-		cur.CacheBlocks = o.CacheBlocks
-	}
-	if o.DeadlineAging > 0 {
-		cur.DeadlineAging = o.DeadlineAging
-	}
-	if o.WriteBack.Enabled {
-		cur.WriteBack = o.WriteBack
-	}
-	if o.FairQuantum > 0 {
-		cur.FairQuantum, cur.Classes = o.FairQuantum, o.Classes
-	}
-	return cur
-}
-
-// install derives the loop-owned state from s.opts: the dirty buffer,
-// the class registry (weights below 1 count as 1), and the extent
-// cache's per-class reserve shares — with a fresh, empty cache when
-// newCache is set. Called from NewService before the loop exists and
-// from the loop itself (opConfigure).
-func (s *Service) install(newCache bool) {
-	if newCache {
-		s.cache = newExtentCache(s.opts.CacheBlocks)
-	}
-	if s.opts.WriteBack.Enabled && s.wb == nil {
-		s.wb = &dirtySet{}
-	}
-	s.classes = make(map[string]QoSClass, len(s.opts.Classes))
-	for _, c := range s.opts.Classes {
-		c.Weight = max(c.Weight, 1)
-		s.classes[c.Name] = c
-	}
-	s.cache.setShares(cacheShares(s.cache.capacity(), s.opts.FairQuantum, s.classes))
-}
-
 // cacheShares computes the extent cache's per-class reserve floors:
 // capacity × weight / Σweights over the registered classes. Nil — a
 // plain unpartitioned LRU — when fair sharing is off or no classes are
@@ -316,22 +317,6 @@ func cacheShares(capBlocks, quantum int64, classes map[string]QoSClass) map[stri
 		shares[name] = capBlocks * int64(c.Weight) / sum
 	}
 	return shares
-}
-
-// Apply reconfigures a running service: every setting o names (see
-// ServiceOptions for the overlay rule) replaces the current one, the
-// rest stay. It is a control op, so it is serialized with in-flight
-// batches and is a scheduling barrier: ops the fair scheduler deferred
-// are served first. Setting WriteBack first commits the dirty buffer
-// accumulated under the old configuration — whose error, if any, Apply
-// returns after reconfiguring all the same. Setting CacheBlocks
-// rebuilds the extent cache, dropping its contents; the per-class cache
-// reserves are re-derived either way. Returns ErrClosed after Close.
-func (s *Service) Apply(o ServiceOptions) error {
-	op := getOp()
-	op.kind = opConfigure
-	op.cfg = &o
-	return s.control(op)
 }
 
 // Close rejects further submissions and waits for the in-flight batches
@@ -403,6 +388,7 @@ func (s *Service) submit(op *serviceOp) error {
 		return ErrClosed
 	}
 	s.queue = append(s.queue, op)
+	s.sealed = true
 	if !s.running {
 		s.running = true
 		go s.loop()
@@ -515,15 +501,6 @@ func (s *Service) handleControl(op *serviceOp) {
 		s.totals = ServiceTotals{}
 		s.perClass = make(map[string]*ClassTotals)
 		s.mu.Unlock()
-	case opConfigure:
-		o := op.cfg.normalized()
-		if o.WriteBack.Enabled {
-			// Commit under the old write-back configuration first so no
-			// buffered write is stranded, then swap the knobs.
-			err = s.flushDirty()
-		}
-		s.opts = s.opts.overlay(o)
-		s.install(o.CacheBlocks > 0)
 	case opFlush:
 		if op.ctx != nil {
 			if cerr := op.ctx.Err(); cerr != nil {

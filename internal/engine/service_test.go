@@ -2,12 +2,14 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/disk"
 	"repro/internal/lvm"
@@ -374,7 +376,7 @@ func TestServiceExtentCache(t *testing.T) {
 // TestExtentCacheEviction exercises the LRU bound and extent merging
 // directly.
 func TestExtentCacheEviction(t *testing.T) {
-	c := newExtentCache(100)
+	c := newExtentCache(100, nil)
 	c.insert(0, 40)
 	c.insert(100, 140)
 	c.insert(200, 240) // over capacity: evicts [0,40), the LRU
@@ -394,7 +396,7 @@ func TestExtentCacheEviction(t *testing.T) {
 	}
 
 	// Overlap and adjacency merge into one extent.
-	c = newExtentCache(200)
+	c = newExtentCache(200, nil)
 	c.insert(100, 140)
 	c.insert(200, 240)
 	c.insert(140, 160) // adjacent to [100,140)
@@ -408,7 +410,7 @@ func TestExtentCacheEviction(t *testing.T) {
 
 	// A merge whose union would exceed the whole cache is skipped: the
 	// existing neighbours must survive rather than be evicted through.
-	c = newExtentCache(100)
+	c = newExtentCache(100, nil)
 	c.insert(0, 60)
 	c.insert(100, 140)
 	c.insert(60, 100) // union [0,140) = 140 > 100: not cached
@@ -423,7 +425,7 @@ func TestExtentCacheEviction(t *testing.T) {
 // TestExtentCacheInvalidate exercises write-aware invalidation: full
 // drops, trims, straddling splits, and recency preservation.
 func TestExtentCacheInvalidate(t *testing.T) {
-	c := newExtentCache(1000)
+	c := newExtentCache(1000, nil)
 	c.insert(100, 200)
 	c.insert(300, 400)
 	c.insert(500, 600)
@@ -468,7 +470,7 @@ func TestExtentCacheInvalidate(t *testing.T) {
 
 	// Remnants keep their LRU position: filling the cache must evict
 	// the oldest remnant first, not a fresh insert.
-	c = newExtentCache(100)
+	c = newExtentCache(100, nil)
 	c.insert(0, 60)      // oldest
 	c.insert(100, 140)   // newer
 	c.invalidate(20, 40) // splits [0,60) into two remnants, same recency
@@ -743,5 +745,97 @@ func BenchmarkService(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// TestConfigureRule: a service takes its options once, before it
+// serves. Configure installs them on a fresh service; a second
+// Configure, or one after an op was queued, fails and leaves the first
+// options in force; zero options name nothing and succeed on a sealed
+// service; after Close every Configure returns ErrClosed.
+func TestConfigureRule(t *testing.T) {
+	cached := ServiceOptions{CacheBlocks: 64}
+	read := []lvm.Request{{VLBN: 100, Count: 4}}
+	run := func(t *testing.T, svc *Service) Stats {
+		t.Helper()
+		st, err := svc.NewSession(SessionOptions{}).RunPlan(context.Background(), Static(read, disk.SchedSPTF), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	for _, tc := range []struct {
+		name   string
+		before func(*testing.T, *Service)
+		opts   ServiceOptions
+		want   error
+		cached bool // the repeated read hits afterwards
+	}{
+		{"fresh", func(*testing.T, *Service) {}, cached, nil, true},
+		{"twice", func(t *testing.T, svc *Service) {
+			if err := svc.Configure(cached); err != nil {
+				t.Fatal(err)
+			}
+		}, ServiceOptions{WriteBack: WriteBackOptions{Enabled: true}}, errSealed, true},
+		{"after one chunk", func(t *testing.T, svc *Service) { run(t, svc) }, cached, errSealed, false},
+		{"zero on sealed", func(t *testing.T, svc *Service) {
+			if err := svc.Configure(cached); err != nil {
+				t.Fatal(err)
+			}
+		}, ServiceOptions{}, nil, true},
+		{"after close", func(_ *testing.T, svc *Service) { svc.Close() }, ServiceOptions{}, ErrClosed, false},
+		{"after close, options", func(_ *testing.T, svc *Service) { svc.Close() }, cached, ErrClosed, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := NewService(testVolume(t), ServiceOptions{})
+			defer svc.Close()
+			tc.before(t, svc)
+			if err := svc.Configure(tc.opts); !errors.Is(err, tc.want) {
+				t.Fatalf("Configure(%+v) = %v, want %v", tc.opts, err, tc.want)
+			}
+			if tc.want == ErrClosed {
+				return
+			}
+			run(t, svc)
+			if got := run(t, svc).CacheHits; (got > 0) != tc.cached {
+				t.Fatalf("repeated read: %d cache hits, want cached=%v", got, tc.cached)
+			}
+			if svc.wb != nil {
+				t.Fatal("a refused Configure installed write-back")
+			}
+		})
+	}
+}
+
+// TestConfigureRacesFirstSubmit: Configure races a session's first
+// submissions. Whichever takes mu first wins — the options are
+// installed before the first op is queued, or refused after — and
+// under -race nothing the loop reads is written while it runs.
+func TestConfigureRacesFirstSubmit(t *testing.T) {
+	opts := ServiceOptions{CacheBlocks: 64, DeadlineAging: time.Millisecond,
+		WriteBack: WriteBackOptions{Enabled: true}}
+	for i := 0; i < 20; i++ {
+		svc := NewService(testVolume(t), ServiceOptions{})
+		sess := svc.NewSession(SessionOptions{})
+		started, done := make(chan struct{}), make(chan error, 1)
+		go func() {
+			close(started)
+			for q := int64(0); q < 10; q++ {
+				reqs := []lvm.Request{{VLBN: 100 + 8*q, Count: 4}}
+				if _, err := sess.RunPlan(context.Background(), Static(reqs, disk.SchedSPTF), Options{}); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+		<-started
+		if err := svc.Configure(opts); err != nil && !errors.Is(err, errSealed) {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		svc.Close()
 	}
 }

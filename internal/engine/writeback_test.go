@@ -179,11 +179,12 @@ func TestWriteBackWatermarkTrigger(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The ack races a watermark flush, which would run after the reply in
-	// the same pass; an empty Apply is a control op, so it waits for that
-	// pass, and with WriteBack unset it commits nothing itself. An
-	// explicit Flush would commit whether or not the watermark fired.
+	// the same pass; an empty read chunk is queued after the ack, so it
+	// waits for that pass, and with nothing to read it overlaps no dirty
+	// data and commits nothing itself. An explicit Flush would commit
+	// whether or not the watermark fired.
 	barrier := func() {
-		if err := svc.Apply(ServiceOptions{}); err != nil {
+		if _, err := sess.RunPlan(context.Background(), Static(nil, disk.SchedSPTF), Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -360,40 +361,6 @@ func TestWriteBackCancelledWriteInvalidates(t *testing.T) {
 	}
 	if rst.CacheHits != 0 || rst.CacheMisses != 1 {
 		t.Fatalf("stale extent survived a cancelled write: %+v", rst)
-	}
-}
-
-// TestWriteBackApplyFlushesFirst: reconfiguring write-back commits the
-// dirty buffer under the old configuration first, and the new
-// watermark then governs.
-func TestWriteBackApplyFlushesFirst(t *testing.T) {
-	v := testVolume(t)
-	svc := wbService(t, v, 0)
-	defer svc.Close()
-	sess := svc.NewSession(SessionOptions{})
-	if _, err := sess.Write(context.Background(), []lvm.Request{{VLBN: 100, Count: 8}}, disk.SchedSPTF); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Apply(ServiceOptions{WriteBack: WriteBackOptions{
-		Enabled: true, WatermarkBlocks: 4, FlushInterval: time.Hour,
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	tot := svc.Totals()
-	if tot.FlushBatches != 1 || tot.DirtyBlocks != 0 {
-		t.Fatalf("reconfiguration stranded the dirty buffer: %+v", tot)
-	}
-	// The new watermark: a 4-block write fills the buffer and commits.
-	if _, err := sess.Write(context.Background(), []lvm.Request{{VLBN: 400, Count: 4}}, disk.SchedSPTF); err != nil {
-		t.Fatal(err)
-	}
-	// The ack races the watermark flush, which runs after the reply in
-	// the same pass: an empty Apply is a barrier that flushes nothing.
-	if err := svc.Apply(ServiceOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if tot := svc.Totals(); tot.FlushBatches != 2 || tot.DirtyBlocks != 0 {
-		t.Fatalf("new watermark not in force: %+v", tot)
 	}
 }
 

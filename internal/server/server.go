@@ -215,8 +215,17 @@ func (s *Server) storeInfoLocked(se *storeEntry) StoreInfo {
 }
 
 // buildOptions translates the wire spec's knob fields into the
-// library's functional options; zero values stay unset.
-func buildOptions(req OpenStoreRequest) []multimap.Option {
+// library's functional options; zero values stay unset. A microsecond
+// knob out of range fails, naming its field.
+func buildOptions(req OpenStoreRequest) ([]multimap.Option, error) {
+	aging, err := wireUs("deadline_aging_us", req.DeadlineAgingUs)
+	if err != nil {
+		return nil, err
+	}
+	interval, err := wireUs("wb_interval_us", req.WBIntervalUs)
+	if err != nil {
+		return nil, err
+	}
 	var opts []multimap.Option
 	if req.Policy != "" {
 		opts = append(opts, multimap.WithPolicy(req.Policy))
@@ -233,11 +242,11 @@ func buildOptions(req OpenStoreRequest) []multimap.Option {
 	if req.Shards != 0 {
 		opts = append(opts, multimap.WithShards(req.Shards))
 	}
-	if req.DeadlineAgingUs != 0 {
-		opts = append(opts, multimap.WithDeadlineAging(time.Duration(req.DeadlineAgingUs)*time.Microsecond))
+	if aging != 0 {
+		opts = append(opts, multimap.WithDeadlineAging(aging))
 	}
 	if req.WriteBack {
-		opts = append(opts, multimap.WithWriteBack(req.WBWatermarkBlocks, time.Duration(req.WBIntervalUs)*time.Microsecond))
+		opts = append(opts, multimap.WithWriteBack(req.WBWatermarkBlocks, interval))
 	}
 	for _, c := range req.Classes {
 		opts = append(opts, multimap.WithQoSClass(c.Name, c.Weight, c.Urgent))
@@ -257,7 +266,17 @@ func buildOptions(req OpenStoreRequest) []multimap.Option {
 	if len(req.Drives) > 0 {
 		opts = append(opts, multimap.WithDrives(req.Drives...))
 	}
-	return opts
+	return opts, nil
+}
+
+// wireUs reads a microsecond knob of a store spec in 0..maxWireMs·1000,
+// the ceiling deadline_ms has, for the same reason: a larger value
+// would overflow the conversion to a Duration.
+func wireUs(field string, us int64) (time.Duration, error) {
+	if us < 0 || us > maxWireMs*1000 {
+		return 0, fmt.Errorf("invalid %q %d: want 0..%d", field, us, maxWireMs*1000)
+	}
+	return time.Duration(us) * time.Microsecond, nil
 }
 
 // OpenStore opens a store from a wire spec and registers it; it backs
@@ -270,7 +289,10 @@ func (s *Server) OpenStore(ctx context.Context, req OpenStoreRequest) (StoreInfo
 	if err != nil {
 		return StoreInfo{}, err
 	}
-	opts := buildOptions(req)
+	opts, err := buildOptions(req)
+	if err != nil {
+		return StoreInfo{}, err
+	}
 
 	var se *storeEntry
 	if req.Pool != "" {

@@ -506,6 +506,8 @@ func TestOpenRejectsUnknownFields(t *testing.T) {
 		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"batch_window_us":1000}`, "batch_window_us"},
 		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"cache_blokcs":4096}`, "cache_blokcs"},
 		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"policy":"elevator"}`, "elevator"},
+		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"deadline_aging_us":20000000000000000}`, "deadline_aging_us"},
+		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"write_back":true,"wb_interval_us":3600000001}`, "wb_interval_us"},
 		{"/v1/pools", `{"name":"p","drives":["mediumtest"],"adj_depth":32,"pipeline":2}`, "pipeline"},
 		{"/v1/stores/u/sessions", `{"clas":"interactive"}`, "clas"},
 		{"/v1/stores/u/sessions/" + sess + "/beam", `{"dim":0,"fixd":[0,0,0]}`, "fixd"},

@@ -21,7 +21,7 @@ import (
 func TestScatterGatherCancel(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	dims := []int{40, 12, 8}
-	g, closeAll := testGroup(t, mapping.MultiMap, dims, 4, 0)
+	g, closeAll := testGroup(t, mapping.MultiMap, dims, 4, engine.ServiceOptions{})
 	defer closeAll()
 	ss := g.Begin(engine.SessionOptions{MaxInflight: 2})
 
@@ -77,7 +77,7 @@ func TestScatterGatherCancel(t *testing.T) {
 // running their plans to completion.
 func TestScatterGatherSiblingCancellation(t *testing.T) {
 	dims := []int{40, 12, 8}
-	g, closeAll := testGroup(t, mapping.MultiMap, dims, 2, 0)
+	g, closeAll := testGroup(t, mapping.MultiMap, dims, 2, engine.ServiceOptions{})
 	defer closeAll()
 	// Closing shard 1's service makes any part routed there fail
 	// immediately with ErrClosed — the "first error" of the scatter.

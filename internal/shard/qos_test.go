@@ -15,16 +15,12 @@ import (
 // and every class that ran traffic shows up with ops on it.
 func TestGroupClassTotalsMerge(t *testing.T) {
 	dims := []int{40, 12, 8}
-	g, closeAll := testGroup(t, mapping.MultiMap, dims, 3, 4096)
-	defer closeAll()
-	for i := range g.members {
-		if err := g.members[i].Svc.Apply(engine.ServiceOptions{FairQuantum: 256, Classes: []engine.QoSClass{
+	g, closeAll := testGroup(t, mapping.MultiMap, dims, 3, engine.ServiceOptions{
+		CacheBlocks: 4096, FairQuantum: 256, Classes: []engine.QoSClass{
 			{Name: "interactive", Weight: 1},
 			{Name: "bulk", Weight: 4},
-		}}); err != nil {
-			t.Fatal(err)
-		}
-	}
+		}})
+	defer closeAll()
 
 	// One session per class plus an unclassed one, every query spanning
 	// all shards (Dim0 beams and full-Dim0 boxes) so each member service

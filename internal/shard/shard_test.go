@@ -126,7 +126,7 @@ func TestRouterRejects(t *testing.T) {
 	}
 }
 
-func testGroup(t testing.TB, kind mapping.Kind, dims []int, shards int, cacheBlocks int64) (*Group, func()) {
+func testGroup(t testing.TB, kind mapping.Kind, dims []int, shards int, opts engine.ServiceOptions) (*Group, func()) {
 	t.Helper()
 	svcs := make([]*engine.Service, shards)
 	for i := range svcs {
@@ -134,7 +134,7 @@ func testGroup(t testing.TB, kind mapping.Kind, dims []int, shards int, cacheBlo
 		if err != nil {
 			t.Fatal(err)
 		}
-		svcs[i] = engine.NewService(v, engine.ServiceOptions{CacheBlocks: cacheBlocks})
+		svcs[i] = engine.NewService(v, opts)
 	}
 	g, err := Build(svcs, kind, dims, mapping.Options{DiskIdx: 0}, query.ExecOptions{})
 	if err != nil {
@@ -155,7 +155,7 @@ func testGroup(t testing.TB, kind mapping.Kind, dims []int, shards int, cacheBlo
 func TestSingleShardMatchesDirectExecutor(t *testing.T) {
 	dims := []int{40, 12, 8}
 	for _, kind := range mapping.Kinds() {
-		g, closeAll := testGroup(t, kind, dims, 1, 0)
+		g, closeAll := testGroup(t, kind, dims, 1, engine.ServiceOptions{})
 		vd, err := lvm.New(16, disk.MediumTestDisk())
 		if err != nil {
 			t.Fatal(err)
@@ -199,7 +199,7 @@ func TestSingleShardMatchesDirectExecutor(t *testing.T) {
 func TestScatterGatherCells(t *testing.T) {
 	dims := []int{40, 12, 8}
 	for _, shards := range []int{2, 4} {
-		g, closeAll := testGroup(t, mapping.MultiMap, dims, shards, 0)
+		g, closeAll := testGroup(t, mapping.MultiMap, dims, shards, engine.ServiceOptions{})
 		ss := g.Begin(engine.SessionOptions{})
 		// Dim0 beam: spans every shard.
 		st, err := ss.Beam(context.Background(), 0, []int{0, 5, 2})
@@ -253,7 +253,7 @@ func TestScatterGatherCells(t *testing.T) {
 // sum of the per-shard ServiceTotals.Attributed.
 func TestScatterGatherAttributionSum(t *testing.T) {
 	dims := []int{40, 12, 8}
-	g, closeAll := testGroup(t, mapping.MultiMap, dims, 3, 4096)
+	g, closeAll := testGroup(t, mapping.MultiMap, dims, 3, engine.ServiceOptions{CacheBlocks: 4096})
 	defer closeAll()
 
 	const clients = 6
@@ -357,7 +357,7 @@ func BenchmarkScatterGather(b *testing.B) {
 	dims := []int{64, 24, 16}
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			g, closeAll := testGroup(b, mapping.MultiMap, dims, shards, 0)
+			g, closeAll := testGroup(b, mapping.MultiMap, dims, shards, engine.ServiceOptions{})
 			defer closeAll()
 			const clients = 4
 			sessions := make([]*Session, clients)

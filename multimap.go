@@ -219,7 +219,8 @@ type Store struct {
 // WithWriteBack, WithDiskIdx, WithCellBlocks, Updatable). With WithShards(n > 1) the dataset is
 // split along Dim0 across that many shard volumes (the given volume
 // plus internally created clones of its hardware); with Updatable the
-// store also serves Insert/Delete/LoadCell.
+// store also serves Insert/Delete/LoadCell. The service-level options
+// configure the volume once, before it serves (see WithCache).
 func Open(vol *Volume, kind Mapping, dims []int, opts ...Option) (*Store, error) {
 	c := defaultConfig()
 	for _, opt := range opts {
@@ -236,8 +237,9 @@ func Open(vol *Volume, kind Mapping, dims []int, opts ...Option) (*Store, error)
 // open builds a store from a resolved config — the shared tail of Open
 // and Pool.Create. Pool tenants arrive with every shard volume
 // allocated from the pool; otherwise vols is the caller's one volume
-// and shards 1..N-1 mirror its hardware via NewLike. On a closed volume
-// configuring the service fails, so Open returns ErrClosed.
+// and shards 1..N-1 mirror its hardware via NewLike. The services are
+// configured last, so an open that fails leaves them as it found them;
+// on a closed volume configuring fails, so Open returns ErrClosed.
 func open(vols []*Volume, kind Mapping, dims []int, c config) (*Store, error) {
 	eo, err := query.ExecOptionsFor(c.policy, c.chunkCells)
 	if err != nil {
@@ -253,14 +255,14 @@ func open(vols []*Volume, kind Mapping, dims []int, c config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := applyServiceConfig(svcs, c); err != nil {
-		return nil, err
-	}
 	s := newStore(vols, grp, c, eo)
 	if c.updatable {
 		if err := s.initUpdatable(c.update); err != nil {
 			return nil, err
 		}
+	}
+	if err := configure(svcs, c); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -294,13 +296,13 @@ func services(vols []*Volume) []*engine.Service {
 	return svcs
 }
 
-// applyServiceConfig overlays the config's service-level knobs (cache,
-// deadline aging, write-back, fair sharing) onto every shard service —
-// shared by open and the pool's clone path, which rebuilds services for
-// cloned volumes under the parent's config.
-func applyServiceConfig(svcs []*engine.Service, c config) error {
+// configure installs the config's service-level knobs (cache, deadline
+// aging, write-back, fair sharing) on every shard service — shared by
+// open and the pool's clone path, which configures the cloned volumes'
+// services as the parent's were.
+func configure(svcs []*engine.Service, c config) error {
 	for _, svc := range svcs {
-		if err := svc.Apply(c.svc); err != nil {
+		if err := svc.Configure(c.svc); err != nil {
 			return err
 		}
 	}

@@ -266,6 +266,70 @@ func TestConcurrentStoreSessions(t *testing.T) {
 	}
 }
 
+// TestFailedOpenLeavesServiceUnconfigured: an Open that fails —
+// here, an overflow area larger than the volume leaves room for — must
+// not leave its service-level options behind. The next plain Open on
+// the volume reads a repeated beam from the disks, not from the failed
+// Open's cache.
+func TestFailedOpenLeavesServiceUnconfigured(t *testing.T) {
+	v, err := OpenVolumeDepth(32, MediumTestDisk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	dims := []int{30, 8, 5}
+	if _, err := Open(v, MultiMap, dims, WithCache(4096),
+		Updatable(UpdateOptions{OverflowBlocks: v.TotalBlocks() - 100})); err == nil {
+		t.Fatal("an overflow area of the whole volume opened")
+	}
+	s, err := Open(v, MultiMap, dims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		st, err := s.Beam(context.Background(), 1, []int{3, 0, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.CacheHits != 0 || st.TotalMs <= 0 {
+			t.Fatalf("beam %d served by the failed Open's cache: %+v", i, st)
+		}
+	}
+}
+
+// TestServiceOptionsConfigureOnce: service-level options configure a
+// volume once, before it serves. A later Open naming one fails; a later
+// Open naming none shares the first store's service, cache included.
+func TestServiceOptionsConfigureOnce(t *testing.T) {
+	v, err := OpenVolumeDepth(32, MediumTestDisk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	dims := []int{30, 8, 5}
+	a, err := Open(v, MultiMap, dims, WithCache(4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Beam(context.Background(), 1, []int{3, 0, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(v, MultiMap, dims, WithCache(8192)); err == nil {
+		t.Fatal("a second Open reconfigured a used volume's cache")
+	}
+	b, err := Open(v, MultiMap, dims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := b.Beam(context.Background(), 1, []int{3, 0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CacheHits == 0 || st.CacheMisses != 0 {
+		t.Fatalf("second store does not share the first's cache: %+v", st)
+	}
+}
+
 func errWrongCells(got, want int64) error {
 	return fmt.Errorf("fetched %d cells, want %d", got, want)
 }

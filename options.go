@@ -12,11 +12,11 @@ import (
 type Option func(*config) error
 
 // config is the resolved option set behind Open. svc holds the
-// service-level knobs exactly as the shard services take them: the
-// With* options fill it and open hands it to engine.Service.Apply,
-// whose overlay rule — a zero field means "option omitted" and leaves
-// the (possibly shared) volume service's current setting alone — is the
-// one those options' docs refer to.
+// service-level knobs (WithCache, WithDeadlineAging, WithWriteBack,
+// WithQoSClass, WithFairShare) exactly as the shard services take them,
+// and they follow one rule: they configure the volume on the first Open
+// that names one, before the volume has served, and a later Open on the
+// volume that names one fails.
 type config struct {
 	diskIdx     int
 	cellBlocks  int
@@ -90,13 +90,14 @@ func WithChunkCells(n int64) Option {
 	}
 }
 
-// WithCache sizes the volume's shared extent cache in blocks. The
-// cache is a service-level resource: it starts off, a positive value
-// reconfigures it for every store sharing the volume, and 0 — like
-// every service-level option left at zero, the overlay rule of
-// engine.Service.Apply — leaves the volume's current configuration
-// unchanged. Overlapping queries skip re-simulated I/O
-// (Stats.CacheHits).
+// WithCache sizes the volume's shared extent cache in blocks; it starts
+// off. Overlapping queries skip re-simulated I/O (Stats.CacheHits). The
+// cache is a service-level resource, shared by every store on the
+// volume, and like every service-level option (WithCache,
+// WithDeadlineAging, WithWriteBack, WithQoSClass, WithFairShare) it
+// configures the volume once: on the first Open that names one, before
+// the volume has served. A later Open on the volume that names one
+// fails.
 func WithCache(blocks int64) Option {
 	return func(c *config) error {
 		if blocks < 0 {
@@ -152,13 +153,12 @@ func WithShards(n int) Option {
 // pass's bulk. An urgent or old request is therefore delayed by
 // coalescing for at most one batch of similarly urgent peers, which is
 // how a session under context.WithDeadline gets latency ahead of big
-// concurrent batch work. Like WithCache this reconfigures the
-// (possibly shared) volume service; 0 leaves the service's current
-// setting unchanged (default: off). With aging off and fair sharing
-// off, admission stays in submission order, bit-identical to the
-// pre-QoS behavior; under WithFairShare, requests whose context carries
-// a deadline and requests of an urgent class are still served first
-// whatever the aging setting.
+// concurrent batch work. Like WithCache this configures the volume
+// service once; 0 names nothing (default: off). With aging off and
+// fair sharing off, admission stays in submission order, bit-identical
+// to the pre-QoS behavior; under WithFairShare, requests whose context
+// carries a deadline and requests of an urgent class are still served
+// first whatever the aging setting.
 func WithDeadlineAging(d time.Duration) Option {
 	return func(c *config) error {
 		if d < 0 {
@@ -181,10 +181,8 @@ func WithDeadlineAging(d time.Duration) Option {
 // Session.Flush, and on close. Zero values select the engine defaults;
 // negative values fail the open. Cache coherence is unchanged —
 // buffered writes still invalidate overlapping cached extents
-// immediately. Like WithCache this reconfigures the (possibly shared)
-// volume service under the same overlay rule: omitting the option
-// leaves the service's current write-back setting unchanged (default:
-// off, bit-identical to the write-through path).
+// immediately. Like WithCache this configures the volume service once
+// (default: off, bit-identical to the write-through path).
 func WithWriteBack(watermarkBlocks int64, flushInterval time.Duration) Option {
 	return func(c *config) error {
 		if watermarkBlocks < 0 {
@@ -236,11 +234,9 @@ func WithQoSClass(name string, weight int, urgent bool) Option {
 // The same class weights partition the extent cache into per-class
 // reserve floors with borrow-but-evict-borrowers-first semantics.
 // quantum 0 selects the engine default (engine.DefaultFairQuantum);
-// negative fails the open. Like WithCache this reconfigures the
-// (possibly shared) volume service under the same overlay rule, the
-// WithQoSClass registry riding along as one setting with the quantum;
-// omitting the option leaves the service's fair-share setting unchanged
-// (default: off — admission bit-identical to the pre-QoS behavior).
+// negative fails the open. Like WithCache this configures the volume
+// service once, together with the WithQoSClass registry (default: off —
+// admission bit-identical to the pre-QoS behavior).
 func WithFairShare(quantum int64) Option {
 	return func(c *config) error {
 		if quantum < 0 {

@@ -525,9 +525,6 @@ func (p *Pool) Clone(ctx context.Context, snap *Snapshot, name string) (*Tenant,
 		wrapped[i] = newVolume(pv.Volume())
 	}
 	svcs := services(wrapped)
-	if err := applyServiceConfig(svcs, snap.cfg); err != nil {
-		return fail(err)
-	}
 	grp, err := shard.Rebind(snap.grp, svcs, snap.eo)
 	if err != nil {
 		return fail(err)
@@ -541,6 +538,9 @@ func (p *Pool) Clone(ctx context.Context, snap *Snapshot, name string) (*Tenant,
 	}
 	if p.autoGrow > 0 && st.cells != nil {
 		st.autoGrow = p.autoGrowHook(name)
+	}
+	if err := configure(svcs, snap.cfg); err != nil {
+		return fail(err)
 	}
 	t.store = st
 	p.tenants[name] = t
