@@ -32,6 +32,7 @@ func TestCommandLine(t *testing.T) {
 		stderr string
 	}{
 		{"-exp serve", 1, "unknown experiment"},
+		{"-exp adjacency", 1, "unknown experiment"},
 		{"-cache 1", 2, "not defined: -cache"},
 		{"-shards 2", 2, "not defined: -shards"},
 		{"-wb", 2, "not defined: -wb"},

@@ -78,7 +78,8 @@
 // A batch holding a single chunk is served verbatim, so one session
 // with the cache off is the paper's own storage manager, and it is the
 // one runner: the paper's figures run as a lone session on a fresh
-// service (cmd/fig6probe's golden test pins their values). An optional
+// service (TestFigureGoldens in internal/experiments pins their values
+// on both drives). An optional
 // shared extent cache — an LRU over coalesced [lbn, lbn+count) block
 // extents — lets overlapping queries skip re-simulated I/O entirely,
 // with hits and misses surfaced in Stats. The extents live in one
@@ -138,8 +139,8 @@
 // ServiceTotals.Attributed; ServiceTotals.DirtyBlocks gauges the
 // buffer. A cancelled Flush context commits nothing (the dirty set
 // stays whole for the next trigger). With write-back off the write
-// path is bit-identical to the pre-write-back engine (the fig6probe
-// golden test holds). TestWriteBackSteppedMix pins the effect in
+// path is bit-identical to the pre-write-back engine (the figure
+// goldens hold). TestWriteBackSteppedMix pins the effect in
 // simulated time: four sessions of a mixed workload with 30 % insert
 // bursts cost 17.340 ms per query with write-back, 30.626 ms without,
 // as 137 of their 152 writes coalesce into 4 group commits.
@@ -164,8 +165,9 @@
 // cell, with a per-shard overflow pool spread round-robin across that
 // shard's member-disk tails. With one shard the group degenerates to
 // exactly the single-volume stack, so the default path is unchanged
-// bit for bit (cmd/fig6probe's "shard" mode is held to the same
-// golden file as its plain mode).
+// bit for bit (TestSingleShardMatchesDirectExecutorFig6 in internal/shard
+// holds a single-shard session to a plain executor on Fig. 6's
+// queries).
 // Store.Close releases the internal shard volumes; Store.Reset
 // restores all of them.
 //
@@ -240,8 +242,8 @@
 // There is one admission scheduler: with WithFairShare omitted it runs
 // as a single class with unbounded credit — nothing is deferred, the
 // class registry is not consulted — so admission, cache, and Stats are
-// bit-identical to the pre-QoS engine (the fig6probe golden test
-// holds). TestFairShareSteppedPass (internal/engine) steps one
+// bit-identical to the pre-QoS engine (the figure goldens hold).
+// TestFairShareSteppedPass (internal/engine) steps one
 // admission pass by hand and pins the effect in simulated time: with
 // interactive:bulk at 1:4, three small interactive boxes finish in
 // 82.338 ms instead of the 484.338 ms batch they shared with a bulk
@@ -283,8 +285,8 @@
 // extents only ever cover private (never shared) storage and group
 // commit needs no COW awareness. A tenant whose volumes fully own
 // their drives behaves bit-identically to the classic single-tenant
-// path — the pool layer costs nothing when unused (the fig6probe
-// golden test holds).
+// path — the pool layer costs nothing when unused (the figure goldens
+// hold).
 //
 // WithAutoGrow(increment) arms every updatable tenant with online
 // capacity growth: when an Insert or LoadCell exhausts the tenant's
@@ -319,7 +321,7 @@
 // serve-style load against a live daemon and reporting first-chunk
 // latency (the streaming proof) alongside the usual tables. With the
 // daemon out of the picture the library path is untouched — the
-// fig6probe golden test holds.
+// figure goldens hold.
 //
 // Quick start:
 //

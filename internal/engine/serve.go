@@ -328,7 +328,8 @@ func (s *Service) planSingle(op *serviceOp, res *opResult) []lvm.Request {
 // serveSingle services a lone chunk verbatim: the planner's requests,
 // the chunk's policy, no re-coalescing. With the cache off it is
 // bit-identical to serving the chunk through ServeBatch by hand — refRun
-// in run_ref_test.go and the fig6probe golden files hold it there.
+// in run_ref_test.go and the figure goldens in internal/experiments
+// hold it there.
 func (s *Service) serveSingle(op *serviceOp) {
 	var res opResult
 	reqs := s.planSingle(op, &res)

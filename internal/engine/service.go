@@ -39,8 +39,8 @@ import (
 // A batch of exactly one chunk is served verbatim — same requests, same
 // issue policy, no re-coalescing — so a single session with the cache
 // off produces Stats bit-identical to draining the plan through
-// ServeBatch by hand (refRun in run_ref_test.go) and to the Fig. 6
-// values pinned in cmd/fig6probe/testdata.
+// ServeBatch by hand (refRun in run_ref_test.go) and to the figure
+// values pinned in internal/experiments/testdata.
 //
 // # Ownership
 //

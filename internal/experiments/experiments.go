@@ -86,6 +86,61 @@ func (c Config) execOptions() (query.ExecOptions, error) {
 	return query.ExecOptionsFor(c.Policy, c.ChunkCells)
 }
 
+// experiment is one regenerable paper artifact: its id and its driver.
+// A driver returns the printable table and, when it has one, the result
+// map behind it at full precision (nil otherwise).
+type experiment struct {
+	id  string
+	run func(Config) (*Table, any, error)
+}
+
+// paper is the one id→driver table. IDs, Run, mmbench -exp and the
+// golden test read it, so an artifact added here is pinned by a golden
+// file from the start.
+var paper = []experiment{
+	{"fig1a", tableOnly(Fig1aSeekProfile)},
+	{"fig1b", tableOnly(Fig1bAdjacency)},
+	{"fig6a", withResult(Fig6aBeams)},
+	{"fig6b", withResult(Fig6bRanges)},
+	{"fig7a", withResult(Fig7aQuakeBeams)},
+	{"fig7b", withResult(Fig7bQuakeRanges)},
+	{"fig8", withResult(Fig8OLAP)},
+	{"eq5", tableOnly(DimensionSupport)},
+	{"space", tableOnly(SpaceEfficiency)},
+}
+
+func tableOnly(f func(Config) (*Table, error)) func(Config) (*Table, any, error) {
+	return func(cfg Config) (*Table, any, error) {
+		t, err := f(cfg)
+		return t, nil, err
+	}
+}
+
+func withResult[R any](f func(Config) (*Table, R, error)) func(Config) (*Table, any, error) {
+	return func(cfg Config) (*Table, any, error) { return f(cfg) }
+}
+
+// IDs lists the paper's regenerable artifacts in the order mmbench
+// -exp all runs them.
+func IDs() []string {
+	ids := make([]string, len(paper))
+	for i, e := range paper {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// Run regenerates the artifact id and returns its table.
+func Run(id string, cfg Config) (*Table, error) {
+	for _, e := range paper {
+		if e.id == id {
+			t, _, err := e.run(cfg)
+			return t, err
+		}
+	}
+	return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
+}
+
 // Table is a printable experiment result.
 type Table struct {
 	ID     string

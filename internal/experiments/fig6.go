@@ -101,7 +101,9 @@ func Fig6aBeams(cfg Config) (*Table, Fig6aResult, error) {
 // Fig6bSelectivities is the paper's selectivity sweep (percent).
 var Fig6bSelectivities = []float64{0.01, 0.1, 1, 5, 10, 20, 40, 60, 80, 100}
 
-// Fig6bResult holds speedup vs Naive per disk, mapping, selectivity.
+// Fig6bResult holds mean total I/O ms per disk, mapping (Naive
+// included) and selectivity; the table's speedups are Naive's over each
+// other mapping's.
 type Fig6bResult map[string]map[string]map[float64]float64
 
 // Fig6bRanges reproduces Fig. 6(b): equal-side-length cube range
@@ -133,18 +135,15 @@ func Fig6bRanges(cfg Config) (*Table, Fig6bResult, error) {
 		}
 	}
 
-	type cell struct{ total float64 }
-	// totals[disk][kind][sel]
-	totals := map[string]map[string]map[float64]*cell{}
 	for _, g := range disks {
-		totals[g.Name] = map[string]map[float64]*cell{}
+		res[g.Name] = map[string]map[float64]float64{}
 		for _, kind := range mapping.Kinds() {
 			e, v, err := buildExecutor(cfg, g, kind, dims)
 			if err != nil {
 				return nil, nil, err
 			}
-			byKind := map[float64]*cell{}
-			totals[g.Name][kind.String()] = byKind
+			bySel := map[float64]float64{}
+			res[g.Name][kind.String()] = bySel
 			for _, sel := range Fig6bSelectivities {
 				runs := rangeRuns(cfg, sel)
 				// Identical boxes across mappings: seed depends only on
@@ -163,30 +162,20 @@ func Fig6bRanges(cfg Config) (*Table, Fig6bResult, error) {
 					}
 					total += st.TotalMs
 				}
-				byKind[sel] = &cell{total: total / float64(runs)}
+				bySel[sel] = total / float64(runs)
 			}
-		}
-	}
-	for _, g := range disks {
-		res[g.Name] = map[string]map[float64]float64{}
-		for _, kind := range mapping.Kinds() {
-			if kind == mapping.Naive {
-				continue
-			}
-			res[g.Name][kind.String()] = map[float64]float64{}
 		}
 	}
 	for _, sel := range Fig6bSelectivities {
 		row := []string{fmt.Sprintf("%g", sel)}
 		for _, g := range disks {
-			naive := totals[g.Name][mapping.Naive.String()][sel].total
+			byKind := res[g.Name]
+			naive := byKind[mapping.Naive.String()][sel]
 			for _, kind := range mapping.Kinds() {
 				if kind == mapping.Naive {
 					continue
 				}
-				sp := naive / totals[g.Name][kind.String()][sel].total
-				res[g.Name][kind.String()][sel] = sp
-				row = append(row, f2(sp))
+				row = append(row, f2(naive/byKind[kind.String()][sel]))
 			}
 		}
 		t.Rows = append(t.Rows, row)

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/disk"
 	"repro/internal/engine"
 	"repro/internal/lvm"
@@ -148,48 +149,111 @@ func testGroup(t testing.TB, kind mapping.Kind, dims []int, shards int, opts eng
 }
 
 // TestSingleShardMatchesDirectExecutor: a 1-shard scatter-gather
-// session must reproduce a plain executor's Stats bit for bit,
-// for every mapping — the shard layer's equivalence guarantee
-// (cmd/fig6probe's golden test checks the same property at Fig-6
-// scale).
+// session must reproduce a plain executor's Stats bit for bit, for
+// every mapping — the shard layer's equivalence guarantee — on one beam
+// and one box on a small grid.
 func TestSingleShardMatchesDirectExecutor(t *testing.T) {
-	dims := []int{40, 12, 8}
-	for _, kind := range mapping.Kinds() {
-		g, closeAll := testGroup(t, kind, dims, 1, engine.ServiceOptions{})
-		vd, err := lvm.New(16, disk.MediumTestDisk())
+	matchDirect(t, disk.MediumTestDisk, 16, []int{40, 12, 8},
+		func(t *testing.T, v *lvm.Volume, beam beamFunc, box boxFunc) []engine.Stats {
+			return []engine.Stats{
+				must(t)(beam(2, []int{7, 3, 0})),
+				must(t)(box([]int{1, 1, 1}, []int{20, 9, 5})),
+			}
+		})
+}
+
+// TestSingleShardMatchesDirectExecutorFig6 holds the same guarantee for
+// Fig. 6's query list on the 64³ grid on atlas10k3: 3 beams per
+// dimension (seed dim·1000+3), then one box at each of 0.01/1/10/40/100 %
+// selectivity, each query after a seeded RandomizePosition.
+// RandomizePosition advances the disk clock, so rotational phase depends
+// on history: each side replays the whole list on its own fresh volume
+// from the same seeds.
+func TestSingleShardMatchesDirectExecutorFig6(t *testing.T) {
+	matchDirect(t, disk.AtlasTenKIII, 0, []int{64, 64, 64},
+		func(t *testing.T, v *lvm.Volume, beam beamFunc, box boxFunc) []engine.Stats {
+			grid, err := dataset.NewGrid(64, 64, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out []engine.Stats
+			for dim := 0; dim < 3; dim++ {
+				rng := rand.New(rand.NewSource(int64(dim)*1000 + 3))
+				for r := 0; r < 3; r++ {
+					v.Disk(0).RandomizePosition(rng)
+					fixed, err := grid.RandomBeam(rng, dim)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, must(t)(beam(dim, fixed)))
+				}
+			}
+			for _, sel := range []float64{0.01, 1, 10, 40, 100} {
+				rng := rand.New(rand.NewSource(int64(sel*1000) + 7919))
+				v.Disk(0).RandomizePosition(rng)
+				lo, hi, err := grid.RandomRange(rng, sel/100)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, must(t)(box(lo, hi)))
+			}
+			return out
+		})
+}
+
+// matchDirect runs one query list, for every mapping, through a plain
+// executor and through a 1-shard session, each on its own fresh volume
+// of the given geometry, and compares the Stats query by query.
+func matchDirect(t *testing.T, geom func() *disk.Geometry, depth int, dims []int,
+	run func(*testing.T, *lvm.Volume, beamFunc, boxFunc) []engine.Stats) {
+	t.Helper()
+	newVolume := func() *lvm.Volume {
+		v, err := lvm.New(depth, geom())
 		if err != nil {
 			t.Fatal(err)
 		}
+		return v
+	}
+	for _, kind := range mapping.Kinds() {
+		vd := newVolume()
 		m, err := mapping.New(kind, vd, dims, mapping.Options{DiskIdx: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
 		direct := query.NewExecutor(vd, m)
+		want := run(t, vd, direct.Beam, direct.Range)
 
+		svc := engine.NewService(newVolume(), engine.ServiceOptions{})
+		g, err := Build([]*engine.Service{svc}, kind, dims, mapping.Options{DiskIdx: 0}, query.ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		ss := g.Begin(engine.SessionOptions{})
-		gotB, err := ss.Beam(context.Background(), 2, []int{7, 3, 0})
+		got := run(t, svc.Volume(),
+			func(dim int, fixed []int) (engine.Stats, error) { return ss.Beam(context.Background(), dim, fixed) },
+			func(lo, hi []int) (engine.Stats, error) { return ss.Box(context.Background(), lo, hi) })
+		svc.Close()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%v query %d: shard %+v != direct %+v", kind, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+type (
+	beamFunc func(dim int, fixed []int) (engine.Stats, error)
+	boxFunc  func(lo, hi []int) (engine.Stats, error)
+)
+
+// must returns a query's Stats, failing the test on its error.
+func must(t *testing.T) func(engine.Stats, error) engine.Stats {
+	return func(st engine.Stats, err error) engine.Stats {
+		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantB, err := direct.Beam(2, []int{7, 3, 0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotB != wantB {
-			t.Errorf("%v: shard beam %+v != direct %+v", kind, gotB, wantB)
-		}
-		gotR, err := ss.Box(context.Background(), []int{1, 1, 1}, []int{20, 9, 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantR, err := direct.Range([]int{1, 1, 1}, []int{20, 9, 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotR != wantR {
-			t.Errorf("%v: shard range %+v != direct %+v", kind, gotR, wantR)
-		}
-		closeAll()
+		return st
 	}
 }
 
