@@ -64,8 +64,8 @@ func (m *Mapping) refDim0Run(cell []int, length int) ([]lvm.Request, error) {
 		head := cp.heads[inner]
 		off := (head - cp.zoneStart) % int64(cp.trackLen)
 		trackStart := head - off
-		start := (off + int64(r[0])*int64(m.cellBlocks)) % int64(cp.trackLen)
-		blocks := int64(inCube) * int64(m.cellBlocks)
+		start := (off + int64(r[0])) % int64(cp.trackLen)
+		blocks := int64(inCube)
 		// First segment: up to the track end.
 		seg := int64(cp.trackLen) - start
 		if seg > blocks {
@@ -149,9 +149,12 @@ func (m *Mapping) checkBoxRef(t *testing.T, cov *boxCoverage, lo, hi []int) {
 // TestBoxRequestsMatchesRef: the cube walk's request list is == the
 // per-row plan's on the curve planner's grid shapes (elongated, 2-D,
 // 4-D, a single cell, a power of two), on every box of a small grid,
-// on beams along every dimension, with one- and two-block cells, and on
-// a dataset declustered over two disks — simulated time depends on
-// every request. The boxes must cross cube boundaries and track wraps.
+// on beams along every dimension, and on a dataset declustered over two
+// disks — simulated time depends on every request. The boxes must cross
+// cube boundaries and track wraps. Each shape is placed twice, one copy
+// after the other (StartVLBN), as the earthquake octree places its
+// levels: subtest "xN" plans the N-th copy, so the second runs the
+// planner on cubes that start mid-volume.
 func TestBoxRequestsMatchesRef(t *testing.T) {
 	oneDisk, err := lvm.New(16, disk.MediumTestDisk())
 	if err != nil {
@@ -171,9 +174,13 @@ func TestBoxRequestsMatchesRef(t *testing.T) {
 	var cov boxCoverage
 	for _, lay := range layouts {
 		for _, dims := range shapes {
-			for _, cb := range []int{1, 2} {
-				t.Run(fmt.Sprint(dims, "x", cb, "disk", lay.disk), func(t *testing.T) {
-					m := mustMapping(t, lay.vol, dims, MapOptions{DiskIdx: lay.disk, CellBlocks: cb})
+			first := mustMapping(t, lay.vol, dims, MapOptions{DiskIdx: lay.disk})
+			second := mustMapping(t, lay.vol, dims, MapOptions{DiskIdx: lay.disk, StartVLBN: first.NextFreeVLBN()})
+			if start, _ := second.SpanVLBN(); start < first.NextFreeVLBN() {
+				t.Fatalf("%v: second copy starts at %d, inside the first (ends %d)", dims, start, first.NextFreeVLBN())
+			}
+			for n, m := range []*Mapping{first, second} {
+				t.Run(fmt.Sprint(dims, "x", n+1, "disk", lay.disk), func(t *testing.T) {
 					lo, hi := make([]int, len(dims)), make([]int, len(dims))
 					copy(hi, dims)
 					m.checkBoxRef(t, &cov, lo, hi) // the whole grid
@@ -200,17 +207,15 @@ func TestBoxRequestsMatchesRef(t *testing.T) {
 		}
 		// Every box of a small grid.
 		dims := []int{5, 4, 3}
-		for _, cb := range []int{1, 2} {
-			m := mustMapping(t, lay.vol, dims, MapOptions{DiskIdx: lay.disk, CellBlocks: cb})
-			lo, hi := make([]int, 3), make([]int, 3)
-			for lo[0] = 0; lo[0] < dims[0]; lo[0]++ {
-				for hi[0] = lo[0] + 1; hi[0] <= dims[0]; hi[0]++ {
-					for lo[1] = 0; lo[1] < dims[1]; lo[1]++ {
-						for hi[1] = lo[1] + 1; hi[1] <= dims[1]; hi[1]++ {
-							for lo[2] = 0; lo[2] < dims[2]; lo[2]++ {
-								for hi[2] = lo[2] + 1; hi[2] <= dims[2]; hi[2]++ {
-									m.checkBoxRef(t, &cov, lo, hi)
-								}
+		m := mustMapping(t, lay.vol, dims, MapOptions{DiskIdx: lay.disk})
+		lo, hi := make([]int, 3), make([]int, 3)
+		for lo[0] = 0; lo[0] < dims[0]; lo[0]++ {
+			for hi[0] = lo[0] + 1; hi[0] <= dims[0]; hi[0]++ {
+				for lo[1] = 0; lo[1] < dims[1]; lo[1]++ {
+					for hi[1] = lo[1] + 1; hi[1] <= dims[1]; hi[1]++ {
+						for lo[2] = 0; lo[2] < dims[2]; lo[2]++ {
+							for hi[2] = lo[2] + 1; hi[2] <= dims[2]; hi[2]++ {
+								m.checkBoxRef(t, &cov, lo, hi)
 							}
 						}
 					}

@@ -11,10 +11,9 @@ import (
 // allocated within disk zones (never across a zone boundary), and cells
 // inside each cube follow the Fig. 5 adjacency chains.
 type Mapping struct {
-	vol        *lvm.Volume
-	dims       []int
-	spec       *CubeSpec
-	cellBlocks int // blocks per cell
+	vol  *lvm.Volume
+	dims []int
+	spec *CubeSpec
 
 	cubesPerDim []int
 	cubeStride  []int // row-major strides over the cube grid
@@ -42,24 +41,16 @@ type MapOptions struct {
 	// DiskIdx pins all cubes to one member disk; -1 declusters cubes
 	// round-robin across all disks (§4.4).
 	DiskIdx int
-	// MinTrackLen skips zones with tracks shorter than this. Zero
-	// means any zone at least K0 long.
-	MinTrackLen int
 	// StartVLBN makes allocation begin at the first whole track at or
 	// after this volume address, so several mappings can share a disk.
 	StartVLBN int64
-	// CellBlocks is the cell size in blocks (default 1). The paper
-	// notes a cell may occupy multiple LBNs without affecting the
-	// approach: Dim0 stays sequential (cells are back-to-back runs)
-	// and adjacency chains hop from the end of each multi-block cell.
-	CellBlocks int
 }
 
-// ChooseCube runs the basic-cube selection phase of NewMapping —
-// option validation, zone filtering, and the §4.4 spec choice — without
-// allocating anything on the volume. The shard router uses it to learn
-// the Dim0 cube side K0 (its slab alignment quantum) before any
-// per-shard mapping exists; NewMapping itself builds on it.
+// ChooseCube runs the basic-cube selection phase of NewMapping — zone
+// filtering and the §4.4 spec choice — without allocating anything on
+// the volume. The shard router uses it to learn the Dim0 cube side K0
+// (its slab alignment quantum) before any per-shard mapping exists;
+// NewMapping itself builds on it.
 func ChooseCube(vol *lvm.Volume, dims []int, opts MapOptions) (*CubeSpec, error) {
 	spec, _, err := chooseCubeZones(vol, dims, opts)
 	return spec, err
@@ -71,31 +62,18 @@ func chooseCubeZones(vol *lvm.Volume, dims []int, opts MapOptions) (*CubeSpec, [
 	if len(dims) < 2 {
 		return nil, nil, fmt.Errorf("core: MultiMap needs at least 2 dimensions, got %d", len(dims))
 	}
-	if opts.CellBlocks == 0 {
-		opts.CellBlocks = 1
-	}
-	if opts.CellBlocks < 1 {
-		return nil, nil, fmt.Errorf("core: cell size %d blocks must be positive", opts.CellBlocks)
-	}
-	zones := usableZones(vol, opts)
+	zones := usableZones(vol, opts.DiskIdx)
 	if len(zones) == 0 {
 		return nil, nil, fmt.Errorf("core: no usable zones on volume for options %+v", opts)
 	}
 	// Size the cube for the first allocation zone; K0 is additionally
 	// capped by the smallest track length among candidate zones so a
-	// cube fits wherever it lands (§4.4 discussion). Multi-block cells
-	// shrink the per-track cell budget (Eq. 1 becomes K0*B <= T).
+	// cube fits wherever it lands (§4.4 discussion).
 	minT := zones[0].TrackLen
 	for _, z := range zones {
-		if z.TrackLen < minT {
-			minT = z.TrackLen
-		}
+		minT = min(minT, z.TrackLen)
 	}
-	if minT/opts.CellBlocks < 1 {
-		return nil, nil, fmt.Errorf("core: cell size %d exceeds the shortest track (%d blocks)",
-			opts.CellBlocks, minT)
-	}
-	spec, err := ChooseBasicCube(dims, minT/opts.CellBlocks, vol.AdjacencyDepth(), zones[0].Tracks)
+	spec, err := ChooseBasicCube(dims, minT, vol.AdjacencyDepth(), zones[0].Tracks)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -107,9 +85,6 @@ func chooseCubeZones(vol *lvm.Volume, dims []int, opts MapOptions) (*CubeSpec, [
 // zones with different track lengths only the per-track packing count
 // changes, so cube addressing stays uniform.
 func NewMapping(vol *lvm.Volume, dims []int, opts MapOptions) (*Mapping, error) {
-	if opts.CellBlocks == 0 {
-		opts.CellBlocks = 1
-	}
 	spec, zones, err := chooseCubeZones(vol, dims, opts)
 	if err != nil {
 		return nil, err
@@ -120,7 +95,7 @@ func NewMapping(vol *lvm.Volume, dims []int, opts MapOptions) (*Mapping, error) 
 	// dimension — halving the group size roughly halves the stranding —
 	// and retry; give up when the cube bottoms out.
 	for {
-		m, allocErr := newMappingWithSpec(vol, dims, spec, zones, opts.StartVLBN, opts.CellBlocks)
+		m, allocErr := newMappingWithSpec(vol, dims, spec, zones, opts.StartVLBN)
 		if allocErr == nil {
 			return m, nil
 		}
@@ -138,8 +113,8 @@ func NewMapping(vol *lvm.Volume, dims []int, opts MapOptions) (*Mapping, error) 
 
 // newMappingWithSpec builds a mapping for one candidate cube spec.
 func newMappingWithSpec(vol *lvm.Volume, dims []int, spec *CubeSpec,
-	zones []lvm.ZoneExtent, startVLBN int64, cellBlocks int) (*Mapping, error) {
-	m := &Mapping{vol: vol, dims: append([]int(nil), dims...), spec: spec, cellBlocks: cellBlocks}
+	zones []lvm.ZoneExtent, startVLBN int64) (*Mapping, error) {
+	m := &Mapping{vol: vol, dims: append([]int(nil), dims...), spec: spec}
 	m.cubesPerDim = make([]int, len(dims))
 	m.cubeStride = make([]int, len(dims))
 	stride := 1
@@ -158,17 +133,14 @@ func newMappingWithSpec(vol *lvm.Volume, dims []int, spec *CubeSpec,
 	return m, nil
 }
 
-// usableZones filters and orders the volume's zone extents per options.
-func usableZones(vol *lvm.Volume, opts MapOptions) []lvm.ZoneExtent {
+// usableZones lists the volume's zone extents on disk diskIdx, or on
+// every disk when diskIdx is -1.
+func usableZones(vol *lvm.Volume, diskIdx int) []lvm.ZoneExtent {
 	var out []lvm.ZoneExtent
 	for _, z := range vol.Zones() {
-		if opts.DiskIdx >= 0 && z.DiskIdx != opts.DiskIdx {
-			continue
+		if diskIdx < 0 || z.DiskIdx == diskIdx {
+			out = append(out, z)
 		}
-		if z.TrackLen < opts.MinTrackLen {
-			continue
-		}
-		out = append(out, z)
 	}
 	return out
 }
@@ -176,34 +148,28 @@ func usableZones(vol *lvm.Volume, opts MapOptions) []lvm.ZoneExtent {
 // cubeCursor hands out cube slots from one disk's zones, group by
 // group, honouring the start address.
 type cubeCursor struct {
-	spec       *CubeSpec
-	cellBlocks int
-	zones      []lvm.ZoneExtent
-	startVLBN  int64
-	zi         int // current zone
-	group      int // current group within the zone
-	slot       int // next packing slot within the group
+	spec      *CubeSpec
+	zones     []lvm.ZoneExtent
+	startVLBN int64
+	zi        int // current zone
+	group     int // current group within the zone
+	slot      int // next packing slot within the group
 }
 
 // next returns the next cube placement on this disk plus the first
 // VLBN past its group, or ok=false when the disk is full.
 func (c *cubeCursor) next() (cubePlace, int64, bool) {
 	groupTracks := c.spec.Tracks()
-	slotBlocks := c.spec.K[0] * c.cellBlocks
+	k0 := c.spec.K[0] // a cube's slot on its group's tracks, in blocks
 	for c.zi < len(c.zones) {
 		z := c.zones[c.zi]
-		if z.TrackLen < slotBlocks {
-			c.zi++
-			c.group, c.slot = 0, 0
-			continue
-		}
 		firstTrack := 0
 		if c.startVLBN > z.StartVLBN {
 			off := c.startVLBN - z.StartVLBN
 			firstTrack = int((off + int64(z.TrackLen) - 1) / int64(z.TrackLen))
 		}
 		nGroups := (z.Tracks - firstTrack) / groupTracks
-		perGroup := z.TrackLen / slotBlocks
+		perGroup := z.TrackLen / k0
 		if firstTrack >= z.Tracks || c.group >= nGroups {
 			c.zi++
 			c.group, c.slot = 0, 0
@@ -211,7 +177,7 @@ func (c *cubeCursor) next() (cubePlace, int64, bool) {
 		}
 		groupStart := z.StartVLBN + int64(firstTrack+c.group*groupTracks)*int64(z.TrackLen)
 		p := cubePlace{
-			base:      groupStart + int64(c.slot)*int64(slotBlocks),
+			base:      groupStart + int64(c.slot)*int64(k0),
 			zoneStart: z.StartVLBN,
 			trackLen:  z.TrackLen,
 			diskIdx:   z.DiskIdx,
@@ -238,7 +204,7 @@ func (m *Mapping) allocate(zones []lvm.ZoneExtent, nCubes int, startVLBN int64) 
 	for _, z := range zones {
 		c, ok := byDisk[z.DiskIdx]
 		if !ok {
-			c = &cubeCursor{spec: m.spec, cellBlocks: m.cellBlocks, startVLBN: startVLBN}
+			c = &cubeCursor{spec: m.spec, startVLBN: startVLBN}
 			byDisk[z.DiskIdx] = c
 			order = append(order, z.DiskIdx)
 		}
@@ -287,19 +253,7 @@ func (m *Mapping) buildChains() error {
 			}
 			counter[dim]++
 			stride := m.spec.strides[dim]
-			// Hop from the last block of the previous cell so the
-			// adjacency window opens right after its transfer ends. A
-			// cell that runs past its track's end ends at the track's
-			// start: hopping from the next track instead would shift this
-			// chain off its neighbours' and onto a packed cube's cells.
-			// A single-block cell ends where it starts, which spares the
-			// paper's layouts two divisions per head.
-			prev := cp.heads[idx-stride]
-			if m.cellBlocks > 1 {
-				trackStart, off, trackLen := cp.locate(idx-stride, 0, m.cellBlocks)
-				prev = trackStart + (off+int64(m.cellBlocks-1))%trackLen
-			}
-			head, err := m.vol.GetAdjacentK(prev, stride)
+			head, err := m.vol.GetAdjacentK(cp.heads[idx-stride], stride)
 			if err != nil {
 				return fmt.Errorf("core: chain for cube %d head %d: %w", ci, idx, err)
 			}
@@ -347,37 +301,20 @@ func (m *Mapping) CellVLBN(cell []int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	trackStart, off, _ := m.cubes[ci].locate(inner, r0, m.cellBlocks)
+	trackStart, off, _ := m.cubes[ci].locate(inner, r0)
 	return trackStart + off, nil
 }
 
 // locate places the cell at Dim0 offset r0 on chain inner of the cube:
-// the start of the chain head's track, the cell's first block as an
-// offset on that track, and the track length. The cell lies r0 cells
-// (of cellBlocks sectors each) past the head, wrapping at the track
-// end: tracks are rotationally circular, so the wrapped successor is
-// still transfer-adjacent.
-func (cp *cubePlace) locate(inner, r0, cellBlocks int) (trackStart, off, trackLen int64) {
+// the start of the chain head's track, the cell's block as an offset
+// on that track, and the track length. The cell lies r0 blocks
+// past the head, wrapping at the track end: tracks are rotationally
+// circular, so the wrapped successor is still transfer-adjacent.
+func (cp *cubePlace) locate(inner, r0 int) (trackStart, off, trackLen int64) {
 	head := cp.heads[inner]
 	trackLen = int64(cp.trackLen)
 	off = (head - cp.zoneStart) % trackLen
-	return head - off, (off + int64(r0)*int64(cellBlocks)) % trackLen, trackLen
-}
-
-// CellBlocks returns the cell size in blocks.
-func (m *Mapping) CellBlocks() int { return m.cellBlocks }
-
-// CellExtents returns the LBN extents storing a cell: one request, or
-// two when the cell wraps its circular track (the wrapped tail is
-// rotationally contiguous with the head, so fetching both costs pure
-// transfer). For single-block cells this is always one extent.
-func (m *Mapping) CellExtents(cell []int) ([]lvm.Request, error) {
-	ci, r0, inner, err := m.split(cell)
-	if err != nil {
-		return nil, err
-	}
-	trackStart, off, trackLen := m.cubes[ci].locate(inner, r0, m.cellBlocks)
-	return appendRun(nil, trackStart, off, trackLen, int64(m.cellBlocks)), nil
+	return head - off, (off + int64(r0)) % trackLen, trackLen
 }
 
 // appendRun appends the requests reading blocks consecutive blocks of a
@@ -418,7 +355,6 @@ func (m *Mapping) BoxRequests(lo, hi []int) ([]lvm.Request, error) {
 	// x steps the rows through dims >= 1, Dim1 fastest; x[0] is unused.
 	var buf [8]int
 	x := append(buf[:0], lo...)
-	cb := int64(m.cellBlocks)
 	for {
 		cubeIdx, inner := 0, 0
 		for i := 1; i < n; i++ {
@@ -429,8 +365,8 @@ func (m *Mapping) BoxRequests(lo, hi []int) ([]lvm.Request, error) {
 		for x0 := lo[0]; x0 < hi[0]; {
 			r0 := x0 % k0
 			cells := min(k0-r0, hi[0]-x0)
-			trackStart, off, trackLen := m.cubes[cubeIdx+x0/k0].locate(inner, r0, m.cellBlocks)
-			reqs = appendRun(reqs, trackStart, off, trackLen, int64(cells)*cb)
+			trackStart, off, trackLen := m.cubes[cubeIdx+x0/k0].locate(inner, r0)
+			reqs = appendRun(reqs, trackStart, off, trackLen, int64(cells))
 			x0 += cells
 		}
 		i := 1
@@ -450,7 +386,7 @@ func (m *Mapping) BoxRequests(lo, hi []int) ([]lvm.Request, error) {
 // Blocks returns the total number of blocks reserved by the mapping,
 // including unfilled edge-cube space (§4.4).
 func (m *Mapping) Blocks() int64 {
-	return int64(len(m.cubes)) * m.spec.Cells() * int64(m.cellBlocks)
+	return int64(len(m.cubes)) * m.spec.Cells()
 }
 
 // NextFreeVLBN returns the first volume address past the last allocated

@@ -46,22 +46,71 @@ func enumCells(dims []int, f func(cell []int)) {
 	}
 }
 
+// TestMappingBijective: no two cells share a block. Its "packed" rows
+// pack several cubes onto one track, with Dim0 runs that wrap their
+// track's end, so a chain head's neighbour starts from the wrapped tail;
+// that subtest checks that its (volume, dims) table still reaches both.
 func TestMappingBijective(t *testing.T) {
 	for _, dims := range [][]int{{25, 9, 7}, {12, 5}, {10, 3, 3, 2}} {
-		v := testVolume(t)
-		m := mustMapping(t, v, dims, MapOptions{DiskIdx: 0})
-		seen := make(map[int64][]int)
-		enumCells(dims, func(cell []int) {
-			vlbn, err := m.CellVLBN(cell)
-			if err != nil {
-				t.Fatalf("%v: CellVLBN(%v): %v", dims, cell, err)
-			}
-			if prev, dup := seen[vlbn]; dup {
-				t.Fatalf("%v: VLBN %d stores both %v and %v", dims, vlbn, prev, cell)
-			}
-			seen[vlbn] = append([]int(nil), cell...)
-		})
+		checkBijective(t, testVolume(t), dims)
 	}
+	t.Run("packed", func(t *testing.T) {
+		small := testVolume(t)
+		medium, err := lvm.New(16, disk.MediumTestDisk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		packed, wrapped := 0, 0
+		for _, row := range []struct {
+			vol  *lvm.Volume
+			dims []int
+		}{
+			{small, []int{9, 33}}, {small, []int{40, 12, 6}},
+			{medium, []int{20, 20, 20}}, {medium, []int{11, 5, 4}},
+		} {
+			p, w := checkBijective(t, row.vol, row.dims)
+			packed += p
+			wrapped += w
+		}
+		if packed == 0 || wrapped == 0 {
+			t.Fatalf("%d tracks hold several cubes and %d Dim0 steps wrap a track: both must be > 0", packed, wrapped)
+		}
+		t.Logf("%d tracks hold several cubes, %d Dim0 steps wrap a track", packed, wrapped)
+	})
+}
+
+// checkBijective fails unless the mapping of dims on v gives every cell
+// its own block. It returns how many tracks hold the bases of several
+// cubes and how many Dim0 steps inside a cube wrap a track's end.
+func checkBijective(t *testing.T, v *lvm.Volume, dims []int) (packed, wrapped int) {
+	t.Helper()
+	m := mustMapping(t, v, dims, MapOptions{DiskIdx: 0})
+	cubesOn := map[int64]int{} // cubes whose base lies on each track, by track start
+	for _, cp := range m.cubes {
+		track := cp.base - (cp.base-cp.zoneStart)%int64(cp.trackLen)
+		if cubesOn[track]++; cubesOn[track] == 2 {
+			packed++
+		}
+	}
+	seen := make(map[int64][]int)
+	enumCells(dims, func(cell []int) {
+		vlbn, err := m.CellVLBN(cell)
+		if err != nil {
+			t.Fatalf("%v: CellVLBN(%v): %v", dims, cell, err)
+		}
+		if prev, dup := seen[vlbn]; dup {
+			t.Fatalf("%v: VLBN %d stores both %v and %v", dims, vlbn, prev, cell)
+		}
+		seen[vlbn] = append([]int(nil), cell...)
+		if cell[0]%m.spec.K[0] > 0 {
+			prev := append([]int(nil), cell...)
+			prev[0]--
+			if p, _ := m.CellVLBN(prev); p > vlbn {
+				wrapped++
+			}
+		}
+	})
+	return packed, wrapped
 }
 
 func TestMappingMatchesFig5(t *testing.T) {

@@ -70,10 +70,8 @@ type Mapper interface {
 	Kind() Kind
 	// Dims returns the dataset side lengths.
 	Dims() []int
-	// CellVLBN returns the volume LBN storing the cell's first block.
+	// CellVLBN returns the volume LBN storing the cell.
 	CellVLBN(cell []int) (int64, error)
-	// CellBlocks reports the cell size in blocks.
-	CellBlocks() int
 	// BoxRequests expands the box [lo,hi) into the ascending, coalesced
 	// requests that read exactly its cells, without one lookup per cell:
 	// Naive and MultiMap step the box's Dim0 rows, the curves walk the
@@ -108,54 +106,40 @@ type Options struct {
 	// decluster basic cubes across disks (linear mappings treat -1 as
 	// disk 0: a linearized dataset is a single contiguous extent).
 	DiskIdx int
-	// BaseVLBN is the first block of the extent used by the linear
-	// mappings (ignored by MultiMap, which allocates basic cubes).
-	// Default 0 places the extent at the start of the disk segment.
-	BaseVLBN int64
-	// CellBlocks is the cell size in blocks (default 1) — the paper's
-	// "a single cell can occupy multiple LBNs" (§4). CellVLBN returns
-	// the first block; BoxRequests covers the full cells.
-	CellBlocks int
 }
 
-// normalize fills defaulted fields.
-func (o Options) normalize() (Options, error) {
-	if o.CellBlocks == 0 {
-		o.CellBlocks = 1
-	}
-	if o.CellBlocks < 1 {
-		return o, fmt.Errorf("mapping: cell size %d must be positive", o.CellBlocks)
-	}
-	return o, nil
-}
-
-// New builds a mapper of the given kind for a dataset.
+// New builds a mapper of the given kind for a dataset. The grid's cell
+// count is checked before anything sized by it is built: it must not
+// overflow int64 and must fit the volume, one block a cell.
 func New(kind Kind, vol *lvm.Volume, dims []int, opts Options) (Mapper, error) {
-	var err error
-	if opts, err = opts.normalize(); err != nil {
+	n, err := sfc.NumCells(dims)
+	if err != nil {
 		return nil, err
+	}
+	if n > vol.TotalBlocks() {
+		return nil, fmt.Errorf("mapping: %d cells do not fit the volume's %d blocks", n, vol.TotalBlocks())
 	}
 	switch kind {
 	case Naive:
-		return newNaive(vol, dims, opts)
+		return newNaive(vol, dims, n, opts)
 	case ZOrder:
 		c, err := sfc.NewZOrder(dims)
 		if err != nil {
 			return nil, err
 		}
-		return newCurveMapper(ZOrder, vol, dims, c, opts)
+		return newCurveMapper(ZOrder, vol, dims, n, c, opts)
 	case Hilbert:
 		c, err := sfc.NewHilbert(dims)
 		if err != nil {
 			return nil, err
 		}
-		return newCurveMapper(Hilbert, vol, dims, c, opts)
+		return newCurveMapper(Hilbert, vol, dims, n, c, opts)
 	case Gray:
 		c, err := sfc.NewGrayCurve(dims)
 		if err != nil {
 			return nil, err
 		}
-		return newCurveMapper(Gray, vol, dims, c, opts)
+		return newCurveMapper(Gray, vol, dims, n, c, opts)
 	case MultiMap:
 		return newMultiMapper(vol, dims, opts)
 	default:
@@ -174,22 +158,16 @@ func Dim0Align(kind Kind, vol *lvm.Volume, dims []int, opts Options) (int, error
 	if kind != MultiMap {
 		return 1, nil
 	}
-	opts, err := opts.normalize()
-	if err != nil {
-		return 0, err
-	}
-	spec, err := core.ChooseCube(vol, dims, core.MapOptions{
-		DiskIdx: opts.DiskIdx, CellBlocks: opts.CellBlocks,
-	})
+	spec, err := core.ChooseCube(vol, dims, core.MapOptions{DiskIdx: opts.DiskIdx})
 	if err != nil {
 		return 0, err
 	}
 	return spec.K[0], nil
 }
 
-// checkExtent validates that a linear extent of n cells fits on the
-// chosen disk segment.
-func checkExtent(vol *lvm.Volume, dims []int, opts Options) (base int64, diskIdx int, err error) {
+// checkExtent validates that a linear extent of n cells, starting at
+// the chosen disk's segment start, fits on that disk.
+func checkExtent(vol *lvm.Volume, n int64, opts Options) (base int64, diskIdx int, err error) {
 	diskIdx = opts.DiskIdx
 	if diskIdx < 0 {
 		diskIdx = 0
@@ -197,13 +175,11 @@ func checkExtent(vol *lvm.Volume, dims []int, opts Options) (base int64, diskIdx
 	if diskIdx >= vol.NumDisks() {
 		return 0, 0, fmt.Errorf("mapping: disk index %d out of range", diskIdx)
 	}
-	n := sfc.NumCells(dims) * int64(opts.CellBlocks)
-	base = vol.DiskStart(diskIdx) + opts.BaseVLBN
-	if opts.BaseVLBN < 0 || opts.BaseVLBN+n > vol.DiskBlocks(diskIdx) {
-		return 0, 0, fmt.Errorf("mapping: extent [%d,+%d) does not fit on disk %d (%d blocks)",
-			opts.BaseVLBN, n, diskIdx, vol.DiskBlocks(diskIdx))
+	if n > vol.DiskBlocks(diskIdx) {
+		return 0, 0, fmt.Errorf("mapping: extent of %d blocks does not fit on disk %d (%d blocks)",
+			n, diskIdx, vol.DiskBlocks(diskIdx))
 	}
-	return base, diskIdx, nil
+	return vol.DiskStart(diskIdx), diskIdx, nil
 }
 
 // multiMapper adapts core.Mapping to the Mapper interface.
@@ -212,9 +188,7 @@ type multiMapper struct {
 }
 
 func newMultiMapper(vol *lvm.Volume, dims []int, opts Options) (Mapper, error) {
-	m, err := core.NewMapping(vol, dims, core.MapOptions{
-		DiskIdx: opts.DiskIdx, CellBlocks: opts.CellBlocks,
-	})
+	m, err := core.NewMapping(vol, dims, core.MapOptions{DiskIdx: opts.DiskIdx})
 	if err != nil {
 		return nil, err
 	}
@@ -231,8 +205,6 @@ func (mm *multiMapper) BoxRequests(lo, hi []int) ([]lvm.Request, error) {
 }
 
 func (mm *multiMapper) semiSequential() {}
-
-func (mm *multiMapper) CellBlocks() int { return mm.m.CellBlocks() }
 
 // Core exposes the underlying core.Mapping (for inspection by
 // experiments and tests).

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/lvm"
-	"repro/internal/sfc"
 )
 
 func testVolume(t *testing.T) *lvm.Volume {
@@ -43,7 +42,7 @@ func TestKindStringsAndParse(t *testing.T) {
 
 func TestEveryMapperBijective(t *testing.T) {
 	dims := []int{11, 5, 4}
-	n := sfc.NumCells(dims)
+	n := int64(11 * 5 * 4)
 	for _, k := range []Kind{Naive, ZOrder, Hilbert, Gray, MultiMap} {
 		v := testVolume(t)
 		m, err := New(k, v, dims, Options{DiskIdx: 0})
@@ -85,35 +84,42 @@ func TestEveryMapperBijective(t *testing.T) {
 	}
 }
 
+// TestLinearMappersDense: Naive and the curve mappings fill exactly
+// [DiskStart, DiskStart+N) of their disk with no holes — the
+// fill-factor-1 packing of §5.2 — on the first disk of a volume and on
+// the second, whose segment does not start at 0.
 func TestLinearMappersDense(t *testing.T) {
-	// Naive and the curve mappings fill exactly [base, base+N) with no
-	// holes — the fill-factor-1 packing of §5.2.
 	dims := []int{7, 6, 3}
-	n := sfc.NumCells(dims)
+	n := int64(7 * 6 * 3)
+	v, err := lvm.New(16, disk.SmallTestDisk(), disk.SmallTestDisk())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, k := range []Kind{Naive, ZOrder, Hilbert, Gray} {
-		v := testVolume(t)
-		m, err := New(k, v, dims, Options{DiskIdx: 0, BaseVLBN: 100})
-		if err != nil {
-			t.Fatal(err)
-		}
-		min, max := int64(1<<62), int64(-1)
-		cell := make([]int, len(dims))
-		for i := int64(0); i < n; i++ {
-			vlbn, err := m.CellVLBN(cell)
+		for di := range 2 {
+			m, err := New(k, v, dims, Options{DiskIdx: di})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if vlbn < min {
-				min = vlbn
+			min, max := int64(1<<62), int64(-1)
+			cell := make([]int, len(dims))
+			for i := int64(0); i < n; i++ {
+				vlbn, err := m.CellVLBN(cell)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if vlbn < min {
+					min = vlbn
+				}
+				if vlbn > max {
+					max = vlbn
+				}
+				advance(cell, dims)
 			}
-			if vlbn > max {
-				max = vlbn
+			base := v.DiskStart(di)
+			if min != base || max != base+n-1 {
+				t.Errorf("%v on disk %d: extent [%d,%d], want [%d,%d]", k, di, min, max, base, base+n-1)
 			}
-			advance(cell, dims)
-		}
-		base := v.DiskStart(0) + 100
-		if min != base || max != base+n-1 {
-			t.Errorf("%v: extent [%d,%d], want [%d,%d]", k, min, max, base, base+n-1)
 		}
 	}
 }
@@ -210,9 +216,6 @@ func TestExtentValidation(t *testing.T) {
 	v := testVolume(t)
 	if _, err := New(Naive, v, []int{10, 10}, Options{DiskIdx: 5}); err == nil {
 		t.Error("bad disk index accepted")
-	}
-	if _, err := New(Naive, v, []int{10, 10}, Options{DiskIdx: 0, BaseVLBN: -1}); err == nil {
-		t.Error("negative base accepted")
 	}
 	huge := []int{100000, 100}
 	if _, err := New(Naive, v, huge, Options{DiskIdx: 0}); err == nil {

@@ -11,40 +11,28 @@ import (
 // extent. Access along Dim0 is sequential; every other dimension
 // strides across the extent.
 type naiveMapper struct {
-	dims       []int
-	strides    []int64 // row-major strides in blocks
-	base       int64
-	cells      int64
-	cellBlocks int
-	diskIdx    int // the one disk holding the extent
+	dims    []int
+	strides []int64 // row-major strides in blocks
+	base    int64
+	cells   int64
+	diskIdx int // the one disk holding the extent
 }
 
-func newNaive(vol *lvm.Volume, dims []int, opts Options) (Mapper, error) {
-	if len(dims) == 0 {
-		return nil, fmt.Errorf("mapping: empty dimension list")
-	}
-	for i, d := range dims {
-		if d <= 0 {
-			return nil, fmt.Errorf("mapping: dimension %d has non-positive length %d", i, d)
-		}
-	}
-	base, diskIdx, err := checkExtent(vol, dims, opts)
+// newNaive lays out a grid of n cells, whose shape New has validated.
+func newNaive(vol *lvm.Volume, dims []int, n int64, opts Options) (Mapper, error) {
+	base, diskIdx, err := checkExtent(vol, n, opts)
 	if err != nil {
 		return nil, err
 	}
-	n := &naiveMapper{dims: append([]int(nil), dims...), base: base,
-		cellBlocks: opts.CellBlocks, diskIdx: diskIdx}
-	n.strides = make([]int64, len(dims))
-	stride := int64(opts.CellBlocks)
+	m := &naiveMapper{dims: append([]int(nil), dims...), base: base, cells: n, diskIdx: diskIdx}
+	m.strides = make([]int64, len(dims))
+	stride := int64(1)
 	for i := range dims {
-		n.strides[i] = stride
+		m.strides[i] = stride
 		stride *= int64(dims[i])
 	}
-	n.cells = stride / int64(opts.CellBlocks)
-	return n, nil
+	return m, nil
 }
-
-func (n *naiveMapper) CellBlocks() int { return n.cellBlocks }
 
 func (n *naiveMapper) Kind() Kind  { return Naive }
 func (n *naiveMapper) Dims() []int { return n.dims }
@@ -113,7 +101,7 @@ func (n *naiveMapper) BoxRequests(lo, hi []int) ([]lvm.Request, error) {
 
 // SpanVLBN: a naive dataset is one contiguous extent.
 func (n *naiveMapper) SpanVLBN() (int64, int64) {
-	return n.base, n.base + n.cells*int64(n.cellBlocks)
+	return n.base, n.base + n.cells
 }
 
 // SpanOnDisk: the extent lives wholly on one disk.

@@ -26,7 +26,7 @@ func (n *naiveMapper) dim0Run(cell []int, length int) ([]lvm.Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []lvm.Request{{VLBN: vlbn, Count: length * n.cellBlocks}}, nil
+	return []lvm.Request{{VLBN: vlbn, Count: length}}, nil
 }
 
 func (r refNaive) boxRequests(t testing.TB, lo, hi []int) []lvm.Request {

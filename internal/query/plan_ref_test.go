@@ -11,31 +11,19 @@ import (
 	"repro/internal/mapping"
 )
 
-// cellExtents returns the blocks of one cell, found without the
-// mapping's box planner: cellBlocks blocks from CellVLBN, except that a
-// MultiMap cell running past its track's end continues at the track's
-// start (its track is circular).
-func cellExtents(t testing.TB, e *Executor, cell []int) []lvm.Request {
+// cellBlock returns the one block of a cell, found without the
+// mapping's box planner.
+func cellBlock(t testing.TB, e *Executor, cell []int) lvm.Request {
 	t.Helper()
 	vlbn, err := e.m.CellVLBN(cell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb := e.m.CellBlocks()
-	if _, semiSeq := e.m.(mapping.SemiSequential); semiSeq {
-		start, next, err := e.vol.GetTrackBoundaries(vlbn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if head := int(next - vlbn); head < cb {
-			return []lvm.Request{{VLBN: vlbn, Count: head}, {VLBN: start, Count: cb - head}}
-		}
-	}
-	return []lvm.Request{{VLBN: vlbn, Count: cb}}
+	return lvm.Request{VLBN: vlbn, Count: 1}
 }
 
 // refPlanBox is the oracle for planBox: the sub-box expanded one cell
-// at a time, every cell's blocks sorted and coalesced
+// at a time, every cell's block sorted and coalesced
 // (lvm.SortCoalesce), then the issue policy the planner has always
 // applied — FIFO for the linear mappings, and SPTF over gap-bridged
 // requests (engine.BridgedCoalesce) for the semi-sequential MultiMap.
@@ -44,7 +32,7 @@ func refPlanBox(t testing.TB, e *Executor, lo, hi []int) ([]lvm.Request, disk.Sc
 	var reqs []lvm.Request
 	cell := slices.Clone(lo)
 	for {
-		reqs = append(reqs, cellExtents(t, e, cell)...)
+		reqs = append(reqs, cellBlock(t, e, cell))
 		if !nextInBox(cell, lo, hi) {
 			break
 		}
@@ -75,7 +63,6 @@ func checkPlan(t testing.TB, e *Executor, lo, hi []int) {
 	for i := 0; i < last; i++ {
 		perSlice *= int64(hi[i] - lo[i])
 	}
-	cb := e.m.CellBlocks()
 	next, chunks := lo[last], 0
 	for {
 		c, ok, err := p.Next()
@@ -120,19 +107,18 @@ func checkPlan(t testing.TB, e *Executor, lo, hi []int) {
 		cell := slices.Clone(clo)
 		for {
 			cells++
-			for _, x := range cellExtents(t, e, cell) {
-				i, _ := slices.BinarySearchFunc(c.Reqs, x.VLBN, func(r lvm.Request, v int64) int {
-					if r.VLBN+int64(r.Count) <= v {
-						return -1
-					}
-					if r.VLBN > v {
-						return 1
-					}
-					return 0
-				})
-				if i == len(c.Reqs) || x.VLBN < c.Reqs[i].VLBN || x.VLBN+int64(x.Count) > c.Reqs[i].VLBN+int64(c.Reqs[i].Count) {
-					t.Fatalf("chunk [%v,%v): cell %v's blocks %v are in no request", clo, chi, cell, x)
+			x := cellBlock(t, e, cell)
+			i, _ := slices.BinarySearchFunc(c.Reqs, x.VLBN, func(r lvm.Request, v int64) int {
+				if r.VLBN+int64(r.Count) <= v {
+					return -1
 				}
+				if r.VLBN > v {
+					return 1
+				}
+				return 0
+			})
+			if i == len(c.Reqs) || x.VLBN < c.Reqs[i].VLBN {
+				t.Fatalf("chunk [%v,%v): cell %v's block %d is in no request", clo, chi, cell, x.VLBN)
 			}
 			if !nextInBox(cell, clo, chi) {
 				break
@@ -140,9 +126,9 @@ func checkPlan(t testing.TB, e *Executor, lo, hi []int) {
 		}
 		// Disjoint requests holding every cell, and no block but them
 		// and the declared padding: each cell is read exactly once.
-		if blocks != cells*int64(cb)+c.Padding {
+		if blocks != cells+c.Padding {
 			t.Fatalf("chunk [%v,%v): requests read %d blocks, the cells hold %d plus %d padding",
-				clo, chi, blocks, cells*int64(cb), c.Padding)
+				clo, chi, blocks, cells, c.Padding)
 		}
 	}
 	if next != hi[last] {
@@ -152,9 +138,8 @@ func checkPlan(t testing.TB, e *Executor, lo, hi []int) {
 
 var fiveKinds = []mapping.Kind{mapping.Naive, mapping.ZOrder, mapping.Hilbert, mapping.Gray, mapping.MultiMap}
 
-// TestPlanMatchesRef runs checkPlan over every layout, one- and
-// three-block cells, random boxes and beams, unchunked and under
-// several chunk bounds.
+// TestPlanMatchesRef runs checkPlan over every layout, random boxes and
+// beams, unchunked and under several chunk bounds.
 func TestPlanMatchesRef(t *testing.T) {
 	v, err := lvm.New(16, disk.MediumTestDisk())
 	if err != nil {
@@ -163,50 +148,48 @@ func TestPlanMatchesRef(t *testing.T) {
 	dims := []int{23, 9, 7}
 	rng := rand.New(rand.NewSource(31))
 	for _, kind := range fiveKinds {
-		for _, cb := range []int{1, 3} {
-			m, err := mapping.New(kind, v, dims, mapping.Options{DiskIdx: 0, CellBlocks: cb})
-			if err != nil {
-				t.Fatalf("%v x%d: %v", kind, cb, err)
-			}
-			for _, chunk := range []int64{0, 1, 50, 300} {
-				e := NewExecutorOptions(v, m, ExecOptions{ChunkCells: chunk})
-				lo, hi := make([]int, 3), slices.Clone(dims)
-				checkPlan(t, e, lo, hi)
-				for trial := 0; trial < 20; trial++ {
-					for i, d := range dims {
-						lo[i] = rng.Intn(d)
-						hi[i] = lo[i] + 1 + rng.Intn(d-lo[i])
-					}
-					if trial%4 == 0 { // a beam
-						k := rng.Intn(3)
-						for i := range dims {
-							hi[i] = lo[i] + 1
-						}
-						lo[k], hi[k] = 0, dims[k]
-					}
-					checkPlan(t, e, lo, hi)
+		m, err := mapping.New(kind, v, dims, mapping.Options{DiskIdx: 0})
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		for _, chunk := range []int64{0, 1, 50, 300} {
+			e := NewExecutorOptions(v, m, ExecOptions{ChunkCells: chunk})
+			lo, hi := make([]int, 3), slices.Clone(dims)
+			checkPlan(t, e, lo, hi)
+			for trial := 0; trial < 20; trial++ {
+				for i, d := range dims {
+					lo[i] = rng.Intn(d)
+					hi[i] = lo[i] + 1 + rng.Intn(d-lo[i])
 				}
+				if trial%4 == 0 { // a beam
+					k := rng.Intn(3)
+					for i := range dims {
+						hi[i] = lo[i] + 1
+					}
+					lo[k], hi[k] = 0, dims[k]
+				}
+				checkPlan(t, e, lo, hi)
 			}
 		}
 	}
 }
 
-// FuzzBox: any grid, layout, cell size, box and chunk bound the fuzzer
+// FuzzBox: any grid, layout, box and chunk bound the fuzzer
 // can spell plans, chunk by chunk, to the reference's requests, policy
 // and padding; the chunks partition the box; and every chunk reads each
 // of its cells exactly once (checkPlan).
 func FuzzBox(f *testing.F) {
-	f.Add(uint8(0), uint8(1), uint16(0), []byte{11, 5, 4}, []byte{2, 9, 0, 5, 1, 3})
-	f.Add(uint8(1), uint8(2), uint16(40), []byte{19, 19, 19}, []byte{3, 17, 18, 19, 0, 1})
-	f.Add(uint8(2), uint8(1), uint16(7), []byte{9, 33}, []byte{0, 255, 7, 8})
-	f.Add(uint8(3), uint8(3), uint16(0), []byte{5, 3, 7, 4}, []byte{1, 2, 0, 3, 6, 7, 0, 4})
-	f.Add(uint8(4), uint8(2), uint16(64), []byte{30, 12, 6}, []byte{4, 25, 0, 12, 2, 3})
-	f.Add(uint8(4), uint8(1), uint16(1), []byte{1, 1}, []byte{})
+	f.Add(uint8(0), uint16(0), []byte{11, 5, 4}, []byte{2, 9, 0, 5, 1, 3})
+	f.Add(uint8(1), uint16(40), []byte{19, 19, 19}, []byte{3, 17, 18, 19, 0, 1})
+	f.Add(uint8(2), uint16(7), []byte{9, 33}, []byte{0, 255, 7, 8})
+	f.Add(uint8(3), uint16(0), []byte{5, 3, 7, 4}, []byte{1, 2, 0, 3, 6, 7, 0, 4})
+	f.Add(uint8(4), uint16(64), []byte{30, 12, 6}, []byte{4, 25, 0, 12, 2, 3})
+	f.Add(uint8(4), uint16(1), []byte{1, 1}, []byte{})
 	v, err := lvm.New(16, disk.MediumTestDisk())
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Fuzz(func(t *testing.T, kindByte, cellBlocks uint8, chunk uint16, shape, box []byte) {
+	f.Fuzz(func(t *testing.T, kindByte uint8, chunk uint16, shape, box []byte) {
 		if len(shape) == 0 || len(shape) > 5 {
 			return
 		}
@@ -220,7 +203,7 @@ func FuzzBox(f *testing.F) {
 			return
 		}
 		kind := fiveKinds[int(kindByte)%len(fiveKinds)]
-		m, err := mapping.New(kind, v, dims, mapping.Options{DiskIdx: 0, CellBlocks: 1 + int(cellBlocks)%3})
+		m, err := mapping.New(kind, v, dims, mapping.Options{DiskIdx: 0})
 		if err != nil {
 			return // a 1-D MultiMap, or a grid the disk cannot hold
 		}

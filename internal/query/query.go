@@ -185,22 +185,20 @@ func (e *Executor) rangeOn(ctx context.Context, r engine.Runner, lo, hi []int, o
 	}
 	var hook func(engine.Stats)
 	if onChunk != nil {
-		cb := int64(e.m.CellBlocks())
 		hook = func(d engine.Stats) {
-			// Chunks are planned in whole cells, so the per-chunk block
-			// count is a multiple of the cell size plus its own padding —
-			// the same conversion the aggregate gets applies exactly.
-			d.Cells = (d.Cells - d.Padding) / cb
+			// A chunk's blocks are its cells plus its own padding — the
+			// same conversion the aggregate gets.
+			d.Cells -= d.Padding
 			onChunk(d)
 		}
 	}
 	p := e.newBoxPlan(lo, hi)
 	st, runErr := r.RunPlan(ctx, p, engine.Options{Policy: e.opts.PolicyOverride, OnChunk: hook})
-	// Blocks fetched = cells * cell size + bridged padding; report in
-	// cells so MsPerCell stays the paper's metric. Partial results get
-	// the same conversion so a cancelled query's Stats stay in cell
+	// Blocks fetched = cells + bridged padding (a cell is one block);
+	// report cells so MsPerCell stays the paper's metric. Partial results
+	// get the same conversion so a cancelled query's Stats stay in cell
 	// units.
-	st.Cells = (st.Cells - st.Padding) / int64(e.m.CellBlocks())
+	st.Cells -= st.Padding
 	if runErr != nil {
 		// Speculative partial result: when the context died mid-plan but
 		// some cells were already aggregated, hand them back flagged

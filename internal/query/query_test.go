@@ -322,58 +322,6 @@ func TestMultiMapBeamBeatsNaiveOffMajor(t *testing.T) {
 	}
 }
 
-// TestMultiBlockCellsAcrossMappings: with 3-block cells (§4's
-// multi-LBN cells), every mapping fetches exactly cells*3 blocks and
-// the cross-mapping behaviours survive.
-func TestMultiBlockCellsAcrossMappings(t *testing.T) {
-	dims := []int{10, 5, 4}
-	const b = 3
-	for _, k := range []mapping.Kind{mapping.Naive, mapping.ZOrder, mapping.Hilbert, mapping.MultiMap} {
-		v, err := lvm.New(32, disk.MediumTestDisk())
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := mapping.New(k, v, dims, mapping.Options{DiskIdx: 0, CellBlocks: b})
-		if err != nil {
-			t.Fatalf("%v: %v", k, err)
-		}
-		if m.CellBlocks() != b {
-			t.Fatalf("%v: cell size not visible", k)
-		}
-		e := NewExecutor(v, m)
-		st, err := e.Range([]int{1, 0, 1}, []int{9, 4, 3})
-		if err != nil {
-			t.Fatalf("%v: %v", k, err)
-		}
-		wantCells := int64(8 * 4 * 2)
-		if st.Cells != wantCells {
-			t.Errorf("%v: fetched %d cells, want %d", k, st.Cells, wantCells)
-		}
-		if st.TransferMs <= 0 {
-			t.Errorf("%v: no transfer time", k)
-		}
-		// A one-cell box reads exactly the cell's b blocks, from the
-		// block CellVLBN names (its track's start too, if it wraps).
-		cell := []int{2, 2, 2}
-		first, err := m.CellVLBN(cell)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exts, err := m.BoxRequests(cell, []int{3, 3, 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		total, holds := 0, false
-		for _, r := range exts {
-			total += r.Count
-			holds = holds || r.VLBN == first
-		}
-		if total != m.CellBlocks() || !holds {
-			t.Errorf("%v: cell at %d planned as %v, want %d blocks from it", k, first, exts, m.CellBlocks())
-		}
-	}
-}
-
 // fakeRunner returns canned Stats and a canned error from RunPlan,
 // standing in for a Session whose context died mid-plan.
 type fakeRunner struct {

@@ -203,14 +203,13 @@ func (s *Server) storeInfoLocked(se *storeEntry) StoreInfo {
 	n := len(se.sessions)
 	se.mu.Unlock()
 	return StoreInfo{
-		Name:       se.name,
-		Mapping:    se.store.Mapping().String(),
-		Dims:       se.store.Dims(),
-		Shards:     se.store.NumShards(),
-		CellBlocks: se.store.CellBlocks(),
-		Updatable:  se.updatable,
-		Pool:       se.pool,
-		Sessions:   n,
+		Name:      se.name,
+		Mapping:   se.store.Mapping().String(),
+		Dims:      se.store.Dims(),
+		Shards:    se.store.NumShards(),
+		Updatable: se.updatable,
+		Pool:      se.pool,
+		Sessions:  n,
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -624,6 +625,43 @@ func TestOversizedBodies(t *testing.T) {
 	srv.mu.Unlock()
 	if err != nil || len(stores) != 1 || stores[0].Sessions != 1 || pools != 0 {
 		t.Errorf("oversized requests were acted on: stores %+v, %d pools, %v", stores, pools, err)
+	}
+}
+
+// TestHostileOpens: an open whose grid overflows the cell count or the
+// volume, on any layout, and one asking for more shards than the grid
+// has Dim0 rows, are each a 400 that builds nothing sized by the
+// request, and the daemon still serves its store afterwards. The
+// MultiMap row used to abort the process.
+func TestHostileOpens(t *testing.T) {
+	srv, ts, c := startDaemon(t, testSpec("h"))
+	defer ts.Close()
+	defer srv.Close(context.Background())
+	const open = `{"name":"x","disks":["atlas10k3"],"mapping":%q,"dims":%s%s}`
+	type row struct{ body, want string }
+	var rows []row
+	for _, mapping := range []string{"naive", "zorder", "hilbert", "gray", "multimap"} {
+		for _, dims := range []string{"[4294967296,4294967296]", "[2097152,2097152,2097152]", "[65536,65536]"} {
+			rows = append(rows, row{fmt.Sprintf(open, mapping, dims, ""), "cells"})
+		}
+	}
+	rows = append(rows, row{fmt.Sprintf(open, "multimap", "[4,4,4]", `,"shards":100000000`), "shards"})
+	for _, r := range rows {
+		code, msg := hostile(t, srv, "POST", "/v1/stores", strings.NewReader(r.body))
+		if code != http.StatusBadRequest || !strings.Contains(msg, r.want) {
+			t.Errorf("%s: status %d, error %q; want 400 naming %s", r.body, code, msg, r.want)
+		}
+	}
+	ctx := context.Background()
+	sess, err := c.Begin(ctx, "h", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := c.Beam(ctx, "h", sess, 1, []int{3, 0, 2}, 0); err != nil || st.Cells != 8 {
+		t.Fatalf("daemon after the hostile opens: %+v, %v", st, err)
+	}
+	if stores, err := c.Stores(ctx); err != nil || len(stores) != 1 {
+		t.Fatalf("hostile opens left stores behind: %+v, %v", stores, err)
 	}
 }
 

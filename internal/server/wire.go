@@ -67,8 +67,10 @@ type (
 
 // OpenStoreRequest opens a store over the wire. Disks builds a private
 // volume for the store (required unless Pool names an open pool to
-// create the dataset in). The knob fields mirror the library's
-// functional options one-to-one; zero values mean "option omitted".
+// create the dataset in). Each knob field is one of the library's
+// functional options (buildOptions); zero values mean "option omitted".
+// Every Open and Pool.Create option has its field but WithDiskIdx, so a
+// store on its own volume sits on drive 0 and a pool tenant declusters.
 type OpenStoreRequest struct {
 	Name     string   `json:"name"`
 	Disks    []string `json:"disks,omitempty"`
@@ -99,14 +101,13 @@ type OpenStoreRequest struct {
 
 // StoreInfo describes one open store.
 type StoreInfo struct {
-	Name       string `json:"name"`
-	Mapping    string `json:"mapping"`
-	Dims       []int  `json:"dims"`
-	Shards     int    `json:"shards"`
-	CellBlocks int    `json:"cell_blocks"`
-	Updatable  bool   `json:"updatable,omitempty"`
-	Pool       string `json:"pool,omitempty"`
-	Sessions   int    `json:"sessions"`
+	Name      string `json:"name"`
+	Mapping   string `json:"mapping"`
+	Dims      []int  `json:"dims"`
+	Shards    int    `json:"shards"`
+	Updatable bool   `json:"updatable,omitempty"`
+	Pool      string `json:"pool,omitempty"`
+	Sessions  int    `json:"sessions"`
 }
 
 // OpenPoolRequest opens a multi-tenant volume pool over the wire.

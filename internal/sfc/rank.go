@@ -2,6 +2,7 @@ package sfc
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -20,13 +21,25 @@ type Curve interface {
 	tree() *hierarchy
 }
 
-// NumCells returns the number of cells in a grid shape.
-func NumCells(dims []int) int64 {
+// NumCells returns the number of cells in a grid shape. It fails on an
+// empty shape, a side that is not positive, and a count that overflows
+// int64, so a caller can size storage by the count before building
+// anything else.
+func NumCells(dims []int) (int64, error) {
+	if len(dims) == 0 {
+		return 0, fmt.Errorf("sfc: empty dimension list")
+	}
 	n := int64(1)
-	for _, d := range dims {
+	for i, d := range dims {
+		if d <= 0 {
+			return 0, fmt.Errorf("sfc: dimension %d has non-positive length %d", i, d)
+		}
+		if n > math.MaxInt64/int64(d) {
+			return 0, fmt.Errorf("sfc: grid %v has more than %d cells", dims, int64(math.MaxInt64))
+		}
 		n *= int64(d)
 	}
-	return n
+	return n, nil
 }
 
 // Ranked densifies a curve over its grid: cells are numbered 0..N-1 in

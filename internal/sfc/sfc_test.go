@@ -310,8 +310,18 @@ func TestRankedCellAtBounds(t *testing.T) {
 }
 
 func TestNumCells(t *testing.T) {
-	if n := NumCells([]int{259, 259, 259}); n != 259*259*259 {
-		t.Errorf("NumCells wrong: %d", n)
+	if n, err := NumCells([]int{259, 259, 259}); n != 259*259*259 || err != nil {
+		t.Errorf("NumCells = %d, %v", n, err)
+	}
+	if n, err := NumCells([]int{1 << 31, 1<<32 - 1}); n != (1<<31)*(1<<32-1) || err != nil {
+		t.Errorf("NumCells at 2^63 - 2^31 = %d, %v", n, err)
+	}
+	// Counts that wrap int64 (to 0, to a negative) and shapes with no
+	// cells are errors, not counts.
+	for _, dims := range [][]int{{1 << 32, 1 << 32}, {1 << 21, 1 << 21, 1 << 21}, {1 << 62, 3}, {}, {4, 0}, {-2, -3}} {
+		if n, err := NumCells(dims); err == nil {
+			t.Errorf("NumCells(%v) = %d, want an error", dims, n)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mapping"
 	"repro/internal/query"
+	"repro/internal/sfc"
 )
 
 // Member is one shard's full execution stack: the engine.Service loop
@@ -42,6 +43,20 @@ func Build(svcs []*engine.Service, kind mapping.Kind, dims []int,
 	mo mapping.Options, eo query.ExecOptions) (*Group, error) {
 	if len(svcs) == 0 {
 		return nil, fmt.Errorf("shard: at least one service required")
+	}
+	// The global grid's cell count is checked before the cube choice or
+	// the router sizes anything by it: it must not overflow and must fit
+	// the shard volumes together, one block a cell.
+	cells, err := sfc.NumCells(dims)
+	if err != nil {
+		return nil, err
+	}
+	var blocks int64
+	for _, svc := range svcs {
+		blocks += svc.Volume().TotalBlocks()
+	}
+	if cells > blocks {
+		return nil, fmt.Errorf("shard: %d cells do not fit the %d blocks of %d shard volumes", cells, blocks, len(svcs))
 	}
 	align, err := mapping.Dim0Align(kind, svcs[0].Volume(), dims, mo)
 	if err != nil {

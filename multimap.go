@@ -216,11 +216,12 @@ type Store struct {
 // given placement and returns the store, configured by functional
 // options (WithPolicy, WithChunkCells, WithCache, WithMaxInflight,
 // WithShards, WithDeadlineAging, WithFairShare, WithQoSClass, WithQoS,
-// WithWriteBack, WithDiskIdx, WithCellBlocks, Updatable). With WithShards(n > 1) the dataset is
-// split along Dim0 across that many shard volumes (the given volume
-// plus internally created clones of its hardware); with Updatable the
-// store also serves Insert/Delete/LoadCell. The service-level options
-// configure the volume once, before it serves (see WithCache).
+// WithWriteBack, WithDiskIdx, Updatable). With WithShards(n > 1) the
+// dataset is split along Dim0 across that many shard volumes (the given
+// volume plus internally created clones of its hardware); with
+// Updatable the store also serves Insert/Delete/LoadCell. The
+// service-level options configure the volume once, before it serves
+// (see WithCache).
 func Open(vol *Volume, kind Mapping, dims []int, opts ...Option) (*Store, error) {
 	c := defaultConfig()
 	for _, opt := range opts {
@@ -245,13 +246,14 @@ func open(vols []*Volume, kind Mapping, dims []int, c config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := checkShards(dims, c.shards); err != nil {
+		return nil, err
+	}
 	for len(vols) < c.shards {
 		vols = append(vols, newVolume(lvm.NewLike(vols[0].svc.Volume())))
 	}
 	svcs := services(vols)
-	grp, err := shard.Build(svcs, kind, dims, mapping.Options{
-		DiskIdx: c.diskIdx, CellBlocks: c.cellBlocks,
-	}, eo)
+	grp, err := shard.Build(svcs, kind, dims, mapping.Options{DiskIdx: c.diskIdx}, eo)
 	if err != nil {
 		return nil, err
 	}
@@ -265,6 +267,15 @@ func open(vols []*Volume, kind Mapping, dims []int, c config) (*Store, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// checkShards rejects more shards than Dim0 has rows, which would leave
+// a shard with no slab, before any shard volume is built for them.
+func checkShards(dims []int, shards int) error {
+	if shards > 1 && (len(dims) == 0 || shards > dims[0]) {
+		return fmt.Errorf("multimap: %d shards over dims %v leave a shard without a Dim0 row", shards, dims)
+	}
+	return nil
 }
 
 // newStore assembles a Store over a shard group built on the services
@@ -475,9 +486,6 @@ func (q *Session) Close(ctx context.Context) error {
 // Stats returns the session's accumulated statistics across all its
 // completed operations (summed over the shards it touched).
 func (q *Session) Stats() Stats { return q.ss.Totals() }
-
-// CellBlocks returns the store's cell size in blocks.
-func (s *Store) CellBlocks() int { return s.grp.Member(0).Map.CellBlocks() }
 
 // Mapping returns the store's placement algorithm.
 func (s *Store) Mapping() Mapping { return s.grp.Member(0).Map.Kind() }

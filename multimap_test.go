@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -594,6 +595,78 @@ func TestShardedStoreEquivalenceAndScatter(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsHostileGrids: a grid whose cell count overflows int64
+// or does not fit the volume is refused by every layout, unsharded and
+// sharded, and by a pool, before anything sized by the count is built.
+// {2^32, 2^32} wraps the count to 0, {2^21, 2^21, 2^21} to a negative,
+// and {2^16, 2^16} fits int64 but not the drive. The volume still
+// serves afterwards.
+func TestOpenRejectsHostileGrids(t *testing.T) {
+	v, err := OpenVolume(AtlasTenKIII)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := testPool(t)
+	for _, dims := range [][]int{{1 << 32, 1 << 32}, {1 << 21, 1 << 21, 1 << 21}, {1 << 16, 1 << 16}} {
+		for _, kind := range []Mapping{Naive, ZOrder, Hilbert, Gray, MultiMap} {
+			for _, shards := range []int{1, 2} {
+				s, err := Open(v, kind, dims, WithShards(shards))
+				if err == nil {
+					s.Close()
+				}
+				if err == nil || !strings.Contains(err.Error(), "cells") {
+					t.Errorf("%v %v over %d shards: %v, want an error naming the cells", kind, dims, shards, err)
+				}
+			}
+			// A pool refuses what the sizing cannot count, or what it
+			// cannot provision.
+			if _, err := p.Create(context.Background(), "hostile", kind, dims); err == nil {
+				t.Errorf("%v %v: pool tenant created", kind, dims)
+			}
+		}
+	}
+	s, err := Open(v, MultiMap, []int{16, 16, 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if st, err := s.Beam(context.Background(), 1, []int{3, 0, 5}); err != nil || st.Cells != 16 {
+		t.Fatalf("volume after the refused opens: %+v %v", st, err)
+	}
+}
+
+// TestShardsBeyondDim0FailFirst: a shard count above the Dim0 length is
+// refused by Open and Pool.Create before a volume is built for any
+// shard. 100 000 shards once cost about 1.9 KiB each before the error.
+func TestShardsBeyondDim0FailFirst(t *testing.T) {
+	v, err := OpenVolumeDepth(32, MediumTestDisk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := testPool(t)
+	for name, open := range map[string]func() error{
+		"Open": func() error {
+			_, err := Open(v, MultiMap, []int{4, 4, 4}, WithShards(100_000))
+			return err
+		},
+		"Pool.Create": func() error {
+			_, err := p.Create(context.Background(), "wide", MultiMap, []int{4, 4, 4}, WithShards(100_000))
+			return err
+		},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := open()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "shards") {
+			t.Fatalf("%s: 100000 shards over a Dim0 of 4: %v, want an error naming the shards", name, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes before refusing 100000 shards: %v", name, d, err)
+		}
+	}
+}
+
 // TestShardedConcurrentSessions is the -race exercise for the public
 // scatter-gather path: concurrent sessions over a 2-shard store, mixed
 // beams and ranges, then the attribution-sum check against the
@@ -729,26 +802,5 @@ func testShardedConcurrentSessions(t *testing.T, opts []Option, mixed bool) {
 	if mixed && (sum.Writes == 0 || tot.FlushBatches == 0 || tot.DirtyBlocks != 0) {
 		t.Fatalf("write-back arm: %d writes, %d group commits, %d blocks left dirty after Flush",
 			sum.Writes, tot.FlushBatches, tot.DirtyBlocks)
-	}
-}
-
-func TestStoreMultiBlockCells(t *testing.T) {
-	v, err := OpenVolumeDepth(32, MediumTestDisk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(v, MultiMap, []int{12, 4, 3}, WithCellBlocks(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.CellBlocks() != 4 {
-		t.Fatalf("CellBlocks=%d", s.CellBlocks())
-	}
-	st, err := s.Beam(context.Background(), 1, []int{3, 0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Cells != 4 {
-		t.Fatalf("beam fetched %d cells, want 4", st.Cells)
 	}
 }

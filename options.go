@@ -19,7 +19,6 @@ type Option func(*config) error
 // volume that names one fails.
 type config struct {
 	diskIdx     int
-	cellBlocks  int
 	policy      string
 	chunkCells  int64
 	maxInflight int
@@ -50,18 +49,6 @@ func WithDiskIdx(idx int) Option {
 			return fmt.Errorf("multimap: disk index %d must be -1 (decluster) or a drive index", idx)
 		}
 		c.diskIdx = idx
-		return nil
-	}
-}
-
-// WithCellBlocks sets the cell size in blocks (default 1) — §4's "a
-// single cell can occupy multiple LBNs".
-func WithCellBlocks(n int) Option {
-	return func(c *config) error {
-		if n < 0 {
-			return fmt.Errorf("multimap: cell blocks must be non-negative")
-		}
-		c.cellBlocks = n
 		return nil
 	}
 }

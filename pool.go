@@ -3,6 +3,7 @@ package multimap
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/lvm"
 	"repro/internal/pool"
 	"repro/internal/query"
+	"repro/internal/sfc"
 	"repro/internal/shard"
 )
 
@@ -248,7 +250,10 @@ func (p *Pool) Create(ctx context.Context, name string, kind Mapping, dims []int
 	if _, dup := p.tenants[name]; dup {
 		return nil, fmt.Errorf("multimap: tenant %q already exists", name)
 	}
-	perShard, attempts := p.sizeFor(dims, c)
+	perShard, attempts, err := p.sizeFor(dims, c)
+	if err != nil {
+		return nil, err
+	}
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		vols, err := p.provision(c.shards, perShard, c.drives)
@@ -289,28 +294,29 @@ func (p *Pool) Create(ctx context.Context, name string, kind Mapping, dims []int
 // doubling attempts Create may take. An explicit WithCapacity is
 // honoured exactly, one attempt; otherwise the estimate covers the
 // cells, the default overflow reserve, and basic-cube padding slack,
-// and Create doubles on mapping failure.
-func (p *Pool) sizeFor(dims []int, c config) (perShard int64, attempts int) {
+// and Create doubles on mapping failure. A shard count the grid cannot
+// split, or a cell count that overflows, fails here, before any volume
+// is provisioned.
+func (p *Pool) sizeFor(dims []int, c config) (perShard int64, attempts int, err error) {
+	if err := checkShards(dims, c.shards); err != nil {
+		return 0, 0, err
+	}
 	shards := int64(c.shards)
 	if c.capacity > 0 {
-		return (c.capacity + shards - 1) / shards, 1
+		return (c.capacity + shards - 1) / shards, 1, nil
 	}
-	cb := int64(c.cellBlocks)
-	if cb == 0 {
-		cb = 1
+	cells, err := sfc.NumCells(dims)
+	if err != nil {
+		return 0, 0, err
 	}
-	cells := int64(1)
-	for _, d := range dims {
-		cells *= int64(max(d, 1))
-	}
-	per := cells * cb / shards
+	per := min(cells/shards, math.MaxInt64/4) // no pool holds more; the sums below cannot overflow
 	if c.updatable {
 		per += per/8 + 1
 	}
 	// Track-aligned basic cubes can inflate the mapped footprint far
-	// past cells×cellBlocks on small datasets, so give the doubling
-	// loop enough headroom to find the real size.
-	return per*2 + 1, 10
+	// past one block a cell on small datasets, so give the doubling loop
+	// enough headroom to find the real size.
+	return per*2 + 1, 10, nil
 }
 
 // provision carves one thin volume per shard. Either every shard

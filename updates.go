@@ -353,7 +353,7 @@ func (q *Session) FetchCell(ctx context.Context, cell []int) (Stats, error) {
 		if err != nil {
 			return Stats{}, err
 		}
-		reqs = []lvm.Request{{VLBN: vlbn, Count: q.s.CellBlocks()}}
+		reqs = []lvm.Request{{VLBN: vlbn, Count: 1}}
 	}
 	start := time.Now()
 	st, err := q.ss.Member(si).RunPlan(ctx,
