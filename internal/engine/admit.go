@@ -72,18 +72,14 @@ func (s *Service) serveWork(ops []*serviceOp) {
 // leave stale extents readable — the coherence contract survives
 // cancellation, only the simulated I/O is never issued or charged.
 func (s *Service) dropCancelled(ops []*serviceOp) []*serviceOp {
-	var cancelled, expired int64
-	var perClass map[string]int64 // lazily allocated — drops are rare
 	live := ops[:0]
 	for _, op := range ops {
 		if op.ctx != nil {
 			if err := op.ctx.Err(); err != nil {
 				var d Stats
 				if errors.Is(err, context.DeadlineExceeded) {
-					expired++
 					d.DeadlineExceeded = 1
 				} else {
-					cancelled++
 					d.Cancelled = 1
 				}
 				if op.kind == opWrite {
@@ -92,29 +88,25 @@ func (s *Service) dropCancelled(ops []*serviceOp) []*serviceOp {
 					for _, r := range split {
 						d.InvalidatedBlocks += s.cache.invalidate(r.VLBN, r.VLBN+int64(r.Count)) // nil-safe
 					}
-					if perClass == nil {
-						perClass = make(map[string]int64, 4)
-					}
-					perClass[op.class] += d.InvalidatedBlocks
 				}
+				// Count the drop before replying, so the submitter
+				// never reads totals that lack its own op.
+				s.mu.Lock()
+				s.totals.Cancelled += d.Cancelled
+				s.totals.DeadlineExceeded += d.DeadlineExceeded
+				if op.kind == opWrite {
+					s.totals.InvalidatedBlocks += d.InvalidatedBlocks
+					_, dst := s.attributed(op.class)
+					for _, a := range dst {
+						a.InvalidatedBlocks += d.InvalidatedBlocks
+					}
+				}
+				s.mu.Unlock()
 				op.reply <- opResult{stats: d, err: err}
 				continue
 			}
 		}
 		live = append(live, op)
-	}
-	if cancelled+expired > 0 {
-		s.mu.Lock()
-		s.totals.Cancelled += cancelled
-		s.totals.DeadlineExceeded += expired
-		for class, inv := range perClass {
-			s.totals.InvalidatedBlocks += inv
-			_, dst := s.attributed(class)
-			for _, a := range dst {
-				a.InvalidatedBlocks += inv
-			}
-		}
-		s.mu.Unlock()
 	}
 	return live
 }

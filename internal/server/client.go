@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 
 	multimap "repro"
@@ -36,8 +37,9 @@ func (c *Client) hc() *http.Client {
 	return http.DefaultClient
 }
 
-// do runs one JSON round trip; out may be nil to discard the body.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+// do runs one JSON round trip to target, a full URL; out may be nil
+// to discard the body.
+func (c *Client) do(ctx context.Context, method, target string, in, out any) error {
 	var body io.Reader
 	if in != nil {
 		data, err := json.Marshal(in)
@@ -46,7 +48,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		}
 		body = bytes.NewReader(data)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, body)
+	req, err := http.NewRequestWithContext(ctx, method, target, body)
 	if err != nil {
 		return err
 	}
@@ -80,26 +82,26 @@ func decodeError(resp *http.Response) error {
 // OpenStore opens a store on the daemon.
 func (c *Client) OpenStore(ctx context.Context, req OpenStoreRequest) (StoreInfo, error) {
 	var info StoreInfo
-	err := c.do(ctx, http.MethodPost, "/v1/stores", req, &info)
+	err := c.do(ctx, http.MethodPost, c.Base+"/v1/stores", req, &info)
 	return info, err
 }
 
 // CloseStore closes a store (and its sessions) on the daemon.
 func (c *Client) CloseStore(ctx context.Context, name string) error {
-	return c.do(ctx, http.MethodDelete, "/v1/stores/"+name, nil, nil)
+	return c.do(ctx, http.MethodDelete, c.storeURL(name, ""), nil, nil)
 }
 
 // Stores lists the open stores.
 func (c *Client) Stores(ctx context.Context) ([]StoreInfo, error) {
 	var infos []StoreInfo
-	err := c.do(ctx, http.MethodGet, "/v1/stores", nil, &infos)
+	err := c.do(ctx, http.MethodGet, c.Base+"/v1/stores", nil, &infos)
 	return infos, err
 }
 
 // OpenPool opens a multi-tenant pool on the daemon.
 func (c *Client) OpenPool(ctx context.Context, req OpenPoolRequest) (PoolInfo, error) {
 	var info PoolInfo
-	err := c.do(ctx, http.MethodPost, "/v1/pools", req, &info)
+	err := c.do(ctx, http.MethodPost, c.Base+"/v1/pools", req, &info)
 	return info, err
 }
 
@@ -107,7 +109,7 @@ func (c *Client) OpenPool(ctx context.Context, req OpenPoolRequest) (PoolInfo, e
 // default QoS class. It returns the wire session ID.
 func (c *Client) Begin(ctx context.Context, store, class string) (string, error) {
 	var info SessionInfo
-	err := c.do(ctx, http.MethodPost, "/v1/stores/"+store+"/sessions",
+	err := c.do(ctx, http.MethodPost, c.storeURL(store, "/sessions"),
 		BeginSessionRequest{Class: class}, &info)
 	return info.Session, err
 }
@@ -116,15 +118,27 @@ func (c *Client) Begin(ctx context.Context, store, class string) (string, error)
 // returns its lifetime stats.
 func (c *Client) CloseSession(ctx context.Context, store, session string) (multimap.Stats, error) {
 	var info SessionInfo
-	err := c.do(ctx, http.MethodDelete, "/v1/stores/"+store+"/sessions/"+session, nil, &info)
+	err := c.do(ctx, http.MethodDelete, c.sessionURL(store, session, ""), nil, &info)
 	return info.Stats, err
 }
 
 // SessionStats fetches a session's lifetime stats without closing it.
 func (c *Client) SessionStats(ctx context.Context, store, session string) (multimap.Stats, error) {
 	var info SessionInfo
-	err := c.do(ctx, http.MethodGet, "/v1/stores/"+store+"/sessions/"+session, nil, &info)
+	err := c.do(ctx, http.MethodGet, c.sessionURL(store, session, ""), nil, &info)
 	return info.Stats, err
+}
+
+// storeURL is a store's URL with tail appended. Names are escaped, so
+// a store named "a?b" or "a/b" is one path segment, which the daemon's
+// router unescapes.
+func (c *Client) storeURL(store, tail string) string {
+	return c.Base + "/v1/stores/" + url.PathEscape(store) + tail
+}
+
+// sessionURL is a session's URL with tail appended.
+func (c *Client) sessionURL(store, session, tail string) string {
+	return c.Base + "/v1/stores/" + url.PathEscape(store) + "/sessions/" + url.PathEscape(session) + tail
 }
 
 // deadlineSuffix renders the wire deadline for an operation URL.
@@ -139,8 +153,8 @@ func deadlineSuffix(deadlineMs int64) string {
 // operation errors arrive as wire text alongside any (partial) Stats.
 func (c *Client) op(ctx context.Context, store, session, op string, deadlineMs int64, in any) (multimap.Stats, error) {
 	var resp StatsResponse
-	path := "/v1/stores/" + store + "/sessions/" + session + "/" + op + deadlineSuffix(deadlineMs)
-	if err := c.do(ctx, http.MethodPost, path, in, &resp); err != nil {
+	target := c.sessionURL(store, session, "/"+op+deadlineSuffix(deadlineMs))
+	if err := c.do(ctx, http.MethodPost, target, in, &resp); err != nil {
 		return multimap.Stats{}, err
 	}
 	if resp.Error != "" {
@@ -186,8 +200,8 @@ func (c *Client) RangeQuery(ctx context.Context, store, session string, lo, hi [
 	if err != nil {
 		return RangeTrailer{}, err
 	}
-	path := c.Base + "/v1/stores/" + store + "/sessions/" + session + "/range" + deadlineSuffix(deadlineMs)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, path, bytes.NewReader(data))
+	target := c.sessionURL(store, session, "/range"+deadlineSuffix(deadlineMs))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, bytes.NewReader(data))
 	if err != nil {
 		return RangeTrailer{}, err
 	}
@@ -233,7 +247,7 @@ func (c *Client) RangeQuery(ctx context.Context, store, session string, lo, hi [
 // Metrics fetches one store's metrics snapshot.
 func (c *Client) Metrics(ctx context.Context, store string) (multimap.Metrics, error) {
 	var m multimap.Metrics
-	err := c.do(ctx, http.MethodGet, "/v1/stores/"+store+"/metrics", nil, &m)
+	err := c.do(ctx, http.MethodGet, c.storeURL(store, "/metrics"), nil, &m)
 	return m, err
 }
 

@@ -281,8 +281,13 @@ func wireUs(field string, us int64) (time.Duration, error) {
 // OpenStore opens a store from a wire spec and registers it; it backs
 // POST /v1/stores and the daemon's -open boot flag.
 func (s *Server) OpenStore(ctx context.Context, req OpenStoreRequest) (StoreInfo, error) {
-	if req.Name == "" {
+	switch req.Name {
+	case "":
 		return StoreInfo{}, fmt.Errorf("store name required")
+	case ".", "..":
+		// The router cleans these segments out of every path, so the
+		// store could never be reached or closed.
+		return StoreInfo{}, fmt.Errorf("store name %q is not a path segment", req.Name)
 	}
 	kind, err := multimap.ParseMapping(req.Mapping)
 	if err != nil {

@@ -489,6 +489,45 @@ func TestPoolOverWire(t *testing.T) {
 	}
 }
 
+// TestOddStoreNames: a store whose name must be escaped in a URL path
+// opens, begins a session, streams a range and closes through Client,
+// and closing it leaves the store "a" beside it open. "." and ".." are
+// refused, because the router cleans them out of every path.
+func TestOddStoreNames(t *testing.T) {
+	srv, ts, c := startDaemon(t, testSpec("a"))
+	defer ts.Close()
+	defer srv.Close(context.Background())
+	ctx := context.Background()
+	for _, name := range []string{"a/b", "a?b", "%zz", "a b"} {
+		if _, err := c.OpenStore(ctx, testSpec(name)); err != nil {
+			t.Fatalf("open %q: %v", name, err)
+		}
+		sess, err := c.Begin(ctx, name, "")
+		if err != nil {
+			t.Fatalf("begin on %q: %v", name, err)
+		}
+		tr, err := c.RangeQuery(ctx, name, sess, []int{0, 0, 0}, []int{4, 4, 4}, 0, nil)
+		if err != nil || tr.Stats.Cells != 64 {
+			t.Fatalf("range on %q: %+v, %v", name, tr.Stats, err)
+		}
+		if _, err := c.CloseSession(ctx, name, sess); err != nil {
+			t.Fatalf("close session on %q: %v", name, err)
+		}
+		if err := c.CloseStore(ctx, name); err != nil {
+			t.Fatalf("close %q: %v", name, err)
+		}
+		infos, err := c.Stores(ctx)
+		if err != nil || len(infos) != 1 || infos[0].Name != "a" {
+			t.Fatalf("after closing %q the daemon holds %+v (%v), want only \"a\"", name, infos, err)
+		}
+	}
+	for _, name := range []string{".", ".."} {
+		if _, err := c.OpenStore(ctx, testSpec(name)); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
+			t.Errorf("open %q: %v, want a 400", name, err)
+		}
+	}
+}
+
 // TestOpenRejectsUnknownFields: a request body — open, session-begin
 // or per-op — carrying a removed knob ("pipeline", "batch_window_us",
 // the "elevator" policy) or a misspelt field gets 400 naming it instead
