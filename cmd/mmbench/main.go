@@ -30,8 +30,6 @@ func main() {
 		runs     = flag.Int("runs", 0, "randomized repetitions (0 = paper's 15)")
 		seed     = flag.Int64("seed", 1, "workload random seed")
 		disks    = flag.String("disks", "", "comma-separated disk models (default: the paper's two drives); available: "+strings.Join(multimap.DiskModels(), ", "))
-		policy   = flag.String("policy", "", "force the drive scheduler for every query: fifo or sptf (default: each mapping's preferred policy)")
-		chunk    = flag.Int64("chunk", 0, "streaming-planner chunk size in cells for grid box queries (0 = plan each query as one chunk; fig7's octree leaf planner is never chunked)")
 		clients  = flag.Int("clients", 0, "concurrent wire sessions for -remote (0 = default 4)")
 		queries  = flag.Int("queries", 0, "operations each -remote session issues (0 = default 32)")
 		writes   = flag.Float64("writes", 0, "fraction in [0,1) of each -remote session's operations that are single-point inserts (0 = read-only)")
@@ -64,10 +62,7 @@ func main() {
 		Clients: *clients, Queries: *queries,
 		Writes: *writes, Deadline: *deadline, Seed: *seed,
 	}
-	cfg := multimap.ExperimentConfig{
-		Scale: *scale, Runs: *runs, Seed: *seed,
-		Policy: *policy, ChunkCells: *chunk,
-	}
+	cfg := multimap.ExperimentConfig{Scale: *scale, Runs: *runs, Seed: *seed}
 	if *disks != "" {
 		for _, d := range strings.Split(*disks, ",") {
 			cfg.Disks = append(cfg.Disks, multimap.DiskModel(strings.TrimSpace(d)))

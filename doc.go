@@ -50,16 +50,18 @@
 // block of the key space is one contiguous key interval, so a box costs
 // a few intervals per unit of its surface rather than a key per cell,
 // and the same walk over the whole grid yields the runs of in-grid keys
-// that pack a non-power-of-two grid densely (§5.2). The WithPolicy and
-// WithChunkCells open options expose the scheduler and chunking knobs;
-// cmd/mmbench mirrors them as -policy and -chunk. The concurrent service of the
-// next section runs the same pipeline one admission batch at a time,
-// and its four stages are one file each in internal/engine: service.go
-// (lifecycle, options, the loop goroutine that owns everything below),
-// admit.go (what is served now, what waits, what is dropped), serve.go
-// (schedule + coherence + simulate: cache, dirty buffer, COW, disks)
-// and attribute.go (costs back to sessions and the totals they sum
-// to); each opens with what it may touch.
+// that pack a non-power-of-two grid densely (§5.2). The issue policy is
+// the layout's own, chosen by one function (query.PolicyFor): SPTF for
+// MultiMap, FIFO for the linear layouts. WithChunkCells bounds the
+// planner's chunks; the paper figures plan each query as one chunk.
+// The concurrent service of the next section runs the same pipeline
+// one admission batch at a time, and its four stages are one file each
+// in internal/engine: service.go (lifecycle, options, the loop
+// goroutine that owns everything below), admit.go (what is served now,
+// what waits, what is dropped), serve.go (schedule + coherence +
+// simulate: cache, dirty buffer, COW, disks) and attribute.go (costs
+// back to sessions and the totals they sum to); each opens with what it
+// may touch.
 //
 // # Concurrent query service
 //

@@ -36,7 +36,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		store, err := octree.NewStore(vol, tree, kind, octree.StoreOptions{DiskIdx: 0})
+		store, err := octree.NewStore(vol, tree, kind)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,7 +1,5 @@
 package disk
 
-import "fmt"
-
 // SchedPolicy selects how a batch of outstanding requests is ordered by
 // the drive's internal scheduler.
 type SchedPolicy int
@@ -26,18 +24,6 @@ func (p SchedPolicy) String() string {
 		return "sptf"
 	default:
 		return "unknown"
-	}
-}
-
-// ParsePolicy converts a CLI-friendly name to a scheduling policy.
-func ParsePolicy(s string) (SchedPolicy, error) {
-	switch s {
-	case "fifo":
-		return SchedFIFO, nil
-	case "sptf":
-		return SchedSPTF, nil
-	default:
-		return 0, fmt.Errorf("disk: unknown scheduling policy %q", s)
 	}
 }
 

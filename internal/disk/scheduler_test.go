@@ -284,24 +284,6 @@ func TestSPTFPicksTrueArgmin(t *testing.T) {
 	}
 }
 
-func TestParsePolicy(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want SchedPolicy
-	}{{"fifo", SchedFIFO}, {"sptf", SchedSPTF}} {
-		got, err := ParsePolicy(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParsePolicy(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	// The C-LOOK policy is gone: its names must fail, not fall back.
-	for _, in := range []string{"lifo", "elevator", "clook", "c-look"} {
-		if _, err := ParsePolicy(in); err == nil {
-			t.Errorf("ParsePolicy(%q) accepted", in)
-		}
-	}
-}
-
 func TestBatchTimeMs(t *testing.T) {
 	d := New(SmallTestDisk())
 	comps, err := d.ServeBatch([]Request{{LBN: 10, Count: 1}, {LBN: 500, Count: 2}}, SchedFIFO)

@@ -60,7 +60,7 @@ func TestServeMergedAllocsNothingPerItem(t *testing.T) {
 		defer svc.Close()
 		items := make([]*serviceOp, n)
 		for i := range items {
-			items[i] = &serviceOp{kind: opChunk, policy: disk.SchedSPTF, reply: make(chan opResult, 1),
+			items[i] = &serviceOp{kind: opChunk, reply: make(chan opResult, 1),
 				chunk: Chunk{Reqs: reqs, Policy: disk.SchedSPTF}}
 		}
 		run := func() {

@@ -251,7 +251,7 @@ func TestDeadChunksDroppedAtAdmission(t *testing.T) {
 	chunks := randomChunks(rand.New(rand.NewSource(11)), v, len(ctxs), 10)
 	ops := make([]*serviceOp, len(chunks))
 	for i, c := range chunks {
-		ops[i] = &serviceOp{kind: opChunk, ctx: ctxs[i], chunk: c, policy: c.Policy, reply: make(chan opResult, 1)}
+		ops[i] = &serviceOp{kind: opChunk, ctx: ctxs[i], chunk: c, reply: make(chan opResult, 1)}
 	}
 	submitTogether(svc, ops)
 	res := make([]opResult, len(ops))

@@ -183,10 +183,6 @@ func Static(reqs []lvm.Request, policy disk.SchedPolicy) Plan {
 
 // Options tunes one execution.
 type Options struct {
-	// Policy, when non-nil, overrides every chunk's issue policy — the
-	// knob behind comparison runs (e.g. forcing FIFO under a
-	// MultiMap plan). Nil keeps the planner's choice.
-	Policy *disk.SchedPolicy
 	// OnChunk, when set, receives each served chunk's own Stats as the
 	// chunk retires, in chunk order — the very value the query's total
 	// accumulates, so the hook changes nothing about how that total is

@@ -109,27 +109,6 @@ type planFunc func() (Chunk, bool, error)
 
 func (f planFunc) Next() (Chunk, bool, error) { return f() }
 
-func TestPolicyOverride(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	vA := testVolume(t)
-	vB := testVolume(t)
-	reqs := randomReqs(rng, vA, 120)
-
-	// Forcing FIFO over an SPTF chunk must reproduce the FIFO schedule.
-	fifo := disk.SchedFIFO
-	stForced, err := OnVolume(vA).RunPlan(context.Background(), Static(reqs, disk.SchedSPTF), Options{Policy: &fifo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stFIFO, err := execute(vB, reqs, disk.SchedFIFO)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stForced != stFIFO {
-		t.Errorf("override stats %+v != native FIFO stats %+v", stForced, stFIFO)
-	}
-}
-
 // TestExecuteMultiDiskConcurrent exercises the per-disk goroutines of
 // the volume layer through a lone session; run with -race to verify
 // drive isolation.

@@ -202,7 +202,7 @@ func TestServiceFairShareDeferral(t *testing.T) {
 	chunks := randomChunks(rng, v, 4, 30)
 	ops := make([]*serviceOp, len(chunks))
 	for i, c := range chunks {
-		ops[i] = &serviceOp{kind: opChunk, chunk: c, policy: c.Policy, class: "bulk", reply: make(chan opResult, 1)}
+		ops[i] = &serviceOp{kind: opChunk, chunk: c, class: "bulk", reply: make(chan opResult, 1)}
 	}
 	submitTogether(svc, ops)
 	for i, op := range ops {
@@ -490,7 +490,6 @@ func steppedPass(t *testing.T, opts ServiceOptions, pass []steppedBox) []float64
 		ops[i] = &serviceOp{
 			kind:     opChunk,
 			chunk:    Chunk{Reqs: reqs, Policy: disk.SchedSPTF},
-			policy:   disk.SchedSPTF,
 			class:    b.class,
 			enqueued: now,
 			reply:    make(chan opResult, 1),

@@ -40,11 +40,7 @@ func refRun(ctx context.Context, vol *lvm.Volume, p Plan, opts Options) (Stats, 
 		if !ok {
 			return st, nil
 		}
-		policy := c.Policy
-		if opts.Policy != nil {
-			policy = *opts.Policy
-		}
-		comps, elapsed, err := vol.ServeBatch(c.Reqs, policy)
+		comps, elapsed, err := vol.ServeBatch(c.Reqs, c.Policy)
 		if err != nil {
 			return st, err
 		}
@@ -71,10 +67,10 @@ type runResult struct {
 // runBoth runs the same plan on a fresh volume through refRun and
 // through a lone OnVolume session. mkPlan builds a fresh plan per run
 // (plans are single-use); mkVol builds identical pristine volumes.
-func runBoth(ctx context.Context, mkVol func() *lvm.Volume, mkPlan func() Plan, policy *disk.SchedPolicy) (ref, got runResult) {
+func runBoth(ctx context.Context, mkVol func() *lvm.Volume, mkPlan func() Plan) (ref, got runResult) {
 	run := func(r func(context.Context, Plan, Options) (Stats, error)) runResult {
 		var res runResult
-		opts := Options{Policy: policy, OnChunk: func(d Stats) { res.chunks = append(res.chunks, d) }}
+		opts := Options{OnChunk: func(d Stats) { res.chunks = append(res.chunks, d) }}
 		res.st, res.err = r(ctx, mkPlan(), opts)
 		return res
 	}
@@ -126,10 +122,8 @@ func refChunks(rng *rand.Rand, v *lvm.Volume) []Chunk {
 // TestSessionMatchesRef: a lone OnVolume session must return exactly
 // what the reference drain loop returns — Stats ==, floats included,
 // and the same OnChunk sequence — over random chunked plans on one- and
-// multi-disk volumes, every policy mix and every policy override.
+// multi-disk volumes and every policy mix.
 func TestSessionMatchesRef(t *testing.T) {
-	sptf, fifo := disk.SchedSPTF, disk.SchedFIFO
-	overrides := []*disk.SchedPolicy{nil, &fifo, &sptf}
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		geoms := make([]*disk.Geometry, 1+int(seed%3))
@@ -138,8 +132,7 @@ func TestSessionMatchesRef(t *testing.T) {
 		}
 		mkVol := func() *lvm.Volume { return testVolume(t, geoms...) }
 		chunks := refChunks(rng, mkVol())
-		override := overrides[seed%3]
-		ref, got := runBoth(context.Background(), mkVol, func() Plan { return chunkPlan(chunks) }, override)
+		ref, got := runBoth(context.Background(), mkVol, func() Plan { return chunkPlan(chunks) })
 		if ref.err != nil {
 			t.Fatalf("seed %d: reference failed: %v", seed, ref.err)
 		}
@@ -147,7 +140,7 @@ func TestSessionMatchesRef(t *testing.T) {
 			t.Fatalf("seed %d: reference saw %d chunks of %d", seed, len(ref.chunks), len(chunks))
 		}
 		if d := sameRun(ref, got); d != "" {
-			t.Fatalf("seed %d (%d chunks, override %v): %s", seed, len(chunks), override, d)
+			t.Fatalf("seed %d (%d chunks): %s", seed, len(chunks), d)
 		}
 	}
 }
@@ -203,7 +196,7 @@ func TestSessionMatchesRefOnFailure(t *testing.T) {
 			{"cancelled, plan fails at 0", cancelled, failFirst, false},
 			{"expired, plan fails at 0", expired, failFirst, false},
 		} {
-			ref, got := runBoth(tc.ctx, mkVol, tc.plan, nil)
+			ref, got := runBoth(tc.ctx, mkVol, tc.plan)
 			if (ref.err == nil) != tc.wantOK {
 				t.Fatalf("seed %d %s: reference error %v", seed, tc.name, ref.err)
 			}
@@ -242,22 +235,5 @@ func TestSessionSingleMatchesRun(t *testing.T) {
 	}
 	if sess.Totals() != want {
 		t.Fatalf("session lifetime totals %+v != %+v", sess.Totals(), want)
-	}
-
-	// The policy override must flow through sessions too.
-	vRef2, vSvc2 := testVolume(t), testVolume(t)
-	fifo := disk.SchedFIFO
-	want2, err := refRun(context.Background(), vRef2, chunkPlan(chunks), Options{Policy: &fifo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc2 := NewService(vSvc2, ServiceOptions{})
-	defer svc2.Close()
-	got2, err := svc2.NewSession(SessionOptions{}).RunPlan(context.Background(), chunkPlan(chunks), Options{Policy: &fifo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2 != want2 {
-		t.Fatalf("override via session %+v != via reference %+v", got2, want2)
 	}
 }

@@ -129,7 +129,7 @@ func (s *Service) cowFault(op *serviceOp, res *opResult) (int, error) {
 	if len(spans) == 0 {
 		return 0, nil
 	}
-	comps, elapsed, err := s.vol.ServeBatch(spans, op.policy)
+	comps, elapsed, err := s.vol.ServeBatch(spans, op.chunk.Policy)
 	if err != nil {
 		return 0, err
 	}
@@ -198,7 +198,7 @@ func (s *Service) serveWrite(op *serviceOp) {
 	}
 	issued := faultReqs
 	if len(op.chunk.Reqs) > 0 {
-		comps, elapsed, err := s.vol.ServeBatch(op.chunk.Reqs, op.policy)
+		comps, elapsed, err := s.vol.ServeBatch(op.chunk.Reqs, op.chunk.Policy)
 		if err != nil {
 			s.chargeWrite(op, res, issued, err)
 			return
@@ -337,7 +337,7 @@ func (s *Service) serveSingle(op *serviceOp) {
 	var elapsed float64
 	if len(reqs) > 0 {
 		var err error
-		comps, elapsed, err = s.vol.ServeBatch(reqs, op.policy)
+		comps, elapsed, err = s.vol.ServeBatch(reqs, op.chunk.Policy)
 		if err != nil {
 			op.reply <- opResult{err: err}
 			return
@@ -421,7 +421,7 @@ func (s *Service) planMerged(items []*serviceOp) (policy disk.SchedPolicy, ok bo
 		}
 	}
 	if len(sc.entries) == 0 {
-		return items[0].policy, true
+		return items[0].chunk.Policy, true
 	}
 	slices.SortStableFunc(sc.entries, func(a, b mergeEntry) int {
 		switch {
@@ -461,9 +461,9 @@ func (s *Service) planMerged(items []*serviceOp) (policy disk.SchedPolicy, ok bo
 		sc.reqs = append(sc.reqs, lvm.Request{VLBN: start, Count: e.req.Count})
 		sc.pushMember(idx)
 	}
-	policy = items[0].policy
+	policy = items[0].chunk.Policy
 	for _, it := range items[1:] {
-		if it.policy != policy {
+		if it.chunk.Policy != policy {
 			return disk.SchedSPTF, true
 		}
 	}

@@ -22,7 +22,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/disk"
 	"repro/internal/lvm"
 )
 
@@ -188,7 +187,6 @@ type serviceOp struct {
 	// marks an op DRR has already held back at least one pass, so the
 	// Deferred counter counts each op once.
 	chunk    Chunk
-	policy   disk.SchedPolicy // effective issue policy (session override applied)
 	owner    *Session
 	class    string
 	deferred bool

@@ -229,10 +229,9 @@ func TestServeMergedAttribution(t *testing.T) {
 
 	mk := func(reqs ...lvm.Request) *serviceOp {
 		return &serviceOp{
-			kind:   opChunk,
-			chunk:  Chunk{Reqs: reqs, Policy: disk.SchedSPTF},
-			policy: disk.SchedSPTF,
-			reply:  make(chan opResult, 1),
+			kind:  opChunk,
+			chunk: Chunk{Reqs: reqs, Policy: disk.SchedSPTF},
+			reply: make(chan opResult, 1),
 		}
 	}
 	a := mk(
@@ -303,10 +302,10 @@ func TestServeMergedRespectsDiskBoundaries(t *testing.T) {
 	svc := NewService(v, ServiceOptions{})
 	defer svc.Close()
 	edge := v.DiskBlocks(0)
-	a := &serviceOp{kind: opChunk, policy: disk.SchedSPTF, reply: make(chan opResult, 1),
-		chunk: Chunk{Reqs: []lvm.Request{{VLBN: edge - 8, Count: 8}}}}
-	b := &serviceOp{kind: opChunk, policy: disk.SchedSPTF, reply: make(chan opResult, 1),
-		chunk: Chunk{Reqs: []lvm.Request{{VLBN: edge, Count: 8}}}}
+	a := &serviceOp{kind: opChunk, reply: make(chan opResult, 1),
+		chunk: Chunk{Reqs: []lvm.Request{{VLBN: edge - 8, Count: 8}}, Policy: disk.SchedSPTF}}
+	b := &serviceOp{kind: opChunk, reply: make(chan opResult, 1),
+		chunk: Chunk{Reqs: []lvm.Request{{VLBN: edge, Count: 8}}, Policy: disk.SchedSPTF}}
 	svc.serveMerged([]*serviceOp{a, b})
 	ra, rb := <-a.reply, <-b.reply
 	if ra.err != nil || rb.err != nil {
@@ -545,16 +544,14 @@ func TestServiceBatchReadsBeforeWrites(t *testing.T) {
 	defer svc.Close()
 
 	read := &serviceOp{
-		kind:   opChunk,
-		chunk:  Chunk{Reqs: []lvm.Request{{VLBN: 100, Count: 8}}, Policy: disk.SchedSPTF},
-		policy: disk.SchedSPTF,
-		reply:  make(chan opResult, 1),
+		kind:  opChunk,
+		chunk: Chunk{Reqs: []lvm.Request{{VLBN: 100, Count: 8}}, Policy: disk.SchedSPTF},
+		reply: make(chan opResult, 1),
 	}
 	write := &serviceOp{
-		kind:   opWrite,
-		chunk:  Chunk{Reqs: []lvm.Request{{VLBN: 100, Count: 8}}},
-		policy: disk.SchedSPTF,
-		reply:  make(chan opResult, 1),
+		kind:  opWrite,
+		chunk: Chunk{Reqs: []lvm.Request{{VLBN: 100, Count: 8}}, Policy: disk.SchedSPTF},
+		reply: make(chan opResult, 1),
 	}
 	// Write submitted BEFORE the read, same admission batch: the read
 	// must still be served first (miss — nothing cached yet), then the

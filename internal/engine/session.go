@@ -165,10 +165,6 @@ func (s *Session) RunPlan(ctx context.Context, p Plan, opts Options) (Stats, err
 		op.kind = opChunk
 		op.ctx = ctx
 		op.chunk = c
-		op.policy = c.Policy
-		if opts.Policy != nil {
-			op.policy = *opts.Policy
-		}
 		op.class = s.class
 		if err := s.svc.submit(op); err != nil {
 			putOp(op) // never queued: submit sends no reply
@@ -202,8 +198,7 @@ func (s *Session) Write(ctx context.Context, reqs []lvm.Request, policy disk.Sch
 	op := getOp()
 	op.kind = opWrite
 	op.ctx = ctx
-	op.chunk = Chunk{Reqs: reqs}
-	op.policy = policy
+	op.chunk = Chunk{Reqs: reqs, Policy: policy}
 	op.owner = s
 	op.class = s.class
 	if err := s.svc.submit(op); err != nil {

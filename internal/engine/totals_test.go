@@ -81,7 +81,7 @@ func TestServiceTotalsBitIdentical(t *testing.T) {
 	merged := randomChunks(rng, lv, 3, 8)
 	ops := make([]*serviceOp, len(merged))
 	for i, c := range merged {
-		ops[i] = &serviceOp{kind: opChunk, chunk: c, policy: c.Policy,
+		ops[i] = &serviceOp{kind: opChunk, chunk: c,
 			class: []string{"a", "b", "a"}[i], reply: make(chan opResult, 1)}
 	}
 	submitTogether(svc, ops)

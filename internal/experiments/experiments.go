@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"repro/internal/disk"
-	"repro/internal/query"
 )
 
 // Config scopes an experiment run. It is the public
@@ -26,13 +25,6 @@ type Config struct {
 	Runs int
 	// Seed makes runs reproducible.
 	Seed int64
-	// Policy forces the drive-internal scheduling policy for every
-	// query ("fifo", "sptf"); empty keeps each mapping's
-	// preferred policy — the paper's configuration.
-	Policy string
-	// ChunkCells bounds how many cells the streaming planner expands
-	// per dispatch chunk; 0 plans each query as one chunk.
-	ChunkCells int64
 }
 
 // Defaults fills unset fields: both paper drives, full scale, 15 runs.
@@ -67,9 +59,6 @@ func (c Config) resolve() ([]*disk.Geometry, error) {
 	if c.Runs < 1 {
 		return nil, fmt.Errorf("experiments: runs must be positive")
 	}
-	if _, err := c.execOptions(); err != nil {
-		return nil, err
-	}
 	geoms := make([]*disk.Geometry, len(c.Disks))
 	for i, m := range c.Disks {
 		g, err := disk.ModelByName(string(m))
@@ -79,11 +68,6 @@ func (c Config) resolve() ([]*disk.Geometry, error) {
 		geoms[i] = g
 	}
 	return geoms, nil
-}
-
-// execOptions translates the engine knobs for the query layer.
-func (c Config) execOptions() (query.ExecOptions, error) {
-	return query.ExecOptionsFor(c.Policy, c.ChunkCells)
 }
 
 // experiment is one regenerable paper artifact: its id and its driver.

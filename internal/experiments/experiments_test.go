@@ -36,9 +36,8 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 // TestConfigValidateRanges: the one validator rejects every
-// out-of-range value mmbench's figure flags can carry, an unknown drive
-// and a removed policy — and passes the zero config once Defaults has
-// filled it.
+// out-of-range value mmbench's figure flags can carry and an unknown
+// drive — and passes the zero config once Defaults has filled it.
 func TestConfigValidateRanges(t *testing.T) {
 	if err := (Config{}).Defaults().Validate(); err != nil {
 		t.Fatalf("defaulted zero config rejected: %v", err)
@@ -47,9 +46,7 @@ func TestConfigValidateRanges(t *testing.T) {
 		"scale":   func(c *Config) { c.Scale = 1.5 },
 		"scale<0": func(c *Config) { c.Scale = -0.5 },
 		"runs":    func(c *Config) { c.Runs = -1 },
-		"chunk":   func(c *Config) { c.ChunkCells = -1 },
 		"disks":   func(c *Config) { c.Disks = []disk.ModelName{"nonsense"} },
-		"policy":  func(c *Config) { c.Policy = "elevator" },
 	} {
 		c := Config{}
 		mangle(&c)

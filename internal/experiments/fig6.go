@@ -21,9 +21,10 @@ func synthChunkDims(scale float64) []int {
 	return []int{side, side, side}
 }
 
-// buildExecutor maps the dataset on a fresh single-disk volume, wiring
-// the run's engine knobs (policy override, planner chunking) through.
-func buildExecutor(cfg Config, g *disk.Geometry, kind mapping.Kind, dims []int) (*query.Executor, *lvm.Volume, error) {
+// buildExecutor maps the dataset on a fresh single-disk volume under
+// the paper's configuration: each layout's own issue policy, each query
+// planned as one chunk.
+func buildExecutor(g *disk.Geometry, kind mapping.Kind, dims []int) (*query.Executor, *lvm.Volume, error) {
 	v, err := lvm.New(0, g)
 	if err != nil {
 		return nil, nil, err
@@ -32,11 +33,7 @@ func buildExecutor(cfg Config, g *disk.Geometry, kind mapping.Kind, dims []int) 
 	if err != nil {
 		return nil, nil, err
 	}
-	opts, err := cfg.execOptions()
-	if err != nil {
-		return nil, nil, err
-	}
-	return query.NewExecutorOptions(v, m, opts), v, nil
+	return query.NewExecutor(v, m), v, nil
 }
 
 // Fig6aResult holds ms/cell per disk, mapping, and dimension.
@@ -65,7 +62,7 @@ func Fig6aBeams(cfg Config) (*Table, Fig6aResult, error) {
 	for _, g := range disks {
 		res[g.Name] = map[string][3]float64{}
 		for _, kind := range mapping.Kinds() {
-			e, v, err := buildExecutor(cfg, g, kind, dims)
+			e, v, err := buildExecutor(g, kind, dims)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -138,7 +135,7 @@ func Fig6bRanges(cfg Config) (*Table, Fig6bResult, error) {
 	for _, g := range disks {
 		res[g.Name] = map[string]map[float64]float64{}
 		for _, kind := range mapping.Kinds() {
-			e, v, err := buildExecutor(cfg, g, kind, dims)
+			e, v, err := buildExecutor(g, kind, dims)
 			if err != nil {
 				return nil, nil, err
 			}

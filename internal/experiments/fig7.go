@@ -24,13 +24,9 @@ func quakeDepth(scale float64) int {
 	}
 }
 
-// quakeStore builds the earthquake dataset under one mapping, wiring
-// the config's scheduler-override knob through to query execution.
-func quakeStore(cfg Config, g *disk.Geometry, kind mapping.Kind, md int) (*octree.Store, *lvm.Volume, *octree.Tree, error) {
-	eo, err := cfg.execOptions()
-	if err != nil {
-		return nil, nil, nil, err
-	}
+// quakeStore builds the earthquake dataset under one mapping on a
+// fresh single-disk volume.
+func quakeStore(g *disk.Geometry, kind mapping.Kind, md int) (*octree.Store, *lvm.Volume, *octree.Tree, error) {
 	v, err := lvm.New(0, g)
 	if err != nil {
 		return nil, nil, nil, err
@@ -39,10 +35,7 @@ func quakeStore(cfg Config, g *disk.Geometry, kind mapping.Kind, md int) (*octre
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	s, err := octree.NewStore(v, tr, kind, octree.StoreOptions{
-		DiskIdx:        0,
-		PolicyOverride: eo.PolicyOverride,
-	})
+	s, err := octree.NewStore(v, tr, kind)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -70,7 +63,7 @@ func Fig7aQuakeBeams(cfg Config) (*Table, Fig7aResult, error) {
 	for _, g := range disks {
 		res[g.Name] = map[string][3]float64{}
 		for _, kind := range mapping.Kinds() {
-			s, v, tr, err := quakeStore(cfg, g, kind, md)
+			s, v, tr, err := quakeStore(g, kind, md)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -142,7 +135,7 @@ func Fig7bQuakeRanges(cfg Config) (*Table, Fig7bResult, error) {
 	var domain int
 	for _, g := range disks {
 		for _, kind := range mapping.Kinds() {
-			s, v, tr, err := quakeStore(cfg, g, kind, md)
+			s, v, tr, err := quakeStore(g, kind, md)
 			if err != nil {
 				return nil, nil, err
 			}

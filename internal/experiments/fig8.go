@@ -32,7 +32,7 @@ func Fig8OLAP(cfg Config) (*Table, Fig8Result, error) {
 	for _, g := range disks {
 		res[g.Name] = map[string]map[string]float64{}
 		for _, kind := range mapping.Kinds() {
-			e, v, err := buildExecutor(cfg, g, kind, dims)
+			e, v, err := buildExecutor(g, kind, dims)
 			if err != nil {
 				return nil, nil, err
 			}

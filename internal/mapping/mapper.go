@@ -93,13 +93,6 @@ type Mapper interface {
 	SpanOnDisk(di int) (start, end int64)
 }
 
-// SemiSequential is implemented by mappers whose non-Dim0 neighbours
-// are adjacent blocks, so beam queries should be issued unsorted and
-// left to the disk's internal scheduler (§5.2).
-type SemiSequential interface {
-	semiSequential()
-}
-
 // Options configures dataset placement for all mappers.
 type Options struct {
 	// DiskIdx pins the dataset to one member disk; -1 lets MultiMap
@@ -204,8 +197,6 @@ func (mm *multiMapper) BoxRequests(lo, hi []int) ([]lvm.Request, error) {
 	return mm.m.BoxRequests(lo, hi)
 }
 
-func (mm *multiMapper) semiSequential() {}
-
 // Core exposes the underlying core.Mapping (for inspection by
 // experiments and tests).
 func (mm *multiMapper) Core() *core.Mapping { return mm.m }
@@ -213,5 +204,3 @@ func (mm *multiMapper) Core() *core.Mapping { return mm.m }
 func (mm *multiMapper) SpanVLBN() (int64, int64) { return mm.m.SpanVLBN() }
 
 func (mm *multiMapper) SpanOnDisk(di int) (int64, int64) { return mm.m.SpanOnDisk(di) }
-
-var _ SemiSequential = (*multiMapper)(nil)

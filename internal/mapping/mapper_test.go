@@ -238,21 +238,8 @@ func TestMultiMapperInterfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.(SemiSequential); !ok {
-		t.Error("MultiMap must advertise semi-sequential access")
-	}
 	mm := m.(*multiMapper)
 	if mm.Core() == nil {
 		t.Error("Core() returned nil")
-	}
-	// Linear mappings must not advertise semi-sequential access.
-	for _, k := range []Kind{Naive, ZOrder, Hilbert, Gray} {
-		lm, err := New(k, v, []int{10, 4}, Options{DiskIdx: 0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := lm.(SemiSequential); ok {
-			t.Errorf("%v wrongly advertises semi-sequential access", k)
-		}
 	}
 }

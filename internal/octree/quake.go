@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/lvm"
 	"repro/internal/mapping"
+	"repro/internal/query"
 	"repro/internal/sfc"
 )
 
@@ -73,28 +74,18 @@ func QuakePoints(maxDepth int) []Point {
 	return pts
 }
 
-// StoreOptions configures dataset placement.
-type StoreOptions struct {
-	// DiskIdx selects the member disk holding the dataset.
-	DiskIdx int
-	// MinRegionLeaves is the smallest uniform region worth a MultiMap
-	// grid (§4.5); smaller ones revert to the linear remainder.
-	// Zero selects a reasonable default.
-	MinRegionLeaves int64
-	// PolicyOverride forces the issue policy of every query (nil keeps
-	// each plan's preferred policy) — the scheduler-comparison knob.
-	PolicyOverride *disk.SchedPolicy
-}
+// minRegionLeaves is the smallest uniform region worth a MultiMap grid
+// (§4.5); smaller ones revert to the linear remainder.
+const minRegionLeaves = 64
 
-// Store places an octree dataset on a volume under one of the four
-// mappings and plans beam/range queries over it. For MultiMap it
-// applies §4.5: each grown uniform region becomes its own grid mapping
-// and the remainder reverts to the linear layout.
+// Store places an octree dataset on drive 0 of a volume under one of
+// the four mappings and plans beam/range queries over it. For MultiMap
+// it applies §4.5: each grown uniform region becomes its own grid
+// mapping and the remainder reverts to the linear layout.
 type Store struct {
-	vol            *lvm.Volume
-	kind           mapping.Kind
-	tree           *Tree
-	policyOverride *disk.SchedPolicy
+	vol  *lvm.Volume
+	kind mapping.Kind
+	tree *Tree
 
 	// MultiMap state
 	regions  []Region
@@ -108,22 +99,20 @@ type Store struct {
 	keyOf func(Leaf) (uint64, error)
 }
 
-// NewStore lays the tree's leaves out under the given mapping kind.
-func NewStore(vol *lvm.Volume, tree *Tree, kind mapping.Kind, opts StoreOptions) (*Store, error) {
-	if opts.DiskIdx < 0 || opts.DiskIdx >= vol.NumDisks() {
-		return nil, fmt.Errorf("octree: disk index %d out of range", opts.DiskIdx)
-	}
-	s := &Store{vol: vol, kind: kind, tree: tree, policyOverride: opts.PolicyOverride}
+// NewStore lays the tree's leaves out on drive 0 under the given
+// mapping kind.
+func NewStore(vol *lvm.Volume, tree *Tree, kind mapping.Kind) (*Store, error) {
+	s := &Store{vol: vol, kind: kind, tree: tree}
 	if kind == mapping.MultiMap {
-		return s, s.placeMultiMap(opts)
+		return s, s.placeMultiMap()
 	}
-	return s, s.placeLinear(opts)
+	return s, s.placeLinear()
 }
 
 // placeLinear orders all leaves by the mapping's curve (Naive: X-major
 // lexicographic; Z-order/Hilbert/Gray: curve value of the leaf anchor,
 // §5.4) and packs them into one contiguous extent.
-func (s *Store) placeLinear(opts StoreOptions) error {
+func (s *Store) placeLinear() error {
 	l := s.tree.DomainSide()
 	switch s.kind {
 	case mapping.Naive:
@@ -166,8 +155,8 @@ func (s *Store) placeLinear(opts StoreOptions) error {
 			return fmt.Errorf("octree: duplicate placement key %d", s.keys[i])
 		}
 	}
-	s.base = s.vol.DiskStart(opts.DiskIdx)
-	if int64(len(s.keys)) > s.vol.DiskBlocks(opts.DiskIdx) {
+	s.base = s.vol.DiskStart(0)
+	if int64(len(s.keys)) > s.vol.DiskBlocks(0) {
 		return fmt.Errorf("octree: %d leaves exceed disk capacity", len(s.keys))
 	}
 	return nil
@@ -176,21 +165,15 @@ func (s *Store) placeLinear(opts StoreOptions) error {
 // placeMultiMap applies §4.5: detect maximal uniform subtrees, grow
 // them into grid regions, map each region with MultiMap, and place the
 // remainder in X-major order in a trailing extent.
-func (s *Store) placeMultiMap(opts StoreOptions) error {
-	minLeaves := opts.MinRegionLeaves
-	if minLeaves == 0 {
-		minLeaves = 64
-	}
-	regions, rest := GrowRegions(s.tree.UniformSubtrees(), s.tree.MaxDepth(), minLeaves)
+func (s *Store) placeMultiMap() error {
+	regions, rest := GrowRegions(s.tree.UniformSubtrees(), s.tree.MaxDepth(), minRegionLeaves)
 	if len(regions) == 0 {
 		return fmt.Errorf("octree: no uniform regions found; use a linear mapping")
 	}
 	s.regions = regions
 	cur := int64(0)
 	for _, r := range regions {
-		mm, err := core.NewMapping(s.vol, r.GridDims(), core.MapOptions{
-			DiskIdx: opts.DiskIdx, StartVLBN: cur,
-		})
+		mm, err := core.NewMapping(s.vol, r.GridDims(), core.MapOptions{StartVLBN: cur})
 		if err != nil {
 			return fmt.Errorf("octree: mapping region %+v: %w", r, err)
 		}
@@ -220,7 +203,7 @@ func (s *Store) placeMultiMap(opts StoreOptions) error {
 		}
 	})
 	s.restBase = cur
-	if cur+int64(len(rem)) > s.vol.DiskStart(opts.DiskIdx)+s.vol.DiskBlocks(opts.DiskIdx) {
+	if cur+int64(len(rem)) > s.vol.DiskStart(0)+s.vol.DiskBlocks(0) {
 		return fmt.Errorf("octree: remainder extent does not fit")
 	}
 	for i, lf := range rem {
@@ -324,9 +307,10 @@ func (s *Store) RangeLeaves(lo, hi [3]int) ([]Leaf, error) {
 	return out, nil
 }
 
-// Plan turns a leaf set into I/O requests plus the issue policy:
-// MultiMap issues unsorted single-block requests for the disk scheduler
-// (§5.2); linear mappings sort ascending and coalesce.
+// Plan turns a leaf set into I/O requests plus the layout's issue
+// policy (query.PolicyFor): under SPTF (MultiMap) single-block requests
+// for the disk scheduler (§5.2); under FIFO (the linear mappings)
+// ascending coalesced runs.
 func (s *Store) Plan(leaves []Leaf) ([]lvm.Request, disk.SchedPolicy, error) {
 	lbns := make([]int64, 0, len(leaves))
 	for _, lf := range leaves {
@@ -336,18 +320,18 @@ func (s *Store) Plan(leaves []Leaf) ([]lvm.Request, disk.SchedPolicy, error) {
 		}
 		lbns = append(lbns, vlbn)
 	}
-	if s.kind == mapping.MultiMap {
+	slices.Sort(lbns)
+	policy := query.PolicyFor(s.kind)
+	if policy == disk.SchedSPTF {
 		// Sorted issue keeps scheduler windows track-local; the disk's
 		// SPTF pass finds the semi-sequential path within them (§5.2).
-		slices.Sort(lbns)
 		reqs := make([]lvm.Request, len(lbns))
 		for i, l := range lbns {
 			reqs[i] = lvm.Request{VLBN: l, Count: 1}
 		}
-		return reqs, disk.SchedSPTF, nil
+		return reqs, policy, nil
 	}
-	slices.Sort(lbns)
-	return engine.CoalesceSortedLBNs(lbns), disk.SchedFIFO, nil
+	return engine.CoalesceSortedLBNs(lbns), policy, nil
 }
 
 // Query plans a leaf set and services it as one chunk on a lone session
@@ -356,9 +340,6 @@ func (s *Store) Query(leaves []Leaf) (engine.Stats, error) {
 	reqs, policy, err := s.Plan(leaves)
 	if err != nil {
 		return engine.Stats{}, err
-	}
-	if s.policyOverride != nil {
-		policy = *s.policyOverride
 	}
 	return engine.OnVolume(s.vol).RunPlan(context.Background(), engine.Static(reqs, policy), engine.Options{})
 }

@@ -28,7 +28,7 @@ func allQuakeStores(t *testing.T) map[string]*Store {
 	out := map[string]*Store{}
 	for _, k := range mapping.Kinds() {
 		v, tr := quakeFixture(t)
-		s, err := NewStore(v, tr, k, StoreOptions{DiskIdx: 0})
+		s, err := NewStore(v, tr, k)
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
@@ -67,7 +67,7 @@ func TestQuakeStoreUnknownLeaf(t *testing.T) {
 
 func TestQuakeMultiMapUsesRegions(t *testing.T) {
 	v, tr := quakeFixture(t)
-	s, err := NewStore(v, tr, mapping.MultiMap, StoreOptions{DiskIdx: 0})
+	s, err := NewStore(v, tr, mapping.MultiMap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestQuakeMultiMapUsesRegions(t *testing.T) {
 func TestBeamLeavesTileLine(t *testing.T) {
 	_, tr := quakeFixture(t)
 	v, _ := quakeFixture(t)
-	s, err := NewStore(v, tr, mapping.Naive, StoreOptions{DiskIdx: 0})
+	s, err := NewStore(v, tr, mapping.Naive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestBeamLeavesTileLine(t *testing.T) {
 
 func TestRangeLeavesMatchesBruteForce(t *testing.T) {
 	v, tr := quakeFixture(t)
-	s, err := NewStore(v, tr, mapping.Naive, StoreOptions{DiskIdx: 0})
+	s, err := NewStore(v, tr, mapping.Naive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestQueryMatchesDirectServe(t *testing.T) {
 	for _, kind := range []mapping.Kind{mapping.MultiMap, mapping.Naive} {
 		v, tr := quakeFixture(t)
 		twin, _ := quakeFixture(t)
-		s, err := NewStore(v, tr, kind, StoreOptions{DiskIdx: 0})
+		s, err := NewStore(v, tr, kind)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func TestQueryMatchesDirectServe(t *testing.T) {
 func TestQuakeMultiMapBeatsNaiveOffMajor(t *testing.T) {
 	perCell := func(kind mapping.Kind, axis int) float64 {
 		v, tr := quakeFixture(t)
-		s, err := NewStore(v, tr, kind, StoreOptions{DiskIdx: 0})
+		s, err := NewStore(v, tr, kind)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +294,7 @@ func TestQuakeFromPointsMatchesDepthFn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewStore(v, got, mapping.MultiMap, StoreOptions{DiskIdx: 0})
+	s, err := NewStore(v, got, mapping.MultiMap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,7 @@ func cellBlock(t testing.TB, e *Executor, cell []int) lvm.Request {
 // (lvm.SortCoalesce), then the issue policy the planner has always
 // applied — FIFO for the linear mappings, and SPTF over gap-bridged
 // requests (engine.BridgedCoalesce) for the semi-sequential MultiMap.
+// It decides from the mapper's Kind on its own, not through PolicyFor.
 func refPlanBox(t testing.TB, e *Executor, lo, hi []int) ([]lvm.Request, disk.SchedPolicy, int64) {
 	t.Helper()
 	var reqs []lvm.Request
@@ -38,7 +39,7 @@ func refPlanBox(t testing.TB, e *Executor, lo, hi []int) ([]lvm.Request, disk.Sc
 		}
 	}
 	reqs = lvm.SortCoalesce(reqs)
-	if _, semiSeq := e.m.(mapping.SemiSequential); !semiSeq {
+	if e.m.Kind() != mapping.MultiMap {
 		return reqs, disk.SchedFIFO, 0
 	}
 	merged, padding := engine.BridgedCoalesce(reqs, e.bridgeGap)

@@ -43,33 +43,26 @@ type Stats = engine.Stats
 
 // ExecOptions tunes an executor beyond its defaults.
 type ExecOptions struct {
-	// PolicyOverride forces every chunk's issue policy (nil keeps each
-	// mapping's preferred policy) — the knob behind scheduler
-	// comparison runs.
-	PolicyOverride *disk.SchedPolicy
 	// ChunkCells bounds how many cells the planner expands per chunk; 0
 	// plans each query as one chunk. Chunking bounds planner memory on
 	// huge ranges at the cost of sorting per chunk instead of globally.
 	ChunkCells int64
 }
 
-// ExecOptionsFor translates the user-facing engine knobs — a policy
-// name ("", "fifo", "sptf") and a planner chunk bound —
-// into ExecOptions. It is the one place the string knobs are parsed,
-// shared by the root API and the experiment drivers.
+// ExecOptionsFor returns the ExecOptions for a planner chunk bound. It
+// exists only for bench/, which a PR outside it may not edit and which
+// still passes an empty policy name first; every other caller builds
+// ExecOptions itself. A non-empty policy is refused: the issue policy
+// belongs to the layout (PolicyFor). The [benchmark] PR that stops
+// passing the name deletes it.
 func ExecOptionsFor(policy string, chunkCells int64) (ExecOptions, error) {
+	if policy != "" {
+		return ExecOptions{}, fmt.Errorf("query: the issue policy %q cannot be set; each layout has its own", policy)
+	}
 	if chunkCells < 0 {
 		return ExecOptions{}, fmt.Errorf("query: chunk cells must be non-negative")
 	}
-	opts := ExecOptions{ChunkCells: chunkCells}
-	if policy != "" {
-		p, err := disk.ParsePolicy(policy)
-		if err != nil {
-			return ExecOptions{}, err
-		}
-		opts.PolicyOverride = &p
-	}
-	return opts, nil
+	return ExecOptions{ChunkCells: chunkCells}, nil
 }
 
 // Executor runs queries for one mapped dataset.
@@ -193,7 +186,7 @@ func (e *Executor) rangeOn(ctx context.Context, r engine.Runner, lo, hi []int, o
 		}
 	}
 	p := e.newBoxPlan(lo, hi)
-	st, runErr := r.RunPlan(ctx, p, engine.Options{Policy: e.opts.PolicyOverride, OnChunk: hook})
+	st, runErr := r.RunPlan(ctx, p, engine.Options{OnChunk: hook})
 	// Blocks fetched = cells + bridged padding (a cell is one block);
 	// report cells so MsPerCell stays the paper's metric. Partial results
 	// get the same conversion so a cancelled query's Stats stay in cell
@@ -303,6 +296,17 @@ func (p *boxPlan) Next() (engine.Chunk, bool, error) {
 	return engine.Chunk{Reqs: reqs, Policy: policy, Padding: padding}, true, nil
 }
 
+// PolicyFor returns the issue policy of a layout (§5.2): MultiMap
+// leaves the order of its semi-sequential requests to the disk's
+// internal scheduler (SPTF); the linear layouts pre-sort and go FIFO.
+// It is the one place a layout's policy is decided.
+func PolicyFor(kind mapping.Kind) disk.SchedPolicy {
+	if kind == mapping.MultiMap {
+		return disk.SchedSPTF
+	}
+	return disk.SchedFIFO
+}
+
 // planBox translates one sub-box into requests, the issue policy, and
 // the number of padding blocks the request set reads beyond the box.
 // Every mapping expands the box itself, into ascending coalesced
@@ -312,8 +316,9 @@ func (e *Executor) planBox(lo, hi []int) ([]lvm.Request, disk.SchedPolicy, int64
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if _, ok := e.m.(mapping.SemiSequential); !ok {
-		return reqs, disk.SchedFIFO, 0, nil
+	policy := PolicyFor(e.m.Kind())
+	if policy == disk.SchedFIFO {
+		return reqs, policy, 0, nil
 	}
 	// MultiMap: its requests are the Dim0 runs (§5.2's sequential access
 	// first), and the final order is left to the disk's internal
@@ -325,7 +330,7 @@ func (e *Executor) planBox(lo, hi []int) ([]lvm.Request, disk.SchedPolicy, int64
 	// and discarding them is far cheaper than a separate positioning.
 	// Gaps from adjacency chains span tracks and stay unbridged.
 	merged, padding := engine.BridgedCoalesce(reqs, e.bridgeGap)
-	return merged, disk.SchedSPTF, padding, nil
+	return merged, policy, padding, nil
 }
 
 // maxBridgeGap caps the gap-bridging threshold (see NewExecutorOptions).

@@ -58,6 +58,30 @@ func allMappers(t *testing.T, v *lvm.Volume, dims []int) map[string]mapping.Mapp
 	return out
 }
 
+// TestPolicyFor: the issue policy is the layout's own (§5.2) — SPTF
+// for MultiMap's semi-sequential requests, FIFO for every linear
+// layout, Gray included — and no caller can force another: the one
+// policy-name argument left (ExecOptionsFor's) refuses any name.
+func TestPolicyFor(t *testing.T) {
+	for _, k := range append(mapping.Kinds(), mapping.Gray) {
+		want := disk.SchedFIFO
+		if k == mapping.MultiMap {
+			want = disk.SchedSPTF
+		}
+		if got := PolicyFor(k); got != want {
+			t.Errorf("PolicyFor(%v) = %v, want %v", k, got, want)
+		}
+	}
+	if _, err := ExecOptionsFor("", 16); err != nil {
+		t.Errorf("ExecOptionsFor without a policy: %v", err)
+	}
+	for _, name := range []string{"fifo", "sptf"} {
+		if _, err := ExecOptionsFor(name, 0); err == nil {
+			t.Errorf("ExecOptionsFor(%q) accepted a policy", name)
+		}
+	}
+}
+
 // TestQueriesFetchExactCellSets: for every mapping, a beam or range
 // query must fetch exactly the blocks storing the requested cells — no
 // more, no fewer. This is the cross-mapping result-equality invariant.

@@ -226,9 +226,6 @@ func buildOptions(req OpenStoreRequest) ([]multimap.Option, error) {
 		return nil, err
 	}
 	var opts []multimap.Option
-	if req.Policy != "" {
-		opts = append(opts, multimap.WithPolicy(req.Policy))
-	}
 	if req.ChunkCells != 0 {
 		opts = append(opts, multimap.WithChunkCells(req.ChunkCells))
 	}

@@ -530,7 +530,7 @@ func TestOddStoreNames(t *testing.T) {
 
 // TestOpenRejectsUnknownFields: a request body — open, session-begin
 // or per-op — carrying a removed knob ("pipeline", "batch_window_us",
-// the "elevator" policy) or a misspelt field gets 400 naming it instead
+// "policy") or a misspelt field gets 400 naming it instead
 // of running silently at another setting, and opens nothing.
 func TestOpenRejectsUnknownFields(t *testing.T) {
 	srv, ts, c := startDaemon(t, testSpec("u"))
@@ -545,7 +545,7 @@ func TestOpenRejectsUnknownFields(t *testing.T) {
 		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"pipeline":2}`, "pipeline"},
 		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"batch_window_us":1000}`, "batch_window_us"},
 		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"cache_blokcs":4096}`, "cache_blokcs"},
-		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"policy":"elevator"}`, "elevator"},
+		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"policy":"elevator"}`, "policy"},
 		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"deadline_aging_us":20000000000000000}`, "deadline_aging_us"},
 		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"write_back":true,"wb_interval_us":3600000001}`, "wb_interval_us"},
 		{"/v1/pools", `{"name":"p","drives":["mediumtest"],"adj_depth":32,"pipeline":2}`, "pipeline"},

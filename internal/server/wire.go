@@ -78,7 +78,6 @@ type OpenStoreRequest struct {
 	Mapping  string   `json:"mapping"`
 	Dims     []int    `json:"dims"`
 
-	Policy            string              `json:"policy,omitempty"`
 	ChunkCells        int64               `json:"chunk_cells,omitempty"`
 	CacheBlocks       int64               `json:"cache_blocks,omitempty"`
 	MaxInflight       int                 `json:"max_inflight,omitempty"`

@@ -214,7 +214,7 @@ type Store struct {
 
 // Open maps an N-dimensional grid dataset onto the volume using the
 // given placement and returns the store, configured by functional
-// options (WithPolicy, WithChunkCells, WithCache, WithMaxInflight,
+// options (WithChunkCells, WithCache, WithMaxInflight,
 // WithShards, WithDeadlineAging, WithFairShare, WithQoSClass, WithQoS,
 // WithWriteBack, WithDiskIdx, Updatable). With WithShards(n > 1) the
 // dataset is split along Dim0 across that many shard volumes (the given
@@ -242,10 +242,7 @@ func Open(vol *Volume, kind Mapping, dims []int, opts ...Option) (*Store, error)
 // configured last, so an open that fails leaves them as it found them;
 // on a closed volume configuring fails, so Open returns ErrClosed.
 func open(vols []*Volume, kind Mapping, dims []int, c config) (*Store, error) {
-	eo, err := query.ExecOptionsFor(c.policy, c.chunkCells)
-	if err != nil {
-		return nil, err
-	}
+	eo := query.ExecOptions{ChunkCells: c.chunkCells}
 	if err := checkShards(dims, c.shards); err != nil {
 		return nil, err
 	}

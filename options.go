@@ -19,7 +19,6 @@ type Option func(*config) error
 // volume that names one fails.
 type config struct {
 	diskIdx     int
-	policy      string
 	chunkCells  int64
 	maxInflight int
 	shards      int
@@ -49,16 +48,6 @@ func WithDiskIdx(idx int) Option {
 			return fmt.Errorf("multimap: disk index %d must be -1 (decluster) or a drive index", idx)
 		}
 		c.diskIdx = idx
-		return nil
-	}
-}
-
-// WithPolicy forces the drive-internal scheduling policy for every
-// query ("fifo", "sptf"); the default keeps each mapping's
-// preferred policy (§5.2). Use it for scheduler comparison runs.
-func WithPolicy(name string) Option {
-	return func(c *config) error {
-		c.policy = name
 		return nil
 	}
 }

@@ -422,6 +422,7 @@ func (p *Pool) autoGrowHook(name string) func() error {
 // Snapshots keep their extents alive independently of the source
 // tenant, so a snapshot outlives even a destroyed parent.
 type Snapshot struct {
+	pool   *Pool
 	tenant string
 	snaps  []*pool.Snap
 	cells  []*core.CellStore // frozen chain state; nil for read-only tenants
@@ -450,11 +451,11 @@ func (p *Pool) Snapshot(ctx context.Context, name string) (*Snapshot, error) {
 	if err := t.store.Flush(ctx); err != nil {
 		return nil, err
 	}
-	s := &Snapshot{tenant: name, grp: t.store.grp, cfg: t.store.cfg, eo: t.store.eo}
+	s := &Snapshot{pool: p, tenant: name, grp: t.store.grp, cfg: t.store.cfg, eo: t.store.eo}
 	for _, pv := range t.vols {
 		sn, err := pv.Snapshot()
 		if err != nil {
-			s.Free()
+			s.free()
 			return nil, err
 		}
 		s.snaps = append(s.snaps, sn)
@@ -470,8 +471,17 @@ func (p *Pool) Snapshot(ctx context.Context, name string) (*Snapshot, error) {
 }
 
 // Free releases the snapshot's extent references. Idempotent; existing
-// clones are unaffected (they hold their own references).
+// clones are unaffected (they hold their own references). It takes the
+// pool's lock, as Clone does, so a Free racing a Clone of the same
+// snapshot either precedes it (the clone fails) or follows it.
 func (s *Snapshot) Free() {
+	s.pool.mu.Lock()
+	defer s.pool.mu.Unlock()
+	s.free()
+}
+
+// free is Free under the pool's lock, which the caller holds.
+func (s *Snapshot) free() {
 	if s.freed {
 		return
 	}

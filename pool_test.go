@@ -2,6 +2,7 @@ package multimap
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -554,5 +555,53 @@ func TestCloneStoreFieldsMatchOpen(t *testing.T) {
 	clone.Reset()
 	if tot := clone.Metrics().Totals; tot.Batches != 0 || tot.WriteOps != 0 {
 		t.Fatalf("clone service totals not cleared by Reset: %+v", tot)
+	}
+}
+
+// TestSnapshotFreeConcurrentClone races Snapshot.Free against a Clone
+// of the same snapshot, twenty rounds over. Free and Clone serialize on
+// the pool's lock, so each round's clone either lands before the free
+// or fails naming the freed snapshot. Once every tenant is destroyed,
+// the pool's space accounting is back at its start state: no extent
+// reference leaked or was released twice. Run it under -race.
+func TestSnapshotFreeConcurrentClone(t *testing.T) {
+	ctx := context.Background()
+	p := testPool(t)
+	usage0 := p.Usage()
+	if _, err := p.Create(ctx, "parent", MultiMap, []int{12, 6, 4}, WithDrives(0)); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 20; round++ {
+		snap, err := p.Snapshot(ctx, "parent")
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("clone-%d", round)
+		var cloneErr error
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			_, cloneErr = p.Clone(ctx, snap, name)
+		}()
+		go func() {
+			defer wg.Done()
+			snap.Free()
+		}()
+		wg.Wait()
+		switch {
+		case cloneErr == nil:
+			if err := p.Destroy(ctx, name); err != nil {
+				t.Fatal(err)
+			}
+		case !strings.Contains(cloneErr.Error(), "already freed"):
+			t.Fatalf("round %d: clone: %v", round, cloneErr)
+		}
+	}
+	if err := p.Destroy(ctx, "parent"); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Usage(); !reflect.DeepEqual(got, usage0) {
+		t.Fatalf("pool usage after every tenant is gone: %+v, want the start state %+v", got, usage0)
 	}
 }

@@ -357,7 +357,7 @@ func (q *Session) FetchCell(ctx context.Context, cell []int) (Stats, error) {
 	}
 	start := time.Now()
 	st, err := q.ss.Member(si).RunPlan(ctx,
-		engine.Static(reqs, query.PolicyFor(q.s.Mapping() == MultiMap)), engine.Options{})
+		engine.Static(reqs, query.PolicyFor(q.s.Mapping())), engine.Options{})
 	if err == nil {
 		q.s.recordQueryLatency(start)
 	}
@@ -371,5 +371,5 @@ func (q *Session) FetchCell(ctx context.Context, cell []int) (Stats, error) {
 // extent ends exactly at one disk's tail), so nothing more is needed
 // here.
 func (q *Session) write(ctx context.Context, si int, reqs []lvm.Request) (Stats, error) {
-	return q.ss.Member(si).Write(ctx, reqs, query.PolicyFor(q.s.Mapping() == MultiMap))
+	return q.ss.Member(si).Write(ctx, reqs, query.PolicyFor(q.s.Mapping()))
 }
