@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/lvm"
@@ -144,34 +144,30 @@ func (s *CellStore) Clone(locate CellLocator) *CellStore {
 }
 
 // writeSet accumulates the blocks one mutation dirties and emits them
-// as sorted, coalesced single-extent requests.
-type writeSet struct {
-	blocks map[int64]struct{}
-}
-
-func (w *writeSet) add(b int64) {
-	if w.blocks == nil {
-		w.blocks = make(map[int64]struct{})
-	}
-	w.blocks[b] = struct{}{}
-}
+// as sorted, coalesced single-extent requests. A mutation dirties a
+// handful of blocks, so they are appended to a slice that starts on the
+// caller's frame and are sorted once at the end.
+type writeSet []int64
 
 // reqs returns the dirtied blocks as ascending requests, adjacent
-// blocks merged into one extent.
-func (w *writeSet) reqs() []lvm.Request {
-	if len(w.blocks) == 0 {
+// blocks merged into one extent and repeats dropped.
+func (bs writeSet) reqs() []lvm.Request {
+	if len(bs) == 0 {
 		return nil
 	}
-	bs := make([]int64, 0, len(w.blocks))
-	for b := range w.blocks {
-		bs = append(bs, b)
+	slices.Sort(bs)
+	runs := 1
+	for i := 1; i < len(bs); i++ {
+		if bs[i] > bs[i-1]+1 {
+			runs++
+		}
 	}
-	sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
-	out := []lvm.Request{{VLBN: bs[0], Count: 1}}
+	out := make([]lvm.Request, 1, runs)
+	out[0] = lvm.Request{VLBN: bs[0], Count: 1}
 	for _, b := range bs[1:] {
 		if last := &out[len(out)-1]; b == last.VLBN+int64(last.Count) {
 			last.Count++
-		} else {
+		} else if b >= last.VLBN+int64(last.Count) {
 			out = append(out, lvm.Request{VLBN: b, Count: 1})
 		}
 	}
@@ -195,7 +191,7 @@ func (s *CellStore) LoadCell(cell []int, n int) ([]lvm.Request, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var w writeSet
+	w := make(writeSet, 0, 8)
 	budget := int(float64(s.capacity) * s.fill)
 	if budget < 1 {
 		budget = 1
@@ -209,7 +205,7 @@ func (s *CellStore) LoadCell(cell []int, n int) ([]lvm.Request, error) {
 				take = free
 			}
 			s.counts[b] += take
-			w.add(b)
+			w = append(w, b)
 			n -= take
 		}
 		nxt, ok := s.chains[b]
@@ -223,13 +219,13 @@ func (s *CellStore) LoadCell(cell []int, n int) ([]lvm.Request, error) {
 		if err != nil {
 			return w.reqs(), err
 		}
-		w.add(tail) // the chain pointer written into the old tail
+		w = append(w, tail) // the chain pointer written into the old tail
 		take := n
 		if take > budget {
 			take = budget
 		}
 		s.counts[page] += take
-		w.add(page)
+		w = append(w, page)
 		n -= take
 	}
 	return w.reqs(), nil
@@ -247,11 +243,11 @@ func (s *CellStore) Insert(cell []int) ([]lvm.Request, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var w writeSet
+	w := make(writeSet, 0, 8)
 	for b := home; ; {
 		if s.counts[b] < s.capacity {
 			s.counts[b]++
-			w.add(b)
+			w = append(w, b)
 			return w.reqs(), nil
 		}
 		nxt, ok := s.chains[b]
@@ -260,7 +256,7 @@ func (s *CellStore) Insert(cell []int) ([]lvm.Request, error) {
 			if err != nil {
 				return nil, err
 			}
-			w.add(tail)
+			w = append(w, tail)
 			nxt = page
 		}
 		b = nxt
@@ -289,14 +285,14 @@ func (s *CellStore) Delete(cell []int) ([]lvm.Request, error) {
 		}
 		b = nxt
 	}
-	var w writeSet
+	w := make(writeSet, 0, 8)
 	for i := len(blocks) - 1; i >= 0; i-- {
 		if s.counts[blocks[i]] > 0 {
 			s.counts[blocks[i]]--
-			w.add(blocks[i])
+			w = append(w, blocks[i])
 			if s.occupancy(home) < s.reclaim {
 				for _, b := range s.reorganize(home) {
-					w.add(b)
+					w = append(w, b)
 				}
 			}
 			return w.reqs(), nil

@@ -87,7 +87,7 @@ func BenchmarkServeBatchSPTF(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := New(g)
-		if _, err := d.ServeBatch(reqs, SchedSPTF); err != nil {
+		if _, err := d.ServeBatch(nil, reqs, SchedSPTF); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -161,7 +161,7 @@ func BenchmarkSPTF(b *testing.B) {
 		name  string
 		serve func(*Disk, []Request) ([]Completion, error)
 	}{
-		{"slab", func(d *Disk, reqs []Request) ([]Completion, error) { return d.serveSPTF(reqs), nil }},
+		{"slab", func(d *Disk, reqs []Request) ([]Completion, error) { return d.serveSPTF(nil, reqs), nil }},
 		{"ref", serveSPTFRef},
 	}
 	for _, shape := range shapes {

@@ -84,6 +84,7 @@ type Disk struct {
 	curTrack int
 	lastEnd  int64 // LBN right after the last transferred block (-1 = none)
 	stats    Stats
+	slabs    sptfSlabs // the SPTF index of the last window within sptfKeep, reused
 }
 
 // New returns a disk with the given geometry, heads at track 0, time 0.

@@ -120,7 +120,7 @@ func TestRepeatedBatchesDeterministic(t *testing.T) {
 	}
 	run := func() float64 {
 		d := New(g)
-		if _, err := d.ServeBatch(reqs, SchedSPTF); err != nil {
+		if _, err := d.ServeBatch(nil, reqs, SchedSPTF); err != nil {
 			t.Fatal(err)
 		}
 		return d.NowMs()

@@ -1,5 +1,7 @@
 package disk
 
+import "slices"
+
 // SchedPolicy selects how a batch of outstanding requests is ordered by
 // the drive's internal scheduler.
 type SchedPolicy int
@@ -37,35 +39,29 @@ func (p SchedPolicy) String() string {
 const maxSPTFBatch = 4096
 
 // ServeBatch services every request in reqs according to the policy and
-// returns per-request completions in service order. The drive clock and
-// head position advance across the whole batch.
-func (d *Disk) ServeBatch(reqs []Request, policy SchedPolicy) ([]Completion, error) {
+// appends the per-request completions, in service order, to dst, which
+// it returns; dst is the caller's, so two owners serving one drive in
+// turn never share a buffer. The drive clock and head position advance
+// across the whole batch. On an invalid request nothing is served and
+// dst comes back unchanged with the error.
+func (d *Disk) ServeBatch(dst []Completion, reqs []Request, policy SchedPolicy) ([]Completion, error) {
 	for _, r := range reqs {
 		if err := r.validate(d.g); err != nil {
-			return nil, err
+			return dst, err
 		}
 	}
+	dst = slices.Grow(dst, len(reqs))
 	if policy == SchedSPTF {
-		return d.serveWindowed(reqs), nil
+		for start := 0; start < len(reqs); start += maxSPTFBatch {
+			dst = d.serveSPTF(dst, reqs[start:min(start+maxSPTFBatch, len(reqs))])
+		}
+		return dst, nil
 	}
-	out := make([]Completion, 0, len(reqs))
 	for _, r := range reqs {
 		cost := d.accessValid(r)
-		out = append(out, Completion{Req: r, Cost: cost, FinishMs: d.nowMs})
+		dst = append(dst, Completion{Req: r, Cost: cost, FinishMs: d.nowMs})
 	}
-	return out, nil
-}
-
-// serveWindowed applies the SPTF scheduler window by window.
-func (d *Disk) serveWindowed(reqs []Request) []Completion {
-	if len(reqs) <= maxSPTFBatch {
-		return d.serveSPTF(reqs)
-	}
-	out := make([]Completion, 0, len(reqs))
-	for start := 0; start < len(reqs); start += maxSPTFBatch {
-		out = append(out, d.serveSPTF(reqs[start:min(start+maxSPTFBatch, len(reqs))])...)
-	}
-	return out
+	return dst, nil
 }
 
 // BatchTimeMs sums the service time of a set of completions.

@@ -8,7 +8,7 @@ import (
 func TestServeBatchFIFOOrder(t *testing.T) {
 	d := New(SmallTestDisk())
 	reqs := []Request{{LBN: 100, Count: 2}, {LBN: 50, Count: 1}, {LBN: 900, Count: 3}}
-	comps, err := d.ServeBatch(reqs, SchedFIFO)
+	comps, err := d.ServeBatch(nil, reqs, SchedFIFO)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestServeBatchFIFOOrder(t *testing.T) {
 func TestServeBatchValidatesUpfront(t *testing.T) {
 	d := New(SmallTestDisk())
 	bad := []Request{{LBN: 0, Count: 1}, {LBN: -4, Count: 1}}
-	if _, err := d.ServeBatch(bad, SchedSPTF); err == nil {
+	if _, err := d.ServeBatch(nil, bad, SchedSPTF); err == nil {
 		t.Fatal("invalid request accepted")
 	}
 	if d.Stats().Requests != 0 {
@@ -62,14 +62,14 @@ func TestSPTFFindsSemiSequentialPath(t *testing.T) {
 	})
 
 	dS := New(g)
-	compsS, err := dS.ServeBatch(shuffled, SchedSPTF)
+	compsS, err := dS.ServeBatch(nil, shuffled, SchedSPTF)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sptfMs := dS.NowMs()
 
 	dF := New(g)
-	if _, err := dF.ServeBatch(shuffled, SchedFIFO); err != nil {
+	if _, err := dF.ServeBatch(nil, shuffled, SchedFIFO); err != nil {
 		t.Fatal(err)
 	}
 	fifoMs := dF.NowMs()
@@ -93,10 +93,10 @@ func TestSPTFNotWorseThanFIFOOnRandom(t *testing.T) {
 		reqs[i] = Request{LBN: rng.Int63n(g.TotalBlocks()), Count: 1}
 	}
 	dS, dF := New(g), New(g)
-	if _, err := dS.ServeBatch(reqs, SchedSPTF); err != nil {
+	if _, err := dS.ServeBatch(nil, reqs, SchedSPTF); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dF.ServeBatch(reqs, SchedFIFO); err != nil {
+	if _, err := dF.ServeBatch(nil, reqs, SchedFIFO); err != nil {
 		t.Fatal(err)
 	}
 	if dS.NowMs() > dF.NowMs()*1.02 {
@@ -114,7 +114,7 @@ func TestLargeBatchWindowedSPTF(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = Request{LBN: int64(i % 1000), Count: 1}
 	}
-	comps, err := d.ServeBatch(reqs, SchedSPTF)
+	comps, err := d.ServeBatch(nil, reqs, SchedSPTF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestSPTFMatchesGreedyReference(t *testing.T) {
 			dNew.RandomizePosition(rand.New(rand.NewSource(int64(trial))))
 			dRef.RandomizePosition(rand.New(rand.NewSource(int64(trial))))
 
-			compsNew := dNew.serveSPTF(reqs)
+			compsNew := dNew.serveSPTF(nil, reqs)
 			compsRef, err := serveSPTFGreedy(dRef, reqs)
 			if err != nil {
 				t.Fatal(err)
@@ -286,7 +286,7 @@ func TestSPTFPicksTrueArgmin(t *testing.T) {
 
 func TestBatchTimeMs(t *testing.T) {
 	d := New(SmallTestDisk())
-	comps, err := d.ServeBatch([]Request{{LBN: 10, Count: 1}, {LBN: 500, Count: 2}}, SchedFIFO)
+	comps, err := d.ServeBatch(nil, []Request{{LBN: 10, Count: 1}, {LBN: 500, Count: 2}}, SchedFIFO)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,8 +99,40 @@ type sptfPick struct {
 	at    int32 // index into ents
 }
 
+// sptfKeep bounds the windows whose slabs a drive keeps for the next
+// window: one of at most this many requests is built into the slabs the
+// last such window left on the Disk, and a longer one — a write-back
+// group commit issues up to maxSPTFBatch — allocates its own and drops
+// them after serving, so no drive pins a flush-sized index on the heap.
+// At 256 requests the kept slabs take about 26 KiB.
+const sptfKeep = 256
+
+// sptfSlabs are the index slabs a drive keeps between windows (see
+// sptfKeep). A window owns them while it is served, under the drive's
+// single owner (internal/lvm serves a drive under its mutex).
+type sptfSlabs struct {
+	ents   []sptfEntry
+	tracks []sptfTrack
+	bands  []sptfBand
+}
+
+// slab returns a slice of n elements backed by *kept when it is large
+// enough; otherwise it allocates one, and keeps it only when n is
+// within sptfKeep. The elements are not cleared: every builder writes
+// each one before reading it.
+func slab[T any](kept *[]T, n int) []T {
+	if n <= cap(*kept) {
+		return (*kept)[:n]
+	}
+	s := make([]T, n)
+	if n <= sptfKeep {
+		*kept = s
+	}
+	return s
+}
+
 func newSPTF(d *Disk, reqs []Request) sptfSched {
-	ents := make([]sptfEntry, len(reqs))
+	ents := slab(&d.slabs.ents, len(reqs))
 	if !decodeSPTF(d.g, reqs, ents) {
 		slices.SortFunc(ents, compareSPTFEntries)
 	}
@@ -194,8 +226,8 @@ func indexSPTF(d *Disk, ents []sptfEntry) sptfSched {
 			}
 		}
 	}
-	tracks := make([]sptfTrack, 0, nt)
-	bands := make([]sptfBand, 0, nb)
+	tracks := slab(&d.slabs.tracks, nt)[:0]
+	bands := slab(&d.slabs.bands, nb)[:0]
 	zi := 0
 	for i := range ents {
 		if tr := ents[i].track; i == 0 || tr != ents[i-1].track {
@@ -496,10 +528,10 @@ func (s *sptfSched) remove(ti, at int32) {
 }
 
 // serveSPTF services one scheduling window of validated requests in
-// shortest-positioning-time order, advancing the drive clock and heads.
-// Each pick is served from the coordinates decoded on admission.
-func (d *Disk) serveSPTF(reqs []Request) []Completion {
-	out := make([]Completion, 0, len(reqs))
+// shortest-positioning-time order, advancing the drive clock and heads,
+// and appends the completions to out. Each pick is served from the
+// coordinates decoded on admission.
+func (d *Disk) serveSPTF(out []Completion, reqs []Request) []Completion {
 	if len(reqs) == 1 {
 		cost := d.accessValid(reqs[0])
 		return append(out, Completion{Req: reqs[0], Cost: cost, FinishMs: d.nowMs})

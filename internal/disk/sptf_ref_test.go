@@ -545,7 +545,7 @@ func runSPTFWindows(t testing.TB, g *Geometry, seed int64, issued [][]Request) {
 	dNew.RandomizePosition(rand.New(rand.NewSource(seed)))
 	dRef.RandomizePosition(rand.New(rand.NewSource(seed)))
 	for w, win := range windows {
-		got, err := dNew.ServeBatch(win, SchedSPTF)
+		got, err := dNew.ServeBatch(nil, win, SchedSPTF)
 		if err != nil {
 			t.Fatalf("window %d: %v", w, err)
 		}
@@ -777,6 +777,11 @@ func FuzzSPTF(f *testing.F) {
 		f.Add(randomSPTFScript(rng, geom, 8, 100, 30, 30))
 		f.Add(randomSPTFScript(rng, geom, 19, 200))
 		f.Add(multimapSPTFScript(rng, geom, 300, 100))
+		// Windows alternating across sptfKeep on one drive: one within it
+		// is built in the slabs the last such window left, one past it in
+		// its own, so a stale kept entry shows in the next window's picks.
+		f.Add(randomSPTFScript(rng, geom, 8, sptfKeep+44, 40, sptfKeep+1, sptfKeep-1))
+		f.Add(multimapSPTFScript(rng, geom, sptfKeep+14, 100, sptfKeep+44))
 	}
 	// Windows past maxSPTFBatch are TestSPTFMatchesRef's: scripts that
 	// long make every exec, and the fuzzer's minimizer, slow.

@@ -5,7 +5,9 @@ package engine
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/disk"
 	"repro/internal/lvm"
@@ -15,12 +17,15 @@ import (
 // (testing.AllocsPerRun cannot run under the race detector, hence the
 // build tag; CI has a non-race leg for this file).
 
-// TestRunPlanAllocBudget: a warm single-chunk query costs 9 allocations
-// with the cache off — the static plan, the in-flight window, the loop
-// goroutine's start and what lvm.ServeBatch allocates for 40 requests —
-// and 3 when every request hits the cache (no ServeBatch). The reply
-// is a Stats by value and the query plans on this goroutine, so the
-// boundary itself adds nothing to that list.
+// TestRunPlanAllocBudget: a warm single-chunk query costs one
+// allocation, its static plan, whether the requests reach the disks or
+// every one hits the cache. Everything else it passes through reuses a
+// buffer someone already owns: the in-flight window is an array on
+// RunPlan's frame, the loop starts from a func value bound once in
+// NewService, the volume serves into its own scratch, and the drive
+// builds each SPTF window in the slabs it keeps. The reply is a Stats
+// by value and the query plans on this goroutine, so the boundary
+// itself adds nothing.
 func TestRunPlanAllocBudget(t *testing.T) {
 	v := testVolume(t)
 	reqs := lvm.SortCoalesce(randomReqs(rand.New(rand.NewSource(1)), v, 40))
@@ -29,8 +34,8 @@ func TestRunPlanAllocBudget(t *testing.T) {
 		cache  int64
 		budget float64
 	}{
-		{"cache off", 0, 9},
-		{"fully cached", 1 << 20, 3},
+		{"cache off", 0, 1},
+		{"fully cached", 1 << 20, 1},
 	} {
 		svc := NewService(v, ServiceOptions{CacheBlocks: tc.cache})
 		sess := svc.NewSession(SessionOptions{})
@@ -78,7 +83,60 @@ func TestServeMergedAllocsNothingPerItem(t *testing.T) {
 	if two != four || four != eight {
 		t.Errorf("merged batch allocations grow with its items: %v / %v / %v for 2 / 4 / 8", two, four, eight)
 	}
-	if four > 6 {
-		t.Errorf("merged 4-chunk batch: %v allocs, budget 6 (all of them lvm.ServeBatch's)", four)
+	if four != 0 {
+		t.Errorf("merged 4-chunk batch: %v allocs, budget 0", four)
+	}
+}
+
+// TestDirtyWaitAllocsNothingPerWake: the write-back idle wait reuses
+// the loop's one timer, whether a wait ends on a wake (a submission,
+// Close) or on the flush deadline — it used to make a timer per wake.
+// A wait that ends on a wake drains a tick that fired meanwhile, so the
+// next wait is not cut short by it. The test goroutine stands in for
+// the loop: nothing is queued, so no loop runs.
+func TestDirtyWaitAllocsNothingPerWake(t *testing.T) {
+	svc := NewService(testVolume(t), ServiceOptions{WriteBack: WriteBackOptions{Enabled: true}})
+	defer svc.Close()
+	woken := func() {
+		svc.signalWake()
+		svc.waitDirty(time.Hour)
+	}
+	expired := func() { svc.waitDirty(time.Microsecond) }
+	woken() // warm: the first wait makes the timer
+	for _, w := range []struct {
+		name string
+		wait func()
+	}{{"woken", woken}, {"expired", expired}} {
+		if got := testing.AllocsPerRun(100, w.wait); got != 0 {
+			t.Errorf("%s idle wait: %v allocs, budget 0", w.name, got)
+		}
+	}
+	// A wake that ends a wait after the timer has fired: on one P the
+	// helper spins past the deadline before it signals, the wake hands
+	// the select its case, and the scheduler runs the expired timer
+	// before the waiter resumes, so the tick lands in the channel while
+	// Stop reports it fired. Whichever way a wait ends, the next one
+	// must sleep its full duration.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const tick, d = 200 * time.Microsecond, 2 * time.Millisecond
+	for i := 0; i < 20; i++ {
+		woke := make(chan struct{})
+		go func() {
+			for start := time.Now(); time.Since(start) < 2*tick; {
+			}
+			svc.signalWake()
+			close(woke)
+		}()
+		svc.waitDirty(tick)
+		<-woke
+		select {
+		case <-svc.wake: // the wait ended on the timer: take the token back
+		default:
+		}
+		start := time.Now()
+		svc.waitDirty(d)
+		if got := time.Since(start); got < d {
+			t.Fatalf("round %d: a %v wait returned after %v: a stale tick ended it", i, d, got)
+		}
 	}
 }

@@ -167,17 +167,11 @@ func (s *Service) finishSingle(op *serviceOp, res opResult, comps []lvm.Completi
 func (s *Service) finishMerged(items []*serviceOp, comps []lvm.Completion, elapsed float64) {
 	sc := &s.scratch.merge
 	if len(sc.reqs) > 0 {
-		// Extents are disjoint, so a completion maps back by start VLBN.
-		if sc.compAt == nil {
-			sc.compAt = make(map[int64]lvm.Completion, len(comps))
-		} else {
-			clear(sc.compAt)
-		}
-		for _, c := range comps {
-			sc.compAt[c.Req.VLBN] = c
-		}
+		// The extents ascend and are disjoint: sorted by VLBN, completion
+		// k answers extent k.
+		sortByVLBN(comps)
 		for k, r := range sc.reqs {
-			c := sc.compAt[r.VLBN]
+			c := comps[k]
 			// A shared extent is tagged with its first contributor's class.
 			s.cache.insertFor(r.VLBN, r.VLBN+int64(r.Count), items[sc.entries[sc.members[k][0]].item].class) // nil-safe
 			var owned int64
@@ -194,6 +188,14 @@ func (s *Service) finishMerged(items []*serviceOp, comps []lvm.Completion, elaps
 		}
 	}
 	s.account(items, sc.results, int64(len(sc.reqs)), elapsed)
+}
+
+// sortByVLBN puts the completions of disjoint requests in VLBN order,
+// in place: they are the loop's until its next ServeBatch, and a
+// completion's VLBN is its request's, so for requests issued ascending
+// comps[k] answers request k.
+func sortByVLBN(comps []lvm.Completion) {
+	slices.SortFunc(comps, func(a, b lvm.Completion) int { return cmp.Compare(a.Req.VLBN, b.Req.VLBN) })
 }
 
 // account closes one served admission batch: each op's price gains its

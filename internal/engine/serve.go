@@ -30,7 +30,22 @@ type svcScratch struct {
 	rr, split     []lvm.Request // read-dependency screen buffers
 	merge         mergeScratch  // merged-batch plan buffers
 	touched       map[string]bool
-	flushComp     map[int64]lvm.Completion
+	flush         flushScratch // flushDirty's buffers
+}
+
+// flushScratch is the buffer set a group commit builds into: the
+// batch's requests and each contributing session's share in
+// first-contribution order (shareOf indexes shares).
+type flushScratch struct {
+	reqs    []lvm.Request
+	shares  []ownerShare
+	shareOf map[*Session]int
+}
+
+// ownerShare is one session's part of a group commit's cost.
+type ownerShare struct {
+	owner *Session
+	st    Stats
 }
 
 // serveChunks services one admission batch of chunk and write ops
@@ -227,10 +242,13 @@ func (s *Service) flushDirty() error {
 		return nil
 	}
 	extents := s.wb.take()
-	reqs := make([]lvm.Request, len(extents))
-	for i, e := range extents {
-		reqs[i] = lvm.Request{VLBN: e.start, Count: int(e.end - e.start)}
+	defer clear(extents) // the buffer keeps the array; drop the sessions it names
+	fs := &s.scratch.flush
+	reqs := fs.reqs[:0]
+	for _, e := range extents {
+		reqs = append(reqs, lvm.Request{VLBN: e.start, Count: int(e.end - e.start)})
 	}
+	fs.reqs = reqs
 	comps, elapsed, err := s.vol.ServeBatch(reqs, disk.SchedSPTF)
 	if err != nil {
 		// Unreachable in practice: serveWrite absorbs no address
@@ -241,36 +259,34 @@ func (s *Service) flushDirty() error {
 		s.mu.Unlock()
 		return err
 	}
-	// Extents are disjoint, so completions map back by start VLBN.
-	compAt := s.scratch.flushComp
-	if compAt == nil {
-		compAt = make(map[int64]lvm.Completion, len(comps))
-		s.scratch.flushComp = compAt
+	// The extents ascend and are disjoint: sorted by VLBN, completion i
+	// answers extent i.
+	sortByVLBN(comps)
+	if fs.shareOf == nil {
+		fs.shareOf = make(map[*Session]int)
 	} else {
-		clear(compAt)
+		clear(fs.shareOf)
 	}
-	for _, c := range comps {
-		compAt[c.Req.VLBN] = c
-	}
-	perOwner := make(map[*Session]*Stats)
+	shares := fs.shares[:0]
 	for i, e := range extents {
-		c := compAt[reqs[i].VLBN]
+		c := comps[i]
 		var asked int64
-		for _, n := range e.contribs {
-			asked += n
+		for _, ct := range e.contribs {
+			asked += ct.blocks
 		}
-		for owner, n := range e.contribs {
-			f := float64(n) / float64(asked)
-			st := perOwner[owner]
-			if st == nil {
-				st = &Stats{}
-				perOwner[owner] = st
+		for _, ct := range e.contribs {
+			k, ok := fs.shareOf[ct.owner]
+			if !ok {
+				k = len(shares)
+				fs.shareOf[ct.owner] = k
+				shares = append(shares, ownerShare{owner: ct.owner})
 			}
 			// No blocks land in Writes here: they were counted when the
 			// write ops that dirtied the extent were absorbed.
-			st.addCost(c.Cost.Scaled(f))
+			shares[k].st.addCost(c.Cost.Scaled(float64(ct.blocks) / float64(asked)))
 		}
 	}
+	fs.shares = shares
 	s.mu.Lock()
 	t := &s.totals
 	t.FlushBatches++
@@ -278,25 +294,31 @@ func (s *Service) flushDirty() error {
 	t.DirtyBlocks = 0
 	touched := s.scratch.touched
 	clear(touched)
-	for owner, st := range perOwner {
-		st.FlushBatches = 1
+	for i := range shares {
+		sh := &shares[i]
+		sh.st.FlushBatches = 1
 		class := ""
-		if owner != nil {
-			class = owner.class
+		if sh.owner != nil {
+			class = sh.owner.class
 		}
 		_, dst := s.attributed(class)
 		for _, a := range dst {
-			a.Accumulate(*st)
+			a.Accumulate(sh.st)
 		}
 		touched[class] = true
 	}
 	s.addElapsed(touched, elapsed)
 	s.mu.Unlock()
-	for owner, st := range perOwner {
-		st.ElapsedMs = elapsed
-		if owner != nil {
-			owner.creditFlush(*st)
+	for i := range shares {
+		sh := &shares[i]
+		sh.st.ElapsedMs = elapsed
+		if sh.owner != nil {
+			sh.owner.creditFlush(sh.st)
 		}
+	}
+	clear(shares) // drop the session pointers; the array stays
+	if cap(reqs) > keepFlush {
+		fs.reqs = nil
 	}
 	return nil
 }
@@ -360,7 +382,6 @@ type mergeScratch struct {
 	// members[k] lists the entry indices merged into extent reqs[k].
 	members [][]int
 	results []opResult
-	compAt  map[int64]lvm.Completion
 }
 
 // reset readies the scratch for a plan over n items, reusing every

@@ -101,6 +101,12 @@ type Service struct {
 	// write-back data: submit signals it on every enqueue and Close on
 	// shutdown, so neither waits out the whole flush interval.
 	wake chan struct{}
+	// run is loop as a func value, bound once in NewService: starting
+	// the loop with go s.run() allocates no closure per idle→busy edge.
+	run func()
+	// dirtyTimer is the idle wait's timer, owned by the loop and reset
+	// for every wait (nil until the first).
+	dirtyTimer *time.Timer
 
 	// scratch and spare are the loop's reusable buffers, owned by the
 	// loop goroutine.
@@ -230,6 +236,7 @@ func NewService(vol *lvm.Volume, opts ServiceOptions) *Service {
 	}
 	s.scratch.touched = make(map[string]bool, 8)
 	s.idle.L = &s.mu
+	s.run = s.loop
 	_ = s.Configure(opts) // cannot fail: a fresh service is neither closed nor sealed
 	return s
 }
@@ -389,7 +396,7 @@ func (s *Service) submit(op *serviceOp) error {
 	s.sealed = true
 	if !s.running {
 		s.running = true
-		go s.loop()
+		go s.run()
 	} else {
 		s.signalWake() // interrupt an idle-wait on dirty write-back data
 	}
@@ -473,12 +480,26 @@ func (s *Service) loop() {
 }
 
 // waitDirty sleeps until the next flush deadline or a wake signal (a
-// new submission, or Close).
+// new submission, or Close). The loop's one timer serves every wait: a
+// wait that ends on a wake stops it and drains a tick that fired
+// meanwhile, so the next Reset starts from an empty channel under the
+// pre-Go 1.23 timer semantics this module's go directive selects.
 func (s *Service) waitDirty(d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
+	t := s.dirtyTimer
+	if t == nil {
+		t = time.NewTimer(d)
+		s.dirtyTimer = t
+	} else {
+		t.Reset(d)
+	}
 	select {
 	case <-s.wake:
+		if !t.Stop() {
+			select {
+			case <-t.C:
+			default:
+			}
+		}
 	case <-t.C:
 	}
 }
@@ -492,7 +513,7 @@ func (s *Service) handleControl(op *serviceOp) {
 			// Reset rewinds the disks to their initial state; buffered
 			// writes against the pre-reset state are dropped unflushed
 			// (their gauge is zeroed with the totals below).
-			s.wb.take()
+			clear(s.wb.take())
 		}
 		s.cache.clear() // nil-safe when the cache is off
 		s.mu.Lock()

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -834,5 +835,80 @@ func TestConfigureRacesFirstSubmit(t *testing.T) {
 			t.Fatal(err)
 		}
 		svc.Close()
+	}
+}
+
+// TestMergedBatchErrorReachesEveryItem drives the merged path's
+// failure: one chunk of a three-chunk admission batch asks for a
+// request that runs past its disk segment, so the volume rejects the
+// coalesced batch before any drive moves. Every item must get the
+// error and no price; the totals, which nothing was folded into, must
+// still equal what the items were handed; and the next batch, which
+// runs through the same loop scratch, volume scratch and drive slabs,
+// must price == on a fresh service.
+func TestMergedBatchErrorReachesEveryItem(t *testing.T) {
+	newVol := func() *lvm.Volume { return testVolume(t, disk.SmallTestDisk(), disk.SmallTestDisk()) }
+	v := newVol()
+	rng := rand.New(rand.NewSource(7))
+	good := lvm.SortCoalesce(randomReqs(rng, v, 30))
+	next := lvm.SortCoalesce(randomReqs(rng, v, 40))
+	bad := []lvm.Request{{VLBN: v.DiskBlocks(0) - 2, Count: 4}} // crosses into disk 1
+	batch := func(chunks ...[]lvm.Request) []*serviceOp {
+		items := make([]*serviceOp, len(chunks))
+		for i, reqs := range chunks {
+			items[i] = &serviceOp{kind: opChunk, reply: make(chan opResult, 1),
+				chunk: Chunk{Reqs: reqs, Policy: disk.SchedSPTF}}
+		}
+		return items
+	}
+	// serve runs one admission batch and returns each item's reply and
+	// the prices summed as the items' sessions would sum them.
+	serve := func(svc *Service, items []*serviceOp) ([]opResult, Stats) {
+		svc.process(items)
+		res := make([]opResult, len(items))
+		var sum Stats
+		for i, it := range items {
+			res[i] = <-it.reply
+			sum.Accumulate(res[i].stats)
+		}
+		return res, sum
+	}
+	sameAttributed := func(svc *Service, sum Stats) {
+		t.Helper()
+		got := svc.Totals().Attributed
+		got.ElapsedMs, sum.ElapsedMs = 0, 0 // each item observes the batch's elapsed time in full
+		if got != sum {
+			t.Fatalf("Attributed %+v, the items were handed %+v", got, sum)
+		}
+	}
+
+	svc := NewService(v, ServiceOptions{})
+	defer svc.Close()
+	res, sum := serve(svc, batch(good, bad, good))
+	for i, r := range res {
+		if r.err == nil || !strings.Contains(r.err.Error(), "crosses disk 0 segment end") {
+			t.Fatalf("item %d: err %v, want the segment error", i, r.err)
+		}
+		if r.stats != (Stats{}) {
+			t.Fatalf("item %d of a failed batch priced %+v", i, r.stats)
+		}
+	}
+	sameAttributed(svc, sum)
+	if tot := svc.Totals(); tot.Batches != 0 || tot.IssuedRequests != 0 {
+		t.Fatalf("a failed batch was counted: %+v", tot)
+	}
+
+	got, sum := serve(svc, batch(good, next))
+	sameAttributed(svc, sum)
+	fresh := NewService(newVol(), ServiceOptions{})
+	defer fresh.Close()
+	want, _ := serve(fresh, batch(good, next))
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("item %d after the failure: %+v, a fresh service %+v", i, got[i], want[i])
+		}
+	}
+	if got, want := svc.Totals(), fresh.Totals(); got != want {
+		t.Fatalf("totals after the failure %+v, a fresh service %+v", got, want)
 	}
 }

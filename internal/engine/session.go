@@ -109,7 +109,13 @@ func (s *Session) RunPlan(ctx context.Context, p Plan, opts Options) (Stats, err
 		ctx = context.Background()
 	}
 	var st Stats
-	pending := make([]*serviceOp, 0, s.maxInflight)
+	// The in-flight window: a small array on this frame unless the
+	// session keeps more chunks outstanding than it holds.
+	var window [4]*serviceOp
+	pending := window[:0]
+	if s.maxInflight > len(window) {
+		pending = make([]*serviceOp, 0, s.maxInflight)
+	}
 	// retire waits for the oldest outstanding chunk's reply and folds the
 	// loop's price for it into the query — the one copy the steady state
 	// and the failure drain both use. A dropped chunk's price is its

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -79,23 +80,41 @@ func (o WriteBackOptions) withDefaults() WriteBackOptions {
 // dirtyExtent is one buffered run of mutated blocks [start, end),
 // clipped to a single disk segment (boundary is the segment's end
 // VLBN, so extents never merge across member disks). contribs records
-// how many blocks each submitting session asked to write here —
-// re-writes of already-dirty blocks count again, mirroring how
-// serveMerged credits overlapping readers — and since is when the
-// extent first became dirty (merging keeps the oldest timestamp, so
-// the interval trigger bounds the oldest buffered write).
+// how many blocks each submitting session asked to write here, one
+// entry per session — re-writes of already-dirty blocks count again,
+// mirroring how serveMerged credits overlapping readers — and since is
+// when the extent first became dirty (merging keeps the oldest
+// timestamp, so the interval trigger bounds the oldest buffered write).
 type dirtyExtent struct {
 	start, end int64
 	boundary   int64
 	since      time.Time
-	contribs   map[*Session]int64
+	contribs   []contrib
+}
+
+// contrib is one session's share of a dirty extent: the blocks its
+// buffered writes asked for there.
+type contrib struct {
+	owner  *Session
+	blocks int64
+}
+
+// add credits owner with n more blocks of the extent.
+func (e *dirtyExtent) add(owner *Session, n int64) {
+	for i := range e.contribs {
+		if e.contribs[i].owner == owner {
+			e.contribs[i].blocks += n
+			return
+		}
+	}
+	e.contribs = append(e.contribs, contrib{owner, n})
 }
 
 // dirtySet is the loop-owned write-back buffer: sorted disjoint dirty
 // extents plus the running block total. Only the service loop touches
 // it, so it needs no locking of its own.
 type dirtySet struct {
-	extents []*dirtyExtent // ascending by start; disjoint
+	extents []dirtyExtent // ascending by start; disjoint
 	blocks  int64
 }
 
@@ -127,7 +146,9 @@ func (d *dirtySet) overlaps(reqs []lvm.Request) bool {
 // behalf of owner, returning whether it coalesced with (overlapped or
 // sat adjacent to) an already-dirty extent in the same segment.
 // Adjacent extents from different segments stay separate — each flush
-// request must lie within one member disk.
+// request must lie within one member disk. A write that coalesces
+// grows the first extent it touches in place, folding the others into
+// it.
 func (d *dirtySet) absorb(owner *Session, start, end, boundary int64, now time.Time) bool {
 	if end <= start {
 		return false
@@ -137,42 +158,38 @@ func (d *dirtySet) absorb(owner *Session, start, end, boundary int64, now time.T
 		lo--
 	}
 	hi := lo
-	merged := &dirtyExtent{
-		start: start, end: end, boundary: boundary, since: now,
-		contribs: map[*Session]int64{owner: end - start},
-	}
-	coalesced := false
-	for hi < len(d.extents) && d.extents[hi].start <= end {
-		e := d.extents[hi]
-		if e.boundary != boundary {
-			break
-		}
-		coalesced = true
-		if e.start < merged.start {
-			merged.start = e.start
-		}
-		if e.end > merged.end {
-			merged.end = e.end
-		}
-		if e.since.Before(merged.since) {
-			merged.since = e.since
-		}
-		for s, n := range e.contribs {
-			merged.contribs[s] += n
-		}
-		d.blocks -= e.end - e.start
+	for hi < len(d.extents) && d.extents[hi].start <= end && d.extents[hi].boundary == boundary {
 		hi++
 	}
-	if hi > lo {
-		d.extents[lo] = merged
-		d.extents = append(d.extents[:lo+1], d.extents[hi:]...)
-	} else {
-		d.extents = append(d.extents, nil)
-		copy(d.extents[lo+1:], d.extents[lo:])
-		d.extents[lo] = merged
+	if hi == lo {
+		d.extents = slices.Insert(d.extents, lo, dirtyExtent{
+			start: start, end: end, boundary: boundary, since: now,
+			contribs: []contrib{{owner, end - start}},
+		})
+		d.blocks += end - start
+		return false
 	}
-	d.blocks += merged.end - merged.start
-	return coalesced
+	m := &d.extents[lo]
+	d.blocks -= m.end - m.start
+	for i := lo + 1; i < hi; i++ {
+		e := &d.extents[i]
+		d.blocks -= e.end - e.start
+		m.end = max(m.end, e.end)
+		if e.since.Before(m.since) {
+			m.since = e.since
+		}
+		for _, c := range e.contribs {
+			m.add(c.owner, c.blocks)
+		}
+	}
+	m.start, m.end = min(m.start, start), max(m.end, end)
+	if now.Before(m.since) {
+		m.since = now
+	}
+	m.add(owner, end-start)
+	d.extents = slices.Delete(d.extents, lo+1, hi)
+	d.blocks += m.end - m.start
+	return true
 }
 
 // oldest returns the earliest since timestamp of a dirty extent; ok is
@@ -189,10 +206,20 @@ func (d *dirtySet) oldest() (time.Time, bool) {
 }
 
 // take empties the buffer and returns its extents in ascending VLBN
-// order — the group-commit batch to be flushed.
-func (d *dirtySet) take() []*dirtyExtent {
+// order — the group-commit batch to be flushed. The buffer keeps the
+// backing array for the next absorb unless it grew past keepFlush
+// extents, so the extents are valid until then.
+func (d *dirtySet) take() []dirtyExtent {
 	out := d.extents
 	d.extents = nil
+	if cap(out) <= keepFlush {
+		d.extents = out[:0]
+	}
 	d.blocks = 0
 	return out
 }
+
+// keepFlush bounds the group commits whose buffers the loop keeps for
+// the next one: a flush of up to 4096 extents (the default watermark)
+// allocates its own rather than pinning that much between flushes.
+const keepFlush = 256

@@ -533,7 +533,14 @@ func FuzzDirtySet(f *testing.F) {
 						contribs[w.owner] += w.end - w.start
 					}
 				}
-				if !maps.Equal(e.contribs, contribs) {
+				got := map[*Session]int64{}
+				for _, c := range e.contribs {
+					if _, dup := got[c.owner]; dup {
+						t.Fatalf("step %d: extent %d lists session %p twice", step, i, c.owner)
+					}
+					got[c.owner] = c.blocks
+				}
+				if !maps.Equal(got, contribs) {
 					t.Fatalf("step %d: extent %d contributions %v, want %v", step, i, e.contribs, contribs)
 				}
 				oldest := since[e.start]

@@ -227,15 +227,23 @@ type Volume struct {
 	mu       sync.Mutex
 	cowAlloc CowAllocFunc
 
-	// scratch is ServeBatch's routing state, reused call after call so
-	// the serve hot path is allocation-free in steady state apart from
-	// the returned completions. One is enough: ServeBatch is serialized
-	// per volume, and tenants sharing a pooled drive each have their own
-	// volume.
+	// scratch is ServeBatch's routing state and its completions, reused
+	// call after call so the serve hot path is allocation-free in steady
+	// state. One is enough: ServeBatch is serialized per volume, and
+	// tenants sharing a pooled drive each have their own volume, so
+	// their completions never share a buffer.
 	scratch serveScratch
 }
 
-// serveScratch is one ServeBatch call's reusable routing state.
+// keepBatch bounds the batches whose completion buffers a volume keeps
+// for the next ServeBatch: a longer one (a write-back group commit
+// issues thousands of requests) allocates its own, as the drive does
+// for its SPTF index past the same size, and nothing pins it.
+const keepBatch = 256
+
+// serveScratch is one ServeBatch call's reusable routing state, the
+// per-drive completion buffers handed to each Disk.ServeBatch, and the
+// volume-level completions ServeBatch returns.
 type serveScratch struct {
 	counts   []int
 	routed   []disk.Request
@@ -244,11 +252,12 @@ type serveScratch struct {
 	comps    [][]disk.Completion
 	errs     []error
 	busyMs   []float64
+	out      []Completion
 }
 
 // size readies the scratch for nd drives and nr requests, reusing
-// every backing array (including the per-drive sub-batch buffers,
-// which keep their capacity across calls).
+// every backing array (including the per-drive sub-batch and
+// completion buffers, which keep their capacity across calls).
 func (sc *serveScratch) size(nd, nr int) {
 	if cap(sc.counts) < nd {
 		sc.counts = make([]int, nd)
@@ -261,7 +270,6 @@ func (sc *serveScratch) size(nd, nr int) {
 		clear(sc.counts)
 		sc.perDrive = sc.perDrive[:nd]
 		sc.comps = sc.comps[:nd]
-		clear(sc.comps)
 		sc.errs = sc.errs[:nd]
 		clear(sc.errs)
 		sc.busyMs = sc.busyMs[:nd]
@@ -269,6 +277,7 @@ func (sc *serveScratch) size(nd, nr int) {
 	}
 	for k := range sc.perDrive {
 		sc.perDrive[k] = sc.perDrive[k][:0]
+		sc.comps[k] = sc.comps[k][:0]
 	}
 	if cap(sc.routed) < nr {
 		sc.routed = make([]disk.Request, nr)
@@ -276,6 +285,29 @@ func (sc *serveScratch) size(nd, nr int) {
 	} else {
 		sc.routed = sc.routed[:nr]
 		sc.onDrive = sc.onDrive[:nr]
+	}
+}
+
+// serve runs drive k's sub-batch under the drive's mutex, appending its
+// completions to the volume's own buffer for that drive.
+func (sc *serveScratch) serve(ss *segSet, k int, policy disk.SchedPolicy) {
+	dr := ss.drives[k]
+	dr.mu.Lock()
+	start := dr.d.NowMs()
+	sc.comps[k], sc.errs[k] = dr.d.ServeBatch(sc.comps[k], sc.perDrive[k], policy)
+	sc.busyMs[k] = dr.d.NowMs() - start
+	dr.mu.Unlock()
+}
+
+// release drops every completion buffer that grew past keepBatch.
+func (sc *serveScratch) release() {
+	for k := range sc.comps {
+		if cap(sc.comps[k]) > keepBatch {
+			sc.comps[k] = nil
+		}
+	}
+	if cap(sc.out) > keepBatch {
+		sc.out = nil
 	}
 }
 
@@ -555,15 +587,18 @@ func (v *Volume) Zones() []ZoneExtent {
 // first-use order (for classic volumes: disk order), in per-drive
 // service order, each tagged with its segment index.
 //
+// The returned completions live in the volume's scratch: they are valid
+// until the next ServeBatch on this volume, which reuses the buffer. A
+// caller that keeps them longer copies them first. The service loop and
+// mmtrace read them before their next call.
+//
 // ServeBatch must be serialized per volume with every other head-state
 // mutator (see the package concurrency contract); concurrent callers go
 // through an engine.Service instead of calling it directly.
 func (v *Volume) ServeBatch(reqs []Request, policy disk.SchedPolicy) ([]Completion, float64, error) {
 	ss := v.set.Load()
 	sc := &v.scratch
-	// Drop the per-drive completion slices on return: they are owned by
-	// the disk layer, not the scratch.
-	defer func() { clear(sc.comps) }()
+	defer sc.release()
 	sc.size(len(ss.drives), len(reqs))
 	counts, routed, onDrive := sc.counts, sc.routed, sc.onDrive
 	// Route: one pass to locate and validate, counting per-drive load.
@@ -593,20 +628,11 @@ func (v *Volume) ServeBatch(reqs []Request, policy disk.SchedPolicy) ([]Completi
 		perDrive[onDrive[i]] = append(perDrive[onDrive[i]], r)
 	}
 
-	comps, errs, busyMs := sc.comps, sc.errs, sc.busyMs
-	serve := func(k int) {
-		dr := ss.drives[k]
-		dr.mu.Lock()
-		start := dr.d.NowMs()
-		comps[k], errs[k] = dr.d.ServeBatch(perDrive[k], policy)
-		busyMs[k] = dr.d.NowMs() - start
-		dr.mu.Unlock()
-	}
 	if busy == 1 {
 		// Common single-drive path: no goroutine overhead.
 		for k := range perDrive {
 			if len(perDrive[k]) > 0 {
-				serve(k)
+				sc.serve(ss, k, policy)
 			}
 		}
 	} else if busy > 1 {
@@ -618,25 +644,29 @@ func (v *Volume) ServeBatch(reqs []Request, policy disk.SchedPolicy) ([]Completi
 			wg.Add(1)
 			go func(k int) {
 				defer wg.Done()
-				serve(k)
+				sc.serve(ss, k, policy)
 			}(k)
 		}
 		wg.Wait()
 	}
 
 	var elapsed float64
-	out := make([]Completion, 0, len(reqs))
+	out := sc.out[:0]
+	if cap(out) < len(reqs) {
+		out = make([]Completion, 0, len(reqs))
+		sc.out = out
+	}
 	for k := range ss.drives {
 		if len(perDrive[k]) == 0 {
 			continue
 		}
-		if errs[k] != nil {
-			return nil, 0, errs[k]
+		if sc.errs[k] != nil {
+			return nil, 0, sc.errs[k]
 		}
-		if busyMs[k] > elapsed {
-			elapsed = busyMs[k]
+		if sc.busyMs[k] > elapsed {
+			elapsed = sc.busyMs[k]
 		}
-		for _, c := range comps[k] {
+		for _, c := range sc.comps[k] {
 			si := ss.segOnDrive(k, c.Req.LBN)
 			seg := &ss.segs[si]
 			out = append(out, Completion{

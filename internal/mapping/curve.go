@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/lvm"
 	"repro/internal/sfc"
@@ -44,17 +45,38 @@ func (c *curveMapper) CellVLBN(cell []int) (int64, error) {
 // BoxRequests expands the box [lo,hi) into ascending coalesced
 // requests: one request per maximal interval of curve ranks the box
 // occupies, found by walking the curve's hierarchy rather than by
-// visiting the box's cells.
+// visiting the box's cells. The walk appends to a pooled buffer and
+// the result is one slice of exactly its length, not one grown from
+// nil. (Counting the intervals in a first walk would size the slice
+// up front, but the walk is most of the planner's cost: a second one
+// made a 16³ box 30–70 % slower.)
 func (c *curveMapper) BoxRequests(lo, hi []int) ([]lvm.Request, error) {
-	var out []lvm.Request
+	buf := walkBufs.Get().(*[]lvm.Request)
+	runs := (*buf)[:0]
 	err := c.ranked.BoxRuns(lo, hi, func(rank0, n int64) {
-		out = append(out, lvm.Request{VLBN: c.base + rank0, Count: int(n)})
+		runs = append(runs, lvm.Request{VLBN: c.base + rank0, Count: int(n)})
 	})
+	var out []lvm.Request
+	if cap(runs) > maxWalkBuf {
+		out, runs = runs, nil // too large to keep: hand the walk's own slice over
+	} else {
+		out = make([]lvm.Request, len(runs))
+		copy(out, runs)
+	}
+	*buf = runs[:0]
+	walkBufs.Put(buf)
 	if err != nil {
 		return nil, fmt.Errorf("mapping: %s box: %w", c.kind, err)
 	}
 	return out, nil
 }
+
+// walkBufs holds the curve walks' request buffers between plans; one
+// grown past maxWalkBuf requests (64 KiB) becomes the result instead of
+// being kept.
+var walkBufs = sync.Pool{New: func() any { return new([]lvm.Request) }}
+
+const maxWalkBuf = 4096
 
 // CellAt inverts the placement: the cell stored at the block.
 func (c *curveMapper) CellAt(vlbn int64, out []int) error {

@@ -119,8 +119,11 @@ func BeamBox(dims []int, dim int, fixed []int) (lo, hi []int, err error) {
 	if len(fixed) != len(dims) {
 		return nil, nil, fmt.Errorf("query: fixed has %d dims, want %d", len(fixed), len(dims))
 	}
-	lo = append([]int(nil), fixed...)
-	hi = append([]int(nil), fixed...)
+	n := len(dims)
+	buf := make([]int, 2*n)
+	lo, hi = buf[:n:n], buf[n:]
+	copy(lo, fixed)
+	copy(hi, fixed)
 	lo[dim] = 0
 	hi[dim] = dims[dim]
 	for i := range hi {
@@ -248,15 +251,23 @@ func (e *Executor) Plan(lo, hi []int) (engine.Plan, error) {
 func (e *Executor) newBoxPlan(lo, hi []int) engine.Plan {
 	// Copy the bounds: the plan is drained lazily, after the caller may
 	// have reused its buffers for the next box. One buffer holds them
-	// and the bounds of the chunk being planned.
+	// and the bounds of the chunk being planned — the plan's own array
+	// up to planDims dimensions, so the plan is one allocation.
 	n := len(lo)
-	buf := make([]int, 4*n)
-	p := &boxPlan{e: e, lo: buf[:n:n], hi: buf[n : 2*n : 2*n], clo: buf[2*n : 3*n : 3*n], chi: buf[3*n:]}
+	p := &boxPlan{e: e}
+	buf := p.bounds[:]
+	if n > planDims {
+		buf = make([]int, 4*n)
+	}
+	p.lo, p.hi, p.clo, p.chi = buf[:n:n], buf[n:2*n:2*n], buf[2*n:3*n:3*n], buf[3*n:4*n]
 	copy(p.lo, lo)
 	copy(p.hi, hi)
 	p.next = lo[n-1]
 	return p
 }
+
+// planDims is the most dimensions a plan holds its bounds for inline.
+const planDims = 4
 
 // boxPlan streams a box query as sub-box chunks.
 type boxPlan struct {
@@ -264,6 +275,7 @@ type boxPlan struct {
 	lo, hi   []int
 	clo, chi []int // the current chunk's bounds, rewritten by each Next
 	next     int   // next unplanned slice of the slowest dimension
+	bounds   [4 * planDims]int
 }
 
 func (p *boxPlan) Next() (engine.Chunk, bool, error) {

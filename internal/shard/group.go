@@ -249,6 +249,24 @@ func (s *Session) Close(ctx context.Context) error {
 	return s.Flush(ctx)
 }
 
+// partHook builds one part's chunk callback: nil when the box is not
+// streamed (the non-streaming path, byte-for-byte RangeOn), otherwise
+// onChunk tagged with the part's shard, under mu when concurrent parts
+// share the consumer.
+func partHook(onChunk func(int, engine.Stats), shard int, mu *sync.Mutex) func(engine.Stats) {
+	switch {
+	case onChunk == nil:
+		return nil
+	case mu == nil:
+		return func(st engine.Stats) { onChunk(shard, st) }
+	}
+	return func(st engine.Stats) {
+		mu.Lock()
+		defer mu.Unlock()
+		onChunk(shard, st)
+	}
+}
+
 // Totals returns the session's accumulated statistics across all its
 // queries on every shard, summed in shard order.
 func (s *Session) Totals() engine.Stats {
@@ -313,27 +331,21 @@ func (s *Session) box(ctx context.Context, lo, hi []int, onChunk func(int, engin
 	if _, err := query.CheckBox(s.g.r.dims, lo, hi); err != nil {
 		return engine.Stats{}, err
 	}
-	parts := s.g.r.SplitBox(lo, hi)
-	// hookFor builds the per-shard chunk callback: nil stays nil (the
-	// non-streaming path, byte-for-byte RangeOn), and on a multi-part
-	// scatter the callbacks from concurrent shard goroutines serialize
-	// under one mutex so the consumer never sees two chunks at once.
-	var cbMu sync.Mutex
-	hookFor := func(shard int, serialize bool) func(engine.Stats) {
-		if onChunk == nil {
-			return nil
-		}
-		return func(st engine.Stats) {
-			if serialize {
-				cbMu.Lock()
-				defer cbMu.Unlock()
-			}
-			onChunk(shard, st)
-		}
+	if len(s.es) == 1 {
+		// One shard: its local coordinates are the global ones, so the box
+		// runs on member 0 with the caller's bounds, unsplit.
+		return s.g.members[0].Exec.RangeStreamOn(ctx, s.es[0], lo, hi, partHook(onChunk, 0, nil))
 	}
+	parts := s.g.r.SplitBox(lo, hi)
 	if len(parts) == 1 {
 		p := parts[0]
-		return s.g.members[p.Shard].Exec.RangeStreamOn(ctx, s.es[p.Shard], p.Lo, p.Hi, hookFor(p.Shard, false))
+		return s.g.members[p.Shard].Exec.RangeStreamOn(ctx, s.es[p.Shard], p.Lo, p.Hi, partHook(onChunk, p.Shard, nil))
+	}
+	// The callbacks of concurrent parts serialize under one mutex, so the
+	// consumer never sees two chunks at once.
+	var cbMu *sync.Mutex
+	if onChunk != nil {
+		cbMu = new(sync.Mutex)
 	}
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -345,7 +357,7 @@ func (s *Session) box(ctx context.Context, lo, hi []int, onChunk func(int, engin
 		go func(k int) {
 			defer wg.Done()
 			p := parts[k]
-			stats[k], errs[k] = s.g.members[p.Shard].Exec.RangeStreamOn(sctx, s.es[p.Shard], p.Lo, p.Hi, hookFor(p.Shard, true))
+			stats[k], errs[k] = s.g.members[p.Shard].Exec.RangeStreamOn(sctx, s.es[p.Shard], p.Lo, p.Hi, partHook(onChunk, p.Shard, cbMu))
 			if errs[k] != nil {
 				cancel() // first failure stops the sibling shards promptly
 			}

@@ -117,21 +117,29 @@ type Part struct {
 // the box's. Bounds are not validated here — each shard's planner
 // rejects a bad sub-box exactly as the single-volume planner would.
 func (r *Router) SplitBox(lo, hi []int) []Part {
-	var parts []Part
+	n := 0
+	for i := 0; i < r.NumShards(); i++ {
+		if max(lo[0], r.cuts[i]) < min(hi[0], r.cuts[i+1]) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	// Every part's bounds share one buffer.
+	d := len(lo)
+	buf := make([]int, 2*n*d)
+	parts := make([]Part, 0, n)
 	for i := 0; i < r.NumShards(); i++ {
 		s, e := r.cuts[i], r.cuts[i+1]
-		plo, phi := lo[0], hi[0]
-		if plo < s {
-			plo = s
-		}
-		if phi > e {
-			phi = e
-		}
+		plo, phi := max(lo[0], s), min(hi[0], e)
 		if plo >= phi {
 			continue
 		}
-		l := append([]int(nil), lo...)
-		h := append([]int(nil), hi...)
+		l, h := buf[:d:d], buf[d:2*d:2*d]
+		buf = buf[2*d:]
+		copy(l, lo)
+		copy(h, hi)
 		l[0], h[0] = plo-s, phi-s
 		parts = append(parts, Part{Shard: i, Lo: l, Hi: h})
 	}
