@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"strings"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	multimap "repro"
+	"repro/internal/server"
 )
 
 // TestMain runs mmbench's main instead of the tests when MMBENCH_ARGS
@@ -88,6 +91,52 @@ func TestRunExperimentDispatch(t *testing.T) {
 	for _, id := range []string{"fig99", "serve", "burst", "tenants"} {
 		if err := runOne(&out, id, cfg); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 			t.Errorf("-exp %s: got %v, want unknown experiment", id, err)
+		}
+	}
+}
+
+// TestRemoteAgainstDaemon runs -remote's load against an in-process
+// daemon. With 30 % inserts on an updatable store every operation
+// succeeds and the run returns nil; on a store opened without
+// Updatable every insert fails, and so must the run. An error that is
+// only an op's own -deadline expiring is not a failure.
+func TestRemoteAgainstDaemon(t *testing.T) {
+	ctx := context.Background()
+	for _, updatable := range []bool{true, false} {
+		srv := server.New()
+		if _, err := srv.OpenStore(ctx, server.OpenStoreRequest{
+			Name: "s", Disks: []string{"mediumtest"}, AdjDepth: 32, Mapping: "multimap",
+			Dims: []int{16, 8, 8}, ChunkCells: 16, Updatable: updatable,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv)
+		err := runRemote(remoteConfig{Addr: ts.URL, Store: "s", Clients: 2, Queries: 8, Writes: 0.3, Seed: 1})
+		ts.Close()
+		if cerr := srv.Close(ctx); cerr != nil {
+			t.Fatal(cerr)
+		}
+		if updatable && err != nil {
+			t.Errorf("updatable store: %v", err)
+		}
+		if !updatable && (err == nil || !strings.Contains(err.Error(), "operations failed")) {
+			t.Errorf("inserts on a store without Updatable: %v, want the run to fail", err)
+		}
+	}
+
+	for _, c := range []struct {
+		err        error
+		deadlineMs int64
+		errs       int
+	}{
+		{context.DeadlineExceeded, 50, 0},
+		{context.DeadlineExceeded, 0, 1},
+		{errors.New("multimap: store not opened with Updatable"), 50, 1},
+	} {
+		var row remoteClientRow
+		row.fail(c.err, c.deadlineMs)
+		if row.errs != c.errs {
+			t.Errorf("fail(%v, %d): errs %d, want %d", c.err, c.deadlineMs, row.errs, c.errs)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -47,7 +48,7 @@ type remoteClientRow struct {
 	session    string
 	queries    int
 	chunks     int
-	errs       int
+	errs       int            // failed ops; an op's own -deadline expiring is not one
 	stats      multimap.Stats // summed per-query simulated stats
 	hostMs     []float64      // per-query host wall latency
 	firstChunk []float64      // per-query first-chunk host latency
@@ -58,7 +59,8 @@ type remoteClientRow struct {
 // an optional fraction of insert bursts) against one store, then the
 // run reports per-client simulated cost, host latency, first-chunk
 // latency — the streaming proof — and the daemon's own metrics
-// snapshot.
+// snapshot. It fails if any operation failed for a reason other than
+// its own -deadline expiring.
 func runRemote(cfg remoteConfig) error {
 	ctx := context.Background()
 	c := server.NewClient(cfg.Addr)
@@ -124,8 +126,10 @@ func runRemote(cfg remoteConfig) error {
 	fmt.Printf("%-8s %8s %8s %6s %12s %12s %14s %10s\n",
 		"client", "queries", "chunks", "errs", "ms/cell", "host-p50ms", "first-chunkms", "cancelled")
 	var sum multimap.Stats
+	errs := 0
 	for _, row := range rows {
 		sum.Accumulate(row.stats)
+		errs += row.errs
 		sort.Float64s(row.hostMs)
 		sort.Float64s(row.firstChunk)
 		fmt.Printf("%-8s %8d %8d %6d %12.4f %12.3f %14.3f %10d\n",
@@ -146,7 +150,19 @@ func runRemote(cfg remoteConfig) error {
 	fmt.Printf("daemon: queries=%d queue_depth=%d cache_hit_rate=%.3f p50=%.3fms p99=%.3fms batches=%d merged=%d max_batch=%d\n",
 		m.Queries, m.QueueDepth, m.CacheHitRate, m.LatencyP50Ms, m.LatencyP99Ms,
 		m.Totals.Batches, m.Totals.MergedBatches, m.Totals.MaxBatchChunks)
+	if errs > 0 {
+		return fmt.Errorf("%d operations failed", errs)
+	}
 	return nil
+}
+
+// fail counts an operation's error in errs, unless it is only the
+// op's own -deadline expiring on the daemon: that is what -deadline
+// asks for, and the cancelled column counts it.
+func (row *remoteClientRow) fail(err error, deadlineMs int64) {
+	if deadlineMs <= 0 || !strings.Contains(err.Error(), context.DeadlineExceeded.Error()) {
+		row.errs++
+	}
 }
 
 // runRemoteClient is one client goroutine: open a session, issue the
@@ -170,7 +186,7 @@ func runRemoteClient(ctx context.Context, c *server.Client, cfg remoteConfig, id
 			st, err := c.Insert(ctx, cfg.Store, sess, cell, deadlineMs)
 			row.stats.Accumulate(st)
 			if err != nil {
-				row.errs++
+				row.fail(err, deadlineMs)
 			}
 			continue
 		}
@@ -189,7 +205,7 @@ func runRemoteClient(ctx context.Context, c *server.Client, cfg remoteConfig, id
 		}
 		row.stats.Accumulate(tr.Stats)
 		if err != nil {
-			row.errs++
+			row.fail(err, deadlineMs)
 		}
 		row.queries++
 	}

@@ -176,8 +176,10 @@ func TestBoxRequestsMatchesRef(t *testing.T) {
 		for _, dims := range shapes {
 			first := mustMapping(t, lay.vol, dims, MapOptions{DiskIdx: lay.disk})
 			second := mustMapping(t, lay.vol, dims, MapOptions{DiskIdx: lay.disk, StartVLBN: first.NextFreeVLBN()})
-			if start, _ := second.SpanVLBN(); start < first.NextFreeVLBN() {
-				t.Fatalf("%v: second copy starts at %d, inside the first (ends %d)", dims, start, first.NextFreeVLBN())
+			for di := 0; di < lay.vol.NumDisks(); di++ {
+				if start, end := second.SpanOnDisk(di); start < end && start < first.NextFreeVLBN() {
+					t.Fatalf("%v: second copy starts at %d on disk %d, inside the first (ends %d)", dims, start, di, first.NextFreeVLBN())
+				}
 			}
 			for n, m := range []*Mapping{first, second} {
 				t.Run(fmt.Sprint(dims, "x", n+1, "disk", lay.disk), func(t *testing.T) {

@@ -393,36 +393,15 @@ func (m *Mapping) Blocks() int64 {
 // cube group, where a subsequent mapping or extent may begin.
 func (m *Mapping) NextFreeVLBN() int64 { return m.nextFree }
 
-// SpanVLBN returns the half-open VLBN interval the mapping may touch:
-// from the first track of the lowest allocated cube group to the first
-// free VLBN past the last. The interval is conservative — it includes
-// unfilled edge-cube space and allocation gaps — which is what overlap
-// checks against other on-disk extents want.
-func (m *Mapping) SpanVLBN() (start, end int64) {
-	if len(m.cubes) == 0 {
-		return 0, 0
-	}
-	start = m.cubes[0].base
-	for _, cp := range m.cubes {
-		t := int64(cp.trackLen)
-		// Cells wrap circularly within their track, so the whole first
-		// track of the cube's group counts as touched.
-		ts := cp.zoneStart + (cp.base-cp.zoneStart)/t*t
-		if ts < start {
-			start = ts
-		}
-	}
-	return start, m.nextFree
-}
-
-// SpanOnDisk refines SpanVLBN per member disk: the conservative VLBN
-// interval the mapping may touch within disk di's segment, from the
-// first track of its lowest cube group there to the end of its highest.
-// start == end when no cube landed on that disk. Layers carving
-// auxiliary per-disk extents (the update layer's overflow pages) use it
-// so a tail extent on one disk is only checked against the cells
-// actually placed on that disk — the global span would falsely collide
-// for declustered datasets.
+// SpanOnDisk returns the conservative VLBN interval the mapping may
+// touch within disk di's segment, from the first track of its lowest
+// cube group there to the end of its highest. The interval includes
+// unfilled edge-cube space and allocation gaps, which is what overlap
+// checks against other on-disk extents want. start == end when no cube
+// landed on that disk. Layers carving auxiliary per-disk extents (the
+// update layer's overflow pages) use it so a tail extent on one disk is
+// only checked against the cells actually placed on that disk — a
+// volume-wide span would falsely collide for declustered datasets.
 func (m *Mapping) SpanOnDisk(di int) (start, end int64) {
 	groupTracks := int64(m.spec.Tracks())
 	first := true

@@ -16,10 +16,6 @@ type PBN struct {
 	Sector  int // sector index within the track, 0-based
 }
 
-func (p PBN) String() string {
-	return fmt.Sprintf("z%d/c%d/h%d/s%d", p.Zone, p.Cyl, p.Surface, p.Sector)
-}
-
 // Decode maps an LBN to its physical coordinates. The layout is
 // cylinder-major: all tracks of a cylinder are filled (surface 0..R-1)
 // before moving one cylinder inward, matching conventional drives.

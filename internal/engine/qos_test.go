@@ -227,6 +227,91 @@ func TestServiceFairShareDeferral(t *testing.T) {
 	}
 }
 
+// TestControlBarrierDrainsDeferred: ops the fair scheduler deferred
+// were submitted before any control op behind them, so a control
+// barrier serves the DRR backlog first — chunks deferred ahead of a
+// Reset in the same pass are served before it, and Reset wipes their
+// totals. Closing the service with a backlog serves it out in one
+// drain, and every op's reply still sums to the attributed totals.
+func TestControlBarrierDrainsDeferred(t *testing.T) {
+	opts := ServiceOptions{FairQuantum: 1, Classes: []QoSClass{{Name: "bulk", Weight: 1}}}
+	newOps := func(chunks []Chunk) []*serviceOp {
+		ops := make([]*serviceOp, len(chunks))
+		for i, c := range chunks {
+			ops[i] = &serviceOp{kind: opChunk, chunk: c, class: "bulk", reply: make(chan opResult, 1)}
+		}
+		return ops
+	}
+	countDeferred := func(ops []*serviceOp) int {
+		n := 0
+		for _, op := range ops {
+			if op.deferred {
+				n++
+			}
+		}
+		return n
+	}
+
+	t.Run("reset", func(t *testing.T) {
+		v := testVolume(t)
+		svc := NewService(v, opts)
+		defer svc.Close()
+		ops := newOps(randomChunks(rand.New(rand.NewSource(7)), v, 4, 30))
+		reset := &serviceOp{kind: opReset, reply: make(chan opResult, 1)}
+		submitTogether(svc, append(ops, reset))
+		for i, op := range ops {
+			if r := <-op.reply; r.err != nil {
+				t.Fatalf("chunk %d: %v", i, r.err)
+			}
+		}
+		if r := <-reset.reply; r.err != nil {
+			t.Fatal(r.err)
+		}
+		if countDeferred(ops) == 0 {
+			t.Fatal("no chunk was deferred: the barrier had no backlog to drain")
+		}
+		if tot := svc.Totals(); tot != (ServiceTotals{}) {
+			t.Fatalf("totals after the reset %+v: deferred chunks were served after the barrier", tot)
+		}
+		if cts := svc.ClassTotals(); len(cts) != 0 {
+			t.Fatalf("class totals after the reset %+v", cts)
+		}
+	})
+
+	t.Run("close", func(t *testing.T) {
+		v := testVolume(t)
+		svc := NewService(v, opts)
+		ops := newOps(randomChunks(rand.New(rand.NewSource(8)), v, 4, 30))
+		// Closed before the loop's first pass: once that pass has
+		// deferred its backlog, the loop finds the queue empty and the
+		// service closed, and drains the backlog at once.
+		svc.mu.Lock()
+		svc.closed = true
+		svc.mu.Unlock()
+		submitTogether(svc, ops)
+		svc.Close()
+		var sum Stats
+		for i, op := range ops {
+			r := <-op.reply
+			if r.err != nil {
+				t.Fatalf("chunk %d: %v", i, r.err)
+			}
+			sum.Accumulate(r.stats)
+		}
+		if countDeferred(ops) == 0 {
+			t.Fatal("no chunk was deferred: the close had no backlog to drain")
+		}
+		cts := svc.ClassTotals()
+		if len(cts) != 1 || cts[0].Ops != int64(len(ops)) {
+			t.Fatalf("ClassTotals = %+v, want one bulk entry of %d ops", cts, len(ops))
+		}
+		att, class := svc.Totals().Attributed, cts[0].Attributed
+		sum.ElapsedMs, att.ElapsedMs, class.ElapsedMs = 0, 0, 0 // documented exception to the sum
+		statsClose(sum, att, t)
+		statsClose(class, att, t)
+	})
+}
+
 // TestServiceUrgentClass: a class registered Urgent bypasses weighted
 // sharing entirely — every op goes through the strict-priority front
 // and none is ever deferred.

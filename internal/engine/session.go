@@ -73,10 +73,6 @@ func (s *Service) NewSession(opts SessionOptions) *Session {
 	return &Session{svc: s, maxInflight: mi, class: opts.Class}
 }
 
-// Class returns the session's QoS class name ("" for the default
-// class).
-func (s *Session) Class() string { return s.class }
-
 // Totals returns the session's accumulated statistics across every
 // completed RunPlan.
 func (s *Session) Totals() Stats {

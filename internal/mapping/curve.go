@@ -86,16 +86,11 @@ func (c *curveMapper) CellAt(vlbn int64, out []int) error {
 	return c.ranked.CellAt(vlbn-c.base, out)
 }
 
-// SpanVLBN: a curve-ordered dataset is one contiguous extent of densely
-// packed ranks.
-func (c *curveMapper) SpanVLBN() (int64, int64) {
-	return c.base, c.base + c.ranked.Len()
-}
-
-// SpanOnDisk: the extent lives wholly on one disk.
+// SpanOnDisk: a curve-ordered dataset is one contiguous extent of
+// densely packed ranks, wholly on one disk.
 func (c *curveMapper) SpanOnDisk(di int) (int64, int64) {
 	if di != c.diskIdx {
 		return 0, 0
 	}
-	return c.SpanVLBN()
+	return c.base, c.base + c.ranked.Len()
 }

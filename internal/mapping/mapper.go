@@ -77,19 +77,14 @@ type Mapper interface {
 	// Naive and MultiMap step the box's Dim0 rows, the curves walk the
 	// curve's hierarchy.
 	BoxRequests(lo, hi []int) ([]lvm.Request, error)
-	// SpanVLBN reports the half-open VLBN interval the dataset occupies
-	// on the volume. The interval is conservative (it may include
-	// allocation gaps and unfilled edge-cube space); layers that carve
-	// auxiliary extents — like the update layer's overflow pages — use
-	// it to prove they do not collide with mapped cells.
-	SpanVLBN() (start, end int64)
-	// SpanOnDisk refines SpanVLBN per member disk: the conservative VLBN
-	// interval the dataset occupies within disk di's segment (start ==
-	// end when the dataset does not touch that disk). The update layer
-	// validates one overflow extent per disk against only the cells
-	// actually placed there — under a declustered MultiMap dataset the
-	// global span straddles every disk and would falsely collide with
-	// any per-disk tail extent.
+	// SpanOnDisk reports the half-open VLBN interval the dataset
+	// occupies within disk di's segment (start == end when the dataset
+	// does not touch that disk). The interval is conservative (it may
+	// include allocation gaps and unfilled edge-cube space). The update
+	// layer validates one overflow extent per disk against only the
+	// cells actually placed there — under a declustered MultiMap
+	// dataset a volume-wide span straddles every disk and would falsely
+	// collide with any per-disk tail extent.
 	SpanOnDisk(di int) (start, end int64)
 }
 
@@ -200,7 +195,5 @@ func (mm *multiMapper) BoxRequests(lo, hi []int) ([]lvm.Request, error) {
 // Core exposes the underlying core.Mapping (for inspection by
 // experiments and tests).
 func (mm *multiMapper) Core() *core.Mapping { return mm.m }
-
-func (mm *multiMapper) SpanVLBN() (int64, int64) { return mm.m.SpanVLBN() }
 
 func (mm *multiMapper) SpanOnDisk(di int) (int64, int64) { return mm.m.SpanOnDisk(di) }

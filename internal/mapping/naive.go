@@ -99,15 +99,11 @@ func (n *naiveMapper) BoxRequests(lo, hi []int) ([]lvm.Request, error) {
 	}
 }
 
-// SpanVLBN: a naive dataset is one contiguous extent.
-func (n *naiveMapper) SpanVLBN() (int64, int64) {
-	return n.base, n.base + n.cells
-}
-
-// SpanOnDisk: the extent lives wholly on one disk.
+// SpanOnDisk: a naive dataset is one contiguous extent, wholly on one
+// disk.
 func (n *naiveMapper) SpanOnDisk(di int) (int64, int64) {
 	if di != n.diskIdx {
 		return 0, 0
 	}
-	return n.SpanVLBN()
+	return n.base, n.base + n.cells
 }

@@ -124,6 +124,15 @@ func TestQuakeTreeStructure(t *testing.T) {
 	}
 }
 
+// TestCoverageReportString pins the line examples/earthquake prints.
+func TestCoverageReportString(t *testing.T) {
+	rep := CoverageReport{TotalLeaves: 200, Regions: 4, RegionLeaves: 150, TopTwoLeaves: 130, RestSubtrees: 3, RestLeaves: 50}
+	const want = "4 regions covering 150/200 leaves (top two: 65%), 3 remainder subtrees (50 leaves)"
+	if got := rep.String(); got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+}
+
 func TestUniformSubtreesMaximal(t *testing.T) {
 	tr, err := NewQuakeTree(5)
 	if err != nil {

@@ -72,9 +72,6 @@ func BuildCube(items []LineItem, dims []int) (*Cube, error) {
 	return c, nil
 }
 
-// Dims returns the cube shape.
-func (c *Cube) Dims() []int { return c.dims }
-
 func (c *Cube) index(cell [4]int) (int64, bool) {
 	var idx, stride int64 = 0, 1
 	for i := 0; i < 4; i++ {

@@ -97,9 +97,6 @@ func NewExecutorOptions(vol *lvm.Volume, m mapping.Mapper, opts ExecOptions) *Ex
 	return &Executor{vol: vol, m: m, bridgeGap: gap, opts: opts}
 }
 
-// Mapper returns the executor's mapping.
-func (e *Executor) Mapper() mapping.Mapper { return e.m }
-
 // Beam fetches every cell along dimension dim, the other coordinates
 // held at fixed (fixed[dim] is ignored). This is the paper's beam
 // query: a 1-D query parallel to an axis (§5.1).

@@ -81,10 +81,8 @@ func New() *Server {
 func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/stores", s.handleListStores)
 	s.mux.HandleFunc("POST /v1/stores", s.handleOpenStore)
-	s.mux.HandleFunc("GET /v1/stores/{store}", s.handleStoreInfo)
 	s.mux.HandleFunc("DELETE /v1/stores/{store}", s.handleCloseStore)
 	s.mux.HandleFunc("GET /v1/stores/{store}/metrics", s.handleStoreMetrics)
-	s.mux.HandleFunc("GET /v1/pools", s.handleListPools)
 	s.mux.HandleFunc("POST /v1/pools", s.handleOpenPool)
 	s.mux.HandleFunc("POST /v1/stores/{store}/sessions", s.handleBeginSession)
 	s.mux.HandleFunc("GET /v1/stores/{store}/sessions/{session}", s.handleSessionInfo)
@@ -95,7 +93,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/stores/{store}/sessions/{session}/insert", opHandler(s, opInsert))
 	s.mux.HandleFunc("POST /v1/stores/{store}/sessions/{session}/delete", opHandler(s, opDelete))
 	s.mux.HandleFunc("POST /v1/stores/{store}/sessions/{session}/flush", opHandler(s, opFlush))
-	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/events", s.handleEvents)
 }
 
@@ -404,14 +401,6 @@ func (s *Server) lookupStore(w http.ResponseWriter, r *http.Request) *storeEntry
 	return se
 }
 
-func (s *Server) handleStoreInfo(w http.ResponseWriter, r *http.Request) {
-	se := s.lookupStore(w, r)
-	if se == nil {
-		return
-	}
-	writeJSON(w, http.StatusOK, s.storeInfoLocked(se))
-}
-
 func (s *Server) handleCloseStore(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("store")
 	s.mu.Lock()
@@ -485,25 +474,6 @@ func poolInfo(name string, p *multimap.Pool) PoolInfo {
 	}
 	sort.Strings(info.Tenants)
 	return info
-}
-
-func (s *Server) handleListPools(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	names := make([]string, 0, len(s.pools))
-	for name := range s.pools {
-		names = append(names, name)
-	}
-	pools := make(map[string]*multimap.Pool, len(s.pools))
-	for name, p := range s.pools {
-		pools[name] = p
-	}
-	s.mu.Unlock()
-	sort.Strings(names)
-	infos := make([]PoolInfo, 0, len(names))
-	for _, name := range names {
-		infos = append(infos, poolInfo(name, pools[name]))
-	}
-	writeJSON(w, http.StatusOK, infos)
 }
 
 // ---- session handlers ----
@@ -648,10 +618,6 @@ func opFlush(ctx context.Context, q *multimap.Session, _ struct{}) (multimap.Sta
 }
 
 // ---- metrics ----
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.metricsSnapshot())
-}
 
 func (s *Server) metricsSnapshot() MetricsResponse {
 	s.mu.Lock()

@@ -723,3 +723,101 @@ func TestQoSClassWireBytes(t *testing.T) {
 		spec.Classes = append(spec.Classes, multimap.QoSClass{Name: "ops", Weight: 1, Urgent: true})
 	}
 }
+
+// TestClientCellOps drives the client's cell operations — Insert past
+// a block's capacity, FetchCell, Delete, Flush — on one wire session,
+// and replays them on a lone session of an embedded twin store opened
+// from the same request. Every op's Stats, and the session's lifetime
+// Stats, must be == the twin's.
+func TestClientCellOps(t *testing.T) {
+	ctx := context.Background()
+	spec := testSpec("cells")
+	spec.Updatable = true
+	srv, ts, c := startDaemon(t, spec)
+	defer ts.Close()
+	defer srv.Close(ctx)
+	twinSrv := New()
+	defer twinSrv.Close(ctx)
+	if _, err := twinSrv.OpenStore(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	twin := underlying(t, twinSrv, "cells").Begin()
+	sess, err := c.Begin(ctx, "cells", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cell := []int{3, 2, 1}
+	type op struct {
+		name  string
+		wire  func() (multimap.Stats, error)
+		embed func() (multimap.Stats, error)
+	}
+	// 70 inserts overflow the default 64-point home block.
+	var ops []op
+	for i := 0; i < 70; i++ {
+		ops = append(ops, op{fmt.Sprint("insert ", i),
+			func() (multimap.Stats, error) { return c.Insert(ctx, "cells", sess, cell, 0) },
+			func() (multimap.Stats, error) { return twin.Insert(ctx, cell) }})
+	}
+	ops = append(ops,
+		op{"fetch",
+			func() (multimap.Stats, error) { return c.FetchCell(ctx, "cells", sess, cell, 0) },
+			func() (multimap.Stats, error) { return twin.FetchCell(ctx, cell) }},
+		op{"delete",
+			func() (multimap.Stats, error) { return c.Delete(ctx, "cells", sess, cell, 0) },
+			func() (multimap.Stats, error) { return twin.Delete(ctx, cell) }},
+		op{"flush",
+			func() (multimap.Stats, error) { return multimap.Stats{}, c.Flush(ctx, "cells", sess) },
+			func() (multimap.Stats, error) { return multimap.Stats{}, twin.Flush(ctx) }},
+	)
+	for _, o := range ops {
+		got, err := o.wire()
+		if err != nil {
+			t.Fatalf("%s over the wire: %v", o.name, err)
+		}
+		want, err := o.embed()
+		if err != nil {
+			t.Fatalf("%s on the twin: %v", o.name, err)
+		}
+		if got != want {
+			t.Fatalf("%s: wire stats %+v, twin %+v", o.name, got, want)
+		}
+		if o.name == "fetch" && got.Cells != 2 {
+			t.Fatalf("fetch after 70 inserts read %d blocks, want a chain of 2", got.Cells)
+		}
+	}
+	got, err := c.SessionStats(ctx, "cells", sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := twin.Stats(); got != want {
+		t.Fatalf("wire session lifetime %+v, twin %+v", got, want)
+	}
+}
+
+// TestRemovedReadRoutes pins the read routes no client method, CI step
+// or benchmark used: GET /v1/metrics is gone (404), and the GET
+// siblings of DELETE /v1/stores/{store} and POST /v1/pools are 405s.
+// A store's metrics are read from /v1/stores/{store}/metrics or the
+// SSE metrics frames.
+func TestRemovedReadRoutes(t *testing.T) {
+	srv, ts, _ := startDaemon(t, testSpec("x"))
+	defer ts.Close()
+	defer srv.Close(context.Background())
+	for path, code := range map[string]int{
+		"/v1/metrics":          http.StatusNotFound,
+		"/v1/stores/x":         http.StatusMethodNotAllowed,
+		"/v1/pools":            http.StatusMethodNotAllowed,
+		"/v1/stores/x/metrics": http.StatusOK,
+	} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != code {
+			t.Errorf("GET %s: HTTP %d, want %d", path, resp.StatusCode, code)
+		}
+	}
+}

@@ -8,11 +8,9 @@
 //
 //	GET    /v1/stores                                  list open stores
 //	POST   /v1/stores                                  open a store (OpenStoreRequest)
-//	GET    /v1/stores/{store}                          store info
 //	DELETE /v1/stores/{store}                          close the store
 //	GET    /v1/stores/{store}/metrics                  Metrics snapshot
 //	POST   /v1/pools                                   open a pool (OpenPoolRequest)
-//	GET    /v1/pools                                   list pools with drive usage
 //	POST   /v1/stores/{store}/sessions                 begin a session (BeginSessionRequest)
 //	GET    /v1/stores/{store}/sessions/{session}       session info + lifetime stats
 //	DELETE /v1/stores/{store}/sessions/{session}       close the session (flushes write-back)
@@ -22,8 +20,7 @@
 //	POST   /v1/stores/{store}/sessions/{session}/insert  {"cell":[...]}
 //	POST   /v1/stores/{store}/sessions/{session}/delete  {"cell":[...]}
 //	POST   /v1/stores/{store}/sessions/{session}/flush   commit write-back buffers
-//	GET    /v1/metrics                                 one snapshot of every store
-//	GET    /v1/events                                  SSE event + metrics feed
+//	GET    /v1/events                                  SSE event + metrics feed (MetricsResponse frames)
 //
 // Range queries stream: the response is application/x-ndjson, one JSON
 // line per retired plan chunk ({"chunk":{...}}) flushed to the client
@@ -183,7 +180,8 @@ type StreamLine struct {
 	Trailer *RangeTrailer        `json:"trailer,omitempty"`
 }
 
-// MetricsResponse is the /v1/metrics document: every store's snapshot.
+// MetricsResponse is the SSE "metrics" frame of /v1/events: every
+// store's snapshot.
 type MetricsResponse struct {
 	Stores map[string]multimap.Metrics `json:"stores"`
 }

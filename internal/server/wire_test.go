@@ -82,6 +82,7 @@ func wireDocs() []struct {
 		{"trailer_bare", StreamLine{Trailer: &RangeTrailer{Stats: partial, Error: "context canceled", Classes: fresh.Classes}}},
 		{"metrics_two_shards", m},
 		{"metrics_fresh", fresh},
+		// The SSE "metrics" frame of /v1/events.
 		{"metrics_document", MetricsResponse{Stores: map[string]multimap.Metrics{"a": m, "b": fresh}}},
 		{"session_info", SessionInfo{Session: "s1", Store: "a", Class: "interactive", Stats: full}},
 		{"stats_response_error", StatsResponse{Stats: partial, Error: "context deadline exceeded"}},

@@ -41,9 +41,6 @@ func NewHilbert(dims []int) (*Hilbert, error) {
 // Dims returns the grid shape.
 func (h *Hilbert) Dims() []int { return h.dims }
 
-// KeyBits returns the number of significant bits in a key.
-func (h *Hilbert) KeyBits() int { return h.hier.keyBits }
-
 func (h *Hilbert) tree() *hierarchy { return &h.hier }
 
 // Key maps a cell coordinate to its Hilbert index.

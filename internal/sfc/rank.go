@@ -83,9 +83,6 @@ func NewRanked(curve Curve) *Ranked {
 // Len returns the number of cells.
 func (r *Ranked) Len() int64 { return r.n }
 
-// Dims returns the grid shape.
-func (r *Ranked) Dims() []int { return r.curve.Dims() }
-
 // runOfKey returns the index of the last run starting at or before key,
 // searching from run from, which must itself start at or before key: a
 // gallop forward and then a binary search, so a caller moving through

@@ -214,8 +214,8 @@ func TestZOrderKeyBitsCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if z.KeyBits() != 12 {
-		t.Errorf("KeyBits=%d, want 12", z.KeyBits())
+	if z.hier.keyBits != 12 {
+		t.Errorf("keyBits=%d, want 12", z.hier.keyBits)
 	}
 	k, err := z.Key([]int{1023, 3})
 	if err != nil {

@@ -67,9 +67,6 @@ func NewZOrder(dims []int) (*ZOrder, error) {
 // Dims returns the grid shape.
 func (z *ZOrder) Dims() []int { return z.dims }
 
-// KeyBits returns the number of significant bits in a key.
-func (z *ZOrder) KeyBits() int { return z.hier.keyBits }
-
 func (z *ZOrder) tree() *hierarchy { return &z.hier }
 
 // Key maps a cell coordinate to its Z-order key. Bits are interleaved

@@ -245,8 +245,8 @@ func TestPoolLifecycleUnderLiveTraffic(t *testing.T) {
 
 // TestGrownVolumeSpans covers the mapping collision checks across
 // grown volumes: growing a tenant appends segments to its volume, and
-// the mapper's span bookkeeping must ignore them — SpanVLBN and every
-// pre-growth SpanOnDisk unchanged, every new segment's span empty —
+// the mapper's span bookkeeping must ignore them — every pre-growth
+// SpanOnDisk unchanged, every new segment's span empty —
 // while the §4.6 overflow pool extends into the new extents.
 func TestGrownVolumeSpans(t *testing.T) {
 	ctx := context.Background()
@@ -262,7 +262,6 @@ func TestGrownVolumeSpans(t *testing.T) {
 	lv := st.grp.Member(0).Svc.Volume()
 	nd := lv.NumDisks()
 	oldTotal := lv.TotalBlocks()
-	preLo, preHi := m.SpanVLBN()
 	pre := make([][2]int64, nd)
 	for i := range pre {
 		lo, hi := m.SpanOnDisk(i)
@@ -317,9 +316,6 @@ func TestGrownVolumeSpans(t *testing.T) {
 		}
 	}
 	// ...and left every pre-growth span byte-identical.
-	if lo, hi := m.SpanVLBN(); lo != preLo || hi != preHi {
-		t.Fatalf("SpanVLBN moved: [%d,%d) -> [%d,%d)", preLo, preHi, lo, hi)
-	}
 	for i := range pre {
 		if lo, hi := m.SpanOnDisk(i); lo != pre[i][0] || hi != pre[i][1] {
 			t.Fatalf("segment %d span moved: [%d,%d) -> [%d,%d)", i, pre[i][0], pre[i][1], lo, hi)

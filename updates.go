@@ -101,10 +101,9 @@ func (o UpdateOptions) withDefaults(datasetBlocks int64) (UpdateOptions, error) 
 
 // overflowExtents carves one tail extent per member disk of a shard's
 // volume, splitting total as evenly as possible, and validates each
-// extent against the cells the mapping placed on that disk (the
-// per-disk refinement of the SpanVLBN collision check — under a
-// declustered dataset the global span straddles every disk and would
-// falsely reject any tail extent).
+// extent against the cells the mapping placed on that disk (under a
+// declustered dataset a volume-wide span straddles every disk and
+// would falsely reject any tail extent).
 func overflowExtents(vol *lvm.Volume, m mapping.Mapper, total int64) ([]lvm.Request, error) {
 	nd := int64(vol.NumDisks())
 	per, rem := total/nd, total%nd

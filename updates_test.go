@@ -2,7 +2,9 @@ package multimap
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -226,7 +228,7 @@ func TestOverflowSpreadAcrossDisks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, hi := probe.grp.Member(0).Map.SpanVLBN()
+	_, hi := probe.grp.Member(0).Map.SpanOnDisk(0)
 	free0 := v.svc.Volume().DiskStart(0) + v.svc.Volume().DiskBlocks(0) - hi
 	if free0 <= 0 {
 		t.Fatalf("dataset fills disk 0 (span end %d)", hi)
@@ -534,5 +536,71 @@ func TestUpdatableConcurrentSessions(t *testing.T) {
 	}
 	if tot.Attributed.Writes == 0 {
 		t.Fatal("no written blocks attributed")
+	}
+}
+
+// TestUpdatableEveryLayout runs the update layer on every layout, on
+// one drive and on a two-drive volume: inserts past a block's capacity
+// grow the cell's chain and its fetch cost, deletes shrink both, and an
+// overflow pool reaching back into the dataset's cells fails Open with
+// the collision error (each layout's SpanOnDisk).
+func TestUpdatableEveryLayout(t *testing.T) {
+	ctx := context.Background()
+	dims := []int{30, 8, 5}
+	cell := []int{7, 3, 2}
+	for _, drives := range [][]DiskModel{{MediumTestDisk}, {MediumTestDisk, MediumTestDisk}} {
+		for _, kind := range []Mapping{Naive, ZOrder, Hilbert, MultiMap} {
+			t.Run(fmt.Sprintf("%v/%d-drive", kind, len(drives)), func(t *testing.T) {
+				v, err := OpenVolumeDepth(32, drives...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				u, err := Open(v, kind, dims, Updatable(UpdateOptions{PointsPerBlock: 2, FillFactor: Frac(1)}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				fetch := func(wantChain int) Stats {
+					t.Helper()
+					if cl, err := u.ChainLen(cell); err != nil || cl != wantChain {
+						t.Fatalf("ChainLen %d (%v), want %d", cl, err, wantChain)
+					}
+					u.Reset()
+					st, err := u.FetchCell(ctx, cell)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if st.Cells != int64(wantChain) {
+						t.Fatalf("fetch read %d blocks, want the chain's %d", st.Cells, wantChain)
+					}
+					return st
+				}
+				mutate := func(op func(context.Context, []int) (Stats, error), n int) {
+					t.Helper()
+					for i := 0; i < n; i++ {
+						if _, err := op(ctx, cell); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				mutate(u.Insert, 2)
+				short := fetch(1)
+				mutate(u.Insert, 3) // 5 points at 2 per block
+				long := fetch(3)
+				if long.TotalMs <= short.TotalMs {
+					t.Errorf("chain of 3 fetched in %v ms, not above the lone block's %v", long.TotalMs, short.TotalMs)
+				}
+				mutate(u.Delete, 4) // 1 of 6 slots live: below ReclaimBelow, so the chain compacts
+				if shrunk := fetch(1); shrunk.TotalMs >= long.TotalMs {
+					t.Errorf("compacted cell fetched in %v ms, not below the chain's %v", shrunk.TotalMs, long.TotalMs)
+				}
+
+				// Each drive's share of the pool is the whole drive, so
+				// drive 0's extent covers the cells placed there.
+				_, err = Open(v, kind, dims, Updatable(UpdateOptions{OverflowBlocks: v.TotalBlocks()}))
+				if err == nil || !strings.Contains(err.Error(), "collides with dataset cells") {
+					t.Fatalf("overflow pool over the dataset: %v, want the collision error", err)
+				}
+			})
+		}
 	}
 }
