@@ -48,7 +48,7 @@ func TestUseAfterStoreClose(t *testing.T) {
 	if _, err := s.Beam(ctx, 1, []int{5, 0, 3}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Store.Beam after Store.Close: %v, want ErrClosed", err)
 	}
-	if _, err := s.LoadCell(ctx, []int{1, 1, 1}, 4); !errors.Is(err, ErrClosed) {
+	if _, err := s.def.LoadCell(ctx, []int{1, 1, 1}, 4); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Store.LoadCell after Store.Close: %v, want ErrClosed", err)
 	}
 
@@ -86,8 +86,8 @@ func TestUseAfterVolumeClose(t *testing.T) {
 
 // The volume lifecycle is a two-state machine: open, then closed, with
 // Volume.Close the one transition. Out of closed, Open is illegal and
-// fails loudly with ErrClosed, and Reset is a documented no-op; neither
-// may quietly start a second service on the same drives.
+// fails loudly with ErrClosed; it may not quietly start a second
+// service on the same drives.
 
 // TestOpenAfterVolumeClose walks the illegal transitions one at a time.
 func TestOpenAfterVolumeClose(t *testing.T) {
@@ -111,28 +111,13 @@ func TestOpenAfterVolumeClose(t *testing.T) {
 			t.Fatalf("Open on a closed volume with %d options: store %v, err %v; want ErrClosed", len(opts), st != nil, err)
 		}
 	}
-	// Reset after Close leaves the service's books (and the drives) as
-	// the last batch left them.
-	before, drive := v.ServiceTotals(), v.svc.Volume().Disk(0)
-	clock, served := drive.NowMs(), drive.Stats()
-	if before.Batches == 0 || clock == 0 {
-		t.Fatal("the beam before Close left no trace to compare against")
-	}
-	v.Reset()
-	s.Reset()
-	if got := v.ServiceTotals(); got != before {
-		t.Fatalf("Reset after Close touched the service: %+v, was %+v", got, before)
-	}
-	if drive.NowMs() != clock || drive.Stats() != served {
-		t.Fatal("Reset after Close touched the drives")
-	}
 	if _, err := s.Beam(ctx, 1, []int{5, 0, 3}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Store.Beam after Volume.Close: %v, want ErrClosed", err)
 	}
 }
 
 // TestVolumeLifecycleRace races the legal and illegal transitions
-// (run with -race): workers loop Open → Beam → Volume.Reset while
+// (run with -race): workers loop Open → Beam → Store.Close while
 // another goroutine closes the volume. Every Open returns a working
 // store or ErrClosed, every Open or query that starts after Close has
 // returned fails with ErrClosed, nothing hangs, and no goroutine
@@ -179,7 +164,6 @@ func TestVolumeLifecycleRace(t *testing.T) {
 					errs <- fmt.Errorf("worker %d: Beam: %v; want success or ErrClosed", w, err)
 					return
 				}
-				v.Reset()
 				s.Close()
 			}
 		}(w)
@@ -220,25 +204,25 @@ func TestErrNotUpdatable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Updatable() {
+	if s.cells != nil {
 		t.Fatal("store without Updatable reports updatable")
 	}
 	ctx := context.Background()
-	if _, err := s.Insert(ctx, []int{1, 1, 1}); !errors.Is(err, ErrNotUpdatable) {
+	if _, err := s.def.Insert(ctx, []int{1, 1, 1}); !errors.Is(err, ErrNotUpdatable) {
 		t.Fatalf("Insert: %v, want ErrNotUpdatable", err)
 	}
-	if _, err := s.Delete(ctx, []int{1, 1, 1}); !errors.Is(err, ErrNotUpdatable) {
+	if _, err := s.def.Delete(ctx, []int{1, 1, 1}); !errors.Is(err, ErrNotUpdatable) {
 		t.Fatalf("Delete: %v, want ErrNotUpdatable", err)
 	}
-	if _, err := s.LoadCell(ctx, []int{1, 1, 1}, 4); !errors.Is(err, ErrNotUpdatable) {
+	if _, err := s.def.LoadCell(ctx, []int{1, 1, 1}, 4); !errors.Is(err, ErrNotUpdatable) {
 		t.Fatalf("LoadCell: %v, want ErrNotUpdatable", err)
 	}
-	if _, err := s.Points([]int{1, 1, 1}); !errors.Is(err, ErrNotUpdatable) {
+	if _, err := points(s, []int{1, 1, 1}); !errors.Is(err, ErrNotUpdatable) {
 		t.Fatalf("Points: %v, want ErrNotUpdatable", err)
 	}
 	// FetchCell is a read: on a read-only store it fetches the home
 	// extent.
-	st, err := s.FetchCell(ctx, []int{1, 1, 1})
+	st, err := s.def.FetchCell(ctx, []int{1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,10 +234,10 @@ func TestErrNotUpdatable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !u.Updatable() {
+	if u.cells == nil {
 		t.Fatal("Updatable store reports not updatable")
 	}
-	if _, err := u.Insert(ctx, []int{1, 1, 1}); err != nil {
+	if _, err := u.def.Insert(ctx, []int{1, 1, 1}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -34,8 +32,6 @@ func main() {
 		queries  = flag.Int("queries", 0, "operations each -remote session issues (0 = default 32)")
 		writes   = flag.Float64("writes", 0, "fraction in [0,1) of each -remote session's operations that are single-point inserts (0 = read-only)")
 		deadline = flag.Duration("deadline", 0, "per-operation deadline of every -remote session, sent as deadline_ms, e.g. 50ms (0 = none)")
-		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment run to this file (inspect with 'go tool pprof')")
-		memProf  = flag.String("memprofile", "", "write a pprof heap profile taken after the experiment run to this file (inspect with 'go tool pprof')")
 		remote   = flag.String("remote", "", "client mode: drive serve-style load against a running mmserved daemon at this address (host:port) instead of running experiments in-process; uses -store, -class, -clients, -queries, -writes, -deadline, -seed")
 		store    = flag.String("store", "", "store name on the daemon for -remote mode")
 		class    = flag.String("class", "", "QoS class for -remote mode sessions (empty = the store's default)")
@@ -92,56 +88,15 @@ func main() {
 		usageErr("-store and -class only apply in -remote client mode")
 	}
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mmbench: -cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "mmbench: -cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		// Deferred calls run last-first: stop the profile, which writes
-		// it out, before closing its file.
-		defer f.Close()
-		defer pprof.StopCPUProfile()
-	}
-
 	ids := []string{*exp}
 	if *exp == "all" {
 		ids = multimap.ExperimentIDs()
 	}
-	// Experiment failures funnel through this instead of os.Exit so the
-	// profile defers above still flush their files.
-	exitCode := 0
 	for _, id := range ids {
 		if err := runOne(os.Stdout, id, cfg); err != nil {
 			fmt.Fprintf(os.Stderr, "mmbench: %s: %v\n", id, err)
-			exitCode = 1
-			break
+			os.Exit(1)
 		}
-	}
-
-	if *memProf != "" {
-		f, err := os.Create(*memProf)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mmbench: -memprofile: %v\n", err)
-			exitCode = 1
-		} else {
-			runtime.GC() // settle the heap so the profile shows live data
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "mmbench: -memprofile: %v\n", err)
-				exitCode = 1
-			}
-			f.Close()
-		}
-	}
-	if exitCode != 0 {
-		if *cpuProf != "" {
-			pprof.StopCPUProfile()
-		}
-		os.Exit(exitCode)
 	}
 }
 

@@ -96,19 +96,18 @@
 // opens sessions; WithCache and WithMaxInflight (chunks a session keeps
 // in flight; a query plans on the goroutine that runs it, one chunk
 // ahead of what is in flight, so planning overlaps service either way)
-// are the knobs. Volume.Reset is serialized through the loop and safe
-// under live traffic.
+// are the knobs.
 //
 // # Write path and cache coherence
 //
-// Updates (§4.6: Insert, Delete, LoadCell on a store opened with the
-// Updatable option) are
-// first-class write operations on the same service. The cell store
-// computes which blocks a mutation dirties and emits them as a write
-// request list; the session submits that list as a write op, admitted
-// in the same batches as reads. The coherence contract: within one
-// admission batch, reads are served before writes (a read admitted
-// concurrently with an in-flight write linearizes before it); each
+// Updates (§4.6: a Session's Insert, Delete and LoadCell on a store
+// opened with the Updatable option) are first-class write operations
+// on the same service. The cell store computes which blocks a mutation
+// dirties and emits them as a write request list; the session submits
+// that list as a write op, admitted in the same batches as reads. The
+// coherence contract: within one admission batch, reads are served
+// before writes (a read admitted concurrently with an in-flight write
+// linearizes before it); each
 // write then invalidates every cached extent overlapping its mutated
 // [lbn, lbn+count) ranges before its simulated I/O cost is charged to
 // the submitting session (Stats.Writes, Stats.InvalidatedBlocks).
@@ -130,7 +129,7 @@
 // triggers flush: the dirty-block watermark, the flush interval
 // (measured from the oldest dirty write), a read overlapping dirty
 // blocks (flush-before-read, so a read never observes pre-write disk
-// state), an explicit Store/Session.Flush(ctx), and Close. Dirty
+// state), an explicit Session.Flush(ctx), and Close. Dirty
 // extents never span disk-segment boundaries, and a buffered write
 // still invalidates overlapping cached extents at absorb time, so the
 // write-path coherence contract above is unchanged: with the cache
@@ -170,16 +169,15 @@
 // bit for bit (TestSingleShardMatchesDirectExecutorFig6 in internal/shard
 // holds a single-shard session to a plain executor on Fig. 6's
 // queries).
-// Store.Close releases the internal shard volumes; Store.Reset
-// restores all of them.
+// Store.Close releases the internal shard volumes.
 //
 // # Context-first API: cancellation, deadlines, QoS admission
 //
 // The public surface is one capability-unified Store: Open maps a
 // dataset with functional options, Updatable(UpdateOptions) enables
-// the §4.6 write path, and every blocking operation — Beam,
-// RangeQuery, FetchCell, Insert, Delete, LoadCell, on the Store or on
-// its Sessions — takes a context.Context first.
+// the §4.6 write path, and every blocking operation — Beam and
+// RangeQuery on the Store, and those plus FetchCell, Insert, Delete
+// and LoadCell on its Sessions — takes a context.Context first.
 //
 // Cancellation flows through every layer. The streaming planner stops
 // between chunks; the service loop drops a cancelled operation's
@@ -193,7 +191,7 @@
 // to ServiceTotals.Attributed for issued work. Closed stores and
 // volumes fail fast with ErrClosed. A volume keeps the one service it
 // was built with for life, so Volume.Close is terminal: Open on a
-// closed volume fails with ErrClosed too, and Volume.Reset is a no-op.
+// closed volume fails with ErrClosed too.
 //
 // Deadlines are the QoS signal. With WithDeadlineAging(d), each
 // admission pass serves urgent requests — those whose context carries
@@ -249,10 +247,10 @@
 // admission pass by hand and pins the effect in simulated time: with
 // interactive:bulk at 1:4, three small interactive boxes finish in
 // 82.338 ms instead of the 484.338 ms batch they shared with a bulk
-// scan. cmd/mmbench's -cpuprofile/-memprofile flags write pprof
-// profiles for hunting scheduler hot spots: run e.g.
+// scan. To hunt hot spots, profile the figure goldens, which run every
+// paper figure on both drives:
 //
-//	mmbench -exp fig6b -scale 0.5 -cpuprofile cpu.pb.gz
+//	go test -cpuprofile cpu.pb.gz -run TestFigureGoldens ./internal/experiments
 //	go tool pprof cpu.pb.gz
 //
 // # Multi-tenant volume pool: thin provisioning, growth, snapshots

@@ -57,7 +57,6 @@ func TestHighDimensionalMapping(t *testing.T) {
 		a, _ := m.CellVLBN(cell)
 		cell[dim] = 1
 		b, _ := m.CellVLBN(cell)
-		d.Reset()
 		if _, err := d.Access(disk.Request{LBN: a - v.DiskStart(0), Count: 1}); err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +64,7 @@ func TestHighDimensionalMapping(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pos := cost.CommandMs + cost.SeekMs + cost.RotateMs; pos > g.CommandMs+g.SettleMs+4*g.SectorTimeMs(0) {
+		if pos := cost.CommandMs + cost.SeekMs + cost.RotateMs; pos > g.CommandMs+g.SettleMs+4*g.RotationMs()/float64(g.TrackLen(0)) {
 			t.Errorf("dim %d step costs %.3f ms: not semi-sequential", dim, pos)
 		}
 	}
@@ -106,10 +105,10 @@ func TestMixedDriveVolume(t *testing.T) {
 		t.Fatal(err)
 	}
 	disks := map[int]bool{}
-	for ci := 0; ci < m.NumCubes(); ci++ {
-		disks[m.CubeDisk(ci)] = true
+	for ci := 0; ci < len(m.cubes); ci++ {
+		disks[m.cubes[ci].diskIdx] = true
 	}
-	if m.NumCubes() >= 2 && len(disks) != 2 {
+	if len(m.cubes) >= 2 && len(disks) != 2 {
 		t.Errorf("cubes not declustered across mixed drives: %v", disks)
 	}
 	seen := map[int64]bool{}

@@ -269,15 +269,6 @@ func (m *Mapping) Dims() []int { return m.dims }
 // Spec returns the basic cube specification in use.
 func (m *Mapping) Spec() *CubeSpec { return m.spec }
 
-// NumCubes returns how many basic cubes the dataset occupies.
-func (m *Mapping) NumCubes() int { return len(m.cubes) }
-
-// CubesPerDim returns the cube-grid shape (ceil(Si/Ki) per §4.4).
-func (m *Mapping) CubesPerDim() []int { return m.cubesPerDim }
-
-// CubeDisk returns the disk index holding cube ci.
-func (m *Mapping) CubeDisk(ci int) int { return m.cubes[ci].diskIdx }
-
 // split locates a cell: the index of its basic cube, its Dim0 offset
 // r0 within the cube, and the inner index of its chain head —
 // sum(r_i * strides[i]), to which Dim0 adds nothing (strides[0] is 0).
@@ -381,12 +372,6 @@ func (m *Mapping) BoxRequests(lo, hi []int) ([]lvm.Request, error) {
 		}
 	}
 	return lvm.SortCoalesce(reqs), nil
-}
-
-// Blocks returns the total number of blocks reserved by the mapping,
-// including unfilled edge-cube space (§4.4).
-func (m *Mapping) Blocks() int64 {
-	return int64(len(m.cubes)) * m.spec.Cells()
 }
 
 // NextFreeVLBN returns the first volume address past the last allocated

@@ -193,7 +193,7 @@ func TestMappingHigherDimsAreAdjacentBlocks(t *testing.T) {
 			next[i]++
 			a, _ := m.CellVLBN(cell)
 			b, _ := m.CellVLBN(next)
-			want, err := v.GetAdjacentK(a, spec.Stride(i))
+			want, err := v.GetAdjacentK(a, spec.strides[i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,12 +238,12 @@ func TestMappingDeclustersAcrossDisks(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := mustMapping(t, v, []int{30, 14, 12}, MapOptions{DiskIdx: -1})
-	if m.NumCubes() < 2 {
+	if len(m.cubes) < 2 {
 		t.Skip("dataset fits one cube; cannot observe declustering")
 	}
 	seen := map[int]bool{}
-	for ci := 0; ci < m.NumCubes(); ci++ {
-		seen[m.CubeDisk(ci)] = true
+	for ci := 0; ci < len(m.cubes); ci++ {
+		seen[m.cubes[ci].diskIdx] = true
 	}
 	if len(seen) != 2 {
 		t.Errorf("cubes on %d disks, want 2", len(seen))
@@ -256,9 +256,9 @@ func TestMappingPinsToDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := mustMapping(t, v, []int{30, 14, 12}, MapOptions{DiskIdx: 1})
-	for ci := 0; ci < m.NumCubes(); ci++ {
-		if m.CubeDisk(ci) != 1 {
-			t.Fatalf("cube %d on disk %d, want 1", ci, m.CubeDisk(ci))
+	for ci := 0; ci < len(m.cubes); ci++ {
+		if m.cubes[ci].diskIdx != 1 {
+			t.Fatalf("cube %d on disk %d, want 1", ci, m.cubes[ci].diskIdx)
 		}
 	}
 }
@@ -330,13 +330,31 @@ func TestDim0RunCoversCells(t *testing.T) {
 	}
 }
 
+// TestMappingBlocks: the mapping reserves whole basic cubes, ceil(Si/Ki)
+// along each dimension (§4.4), and its span on the disk holds all of
+// their blocks, unfilled edge-cube space included.
 func TestMappingBlocks(t *testing.T) {
 	v := testVolume(t)
-	m := mustMapping(t, v, []int{25, 9, 7}, MapOptions{DiskIdx: 0})
-	if got, want := m.Blocks(), int64(m.NumCubes())*m.Spec().Cells(); got != want {
-		t.Errorf("Blocks=%d, want %d", got, want)
+	dims := []int{25, 9, 7}
+	m := mustMapping(t, v, dims, MapOptions{DiskIdx: 0})
+	k := m.Spec().K
+	cubes, cells := 1, int64(1)
+	for i, s := range dims {
+		per := (s + k[i] - 1) / k[i]
+		if m.cubesPerDim[i] != per {
+			t.Errorf("dim %d: %d cubes, want ceil(%d/%d) = %d", i, m.cubesPerDim[i], s, k[i], per)
+		}
+		cubes *= per
+		cells *= int64(k[i])
 	}
-	if len(m.CubesPerDim()) != 3 {
-		t.Error("CubesPerDim arity wrong")
+	if len(m.cubes) != cubes {
+		t.Fatalf("placed %d cubes, want %d", len(m.cubes), cubes)
+	}
+	start, end := m.SpanOnDisk(0)
+	if end-start < int64(cubes)*cells {
+		t.Errorf("span [%d,%d) holds %d blocks, fewer than %d cubes of %d", start, end, end-start, cubes, cells)
+	}
+	if end > m.NextFreeVLBN() {
+		t.Errorf("span ends at %d, past the next free VLBN %d", end, m.NextFreeVLBN())
 	}
 }

@@ -77,36 +77,6 @@ func (s *CubeSpec) Tracks() int {
 	return t
 }
 
-// Cells returns the number of cells in the cube.
-func (s *CubeSpec) Cells() int64 {
-	c := int64(1)
-	for _, ki := range s.K {
-		c *= int64(ki)
-	}
-	return c
-}
-
-// CubesPerTrack returns how many cubes pack side by side along a track
-// of length t (§4.4: when K[0] < T, pack as many as possible).
-func (s *CubeSpec) CubesPerTrack(t int) int {
-	if t < s.K[0] {
-		return 0
-	}
-	return t / s.K[0]
-}
-
-// Stride returns the adjacency jump width for one step along dim i >= 1.
-func (s *CubeSpec) Stride(i int) int { return s.strides[i] }
-
-// WastedFraction returns the fraction of track space left unmapped when
-// packing cubes on tracks of length t (§4.4: (T mod K0)/T).
-func (s *CubeSpec) WastedFraction(t int) float64 {
-	if t < s.K[0] {
-		return 1
-	}
-	return float64(t%s.K[0]) / float64(t)
-}
-
 // MaxDims returns the paper's Eq. 5 bound on the number of dimensions a
 // disk with adjacency depth d supports: Nmax = 2 + log2(d).
 func MaxDims(d int) int {

@@ -38,29 +38,14 @@ func TestCubeSpecDerived(t *testing.T) {
 	if s.Tracks() != 18 {
 		t.Errorf("Tracks=%d, want 18", s.Tracks())
 	}
-	if s.Cells() != 90 {
-		t.Errorf("Cells=%d, want 90", s.Cells())
-	}
 	// Strides per §4.2: Dim1 jumps 1, Dim2 jumps K1, Dim3 jumps K1*K2.
 	for i, want := range []int{0, 1, 3, 9} {
 		if i == 0 {
 			continue
 		}
-		if got := s.Stride(i); got != want {
-			t.Errorf("Stride(%d)=%d, want %d", i, got, want)
+		if got := s.strides[i]; got != want {
+			t.Errorf("stride %d = %d, want %d", i, got, want)
 		}
-	}
-	if got := s.CubesPerTrack(12); got != 2 {
-		t.Errorf("CubesPerTrack(12)=%d, want 2", got)
-	}
-	if got := s.CubesPerTrack(4); got != 0 {
-		t.Errorf("CubesPerTrack(4)=%d, want 0", got)
-	}
-	if got := s.WastedFraction(12); got != 2.0/12 {
-		t.Errorf("WastedFraction(12)=%v, want %v", got, 2.0/12)
-	}
-	if got := s.WastedFraction(4); got != 1.0 {
-		t.Errorf("WastedFraction(4)=%v, want 1", got)
 	}
 }
 

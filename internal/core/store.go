@@ -436,13 +436,3 @@ func (s *CellStore) ReadRequests(cell []int) ([]lvm.Request, error) {
 		b = nxt
 	}
 }
-
-// ChainLen returns the number of blocks in a cell's chain (1 = no
-// overflow).
-func (s *CellStore) ChainLen(cell []int) (int, error) {
-	reqs, err := s.ReadRequests(cell)
-	if err != nil {
-		return 0, err
-	}
-	return len(reqs), nil
-}

@@ -68,9 +68,9 @@ func TestLoadCellHonoursFillFactor(t *testing.T) {
 	if err != nil || n != 12 {
 		t.Fatalf("Points=%d err=%v, want 12", n, err)
 	}
-	cl, _ := s.ChainLen([]int{1, 1})
+	cl, _ := chainLen(s, []int{1, 1})
 	if cl != 3 {
-		t.Fatalf("ChainLen=%d, want 3", cl)
+		t.Fatalf("chain length %d, want 3", cl)
 	}
 }
 
@@ -89,8 +89,8 @@ func TestLoadCellNeverOverfillsBlocks(t *testing.T) {
 	if n, _ := s.Points(cell); n != 20 {
 		t.Fatalf("Points=%d, want 20", n)
 	}
-	if cl, _ := s.ChainLen(cell); cl != 2 {
-		t.Fatalf("ChainLen=%d, want 2 (second load must overflow)", cl)
+	if cl, _ := chainLen(s, cell); cl != 2 {
+		t.Fatalf("chain length %d, want 2 (second load must overflow)", cl)
 	}
 	// With fill < 1, a second load tops the home block up to the budget
 	// before growing the chain.
@@ -104,8 +104,8 @@ func TestLoadCellNeverOverfillsBlocks(t *testing.T) {
 	if n, _ := s.Points(cell); n != 7 {
 		t.Fatalf("Points=%d, want 7", n)
 	}
-	if cl, _ := s.ChainLen(cell); cl != 2 {
-		t.Fatalf("ChainLen=%d, want 2", cl)
+	if cl, _ := chainLen(s, cell); cl != 2 {
+		t.Fatalf("chain length %d, want 2", cl)
 	}
 	// A home block filled past the budget by inserts contributes no
 	// headroom — the load goes straight to fresh pages.
@@ -121,8 +121,8 @@ func TestLoadCellNeverOverfillsBlocks(t *testing.T) {
 	if n, _ := s.Points(cell); n != 6 {
 		t.Fatalf("Points=%d, want 6", n)
 	}
-	if cl, _ := s.ChainLen(cell); cl != 2 {
-		t.Fatalf("ChainLen=%d, want 2 (over-budget home must not absorb the load)", cl)
+	if cl, _ := chainLen(s, cell); cl != 2 {
+		t.Fatalf("chain length %d, want 2 (over-budget home must not absorb the load)", cl)
 	}
 }
 
@@ -137,15 +137,15 @@ func TestInsertUsesHeadroomThenOverflows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if cl, _ := s.ChainLen([]int{0, 0}); cl != 1 {
+	if cl, _ := chainLen(s, []int{0, 0}); cl != 1 {
 		t.Fatalf("headroom inserts created overflow (chain %d)", cl)
 	}
 	// The next insert must allocate an overflow page.
 	if _, err := s.Insert([]int{0, 0}); err != nil {
 		t.Fatal(err)
 	}
-	if cl, _ := s.ChainLen([]int{0, 0}); cl != 2 {
-		t.Fatalf("ChainLen=%d, want 2 after overflow", cl)
+	if cl, _ := chainLen(s, []int{0, 0}); cl != 2 {
+		t.Fatalf("chain length %d, want 2 after overflow", cl)
 	}
 	if n, _ := s.Points([]int{0, 0}); n != 11 {
 		t.Fatalf("Points=%d, want 11", n)
@@ -247,7 +247,7 @@ func TestDeleteAndReorganize(t *testing.T) {
 	if s.Reorganizations() == 0 {
 		t.Fatal("no reorganization despite underflow")
 	}
-	if cl, _ := s.ChainLen([]int{3, 3}); cl != 1 {
+	if cl, _ := chainLen(s, []int{3, 3}); cl != 1 {
 		t.Fatalf("chain not compacted: %d blocks", cl)
 	}
 	if n, _ := s.Points([]int{3, 3}); n != 4 {
@@ -316,4 +316,10 @@ func TestStoreWithMultiMapLocator(t *testing.T) {
 	if n == 0 {
 		t.Fatal("no points landed in cell (0,0,0)")
 	}
+}
+
+// chainLen counts the blocks of a cell's chain (1 = no overflow).
+func chainLen(s *CellStore, cell []int) (int, error) {
+	reqs, err := s.ReadRequests(cell)
+	return len(reqs), err
 }

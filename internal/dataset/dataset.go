@@ -1,6 +1,7 @@
 // Package dataset provides the grid-dataset abstraction shared by the
 // paper's three evaluation workloads (§5.1): grid shapes, per-disk
-// chunking, and deterministic synthetic generators.
+// chunking, deterministic synthetic generators, and the random beam and
+// range queries drawn over them.
 package dataset
 
 import (
@@ -25,34 +26,6 @@ func NewGrid(dims ...int) (*Grid, error) {
 		}
 	}
 	return &Grid{dims: append([]int(nil), dims...)}, nil
-}
-
-// Dims returns the side lengths.
-func (g *Grid) Dims() []int { return g.dims }
-
-// N returns the dimensionality.
-func (g *Grid) N() int { return len(g.dims) }
-
-// Cells returns the total cell count.
-func (g *Grid) Cells() int64 {
-	n := int64(1)
-	for _, d := range g.dims {
-		n *= int64(d)
-	}
-	return n
-}
-
-// Contains reports whether a cell lies in the grid.
-func (g *Grid) Contains(cell []int) bool {
-	if len(cell) != len(g.dims) {
-		return false
-	}
-	for i, x := range cell {
-		if x < 0 || x >= g.dims[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Chunk is an axis-aligned sub-grid produced by Chunks.

@@ -56,7 +56,7 @@ func TestAdjacencyNoRotationalLatency(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sector := g.SectorTimeMs(a)
+			sector := g.RotationMs() / float64(g.TrackLen(a))
 			// Command + seek + rotational wait must land exactly in the
 			// adjacency window: settle + at most the guard rotation.
 			pos := cost.CommandMs + cost.SeekMs + cost.RotateMs
@@ -242,7 +242,7 @@ func TestAdjacencyAcrossZoneBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sector := g.SectorTimeMs(a)
+	sector := g.RotationMs() / float64(g.TrackLen(a))
 	if pos := cost.SeekMs + cost.RotateMs; pos > g.CommandMs+g.SettleMs+float64(adjGuardSectors+2)*sector {
 		t.Errorf("cross-zone adjacency positioning %.4f ms too slow", pos)
 	}

@@ -29,7 +29,6 @@ func TestServeBatchSPTFAllocs(t *testing.T) {
 		d := New(g)
 		var out []Completion
 		serve := func() {
-			d.Reset()
 			var err error
 			if out, err = d.ServeBatch(out[:0], shape.reqs, SchedSPTF); err != nil {
 				t.Fatal(err)

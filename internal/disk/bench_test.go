@@ -172,7 +172,6 @@ func BenchmarkSPTF(b *testing.B) {
 					d := New(g)
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						d.Reset()
 						comps, err := impl.serve(d, reqs)
 						if err != nil {
 							b.Fatal(err)

@@ -101,17 +101,6 @@ func (d *Disk) NowMs() float64 { return d.nowMs }
 // Stats returns the accumulated service statistics.
 func (d *Disk) Stats() Stats { return d.stats }
 
-// ResetStats clears the accumulated statistics without moving the heads.
-func (d *Disk) ResetStats() { d.stats = Stats{} }
-
-// Reset returns the heads to track 0 and the clock to 0, clearing stats.
-func (d *Disk) Reset() {
-	d.nowMs = 0
-	d.curTrack = 0
-	d.lastEnd = -1
-	d.stats = Stats{}
-}
-
 // RandomizePosition moves the heads to a uniformly random track and the
 // spindle to a uniformly random phase, modelling an unknown prior state
 // between experiment runs.

@@ -128,20 +128,15 @@ func TestStatsAccumulate(t *testing.T) {
 	if sum := s.CommandMs + s.SeekMs + s.RotateMs + s.TransferMs; s.BusyMs <= 0 || math.Abs(s.BusyMs-sum) > 1e-6 {
 		t.Fatalf("busy %v != cmd+seek+rot+xfer %v", s.BusyMs, sum)
 	}
-	d.ResetStats()
-	if d.Stats() != (Stats{}) {
-		t.Fatalf("ResetStats left residue: %+v", d.Stats())
-	}
 }
 
+// TestResetAndRandomize: the reset head state is a fresh drive's —
+// heads on track 0, clock at 0, no stats — and RandomizePosition moves
+// the heads off it.
 func TestResetAndRandomize(t *testing.T) {
 	d := New(SmallTestDisk())
-	if _, err := d.Access(Request{LBN: 500, Count: 4}); err != nil {
-		t.Fatal(err)
-	}
-	d.Reset()
-	if d.NowMs() != 0 || d.curTrack != 0 {
-		t.Fatalf("Reset did not restore initial state")
+	if d.NowMs() != 0 || d.curTrack != 0 || d.Stats() != (Stats{}) {
+		t.Fatalf("fresh drive not in the reset state: now %v, track %d, stats %+v", d.NowMs(), d.curTrack, d.Stats())
 	}
 	rng := rand.New(rand.NewSource(1))
 	seen := map[int]bool{}

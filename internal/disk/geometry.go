@@ -172,13 +172,6 @@ func (g *Geometry) TotalBlocks() int64 { return g.totalBlocks }
 // RotationMs returns the rotational period in milliseconds.
 func (g *Geometry) RotationMs() float64 { return g.rotationMs }
 
-// SectorTimeMs returns the time to transfer one sector on a track of the
-// zone containing lbn.
-func (g *Geometry) SectorTimeMs(lbn int64) float64 {
-	z := g.ZoneOf(lbn)
-	return g.rotationMs / float64(z.SectorsPerTrack)
-}
-
 // ZoneOf returns the zone containing lbn. It panics if lbn is out of
 // range; callers must validate first (see Decode).
 func (g *Geometry) ZoneOf(lbn int64) *Zone {

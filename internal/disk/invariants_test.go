@@ -69,7 +69,7 @@ func TestSequentialContinuationIsFree(t *testing.T) {
 	if _, err := d.Access(Request{LBN: start, Count: 1}); err != nil {
 		t.Fatal(err)
 	}
-	sector := g.SectorTimeMs(start)
+	sector := g.RotationMs() / float64(g.TrackLen(start))
 	for i := int64(1); i <= 64; i++ {
 		cost, err := d.Access(Request{LBN: start + i, Count: 1})
 		if err != nil {

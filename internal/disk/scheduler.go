@@ -63,12 +63,3 @@ func (d *Disk) ServeBatch(dst []Completion, reqs []Request, policy SchedPolicy) 
 	}
 	return dst, nil
 }
-
-// BatchTimeMs sums the service time of a set of completions.
-func BatchTimeMs(comps []Completion) float64 {
-	var t float64
-	for _, c := range comps {
-		t += c.Cost.TotalMs()
-	}
-	return t
-}

@@ -1,7 +1,7 @@
 package engine
 
 // The service loop — ADMIT stage (service.go maps the stages). One
-// pass's ops become served batches here: control ops are barriers, dead
+// pass's ops become served batches here: a Flush is a barrier, dead
 // contexts are dropped before they cost anything, and the one scheduler
 // (qos.go) decides which work ops go now, in what batches, and which
 // wait. Runs on the loop goroutine only. It may touch the scheduler's
@@ -17,21 +17,20 @@ import (
 )
 
 // process serves one admitted batch in submission order: consecutive
-// chunk and write ops form admission batches; control ops are
-// barriers. A control op also drains the DRR backlog first — ops the
-// fair scheduler deferred were submitted before the control op, so
-// deferring them past it would reorder work across the barrier.
+// chunk and write ops form admission batches; a Flush, the one control
+// op, is a barrier. It also drains the DRR backlog first — ops the fair
+// scheduler deferred were submitted before the Flush, so deferring them
+// past it would reorder work across the barrier.
 func (s *Service) process(batch []*serviceOp) {
-	isWork := func(k opKind) bool { return k == opChunk || k == opWrite }
 	for i := 0; i < len(batch); {
-		if !isWork(batch[i].kind) {
+		if batch[i].kind == opFlush {
 			s.drainDeferred()
-			s.handleControl(batch[i])
+			s.handleFlush(batch[i])
 			i++
 			continue
 		}
 		j := i
-		for j < len(batch) && isWork(batch[j].kind) {
+		for j < len(batch) && batch[j].kind != opFlush {
 			j++
 		}
 		s.serveWork(batch[i:j])

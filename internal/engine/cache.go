@@ -38,8 +38,8 @@ import "slices"
 //
 // covered is O(log n); insertFor and invalidate are O(log n + k) for k
 // extents merged or cut (each of which was paid for by its own
-// insert), plus O(#classes) per evicted victim; clear is O(1). The arena grows to the largest
-// population seen and is given back by clear.
+// insert), plus O(#classes) per evicted victim. The arena grows to the
+// largest population seen and lives as long as the cache.
 //
 // # QoS partitioning
 //
@@ -66,7 +66,7 @@ type extentCache struct {
 	nodes []cachedExtent
 	free  extentID // head of the recycled nodes, chained through next
 
-	// classes holds one record per QoS class seen since the last clear:
+	// classes holds one record per QoS class seen by the cache:
 	// its cached blocks (maintained even with shares nil), its reserve
 	// floor and its LRU list. The set is as small as the QoS
 	// registry, so lookup by name is a linear scan.
@@ -195,11 +195,6 @@ func (c *extentCache) covered(start, end int64) bool {
 	}
 	return false
 }
-
-// insert adds [start, end) as most-recently-used under the default
-// class, merging it with every overlapping or adjacent cached extent,
-// then evicts until the capacity holds (see insertFor).
-func (c *extentCache) insert(start, end int64) { c.insertFor(start, end, "") }
 
 // insertFor adds [start, end) as most-recently-used, tagged with the
 // inserting QoS class, merging it with every overlapping or adjacent
@@ -356,17 +351,6 @@ func (c *extentCache) invalidate(start, end int64) int64 {
 	}
 	c.idx.remove(run, n)
 	return dropped
-}
-
-// clear drops every cached extent (volume reset).
-func (c *extentCache) clear() {
-	if c == nil {
-		return
-	}
-	c.idx = extentIndex{}
-	c.nodes, c.free = nil, 0
-	c.classes = nil
-	c.used = 0
 }
 
 // leafMax is the most entries one index leaf holds. 256 sixteen-byte

@@ -182,18 +182,3 @@ func TestExtentCacheUnregisteredClassReclaimed(t *testing.T) {
 		t.Fatalf("usedBy keep=%d old=%d, want 30/50", c.usedBy("keep"), c.usedBy("old"))
 	}
 }
-
-// TestExtentCacheClearResetsClasses: clear zeroes the per-class
-// counters along with the extents.
-func TestExtentCacheClearResetsClasses(t *testing.T) {
-	c := newExtentCache(100, map[string]int64{"a": 50})
-	c.insertFor(0, 40, "a")
-	c.insertFor(50, 60, "b")
-	c.clear()
-	if len(c.classes) != 0 || c.used != 0 || len(c.extents()) != 0 {
-		t.Fatalf("clear left state: classes=%d used=%d extents=%d",
-			len(c.classes), c.used, len(c.extents()))
-	}
-	c.insertFor(0, 10, "a")
-	checkUsedBy(t, c)
-}

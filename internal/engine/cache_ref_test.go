@@ -200,23 +200,6 @@ func (c *refCache) invalidate(start, end int64) int64 {
 	return dropped
 }
 
-// clear drops every cached extent (volume reset, cache reconfiguration).
-func (c *refCache) clear() {
-	if c == nil {
-		return
-	}
-	c.lru.Init()
-	c.byStart = c.byStart[:0]
-	c.used = 0
-	refClearMap(c.usedBy)
-}
-
-func refClearMap(m map[string]int64) {
-	for k := range m {
-		delete(m, k)
-	}
-}
-
 // cachedView is one cached extent as the tests see it.
 type cachedView struct {
 	start, end int64
@@ -418,8 +401,7 @@ func compareCaches(ref *refCache, c *extentCache, full bool) error {
 //	byte 1–2 the start block, little endian
 //	byte 3   a count n
 //
-// Operations 0, 1 and 7: insertFor [start, start+(1+n)<<shift) — 7 with
-// n = 255 is clear instead. 2, 3: covered, same range. 4: invalidate,
+// Operations 0, 1 and 7: insertFor [start, start+(1+n)<<shift). 2, 3: covered, same range. 4: invalidate,
 // same range. 5: replace both caches with empty ones whose shares come
 // from weights byte1&3, byte2&3, byte3&3 for classes a, b, c (weight 0
 // leaves a class unregistered, all 0 is nil shares). 6: insertFor 1+n single blocks start, start+stride, … with
@@ -456,7 +438,6 @@ func (s cacheScript) insert(start, end int64, class string) cacheScript {
 func (s cacheScript) covered(start, end int64) cacheScript    { return s.ranged(2, "", start, end) }
 func (s cacheScript) invalidate(start, end int64) cacheScript { return s.ranged(4, "", start, end) }
 func (s cacheScript) shares(a, b, c int64) cacheScript        { return s.op(5, "", 0, a|b<<8, c) }
-func (s cacheScript) clear() cacheScript                      { return s.op(7, "", 0, 0, 255) }
 func (s cacheScript) stripe(start, count, stride int64, class string) cacheScript {
 	return s.op(6, class, int(stride-2), start, count-1)
 }
@@ -484,9 +465,6 @@ func runCacheScript(t testing.TB, script []byte) {
 		}
 		step++
 		switch {
-		case code == 7 && n == 255:
-			ref.clear()
-			c.clear()
 		case code <= 1 || code == 7:
 			ref.insertFor(start, end, class)
 			c.insertFor(start, end, class)
@@ -581,10 +559,11 @@ func cacheScenarioScripts() []cacheScript {
 		newCacheScript(100).insert(0, 40, "b").insert(100, 160, "a").insert(200, 250, "b"),
 		newCacheScript(1000).shares(1, 1, 0).insert(0, 50, "a").insert(50, 100, "b").
 			insert(200, 300, "b").invalidate(40, 60).invalidate(200, 250).invalidate(0, 1000),
-		// TestExtentCacheUnregisteredClassReclaimed, …ClearResetsClasses.
+		// TestExtentCacheUnregisteredClassReclaimed; then a cache emptied
+		// by one wide invalidation and refilled.
 		newCacheScript(100).shares(1, 0, 0).insert(0, 30, "a").insert(100, 160, "c").
 			insert(200, 250, "c"),
-		newCacheScript(100).shares(1, 0, 0).insert(0, 40, "a").insert(50, 60, "b").clear().insert(0, 10, "a"),
+		newCacheScript(100).shares(1, 0, 0).insert(0, 40, "a").insert(50, 60, "b").invalidate(0, 100).insert(0, 10, "a"),
 		// Populations that span many index leaves, cut by wide ranges.
 		newCacheScript(1<<16).stripe(0, 256, 2, "").stripe(600, 256, 3, "a").stripe(2000, 256, 2, "b").
 			stripe(3000, 256, 5, "").invalidate(100, 2148).insert(2500, 3012, "c").invalidate(0, 8192),
@@ -611,10 +590,8 @@ func randomCacheScript(rng *rand.Rand, capBlocks int64, ops int, span int64, max
 			s = s.op(0, class, shift, start, n)
 		case p < 0.75:
 			s = s.op(2, class, shift, start, n)
-		case p < 0.995:
-			s = s.op(4, class, shift, start, n)
 		default:
-			s = s.clear()
+			s = s.op(4, class, shift, start, n)
 		}
 	}
 	return s

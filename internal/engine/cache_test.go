@@ -18,14 +18,13 @@ func TestExtentCacheZeroCapacity(t *testing.T) {
 		if c != nil {
 			t.Fatalf("capacity %d built a live cache", capBlocks)
 		}
-		c.insert(0, 10)
+		c.insertFor(0, 10, "")
 		if c.covered(0, 1) {
 			t.Fatal("nil cache reported coverage")
 		}
 		if got := c.invalidate(0, 10); got != 0 {
 			t.Fatalf("nil cache invalidated %d blocks", got)
 		}
-		c.clear()
 	}
 }
 
@@ -36,7 +35,7 @@ func TestExtentCacheZeroCapacity(t *testing.T) {
 // with nothing left behind.
 func TestExtentCacheInvalidateBoundaries(t *testing.T) {
 	c := newExtentCache(1000, nil)
-	c.insert(100, 200)
+	c.insertFor(100, 200, "")
 
 	// Adjacent-outside ranges: no overlap, nothing dropped.
 	if got := c.invalidate(0, 100); got != 0 {
@@ -80,7 +79,7 @@ func TestExtentCacheInvalidateBoundaries(t *testing.T) {
 // the accounting matches, including a second split of a remnant.
 func TestExtentCacheSplitKeepsStructure(t *testing.T) {
 	c := newExtentCache(1000, nil)
-	c.insert(100, 300)
+	c.insertFor(100, 300, "")
 	if got := c.invalidate(180, 220); got != 40 {
 		t.Fatalf("split invalidated %d blocks, want 40", got)
 	}
@@ -113,10 +112,10 @@ func TestExtentCacheSplitKeepsStructure(t *testing.T) {
 // more-recent extents and after less-recent refreshes.
 func TestExtentCacheEvictionOrderAfterSplit(t *testing.T) {
 	c := newExtentCache(120, nil)
-	c.insert(0, 40)      // A (oldest)
-	c.insert(100, 140)   // B
-	c.insert(200, 240)   // C (newest); cache is exactly full
-	c.invalidate(10, 30) // splits A into [0,10) and [30,40), same recency
+	c.insertFor(0, 40, "")    // A (oldest)
+	c.insertFor(100, 140, "") // B
+	c.insertFor(200, 240, "") // C (newest); cache is exactly full
+	c.invalidate(10, 30)      // splits A into [0,10) and [30,40), same recency
 
 	// Touch B: order is now A-remnants (LRU), C, B (MRU).
 	if !c.covered(100, 140) {
@@ -124,7 +123,7 @@ func TestExtentCacheEvictionOrderAfterSplit(t *testing.T) {
 	}
 	// Insert 40 fresh blocks: over capacity by 20, so both A remnants
 	// (10 blocks each, at the LRU tail) must go — not C or B.
-	c.insert(300, 340)
+	c.insertFor(300, 340, "")
 	if c.covered(0, 10) || c.covered(30, 40) {
 		t.Fatal("old split remnants survived eviction")
 	}

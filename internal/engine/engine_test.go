@@ -159,7 +159,6 @@ func BenchmarkExecuteSPTF(b *testing.B) {
 			sess := OnVolume(v)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				v.Reset()
 				if _, err := sess.RunPlan(context.Background(), Static(reqs, disk.SchedSPTF), Options{}); err != nil {
 					b.Fatal(err)
 				}
@@ -181,7 +180,6 @@ func BenchmarkExecuteFIFO(b *testing.B) {
 			sess := OnVolume(v)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				v.Reset()
 				if _, err := sess.RunPlan(context.Background(), Static(reqs, disk.SchedFIFO), Options{}); err != nil {
 					b.Fatal(err)
 				}

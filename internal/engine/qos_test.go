@@ -228,11 +228,11 @@ func TestServiceFairShareDeferral(t *testing.T) {
 }
 
 // TestControlBarrierDrainsDeferred: ops the fair scheduler deferred
-// were submitted before any control op behind them, so a control
-// barrier serves the DRR backlog first — chunks deferred ahead of a
-// Reset in the same pass are served before it, and Reset wipes their
-// totals. Closing the service with a backlog serves it out in one
-// drain, and every op's reply still sums to the attributed totals.
+// were submitted before the Flush behind them, so the Flush barrier
+// serves the DRR backlog first — writes deferred ahead of a Flush in
+// the same pass are absorbed before it and committed by it. Closing
+// the service with a backlog serves it out in one drain, and every
+// op's reply still sums to the attributed totals.
 func TestControlBarrierDrainsDeferred(t *testing.T) {
 	opts := ServiceOptions{FairQuantum: 1, Classes: []QoSClass{{Name: "bulk", Weight: 1}}}
 	newOps := func(chunks []Chunk) []*serviceOp {
@@ -252,29 +252,33 @@ func TestControlBarrierDrainsDeferred(t *testing.T) {
 		return n
 	}
 
-	t.Run("reset", func(t *testing.T) {
+	t.Run("flush", func(t *testing.T) {
 		v := testVolume(t)
-		svc := NewService(v, opts)
+		wbOpts := opts
+		// Neither the interval nor the watermark may flush during the
+		// test: only the Flush op commits.
+		wbOpts.WriteBack = WriteBackOptions{Enabled: true, WatermarkBlocks: 1 << 30, FlushInterval: time.Hour}
+		svc := NewService(v, wbOpts)
 		defer svc.Close()
 		ops := newOps(randomChunks(rand.New(rand.NewSource(7)), v, 4, 30))
-		reset := &serviceOp{kind: opReset, reply: make(chan opResult, 1)}
-		submitTogether(svc, append(ops, reset))
+		for _, op := range ops {
+			op.kind = opWrite
+		}
+		flush := &serviceOp{kind: opFlush, reply: make(chan opResult, 1)}
+		submitTogether(svc, append(ops, flush))
 		for i, op := range ops {
 			if r := <-op.reply; r.err != nil {
-				t.Fatalf("chunk %d: %v", i, r.err)
+				t.Fatalf("write %d: %v", i, r.err)
 			}
 		}
-		if r := <-reset.reply; r.err != nil {
+		if r := <-flush.reply; r.err != nil {
 			t.Fatal(r.err)
 		}
 		if countDeferred(ops) == 0 {
-			t.Fatal("no chunk was deferred: the barrier had no backlog to drain")
+			t.Fatal("no write was deferred: the barrier had no backlog to drain")
 		}
-		if tot := svc.Totals(); tot != (ServiceTotals{}) {
-			t.Fatalf("totals after the reset %+v: deferred chunks were served after the barrier", tot)
-		}
-		if cts := svc.ClassTotals(); len(cts) != 0 {
-			t.Fatalf("class totals after the reset %+v", cts)
+		if tot := svc.Totals(); tot.DirtyBlocks != 0 || tot.FlushBatches == 0 {
+			t.Fatalf("totals after the flush %+v: deferred writes were absorbed after the barrier", tot)
 		}
 	})
 

@@ -7,8 +7,7 @@ package engine
 // dirty buffer, and whatever must reach the disks goes through
 // lvm.Volume.ServeBatch. Runs on the loop goroutine only. It may touch
 // the extent cache, the dirty buffer, the volume's COW state and the
-// scratch buffers, and nothing else moves the disks' heads (Reset
-// rewinds them). Results leave through the finish*/chargeWrite folds in
+// scratch buffers, and nothing else moves the disks' heads. Results leave through the finish*/chargeWrite folds in
 // attribute.go; the one place this file takes mu itself is flushDirty,
 // to post a group commit's shares.
 

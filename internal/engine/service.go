@@ -2,9 +2,9 @@ package engine
 
 // The service loop — LIFECYCLE, and the map of its stages. This file
 // holds the Service itself: its options (one normalizer, and Configure,
-// the one function that installs them), the submission queue and
-// control ops, and loop, the goroutine that owns everything the stages
-// touch. The stages a batch passes through, one file each:
+// the one function that installs them), the submission queue and the
+// Flush control op, and loop, the goroutine that owns everything the
+// stages touch. The stages a batch passes through, one file each:
 //
 //	admit.go      what is served now, what waits, what is dropped
 //	serve.go      schedule + coherence + simulate: cache, dirty buffer, COW, disks
@@ -17,7 +17,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -50,9 +49,9 @@ import (
 // registry, backlogs, deficits), the options and the scratch buffers.
 // None of it is locked: nothing else reads or writes it. Configure
 // fills in the options and what derives from them before the service
-// is sealed, so before any op was queued and a loop could exist; Reset
-// and Flush change loop-owned state only by queueing a control op the
-// loop itself executes. mu guards what other goroutines do touch: the
+// is sealed, so before any op was queued and a loop could exist; Flush
+// changes loop-owned state only by queueing a control op the loop
+// itself executes. mu guards what other goroutines do touch: the
 // submission queue, the running, closed and sealed flags, and the
 // totals (ServiceTotals and the per-class ClassTotals) that Totals and
 // ClassTotals snapshot. The loop takes mu to swap the queue out and to
@@ -168,7 +167,6 @@ type opKind int
 const (
 	opChunk opKind = iota
 	opWrite
-	opReset
 	opFlush
 )
 
@@ -221,8 +219,8 @@ func putOp(op *serviceOp) {
 }
 
 // NewService builds the service for a volume. The caller hands the
-// volume's head state to the service: until Close, every ServeBatch and
-// Reset must go through it. The loop goroutine runs only while work is
+// volume's head state to the service: until Close, every ServeBatch
+// must go through it. The loop goroutine runs only while work is
 // queued — the first submission of a busy period starts it, and it
 // exits once the queue drains — so an idle or abandoned service holds
 // no goroutine. Non-zero opts are installed by Configure and seal the
@@ -343,17 +341,9 @@ func (s *Service) Close() {
 // given, for life.
 func (s *Service) Volume() *lvm.Volume { return s.vol }
 
-// Reset restores every member disk to its initial state and clears the
-// extent cache and totals, serialized after all in-flight batches.
-func (s *Service) Reset() error {
-	op := getOp()
-	op.kind = opReset
-	return s.control(op)
-}
-
 // Flush commits the write-back dirty buffer as one group-commit batch
 // and returns once every previously buffered write has paid its
-// simulated I/O. Like all control ops it is a barrier: writes submitted
+// simulated I/O. It is the one control op, a barrier: writes submitted
 // before the Flush are absorbed (and therefore committed) first. A ctx
 // already cancelled or past its deadline when the loop reaches the op
 // returns that error WITHOUT flushing — the dirty data stays buffered
@@ -364,10 +354,6 @@ func (s *Service) Flush(ctx context.Context) error {
 	op := getOp()
 	op.kind = opFlush
 	op.ctx = ctx
-	return s.control(op)
-}
-
-func (s *Service) control(op *serviceOp) error {
 	if err := s.submit(op); err != nil {
 		putOp(op)
 		return err
@@ -504,35 +490,17 @@ func (s *Service) waitDirty(d time.Duration) {
 	}
 }
 
-func (s *Service) handleControl(op *serviceOp) {
+// handleFlush serves a Flush op, the one control op.
+func (s *Service) handleFlush(op *serviceOp) {
 	var err error
-	switch op.kind {
-	case opReset:
-		s.vol.Reset()
-		if s.wb != nil {
-			// Reset rewinds the disks to their initial state; buffered
-			// writes against the pre-reset state are dropped unflushed
-			// (their gauge is zeroed with the totals below).
-			clear(s.wb.take())
-		}
-		s.cache.clear() // nil-safe when the cache is off
-		s.mu.Lock()
-		s.totals = ServiceTotals{}
-		s.perClass = make(map[string]*ClassTotals)
-		s.mu.Unlock()
-	case opFlush:
-		if op.ctx != nil {
-			if cerr := op.ctx.Err(); cerr != nil {
-				// A dead ctx aborts the flush before it starts: nothing is
-				// committed, nothing is charged, and the dirty buffer stays
-				// intact for a later trigger — a flush is all-or-nothing.
-				err = cerr
-				break
-			}
-		}
+	if op.ctx != nil {
+		// A dead ctx aborts the flush before it starts: nothing is
+		// committed, nothing is charged, and the dirty buffer stays
+		// intact for a later trigger — a flush is all-or-nothing.
+		err = op.ctx.Err()
+	}
+	if err == nil {
 		err = s.flushDirty()
-	default:
-		err = fmt.Errorf("engine: unknown service op %d", op.kind)
 	}
 	op.reply <- opResult{err: err}
 }

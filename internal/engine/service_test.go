@@ -326,8 +326,7 @@ func TestServeMergedRespectsDiskBoundaries(t *testing.T) {
 }
 
 // TestServiceExtentCache: a repeated plan must be served from the cache
-// the second time — zero disk time, full hit accounting — and Reset
-// must drop the cached extents.
+// the second time — zero disk time, full hit accounting.
 func TestServiceExtentCache(t *testing.T) {
 	v := testVolume(t)
 	svc := NewService(v, ServiceOptions{CacheBlocks: 1 << 20})
@@ -360,26 +359,15 @@ func TestServiceExtentCache(t *testing.T) {
 	if sub.CacheHits != 1 || sub.Cells != 4 {
 		t.Fatalf("contained request missed the cache: %+v", sub)
 	}
-
-	if err := svc.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	cold, err := sess.RunPlan(context.Background(), Static(reqs, disk.SchedSPTF), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.CacheHits != 0 || cold.CacheMisses != 3 {
-		t.Fatalf("reset did not clear the cache: %+v", cold)
-	}
 }
 
 // TestExtentCacheEviction exercises the LRU bound and extent merging
 // directly.
 func TestExtentCacheEviction(t *testing.T) {
 	c := newExtentCache(100, nil)
-	c.insert(0, 40)
-	c.insert(100, 140)
-	c.insert(200, 240) // over capacity: evicts [0,40), the LRU
+	c.insertFor(0, 40, "")
+	c.insertFor(100, 140, "")
+	c.insertFor(200, 240, "") // over capacity: evicts [0,40), the LRU
 	if c.used != 80 {
 		t.Fatalf("used %d blocks, want 80", c.used)
 	}
@@ -390,17 +378,17 @@ func TestExtentCacheEviction(t *testing.T) {
 		t.Fatal("recent extents missing")
 	}
 	// An extent larger than the whole cache is not admitted.
-	c.insert(1000, 2000)
+	c.insertFor(1000, 2000, "")
 	if c.covered(1000, 1001) {
 		t.Fatal("oversized extent admitted")
 	}
 
 	// Overlap and adjacency merge into one extent.
 	c = newExtentCache(200, nil)
-	c.insert(100, 140)
-	c.insert(200, 240)
-	c.insert(140, 160) // adjacent to [100,140)
-	c.insert(150, 200) // bridges to [200,240)
+	c.insertFor(100, 140, "")
+	c.insertFor(200, 240, "")
+	c.insertFor(140, 160, "") // adjacent to [100,140)
+	c.insertFor(150, 200, "") // bridges to [200,240)
 	if n := len(c.extents()); n != 1 || !c.covered(100, 240) {
 		t.Fatalf("extents did not merge: %d extents, used %d", n, c.used)
 	}
@@ -411,9 +399,9 @@ func TestExtentCacheEviction(t *testing.T) {
 	// A merge whose union would exceed the whole cache is skipped: the
 	// existing neighbours must survive rather than be evicted through.
 	c = newExtentCache(100, nil)
-	c.insert(0, 60)
-	c.insert(100, 140)
-	c.insert(60, 100) // union [0,140) = 140 > 100: not cached
+	c.insertFor(0, 60, "")
+	c.insertFor(100, 140, "")
+	c.insertFor(60, 100, "") // union [0,140) = 140 > 100: not cached
 	if !c.covered(0, 60) || !c.covered(100, 140) {
 		t.Fatal("oversized merge evicted its neighbours")
 	}
@@ -426,9 +414,9 @@ func TestExtentCacheEviction(t *testing.T) {
 // drops, trims, straddling splits, and recency preservation.
 func TestExtentCacheInvalidate(t *testing.T) {
 	c := newExtentCache(1000, nil)
-	c.insert(100, 200)
-	c.insert(300, 400)
-	c.insert(500, 600)
+	c.insertFor(100, 200, "")
+	c.insertFor(300, 400, "")
+	c.insertFor(500, 600, "")
 
 	// Fully covered extent drops.
 	if got := c.invalidate(300, 400); got != 100 {
@@ -471,10 +459,10 @@ func TestExtentCacheInvalidate(t *testing.T) {
 	// Remnants keep their LRU position: filling the cache must evict
 	// the oldest remnant first, not a fresh insert.
 	c = newExtentCache(100, nil)
-	c.insert(0, 60)      // oldest
-	c.insert(100, 140)   // newer
-	c.invalidate(20, 40) // splits [0,60) into two remnants, same recency
-	c.insert(200, 240)   // 40+40+40+... = 120 > 100: evicts LRU remnants
+	c.insertFor(0, 60, "")    // oldest
+	c.insertFor(100, 140, "") // newer
+	c.invalidate(20, 40)      // splits [0,60) into two remnants, same recency
+	c.insertFor(200, 240, "") // 40+40+40+... = 120 > 100: evicts LRU remnants
 	if !c.covered(100, 140) || !c.covered(200, 240) {
 		t.Fatal("newer extents evicted instead of the old remnants")
 	}
@@ -637,7 +625,7 @@ func TestServiceConcurrentWrites(t *testing.T) {
 }
 
 // TestServiceClose: submitting after Close fails cleanly, Close is
-// idempotent, and Reset on a closed service reports the error.
+// idempotent.
 func TestServiceClose(t *testing.T) {
 	v := testVolume(t)
 	svc := NewService(v, ServiceOptions{})
@@ -649,9 +637,6 @@ func TestServiceClose(t *testing.T) {
 	svc.Close()
 	if _, err := sess.RunPlan(context.Background(), Static([]lvm.Request{{VLBN: 0, Count: 1}}, disk.SchedSPTF), Options{}); err == nil {
 		t.Fatal("RunPlan after Close should fail")
-	}
-	if err := svc.Reset(); err == nil {
-		t.Fatal("Reset after Close should fail")
 	}
 }
 

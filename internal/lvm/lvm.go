@@ -33,7 +33,7 @@
 // one exception: it splits segments and renumbers indices, and only the
 // owning service loop calls it, between batches).
 //
-// Head-state mutators — ServeBatch, Reset, and direct Disk access such
+// Head-state mutators — ServeBatch and direct Disk access such
 // as RandomizePosition — take each Drive's own mutex, because pooled
 // drives are shared between tenants' service loops. Within one volume
 // the owner rule of the paper path still holds: the per-volume
@@ -123,10 +123,6 @@ type Drive struct {
 
 // NewDrive wraps a fresh simulated disk of the given geometry.
 func NewDrive(g *disk.Geometry) *Drive { return &Drive{d: disk.New(g)} }
-
-// Disk exposes the underlying simulated disk for statistics and
-// single-owner setup (RandomizePosition before traffic starts).
-func (dr *Drive) Disk() *disk.Disk { return dr.d }
 
 // Geometry returns the drive's immutable geometry.
 func (dr *Drive) Geometry() *disk.Geometry { return dr.d.Geometry() }
@@ -415,27 +411,12 @@ func (v *Volume) NumDisks() int { return len(v.set.Load().segs) }
 // inspection). Distinct segments of a pool volume may share a drive.
 func (v *Volume) Disk(i int) *disk.Disk { return v.set.Load().segs[i].drive.d }
 
-// Drives returns the distinct drives backing the volume, in first-use
-// order.
-func (v *Volume) Drives() []*Drive {
-	ss := v.set.Load()
-	return append([]*Drive(nil), ss.drives...)
-}
-
 // TotalBlocks returns the volume capacity in blocks.
 func (v *Volume) TotalBlocks() int64 { return v.set.Load().total }
-
-// HasCOW reports whether any segment is still copy-on-write.
-func (v *Volume) HasCOW() bool { return v.set.Load().hasCow }
 
 // Locate resolves a VLBN to (segment index, segment-local LBN).
 func (v *Volume) Locate(vlbn int64) (diskIdx int, lbn int64, err error) {
 	return v.set.Load().locate(vlbn)
-}
-
-// VLBN converts a segment-local LBN back to a volume LBN.
-func (v *Volume) VLBN(diskIdx int, lbn int64) int64 {
-	return v.set.Load().segs[diskIdx].startVLBN + lbn
 }
 
 // DiskStart returns the first VLBN of segment i.
@@ -519,16 +500,6 @@ func (v *Volume) GetTrackBoundaries(vlbn int64) (start, next int64, err error) {
 		n = seg.physEnd()
 	}
 	return seg.startVLBN + (s - seg.physStart), seg.startVLBN + (n - seg.physStart), nil
-}
-
-// TrackLen returns the track length (the paper's T) at vlbn.
-func (v *Volume) TrackLen(vlbn int64) (int, error) {
-	ss := v.set.Load()
-	si, off, err := ss.locate(vlbn)
-	if err != nil {
-		return 0, err
-	}
-	return ss.segs[si].drive.Geometry().TrackLen(ss.segs[si].physStart + off), nil
 }
 
 // ZoneExtent describes a run of same-track-length blocks in one
@@ -872,20 +843,6 @@ func (v *Volume) ResolveCOW(spans []Request) error {
 	}
 	v.set.Store(buildSegSet(segs))
 	return nil
-}
-
-// Reset restores every backing drive to its initial state. Like
-// ServeBatch it mutates head state: under a running engine.Service it
-// must be issued through the service (Service.Reset), which serializes
-// it after every in-flight batch. On a pool volume Reset touches shared
-// drives and is reserved for drive-owning volumes.
-func (v *Volume) Reset() {
-	ss := v.set.Load()
-	for _, dr := range ss.drives {
-		dr.mu.Lock()
-		dr.d.Reset()
-		dr.mu.Unlock()
-	}
 }
 
 // Stats returns per-segment accumulated statistics of the backing

@@ -48,7 +48,7 @@ func TestLocateRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return v.VLBN(di, lbn) == vlbn && lbn >= 0 && lbn < v.DiskBlocks(di)
+		return v.DiskStart(di)+lbn == vlbn && lbn >= 0 && lbn < v.DiskBlocks(di)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -78,7 +78,7 @@ func TestGetAdjacentMatchesDisk(t *testing.T) {
 	v := twoDiskVolume(t)
 	g := v.Disk(1).Geometry()
 	lbn := int64(100)
-	vlbn := v.VLBN(1, lbn)
+	vlbn := v.DiskStart(1) + lbn
 	want, err := g.Adjacent(lbn, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -91,8 +91,8 @@ func TestGetAdjacentMatchesDisk(t *testing.T) {
 		t.Fatalf("got %d adjacents, want %d", len(got), len(want))
 	}
 	for i := range got {
-		if got[i] != v.VLBN(1, want[i]) {
-			t.Fatalf("adjacent %d: got %d, want %d", i, got[i], v.VLBN(1, want[i]))
+		if got[i] != v.DiskStart(1)+want[i] {
+			t.Fatalf("adjacent %d: got %d, want %d", i, got[i], v.DiskStart(1)+want[i])
 		}
 		// Adjacency must never leave the disk segment.
 		di, _, _ := v.Locate(got[i])
@@ -121,7 +121,7 @@ func TestGetAdjacentDepthLimit(t *testing.T) {
 
 func TestGetTrackBoundaries(t *testing.T) {
 	v := twoDiskVolume(t)
-	vlbn := v.VLBN(1, 57)
+	vlbn := v.DiskStart(1) + 57
 	start, next, err := v.GetTrackBoundaries(vlbn)
 	if err != nil {
 		t.Fatal(err)
@@ -129,11 +129,11 @@ func TestGetTrackBoundaries(t *testing.T) {
 	if vlbn < start || vlbn >= next {
 		t.Fatalf("vlbn outside its track boundaries")
 	}
-	tl, err := v.TrackLen(vlbn)
+	di, lbn, err := v.Locate(vlbn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int(next-start) != tl {
+	if tl := v.Disk(di).Geometry().TrackLen(lbn); int(next-start) != tl {
 		t.Fatalf("track interval %d != track length %d", next-start, tl)
 	}
 }
@@ -285,19 +285,6 @@ func TestServeBatchRejectsCrossSegment(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	v := twoDiskVolume(t)
-	if _, _, err := v.ServeBatch([]Request{{VLBN: 5, Count: 1}}, disk.SchedFIFO); err != nil {
-		t.Fatal(err)
-	}
-	v.Reset()
-	for i, s := range v.Stats() {
-		if s.Requests != 0 {
-			t.Fatalf("disk %d stats survived reset: %+v", i, s)
-		}
-	}
-}
-
 // zone0TL returns the track length of the geometry's first zone, the
 // granule pool-style extents are aligned to in these tests.
 func zone0TL(g *disk.Geometry) int64 {
@@ -353,8 +340,8 @@ func TestPoolExtentMapping(t *testing.T) {
 	if v.NumDisks() != 2 || v.TotalBlocks() != 6*tl {
 		t.Fatalf("got %d segments over %d blocks, want 2 over %d", v.NumDisks(), v.TotalBlocks(), 6*tl)
 	}
-	if len(v.Drives()) != 1 {
-		t.Fatalf("segments on one drive report %d distinct drives", len(v.Drives()))
+	if len(v.set.Load().drives) != 1 {
+		t.Fatalf("segments on one drive report %d distinct drives", len(v.set.Load().drives))
 	}
 	if v.DiskStart(1) != 4*tl || v.DiskBlocks(1) != 2*tl {
 		t.Fatalf("segment 1 at (%d,+%d), want (%d,+%d)", v.DiskStart(1), v.DiskBlocks(1), 4*tl, 2*tl)
@@ -438,8 +425,8 @@ func TestExtendAppendOnly(t *testing.T) {
 	if v.DiskStart(1) != 4*tl || v.DiskStart(2) != 6*tl {
 		t.Fatalf("new segments at %d and %d, want %d and %d", v.DiskStart(1), v.DiskStart(2), 4*tl, 6*tl)
 	}
-	if len(v.Drives()) != 2 {
-		t.Fatalf("got %d distinct drives, want 2", len(v.Drives()))
+	if len(v.set.Load().drives) != 2 {
+		t.Fatalf("got %d distinct drives, want 2", len(v.set.Load().drives))
 	}
 	for vlbn, want := range pre {
 		di, lbn, err := v.Locate(vlbn)
@@ -450,13 +437,13 @@ func TestExtendAppendOnly(t *testing.T) {
 	}
 	// Growth can bring in copy-on-write extents (a clone growing over a
 	// second snapshot generation); the fast-path flag must follow.
-	if v.HasCOW() {
+	if v.set.Load().hasCow {
 		t.Fatal("volume copy-on-write before any COW extent")
 	}
 	if err := v.Extend([]Extent{{Drive: dr2, PhysStart: 2 * tl, Blocks: tl, COW: true}}); err != nil {
 		t.Fatal(err)
 	}
-	if !v.HasCOW() {
+	if !v.set.Load().hasCow {
 		t.Fatal("COW growth extent did not mark the volume")
 	}
 }
@@ -474,14 +461,14 @@ func TestCowSpansAndResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.HasCOW() {
+	if v.set.Load().hasCow {
 		t.Fatal("fresh volume reports COW segments")
 	}
 	if spans := v.CowSpans([]Request{{VLBN: 0, Count: int(v.TotalBlocks())}}); spans != nil {
 		t.Fatalf("non-COW volume produced fault spans %v", spans)
 	}
 	v.MarkCOW()
-	if !v.HasCOW() {
+	if !v.set.Load().hasCow {
 		t.Fatal("MarkCOW did not mark the volume")
 	}
 
@@ -523,10 +510,10 @@ func TestCowSpansAndResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Disk(di) == dr.Disk() {
+	if v.Disk(di) == dr.d {
 		t.Fatal("faulted VLBN still maps to the shared parent drive")
 	}
-	if got := v.VLBN(di, lbn); got != faultVLBN {
+	if got := v.DiskStart(di) + lbn; got != faultVLBN {
 		t.Fatalf("faulted VLBN round-trips to %d", got)
 	}
 	for _, vlbn := range []int64{0, start - 1, next, 4*tl - 1} {
@@ -534,7 +521,7 @@ func TestCowSpansAndResolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.Disk(di) != dr.Disk() {
+		if v.Disk(di) != dr.d {
 			t.Fatalf("unfaulted VLBN %d moved off the parent drive", vlbn)
 		}
 	}
@@ -543,7 +530,7 @@ func TestCowSpansAndResolve(t *testing.T) {
 	if spans := v.CowSpans([]Request{{VLBN: faultVLBN, Count: 1}}); spans != nil {
 		t.Fatalf("resolved track still faults: %v", spans)
 	}
-	if !v.HasCOW() {
+	if !v.set.Load().hasCow {
 		t.Fatal("surrounding segments lost their COW mark")
 	}
 
@@ -555,7 +542,7 @@ func TestCowSpansAndResolve(t *testing.T) {
 	if err := v.ResolveCOW(rest); err != nil {
 		t.Fatal(err)
 	}
-	if v.HasCOW() {
+	if v.set.Load().hasCow {
 		t.Fatal("fully resolved volume still reports COW segments")
 	}
 	if spans := v.CowSpans([]Request{{VLBN: 0, Count: int(v.TotalBlocks())}}); spans != nil {

@@ -192,8 +192,4 @@ func (mm *multiMapper) BoxRequests(lo, hi []int) ([]lvm.Request, error) {
 	return mm.m.BoxRequests(lo, hi)
 }
 
-// Core exposes the underlying core.Mapping (for inspection by
-// experiments and tests).
-func (mm *multiMapper) Core() *core.Mapping { return mm.m }
-
 func (mm *multiMapper) SpanOnDisk(di int) (int64, int64) { return mm.m.SpanOnDisk(di) }

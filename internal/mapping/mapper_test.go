@@ -238,8 +238,7 @@ func TestMultiMapperInterfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mm := m.(*multiMapper)
-	if mm.Core() == nil {
-		t.Error("Core() returned nil")
+	if _, ok := m.(*multiMapper); !ok {
+		t.Errorf("New(MultiMap) built a %T", m)
 	}
 }

@@ -212,12 +212,6 @@ func (s *Store) placeMultiMap() error {
 	return nil
 }
 
-// Kind returns the store's mapping kind.
-func (s *Store) Kind() mapping.Kind { return s.kind }
-
-// Regions returns the grown uniform regions (MultiMap stores only).
-func (s *Store) Regions() []Region { return s.regions }
-
 // regionOf returns the index of the region containing the leaf, or -1.
 func (s *Store) regionOf(lf Leaf) int {
 	for i, r := range s.regions {

@@ -71,11 +71,8 @@ func TestQuakeMultiMapUsesRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Regions()) < 3 {
-		t.Fatalf("only %d regions mapped", len(s.Regions()))
-	}
-	if s.Kind() != mapping.MultiMap {
-		t.Error("kind wrong")
+	if len(s.regions) < 3 {
+		t.Fatalf("only %d regions mapped", len(s.regions))
 	}
 	// Leaves inside the dense slab must resolve through a region
 	// mapping; checkerboard leaves through the remainder extent.

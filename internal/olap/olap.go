@@ -17,10 +17,6 @@ const (
 	DimPartTypeID
 )
 
-// FullDims returns the paper's cube shape after the 2-day roll-up:
-// (1182, 150, 25, 50) for a 100 GB TPC-H dataset.
-func FullDims() []int { return []int{1182, 150, 25, 50} }
-
 // ChunkDims returns the per-disk chunk the paper partitions the cube
 // into: (591, 75, 25, 25).
 func ChunkDims() []int { return []int{591, 75, 25, 25} }

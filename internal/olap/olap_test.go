@@ -11,9 +11,6 @@ import (
 )
 
 func TestPaperDims(t *testing.T) {
-	if d := FullDims(); d[0] != 1182 || d[1] != 150 || d[2] != 25 || d[3] != 50 {
-		t.Errorf("FullDims=%v", d)
-	}
 	if d := ChunkDims(); d[0] != 591 || d[1] != 75 || d[2] != 25 || d[3] != 25 {
 		t.Errorf("ChunkDims=%v", d)
 	}
@@ -131,19 +128,24 @@ func TestBuildCubeAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := c.CellCount([4]int{0, 0, 0, 0})
-	if err != nil || n != 2 {
+	count := func(cell [4]int) int32 {
+		idx, ok := c.index(cell)
+		if !ok {
+			t.Fatalf("cell %v out of range", cell)
+		}
+		return c.counts[idx]
+	}
+	if n := count([4]int{0, 0, 0, 0}); n != 2 {
 		t.Fatalf("cell (0,0,0,0) count %d, want 2 (2-day roll-up)", n)
 	}
-	n, _ = c.CellCount([4]int{1, 0, 0, 0})
-	if n != 1 {
+	if n := count([4]int{1, 0, 0, 0}); n != 1 {
 		t.Fatalf("cell (1,0,0,0) count %d, want 1", n)
 	}
 	got, err := c.ProfitCents(Query{Lo: []int{0, 0, 0, 0}, Hi: []int{2, 1, 1, 1}})
 	if err != nil || got != 175 {
 		t.Fatalf("profit %d, want 175", got)
 	}
-	if _, err := c.CellCount([4]int{9, 0, 0, 0}); err == nil {
+	if _, ok := c.index([4]int{9, 0, 0, 0}); ok {
 		t.Error("out-of-range cell accepted")
 	}
 }

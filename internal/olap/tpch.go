@@ -84,15 +84,6 @@ func (c *Cube) index(cell [4]int) (int64, bool) {
 	return idx, true
 }
 
-// CellCount returns the number of rows aggregated into a cell.
-func (c *Cube) CellCount(cell [4]int) (int32, error) {
-	idx, ok := c.index(cell)
-	if !ok {
-		return 0, fmt.Errorf("olap: cell %v out of range", cell)
-	}
-	return c.counts[idx], nil
-}
-
 // ProfitCents answers a query box against the in-memory aggregate (the
 // ground truth a storage experiment's fetched cells must reconstruct).
 func (c *Cube) ProfitCents(q Query) (int64, error) {

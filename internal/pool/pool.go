@@ -108,14 +108,8 @@ func New(adjDepth int, geoms ...*disk.Geometry) (*Pool, error) {
 	return p, nil
 }
 
-// AdjacencyDepth returns the depth every pool volume exports.
-func (p *Pool) AdjacencyDepth() int { return p.adjDepth }
-
 // NumDrives returns the number of pooled drives.
 func (p *Pool) NumDrives() int { return len(p.drives) }
-
-// Drive returns pooled drive i.
-func (p *Pool) Drive(i int) *lvm.Drive { return p.drives[i].dr }
 
 // DriveUsage is one drive's space accounting.
 type DriveUsage struct {

@@ -26,6 +26,20 @@ func freeBlocks(p *Pool) []int64 {
 	return out
 }
 
+// distinctDisks returns the set of drives under lv's segments.
+func distinctDisks(lv *lvm.Volume) map[*disk.Disk]bool {
+	out := map[*disk.Disk]bool{}
+	for i := 0; i < lv.NumDisks(); i++ {
+		out[lv.Disk(i)] = true
+	}
+	return out
+}
+
+// hasCOW reports whether any track of lv is still copy-on-write.
+func hasCOW(lv *lvm.Volume) bool {
+	return len(lv.CowSpans([]lvm.Request{{VLBN: 0, Count: int(lv.TotalBlocks())}})) > 0
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(16); err == nil {
 		t.Error("empty pool accepted")
@@ -38,8 +52,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.AdjacencyDepth() != lvm.DefaultAdjacencyDepth {
-		t.Errorf("default depth %d, want %d", p.AdjacencyDepth(), lvm.DefaultAdjacencyDepth)
+	if p.adjDepth != lvm.DefaultAdjacencyDepth {
+		t.Errorf("default depth %d, want %d", p.adjDepth, lvm.DefaultAdjacencyDepth)
 	}
 	if p.NumDrives() != 1 {
 		t.Errorf("got %d drives, want 1", p.NumDrives())
@@ -62,23 +76,20 @@ func TestNewVolumePlacement(t *testing.T) {
 	if lv.TotalBlocks() < 100 {
 		t.Fatalf("volume of %d blocks for a 100-block ask", lv.TotalBlocks())
 	}
-	if drs := lv.Drives(); len(drs) != 1 || drs[0] != p.Drive(0) {
-		t.Fatal("unpreferred volume not first-fit on drive 0")
-	}
 	if a.Blocks() != lv.TotalBlocks() {
 		t.Fatalf("accounting %d blocks, volume maps %d", a.Blocks(), lv.TotalBlocks())
 	}
 	free1 := freeBlocks(p)
 	if free1[0] != free0[0]-a.Blocks() || free1[1] != free0[1] {
-		t.Fatalf("usage %v after allocating %d from drive 0 (was %v)", free1, a.Blocks(), free0)
+		t.Fatalf("unpreferred volume not first-fit on drive 0: usage %v after allocating %d (was %v)", free1, a.Blocks(), free0)
 	}
 
 	b, err := p.NewVolume(100, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if drs := b.Volume().Drives(); len(drs) != 1 || drs[0] != p.Drive(1) {
-		t.Fatal("preferred volume not on drive 1")
+	if free2 := freeBlocks(p); free2[0] != free1[0] || free2[1] != free1[1]-b.Blocks() {
+		t.Fatalf("preferred volume not on drive 1: usage %v after allocating %d (was %v)", free2, b.Blocks(), free1)
 	}
 
 	a.Free()
@@ -140,8 +151,8 @@ func TestGrow(t *testing.T) {
 	if lv.NumDisks() < 2 {
 		t.Fatalf("growth added no segments: %d", lv.NumDisks())
 	}
-	if drs := lv.Drives(); len(drs) != 2 {
-		t.Fatalf("grown volume spans %d drives, want 2", len(drs))
+	if n := len(distinctDisks(lv)); n != 2 {
+		t.Fatalf("grown volume spans %d drives, want 2", n)
 	}
 	if err := v.Grow(0, nil); err == nil {
 		t.Error("zero-block growth accepted")
@@ -173,7 +184,7 @@ func TestSnapshotCloneRefcounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v.Volume().HasCOW() {
+	if !hasCOW(v.Volume()) {
 		t.Fatal("snapshot did not flip the origin copy-on-write")
 	}
 	cl, err := sn.Clone()
@@ -183,7 +194,7 @@ func TestSnapshotCloneRefcounts(t *testing.T) {
 	if cl.Volume().TotalBlocks() != v.Volume().TotalBlocks() {
 		t.Fatal("clone does not mirror the origin's VLBN space")
 	}
-	if !cl.Volume().HasCOW() {
+	if !hasCOW(cl.Volume()) {
 		t.Fatal("clone segments not copy-on-write")
 	}
 	if cl.Blocks() != used {
@@ -237,6 +248,7 @@ func TestCowFaultCharging(t *testing.T) {
 	if len(spans) != 1 {
 		t.Fatalf("got %d fault spans, want 1", len(spans))
 	}
+	free0 := freeBlocks(p)
 	if err := lv.ResolveCOW(spans); err != nil {
 		t.Fatal(err)
 	}
@@ -245,12 +257,8 @@ func TestCowFaultCharging(t *testing.T) {
 		t.Fatalf("fault charged %d blocks, want %d", v.Blocks()-used, faulted)
 	}
 	// Plenty of room on drive 0, so the private extent stays local.
-	di, _, err := lv.Locate(spans[0].VLBN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lv.Disk(di) != p.Drive(0).Disk() {
-		t.Fatal("private extent not placed on the preferred (faulting) drive")
+	if free1 := freeBlocks(p); free1[0] != free0[0]-faulted || free1[1] != free0[1] {
+		t.Fatalf("private extent not placed on the preferred (faulting) drive: usage %v, was %v", free1, free0)
 	}
 
 	// A fault against a freed volume must fail at the allocator, not

@@ -250,40 +250,3 @@ func (c *Client) Metrics(ctx context.Context, store string) (multimap.Metrics, e
 	err := c.do(ctx, http.MethodGet, c.storeURL(store, "/metrics"), nil, &m)
 	return m, err
 }
-
-// Events subscribes to the SSE feed and calls onFrame for each frame
-// (event name plus raw JSON payload) until the context ends, the
-// server closes the stream, or onFrame returns false.
-func (c *Client) Events(ctx context.Context, intervalMs int64, onFrame func(event string, data []byte) bool) error {
-	path := c.Base + "/v1/events"
-	if intervalMs > 0 {
-		path += fmt.Sprintf("?interval_ms=%d", intervalMs)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	event := ""
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			if !onFrame(event, []byte(strings.TrimPrefix(line, "data: "))) {
-				return nil
-			}
-		}
-	}
-	return sc.Err()
-}

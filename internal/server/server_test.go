@@ -379,6 +379,39 @@ func TestDeadlinePropagation(t *testing.T) {
 	}
 }
 
+// readEvents subscribes to the SSE feed and calls onFrame for each
+// frame (event name plus raw JSON payload) until the context ends, the
+// server closes the stream, or onFrame returns false.
+func readEvents(ctx context.Context, c *Client, intervalMs int64, onFrame func(event string, data []byte) bool) error {
+	url := fmt.Sprintf("%s/v1/events?interval_ms=%d", c.Base, intervalMs)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := c.hc().Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return decodeError(resp)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	event := ""
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "event: "):
+			event = strings.TrimPrefix(line, "event: ")
+		case strings.HasPrefix(line, "data: "):
+			if !onFrame(event, []byte(strings.TrimPrefix(line, "data: "))) {
+				return nil
+			}
+		}
+	}
+	return sc.Err()
+}
+
 // TestEventsFeed checks the SSE stream interleaves metrics frames with
 // lifecycle events and ends cleanly on server shutdown.
 func TestEventsFeed(t *testing.T) {
@@ -395,7 +428,7 @@ func TestEventsFeed(t *testing.T) {
 	frames := make(chan frame, 64)
 	errCh := make(chan error, 1)
 	go func() {
-		errCh <- c.Events(ctx, 50, func(event string, data []byte) bool {
+		errCh <- readEvents(ctx, c, 50, func(event string, data []byte) bool {
 			frames <- frame{event, data}
 			return true
 		})

@@ -67,9 +67,6 @@ func (r *Router) NumShards() int { return len(r.cuts) - 1 }
 // Dims returns the global dataset side lengths.
 func (r *Router) Dims() []int { return r.dims }
 
-// Slab returns shard i's global Dim0 interval [lo, hi).
-func (r *Router) Slab(i int) (lo, hi int) { return r.cuts[i], r.cuts[i+1] }
-
 // LocalDims returns shard i's local grid shape: the global shape with
 // Dim0 shrunk to the slab length.
 func (r *Router) LocalDims(i int) []int {

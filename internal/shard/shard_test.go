@@ -42,7 +42,7 @@ func TestRouterInvariants(t *testing.T) {
 		}
 		prevHi := 0
 		for i := 0; i < tc.shards; i++ {
-			lo, hi := r.Slab(i)
+			lo, hi := r.cuts[i], r.cuts[i+1]
 			if lo != prevHi || hi <= lo {
 				t.Fatalf("%+v: slab %d = [%d,%d) after %d", tc, i, lo, hi, prevHi)
 			}
@@ -64,7 +64,7 @@ func TestRouterInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lo, hi := r.Slab(si)
+			lo, hi := r.cuts[si], r.cuts[si+1]
 			if x < lo || x >= hi {
 				t.Fatalf("%+v: ShardOf(%d)=%d but slab is [%d,%d)", tc, x, si, lo, hi)
 			}
@@ -85,7 +85,7 @@ func TestRouterInvariants(t *testing.T) {
 						t.Fatalf("parts out of shard order")
 					}
 					prevShard = p.Shard
-					slo, _ := r.Slab(p.Shard)
+					slo := r.cuts[p.Shard]
 					if p.Lo[0]+slo < a || p.Hi[0]+slo > b {
 						t.Fatalf("part %+v outside box [%d,%d)", p, a, b)
 					}
@@ -515,7 +515,7 @@ func FuzzSplitBox(f *testing.F) {
 		count, owner := make([]int, size), make([]int, size)
 		prev := -1
 		for _, p := range r.SplitBox(lo, hi) {
-			slo, shi := r.Slab(p.Shard)
+			slo, shi := r.cuts[p.Shard], r.cuts[p.Shard+1]
 			if p.Shard <= prev || p.Lo[0] < 0 || p.Lo[0] >= p.Hi[0] || p.Hi[0] > shi-slo {
 				t.Fatalf("box %v–%v: part %+v out of order or outside slab [%d,%d)", lo, hi, p, slo, shi)
 			}

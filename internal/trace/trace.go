@@ -51,12 +51,6 @@ func (t *Trace) Add(comps []lvm.Completion) {
 	}
 }
 
-// Len returns the number of captured requests.
-func (t *Trace) Len() int { return len(t.records) }
-
-// Records returns the capture in service order.
-func (t *Trace) Records() []Record { return t.records }
-
 // Summary aggregates a trace.
 type Summary struct {
 	Requests int

@@ -32,10 +32,10 @@ func capture(t *testing.T) *Trace {
 
 func TestTraceCapture(t *testing.T) {
 	tr := capture(t)
-	if tr.Len() != 3 {
-		t.Fatalf("Len=%d, want 3", tr.Len())
+	recs := tr.records
+	if len(recs) != 3 {
+		t.Fatalf("captured %d requests, want 3", len(recs))
 	}
-	recs := tr.Records()
 	for i, r := range recs {
 		if r.Seq != i {
 			t.Errorf("record %d has seq %d", i, r.Seq)
@@ -66,7 +66,7 @@ func TestSummarize(t *testing.T) {
 	}
 	// The percentiles are engine.Percentile's, the one definition.
 	var pos []float64
-	for _, r := range tr.Records() {
+	for _, r := range tr.records {
 		pos = append(pos, r.CmdMs+r.SeekMs+r.RotMs)
 	}
 	sort.Float64s(pos)

@@ -77,10 +77,9 @@ type ClassTotals = engine.ClassTotals
 // A volume is built with its query service and keeps it for life: a
 // single service-loop goroutine (running only while queries are in
 // flight) owns the member disks, so any number of stores and sessions
-// may query the volume concurrently, and Reset is serialized through
-// that loop. Close is terminal: it shuts the service, after which Open
-// on the volume and every operation of its stores and sessions fail
-// with ErrClosed.
+// may query the volume concurrently. Close is terminal: it shuts the
+// service, after which Open on the volume and every operation of its
+// stores and sessions fail with ErrClosed.
 type Volume struct {
 	svc *engine.Service
 }
@@ -119,12 +118,6 @@ func OpenVolumeDepth(adjDepth int, models ...DiskModel) (*Volume, error) {
 	return newVolume(v), nil
 }
 
-// NumDisks returns the number of member drives.
-func (v *Volume) NumDisks() int { return v.svc.Volume().NumDisks() }
-
-// TotalBlocks returns the volume capacity in 512-byte blocks.
-func (v *Volume) TotalBlocks() int64 { return v.svc.Volume().TotalBlocks() }
-
 // AdjacencyDepth returns the exported D.
 func (v *Volume) AdjacencyDepth() int { return v.svc.Volume().AdjacencyDepth() }
 
@@ -134,27 +127,12 @@ func (v *Volume) GetAdjacent(vlbn int64, d int) ([]int64, error) {
 	return v.svc.Volume().GetAdjacent(vlbn, d)
 }
 
-// GetTrackBoundaries returns the half-open LBN interval of the track
-// containing vlbn — the second interface call of the paper's LVM.
-func (v *Volume) GetTrackBoundaries(vlbn int64) (start, next int64, err error) {
-	return v.svc.Volume().GetTrackBoundaries(vlbn)
-}
-
-// Reset restores all drives to their initial head positions and clears
-// statistics and the extent cache. The reset is serialized after every
-// in-flight batch, so it is safe to call while other goroutines query
-// the volume. On a closed volume Reset is a no-op: the drives keep the
-// state the last batch left them in.
-func (v *Volume) Reset() {
-	_ = v.svc.Reset() // ErrClosed after Close: nothing is reset
-}
-
 // Close shuts the volume's query service for good, waiting for
 // in-flight batches (and committing write-back buffers) so the caller
 // regains exclusive use of the drives. Afterwards Open on the volume
-// and every operation of its stores and sessions fail with ErrClosed,
-// and Reset is a no-op. Close is idempotent, and optional: an idle
-// service holds no goroutine.
+// and every operation of its stores and sessions fail with ErrClosed.
+// Close is idempotent, and optional: an idle service holds no
+// goroutine.
 func (v *Volume) Close() { v.svc.Close() }
 
 // ServiceTotals snapshots the query service's bookkeeping.
@@ -533,24 +511,6 @@ func (s *Store) Close() {
 	s.def.ss.Flush(context.Background())
 	for _, v := range s.vols[1:] {
 		v.Close()
-	}
-}
-
-// Flush commits the write-back dirty buffers of every shard service
-// (see WithWriteBack) through the store's default session; a no-op
-// without write-back. See Session.Flush for the ctx contract.
-func (s *Store) Flush(ctx context.Context) error {
-	return s.def.Flush(ctx)
-}
-
-// Reset restores every shard volume of the store — the caller's and
-// the internal ones — to pristine head state, clearing their caches
-// and service totals. Like Volume.Reset it is safe under live traffic,
-// serializing after in-flight batches on each shard, and a no-op on a
-// closed volume.
-func (s *Store) Reset() {
-	for _, v := range s.vols {
-		v.Reset()
 	}
 }
 

@@ -23,13 +23,13 @@ func TestOpenVolume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.NumDisks() != 2 {
-		t.Errorf("NumDisks=%d", v.NumDisks())
+	if v.svc.Volume().NumDisks() != 2 {
+		t.Errorf("NumDisks=%d", v.svc.Volume().NumDisks())
 	}
 	if v.AdjacencyDepth() != 128 {
 		t.Errorf("D=%d, want the paper's 128", v.AdjacencyDepth())
 	}
-	if v.TotalBlocks() <= 0 {
+	if v.svc.Volume().TotalBlocks() <= 0 {
 		t.Error("empty volume")
 	}
 	if _, err := OpenVolume(); err == nil {
@@ -51,13 +51,6 @@ func TestVolumeAdjacencyInterface(t *testing.T) {
 	}
 	if len(adjs) != 128 {
 		t.Fatalf("got %d adjacent blocks, want 128", len(adjs))
-	}
-	start, next, err := v.GetTrackBoundaries(1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(start <= 1000 && 1000 < next) {
-		t.Fatalf("track boundaries [%d,%d) exclude the block", start, next)
 	}
 }
 
@@ -252,19 +245,6 @@ func TestConcurrentStoreSessions(t *testing.T) {
 	if diff := math.Abs(sum.TotalMs - tot.Attributed.TotalMs); diff > 1e-6*(1+sum.TotalMs) {
 		t.Fatalf("attributed time drift %g: %v vs %v", diff, sum.TotalMs, tot.Attributed.TotalMs)
 	}
-
-	// Reset under a live service must leave a clean volume behind.
-	v.Reset()
-	if tot := v.ServiceTotals(); tot.Batches != 0 {
-		t.Fatalf("reset kept totals %+v", tot)
-	}
-	st, err := mm.Beam(context.Background(), 1, []int{5, 0, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Cells != 12 || st.CacheHits != 0 {
-		t.Fatalf("post-reset query wrong: %+v", st)
-	}
 }
 
 // TestFailedOpenLeavesServiceUnconfigured: an Open that fails —
@@ -280,7 +260,7 @@ func TestFailedOpenLeavesServiceUnconfigured(t *testing.T) {
 	defer v.Close()
 	dims := []int{30, 8, 5}
 	if _, err := Open(v, MultiMap, dims, WithCache(4096),
-		Updatable(UpdateOptions{OverflowBlocks: v.TotalBlocks() - 100})); err == nil {
+		Updatable(UpdateOptions{OverflowBlocks: v.svc.Volume().TotalBlocks() - 100})); err == nil {
 		t.Fatal("an overflow area of the whole volume opened")
 	}
 	s, err := Open(v, MultiMap, dims)
@@ -562,16 +542,10 @@ func TestShardedStoreEquivalenceAndScatter(t *testing.T) {
 		t.Fatalf("attributed time drift %g", diff)
 	}
 
-	// Store.Reset clears every shard; Store.Close kills the internal
-	// shard services (queries fail), while the caller's volume survives.
-	s4.Reset()
-	for i, sm := range s4.Metrics().Shards {
-		if sm.Totals.Batches != 0 {
-			t.Fatalf("shard %d totals survived Reset: %+v", i, sm.Totals)
-		}
-	}
+	// Store.Close kills the internal shard services (queries fail),
+	// while the caller's volume survives.
 	if st, err := s4.Beam(context.Background(), 0, []int{0, 0, 0}); err != nil || st.Cells != int64(dims[0]) {
-		t.Fatalf("post-Reset query wrong: %+v %v", st, err)
+		t.Fatalf("Dim0 beam before Close: %+v %v", st, err)
 	}
 	s4.Close()
 	if _, err := s4.Beam(context.Background(), 0, []int{0, 0, 0}); err == nil {

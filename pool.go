@@ -448,7 +448,7 @@ func (p *Pool) Snapshot(ctx context.Context, name string) (*Snapshot, error) {
 	if !ok {
 		return nil, fmt.Errorf("multimap: no tenant %q", name)
 	}
-	if err := t.store.Flush(ctx); err != nil {
+	if err := t.store.def.Flush(ctx); err != nil {
 		return nil, err
 	}
 	s := &Snapshot{pool: p, tenant: name, grp: t.store.grp, cfg: t.store.cfg, eo: t.store.eo}

@@ -53,7 +53,7 @@ func runTenantBLifecycle(ctx context.Context, t *testing.T, p *Pool) *tenantBRes
 	cell := []int{1, 2, 3}
 	const fillCap = 100000
 	for ; res.fills < fillCap; res.fills++ {
-		_, err := tb.Store().Insert(ctx, cell)
+		_, err := tb.Store().def.Insert(ctx, cell)
 		if err == nil {
 			continue
 		}
@@ -75,7 +75,7 @@ func runTenantBLifecycle(ctx context.Context, t *testing.T, p *Pool) *tenantBRes
 	}
 	// The insert the exhausted pool refused lands in the grown capacity
 	// without any re-open.
-	if _, err := tb.Store().Insert(ctx, cell); err != nil {
+	if _, err := tb.Store().def.Insert(ctx, cell); err != nil {
 		t.Fatalf("post-grow insert: %v", err)
 	}
 	snap, err := p.Snapshot(ctx, "tenant-b")
@@ -86,7 +86,7 @@ func runTenantBLifecycle(ctx context.Context, t *testing.T, p *Pool) *tenantBRes
 	if err != nil {
 		t.Fatalf("clone: %v", err)
 	}
-	if res.fetch, err = tc.Store().FetchCell(ctx, cell); err != nil {
+	if res.fetch, err = tc.Store().def.FetchCell(ctx, cell); err != nil {
 		t.Fatalf("clone fetch: %v", err)
 	}
 	if res.beam, err = tc.Store().Beam(ctx, 0, []int{0, 2, 3}); err != nil {
@@ -95,13 +95,13 @@ func runTenantBLifecycle(ctx context.Context, t *testing.T, p *Pool) *tenantBRes
 	// Dirty the parent past the snapshot: each first write to a frozen
 	// track must fault it into private storage before landing.
 	for i := 0; i < 8; i++ {
-		st, err := tb.Store().Insert(ctx, cell)
+		st, err := tb.Store().def.Insert(ctx, cell)
 		if err != nil {
 			t.Fatalf("post-snapshot insert %d: %v", i, err)
 		}
 		res.cowFaultBlocks += st.CowFaultBlocks
 	}
-	if err := tb.Store().Flush(ctx); err != nil {
+	if err := tb.Store().def.Flush(ctx); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
 	if err := p.Destroy(ctx, "tenant-b-clone"); err != nil {
@@ -274,7 +274,7 @@ func TestGrownVolumeSpans(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		fills := 0
 		for ; fills < 100000; fills++ {
-			if _, err := st.Insert(ctx, cell); err != nil {
+			if _, err := st.def.Insert(ctx, cell); err != nil {
 				if !strings.Contains(err.Error(), "overflow extent exhausted") {
 					t.Fatalf("round %d fill %d: %v", round, fills, err)
 				}
@@ -284,7 +284,7 @@ func TestGrownVolumeSpans(t *testing.T) {
 		if fills == 100000 {
 			t.Fatalf("round %d: overflow pool never exhausted", round)
 		}
-		points, err := st.Points(cell)
+		before, err := points(st, cell)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,11 +293,11 @@ func TestGrownVolumeSpans(t *testing.T) {
 		}
 		// Every pre-growth overflow page is full, so this insert's page
 		// can only come from an extent the growth just added.
-		if _, err := st.Insert(ctx, cell); err != nil {
+		if _, err := st.def.Insert(ctx, cell); err != nil {
 			t.Fatalf("round %d post-grow insert: %v", round, err)
 		}
-		if got, err := st.Points(cell); err != nil || got != points+1 {
-			t.Fatalf("round %d: %d points after post-grow insert, want %d (err %v)", round, got, points+1, err)
+		if got, err := points(st, cell); err != nil || got != before+1 {
+			t.Fatalf("round %d: %d points after post-grow insert, want %d (err %v)", round, got, before+1, err)
 		}
 	}
 
@@ -439,7 +439,7 @@ func TestPoolAutoGrow(t *testing.T) {
 	const fillCap = 100000
 	fills := 0
 	for ; fills < fillCap; fills++ {
-		if _, err := tb.Store().Insert(ctx, cell); err != nil {
+		if _, err := tb.Store().def.Insert(ctx, cell); err != nil {
 			t.Fatalf("insert %d surfaced despite auto-grow: %v", fills, err)
 		}
 		if tb.Blocks() > initial {
@@ -450,7 +450,7 @@ func TestPoolAutoGrow(t *testing.T) {
 		t.Fatalf("auto-grow never engaged in %d inserts", fills)
 	}
 	// Growth keeps the chain intact: every inserted point is live.
-	n, err := tb.Store().Points(cell)
+	n, err := points(tb.Store(), cell)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,10 +473,10 @@ func TestPoolAutoGrow(t *testing.T) {
 	cell2 := []int{2, 3, 1}
 	grown := tb.Blocks()
 	load := int(grown) // far more points than the current free overflow holds
-	if _, err := tb.Store().LoadCell(ctx, cell2, load); err != nil {
+	if _, err := tb.Store().def.LoadCell(ctx, cell2, load); err != nil {
 		t.Fatalf("bulk load across auto-grow: %v", err)
 	}
-	if n, err = tb.Store().Points(cell2); err != nil || n != load {
+	if n, err = points(tb.Store(), cell2); err != nil || n != load {
 		t.Fatalf("bulk-loaded cell holds %d points, want %d (err %v)", n, load, err)
 	}
 	if tb.Blocks() <= grown {
@@ -509,7 +509,7 @@ func TestCloneStoreFieldsMatchOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	cell := []int{1, 2, 3}
-	if _, err := parent.Store().Insert(ctx, cell); err != nil {
+	if _, err := parent.Store().def.Insert(ctx, cell); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := p.Snapshot(ctx, "parent")
@@ -529,28 +529,24 @@ func TestCloneStoreFieldsMatchOpen(t *testing.T) {
 	}
 
 	clone := tc.Store()
-	if _, err := clone.FetchCell(ctx, cell); err != nil {
+	if _, err := clone.def.FetchCell(ctx, cell); err != nil {
 		t.Fatalf("clone fetch: %v", err)
 	}
 	if m := clone.Metrics(); m.Queries != 1 {
 		t.Fatalf("clone metrics count %d queries after one fetch: %+v", m.Queries, m)
 	}
-	st, err := clone.Insert(ctx, cell)
+	st, err := clone.def.Insert(ctx, cell)
 	if err != nil {
 		t.Fatalf("clone insert: %v", err)
 	}
 	if st.CowFaultBlocks == 0 {
 		t.Fatalf("first write to a cloned track faulted nothing: %+v", st)
 	}
-	if n, err := clone.Points(cell); err != nil || n != 2 {
+	if n, err := points(clone, cell); err != nil || n != 2 {
 		t.Fatalf("clone holds %d points (err %v), want the parent's 1 plus its own", n, err)
 	}
-	if err := clone.Flush(ctx); err != nil {
+	if err := clone.def.Flush(ctx); err != nil {
 		t.Fatalf("clone flush: %v", err)
-	}
-	clone.Reset()
-	if tot := clone.Metrics().Totals; tot.Batches != 0 || tot.WriteOps != 0 {
-		t.Fatalf("clone service totals not cleared by Reset: %+v", tot)
 	}
 }
 

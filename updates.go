@@ -164,10 +164,6 @@ func (s *Store) initUpdatable(opts UpdateOptions) error {
 	return nil
 }
 
-// Updatable reports whether the store was opened with the Updatable
-// option, i.e. whether its sessions serve Insert/Delete/LoadCell.
-func (s *Store) Updatable() bool { return s.cells != nil }
-
 // route resolves a global cell to its owning shard: the shard index,
 // the shard-local coordinates, and the shard's chain tracker. It fails
 // with ErrNotUpdatable on a store opened without Updatable.
@@ -182,25 +178,6 @@ func (s *Store) route(cell []int) (si int, local []int, cs *core.CellStore, err 
 	return si, s.grp.Router().Localize(si, cell), s.cells[si], nil
 }
 
-// Points returns a cell's live point count.
-func (s *Store) Points(cell []int) (int, error) {
-	_, local, cs, err := s.route(cell)
-	if err != nil {
-		return 0, err
-	}
-	return cs.Points(local)
-}
-
-// ChainLen returns the number of blocks backing a cell (1 = no
-// overflow).
-func (s *Store) ChainLen(cell []int) (int, error) {
-	_, local, cs, err := s.route(cell)
-	if err != nil {
-		return 0, err
-	}
-	return cs.ChainLen(local)
-}
-
 // Reorganizations counts chain compactions so far, across all shards
 // (0 on a store opened without Updatable).
 func (s *Store) Reorganizations() int {
@@ -209,35 +186,6 @@ func (s *Store) Reorganizations() int {
 		n += cs.Reorganizations()
 	}
 	return n
-}
-
-// LoadCell bulk-loads n points into a cell at the configured fill
-// factor through the store's default session, returning the write-path
-// Stats (blocks written in Stats.Writes). Even when the load fails
-// partway (overflow pool exhausted), the blocks it already dirtied are
-// still submitted as a write op, so their cached extents are
-// invalidated before the error is reported.
-func (s *Store) LoadCell(ctx context.Context, cell []int, n int) (Stats, error) {
-	return s.def.LoadCell(ctx, cell, n)
-}
-
-// Insert adds one point to a cell through the default session,
-// overflowing if the home block is full.
-func (s *Store) Insert(ctx context.Context, cell []int) (Stats, error) {
-	return s.def.Insert(ctx, cell)
-}
-
-// Delete removes one point from a cell through the default session,
-// reorganizing underflowing chains.
-func (s *Store) Delete(ctx context.Context, cell []int) (Stats, error) {
-	return s.def.Delete(ctx, cell)
-}
-
-// FetchCell reads a cell including its overflow chain through the
-// default session and returns the simulated I/O statistics — the §4.6
-// cost of an overflowed cell.
-func (s *Store) FetchCell(ctx context.Context, cell []int) (Stats, error) {
-	return s.def.FetchCell(ctx, cell)
 }
 
 // LoadCell bulk-loads n points into a cell through this session and

@@ -24,15 +24,15 @@ func newUpdatable(t *testing.T, opts UpdateOptions, extra ...Option) *Store {
 
 func TestUpdatableStoreDefaults(t *testing.T) {
 	u := newUpdatable(t, UpdateOptions{})
-	if _, err := u.LoadCell(context.Background(), []int{1, 2, 3}, 100); err != nil {
+	if _, err := u.def.LoadCell(context.Background(), []int{1, 2, 3}, 100); err != nil {
 		t.Fatal(err)
 	}
-	n, err := u.Points([]int{1, 2, 3})
+	n, err := points(u, []int{1, 2, 3})
 	if err != nil || n != 100 {
 		t.Fatalf("Points=%d err=%v", n, err)
 	}
 	// 100 points at capacity 64, fill 0.75 (48/block) -> 3 blocks.
-	cl, err := u.ChainLen([]int{1, 2, 3})
+	cl, err := chainLen(u, []int{1, 2, 3})
 	if err != nil || cl != 3 {
 		t.Fatalf("ChainLen=%d err=%v, want 3", cl, err)
 	}
@@ -42,14 +42,14 @@ func TestUpdatableInsertOverflowDelete(t *testing.T) {
 	u := newUpdatable(t, UpdateOptions{PointsPerBlock: 4, FillFactor: Frac(1), ReclaimBelow: Frac(0.3)})
 	cell := []int{0, 0, 0}
 	for i := 0; i < 10; i++ {
-		if _, err := u.Insert(context.Background(), cell); err != nil {
+		if _, err := u.def.Insert(context.Background(), cell); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if cl, _ := u.ChainLen(cell); cl != 3 {
+	if cl, _ := chainLen(u, cell); cl != 3 {
 		t.Fatalf("ChainLen=%d, want 3 (10 points at 4/block)", cl)
 	}
-	st, err := u.FetchCell(context.Background(), cell)
+	st, err := u.def.FetchCell(context.Background(), cell)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,37 +58,38 @@ func TestUpdatableInsertOverflowDelete(t *testing.T) {
 	}
 	// Deleting down to 2 points triggers reorganization (2/12 < 0.3).
 	for i := 0; i < 8; i++ {
-		if _, err := u.Delete(context.Background(), cell); err != nil {
+		if _, err := u.def.Delete(context.Background(), cell); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if u.Reorganizations() == 0 {
 		t.Error("no reorganization after underflow")
 	}
-	if cl, _ := u.ChainLen(cell); cl != 1 {
+	if cl, _ := chainLen(u, cell); cl != 1 {
 		t.Errorf("chain not compacted: %d", cl)
 	}
 }
 
 func TestUpdatableFetchCostGrowsWithChain(t *testing.T) {
-	u := newUpdatable(t, UpdateOptions{PointsPerBlock: 2, FillFactor: Frac(1)})
 	a, b := []int{5, 5, 2}, []int{6, 5, 2}
-	if _, err := u.LoadCell(context.Background(), a, 2); err != nil { // one block
-		t.Fatal(err)
+	// Each fetch runs on its own fresh volume loaded the same way, so
+	// both start from the same head state.
+	fetch := func(cell []int) Stats {
+		t.Helper()
+		u := newUpdatable(t, UpdateOptions{PointsPerBlock: 2, FillFactor: Frac(1)})
+		if _, err := u.def.LoadCell(context.Background(), a, 2); err != nil { // one block
+			t.Fatal(err)
+		}
+		if _, err := u.def.LoadCell(context.Background(), b, 12); err != nil { // six blocks
+			t.Fatal(err)
+		}
+		st, err := u.def.FetchCell(context.Background(), cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
-	if _, err := u.LoadCell(context.Background(), b, 12); err != nil { // six blocks
-		t.Fatal(err)
-	}
-	u.Reset()
-	stA, err := u.FetchCell(context.Background(), a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u.Reset()
-	stB, err := u.FetchCell(context.Background(), b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stA, stB := fetch(a), fetch(b)
 	if stB.TotalMs <= stA.TotalMs {
 		t.Errorf("overflowed cell fetch %.2f ms not costlier than clean cell %.2f ms",
 			stB.TotalMs, stA.TotalMs)
@@ -169,18 +170,18 @@ func TestUpdatableStoreValidation(t *testing.T) {
 func TestUpdatableReclaimZeroDisablesReorganization(t *testing.T) {
 	u := newUpdatable(t, UpdateOptions{PointsPerBlock: 4, FillFactor: Frac(1), ReclaimBelow: Frac(0)})
 	cell := []int{2, 2, 2}
-	if _, err := u.LoadCell(context.Background(), cell, 12); err != nil { // 3 full blocks
+	if _, err := u.def.LoadCell(context.Background(), cell, 12); err != nil { // 3 full blocks
 		t.Fatal(err)
 	}
 	for i := 0; i < 11; i++ { // down to 1/12 occupancy
-		if _, err := u.Delete(context.Background(), cell); err != nil {
+		if _, err := u.def.Delete(context.Background(), cell); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if n := u.Reorganizations(); n != 0 {
 		t.Fatalf("ReclaimBelow=Frac(0) still reorganized %d times", n)
 	}
-	if cl, _ := u.ChainLen(cell); cl != 3 {
+	if cl, _ := chainLen(u, cell); cl != 3 {
 		t.Fatalf("chain compacted to %d blocks despite reclamation off", cl)
 	}
 }
@@ -195,7 +196,7 @@ func TestOverflowExtentCollision(t *testing.T) {
 	}
 	// The dataset starts at the head of disk 0; reserving all but 100
 	// blocks of the disk reaches into it.
-	huge := v.TotalBlocks() - 100
+	huge := v.svc.Volume().TotalBlocks() - 100
 	if _, err := Open(v, MultiMap, []int{30, 8, 5},
 		Updatable(UpdateOptions{OverflowBlocks: huge})); err == nil {
 		t.Fatal("overflow extent overlapping dataset cells accepted")
@@ -241,7 +242,7 @@ func TestOverflowSpreadAcrossDisks(t *testing.T) {
 	}
 	// Successive overflow pages alternate disks: force a long chain and
 	// check both disks' tails received pages.
-	if _, err := u.LoadCell(context.Background(), []int{0, 0, 0}, 64*6); err != nil {
+	if _, err := u.def.LoadCell(context.Background(), []int{0, 0, 0}, 64*6); err != nil {
 		t.Fatal(err)
 	}
 	si, _, cs, err := u.route([]int{0, 0, 0})
@@ -299,17 +300,17 @@ func TestUpdatableShardedRouting(t *testing.T) {
 	}
 	for _, cell := range [][]int{loCell, hiCell} {
 		for i := 0; i < 10; i++ { // overflow past the 4-point home block
-			if _, err := u.Insert(context.Background(), cell); err != nil {
+			if _, err := u.def.Insert(context.Background(), cell); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if n, err := u.Points(cell); err != nil || n != 10 {
+		if n, err := points(u, cell); err != nil || n != 10 {
 			t.Fatalf("Points(%v)=%d err=%v", cell, n, err)
 		}
-		if cl, err := u.ChainLen(cell); err != nil || cl != 3 {
+		if cl, err := chainLen(u, cell); err != nil || cl != 3 {
 			t.Fatalf("ChainLen(%v)=%d err=%v, want 3", cell, cl, err)
 		}
-		st, err := u.FetchCell(context.Background(), cell)
+		st, err := u.def.FetchCell(context.Background(), cell)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,17 +326,17 @@ func TestUpdatableShardedRouting(t *testing.T) {
 	}
 	// Cache coherence across the shard boundary: a cached chain fetch
 	// must be invalidated by that shard's next insert.
-	warm, err := u.FetchCell(context.Background(), hiCell)
+	warm, err := u.def.FetchCell(context.Background(), hiCell)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warm.CacheHits == 0 || warm.TotalMs != 0 {
 		t.Fatalf("repeat fetch did not hit the shard's cache: %+v", warm)
 	}
-	if _, err := u.Insert(context.Background(), hiCell); err != nil {
+	if _, err := u.def.Insert(context.Background(), hiCell); err != nil {
 		t.Fatal(err)
 	}
-	cold, err := u.FetchCell(context.Background(), hiCell)
+	cold, err := u.def.FetchCell(context.Background(), hiCell)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,20 +385,20 @@ func TestFetchCellCacheCoherence(t *testing.T) {
 		}
 	}
 
-	if _, err := cached.LoadCell(context.Background(), cell, 4); err != nil {
+	if _, err := cached.def.LoadCell(context.Background(), cell, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plain.LoadCell(context.Background(), cell, 4); err != nil {
+	if _, err := plain.def.LoadCell(context.Background(), cell, 4); err != nil {
 		t.Fatal(err)
 	}
 
 	// Cold fetch: identical by construction, and it primes the cache.
-	a, b := both("fetch-cold", func(u *Store) (Stats, error) { return u.FetchCell(context.Background(), cell) })
+	a, b := both("fetch-cold", func(u *Store) (Stats, error) { return u.def.FetchCell(context.Background(), cell) })
 	compare("fetch-cold", a, b)
 
 	// Prove the cache is live: a repeat fetch on the cached store hits
 	// and performs no disk I/O (so the two head states stay aligned).
-	hit, err := cached.FetchCell(context.Background(), cell)
+	hit, err := cached.def.FetchCell(context.Background(), cell)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,17 +410,17 @@ func TestFetchCellCacheCoherence(t *testing.T) {
 	// cached home-block extent must have been invalidated by the
 	// inserts, so the fetch pays the full 3-block cost.
 	for i := 0; i < 8; i++ {
-		if _, err := cached.Insert(context.Background(), cell); err != nil {
+		if _, err := cached.def.Insert(context.Background(), cell); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := plain.Insert(context.Background(), cell); err != nil {
+		if _, err := plain.def.Insert(context.Background(), cell); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if cl, _ := cached.ChainLen(cell); cl != 3 {
+	if cl, _ := chainLen(cached, cell); cl != 3 {
 		t.Fatalf("chain length %d, want 3", cl)
 	}
-	a, b = both("fetch-after-insert", func(u *Store) (Stats, error) { return u.FetchCell(context.Background(), cell) })
+	a, b = both("fetch-after-insert", func(u *Store) (Stats, error) { return u.def.FetchCell(context.Background(), cell) })
 	if a.CacheHits != 0 {
 		t.Fatalf("fetch after inserts replayed a stale cached extent: %+v", a)
 	}
@@ -428,17 +429,17 @@ func TestFetchCellCacheCoherence(t *testing.T) {
 	// Delete down to reorganization, then fetch: the compaction dirtied
 	// the whole chain, so every cached extent over it must be gone.
 	for i := 0; i < 9; i++ {
-		if _, err := cached.Delete(context.Background(), cell); err != nil {
+		if _, err := cached.def.Delete(context.Background(), cell); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := plain.Delete(context.Background(), cell); err != nil {
+		if _, err := plain.def.Delete(context.Background(), cell); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if cached.Reorganizations() == 0 {
 		t.Fatal("expected a reorganization")
 	}
-	a, b = both("fetch-after-reorg", func(u *Store) (Stats, error) { return u.FetchCell(context.Background(), cell) })
+	a, b = both("fetch-after-reorg", func(u *Store) (Stats, error) { return u.def.FetchCell(context.Background(), cell) })
 	if a.CacheHits != 0 {
 		t.Fatalf("fetch after reorganization replayed a stale cached extent: %+v", a)
 	}
@@ -454,7 +455,7 @@ func TestLoadCellFailureStillInvalidates(t *testing.T) {
 		UpdateOptions{PointsPerBlock: 4, FillFactor: Frac(1), OverflowBlocks: 1},
 		WithCache(1<<20))
 	cell := []int{7, 3, 1}
-	st, err := u.FetchCell(context.Background(), cell) // primes the cache with the home block
+	st, err := u.def.FetchCell(context.Background(), cell) // primes the cache with the home block
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +468,7 @@ func TestLoadCellFailureStillInvalidates(t *testing.T) {
 	}
 	// The failed load dirtied the home block (and the one page it got);
 	// the next fetch must go back to the disks for every chain block.
-	st, err = u.FetchCell(context.Background(), cell)
+	st, err = u.def.FetchCell(context.Background(), cell)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +487,7 @@ func TestUpdatableConcurrentSessions(t *testing.T) {
 	dims := u.Dims()
 	// Preload so deletes have points to remove.
 	for x := 0; x < dims[0]; x++ {
-		if _, err := u.LoadCell(context.Background(), []int{x, 0, 0}, 6); err != nil {
+		if _, err := u.def.LoadCell(context.Background(), []int{x, 0, 0}, 6); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -561,11 +562,10 @@ func TestUpdatableEveryLayout(t *testing.T) {
 				}
 				fetch := func(wantChain int) Stats {
 					t.Helper()
-					if cl, err := u.ChainLen(cell); err != nil || cl != wantChain {
+					if cl, err := chainLen(u, cell); err != nil || cl != wantChain {
 						t.Fatalf("ChainLen %d (%v), want %d", cl, err, wantChain)
 					}
-					u.Reset()
-					st, err := u.FetchCell(ctx, cell)
+					st, err := u.def.FetchCell(ctx, cell)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -582,25 +582,45 @@ func TestUpdatableEveryLayout(t *testing.T) {
 						}
 					}
 				}
-				mutate(u.Insert, 2)
+				mutate(u.def.Insert, 2)
 				short := fetch(1)
-				mutate(u.Insert, 3) // 5 points at 2 per block
+				mutate(u.def.Insert, 3) // 5 points at 2 per block
 				long := fetch(3)
 				if long.TotalMs <= short.TotalMs {
 					t.Errorf("chain of 3 fetched in %v ms, not above the lone block's %v", long.TotalMs, short.TotalMs)
 				}
-				mutate(u.Delete, 4) // 1 of 6 slots live: below ReclaimBelow, so the chain compacts
+				mutate(u.def.Delete, 4) // 1 of 6 slots live: below ReclaimBelow, so the chain compacts
 				if shrunk := fetch(1); shrunk.TotalMs >= long.TotalMs {
 					t.Errorf("compacted cell fetched in %v ms, not below the chain's %v", shrunk.TotalMs, long.TotalMs)
 				}
 
 				// Each drive's share of the pool is the whole drive, so
 				// drive 0's extent covers the cells placed there.
-				_, err = Open(v, kind, dims, Updatable(UpdateOptions{OverflowBlocks: v.TotalBlocks()}))
+				_, err = Open(v, kind, dims, Updatable(UpdateOptions{OverflowBlocks: v.svc.Volume().TotalBlocks()}))
 				if err == nil || !strings.Contains(err.Error(), "collides with dataset cells") {
 					t.Fatalf("overflow pool over the dataset: %v, want the collision error", err)
 				}
 			})
 		}
 	}
+}
+
+// points returns a cell's live point count.
+func points(s *Store, cell []int) (int, error) {
+	_, local, cs, err := s.route(cell)
+	if err != nil {
+		return 0, err
+	}
+	return cs.Points(local)
+}
+
+// chainLen returns the number of blocks backing a cell (1 = no
+// overflow).
+func chainLen(s *Store, cell []int) (int, error) {
+	_, local, cs, err := s.route(cell)
+	if err != nil {
+		return 0, err
+	}
+	reqs, err := cs.ReadRequests(local)
+	return len(reqs), err
 }

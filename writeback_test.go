@@ -59,15 +59,15 @@ func TestFetchCellWriteBackCoherence(t *testing.T) {
 			t.Fatalf("%s: write-back stats %+v != write-through stats %+v", op, a, b)
 		}
 	}
-	fetch := func(u *Store) (Stats, error) { return u.FetchCell(context.Background(), cell) }
+	fetch := func(u *Store) (Stats, error) { return u.def.FetchCell(context.Background(), cell) }
 
 	// Load two points (one block, below the 4-point capacity so later
 	// single inserts dirty exactly one extent). The write-back store
 	// only buffers it.
-	if st, err := wb.LoadCell(context.Background(), cell, 2); err != nil || st.TotalMs != 0 {
+	if st, err := wb.def.LoadCell(context.Background(), cell, 2); err != nil || st.TotalMs != 0 {
 		t.Fatalf("load not absorbed by write-back: %+v err=%v", st, err)
 	}
-	if st, err := plain.LoadCell(context.Background(), cell, 2); err != nil || st.TotalMs <= 0 {
+	if st, err := plain.def.LoadCell(context.Background(), cell, 2); err != nil || st.TotalMs <= 0 {
 		t.Fatalf("write-through load not charged: %+v err=%v", st, err)
 	}
 	if tot := wb.Metrics().Shards[0].Totals; tot.DirtyBlocks == 0 {
@@ -93,7 +93,7 @@ func TestFetchCellWriteBackCoherence(t *testing.T) {
 	// One insert, buffered: the fetch must pay the post-insert cost —
 	// the buffered write already invalidated the cached extent — and
 	// match the write-through store exactly.
-	a, b = both("insert", func(u *Store) (Stats, error) { return u.Insert(context.Background(), cell) })
+	a, b = both("insert", func(u *Store) (Stats, error) { return u.def.Insert(context.Background(), cell) })
 	if a.TotalMs != 0 || a.Writes == 0 {
 		t.Fatalf("insert not absorbed: %+v", a)
 	}
@@ -107,7 +107,7 @@ func TestFetchCellWriteBackCoherence(t *testing.T) {
 	compare("fetch-after-insert", a, b)
 
 	// One delete, buffered: same contract.
-	if a, _ = both("delete", func(u *Store) (Stats, error) { return u.Delete(context.Background(), cell) }); a.TotalMs != 0 {
+	if a, _ = both("delete", func(u *Store) (Stats, error) { return u.def.Delete(context.Background(), cell) }); a.TotalMs != 0 {
 		t.Fatalf("delete not absorbed: %+v", a)
 	}
 	a, b = both("fetch-after-delete", fetch)
@@ -123,13 +123,13 @@ func TestFetchCellWriteBackCoherence(t *testing.T) {
 	// eight write-through batches), so the comparison is structural:
 	// same chain, same requests, full disk cost, no stale hits.
 	for i := 0; i < 8; i++ {
-		both("insert-burst", func(u *Store) (Stats, error) { return u.Insert(context.Background(), cell) })
+		both("insert-burst", func(u *Store) (Stats, error) { return u.def.Insert(context.Background(), cell) })
 	}
 	if tot := wb.Metrics().Shards[0].Totals; tot.CoalescedWrites == 0 {
 		t.Fatalf("insert burst did not coalesce in the write-back buffer: %+v", tot)
 	}
-	ca, _ := wb.ChainLen(cell)
-	cb, _ := plain.ChainLen(cell)
+	ca, _ := chainLen(wb, cell)
+	cb, _ := chainLen(plain, cell)
 	if ca != cb || ca != 3 {
 		t.Fatalf("chains diverged: write-back %d, write-through %d, want 3", ca, cb)
 	}
@@ -145,7 +145,7 @@ func TestFetchCellWriteBackCoherence(t *testing.T) {
 	}
 
 	// Store.Flush on a clean store is free; Close leaves nothing behind.
-	if err := wb.Flush(context.Background()); err != nil {
+	if err := wb.def.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	wb.Close()
@@ -194,7 +194,7 @@ func TestWriteBackShardedSessionClose(t *testing.T) {
 		t.Fatalf("flush costs not credited to the closing session: %+v", st)
 	}
 	s.Close()
-	if err := s.Flush(context.Background()); err != ErrClosed {
+	if err := s.def.Flush(context.Background()); err != ErrClosed {
 		t.Fatalf("Flush on closed store: %v, want ErrClosed", err)
 	}
 }
@@ -251,7 +251,7 @@ func TestWriteBackConcurrentUpdates(t *testing.T) {
 			t.Fatalf("client %d: %v", i, err)
 		}
 	}
-	if err := s.Flush(context.Background()); err != nil {
+	if err := s.def.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	var sum Stats
