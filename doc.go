@@ -208,7 +208,7 @@
 // off, admission stays in submission order — bit-identical to the
 // pre-QoS engine.
 //
-// # Weighted-fair QoS classes and the partitioned cache
+// # Weighted-fair QoS classes
 //
 // WithFairShare(quantum) generalizes urgent-first into full
 // weighted-fair admission. Sessions declare a QoS class
@@ -223,16 +223,9 @@
 // exceeds its credit still admits one op per pass (no livelock), the
 // rest counted in ClassTotals.Deferred. Urgent work — an explicit
 // deadline, an op aged past WithDeadlineAging, or a class registered
-// urgent — keeps strict priority ahead of all weighted sharing. The
-// same weights partition the shared extent cache into per-class
-// reserve floors (capacity × weight / Σweights): any class may borrow
-// idle capacity, but over-capacity eviction reclaims over-reserve
-// extents (LRU-most first), so a bulk scan can no longer evict an
-// interactive session's hot extents below its floor. The cache keeps
-// one LRU list per class and a monotone recency stamp, so the victim is
-// the oldest of the over-reserve classes' list backs (of all classes'
-// backs with fair sharing off — the global LRU back): O(#classes) per
-// eviction, however many extents the protected classes hold. Expired
+// urgent — keeps strict priority ahead of all weighted sharing. A
+// class does not divide the shared extent cache: it is one LRU for
+// every class, and an eviction takes its back in O(1). Expired
 // range queries return speculative partial results: the merged Stats of
 // the work already issued come back with Stats.Partial set alongside
 // the context's error, so a caller can use a partial aggregate instead

@@ -154,7 +154,7 @@ func (s *Service) attributed(class string) (*ClassTotals, [2]*Stats) {
 func (s *Service) finishSingle(op *serviceOp, res opResult, comps []lvm.Completion, elapsed float64) {
 	res.stats.AddCompletions(comps, 0)
 	for _, c := range comps {
-		s.cache.insertFor(c.Req.VLBN, c.Req.VLBN+int64(c.Req.Count), op.class) // nil-safe
+		s.cache.insert(c.Req.VLBN, c.Req.VLBN+int64(c.Req.Count)) // nil-safe
 	}
 	s.account([]*serviceOp{op}, []opResult{res}, int64(len(comps)), elapsed)
 }
@@ -172,8 +172,7 @@ func (s *Service) finishMerged(items []*serviceOp, comps []lvm.Completion, elaps
 		sortByVLBN(comps)
 		for k, r := range sc.reqs {
 			c := comps[k]
-			// A shared extent is tagged with its first contributor's class.
-			s.cache.insertFor(r.VLBN, r.VLBN+int64(r.Count), items[sc.entries[sc.members[k][0]].item].class) // nil-safe
+			s.cache.insert(r.VLBN, r.VLBN+int64(r.Count)) // nil-safe
 			var owned int64
 			for _, mi := range sc.members[k] {
 				owned += int64(sc.entries[mi].req.Count)

@@ -16,7 +16,7 @@ import "slices"
 //
 // # Structure and cost
 //
-// Four pieces, none of whose per-operation cost grows with the number
+// Three pieces, none of whose per-operation cost grows with the number
 // n of cached extents beyond a logarithm:
 //
 //   - nodes, the arena every cachedExtent lives in. Extents refer to
@@ -28,97 +28,45 @@ import "slices"
 //   - idx, the ordered index by start block: a chunked sorted array
 //     (see extentIndex). Lookup is two binary searches, O(log n);
 //     insert and remove shift at most one leaf of leafMax entries.
-//   - one intrusive LRU list per QoS class (cacheClass): the prev/next
-//     links live inside cachedExtent, so linking, unlinking and
-//     move-to-front are O(1).
-//   - clock, a monotone recency stamp written on every insert and hit.
-//     Each class list is ordered by stamp, so the classes' backs are
-//     the only eviction candidates and the globally least recently
-//     used one is the back with the smallest stamp.
+//   - one intrusive LRU list whose sentinel is nodes[0]: the prev/next
+//     links live inside cachedExtent, so linking, unlinking,
+//     move-to-front and eviction from the back are O(1).
 //
-// covered is O(log n); insertFor and invalidate are O(log n + k) for k
-// extents merged or cut (each of which was paid for by its own
-// insert), plus O(#classes) per evicted victim. The arena grows to the
-// largest population seen and lives as long as the cache.
-//
-// # QoS partitioning
-//
-// With fair sharing on, the cache is built with per-class reserve
-// floors (capacity × weight / Σweights) and is class-aware:
-// every extent is tagged with the QoS class that inserted it (a merge
-// re-tags the union to the inserting class), per-class usage is
-// tracked, and eviction turns borrower-first — a class may grow past
-// its reserve into idle capacity, but when the cache overflows the
-// victim is the least-recently-used extent belonging to a class that
-// is OVER its reserve. A class at or under its reserve keeps its
-// extents no matter who is inserting: a bulk scan can fill idle cache
-// yet can never push an interactive class's working set below its
-// floor. With shares nil (fair sharing off) eviction is the plain
-// LRU-back rule, bit-identical to the unpartitioned cache.
+// covered is O(log n); insert and invalidate are O(log n + k) for k
+// extents merged or cut (each of which was paid for by its own insert),
+// plus O(log n) per evicted victim for its index entry — picking it is
+// O(1). The arena grows to the largest population seen and lives as
+// long as the cache.
 type extentCache struct {
 	capBlocks int64
 	used      int64
-	clock     uint64 // last recency stamp handed out
 	idx       extentIndex
 
-	// nodes[0] is never used, so extentID 0 means "none". A *cachedExtent
-	// into nodes is good until the next newNode.
+	// nodes[0] is the LRU list's sentinel: its next is the most recently
+	// used extent, its prev the least. It is never an extent, so
+	// extentID 0 also means "none". A *cachedExtent into nodes is good
+	// until the next newNode.
 	nodes []cachedExtent
 	free  extentID // head of the recycled nodes, chained through next
-
-	// classes holds one record per QoS class seen by the cache:
-	// its cached blocks (maintained even with shares nil), its reserve
-	// floor and its LRU list. The set is as small as the QoS
-	// registry, so lookup by name is a linear scan.
-	classes []cacheClass
-	// shares is the per-class reserve floor in blocks (nil = plain
-	// unpartitioned LRU), copied into cacheClass.reserve.
-	shares map[string]int64
 }
 
 // extentID is an index into extentCache.nodes.
 type extentID int32
 
-// cachedExtent is one cached extent and its node in its class's LRU
-// list — or, with start == end == 0, a list's sentinel.
+// cachedExtent is one cached extent and its node in the LRU list — or,
+// as nodes[0], the list's sentinel.
 type cachedExtent struct {
 	start, end int64
-	stamp      uint64   // recency: larger is more recent; split remnants share one
-	prev, next extentID // toward the class list's front / back
-	class      int32    // index into extentCache.classes
+	prev, next extentID // toward the list's front / back
 }
 
-// cacheClass is one QoS class's slice of the cache. root is the
-// sentinel of its circular LRU list: root's next is the most recently
-// used extent, its prev the least.
-type cacheClass struct {
-	name    string
-	used    int64 // cached blocks tagged with this class
-	reserve int64 // floor in blocks; 0 with shares nil or for an unregistered class
-	root    extentID
-}
-
-// newExtentCache builds a cache of capBlocks blocks with the given
-// per-class reserve floors (nil: plain LRU); nil when capBlocks is 0.
-func newExtentCache(capBlocks int64, shares map[string]int64) *extentCache {
+// newExtentCache builds a cache of capBlocks blocks; nil when capBlocks
+// is 0.
+func newExtentCache(capBlocks int64) *extentCache {
 	if capBlocks <= 0 {
 		return nil
 	}
-	return &extentCache{capBlocks: capBlocks, shares: shares}
-}
-
-// classFor returns the index of the named class's record, creating it
-// on first use.
-func (c *extentCache) classFor(name string) int32 {
-	for i := range c.classes {
-		if c.classes[i].name == name {
-			return int32(i)
-		}
-	}
-	root := c.newNode()
-	c.nodes[root] = cachedExtent{prev: root, next: root}
-	c.classes = append(c.classes, cacheClass{name: name, reserve: c.shares[name], root: root})
-	return int32(len(c.classes) - 1)
+	return &extentCache{capBlocks: capBlocks, nodes: make([]cachedExtent, 1)}
 }
 
 // newNode takes a node off the free list or grows the arena. It
@@ -128,9 +76,6 @@ func (c *extentCache) newNode() extentID {
 		c.free = c.nodes[id].next
 		return id
 	}
-	if len(c.nodes) == 0 {
-		c.nodes = append(c.nodes, cachedExtent{}) // the unused nodes[0]
-	}
 	c.nodes = append(c.nodes, cachedExtent{})
 	return extentID(len(c.nodes) - 1)
 }
@@ -138,8 +83,8 @@ func (c *extentCache) newNode() extentID {
 // blocks returns the extent's size.
 func (e *cachedExtent) blocks() int64 { return e.end - e.start }
 
-// linkAfter puts id into at's list directly behind at (one step less
-// recent), or at the front when at is the list's root.
+// linkAfter puts id into the list directly behind at (one step less
+// recent), or at the front when at is the sentinel.
 func (c *extentCache) linkAfter(id, at extentID) {
 	next := c.nodes[at].next
 	c.nodes[id].prev, c.nodes[id].next = at, next
@@ -152,21 +97,11 @@ func (c *extentCache) unlink(id extentID) {
 	c.nodes[e.prev].next, c.nodes[e.next].prev = e.next, e.prev
 }
 
-// touch makes the unlinked extent id the most recently used of its
-// class and of the cache.
-func (c *extentCache) touch(id extentID) {
-	c.clock++
-	c.nodes[id].stamp = c.clock
-	c.linkAfter(id, c.classes[c.nodes[id].class].root)
-}
-
-// release takes id out of its LRU list and out of the block accounting;
+// release takes id out of the LRU list and out of the block accounting;
 // its index entry and its node are the caller's business.
 func (c *extentCache) release(id extentID) {
 	c.unlink(id)
-	e := &c.nodes[id]
-	c.used -= e.blocks()
-	c.classes[e.class].used -= e.blocks()
+	c.used -= c.nodes[id].blocks()
 }
 
 // drop releases id and recycles its node; the caller removes its index
@@ -190,21 +125,19 @@ func (c *extentCache) covered(start, end int64) bool {
 	}
 	if id := c.idx.at(at).id; c.nodes[id].end >= end {
 		c.unlink(id)
-		c.touch(id)
+		c.linkAfter(id, 0)
 		return true
 	}
 	return false
 }
 
-// insertFor adds [start, end) as most-recently-used, tagged with the
-// inserting QoS class, merging it with every overlapping or adjacent
-// cached extent (the union is re-tagged to the inserting class), then
-// evicts extents until the capacity holds — LRU-back with shares nil,
-// borrower-first with shares set. Extents larger than the whole cache
-// are not cached at all — and when merging would produce such an
-// extent, the insert is skipped entirely so the existing cached
-// neighbours survive instead of being evicted through.
-func (c *extentCache) insertFor(start, end int64, class string) {
+// insert adds [start, end) as most-recently-used, merging it with every
+// overlapping or adjacent cached extent, then evicts from the LRU back
+// until the capacity holds. Extents larger than the whole cache are not
+// cached at all — and when merging would produce such an extent, the
+// insert is skipped entirely so the existing cached neighbours survive
+// instead of being evicted through.
+func (c *extentCache) insert(start, end int64) {
 	if c == nil || end-start > c.capBlocks || end <= start {
 		return
 	}
@@ -239,63 +172,23 @@ func (c *extentCache) insertFor(start, end int64, class string) {
 		merged = c.newNode()
 		c.idx.insert(lo, indexEntry{start, merged})
 	}
-	cl := c.classFor(class)
 	e := &c.nodes[merged]
-	e.start, e.end, e.class = start, end, cl
-	c.touch(merged)
+	e.start, e.end = start, end
+	c.linkAfter(merged, 0)
 	c.used += e.blocks()
-	c.classes[cl].used += e.blocks()
+	// The merged extent fits, so the list is never empty here.
 	for c.used > c.capBlocks {
-		victim := c.evictVictim()
-		if victim == 0 {
-			break
-		}
+		victim := c.nodes[0].prev
 		c.idx.remove(c.idx.floor(c.nodes[victim].start), 1)
 		c.drop(victim)
 	}
 }
 
-// evictVictim picks the next extent to evict, 0 when nothing is cached.
-// With shares nil it is the plain LRU back: the oldest of the classes'
-// backs. With shares set it is the least-recently-used extent whose
-// class is over its reserve floor — the borrower-first rule: a class at
-// or under its reserve is immune, so over-capacity pressure always
-// reclaims borrowed blocks before anyone's guaranteed share. Since
-// Σ reserves ≤ capacity, an over-capacity cache always holds at least
-// one over-reserve extent; the LRU-back fallback only guards the
-// impossible empty pick.
-func (c *extentCache) evictVictim() extentID {
-	if c.shares != nil {
-		if v := c.oldestBack(true); v != 0 {
-			return v
-		}
-	}
-	return c.oldestBack(false)
-}
-
-// oldestBack returns the least recently used extent among the classes'
-// list backs, looking only at classes over their reserve when asked.
-// Equal stamps only occur inside one class (split remnants), so the
-// pick does not depend on the order of c.classes.
-func (c *extentCache) oldestBack(overReserveOnly bool) extentID {
-	var oldest extentID
-	for i := range c.classes {
-		cl := &c.classes[i]
-		back := c.nodes[cl.root].prev
-		if back == cl.root || (overReserveOnly && cl.used <= cl.reserve) {
-			continue
-		}
-		if oldest == 0 || c.nodes[back].stamp < c.nodes[oldest].stamp {
-			oldest = back
-		}
-	}
-	return oldest
-}
-
 // invalidate removes [start, end) from the cache: fully covered extents
 // are dropped, partially covered ones are trimmed, and an extent
-// straddling the range splits in two — every remnant keeps the original
-// extent's recency. Only the service loop calls this, on behalf of a
+// straddling the range splits in two — the remnants take the original
+// extent's place in the LRU list, the right one directly behind the
+// left. Only the service loop calls this, on behalf of a
 // write op mutating those blocks, before the write's cost is charged.
 // Returns the number of cached blocks invalidated.
 func (c *extentCache) invalidate(start, end int64) int64 {
@@ -310,10 +203,9 @@ func (c *extentCache) invalidate(start, end int64) int64 {
 		return 0
 	}
 	var dropped int64
-	cut := func(e *cachedExtent, n int64) { // e loses n blocks but stays
+	cut := func(n int64) { // an extent loses n blocks but stays
 		dropped += n
 		c.used -= n
-		c.classes[e.class].used -= n
 	}
 	if id := c.idx.at(at).id; c.nodes[id].start < start {
 		if c.nodes[id].end > end {
@@ -321,15 +213,15 @@ func (c *extentCache) invalidate(start, end int64) int64 {
 			// behind it in the LRU list takes the right part.
 			right := c.newNode()
 			e := &c.nodes[id]
-			c.nodes[right] = cachedExtent{start: end, end: e.end, stamp: e.stamp, class: e.class}
+			c.nodes[right] = cachedExtent{start: end, end: e.end}
 			c.linkAfter(right, id)
 			c.idx.insert(c.idx.next(at), indexEntry{end, right})
-			cut(e, end-start)
+			cut(end - start)
 			e.end = start
 			return dropped
 		}
 		e := &c.nodes[id]
-		cut(e, e.end-start)
+		cut(e.end - start)
 		e.end = start
 		at = c.idx.next(at)
 	}
@@ -340,7 +232,7 @@ func (c *extentCache) invalidate(start, end int64) int64 {
 	for ; c.idx.valid(at) && c.idx.at(at).start < end; at = c.idx.next(at) {
 		id := c.idx.at(at).id
 		if e := &c.nodes[id]; e.end > end {
-			cut(e, end-e.start)
+			cut(end - e.start)
 			e.start = end
 			c.idx.setStart(at, end)
 			break

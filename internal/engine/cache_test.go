@@ -14,11 +14,11 @@ import (
 // on when a store runs with caching off.
 func TestExtentCacheZeroCapacity(t *testing.T) {
 	for _, capBlocks := range []int64{0, -5} {
-		c := newExtentCache(capBlocks, nil)
+		c := newExtentCache(capBlocks)
 		if c != nil {
 			t.Fatalf("capacity %d built a live cache", capBlocks)
 		}
-		c.insertFor(0, 10, "")
+		c.insert(0, 10)
 		if c.covered(0, 1) {
 			t.Fatal("nil cache reported coverage")
 		}
@@ -34,8 +34,8 @@ func TestExtentCacheZeroCapacity(t *testing.T) {
 // edge drops only the inside part, and exact-cover drops the extent
 // with nothing left behind.
 func TestExtentCacheInvalidateBoundaries(t *testing.T) {
-	c := newExtentCache(1000, nil)
-	c.insertFor(100, 200, "")
+	c := newExtentCache(1000)
+	c.insert(100, 200)
 
 	// Adjacent-outside ranges: no overlap, nothing dropped.
 	if got := c.invalidate(0, 100); got != 0 {
@@ -78,8 +78,8 @@ func TestExtentCacheInvalidateBoundaries(t *testing.T) {
 // detail: both remnants are present, disjoint, in byStart order, and
 // the accounting matches, including a second split of a remnant.
 func TestExtentCacheSplitKeepsStructure(t *testing.T) {
-	c := newExtentCache(1000, nil)
-	c.insertFor(100, 300, "")
+	c := newExtentCache(1000)
+	c.insert(100, 300)
 	if got := c.invalidate(180, 220); got != 40 {
 		t.Fatalf("split invalidated %d blocks, want 40", got)
 	}
@@ -111,11 +111,11 @@ func TestExtentCacheSplitKeepsStructure(t *testing.T) {
 // original extent's recency slot, so they are evicted before
 // more-recent extents and after less-recent refreshes.
 func TestExtentCacheEvictionOrderAfterSplit(t *testing.T) {
-	c := newExtentCache(120, nil)
-	c.insertFor(0, 40, "")    // A (oldest)
-	c.insertFor(100, 140, "") // B
-	c.insertFor(200, 240, "") // C (newest); cache is exactly full
-	c.invalidate(10, 30)      // splits A into [0,10) and [30,40), same recency
+	c := newExtentCache(120)
+	c.insert(0, 40)      // A (oldest)
+	c.insert(100, 140)   // B
+	c.insert(200, 240)   // C (newest); cache is exactly full
+	c.invalidate(10, 30) // splits A into [0,10) and [30,40), same recency
 
 	// Touch B: order is now A-remnants (LRU), C, B (MRU).
 	if !c.covered(100, 140) {
@@ -123,7 +123,7 @@ func TestExtentCacheEvictionOrderAfterSplit(t *testing.T) {
 	}
 	// Insert 40 fresh blocks: over capacity by 20, so both A remnants
 	// (10 blocks each, at the LRU tail) must go — not C or B.
-	c.insertFor(300, 340, "")
+	c.insert(300, 340)
 	if c.covered(0, 10) || c.covered(30, 40) {
 		t.Fatal("old split remnants survived eviction")
 	}

@@ -148,9 +148,8 @@ type ServiceOptions struct {
 	// consulted. See qos.go for the full contract.
 	FairQuantum int64
 	// Classes registers the QoS classes (weights, urgency) the fair
-	// scheduler and the class-partitioned extent cache use. Sessions
-	// reference classes by SessionOptions.Class; unregistered classes
-	// get weight 1 and no cache reserve.
+	// scheduler uses. Sessions reference classes by SessionOptions.Class;
+	// unregistered classes get weight 1.
 	Classes []QoSClass
 	// WriteBack configures write-back caching with group commit: write
 	// ops are absorbed into a dirty buffer instead of being charged
@@ -243,15 +242,14 @@ func NewService(vol *lvm.Volume, opts ServiceOptions) *Service {
 var errSealed = errors.New("engine: service options are fixed once configured or serving")
 
 // Configure installs the service's options: it normalizes them, then
-// builds the extent cache with its per-class reserve shares, the
-// write-back dirty buffer and the QoS class registry. A service takes
-// options once, before it serves. The rule, in this order: after Close
-// Configure returns ErrClosed; all-zero options install nothing and
-// return nil; a sealed service — one that Configure has installed
-// options on, or that has had an op queued — returns an error;
-// otherwise the options are installed and the service is sealed. No
-// loop can run before the first op is queued, so nothing the loop owns
-// is written while one reads it.
+// builds the QoS class registry, the extent cache and the write-back
+// dirty buffer. A service takes options once, before it serves. The
+// rule, in this order: after Close Configure returns ErrClosed;
+// all-zero options install nothing and return nil; a sealed service —
+// one that Configure has installed options on, or that has had an op
+// queued — returns an error; otherwise the options are installed and
+// the service is sealed. No loop can run before the first op is
+// queued, so nothing the loop owns is written while one reads it.
 func (s *Service) Configure(o ServiceOptions) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -269,7 +267,7 @@ func (s *Service) Configure(o ServiceOptions) error {
 		c.Weight = max(c.Weight, 1) // weights below 1 count as 1
 		s.classes[c.Name] = c
 	}
-	s.cache = newExtentCache(s.opts.CacheBlocks, cacheShares(s.opts.CacheBlocks, s.opts.FairQuantum, s.classes))
+	s.cache = newExtentCache(s.opts.CacheBlocks)
 	if s.opts.WriteBack.Enabled {
 		s.wb = &dirtySet{}
 	}
@@ -301,25 +299,6 @@ func (o ServiceOptions) normalized() ServiceOptions {
 		o.Classes = append(o.Classes, QoSClass{Name: "", Weight: 1})
 	}
 	return o
-}
-
-// cacheShares computes the extent cache's per-class reserve floors:
-// capacity × weight / Σweights over the registered classes. Nil — a
-// plain unpartitioned LRU — when fair sharing is off or no classes are
-// registered.
-func cacheShares(capBlocks, quantum int64, classes map[string]QoSClass) map[string]int64 {
-	if quantum <= 0 || len(classes) == 0 || capBlocks <= 0 {
-		return nil
-	}
-	var sum int64
-	for _, c := range classes {
-		sum += int64(c.Weight)
-	}
-	shares := make(map[string]int64, len(classes))
-	for name, c := range classes {
-		shares[name] = capBlocks * int64(c.Weight) / sum
-	}
-	return shares
 }
 
 // Close rejects further submissions and waits for the in-flight batches

@@ -44,11 +44,11 @@ type SessionOptions struct {
 	// more cross-chunk coalescing.
 	MaxInflight int
 	// Class is the session's QoS class name (see QoSClass). Every op the
-	// session submits is queued, scheduled, cached, and accounted under
-	// it. "" is the default class; class names of sessions on one
-	// service should be registered via ServiceOptions.Classes when fair
-	// sharing is on (unregistered names get weight 1 and no cache
-	// reserve).
+	// session submits is queued, scheduled and accounted under it; the
+	// extent cache is one LRU shared by every class. "" is the default
+	// class; class names of sessions on one service should be registered
+	// via ServiceOptions.Classes when fair sharing is on (unregistered
+	// names get weight 1).
 	Class string
 }
 

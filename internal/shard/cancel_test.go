@@ -10,18 +10,21 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/mapping"
+	"repro/internal/query"
 )
 
-// TestScatterGatherCancel cancels a multi-shard box mid-flight and
-// checks the cancellation contract: the first failure (here ctx's own)
-// cancels every sibling's remaining work promptly, the partial Stats
-// merge deterministically in part order, nothing is attributed for
-// unissued chunks (session totals still equal the per-shard attributed
-// sums), and no goroutine outlives the query.
+// TestScatterGatherCancel cancels a multi-shard box before it starts
+// and mid-flight and checks the cancellation contract: the first
+// failure (here ctx's own) cancels every sibling's remaining work
+// promptly, the partial Stats merge deterministically in part order,
+// nothing is attributed for unissued chunks (session totals still equal
+// the per-shard attributed sums), and no goroutine outlives the query.
 func TestScatterGatherCancel(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	dims := []int{40, 12, 8}
-	g, closeAll := testGroup(t, mapping.MultiMap, dims, 4, engine.ServiceOptions{})
+	// 32-cell chunks cut each shard's part of the full box into eight,
+	// more than the mid-flight leg below needs (MaxInflight + 1).
+	g, closeAll := testGroupExec(t, mapping.MultiMap, dims, 4, engine.ServiceOptions{}, query.ExecOptions{ChunkCells: 32})
 	defer closeAll()
 	ss := g.Begin(engine.SessionOptions{MaxInflight: 2})
 
@@ -44,16 +47,18 @@ func TestScatterGatherCancel(t *testing.T) {
 		t.Fatal("cancelled parts not counted")
 	}
 
-	// Cancel mid-flight: a deadline that fires while the scatter runs.
-	tctx, tcancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
-	defer tcancel()
-	for i := 0; i < 50; i++ { // keep issuing until the deadline bites
-		if _, err = ss.Box(tctx, []int{0, 0, 0}, []int{40, 12, 8}); err != nil {
-			break
-		}
-	}
+	// Cancel mid-flight, by events: the first chunk to retire cancels the
+	// query. The parts retire chunks only through the serialized hook, so
+	// at that moment each has retired at most one of its chunks and
+	// queued at most MaxInflight, and each stops at its next submission.
+	mctx, mcancel := context.WithCancel(context.Background())
+	defer mcancel()
+	st, err = ss.BoxStream(mctx, []int{0, 0, 0}, []int{40, 12, 8}, func(int, engine.Stats) { mcancel() })
 	if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-flight cancel returned %v", err)
+	}
+	if st.Cancelled == 0 {
+		t.Fatalf("mid-flight cancel dropped no chunk: %+v", st)
 	}
 
 	// Attribution: everything the session folded equals everything the

@@ -129,6 +129,12 @@ func TestRouterRejects(t *testing.T) {
 
 func testGroup(t testing.TB, kind mapping.Kind, dims []int, shards int, opts engine.ServiceOptions) (*Group, func()) {
 	t.Helper()
+	return testGroupExec(t, kind, dims, shards, opts, query.ExecOptions{})
+}
+
+// testGroupExec is testGroup with the members' executor options.
+func testGroupExec(t testing.TB, kind mapping.Kind, dims []int, shards int, opts engine.ServiceOptions, exec query.ExecOptions) (*Group, func()) {
+	t.Helper()
 	svcs := make([]*engine.Service, shards)
 	for i := range svcs {
 		v, err := lvm.New(16, disk.MediumTestDisk())
@@ -137,7 +143,7 @@ func testGroup(t testing.TB, kind mapping.Kind, dims []int, shards int, opts eng
 		}
 		svcs[i] = engine.NewService(v, opts)
 	}
-	g, err := Build(svcs, kind, dims, mapping.Options{DiskIdx: 0}, query.ExecOptions{})
+	g, err := Build(svcs, kind, dims, mapping.Options{DiskIdx: 0}, exec)
 	if err != nil {
 		t.Fatal(err)
 	}

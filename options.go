@@ -180,10 +180,9 @@ func WithWriteBack(watermarkBlocks int64, flushInterval time.Duration) Option {
 // (values below 1 are treated as 1), and urgent marks a
 // strict-priority class whose ops always join the urgent front batch,
 // ahead of all weighted sharing, exactly as if each carried an
-// explicit context deadline. Registered weights also set the extent
-// cache's per-class reserve floors (capacity × weight / Σweights).
-// The registration only takes effect together with WithFairShare;
-// sessions of unregistered classes get weight 1 and no cache reserve.
+// explicit context deadline. The registration only takes effect
+// together with WithFairShare; sessions of unregistered classes get
+// weight 1. Classes do not divide the extent cache: it is one LRU.
 func WithQoSClass(name string, weight int, urgent bool) Option {
 	return func(c *config) error {
 		if weight < 1 {
@@ -207,9 +206,7 @@ func WithQoSClass(name string, weight int, urgent bool) Option {
 // class's bulk burst can no longer monopolize an admission pass, while
 // urgent work (an explicit context deadline, a WithQoSClass urgent
 // class, or an op aged past WithDeadlineAging) keeps strict priority.
-// The same class weights partition the extent cache into per-class
-// reserve floors with borrow-but-evict-borrowers-first semantics.
-// quantum 0 selects the engine default (engine.DefaultFairQuantum);
+// The extent cache stays one LRU shared by every class. quantum 0 selects the engine default (engine.DefaultFairQuantum);
 // negative fails the open. Like WithCache this configures the volume
 // service once, together with the WithQoSClass registry (default: off —
 // admission bit-identical to the pre-QoS behavior).
