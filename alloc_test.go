@@ -20,6 +20,13 @@ import (
 // slabs. Before the row planner a MultiMap 16³ range cost 802
 // allocations and its beam 220; before the buffers were reused, 16 and
 // 18 (Naive 13 and 15).
+//
+// Streaming a range adds two: the shard layer's delivery, which numbers
+// the chunks, and the one callback that tags them with their shard (6
+// when four closures carried a chunk up the layers). A two-part scatter
+// on a two-shard store allocates 15 unstreamed (its split, its context,
+// its goroutines and each part's plan); streamed it adds the delivery
+// and one callback per part, 18 (23 before).
 func TestQueryAllocBudget(t *testing.T) {
 	vol, err := OpenVolume(AtlasTenKIII)
 	if err != nil {
@@ -29,11 +36,24 @@ func TestQueryAllocBudget(t *testing.T) {
 	ctx := context.Background()
 	lo, hi := []int{8, 24, 40}, []int{24, 40, 56}
 	fixed := []int{5, 0, 9}
+	slo, shi := []int{0, 24, 40}, []int{64, 40, 56}
+	stream := func(RangeChunk) {}
 	for _, kind := range []Mapping{MultiMap, Naive} {
 		s, err := Open(vol, kind, []int{64, 64, 64})
 		if err != nil {
 			t.Fatal(err)
 		}
+		vol2, err := OpenVolume(AtlasTenKIII)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer vol2.Close()
+		s2, err := Open(vol2, kind, []int{64, 64, 64}, WithShards(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s2.Close()
+		sess, sess2 := s.Begin(), s2.Begin()
 		for _, q := range []struct {
 			name   string
 			run    func() (Stats, error)
@@ -41,6 +61,8 @@ func TestQueryAllocBudget(t *testing.T) {
 		}{
 			{"RangeQuery 16³", func() (Stats, error) { return s.RangeQuery(ctx, lo, hi) }, 2},
 			{"Beam along dim 1", func() (Stats, error) { return s.Beam(ctx, 1, fixed) }, 3},
+			{"RangeQueryStream 16³", func() (Stats, error) { return sess.RangeQueryStream(ctx, lo, hi, stream) }, 4},
+			{"RangeQueryStream two-part scatter", func() (Stats, error) { return sess2.RangeQueryStream(ctx, slo, shi, stream) }, 18},
 		} {
 			run := func() {
 				if _, err := q.run(); err != nil {

@@ -64,9 +64,11 @@ type ServiceTotals struct {
 	Cancelled        int64 `json:"cancelled,omitempty"`
 	DeadlineExceeded int64 `json:"deadline_exceeded,omitempty"`
 	// Attributed aggregates exactly what was handed back to sessions:
-	// summing every session's per-query Stats reproduces these fields
+	// summing every session's lifetime totals reproduces these fields
 	// (ElapsedMs aside — each chunk of a merged batch observes the full
-	// batch's elapsed time, while Attributed counts it once).
+	// batch's elapsed time, while Attributed counts it once). Its Cells,
+	// like the totals', count every block read, padding included; a
+	// query's own Stats count useful cells, Cells less Padding.
 	Attributed Stats `json:"attributed"`
 }
 
@@ -88,7 +90,8 @@ type ClassTotals struct {
 	UrgentOps int64 `json:"urgent_ops,omitempty"`
 	Deferred  int64 `json:"deferred,omitempty"`
 	// Attributed is the class's share of ServiceTotals.Attributed:
-	// exactly what was handed back to the class's sessions.
+	// exactly what was handed back to the class's sessions, its Cells
+	// counting every block read, padding included.
 	Attributed Stats `json:"attributed"`
 }
 

@@ -23,21 +23,3 @@ func BridgedCoalesce(reqs []lvm.Request, maxGap int) ([]lvm.Request, int64) {
 	}
 	return out, padding
 }
-
-// CoalesceSortedLBNs merges an ascending single-block LBN list into
-// contiguous requests.
-func CoalesceSortedLBNs(lbns []int64) []lvm.Request {
-	if len(lbns) == 0 {
-		return nil
-	}
-	out := []lvm.Request{{VLBN: lbns[0], Count: 1}}
-	for _, l := range lbns[1:] {
-		last := &out[len(out)-1]
-		if l == last.VLBN+int64(last.Count) {
-			last.Count++
-		} else {
-			out = append(out, lvm.Request{VLBN: l, Count: 1})
-		}
-	}
-	return out
-}

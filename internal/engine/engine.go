@@ -39,7 +39,10 @@ import (
 // daemon's wire format (internal/server/wire.go): editing one is a
 // protocol change.
 type Stats struct {
-	Cells      int64   `json:"cells"`             // useful cells fetched (excludes bridged padding)
+	// Cells counts the useful cells a query fetched, bridged padding
+	// excluded. The lifetime totals — Session.Totals and the service's
+	// Attributed — count every block read instead, padding included.
+	Cells      int64   `json:"cells"`
 	Padding    int64   `json:"padding,omitempty"` // padding blocks read and discarded by gap bridging
 	Requests   int     `json:"requests"`          // I/O requests issued after coalescing
 	TotalMs    float64 `json:"total_ms"`          // summed service time across disks
@@ -183,10 +186,10 @@ func Static(reqs []lvm.Request, policy disk.SchedPolicy) Plan {
 
 // Options tunes one execution.
 type Options struct {
-	// OnChunk, when set, receives each served chunk's own Stats as the
-	// chunk retires, in chunk order — the very value the query's total
-	// accumulates, so the hook changes nothing about how that total is
-	// summed. It is the hook behind wire-level result streaming: a
+	// OnChunk, when set, receives each served chunk's own Stats (useful
+	// cells, like the query's) as the chunk retires, in chunk order — the
+	// very value the query's total accumulates, so the hook changes
+	// nothing about how that total is summed. It is the hook behind wire-level result streaming: a
 	// network front-end ships every retired chunk to its client while
 	// later chunks are still being planned and served. Invoked from the
 	// goroutine that called RunPlan (never concurrently for one query);

@@ -69,8 +69,9 @@ func TestRunStreamsChunks(t *testing.T) {
 	v := testVolume(t)
 	reqs := randomReqs(rng, v, 90)
 
-	// A three-chunk plan must aggregate the same cells/blocks as one
-	// static chunk and price every completion in some chunk's Stats.
+	// A three-chunk plan must aggregate the same blocks as one static
+	// chunk, count its useful cells (the blocks less the padding) and
+	// price every completion in some chunk's Stats.
 	chunks := []Chunk{
 		{Reqs: reqs[:30], Policy: disk.SchedSPTF, Padding: 1},
 		{Reqs: reqs[30:60], Policy: disk.SchedFIFO, Padding: 2},
@@ -93,8 +94,8 @@ func TestRunStreamsChunks(t *testing.T) {
 	for _, r := range reqs {
 		blocks += int64(r.Count)
 	}
-	if st.Cells != blocks {
-		t.Errorf("streamed stats cover %d blocks, want %d", st.Cells, blocks)
+	if st.Cells != blocks-3 {
+		t.Errorf("streamed stats cover %d cells, want %d", st.Cells, blocks-3)
 	}
 	if st.Padding != 3 {
 		t.Errorf("padding %d, want 3", st.Padding)

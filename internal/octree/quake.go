@@ -315,17 +315,18 @@ func (s *Store) Plan(leaves []Leaf) ([]lvm.Request, disk.SchedPolicy, error) {
 		lbns = append(lbns, vlbn)
 	}
 	slices.Sort(lbns)
+	reqs := make([]lvm.Request, len(lbns))
+	for i, l := range lbns {
+		reqs[i] = lvm.Request{VLBN: l, Count: 1}
+	}
 	policy := query.PolicyFor(s.kind)
 	if policy == disk.SchedSPTF {
 		// Sorted issue keeps scheduler windows track-local; the disk's
 		// SPTF pass finds the semi-sequential path within them (§5.2).
-		reqs := make([]lvm.Request, len(lbns))
-		for i, l := range lbns {
-			reqs[i] = lvm.Request{VLBN: l, Count: 1}
-		}
 		return reqs, policy, nil
 	}
-	return engine.CoalesceSortedLBNs(lbns), policy, nil
+	// Ascending and disjoint, so SortCoalesce only merges the runs.
+	return lvm.SortCoalesce(reqs), policy, nil
 }
 
 // Query plans a leaf set and services it as one chunk on a lone session

@@ -106,9 +106,8 @@ func (e *Executor) Beam(dim int, fixed []int) (Stats, error) {
 
 // BeamBox translates the paper's beam query — all cells along dim with
 // the remaining coordinates fixed — into the equivalent box [lo, hi)
-// over a dataset of the given side lengths. The scatter-gather shard
-// session shares it with BeamOn, so beams route identically on one
-// volume and on many.
+// over a dataset of the given side lengths. The public Session shares
+// it with BeamOn, so beams route identically on one volume and on many.
 func BeamBox(dims []int, dim int, fixed []int) (lo, hi []int, err error) {
 	if dim < 0 || dim >= len(dims) {
 		return nil, nil, fmt.Errorf("query: beam dimension %d out of range", dim)
@@ -154,44 +153,23 @@ func (e *Executor) Range(lo, hi []int) (Stats, error) {
 // them with other sessions' in-flight queries. The planner's chunk loop
 // observes ctx: cancellation stops planning between chunks, drops the
 // query's queued chunks before admission, and returns the partial
-// Stats of the work actually issued (converted to cell units, with the
-// full-fetch verification skipped) alongside ctx's error.
+// Stats of the work actually issued (in cell units, with the full-fetch
+// verification skipped) alongside ctx's error.
 func (e *Executor) RangeOn(ctx context.Context, r engine.Runner, lo, hi []int) (Stats, error) {
-	return e.rangeOn(ctx, r, lo, hi, nil)
+	return e.RangeStreamOn(ctx, r, lo, hi, nil)
 }
 
-// RangeStreamOn is RangeOn with chunk-by-chunk result streaming: as
-// each of the plan's chunks retires, onChunk receives that chunk's own
-// Stats — Cells already converted to cell units like the final result —
-// while later chunks are still being planned and served. The callback
-// runs on the query's submitting goroutine, never concurrently, and in
-// chunk order; dropped chunks (cancellation, deadline) report nothing.
-// The returned aggregate is identical to RangeOn's.
+// RangeStreamOn is RangeOn with chunk-by-chunk result streaming: onChunk
+// becomes the runner's engine.Options.OnChunk, so as each of the plan's
+// chunks retires it receives that chunk's own Stats, in cell units like
+// the total, while later chunks are still being planned and served. A
+// nil onChunk streams nothing.
 func (e *Executor) RangeStreamOn(ctx context.Context, r engine.Runner, lo, hi []int, onChunk func(Stats)) (Stats, error) {
-	return e.rangeOn(ctx, r, lo, hi, onChunk)
-}
-
-func (e *Executor) rangeOn(ctx context.Context, r engine.Runner, lo, hi []int, onChunk func(Stats)) (Stats, error) {
 	cells, err := e.checkBox(lo, hi)
 	if err != nil {
 		return Stats{}, err
 	}
-	var hook func(engine.Stats)
-	if onChunk != nil {
-		hook = func(d engine.Stats) {
-			// A chunk's blocks are its cells plus its own padding — the
-			// same conversion the aggregate gets.
-			d.Cells -= d.Padding
-			onChunk(d)
-		}
-	}
-	p := e.newBoxPlan(lo, hi)
-	st, runErr := r.RunPlan(ctx, p, engine.Options{OnChunk: hook})
-	// Blocks fetched = cells + bridged padding (a cell is one block);
-	// report cells so MsPerCell stays the paper's metric. Partial results
-	// get the same conversion so a cancelled query's Stats stay in cell
-	// units.
-	st.Cells -= st.Padding
+	st, runErr := r.RunPlan(ctx, e.newBoxPlan(lo, hi), engine.Options{OnChunk: onChunk})
 	if runErr != nil {
 		// Speculative partial result: when the context died mid-plan but
 		// some cells were already aggregated, hand them back flagged

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/disk"
@@ -296,19 +297,18 @@ func TestSortCoalesce(t *testing.T) {
 	}
 }
 
+// TestCoalesceSorted: an ascending list of single-block requests — the
+// octree's FIFO plan — is merged into its contiguous runs without a
+// sort; a repeated block stays a request of its own.
 func TestCoalesceSorted(t *testing.T) {
-	out := engine.CoalesceSortedLBNs([]int64{1, 2, 3, 7, 8, 20})
-	want := []lvm.Request{{VLBN: 1, Count: 3}, {VLBN: 7, Count: 2}, {VLBN: 20, Count: 1}}
-	if len(out) != len(want) {
-		t.Fatalf("got %v", out)
+	var in []lvm.Request
+	for _, l := range []int64{1, 2, 3, 7, 8, 20, 20, 21} {
+		in = append(in, lvm.Request{VLBN: l, Count: 1})
 	}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("got %v, want %v", out, want)
-		}
-	}
-	if engine.CoalesceSortedLBNs(nil) != nil {
-		t.Error("nil input should return nil")
+	out := lvm.SortCoalesce(in)
+	want := []lvm.Request{{VLBN: 1, Count: 3}, {VLBN: 7, Count: 2}, {VLBN: 20, Count: 1}, {VLBN: 20, Count: 2}}
+	if !slices.Equal(out, want) {
+		t.Fatalf("got %v, want %v", out, want)
 	}
 }
 

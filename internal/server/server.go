@@ -40,13 +40,15 @@ type Server struct {
 }
 
 // storeEntry is one open store plus the resources the server owns on
-// its behalf: the private volume (nil for pool tenants) and the wire
-// sessions registered against it.
+// its behalf: the private volume (nil for pool tenants) or the pool
+// that holds it as a tenant, and the wire sessions registered against
+// it.
 type storeEntry struct {
 	name      string
 	store     *multimap.Store
 	vol       *multimap.Volume // nil when the store is a pool tenant
-	pool      string           // owning pool name, "" for private volumes
+	pool      *multimap.Pool   // owning pool, nil for private volumes
+	poolName  string           // its name, "" for private volumes
 	updatable bool
 
 	mu       sync.Mutex
@@ -134,13 +136,12 @@ func (s *Server) Close(ctx context.Context) error {
 		entries = append(entries, se)
 	}
 	s.stores = make(map[string]*storeEntry)
-	pools := s.pools
 	s.pools = make(map[string]*multimap.Pool)
 	s.mu.Unlock()
 
 	var firstErr error
 	for _, se := range entries {
-		if err := s.closeEntry(ctx, se, pools); err != nil && firstErr == nil {
+		if err := s.closeEntry(ctx, se); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -150,7 +151,7 @@ func (s *Server) Close(ctx context.Context) error {
 // closeEntry closes one store's sessions and then the store itself —
 // private stores close their volume; pool tenants are destroyed in
 // their pool so the pool's allocation maps stay consistent.
-func (s *Server) closeEntry(ctx context.Context, se *storeEntry, pools map[string]*multimap.Pool) error {
+func (s *Server) closeEntry(ctx context.Context, se *storeEntry) error {
 	se.mu.Lock()
 	sessions := make([]*sessionEntry, 0, len(se.sessions))
 	for _, e := range se.sessions {
@@ -167,11 +168,9 @@ func (s *Server) closeEntry(ctx context.Context, se *storeEntry, pools map[strin
 		}
 		e.opMu.Unlock()
 	}
-	if se.pool != "" {
-		if p := pools[se.pool]; p != nil {
-			if err := p.Destroy(ctx, se.name); err != nil && firstErr == nil {
-				firstErr = err
-			}
+	if se.pool != nil {
+		if err := se.pool.Destroy(ctx, se.name); err != nil && firstErr == nil {
+			firstErr = err
 		}
 		return firstErr
 	}
@@ -205,7 +204,7 @@ func (s *Server) storeInfoLocked(se *storeEntry) StoreInfo {
 		Dims:      se.store.Dims(),
 		Shards:    se.store.NumShards(),
 		Updatable: se.updatable,
-		Pool:      se.pool,
+		Pool:      se.poolName,
 		Sessions:  n,
 	}
 }
@@ -304,7 +303,7 @@ func (s *Server) OpenStore(ctx context.Context, req OpenStoreRequest) (StoreInfo
 		if err != nil {
 			return StoreInfo{}, err
 		}
-		se = &storeEntry{name: req.Name, store: t.Store(), pool: req.Pool}
+		se = &storeEntry{name: req.Name, store: t.Store(), pool: p, poolName: req.Pool}
 	} else {
 		if len(req.Disks) == 0 {
 			return StoreInfo{}, fmt.Errorf("store spec needs disks or a pool")
@@ -330,12 +329,12 @@ func (s *Server) OpenStore(ctx context.Context, req OpenStoreRequest) (StoreInfo
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		s.closeEntry(ctx, se, s.pools)
+		s.closeEntry(ctx, se)
 		return StoreInfo{}, fmt.Errorf("server shutting down")
 	}
 	if _, dup := s.stores[req.Name]; dup {
 		s.mu.Unlock()
-		s.closeEntry(ctx, se, s.pools)
+		s.closeEntry(ctx, se)
 		return StoreInfo{}, fmt.Errorf("store %q already open", req.Name)
 	}
 	s.stores[req.Name] = se
@@ -406,13 +405,12 @@ func (s *Server) handleCloseStore(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	se := s.stores[name]
 	delete(s.stores, name)
-	pools := s.pools
 	s.mu.Unlock()
 	if se == nil {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("store %q not open", name))
 		return
 	}
-	err := s.closeEntry(r.Context(), se, pools)
+	err := s.closeEntry(r.Context(), se)
 	s.events.publish(Event{Type: "store_closed", Store: name})
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)

@@ -30,13 +30,13 @@ func TestScatterGatherCancel(t *testing.T) {
 
 	// Warm run so the cancel run has served work behind it on every
 	// shard (making the attribution check meaningful).
-	if _, err := ss.Box(context.Background(), []int{0, 0, 0}, []int{40, 12, 8}); err != nil {
+	if _, err := ss.Box(context.Background(), []int{0, 0, 0}, []int{40, 12, 8}, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	st, err := ss.Box(ctx, []int{0, 0, 0}, []int{40, 12, 8})
+	st, err := ss.Box(ctx, []int{0, 0, 0}, []int{40, 12, 8}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -53,7 +53,7 @@ func TestScatterGatherCancel(t *testing.T) {
 	// queued at most MaxInflight, and each stops at its next submission.
 	mctx, mcancel := context.WithCancel(context.Background())
 	defer mcancel()
-	st, err = ss.BoxStream(mctx, []int{0, 0, 0}, []int{40, 12, 8}, func(int, engine.Stats) { mcancel() })
+	st, err = ss.Box(mctx, []int{0, 0, 0}, []int{40, 12, 8}, func(Chunk) { mcancel() })
 	if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-flight cancel returned %v", err)
 	}
@@ -88,7 +88,7 @@ func TestScatterGatherSiblingCancellation(t *testing.T) {
 	// immediately with ErrClosed — the "first error" of the scatter.
 	g.Member(1).Svc.Close()
 	ss := g.Begin(engine.SessionOptions{MaxInflight: 2})
-	st, err := ss.Box(context.Background(), []int{0, 0, 0}, []int{40, 12, 8})
+	st, err := ss.Box(context.Background(), []int{0, 0, 0}, []int{40, 12, 8}, nil)
 	if !errors.Is(err, engine.ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed (the real failure, not the Canceled it induced)", err)
 	}

@@ -249,26 +249,9 @@ func (s *Session) Close(ctx context.Context) error {
 	return s.Flush(ctx)
 }
 
-// partHook builds one part's chunk callback: nil when the box is not
-// streamed (the non-streaming path, byte-for-byte RangeOn), otherwise
-// onChunk tagged with the part's shard, under mu when concurrent parts
-// share the consumer.
-func partHook(onChunk func(int, engine.Stats), shard int, mu *sync.Mutex) func(engine.Stats) {
-	switch {
-	case onChunk == nil:
-		return nil
-	case mu == nil:
-		return func(st engine.Stats) { onChunk(shard, st) }
-	}
-	return func(st engine.Stats) {
-		mu.Lock()
-		defer mu.Unlock()
-		onChunk(shard, st)
-	}
-}
-
 // Totals returns the session's accumulated statistics across all its
-// queries on every shard, summed in shard order.
+// queries on every shard, summed in shard order, in the members' unit:
+// Cells count every block read, padding included.
 func (s *Session) Totals() engine.Stats {
 	var sum engine.Stats
 	for _, es := range s.es {
@@ -277,22 +260,51 @@ func (s *Session) Totals() engine.Stats {
 	return sum
 }
 
-// Beam runs the paper's beam query — all cells along dim, the other
-// coordinates fixed — across the shards it touches. A beam along Dim0
-// spans every shard; beams along other dimensions land on exactly one.
-func (s *Session) Beam(ctx context.Context, dim int, fixed []int) (engine.Stats, error) {
-	lo, hi, err := query.BeamBox(s.g.r.dims, dim, fixed)
-	if err != nil {
-		return engine.Stats{}, err
+// Chunk is one served chunk of a streamed box query: its 0-based
+// delivery sequence within the query, the shard that served it, and the
+// chunk's own Stats (cell units, like the query's total). The json tags
+// are the daemon's wire format.
+type Chunk struct {
+	Seq   int          `json:"seq"`
+	Shard int          `json:"shard"`
+	Stats engine.Stats `json:"stats"`
+}
+
+// delivery numbers and tags the chunks of one streamed query. The parts
+// of a scatter deliver through it under one mutex, so the consumer never
+// sees two chunks at once and Seq counts them in delivery order.
+type delivery struct {
+	mu      sync.Mutex
+	seq     int
+	onChunk func(Chunk)
+}
+
+// from returns the engine callback for the part on shard; nil when the
+// query is not streamed.
+func (d *delivery) from(shard int) func(engine.Stats) {
+	if d == nil {
+		return nil
 	}
-	return s.Box(ctx, lo, hi)
+	return func(st engine.Stats) {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		d.onChunk(Chunk{Seq: d.seq, Shard: shard, Stats: st})
+		d.seq++
+	}
 }
 
 // Box fetches the global box [lo, hi) (hi exclusive per dimension)
 // scatter-gather: sub-boxes run on their shards concurrently and the
 // per-shard Stats merge by summation. A single-shard box runs inline on
 // the owning member — the path that stays bit-identical to the
-// unsharded executor.
+// unsharded executor. A beam is the box query.BeamBox builds.
+//
+// A non-nil onChunk streams the query: as each per-shard plan chunk
+// retires, onChunk receives it numbered and tagged with its shard. It is
+// never invoked concurrently; across the parts of a scatter the chunks
+// arrive in the actual service order, so a wire client watches the
+// scatter progress live. Dropped chunks report nothing, and the
+// returned total is the same with or without onChunk.
 //
 // Cancellation propagates across the scatter: the per-shard plans run
 // under a context derived from ctx, and the first part to fail —
@@ -304,23 +316,7 @@ func (s *Session) Beam(ctx context.Context, dim int, fixed []int) (engine.Stats,
 // slab order), whatever order the shards actually stopped in, and the
 // returned error prefers the first real failure over the sibling
 // cancellations it induced.
-func (s *Session) Box(ctx context.Context, lo, hi []int) (engine.Stats, error) {
-	return s.box(ctx, lo, hi, nil)
-}
-
-// BoxStream is Box with chunk-by-chunk result streaming: as each
-// per-shard plan chunk retires, onChunk receives the owning shard's
-// index and that chunk's own Stats (cell units, like the final
-// aggregate). On a scatter across several shards the callbacks from
-// concurrent parts are serialized — onChunk is never invoked
-// concurrently — but their interleaving across shards follows the
-// actual service order, so a wire client watches the scatter progress
-// live. The returned aggregate is identical to Box's.
-func (s *Session) BoxStream(ctx context.Context, lo, hi []int, onChunk func(shard int, st engine.Stats)) (engine.Stats, error) {
-	return s.box(ctx, lo, hi, onChunk)
-}
-
-func (s *Session) box(ctx context.Context, lo, hi []int, onChunk func(int, engine.Stats)) (engine.Stats, error) {
+func (s *Session) Box(ctx context.Context, lo, hi []int, onChunk func(Chunk)) (engine.Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -331,21 +327,19 @@ func (s *Session) box(ctx context.Context, lo, hi []int, onChunk func(int, engin
 	if _, err := query.CheckBox(s.g.r.dims, lo, hi); err != nil {
 		return engine.Stats{}, err
 	}
+	var out *delivery
+	if onChunk != nil {
+		out = &delivery{onChunk: onChunk}
+	}
 	if len(s.es) == 1 {
 		// One shard: its local coordinates are the global ones, so the box
 		// runs on member 0 with the caller's bounds, unsplit.
-		return s.g.members[0].Exec.RangeStreamOn(ctx, s.es[0], lo, hi, partHook(onChunk, 0, nil))
+		return s.g.members[0].Exec.RangeStreamOn(ctx, s.es[0], lo, hi, out.from(0))
 	}
 	parts := s.g.r.SplitBox(lo, hi)
 	if len(parts) == 1 {
 		p := parts[0]
-		return s.g.members[p.Shard].Exec.RangeStreamOn(ctx, s.es[p.Shard], p.Lo, p.Hi, partHook(onChunk, p.Shard, nil))
-	}
-	// The callbacks of concurrent parts serialize under one mutex, so the
-	// consumer never sees two chunks at once.
-	var cbMu *sync.Mutex
-	if onChunk != nil {
-		cbMu = new(sync.Mutex)
+		return s.g.members[p.Shard].Exec.RangeStreamOn(ctx, s.es[p.Shard], p.Lo, p.Hi, out.from(p.Shard))
 	}
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -354,14 +348,16 @@ func (s *Session) box(ctx context.Context, lo, hi []int, onChunk func(int, engin
 	var wg sync.WaitGroup
 	for k := range parts {
 		wg.Add(1)
-		go func(k int) {
+		// The hook is made here, so that the goroutine does not capture
+		// out and move it to the heap on an unstreamed query.
+		go func(k int, hook func(engine.Stats)) {
 			defer wg.Done()
 			p := parts[k]
-			stats[k], errs[k] = s.g.members[p.Shard].Exec.RangeStreamOn(sctx, s.es[p.Shard], p.Lo, p.Hi, partHook(onChunk, p.Shard, cbMu))
+			stats[k], errs[k] = s.g.members[p.Shard].Exec.RangeStreamOn(sctx, s.es[p.Shard], p.Lo, p.Hi, hook)
 			if errs[k] != nil {
 				cancel() // first failure stops the sibling shards promptly
 			}
-		}(k)
+		}(k, out.from(parts[k].Shard))
 	}
 	wg.Wait()
 	// Merge in part order — deterministic whatever the shard scheduling

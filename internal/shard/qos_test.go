@@ -34,11 +34,11 @@ func TestGroupClassTotalsMerge(t *testing.T) {
 		go func(i int, ss *Session) {
 			defer wg.Done()
 			for q := 0; q < 4; q++ {
-				if _, err := ss.Beam(context.Background(), 0, []int{0, q, q}); err != nil {
+				if _, err := beam(context.Background(), ss, 0, []int{0, q, q}); err != nil {
 					errs[i] = err
 					return
 				}
-				if _, err := ss.Box(context.Background(), []int{0, q, 0}, []int{40, q + 2, 3}); err != nil {
+				if _, err := ss.Box(context.Background(), []int{0, q, 0}, []int{40, q + 2, 3}, nil); err != nil {
 					errs[i] = err
 					return
 				}

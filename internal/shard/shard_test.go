@@ -236,8 +236,8 @@ func matchDirect(t *testing.T, geom func() *disk.Geometry, depth int, dims []int
 		}
 		ss := g.Begin(engine.SessionOptions{})
 		got := run(t, svc.Volume(),
-			func(dim int, fixed []int) (engine.Stats, error) { return ss.Beam(context.Background(), dim, fixed) },
-			func(lo, hi []int) (engine.Stats, error) { return ss.Box(context.Background(), lo, hi) })
+			func(dim int, fixed []int) (engine.Stats, error) { return beam(context.Background(), ss, dim, fixed) },
+			func(lo, hi []int) (engine.Stats, error) { return ss.Box(context.Background(), lo, hi, nil) })
 		svc.Close()
 		for i := range want {
 			if got[i] != want[i] {
@@ -251,6 +251,16 @@ type (
 	beamFunc func(dim int, fixed []int) (engine.Stats, error)
 	boxFunc  func(lo, hi []int) (engine.Stats, error)
 )
+
+// beam runs the paper's beam query on a scatter-gather session as the
+// box query.BeamBox builds, as the public Session does.
+func beam(ctx context.Context, ss *Session, dim int, fixed []int) (engine.Stats, error) {
+	lo, hi, err := query.BeamBox(ss.g.r.dims, dim, fixed)
+	if err != nil {
+		return engine.Stats{}, err
+	}
+	return ss.Box(ctx, lo, hi, nil)
+}
 
 // must returns a query's Stats, failing the test on its error.
 func must(t *testing.T) func(engine.Stats, error) engine.Stats {
@@ -272,7 +282,7 @@ func TestScatterGatherCells(t *testing.T) {
 		g, closeAll := testGroup(t, mapping.MultiMap, dims, shards, engine.ServiceOptions{})
 		ss := g.Begin(engine.SessionOptions{})
 		// Dim0 beam: spans every shard.
-		st, err := ss.Beam(context.Background(), 0, []int{0, 5, 2})
+		st, err := beam(context.Background(), ss, 0, []int{0, 5, 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +290,7 @@ func TestScatterGatherCells(t *testing.T) {
 			t.Fatalf("%d shards: Dim0 beam fetched %d cells, want %d", shards, st.Cells, dims[0])
 		}
 		// Dim1 beam: lands on exactly one shard.
-		st, err = ss.Beam(context.Background(), 1, []int{33, 0, 1})
+		st, err = beam(context.Background(), ss, 1, []int{33, 0, 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +309,7 @@ func TestScatterGatherCells(t *testing.T) {
 			}
 		}
 		// A box spanning all shards.
-		st, err = ss.Box(context.Background(), []int{0, 0, 0}, []int{40, 3, 2})
+		st, err = ss.Box(context.Background(), []int{0, 0, 0}, []int{40, 3, 2}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,10 +317,10 @@ func TestScatterGatherCells(t *testing.T) {
 			t.Fatalf("%d shards: box fetched %d cells, want %d", shards, st.Cells, 40*3*2)
 		}
 		// Bad boxes are rejected, not clamped.
-		if _, err := ss.Box(context.Background(), []int{0, 0, 0}, []int{41, 3, 2}); err == nil {
+		if _, err := ss.Box(context.Background(), []int{0, 0, 0}, []int{41, 3, 2}, nil); err == nil {
 			t.Fatal("out-of-range Dim0 box accepted")
 		}
-		if _, err := ss.Box(context.Background(), []int{0, 0}, []int{10, 3}); err == nil {
+		if _, err := ss.Box(context.Background(), []int{0, 0}, []int{10, 3}, nil); err == nil {
 			t.Fatal("arity mismatch accepted")
 		}
 		closeAll()
@@ -358,7 +368,7 @@ func TestScatterGatherAttributionSum(t *testing.T) {
 				case 1:
 					dim := rng.Intn(3)
 					fixed := []int{rng.Intn(dims[0]), rng.Intn(dims[1]), rng.Intn(dims[2])}
-					st, err := sessions[i].Beam(context.Background(), dim, fixed)
+					st, err := beam(context.Background(), sessions[i], dim, fixed)
 					if err != nil {
 						errs[i] = err
 						return
@@ -371,7 +381,7 @@ func TestScatterGatherAttributionSum(t *testing.T) {
 					lo := []int{rng.Intn(30), rng.Intn(6), rng.Intn(4)}
 					hi := []int{lo[0] + 1 + rng.Intn(10), lo[1] + 1 + rng.Intn(4), lo[2] + 1 + rng.Intn(3)}
 					want := int64(hi[0]-lo[0]) * int64(hi[1]-lo[1]) * int64(hi[2]-lo[2])
-					st, err := sessions[i].Box(context.Background(), lo, hi)
+					st, err := sessions[i].Box(context.Background(), lo, hi, nil)
 					if err != nil {
 						errs[i] = err
 						return
@@ -443,7 +453,7 @@ func BenchmarkScatterGather(b *testing.B) {
 						defer wg.Done()
 						lo := []int{0, (i * 3) % dims[1], (i * 2) % dims[2]}
 						hi := []int{dims[0], lo[1] + 3, lo[2] + 2}
-						if _, err := sessions[i].Box(context.Background(), lo, hi); err != nil {
+						if _, err := sessions[i].Box(context.Background(), lo, hi, nil); err != nil {
 							b.Error(err)
 						}
 					}(i)

@@ -113,7 +113,7 @@ func TestShardSessionClosedErrs(t *testing.T) {
 	if err := ss.Close(context.Background()); !errors.Is(err, engine.ErrClosed) {
 		t.Fatalf("session Close on closed services: %v, want ErrClosed", err)
 	}
-	if _, err := ss.Box(context.Background(), []int{0, 0, 0}, []int{40, 1, 1}); !errors.Is(err, engine.ErrClosed) {
+	if _, err := ss.Box(context.Background(), []int{0, 0, 0}, []int{40, 1, 1}, nil); !errors.Is(err, engine.ErrClosed) {
 		t.Fatalf("Box on closed services: %v, want ErrClosed", err)
 	}
 }

@@ -357,20 +357,16 @@ func (q *Session) checkMutate(ctx context.Context) (context.Context, error) {
 	return ctx, ctx.Err()
 }
 
-// Beam runs the paper's beam query through this session. On a sharded
-// store a Dim0 beam fans out to every shard; beams along the other
-// dimensions land on exactly one.
+// Beam runs the paper's beam query through this session: the box
+// query.BeamBox builds, all cells along dim with the other coordinates
+// fixed. On a sharded store a Dim0 beam fans out to every shard; beams
+// along the other dimensions land on exactly one.
 func (q *Session) Beam(ctx context.Context, dim int, fixed []int) (Stats, error) {
-	ctx, err := q.check(ctx)
+	lo, hi, err := query.BeamBox(q.s.dims, dim, fixed)
 	if err != nil {
 		return Stats{}, err
 	}
-	start := time.Now()
-	st, err := q.ss.Beam(ctx, dim, fixed)
-	if err == nil {
-		q.s.recordQueryLatency(start)
-	}
-	return st, err
+	return q.box(ctx, lo, hi, nil)
 }
 
 // RangeQuery fetches the box [lo, hi) through this session,
@@ -378,27 +374,18 @@ func (q *Session) Beam(ctx context.Context, dim int, fixed []int) (Stats, error)
 // mid-query cancels every shard's remaining work and returns the
 // partial Stats merged so far with ctx's error.
 func (q *Session) RangeQuery(ctx context.Context, lo, hi []int) (Stats, error) {
-	ctx, err := q.check(ctx)
-	if err != nil {
-		return Stats{}, err
-	}
-	start := time.Now()
-	st, err := q.ss.Box(ctx, lo, hi)
-	if err == nil {
-		q.s.recordQueryLatency(start)
-	}
-	return st, err
+	return q.box(ctx, lo, hi, nil)
 }
 
-// RangeChunk is one retired chunk of a streaming range query: the
-// chunk's own Stats (cell units, like the query's final aggregate), the
-// shard that served it, and its 0-based delivery sequence within the
-// query.
-type RangeChunk struct {
-	Seq   int   `json:"seq"`
-	Shard int   `json:"shard"`
-	Stats Stats `json:"stats"`
-}
+// RangeChunk is one retired chunk of a streaming range query. The shard
+// layer, which numbers the chunks and tags them, declares it as
+//
+//	type Chunk struct {
+//		Seq   int   `json:"seq"`   // 0-based delivery sequence within the query
+//		Shard int   `json:"shard"` // the shard that served it
+//		Stats Stats `json:"stats"` // its own Stats, cell units like the query's
+//	}
+type RangeChunk = shard.Chunk
 
 // RangeQueryStream runs the box [lo, hi) like RangeQuery while
 // streaming results chunk-by-chunk: as each plan chunk retires from the
@@ -413,20 +400,18 @@ type RangeChunk struct {
 // which is identical to RangeQuery's. A nil onChunk degrades to
 // RangeQuery exactly.
 func (q *Session) RangeQueryStream(ctx context.Context, lo, hi []int, onChunk func(RangeChunk)) (Stats, error) {
+	return q.box(ctx, lo, hi, onChunk)
+}
+
+// box runs every box query of the session — a beam is one too — and
+// records the host latency of each one that succeeds.
+func (q *Session) box(ctx context.Context, lo, hi []int, onChunk func(RangeChunk)) (Stats, error) {
 	ctx, err := q.check(ctx)
 	if err != nil {
 		return Stats{}, err
 	}
 	start := time.Now()
-	var hook func(int, engine.Stats)
-	if onChunk != nil {
-		seq := 0 // BoxStream serializes callbacks, so a plain counter is safe
-		hook = func(shard int, st engine.Stats) {
-			onChunk(RangeChunk{Seq: seq, Shard: shard, Stats: st})
-			seq++
-		}
-	}
-	st, err := q.ss.BoxStream(ctx, lo, hi, hook)
+	st, err := q.ss.Box(ctx, lo, hi, onChunk)
 	if err == nil {
 		q.s.recordQueryLatency(start)
 	}
@@ -459,7 +444,10 @@ func (q *Session) Close(ctx context.Context) error {
 }
 
 // Stats returns the session's accumulated statistics across all its
-// completed operations (summed over the shards it touched).
+// completed operations (summed over the shards it touched). Its Cells
+// count every block read, padding included, as ServiceTotals.Attributed
+// does; a query's own Stats count useful cells, so over a session's
+// queries Σ(Cells + Padding) is Stats().Cells.
 func (q *Session) Stats() Stats { return q.ss.Totals() }
 
 // Mapping returns the store's placement algorithm.
