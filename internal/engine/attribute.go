@@ -66,9 +66,7 @@ type ServiceTotals struct {
 	// Attributed aggregates exactly what was handed back to sessions:
 	// summing every session's lifetime totals reproduces these fields
 	// (ElapsedMs aside — each chunk of a merged batch observes the full
-	// batch's elapsed time, while Attributed counts it once). Its Cells,
-	// like the totals', count every block read, padding included; a
-	// query's own Stats count useful cells, Cells less Padding.
+	// batch's elapsed time, while Attributed counts it once).
 	Attributed Stats `json:"attributed"`
 }
 
@@ -90,8 +88,7 @@ type ClassTotals struct {
 	UrgentOps int64 `json:"urgent_ops,omitempty"`
 	Deferred  int64 `json:"deferred,omitempty"`
 	// Attributed is the class's share of ServiceTotals.Attributed:
-	// exactly what was handed back to the class's sessions, its Cells
-	// counting every block read, padding included.
+	// exactly what was handed back to the class's sessions.
 	Attributed Stats `json:"attributed"`
 }
 
@@ -200,11 +197,14 @@ func sortByVLBN(comps []lvm.Completion) {
 	slices.SortFunc(comps, func(a, b lvm.Completion) int { return cmp.Compare(a.Req.VLBN, b.Req.VLBN) })
 }
 
-// account closes one served admission batch: each op's price gains its
-// chunk's padding and is Accumulated into the service totals, the
-// batch's elapsed time is charged once to the service and once per
-// contributing class, and every op is answered with its price — which
-// observes that elapsed time in full.
+// account closes one served admission batch. Each op's price has
+// counted the blocks its chunk read (a cell is one block); account moves
+// the chunk's bridged padding from Cells into Padding — the one place
+// the unit is converted, so every Stats downstream counts useful cells —
+// and Accumulates the price into the service totals. The batch's
+// elapsed time is charged once to the service and once per contributing
+// class, and every op is answered with its price, which observes that
+// elapsed time in full.
 func (s *Service) account(items []*serviceOp, results []opResult, issued int64, elapsed float64) {
 	s.mu.Lock()
 	t := &s.totals
@@ -218,6 +218,7 @@ func (s *Service) account(items []*serviceOp, results []opResult, issued int64, 
 	clear(touched)
 	for i, it := range items {
 		results[i].stats.Padding = it.chunk.Padding
+		results[i].stats.Cells -= it.chunk.Padding
 		ct, dst := s.attributed(it.class)
 		ct.Ops++
 		for _, a := range dst {

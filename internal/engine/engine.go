@@ -39,9 +39,9 @@ import (
 // daemon's wire format (internal/server/wire.go): editing one is a
 // protocol change.
 type Stats struct {
-	// Cells counts the useful cells a query fetched, bridged padding
-	// excluded. The lifetime totals — Session.Totals and the service's
-	// Attributed — count every block read instead, padding included.
+	// Cells counts useful cells — a range's cells in its box, a fetch's
+	// chain pages — in every Stats, query or total; the blocks read are
+	// Cells + Padding.
 	Cells      int64   `json:"cells"`
 	Padding    int64   `json:"padding,omitempty"` // padding blocks read and discarded by gap bridging
 	Requests   int     `json:"requests"`          // I/O requests issued after coalescing

@@ -71,7 +71,8 @@ func TestRunStreamsChunks(t *testing.T) {
 
 	// A three-chunk plan must aggregate the same blocks as one static
 	// chunk, count its useful cells (the blocks less the padding) and
-	// price every completion in some chunk's Stats.
+	// price every completion in some chunk's Stats; the session's
+	// totals count in the same unit.
 	chunks := []Chunk{
 		{Reqs: reqs[:30], Policy: disk.SchedSPTF, Padding: 1},
 		{Reqs: reqs[30:60], Policy: disk.SchedFIFO, Padding: 2},
@@ -86,7 +87,8 @@ func TestRunStreamsChunks(t *testing.T) {
 		return chunks[i-1], true, nil
 	})
 	var priced, calls int
-	st, err := OnVolume(v).RunPlan(context.Background(), p, Options{OnChunk: func(d Stats) { priced += d.Requests; calls++ }})
+	sess := OnVolume(v)
+	st, err := sess.RunPlan(context.Background(), p, Options{OnChunk: func(d Stats) { priced += d.Requests; calls++ }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,6 +104,9 @@ func TestRunStreamsChunks(t *testing.T) {
 	}
 	if priced != len(reqs) || calls != len(chunks) {
 		t.Errorf("OnChunk saw %d completions in %d calls, want %d in %d", priced, calls, len(reqs), len(chunks))
+	}
+	if tot := sess.Totals(); tot != st {
+		t.Errorf("session totals %+v, the query %+v", tot, st)
 	}
 }
 

@@ -2,8 +2,9 @@ package engine
 
 // The reference runner: the synchronous drain loop that served every
 // figure before the Session became the one runner, kept verbatim (minus
-// its trace hook, plus the cell conversion its query caller applied) as
-// the oracle the session path is held to with ==.
+// its trace hook, plus the cell conversion its query caller applied,
+// which the service loop makes when it prices a chunk) as the oracle
+// the session path is held to with ==.
 
 import (
 	"context"
@@ -46,8 +47,8 @@ func refRun(ctx context.Context, vol *lvm.Volume, p Plan, opts Options) (Stats, 
 			return st, err
 		}
 		// The chunk is priced once, as its own Stats, and that value is
-		// what the query's total accumulates and what the hook sees: its
-		// useful cells, the blocks read less the padding.
+		// what the query's total accumulates and what the hook sees. Its
+		// Cells are the useful cells, the blocks read less the padding.
 		var d Stats
 		d.AddCompletions(comps, elapsed)
 		d.Padding = c.Padding
@@ -212,8 +213,8 @@ func TestSessionMatchesRefOnFailure(t *testing.T) {
 
 // TestSessionSingleMatchesRun: a lone session on a service the caller
 // owns, cache off, returns the reference's Stats bit for bit, and the
-// service's totals and the session's lifetime totals say the same in
-// their own unit, every block read (the query's cells plus its padding).
+// service's totals and the session's lifetime totals say the same, in
+// the same unit: useful cells in Cells, bridged blocks in Padding.
 func TestSessionSingleMatchesRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	vRef := testVolume(t)
@@ -234,12 +235,10 @@ func TestSessionSingleMatchesRun(t *testing.T) {
 	if got != want {
 		t.Fatalf("session stats %+v != reference stats %+v", got, want)
 	}
-	read := want
-	read.Cells += want.Padding
-	if tot := svc.Totals(); tot.Attributed != read || tot.Batches != 5 || tot.MergedBatches != 0 {
-		t.Fatalf("service totals %+v inconsistent with %+v", tot, read)
+	if tot := svc.Totals(); tot.Attributed != want || tot.Batches != 5 || tot.MergedBatches != 0 {
+		t.Fatalf("service totals %+v inconsistent with %+v", tot, want)
 	}
-	if sess.Totals() != read {
-		t.Fatalf("session lifetime totals %+v != %+v", sess.Totals(), read)
+	if sess.Totals() != want {
+		t.Fatalf("session lifetime totals %+v != %+v", sess.Totals(), want)
 	}
 }

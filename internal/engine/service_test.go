@@ -65,8 +65,9 @@ func statsClose(a, b Stats, tb testing.TB) {
 
 // TestServiceConcurrentSessions runs many goroutines' worth of mixed
 // plans through one service (run with -race): each session must be
-// credited exactly its own blocks, and the per-session Stats must sum
-// to the service loop's attributed totals.
+// credited exactly its own useful cells (its blocks less its chunks'
+// padding), and the per-session Stats must sum to the service loop's
+// attributed totals.
 func TestServiceConcurrentSessions(t *testing.T) {
 	v := testVolume(t, disk.SmallTestDisk(), disk.SmallTestDisk(), disk.SmallTestDisk())
 	svc := NewService(v, ServiceOptions{CacheBlocks: 4096})
@@ -89,6 +90,7 @@ func TestServiceConcurrentSessions(t *testing.T) {
 					for _, r := range c.Reqs {
 						wantCells[i] += int64(r.Count)
 					}
+					wantCells[i] -= c.Padding
 				}
 				st, err := sessions[i].RunPlan(context.Background(), chunkPlan(chunks), Options{})
 				if err != nil {
@@ -896,4 +898,65 @@ func TestMergedBatchErrorReachesEveryItem(t *testing.T) {
 	if got, want := svc.Totals(), fresh.Totals(); got != want {
 		t.Fatalf("totals after the failure %+v, a fresh service %+v", got, want)
 	}
+}
+
+// TestMergedBatchPricesUsefulCells holds every chunk pricing site of the
+// loop to the one unit of Cells. Two sessions' padded chunks (classes a
+// and b, which quantum 0 admits as one batch) are served by hand as one
+// merged batch from the disks (planMerged, finishMerged), then served
+// again, when the cache answers every request (planMerged's hit branch);
+// a lone padded chunk goes through planSingle and finishSingle. Each
+// reply's Cells must be its chunk's blocks less its Padding and its
+// Padding the chunk's, and the replies must sum to Attributed field by
+// field, ElapsedMs aside (each item observes its batch's in full).
+func TestMergedBatchPricesUsefulCells(t *testing.T) {
+	v := testVolume(t, disk.SmallTestDisk(), disk.SmallTestDisk())
+	rng := rand.New(rand.NewSource(9))
+	chunk := func(policy disk.SchedPolicy, padding int64) Chunk {
+		return Chunk{Reqs: lvm.SortCoalesce(randomReqs(rng, v, 20)), Policy: policy, Padding: padding}
+	}
+	pair := []Chunk{chunk(disk.SchedSPTF, 3), chunk(disk.SchedFIFO, 5)}
+	lone := []Chunk{chunk(disk.SchedSPTF, 2)}
+	svc := NewService(v, ServiceOptions{CacheBlocks: 1 << 14})
+	defer svc.Close()
+	var sum Stats
+	serve := func(name string, chunks []Chunk, merged, hits bool) {
+		t.Helper()
+		items := make([]*serviceOp, len(chunks))
+		for i, c := range chunks {
+			items[i] = &serviceOp{kind: opChunk, class: []string{"a", "b"}[i],
+				chunk: c, reply: make(chan opResult, 1)}
+		}
+		before := svc.Totals().MergedBatches
+		svc.process(items)
+		if got := svc.Totals().MergedBatches - before; (got == 1) != merged {
+			t.Fatalf("%s: %d merged batches", name, got)
+		}
+		for i, it := range items {
+			r := <-it.reply
+			if r.err != nil {
+				t.Fatalf("%s item %d: %v", name, i, r.err)
+			}
+			var blocks int64
+			for _, q := range it.chunk.Reqs {
+				blocks += int64(q.Count)
+			}
+			if r.stats.Cells != blocks-it.chunk.Padding || r.stats.Padding != it.chunk.Padding {
+				t.Fatalf("%s item %d: %d cells, %d padding; the chunk reads %d blocks, %d of them padding",
+					name, i, r.stats.Cells, r.stats.Padding, blocks, it.chunk.Padding)
+			}
+			if allHit := r.stats.CacheHits == int64(len(it.chunk.Reqs)); allHit != hits {
+				t.Fatalf("%s item %d: %d cache hits of %d requests", name, i, r.stats.CacheHits, len(it.chunk.Reqs))
+			}
+			sum.Accumulate(r.stats)
+		}
+		got, want := svc.Totals().Attributed, sum
+		got.ElapsedMs, want.ElapsedMs = 0, 0
+		if got != want {
+			t.Fatalf("%s: Attributed %+v, the replies sum to %+v", name, got, want)
+		}
+	}
+	serve("merged, from the disks", pair, true, false)
+	serve("merged, from the cache", pair, true, true)
+	serve("lone", lone, false, false)
 }

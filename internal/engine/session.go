@@ -74,9 +74,7 @@ func (s *Service) NewSession(opts SessionOptions) *Session {
 }
 
 // Totals returns the session's accumulated statistics across every
-// completed RunPlan and write. Unlike a query's Stats, its Cells count
-// every block read, padding included: the unit of the service's
-// Attributed, which the totals of its sessions sum to.
+// completed RunPlan and write.
 func (s *Session) Totals() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -89,12 +87,11 @@ func (s *Session) Totals() Stats {
 // up to MaxInflight earlier chunks are queued or on the disks, and the
 // plan is never asked for more than one chunk beyond what is in flight.
 // The service loop prices every chunk (see opResult); the query's Stats
-// are those prices accumulated in chunk order, with Cells counting the
-// useful cells (the blocks read less the chunk's Padding) — the unit
-// opts.OnChunk sees as well. A lone session with the
-// cache off serves each chunk verbatim, so its Stats are those of
-// draining the plan straight through lvm.Volume.ServeBatch — the
-// reference kept in run_ref_test.go holds it to that with ==.
+// are those prices accumulated in chunk order, and opts.OnChunk sees
+// each one. A lone session with the cache off serves each chunk
+// verbatim, so its Stats are those of draining the plan straight
+// through lvm.Volume.ServeBatch — the reference kept in run_ref_test.go
+// holds it to that with ==.
 //
 // Cancellation: ctx is checked before the first chunk is planned and
 // before every submission, and the service drops this query's
@@ -118,17 +115,14 @@ func (s *Session) RunPlan(ctx context.Context, p Plan, opts Options) (Stats, err
 	}
 	// retire waits for the oldest outstanding chunk's reply and folds the
 	// loop's price for it into the query — the one copy the steady state
-	// and the failure drain both use. The loop prices the blocks a chunk
-	// read; the query counts its useful cells, the blocks less the
-	// padding they bridged (a cell is one block). A dropped chunk's price
-	// is its cancellation counter; the hook sees served chunks only.
+	// and the failure drain both use. A dropped chunk's price is its
+	// cancellation counter; the hook sees served chunks only.
 	retire := func() error {
 		op := pending[0]
 		copy(pending, pending[1:]) // at most MaxInflight-1 pointers; keeps the one backing array
 		pending = pending[:len(pending)-1]
 		r := <-op.reply
 		putOp(op) // reply consumed: this goroutine is the last holder
-		r.stats.Cells -= r.stats.Padding
 		st.Accumulate(r.stats)
 		if r.err == nil && opts.OnChunk != nil {
 			opts.OnChunk(r.stats)
@@ -137,18 +131,15 @@ func (s *Session) RunPlan(ctx context.Context, p Plan, opts Options) (Stats, err
 	}
 	// finish retires every outstanding chunk — the query must not return
 	// while the loop could still serve one — and folds what was served,
-	// even by a query that failed, into the session's lifetime totals,
-	// which count every block read, as the service's Attributed does.
+	// even by a query that failed, into the session's lifetime totals.
 	finish := func(err error) (Stats, error) {
 		for len(pending) > 0 {
 			if rerr := retire(); err == nil {
 				err = rerr
 			}
 		}
-		read := st
-		read.Cells += read.Padding
 		s.mu.Lock()
-		s.totals.Accumulate(read)
+		s.totals.Accumulate(st)
 		s.mu.Unlock()
 		return st, err
 	}

@@ -78,14 +78,6 @@ var walkBufs = sync.Pool{New: func() any { return new([]lvm.Request) }}
 
 const maxWalkBuf = 4096
 
-// CellAt inverts the placement: the cell stored at the block.
-func (c *curveMapper) CellAt(vlbn int64, out []int) error {
-	if vlbn < c.base || vlbn >= c.base+c.ranked.Len() {
-		return fmt.Errorf("mapping: VLBN %d outside the %s extent", vlbn, c.kind)
-	}
-	return c.ranked.CellAt(vlbn-c.base, out)
-}
-
 // SpanOnDisk: a curve-ordered dataset is one contiguous extent of
 // densely packed ranks, wholly on one disk.
 func (c *curveMapper) SpanOnDisk(di int) (int64, int64) {

@@ -187,31 +187,6 @@ func TestNaiveDim0Run(t *testing.T) {
 	}
 }
 
-func TestCurveMapperCellAt(t *testing.T) {
-	v := testVolume(t)
-	m, err := New(Hilbert, v, []int{6, 5}, Options{DiskIdx: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm := m.(*curveMapper)
-	out := make([]int, 2)
-	for _, cell := range [][]int{{0, 0}, {5, 4}, {3, 2}} {
-		vlbn, err := m.CellVLBN(cell)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cm.CellAt(vlbn, out); err != nil {
-			t.Fatal(err)
-		}
-		if out[0] != cell[0] || out[1] != cell[1] {
-			t.Errorf("CellAt(%d)=%v, want %v", vlbn, out, cell)
-		}
-	}
-	if err := cm.CellAt(-1, out); err == nil {
-		t.Error("VLBN before extent accepted")
-	}
-}
-
 func TestExtentValidation(t *testing.T) {
 	v := testVolume(t)
 	if _, err := New(Naive, v, []int{10, 10}, Options{DiskIdx: 5}); err == nil {

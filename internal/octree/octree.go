@@ -20,9 +20,9 @@ type Leaf struct {
 func (l Leaf) Side(maxDepth int) int { return 1 << uint(maxDepth-l.Depth) }
 
 // Tree is an octree over a cubic domain of side 2^MaxDepth finest
-// units. Construction is either from a point set (BuildFromPoints) or
-// from a refinement function (BuildFromDepthFn), the latter standing in
-// for loading a pre-built index like the Quake project's etree.
+// units. It is built from a refinement function (BuildFromDepthFn),
+// which stands in for loading a pre-built index like the Quake
+// project's etree; the tests also build one from a point set.
 type Tree struct {
 	maxDepth int
 	root     *node
@@ -33,7 +33,6 @@ type node struct {
 	depth    int
 	anchor   [3]int
 	children *[8]*node // nil for leaves
-	points   int       // points contained (point-built trees)
 }
 
 // MaxDepth returns the tree's maximum depth.
@@ -44,61 +43,6 @@ func (t *Tree) NumLeaves() int64 { return t.leaves }
 
 // DomainSide returns the domain's side in finest units.
 func (t *Tree) DomainSide() int { return 1 << uint(t.maxDepth) }
-
-// Point is a dataset point in finest-resolution coordinates.
-type Point [3]int
-
-// BuildFromPoints builds the octree by splitting any node holding more
-// than leafCap points until maxDepth.
-func BuildFromPoints(points []Point, leafCap, maxDepth int) (*Tree, error) {
-	if leafCap < 1 {
-		return nil, fmt.Errorf("octree: leaf capacity must be positive, got %d", leafCap)
-	}
-	if maxDepth < 1 || maxDepth > 20 {
-		return nil, fmt.Errorf("octree: max depth %d out of [1,20]", maxDepth)
-	}
-	side := 1 << uint(maxDepth)
-	for _, p := range points {
-		for i := 0; i < 3; i++ {
-			if p[i] < 0 || p[i] >= side {
-				return nil, fmt.Errorf("octree: point %v outside domain [0,%d)^3", p, side)
-			}
-		}
-	}
-	t := &Tree{maxDepth: maxDepth}
-	t.root = t.buildNode(points, 0, [3]int{0, 0, 0}, leafCap)
-	t.leaves = countLeaves(t.root)
-	return t, nil
-}
-
-func (t *Tree) buildNode(points []Point, depth int, anchor [3]int, leafCap int) *node {
-	n := &node{depth: depth, anchor: anchor, points: len(points)}
-	if len(points) <= leafCap || depth == t.maxDepth {
-		return n
-	}
-	half := 1 << uint(t.maxDepth-depth-1)
-	var buckets [8][]Point
-	for _, p := range points {
-		idx := 0
-		for i := 0; i < 3; i++ {
-			if p[i] >= anchor[i]+half {
-				idx |= 1 << uint(i)
-			}
-		}
-		buckets[idx] = append(buckets[idx], p)
-	}
-	n.children = new([8]*node)
-	for idx := 0; idx < 8; idx++ {
-		ca := anchor
-		for i := 0; i < 3; i++ {
-			if idx&(1<<uint(i)) != 0 {
-				ca[i] += half
-			}
-		}
-		n.children[idx] = t.buildNode(buckets[idx], depth+1, ca, leafCap)
-	}
-	return n
-}
 
 // DepthFn prescribes the leaf depth at a finest-unit coordinate.
 // BuildFromDepthFn refines a node while its target depth anywhere

@@ -1,9 +1,71 @@
 package octree
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
+
+// The point-set build: the octree of a raw point cloud, split wherever
+// a node holds more than a leaf's capacity. The tree the package serves
+// comes from BuildFromDepthFn; this build is the oracle that the depth
+// function describes the tree a point cloud would give
+// (TestQuakeFromPointsMatchesDepthFn).
+
+// Point is a dataset point in finest-resolution coordinates.
+type Point [3]int
+
+// BuildFromPoints builds the octree by splitting any node holding more
+// than leafCap points until maxDepth.
+func BuildFromPoints(points []Point, leafCap, maxDepth int) (*Tree, error) {
+	if leafCap < 1 {
+		return nil, fmt.Errorf("octree: leaf capacity must be positive, got %d", leafCap)
+	}
+	if maxDepth < 1 || maxDepth > 20 {
+		return nil, fmt.Errorf("octree: max depth %d out of [1,20]", maxDepth)
+	}
+	side := 1 << uint(maxDepth)
+	for _, p := range points {
+		for i := 0; i < 3; i++ {
+			if p[i] < 0 || p[i] >= side {
+				return nil, fmt.Errorf("octree: point %v outside domain [0,%d)^3", p, side)
+			}
+		}
+	}
+	t := &Tree{maxDepth: maxDepth}
+	t.root = t.buildNode(points, 0, [3]int{0, 0, 0}, leafCap)
+	t.leaves = countLeaves(t.root)
+	return t, nil
+}
+
+func (t *Tree) buildNode(points []Point, depth int, anchor [3]int, leafCap int) *node {
+	n := &node{depth: depth, anchor: anchor}
+	if len(points) <= leafCap || depth == t.maxDepth {
+		return n
+	}
+	half := 1 << uint(t.maxDepth-depth-1)
+	var buckets [8][]Point
+	for _, p := range points {
+		idx := 0
+		for i := 0; i < 3; i++ {
+			if p[i] >= anchor[i]+half {
+				idx |= 1 << uint(i)
+			}
+		}
+		buckets[idx] = append(buckets[idx], p)
+	}
+	n.children = new([8]*node)
+	for idx := 0; idx < 8; idx++ {
+		ca := anchor
+		for i := 0; i < 3; i++ {
+			if idx&(1<<uint(i)) != 0 {
+				ca[i] += half
+			}
+		}
+		n.children[idx] = t.buildNode(buckets[idx], depth+1, ca, leafCap)
+	}
+	return n
+}
 
 func TestBuildFromPointsBasics(t *testing.T) {
 	pts := []Point{{0, 0, 0}, {1, 1, 1}, {15, 15, 15}, {15, 0, 0}, {0, 15, 0}}

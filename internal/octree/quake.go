@@ -50,30 +50,6 @@ func NewQuakeTree(maxDepth int) (*Tree, error) {
 	return BuildFromDepthFn(QuakeDepthFn(maxDepth), maxDepth)
 }
 
-// QuakePoints emits a deterministic point cloud whose density follows
-// QuakeDepthFn: one point per target-depth cell. Feeding it to
-// BuildFromPoints with capacity 1 reconstructs the same octree the
-// depth function builds directly, exercising the full §4.5 pipeline
-// from raw data (the path a real simulation output would take).
-func QuakePoints(maxDepth int) []Point {
-	fn := QuakeDepthFn(maxDepth)
-	l := 1 << uint(maxDepth)
-	var pts []Point
-	for z := 0; z < l; z++ {
-		for y := 0; y < l; y++ {
-			for x := 0; x < l; x++ {
-				d := fn(x, y, z)
-				side := 1 << uint(maxDepth-d)
-				// One point at each target-depth cell's anchor.
-				if x%side == 0 && y%side == 0 && z%side == 0 {
-					pts = append(pts, Point{x, y, z})
-				}
-			}
-		}
-	}
-	return pts
-}
-
 // minRegionLeaves is the smallest uniform region worth a MultiMap grid
 // (§4.5); smaller ones revert to the linear remainder.
 const minRegionLeaves = 64

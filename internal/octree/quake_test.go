@@ -10,6 +10,30 @@ import (
 	"repro/internal/mapping"
 )
 
+// QuakePoints emits a deterministic point cloud whose density follows
+// QuakeDepthFn: one point per target-depth cell. Feeding it to
+// BuildFromPoints with capacity 1 reconstructs the same octree the
+// depth function builds directly — the path a real simulation's raw
+// output would take into the §4.5 pipeline.
+func QuakePoints(maxDepth int) []Point {
+	fn := QuakeDepthFn(maxDepth)
+	l := 1 << uint(maxDepth)
+	var pts []Point
+	for z := 0; z < l; z++ {
+		for y := 0; y < l; y++ {
+			for x := 0; x < l; x++ {
+				d := fn(x, y, z)
+				side := 1 << uint(maxDepth-d)
+				// One point at each target-depth cell's anchor.
+				if x%side == 0 && y%side == 0 && z%side == 0 {
+					pts = append(pts, Point{x, y, z})
+				}
+			}
+		}
+	}
+	return pts
+}
+
 func quakeFixture(t *testing.T) (*lvm.Volume, *Tree) {
 	t.Helper()
 	v, err := lvm.New(32, disk.MediumTestDisk())

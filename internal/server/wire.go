@@ -164,9 +164,7 @@ type StatsResponse struct {
 // RangeTrailer closes every range stream: the query's aggregate Stats,
 // the error if any (partial results set Stats.Partial alongside it),
 // the session's lifetime Stats — the attribution the engine guarantees
-// sums to ServiceTotals.Attributed, so its Cells count every block
-// read, padding included, where the query's count useful cells — and
-// the store's per-class totals.
+// sums to ServiceTotals.Attributed — and the store's per-class totals.
 type RangeTrailer struct {
 	Stats        multimap.Stats         `json:"stats"`
 	Error        string                 `json:"error,omitempty"`

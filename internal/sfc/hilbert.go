@@ -60,24 +60,6 @@ func (h *Hilbert) Key(cell []int) (uint64, error) {
 	return h.interleaveTransposed(x), nil
 }
 
-// Cell inverts Key, writing the coordinate into out.
-func (h *Hilbert) Cell(key uint64, out []int) error {
-	if len(out) != len(h.dims) {
-		return fmt.Errorf("sfc: out has %d dims, want %d", len(out), len(h.dims))
-	}
-	if key >= 1<<uint(h.hier.keyBits) {
-		return fmt.Errorf("sfc: key %d outside curve space", key)
-	}
-	var scratch [maxKeyBits]uint32
-	x := scratch[:len(out)]
-	h.deinterleaveTransposed(key, x)
-	transposeToAxes(x, h.order)
-	for i := range out {
-		out[i] = int(x[i])
-	}
-	return nil
-}
-
 // interleaveTransposed packs the transposed representation into a
 // single integer: bit (order-1) of x[0] is the most significant key
 // bit, then bit (order-1) of x[1], and so on.
@@ -89,17 +71,6 @@ func (h *Hilbert) interleaveTransposed(x []uint32) uint64 {
 		}
 	}
 	return key
-}
-
-// deinterleaveTransposed inverts interleaveTransposed into the zeroed x.
-func (h *Hilbert) deinterleaveTransposed(key uint64, x []uint32) {
-	shift := h.hier.keyBits
-	for level := h.order - 1; level >= 0; level-- {
-		for i := range x {
-			shift--
-			x[i] |= uint32(key>>uint(shift)&1) << uint(level)
-		}
-	}
 }
 
 // axesToTranspose converts coordinates to the transposed Hilbert index
@@ -133,30 +104,5 @@ func axesToTranspose(x []uint32, order int) {
 	}
 	for i := 0; i < n; i++ {
 		x[i] ^= t
-	}
-}
-
-// transposeToAxes inverts axesToTranspose in place.
-func transposeToAxes(x []uint32, order int) {
-	n := len(x)
-	m := uint32(2) << uint(order-1)
-	// Gray decode by H ^ (H/2).
-	t := x[n-1] >> 1
-	for i := n - 1; i > 0; i-- {
-		x[i] ^= x[i-1]
-	}
-	x[0] ^= t
-	// Undo excess work.
-	for q := uint32(2); q != m; q <<= 1 {
-		p := q - 1
-		for i := n - 1; i >= 0; i-- {
-			if x[i]&q != 0 {
-				x[0] ^= p
-			} else {
-				t := (x[0] ^ x[i]) & p
-				x[0] ^= t
-				x[i] ^= t
-			}
-		}
 	}
 }

@@ -3,20 +3,16 @@ package sfc
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
-// Curve is an invertible mapping between grid cells and positions along
-// a space-filling curve. Keys are unique per cell but, on grids whose
-// side lengths are not powers of two, not dense: the curve also visits
-// points outside the grid.
+// Curve maps grid cells to positions along a space-filling curve. Keys
+// are unique per cell but, on grids whose side lengths are not powers of
+// two, not dense: the curve also visits points outside the grid.
 type Curve interface {
 	// Dims returns the grid shape the curve was built for.
 	Dims() []int
 	// Key returns the cell's position along the curve.
 	Key(cell []int) (uint64, error)
-	// Cell inverts Key into out.
-	Cell(key uint64, out []int) error
 	// tree returns the curve's hierarchy, which Ranked walks.
 	tree() *hierarchy
 }
@@ -120,17 +116,6 @@ func (r *Ranked) Rank(cell []int) (int64, error) {
 		return 0, fmt.Errorf("sfc: cell %v not in ranked grid", cell)
 	}
 	return r.runs[i].rank0 + off, nil
-}
-
-// CellAt inverts Rank, writing the cell with the given dense position
-// into out.
-func (r *Ranked) CellAt(rank int64, out []int) error {
-	if rank < 0 || rank >= r.n {
-		return fmt.Errorf("sfc: rank %d out of [0,%d)", rank, r.n)
-	}
-	// The run holding rank: the first whose successor starts past it.
-	i := sort.Search(len(r.runs)-1, func(i int) bool { return r.runs[i+1].rank0 > rank })
-	return r.curve.Cell(r.runs[i].key0+uint64(rank-r.runs[i].rank0), out)
 }
 
 // BoxRuns calls emit(rank0, n) for the maximal intervals of dense ranks

@@ -59,8 +59,8 @@ var refShapes = [][]int{
 }
 
 // TestRunsMatchSortedKeys: the runs are exactly the sorted key list —
-// Rank is a key's position in it, CellAt inverts that, the runs are
-// maximal, and a point of the key space outside the grid has no rank.
+// Rank is a key's position in it, the runs are maximal, and a cell of
+// the key space outside the grid has no rank.
 func TestRunsMatchSortedKeys(t *testing.T) {
 	for _, dims := range refShapes {
 		for name, c := range curvesFor(t, dims) {
@@ -70,16 +70,13 @@ func TestRunsMatchSortedKeys(t *testing.T) {
 				if r.Len() != int64(len(keys)) {
 					t.Fatalf("Len %d, want %d", r.Len(), len(keys))
 				}
-				cell, out := make([]int, len(dims)), make([]int, len(dims))
+				cell := make([]int, len(dims))
 				for {
 					k, _ := c.Key(cell)
 					want, _ := slices.BinarySearch(keys, k)
 					got, err := r.Rank(cell)
 					if err != nil || got != int64(want) {
 						t.Fatalf("Rank(%v) = %d, %v; key %d is at %d in the sorted list", cell, got, err, k, want)
-					}
-					if err := r.CellAt(got, out); err != nil || !slices.Equal(out, cell) {
-						t.Fatalf("CellAt(%d) = %v, %v; want %v", got, out, err, cell)
 					}
 					if !nextCell(cell, dims) {
 						break
@@ -94,13 +91,14 @@ func TestRunsMatchSortedKeys(t *testing.T) {
 				if got := len(r.runs) - 1; got != wantRuns {
 					t.Errorf("%d runs, the sorted keys have %d maximal ones", got, wantRuns)
 				}
-				// Every point of the key space off the grid is rejected.
-				for k := uint64(0); k < 1<<uint(c.tree().keyBits); k++ {
+				// Every cell of the key space off the grid is rejected.
+				for _, cell := range enumerate(curveSpace(c)) {
+					k, err := c.Key(cell)
+					if err != nil {
+						t.Fatal(err)
+					}
 					if _, in := slices.BinarySearch(keys, k); in {
 						continue
-					}
-					if err := c.Cell(k, cell); err != nil {
-						t.Fatal(err)
 					}
 					if rk, err := r.Rank(cell); err == nil {
 						t.Fatalf("Rank(%v) = %d for a cell outside the grid", cell, rk)

@@ -19,6 +19,29 @@ func enumerate(dims []int) [][]int {
 	return out
 }
 
+// curveSpace returns the shape of a curve's whole key space: every
+// side rounded up to the power of two the curve gives its axis. Key
+// maps the cells of this box one to one onto [0, 2^keyBits).
+func curveSpace(c Curve) []int {
+	dims := c.Dims()
+	space := make([]int, len(dims))
+	for i := range dims {
+		switch c := c.(type) {
+		case *Hilbert:
+			space[i] = 1 << uint(c.order)
+		case *ZOrder:
+			space[i] = 1 << uint(c.bw[i])
+		case *GrayCurve:
+			space[i] = 1 << uint(c.z.bw[i])
+		}
+	}
+	return space
+}
+
+// binaryToGray returns the reflected Gray code of v, which grayToBinary
+// decodes.
+func binaryToGray(v uint64) uint64 { return v ^ (v >> 1) }
+
 func curvesFor(t testing.TB, dims []int) map[string]Curve {
 	t.Helper()
 	z, err := NewZOrder(dims)
@@ -36,6 +59,10 @@ func curvesFor(t testing.TB, dims []int) map[string]Curve {
 	return map[string]Curve{"zorder": z, "hilbert": h, "gray": g}
 }
 
+// TestCurveBijectiveExhaustive: Key maps every cell of a curve's key
+// space (the grid's sides rounded up to powers of two, which holds the
+// grid) to a distinct key in [0, 2^keyBits), so it is a bijection of
+// that space and injective on the grid.
 func TestCurveBijectiveExhaustive(t *testing.T) {
 	shapes := [][]int{
 		{8, 8},
@@ -49,25 +76,24 @@ func TestCurveBijectiveExhaustive(t *testing.T) {
 	}
 	for _, dims := range shapes {
 		for name, c := range curvesFor(t, dims) {
+			space := curveSpace(c)
+			bits := c.tree().keyBits
 			seen := map[uint64][]int{}
-			for _, cell := range enumerate(dims) {
+			for _, cell := range enumerate(space) {
 				k, err := c.Key(cell)
 				if err != nil {
 					t.Fatalf("%s %v: Key(%v): %v", name, dims, cell, err)
+				}
+				if k >= 1<<uint(bits) {
+					t.Fatalf("%s %v: Key(%v) = %d outside the %d-bit curve", name, dims, cell, k, bits)
 				}
 				if prev, dup := seen[k]; dup {
 					t.Fatalf("%s %v: key %d for both %v and %v", name, dims, k, prev, cell)
 				}
 				seen[k] = cell
-				out := make([]int, len(dims))
-				if err := c.Cell(k, out); err != nil {
-					t.Fatalf("%s %v: Cell(%d): %v", name, dims, k, err)
-				}
-				for i := range out {
-					if out[i] != cell[i] {
-						t.Fatalf("%s %v: roundtrip %v -> %d -> %v", name, dims, cell, k, out)
-					}
-				}
+			}
+			if len(seen) != 1<<uint(bits) {
+				t.Fatalf("%s %v: %d keys over a %v key space, want 2^%d", name, dims, len(seen), space, bits)
 			}
 		}
 	}
@@ -98,30 +124,6 @@ func TestCurveValidation(t *testing.T) {
 		if _, err := c.Key([]int{-1, 0}); err == nil {
 			t.Error("negative coordinate accepted")
 		}
-		if err := c.Cell(0, make([]int, 3)); err == nil {
-			t.Error("wrong out arity accepted")
-		}
-	}
-}
-
-// TestCellRejectsKeyOutsideCurve: a key with bits above the curve's
-// width is not a position on it; dropping the high bits would alias a
-// valid cell.
-func TestCellRejectsKeyOutsideCurve(t *testing.T) {
-	dims := []int{5, 3, 3} // 3+2+2 key bits for Z-order and Gray, 3*3 for Hilbert
-	for name, c := range curvesFor(t, dims) {
-		t.Run(name, func(t *testing.T) {
-			bits := c.tree().keyBits
-			out := make([]int, len(dims))
-			if err := c.Cell(1<<uint(bits)-1, out); err != nil {
-				t.Errorf("last key of the curve rejected: %v", err)
-			}
-			for _, k := range []uint64{1 << uint(bits), 1<<uint(bits) | 5, 1 << 63, ^uint64(0)} {
-				if err := c.Cell(k, out); err == nil {
-					t.Errorf("key %#x accepted on a %d-bit curve as cell %v", k, bits, out)
-				}
-			}
-		})
 	}
 }
 
@@ -129,18 +131,12 @@ func TestCellRejectsKeyOutsideCurve(t *testing.T) {
 // fetch and insert: scratch lives on the stack.
 func TestLookupsDoNotAllocate(t *testing.T) {
 	dims := []int{19, 19, 19}
-	cell, out := []int{7, 18, 3}, make([]int, 3)
+	cell := []int{7, 18, 3}
 	for name, c := range curvesFor(t, dims) {
 		r := NewRanked(c)
-		key, err := c.Key(cell)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for op, f := range map[string]func(){
-			"Key":    func() { _, _ = c.Key(cell) },
-			"Cell":   func() { _ = c.Cell(key, out) },
-			"Rank":   func() { _, _ = r.Rank(cell) },
-			"CellAt": func() { _ = r.CellAt(r.Len()/2, out) },
+			"Key":  func() { _, _ = c.Key(cell) },
+			"Rank": func() { _, _ = r.Rank(cell) },
 		} {
 			if a := testing.AllocsPerRun(100, f); a != 0 {
 				t.Errorf("%s %s: %v allocs per call, want 0", name, op, a)
@@ -151,26 +147,29 @@ func TestLookupsDoNotAllocate(t *testing.T) {
 
 // TestHilbertUnitSteps: consecutive Hilbert keys map to cells at
 // Manhattan distance exactly 1 — the curve's defining continuity
-// property, and the reason it clusters better than Z-order.
+// property, and the reason it clusters better than Z-order. On a
+// power-of-two grid Key is a bijection onto [0, n), so the table it
+// builds lists the cell of every key.
 func TestHilbertUnitSteps(t *testing.T) {
 	for _, dims := range [][]int{{16, 16}, {8, 8, 8}, {4, 4, 4, 4}} {
 		h, err := NewHilbert(dims)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := int64(1)
-		for _, d := range dims {
-			n *= int64(d)
-		}
-		prev := make([]int, len(dims))
-		cur := make([]int, len(dims))
-		if err := h.Cell(0, prev); err != nil {
-			t.Fatal(err)
-		}
-		for k := int64(1); k < n; k++ {
-			if err := h.Cell(uint64(k), cur); err != nil {
+		cells := enumerate(dims)
+		byKey := make([][]int, len(cells))
+		for _, cell := range cells {
+			k, err := h.Key(cell)
+			if err != nil {
 				t.Fatal(err)
 			}
+			if k >= uint64(len(byKey)) || byKey[k] != nil {
+				t.Fatalf("%v: Key(%v) = %d, outside the grid's %d keys or taken", dims, cell, k, len(byKey))
+			}
+			byKey[k] = cell
+		}
+		for k := 1; k < len(byKey); k++ {
+			prev, cur := byKey[k-1], byKey[k]
 			dist := 0
 			for i := range cur {
 				d := cur[i] - prev[i]
@@ -183,7 +182,6 @@ func TestHilbertUnitSteps(t *testing.T) {
 				t.Fatalf("%v: Hilbert step %d -> %d moves distance %d (%v -> %v)",
 					dims, k-1, k, dist, prev, cur)
 			}
-			copy(prev, cur)
 		}
 	}
 }
@@ -238,6 +236,8 @@ func TestRankedDenseOnPow2(t *testing.T) {
 	}
 }
 
+// TestRankedBijective: Rank numbers the grid's cells densely — each a
+// distinct rank in [0, Len), with Len the cell count.
 func TestRankedBijective(t *testing.T) {
 	dims := []int{5, 3, 3}
 	for name, c := range curvesFor(t, dims) {
@@ -246,7 +246,6 @@ func TestRankedBijective(t *testing.T) {
 			t.Fatalf("%s: Len=%d, want 45", name, r.Len())
 		}
 		seen := make([]bool, r.Len())
-		out := make([]int, len(dims))
 		for _, cell := range enumerate(dims) {
 			rk, err := r.Rank(cell)
 			if err != nil {
@@ -259,14 +258,6 @@ func TestRankedBijective(t *testing.T) {
 				t.Fatalf("%s: rank %d assigned twice", name, rk)
 			}
 			seen[rk] = true
-			if err := r.CellAt(rk, out); err != nil {
-				t.Fatalf("%s: CellAt(%d): %v", name, rk, err)
-			}
-			for i := range out {
-				if out[i] != cell[i] {
-					t.Fatalf("%s: roundtrip %v -> %d -> %v", name, cell, rk, out)
-				}
-			}
 		}
 	}
 }
@@ -294,18 +285,6 @@ func TestRankedPreservesCurveOrder(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestRankedCellAtBounds(t *testing.T) {
-	c, _ := NewZOrder([]int{3, 3})
-	r := NewRanked(c)
-	out := make([]int, 2)
-	if err := r.CellAt(-1, out); err == nil {
-		t.Error("negative rank accepted")
-	}
-	if err := r.CellAt(9, out); err == nil {
-		t.Error("rank past end accepted")
 	}
 }
 

@@ -84,24 +84,6 @@ func (z *ZOrder) Key(cell []int) (uint64, error) {
 	return key, nil
 }
 
-// Cell inverts Key, writing the coordinate into out (len == len(dims)).
-func (z *ZOrder) Cell(key uint64, out []int) error {
-	if len(out) != len(z.dims) {
-		return fmt.Errorf("sfc: out has %d dims, want %d", len(out), len(z.dims))
-	}
-	if key >= 1<<uint(z.hier.keyBits) {
-		return fmt.Errorf("sfc: key %d outside curve space", key)
-	}
-	for i := range out {
-		out[i] = 0
-	}
-	// Consume bits in the same order Key produced them.
-	for j := 0; j < z.hier.keyBits; j++ {
-		out[z.hier.axis[j]] |= int(key>>uint(z.hier.keyBits-1-j)&1) << z.hier.shift[j]
-	}
-	return nil
-}
-
 func (z *ZOrder) validate(cell []int) error {
 	if len(cell) != len(z.dims) {
 		return fmt.Errorf("sfc: cell has %d dims, want %d", len(cell), len(z.dims))
@@ -149,18 +131,7 @@ func (g *GrayCurve) Key(cell []int) (uint64, error) {
 	return grayToBinary(zk), nil
 }
 
-// Cell inverts Key.
-func (g *GrayCurve) Cell(key uint64, out []int) error {
-	if key >= 1<<uint(g.hier.keyBits) {
-		return fmt.Errorf("sfc: key %d outside curve space", key)
-	}
-	return g.z.Cell(binaryToGray(key), out)
-}
-
-// binaryToGray returns the reflected Gray code of v.
-func binaryToGray(v uint64) uint64 { return v ^ (v >> 1) }
-
-// grayToBinary inverts binaryToGray.
+// grayToBinary decodes a reflected Gray code, v ^ v>>1 ^ v>>2 ^ …
 func grayToBinary(v uint64) uint64 {
 	for shift := uint(1); shift < 64; shift <<= 1 {
 		v ^= v >> shift

@@ -250,8 +250,7 @@ func (s *Session) Close(ctx context.Context) error {
 }
 
 // Totals returns the session's accumulated statistics across all its
-// queries on every shard, summed in shard order, in the members' unit:
-// Cells count every block read, padding included.
+// queries on every shard, summed in shard order.
 func (s *Session) Totals() engine.Stats {
 	var sum engine.Stats
 	for _, es := range s.es {

@@ -444,10 +444,7 @@ func (q *Session) Close(ctx context.Context) error {
 }
 
 // Stats returns the session's accumulated statistics across all its
-// completed operations (summed over the shards it touched). Its Cells
-// count every block read, padding included, as ServiceTotals.Attributed
-// does; a query's own Stats count useful cells, so over a session's
-// queries Σ(Cells + Padding) is Stats().Cells.
+// completed operations (summed over the shards it touched).
 func (q *Session) Stats() Stats { return q.ss.Totals() }
 
 // Mapping returns the store's placement algorithm.

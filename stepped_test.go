@@ -220,7 +220,8 @@ func TestWriteBackSteppedMix(t *testing.T) {
 // random shard's slab. The write-heavy run overflows the hot cells, so
 // its costs also pin where each shard's overflow pool lies. Chunking at
 // 512 cells splits none of the mix's queries, so that row equals the
-// unchunked one.
+// unchunked one. msPerCell spreads the session's simulated time over
+// its useful cells, the bridged padding excluded.
 func TestShardedWritesStepped(t *testing.T) {
 	type row struct {
 		ops                       int
@@ -232,11 +233,11 @@ func TestShardedWritesStepped(t *testing.T) {
 		issued, written, invalBlk int64
 	}
 	for _, w := range []row{
-		{32, 0, 0.3, 1, 0.11802685503029318, 26.692510932944742, 0.0784313725490196, 260, 72, 1},
-		{32, 0, 0.3, 2, 0.15790306439563653, 21.548833819242024, 0.06417112299465241, 223, 48, 0},
-		{32, 512, 0.3, 1, 0.11802685503029318, 26.692510932944742, 0.0784313725490196, 260, 72, 1},
-		{32, 512, 0.3, 2, 0.15790306439563653, 21.548833819242024, 0.06417112299465241, 223, 48, 0},
-		{128, 0, 0.9, 1, 1.5290183419966425, 46.98147764900621, 0.056338028169014086, 1115, 914, 1},
+		{32, 0, 0.3, 1, 1.4752337648605038, 26.692510932944742, 0.0784313725490196, 260, 72, 1},
+		{32, 0, 0.3, 2, 1.1807580174927137, 21.548833819242024, 0.06417112299465241, 223, 48, 0},
+		{32, 512, 0.3, 1, 1.4752337648605038, 26.692510932944742, 0.0784313725490196, 260, 72, 1},
+		{32, 512, 0.3, 2, 1.1807580174927137, 21.548833819242024, 0.06417112299465241, 223, 48, 0},
+		{128, 0, 0.9, 1, 14.421172995378404, 46.98147764900621, 0.056338028169014086, 1115, 914, 1},
 		{128, 0, 0.9, 2, 17.736045587065888, 45.72574252915424, 0.014285714285714285, 1087, 949, 0},
 	} {
 		r := steppedMix(t, 1, w.ops, w.writes, 5, WithShards(w.shards), WithChunkCells(w.chunk))

@@ -3,6 +3,7 @@ package multimap
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -90,42 +91,87 @@ func TestRangeQueryStreamChunks(t *testing.T) {
 	}
 }
 
-// TestCellUnits pins the two units of Cells: a query's Stats count the
-// useful cells fetched, while the session's lifetime Stats and the
-// service's Attributed count every block read, so over the session's
-// queries Σ(Cells + Padding) equals both, exactly.
+// TestCellUnits pins the one unit of Cells: every Stats, a query's and
+// a total's alike, counts useful cells in Cells and the blocks bridged
+// by gap padding in Padding. So Σ query Cells equals the sessions'
+// Stats().Cells and the service's Attributed.Cells, and Σ query Padding
+// equals each total's Padding, exactly. The lone row serves one
+// session's three ranges in order; the concurrent row serves them on
+// four sessions at once over one cached store, with chunks in flight
+// together, so the identity holds whatever batches the loop merges and
+// whichever requests the cache answers.
 func TestCellUnits(t *testing.T) {
-	vol, err := OpenVolume(AtlasTenKIII)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer vol.Close()
-	s, err := Open(vol, MultiMap, []int{64, 64, 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := s.Begin()
-	var cells, padding int64
-	for _, box := range [][2][]int{
+	boxes := [][2][]int{
 		{{0, 0, 0}, {64, 64, 32}},
 		{{8, 24, 40}, {24, 40, 56}},
 		{{3, 5, 7}, {61, 33, 21}},
+	}
+	for _, tc := range []struct {
+		name     string
+		sessions int
+		opts     []Option
+		// cells and padding are the lone session's sums, pinned; 0
+		// leaves them unpinned.
+		cells, padding int64
+	}{
+		{name: "lone", sessions: 1, cells: 157904, padding: 4417},
+		{name: "concurrent", sessions: 4, opts: []Option{WithCache(1 << 16), WithChunkCells(2048), WithMaxInflight(2)}},
 	} {
-		st, err := sess.RangeQuery(context.Background(), box[0], box[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		cells += st.Cells
-		padding += st.Padding
+		t.Run(tc.name, func(t *testing.T) {
+			vol, err := OpenVolume(AtlasTenKIII)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer vol.Close()
+			s, err := Open(vol, MultiMap, []int{64, 64, 64}, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sessions := make([]*Session, tc.sessions)
+			queries := make([]Stats, tc.sessions) // each session's queries, summed
+			errs := make([]error, tc.sessions)
+			var wg sync.WaitGroup
+			for i := range sessions {
+				sessions[i] = s.Begin()
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					for _, box := range boxes {
+						st, err := sessions[i].RangeQuery(context.Background(), box[0], box[1])
+						if err != nil {
+							errs[i] = err
+							return
+						}
+						queries[i].Accumulate(st)
+					}
+				}(i)
+			}
+			wg.Wait()
+			var q, totals Stats
+			for i, sess := range sessions {
+				if errs[i] != nil {
+					t.Fatalf("session %d: %v", i, errs[i])
+				}
+				q.Accumulate(queries[i])
+				totals.Accumulate(sess.Stats())
+			}
+			if q.Padding == 0 {
+				t.Fatal("no padding bridged; the boxes do not tell cells from blocks read")
+			}
+			if tc.cells != 0 && (q.Cells != tc.cells || q.Padding != tc.padding) {
+				t.Fatalf("queries: %d cells, %d padding, want %d and %d", q.Cells, q.Padding, tc.cells, tc.padding)
+			}
+			tot := vol.ServiceTotals()
+			for _, c := range []struct {
+				name string
+				st   Stats
+			}{{"sessions' Stats()", totals}, {"Attributed", tot.Attributed}} {
+				if c.st.Cells != q.Cells || c.st.Padding != q.Padding {
+					t.Fatalf("%s: %d cells, %d padding; the queries: %d and %d", c.name, c.st.Cells, c.st.Padding, q.Cells, q.Padding)
+				}
+			}
+			t.Logf("%d sessions: %d cells, %d padding; %d batches, %d merged, %d cache hits",
+				tc.sessions, q.Cells, q.Padding, tot.Batches, tot.MergedBatches, tot.Attributed.CacheHits)
+		})
 	}
-	if padding == 0 {
-		t.Fatal("no padding bridged; the boxes do not tell the units apart")
-	}
-	if got := sess.Stats().Cells; got != cells+padding {
-		t.Fatalf("session Stats().Cells %d, want Σ(Cells + Padding) = %d + %d", got, cells, padding)
-	}
-	if got := vol.ServiceTotals().Attributed.Cells; got != cells+padding {
-		t.Fatalf("Attributed.Cells %d, want Σ(Cells + Padding) = %d + %d", got, cells, padding)
-	}
-	t.Logf("queries: %d cells + %d padding; session and Attributed: %d blocks", cells, padding, cells+padding)
 }
