@@ -30,7 +30,7 @@ func main() {
 		disks    = flag.String("disks", "", "comma-separated disk models (default: the paper's two drives); available: "+strings.Join(multimap.DiskModels(), ", "))
 		clients  = flag.Int("clients", 0, "concurrent wire sessions for -remote (0 = default 4)")
 		queries  = flag.Int("queries", 0, "operations each -remote session issues (0 = default 32)")
-		writes   = flag.Float64("writes", 0, "fraction in [0,1) of each -remote session's operations that are single-point inserts (0 = read-only)")
+		writes   = flag.Float64("writes", 0, "fraction in [0,1) of each -remote session's operations that are single-point writes, each an insert or a delete of a point the session inserted, then a fetch of the cell (0 = read-only)")
 		deadline = flag.Duration("deadline", 0, "per-operation deadline of every -remote session, sent as deadline_ms, e.g. 50ms (0 = none)")
 		remote   = flag.String("remote", "", "client mode: drive serve-style load against a running mmserved daemon at this address (host:port) instead of running experiments in-process; uses -store, -class, -clients, -queries, -writes, -deadline, -seed")
 		store    = flag.String("store", "", "store name on the daemon for -remote mode")

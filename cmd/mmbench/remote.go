@@ -56,7 +56,8 @@ type remoteClientRow struct {
 
 // runRemote drives serve-style load against a running mmserved daemon:
 // N concurrent wire sessions each issue Q streamed range queries (with
-// an optional fraction of insert bursts) against one store, then the
+// an optional fraction of writes, each an insert or a delete followed
+// by a fetch of its cell) against one store, then the
 // run reports per-client simulated cost, host latency, first-chunk
 // latency — the streaming proof — and the daemon's own metrics
 // snapshot. It fails if any operation failed for a reason other than
@@ -177,17 +178,10 @@ func runRemoteClient(ctx context.Context, c *server.Client, cfg remoteConfig, id
 		return row
 	}
 	row.session = sess
+	var inserted [][]int // cells holding a point this session inserted
 	for q := 0; q < queries; q++ {
 		if cfg.Writes > 0 && rng.Float64() < cfg.Writes {
-			cell := make([]int, len(dims))
-			for d := range dims {
-				cell[d] = rng.Intn(dims[d])
-			}
-			st, err := c.Insert(ctx, cfg.Store, sess, cell, deadlineMs)
-			row.stats.Accumulate(st)
-			if err != nil {
-				row.fail(err, deadlineMs)
-			}
+			inserted = row.write(ctx, c, cfg.Store, sess, rng, dims, inserted, deadlineMs)
 			continue
 		}
 		lo, hi := randomBox(rng, dims)
@@ -213,6 +207,42 @@ func runRemoteClient(ctx context.Context, c *server.Client, cfg remoteConfig, id
 		row.errs++
 	}
 	return row
+}
+
+// write is one op of the -writes mix: with probability ½ it deletes a
+// point this session inserted earlier, so a delete never meets an empty
+// cell, and otherwise it inserts one into a random cell. A FetchCell of
+// the same cell follows, reading the chain the write left. It returns
+// the session's inserted cells after the op.
+func (row *remoteClientRow) write(ctx context.Context, c *server.Client, store, sess string, rng *rand.Rand, dims []int, inserted [][]int, deadlineMs int64) [][]int {
+	var cell []int
+	var st multimap.Stats
+	var err error
+	if len(inserted) > 0 && rng.Intn(2) == 0 {
+		k := rng.Intn(len(inserted))
+		cell = inserted[k]
+		inserted[k] = inserted[len(inserted)-1]
+		inserted = inserted[:len(inserted)-1]
+		st, err = c.Delete(ctx, store, sess, cell, deadlineMs)
+	} else {
+		cell = make([]int, len(dims))
+		for d := range dims {
+			cell[d] = rng.Intn(dims[d])
+		}
+		if st, err = c.Insert(ctx, store, sess, cell, deadlineMs); err == nil {
+			inserted = append(inserted, cell)
+		}
+	}
+	row.stats.Accumulate(st)
+	if err != nil {
+		row.fail(err, deadlineMs)
+	}
+	st, err = c.FetchCell(ctx, store, sess, cell, deadlineMs)
+	row.stats.Accumulate(st)
+	if err != nil {
+		row.fail(err, deadlineMs)
+	}
+	return inserted
 }
 
 // randomBox picks a non-empty axis-aligned box inside dims, biased

@@ -116,7 +116,9 @@
 // session — can replay a stale, pre-update extent: with the cache on,
 // post-update fetch costs are identical to a cache-off run.
 // Store.Begin opens sessions that mix queries with updates
-// concurrently.
+// concurrently. examples/updates grows overflow chains block by block,
+// prints the FetchCell cost per chain length, and deletes until a chain
+// is reorganized.
 //
 // # Write-back caching and group commit
 //
@@ -268,7 +270,10 @@
 // extent), charged to the writing session like any write and counted
 // in Stats.CowFaultBlocks. Pool.Destroy flushes, drains, and returns
 // the tenant's extents to the pool; Pool.Tenants and Pool.Usage
-// surface per-tenant and per-drive accounting.
+// surface per-tenant and per-drive accounting. examples/tenants runs
+// the whole lifecycle — auto-grow, Pool.Grow, Snapshot, Clone, a COW
+// fault, Snapshot.Free and Destroy — and exits 1 unless Pool.Usage is
+// back at its start state.
 //
 // The COW-versus-write-back coherence contract: Snapshot flushes the
 // tenant's write-back dirty buffers before freezing, so acknowledged
@@ -288,7 +293,8 @@
 // larger than one increment simply loops — so the update succeeds
 // without the caller ever seeing core.ErrOverflowExhausted. A
 // genuinely full drive still errors. Auto-grown capacity is audited
-// per drive in Pool.Usage (DriveUsage.AutoGrownBlocks).
+// per drive in Pool.Usage (DriveUsage.AutoGrownBlocks) for as long as a
+// tenant, snapshot or clone references it.
 //
 // # Network daemon: sessions over the wire
 //

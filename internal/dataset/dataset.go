@@ -1,7 +1,6 @@
 // Package dataset provides the grid-dataset abstraction shared by the
-// paper's three evaluation workloads (§5.1): grid shapes, per-disk
-// chunking, deterministic synthetic generators, and the random beam and
-// range queries drawn over them.
+// paper's three evaluation workloads (§5.1): a validated grid shape and
+// the random beam and range queries drawn over it.
 package dataset
 
 import (
@@ -26,77 +25,6 @@ func NewGrid(dims ...int) (*Grid, error) {
 		}
 	}
 	return &Grid{dims: append([]int(nil), dims...)}, nil
-}
-
-// Chunk is an axis-aligned sub-grid produced by Chunks.
-type Chunk struct {
-	// Lo is the chunk's origin in the parent grid.
-	Lo []int
-	// Dims is the chunk's shape.
-	Dims []int
-}
-
-// Chunks partitions the grid into chunks of at most maxSide cells per
-// dimension, in row-major chunk order. This reproduces §5.3's
-// partitioning of the 1024^3 dataset into 259^3 per-disk chunks.
-func (g *Grid) Chunks(maxSide []int) ([]Chunk, error) {
-	if len(maxSide) != len(g.dims) {
-		return nil, fmt.Errorf("dataset: maxSide arity %d, want %d", len(maxSide), len(g.dims))
-	}
-	per := make([]int, len(g.dims))
-	for i := range g.dims {
-		if maxSide[i] <= 0 {
-			return nil, fmt.Errorf("dataset: maxSide[%d] must be positive", i)
-		}
-		per[i] = (g.dims[i] + maxSide[i] - 1) / maxSide[i]
-	}
-	var out []Chunk
-	idx := make([]int, len(g.dims))
-	for {
-		c := Chunk{Lo: make([]int, len(g.dims)), Dims: make([]int, len(g.dims))}
-		for i := range g.dims {
-			c.Lo[i] = idx[i] * maxSide[i]
-			c.Dims[i] = maxSide[i]
-			if c.Lo[i]+c.Dims[i] > g.dims[i] {
-				c.Dims[i] = g.dims[i] - c.Lo[i]
-			}
-		}
-		out = append(out, c)
-		i := 0
-		for i < len(idx) {
-			idx[i]++
-			if idx[i] < per[i] {
-				break
-			}
-			idx[i] = 0
-			i++
-		}
-		if i == len(idx) {
-			return out, nil
-		}
-	}
-}
-
-// Synthetic3D returns the paper's synthetic uniform dataset (§5.3):
-// 1024^3 cells chunked into at most 259^3 per disk. scale in (0,1]
-// shrinks both proportionally for fast runs; scale 1 is paper size.
-func Synthetic3D(scale float64) (grid *Grid, chunkSide int, err error) {
-	if scale <= 0 || scale > 1 {
-		return nil, 0, fmt.Errorf("dataset: scale %v outside (0,1]", scale)
-	}
-	side := int(1024 * scale)
-	if side < 8 {
-		side = 8
-	}
-	chunkSide = int(259 * scale)
-	if chunkSide < 4 {
-		chunkSide = 4
-	}
-	g, err := NewGrid(side, side, side)
-	if err != nil {
-		return nil, 0, err
-	}
-	return g, chunkSide, nil
 }
 
 // RandomBeam draws a beam query for the grid: the dimension dim varies

@@ -18,92 +18,6 @@ func TestNewGridValidation(t *testing.T) {
 	}
 }
 
-func TestChunksTileGrid(t *testing.T) {
-	g, _ := NewGrid(10, 7)
-	chunks, err := g.Chunks([]int{4, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3 x 3 chunks; total cells must equal the grid.
-	if len(chunks) != 9 {
-		t.Fatalf("got %d chunks, want 9", len(chunks))
-	}
-	var cells int64
-	seen := map[[2]int]bool{}
-	for _, c := range chunks {
-		n := int64(1)
-		for i := range c.Dims {
-			if c.Dims[i] < 1 || c.Dims[i] > []int{4, 3}[i] {
-				t.Fatalf("chunk dims out of bounds: %+v", c)
-			}
-			n *= int64(c.Dims[i])
-		}
-		cells += n
-		key := [2]int{c.Lo[0], c.Lo[1]}
-		if seen[key] {
-			t.Fatalf("duplicate chunk at %v", key)
-		}
-		seen[key] = true
-	}
-	if cells != 10*7 {
-		t.Fatalf("chunks cover %d cells, grid has %d", cells, 10*7)
-	}
-}
-
-func TestChunksPaperShape(t *testing.T) {
-	// §5.3: 1024^3 partitioned into at most 259^3 chunks -> 4^3 chunks,
-	// the corner ones truncated to 247.
-	g, _ := NewGrid(1024, 1024, 1024)
-	chunks, err := g.Chunks([]int{259, 259, 259})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chunks) != 64 {
-		t.Fatalf("got %d chunks, want 64", len(chunks))
-	}
-	first := chunks[0]
-	if first.Dims[0] != 259 {
-		t.Errorf("interior chunk side %d, want 259", first.Dims[0])
-	}
-	last := chunks[63]
-	if last.Dims[0] != 1024-3*259 {
-		t.Errorf("edge chunk side %d, want %d", last.Dims[0], 1024-3*259)
-	}
-}
-
-func TestChunksValidation(t *testing.T) {
-	g, _ := NewGrid(10, 7)
-	if _, err := g.Chunks([]int{4}); err == nil {
-		t.Error("arity mismatch accepted")
-	}
-	if _, err := g.Chunks([]int{4, 0}); err == nil {
-		t.Error("zero chunk side accepted")
-	}
-}
-
-func TestSynthetic3D(t *testing.T) {
-	g, chunk, err := Synthetic3D(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.dims[0] != 1024 || chunk != 259 {
-		t.Errorf("full scale: dims=%v chunk=%d", g.dims, chunk)
-	}
-	g, chunk, err = Synthetic3D(0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.dims[0] != 256 || chunk != 64 {
-		t.Errorf("quarter scale: dims=%v chunk=%d", g.dims, chunk)
-	}
-	if _, _, err := Synthetic3D(0); err == nil {
-		t.Error("scale 0 accepted")
-	}
-	if _, _, err := Synthetic3D(1.5); err == nil {
-		t.Error("scale >1 accepted")
-	}
-}
-
 func TestRandomBeamInRange(t *testing.T) {
 	g, _ := NewGrid(20, 30, 40)
 	rng := rand.New(rand.NewSource(3))

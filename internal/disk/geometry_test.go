@@ -7,7 +7,7 @@ import (
 )
 
 func testGeometries() []*Geometry {
-	return []*Geometry{SmallTestDisk(), AtlasTenKIII(), CheetahThirtySixES(), SyntheticModern()}
+	return []*Geometry{SmallTestDisk(), AtlasTenKIII(), CheetahThirtySixES()}
 }
 
 func TestNewGeometryValidation(t *testing.T) {
@@ -181,7 +181,7 @@ func TestZoneOfMatchesDecode(t *testing.T) {
 }
 
 func TestTrackLenDecreasesInward(t *testing.T) {
-	for _, g := range []*Geometry{AtlasTenKIII(), CheetahThirtySixES(), SyntheticModern()} {
+	for _, g := range []*Geometry{AtlasTenKIII(), CheetahThirtySixES()} {
 		for i := 1; i < g.NumZones(); i++ {
 			if g.Zones[i].SectorsPerTrack > g.Zones[i-1].SectorsPerTrack {
 				t.Errorf("%s: zone %d longer than zone %d", g.Name, i, i-1)

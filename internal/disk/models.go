@@ -86,30 +86,6 @@ func CheetahThirtySixES() *Geometry {
 	})
 }
 
-// SyntheticModern is a higher-density drive outside the paper's testbed,
-// used by ablation benchmarks to check that MultiMap's advantage tracks
-// the settle-time/track-density trend the paper extrapolates (§3.1).
-func SyntheticModern() *Geometry {
-	const (
-		rpm        = 10000
-		rotationMs = 60000.0 / rpm
-		headSwitch = 0.60
-		settle     = 0.90
-	)
-	return MustGeometry(Geometry{
-		Name:         "Synthetic Modern 10k",
-		RPM:          rpm,
-		Surfaces:     4,
-		Zones:        makeZones(48000, 14, 1200, 720, rotationMs, headSwitch, settle),
-		SettleMs:     settle,
-		SettleCyls:   50,
-		HeadSwitchMs: headSwitch,
-		SeekAvgMs:    4.2,
-		SeekMaxMs:    9.5,
-		CommandMs:    0.15,
-	})
-}
-
 // SmallTestDisk is a deliberately tiny geometry (two zones, short
 // tracks) for fast exhaustive tests.
 func SmallTestDisk() *Geometry {
@@ -158,7 +134,6 @@ type ModelName string
 var modelRegistry = map[string]func() *Geometry{
 	"atlas10k3":   AtlasTenKIII,
 	"cheetah36es": CheetahThirtySixES,
-	"modern":      SyntheticModern,
 	"smalltest":   SmallTestDisk,
 	"mediumtest":  MediumTestDisk,
 }

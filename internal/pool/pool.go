@@ -54,6 +54,7 @@ type drive struct {
 	zones []zinfo
 	free  []run // ascending (zi, start)
 	total int64 // blocks
+	auto  int64 // blocks of live extents an auto-grow carved
 }
 
 // pext is one allocated pool extent, the refcounted unit of space. It
@@ -66,6 +67,7 @@ type pext struct {
 	n     int // tracks
 	tl    int
 	refs  int
+	auto  bool // carved by an auto-grow
 }
 
 func (e *pext) blocks() int64 { return int64(e.n) * int64(e.tl) }
@@ -111,11 +113,14 @@ func New(adjDepth int, geoms ...*disk.Geometry) (*Pool, error) {
 // NumDrives returns the number of pooled drives.
 func (p *Pool) NumDrives() int { return len(p.drives) }
 
-// DriveUsage is one drive's space accounting.
+// DriveUsage is one drive's space accounting. AutoGrownBlocks counts
+// the allocated blocks that auto-grows carved, whoever still references
+// them.
 type DriveUsage struct {
-	Name        string
-	TotalBlocks int64
-	FreeBlocks  int64
+	Name            string
+	TotalBlocks     int64
+	FreeBlocks      int64
+	AutoGrownBlocks int64
 }
 
 // Usage returns per-drive space accounting.
@@ -128,7 +133,7 @@ func (p *Pool) Usage() []DriveUsage {
 		for _, r := range d.free {
 			free += int64(r.n) * int64(d.zones[r.zi].tl)
 		}
-		out[i] = DriveUsage{Name: d.dr.Geometry().Name, TotalBlocks: d.total, FreeBlocks: free}
+		out[i] = DriveUsage{Name: d.dr.Geometry().Name, TotalBlocks: d.total, FreeBlocks: free, AutoGrownBlocks: d.auto}
 	}
 	return out
 }
@@ -257,6 +262,9 @@ func (p *Pool) release(pe *pext) {
 		return
 	}
 	d := p.drives[pe.di]
+	if pe.auto {
+		d.auto -= pe.blocks()
+	}
 	nr := run{zi: pe.zi, start: pe.start, n: pe.n}
 	i := sort.Search(len(d.free), func(i int) bool {
 		if d.free[i].zi != nr.zi {
@@ -330,7 +338,9 @@ func (p *Pool) NewVolume(blocks int64, prefer []int) (*Vol, error) {
 // Grow extends the volume online by at least blocks blocks — lvextend:
 // the new extents append to the VLBN space atomically while traffic is
 // in flight, and existing segment indices and addresses are unchanged.
-func (v *Vol) Grow(blocks int64, prefer []int) error {
+// auto marks the growth as an auto-grow's, which Usage counts per drive
+// until its extents are released.
+func (v *Vol) Grow(blocks int64, prefer []int, auto bool) error {
 	p := v.p
 	p.mu.Lock()
 	if v.freed {
@@ -341,6 +351,11 @@ func (v *Vol) Grow(blocks int64, prefer []int) error {
 	if err != nil {
 		p.mu.Unlock()
 		return err
+	}
+	for _, pe := range pes {
+		if pe.auto = auto; auto {
+			p.drives[pe.di].auto += pe.blocks()
+		}
 	}
 	v.refs = append(v.refs, pes...)
 	p.mu.Unlock()

@@ -137,7 +137,7 @@ func TestGrow(t *testing.T) {
 	}
 	lv := v.Volume()
 	before := lv.TotalBlocks()
-	if err := v.Grow(before+5, []int{1}); err != nil {
+	if err := v.Grow(before+5, []int{1}, false); err != nil {
 		t.Fatal(err)
 	}
 	if lv.TotalBlocks() < 2*before+5 {
@@ -154,11 +154,11 @@ func TestGrow(t *testing.T) {
 	if n := len(distinctDisks(lv)); n != 2 {
 		t.Fatalf("grown volume spans %d drives, want 2", n)
 	}
-	if err := v.Grow(0, nil); err == nil {
+	if err := v.Grow(0, nil, false); err == nil {
 		t.Error("zero-block growth accepted")
 	}
 	v.Free()
-	if err := v.Grow(100, nil); err == nil {
+	if err := v.Grow(100, nil, false); err == nil {
 		t.Error("growth of a freed volume accepted")
 	}
 	v.Free() // idempotent

@@ -211,8 +211,12 @@ func (s *Server) storeInfoLocked(se *storeEntry) StoreInfo {
 
 // buildOptions translates the wire spec's knob fields into the
 // library's functional options; zero values stay unset. A microsecond
-// knob out of range fails, naming its field.
+// knob out of range fails, naming its field, and so does a field that
+// another field's setting would leave without effect.
 func buildOptions(req OpenStoreRequest) ([]multimap.Option, error) {
+	if err := unusedField(req); err != nil {
+		return nil, err
+	}
 	aging, err := wireUs("deadline_aging_us", req.DeadlineAgingUs)
 	if err != nil {
 		return nil, err
@@ -259,6 +263,24 @@ func buildOptions(req OpenStoreRequest) ([]multimap.Option, error) {
 		opts = append(opts, multimap.WithDrives(req.Drives...))
 	}
 	return opts, nil
+}
+
+// unusedField refuses a known field that the spec would ignore, as
+// DecodeStrict refuses an unknown one: a pool tenant's drives and
+// adjacency depth are the pool's, and the write-back triggers need
+// write-back on.
+func unusedField(req OpenStoreRequest) error {
+	switch {
+	case req.Pool != "" && len(req.Disks) > 0:
+		return fmt.Errorf(`"disks" is not used with "pool": a tenant lives on the pool's drives`)
+	case req.Pool != "" && req.AdjDepth != 0:
+		return fmt.Errorf(`"adj_depth" is not used with "pool": the pool sets the adjacency depth`)
+	case !req.WriteBack && req.WBWatermarkBlocks != 0:
+		return fmt.Errorf(`"wb_watermark_blocks" needs "write_back":true`)
+	case !req.WriteBack && req.WBIntervalUs != 0:
+		return fmt.Errorf(`"wb_interval_us" needs "write_back":true`)
+	}
+	return nil
 }
 
 // wireUs reads a microsecond knob of a store spec in 0..maxWireMs·1000,

@@ -737,6 +737,49 @@ func TestHostileOpens(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsIgnoredFields: a store-spec field that another field
+// leaves without effect is a 400 naming it, and opens nothing — a pool
+// tenant's disks and adj_depth (the pool's drives and depth apply), and
+// the write-back triggers without write_back. Each field is accepted
+// where it applies.
+func TestOpenRejectsIgnoredFields(t *testing.T) {
+	srv := New()
+	defer srv.Close(context.Background())
+	if code, msg := hostile(t, srv, "POST", "/v1/pools",
+		strings.NewReader(`{"name":"p","drives":["mediumtest"],"adj_depth":32}`)); code != http.StatusCreated {
+		t.Fatalf("open pool: status %d, error %q", code, msg)
+	}
+	const tenant = `{"name":"x","pool":"p","mapping":"multimap","dims":[8,8,4]%s}`
+	const private = `{"name":"x","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4]%s}`
+	for _, tc := range []struct{ body, field string }{
+		{fmt.Sprintf(tenant, `,"disks":["mediumtest"]`), "disks"},
+		{fmt.Sprintf(tenant, `,"adj_depth":32`), "adj_depth"},
+		{fmt.Sprintf(private, `,"wb_watermark_blocks":64`), "wb_watermark_blocks"},
+		{fmt.Sprintf(private, `,"wb_interval_us":1000`), "wb_interval_us"},
+		{fmt.Sprintf(tenant, `,"write_back":false,"wb_interval_us":1000`), "wb_interval_us"},
+	} {
+		code, msg := hostile(t, srv, "POST", "/v1/stores", strings.NewReader(tc.body))
+		if code != http.StatusBadRequest || !strings.Contains(msg, `"`+tc.field+`"`) {
+			t.Errorf("%s: status %d, error %q; want 400 naming %q", tc.body, code, msg, tc.field)
+		}
+	}
+	srv.mu.Lock()
+	stores := len(srv.stores)
+	srv.mu.Unlock()
+	if stores != 0 {
+		t.Fatalf("rejected specs left %d stores open", stores)
+	}
+	for i, body := range []string{
+		fmt.Sprintf(tenant, ``),
+		fmt.Sprintf(private, `,"write_back":true,"wb_watermark_blocks":64,"wb_interval_us":1000`),
+	} {
+		body = strings.Replace(body, `"x"`, fmt.Sprintf(`"ok%d"`, i), 1)
+		if code, msg := hostile(t, srv, "POST", "/v1/stores", strings.NewReader(body)); code != http.StatusCreated {
+			t.Errorf("%s: status %d, error %q; want 201", body, code, msg)
+		}
+	}
+}
+
 // TestQoSClassWireBytes pins the open request's bytes across the move
 // from the server's own ClassSpec mirror to the tagged engine type:
 // the literals are the parent commit's encoding.

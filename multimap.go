@@ -24,7 +24,6 @@ type DiskModel = disk.ModelName
 const (
 	AtlasTenKIII       DiskModel = "atlas10k3"
 	CheetahThirtySixES DiskModel = "cheetah36es"
-	SyntheticModern    DiskModel = "modern"
 	SmallTestDisk      DiskModel = "smalltest"
 	MediumTestDisk     DiskModel = "mediumtest"
 )

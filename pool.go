@@ -88,11 +88,10 @@ func WithAutoGrow(increment int64) PoolOption {
 // tenant's Store — capacity changes publish atomically to the running
 // services.
 type Pool struct {
-	mu        sync.Mutex
-	p         *pool.Pool
-	tenants   map[string]*Tenant
-	autoGrow  int64   // WithAutoGrow increment; 0 = off
-	autoGrown []int64 // per-drive blocks allocated by auto-grows
+	mu       sync.Mutex
+	p        *pool.Pool
+	tenants  map[string]*Tenant
+	autoGrow int64 // WithAutoGrow increment; 0 = off
 }
 
 // OpenPool builds a drive pool (see WithPoolDrives / WithPoolDepth).
@@ -121,12 +120,7 @@ func OpenPool(opts ...PoolOption) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Pool{
-		p:         pp,
-		tenants:   make(map[string]*Tenant),
-		autoGrow:  pc.autoGrow,
-		autoGrown: make([]int64, len(geoms)),
-	}, nil
+	return &Pool{p: pp, tenants: make(map[string]*Tenant), autoGrow: pc.autoGrow}, nil
 }
 
 // Tenant is one dataset hosted by a Pool: its Store plus the
@@ -179,22 +173,18 @@ type DriveUsage struct {
 	FreeBlocks  int64  `json:"free_blocks"`
 	// AutoGrownBlocks is how many of the drive's allocated blocks came
 	// from WithAutoGrow growths rather than explicit Create/Grow calls —
-	// the thin-provisioning drift auto-grow introduced. Always 0 without
-	// WithAutoGrow.
+	// the thin-provisioning drift auto-grow introduced. The blocks stay
+	// counted while a tenant, snapshot or clone references them, and
+	// leave the count with the space. Always 0 without WithAutoGrow.
 	AutoGrownBlocks int64 `json:"auto_grown_blocks,omitempty"`
 }
 
 // Usage returns per-drive space accounting, in drive index order.
 func (p *Pool) Usage() []DriveUsage {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	us := p.p.Usage()
 	out := make([]DriveUsage, len(us))
 	for i, u := range us {
-		out[i] = DriveUsage{
-			Name: u.Name, TotalBlocks: u.TotalBlocks, FreeBlocks: u.FreeBlocks,
-			AutoGrownBlocks: p.autoGrown[i],
-		}
+		out[i] = DriveUsage(u)
 	}
 	return out
 }
@@ -359,18 +349,18 @@ func (p *Pool) Grow(ctx context.Context, name string, blocks int64) error {
 	if !ok {
 		return fmt.Errorf("multimap: no tenant %q", name)
 	}
-	return p.growLocked(t, blocks)
+	return p.growLocked(t, blocks, false)
 }
 
-// growLocked is Grow's body, shared with the auto-grow hook. Caller
-// holds p.mu.
-func (p *Pool) growLocked(t *Tenant, blocks int64) error {
+// growLocked is Grow's body, shared with the auto-grow hook, which
+// passes auto. Caller holds p.mu.
+func (p *Pool) growLocked(t *Tenant, blocks int64, auto bool) error {
 	shards := int64(len(t.vols))
 	per := (blocks + shards - 1) / shards
 	for i, pv := range t.vols {
 		lv := pv.Volume()
 		old := lv.TotalBlocks()
-		if err := pv.Grow(per, rotated(p.p.NumDrives(), t.allowed, i)); err != nil {
+		if err := pv.Grow(per, rotated(p.p.NumDrives(), t.allowed, i), auto); err != nil {
 			return err
 		}
 		if t.store.cells == nil {
@@ -393,9 +383,9 @@ func (p *Pool) growLocked(t *Tenant, blocks int64) error {
 }
 
 // autoGrowHook builds the Store-level retry hook for one tenant: grow
-// by the pool's increment through the ordinary Grow path and account
-// the allocated blocks per drive. Safe under live traffic — the update
-// path invokes it outside any pool lock.
+// by the pool's increment through the ordinary Grow path, marked as an
+// auto-grow so Usage accounts its blocks per drive. Safe under live
+// traffic — the update path invokes it outside any pool lock.
 func (p *Pool) autoGrowHook(name string) func() error {
 	return func() error {
 		p.mu.Lock()
@@ -404,14 +394,7 @@ func (p *Pool) autoGrowHook(name string) func() error {
 		if !ok {
 			return fmt.Errorf("multimap: no tenant %q", name)
 		}
-		before := p.p.Usage()
-		if err := p.growLocked(t, p.autoGrow); err != nil {
-			return err
-		}
-		for i, u := range p.p.Usage() {
-			p.autoGrown[i] += before[i].FreeBlocks - u.FreeBlocks
-		}
-		return nil
+		return p.growLocked(t, p.autoGrow, true)
 	}
 }
 

@@ -420,7 +420,8 @@ func TestPoolAccounting(t *testing.T) {
 // pool grows it mid-insert and retries), the growth is visible in the
 // tenant's allocated blocks and in Usage's per-drive AutoGrownBlocks
 // on exactly the tenant's drive, and a bulk LoadCell that exhausts the
-// pool mid-load lands every requested point across the growth.
+// pool mid-load lands every requested point across the growth. The
+// count falls back to 0 once nothing references the grown extents.
 func TestPoolAutoGrow(t *testing.T) {
 	ctx := context.Background()
 	p, err := OpenPool(WithPoolDrives(MediumTestDisk, MediumTestDisk),
@@ -481,6 +482,25 @@ func TestPoolAutoGrow(t *testing.T) {
 	}
 	if tb.Blocks() <= grown {
 		t.Fatal("bulk load never triggered a second auto-grow")
+	}
+
+	// The auto-grown blocks leave the count with the space: a snapshot
+	// keeps them allocated past the tenant's destroy, and its Free
+	// returns the drive to a count of 0.
+	autoGrown := tb.Blocks() - initial
+	snap, err := p.Snapshot(ctx, "tenant-b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Destroy(ctx, "tenant-b"); err != nil {
+		t.Fatal(err)
+	}
+	if us = p.Usage(); us[1].AutoGrownBlocks != autoGrown {
+		t.Fatalf("snapshot holds %d auto-grown blocks, drive accounts %d", autoGrown, us[1].AutoGrownBlocks)
+	}
+	snap.Free()
+	if us = p.Usage(); us[1].AutoGrownBlocks != 0 || us[1].FreeBlocks != us[1].TotalBlocks {
+		t.Fatalf("drive 1 after destroy and free: %+v, want every block free and none auto-grown", us[1])
 	}
 
 	// The increment must be positive.
