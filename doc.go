@@ -85,14 +85,17 @@
 // shared extent cache — an LRU over coalesced [lbn, lbn+count) block
 // extents — lets overlapping queries skip re-simulated I/O entirely,
 // with hits and misses surfaced in Stats. The extents live in one
-// arena and name each other by index; they sit in a chunked sorted
-// array (sorted leaves of at most 256 entries, binary search over the
-// leaves' first keys, then inside one leaf; leaves split when full and
-// merge when two neighbours fit in half a leaf) and in an intrusive LRU
-// list, so with n extents cached a probe costs O(log n) and an insert,
-// invalidation or eviction O(log n) plus a shift inside one leaf — no
-// operation walks or copies the population, a cached extent costs no
-// allocation, and the garbage collector has nothing to scan. Store.Begin
+// arena and name each other by index. Each links to its neighbours in
+// start order, and a bucket table holds, for every 256-block bucket,
+// the first extent that starts in it, plus bitmaps that find the next
+// occupied bucket in a few word scans; the same nodes carry an
+// intrusive LRU list. Cached extents are disjoint and never adjacent,
+// so at most 128 start in one bucket: a probe reads one bucket head and
+// walks at most one bucket, an insert or invalidation adds the k
+// extents it merges or cuts, and an eviction unlinks its victim from
+// both lists in O(1) — no operation walks or copies the population, a
+// cached extent costs no allocation, and the garbage collector has
+// nothing to scan. Store.Begin
 // opens sessions; WithCache and WithMaxInflight (chunks a session keeps
 // in flight; a query plans on the goroutine that runs it, one chunk
 // ahead of what is in flight, so planning overlaps service either way)

@@ -1,6 +1,9 @@
 package engine
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // extentCache is the service's shared read cache: an LRU over disjoint
 // block extents [start, end) in volume LBN space, capacity-bounded in
@@ -17,7 +20,7 @@ import "slices"
 // # Structure and cost
 //
 // Three pieces, none of whose per-operation cost grows with the number
-// n of cached extents beyond a logarithm:
+// n of cached extents:
 //
 //   - nodes, the arena every cachedExtent lives in. Extents refer to
 //     each other and are referred to by index (extentID), and evicted
@@ -25,39 +28,59 @@ import "slices"
 //     no allocation of its own and the whole population is one
 //     pointer-free block the garbage collector neither scans nor puts
 //     write barriers on.
-//   - idx, the ordered index by start block: a chunked sorted array
-//     (see extentIndex). Lookup is two binary searches, O(log n);
-//     insert and remove shift at most one leaf of leafMax entries.
+//   - the start order: each extent links to its neighbours by start
+//     block (lo, hi), and a bucket table says where to enter the list.
+//     heads[b] is the first extent that starts in bucket b, the blocks
+//     [b<<bucketShift, (b+1)<<bucketShift); occ marks the occupied
+//     buckets and sum the non-zero words of occ, so the next occupied
+//     bucket is a few word scans away. Cached extents are disjoint and
+//     never adjacent, so at most 128 of them start in one bucket.
 //   - one intrusive LRU list whose sentinel is nodes[0]: the prev/next
 //     links live inside cachedExtent, so linking, unlinking,
 //     move-to-front and eviction from the back are O(1).
 //
-// covered is O(log n); insert and invalidate are O(log n + k) for k
-// extents merged or cut (each of which was paid for by its own insert),
-// plus O(log n) per evicted victim for its index entry — picking it is
-// O(1). The arena grows to the largest population seen and lives as
-// long as the cache.
+// A probe reads one bucket head and walks at most one bucket. insert
+// and invalidate cost that probe plus O(k) for k extents merged or cut
+// (each of which was paid for by its own insert); an eviction unlinks
+// its victim from both lists, with no search. The arena grows to the
+// largest population seen and the table to the highest bucket that
+// ever held a start (4 bytes per 256 blocks); both live as long as the
+// cache.
 type extentCache struct {
 	capBlocks int64
 	used      int64
-	idx       extentIndex
 
-	// nodes[0] is the LRU list's sentinel: its next is the most recently
-	// used extent, its prev the least. It is never an extent, so
-	// extentID 0 also means "none". A *cachedExtent into nodes is good
-	// until the next newNode.
+	// nodes[0] is the sentinel of both lists: its next is the most
+	// recently used extent and its prev the least, its hi the first
+	// extent by start block and its lo the last. It is never an extent,
+	// so extentID 0 also means "none". A *cachedExtent into nodes is
+	// good until the next newNode.
 	nodes []cachedExtent
 	free  extentID // head of the recycled nodes, chained through next
+
+	// The bucket table, grown on demand.
+	heads []extentID // heads[b]: the first extent starting in bucket b, or 0
+	occ   []uint64   // bit b: heads[b] != 0
+	sum   []uint64   // bit w: occ[w] != 0
 }
+
+// bucketShift sets the bucket width, 256 blocks. Half of it bounds a
+// probe's walk, and the table costs one extentID per bucket.
+const bucketShift = 8
+
+// bucketOf returns the bucket of a start block; starts are LBNs, never
+// negative.
+func bucketOf(start int64) int { return int(start >> bucketShift) }
 
 // extentID is an index into extentCache.nodes.
 type extentID int32
 
-// cachedExtent is one cached extent and its node in the LRU list — or,
-// as nodes[0], the list's sentinel.
+// cachedExtent is one cached extent and its node in the LRU list and
+// the start order — or, as nodes[0], the lists' sentinel.
 type cachedExtent struct {
 	start, end int64
-	prev, next extentID // toward the list's front / back
+	prev, next extentID // toward the LRU list's front / back
+	lo, hi     extentID // the neighbours in start order
 }
 
 // newExtentCache builds a cache of capBlocks blocks; nil when capBlocks
@@ -83,7 +106,7 @@ func (c *extentCache) newNode() extentID {
 // blocks returns the extent's size.
 func (e *cachedExtent) blocks() int64 { return e.end - e.start }
 
-// linkAfter puts id into the list directly behind at (one step less
+// linkAfter puts id into the LRU list directly behind at (one step less
 // recent), or at the front when at is the sentinel.
 func (c *extentCache) linkAfter(id, at extentID) {
 	next := c.nodes[at].next
@@ -98,18 +121,130 @@ func (c *extentCache) unlink(id extentID) {
 }
 
 // release takes id out of the LRU list and out of the block accounting;
-// its index entry and its node are the caller's business.
+// its place in the start order and its node are the caller's business.
 func (c *extentCache) release(id extentID) {
 	c.unlink(id)
 	c.used -= c.nodes[id].blocks()
 }
 
-// drop releases id and recycles its node; the caller removes its index
-// entry.
+// drop releases id and recycles its node; the caller has taken it out
+// of the start order (leave).
 func (c *extentCache) drop(id extentID) {
 	c.release(id)
 	c.nodes[id].next = c.free
 	c.free = id
+}
+
+// linkStart puts id, whose start is set, into the start order directly
+// after at (first when at is the sentinel) and into its bucket.
+func (c *extentCache) linkStart(id, at extentID) {
+	hi := c.nodes[at].hi
+	c.nodes[id].lo, c.nodes[id].hi = at, hi
+	c.nodes[hi].lo = id
+	c.nodes[at].hi = id
+	c.join(id)
+}
+
+// leave takes id out of its bucket and out of the start order.
+func (c *extentCache) leave(id extentID) {
+	c.leaveBucket(id)
+	e := &c.nodes[id]
+	c.nodes[e.lo].hi, c.nodes[e.hi].lo = e.hi, e.lo
+}
+
+// join enters id into the bucket of its start, whose first extent it
+// becomes unless one there starts before it. The table grows to reach
+// the bucket.
+func (c *extentCache) join(id extentID) {
+	b := bucketOf(c.nodes[id].start)
+	if b >= len(c.heads) {
+		c.heads = growZeroed(c.heads, b+1)
+		c.occ = growZeroed(c.occ, b>>6+1)
+		c.sum = growZeroed(c.sum, b>>12+1)
+	}
+	if h := c.heads[b]; h == 0 {
+		c.heads[b] = id
+		c.occ[b>>6] |= 1 << (b & 63)
+		c.sum[b>>12] |= 1 << (b >> 6 & 63)
+	} else if c.nodes[id].start < c.nodes[h].start {
+		c.heads[b] = id
+	}
+}
+
+// leaveBucket takes id out of the bucket of its start: when id is the
+// bucket's first extent, its hi takes over if that starts in the same
+// bucket, and otherwise the bucket empties.
+func (c *extentCache) leaveBucket(id extentID) {
+	b := bucketOf(c.nodes[id].start)
+	if c.heads[b] != id {
+		return
+	}
+	if hi := c.nodes[id].hi; hi != 0 && bucketOf(c.nodes[hi].start) == b {
+		c.heads[b] = hi
+		return
+	}
+	c.heads[b] = 0
+	if c.occ[b>>6] &^= 1 << (b & 63); c.occ[b>>6] == 0 {
+		c.sum[b>>12] &^= 1 << (b >> 6 & 63)
+	}
+}
+
+// growZeroed lengthens s to n. The table never shrinks, so what lies
+// past its length is still zero.
+func growZeroed[T any](s []T, n int) []T { return slices.Grow(s, n-len(s))[:n] }
+
+// moveStart gives id a new start that keeps its place in the start
+// order, moving it into another bucket when the start crosses an edge.
+func (c *extentCache) moveStart(id extentID, start int64) {
+	if bucketOf(start) == bucketOf(c.nodes[id].start) {
+		c.nodes[id].start = start
+		return
+	}
+	c.leaveBucket(id)
+	c.nodes[id].start = start
+	c.join(id)
+}
+
+// floor returns the last extent with start <= key, or 0 when there is
+// none.
+func (c *extentCache) floor(key int64) extentID {
+	if key < 0 {
+		return 0
+	}
+	b := bucketOf(key)
+	if b >= len(c.heads) {
+		return c.nodes[0].lo // every extent starts below key
+	}
+	id := c.heads[b]
+	if id == 0 || c.nodes[id].start > key {
+		// Nothing in key's bucket starts at or below it: the answer is
+		// the extent before the first one past key — the sentinel's lo,
+		// the last extent, when none is.
+		if id == 0 {
+			id = c.headAfter(b)
+		}
+		return c.nodes[id].lo
+	}
+	for next := c.nodes[id].hi; next != 0 && c.nodes[next].start <= key; next = c.nodes[id].hi {
+		id = next
+	}
+	return id
+}
+
+// headAfter returns the first extent of the first occupied bucket past
+// b, or 0 when there is none.
+func (c *extentCache) headAfter(b int) extentID {
+	w := b >> 6
+	if m := c.occ[w] >> (b&63 + 1); m != 0 {
+		return c.heads[b+1+bits.TrailingZeros64(m)]
+	}
+	for w++; w>>6 < len(c.sum); w = (w>>6 + 1) << 6 {
+		if m := c.sum[w>>6] >> (w & 63); m != 0 {
+			w += bits.TrailingZeros64(m)
+			return c.heads[w<<6+bits.TrailingZeros64(c.occ[w])]
+		}
+	}
+	return 0
 }
 
 // covered reports whether [start, end) lies entirely inside one cached
@@ -119,16 +254,13 @@ func (c *extentCache) covered(start, end int64) bool {
 	if c == nil {
 		return false
 	}
-	at := c.idx.floor(start)
-	if at.i < 0 {
+	id := c.floor(start)
+	if id == 0 || c.nodes[id].end < end {
 		return false
 	}
-	if id := c.idx.at(at).id; c.nodes[id].end >= end {
-		c.unlink(id)
-		c.linkAfter(id, 0)
-		return true
-	}
-	return false
+	c.unlink(id)
+	c.linkAfter(id, 0)
+	return true
 }
 
 // insert adds [start, end) as most-recently-used, merging it with every
@@ -142,44 +274,47 @@ func (c *extentCache) insert(start, end int64) {
 		return
 	}
 	// All cached extents with e.end >= start and e.start <= end merge:
-	// a run of n neighbours in the index, starting at lo.
-	lo := c.idx.floor(start - 1)
-	if lo.i < 0 || c.nodes[c.idx.at(lo).id].end < start {
-		lo = c.idx.next(lo)
+	// a run of n neighbours in start order, from first. The extent
+	// before the run is at, or at itself is first.
+	at := c.floor(start - 1)
+	first := at
+	if at == 0 || c.nodes[at].end < start {
+		first = c.nodes[at].hi
 	}
 	n := 0
-	for at := lo; c.idx.valid(at) && c.idx.at(at).start <= end; at = c.idx.next(at) {
-		e := &c.nodes[c.idx.at(at).id]
+	for id := first; id != 0 && c.nodes[id].start <= end; id = c.nodes[id].hi {
+		e := &c.nodes[id]
 		start, end = min(start, e.start), max(end, e.end)
 		n++
 	}
 	if end-start > c.capBlocks {
 		return
 	}
-	// The first merged neighbour becomes the union in place (its index
-	// slot is already where the union sorts); the others go.
+	// The first merged neighbour becomes the union in place (its place
+	// in the start order is already where the union sorts); the others
+	// go.
 	var merged extentID
 	if n > 0 {
-		merged = c.idx.at(lo).id
+		merged = first
 		c.release(merged)
-		rest := c.idx.next(lo)
-		for at, k := rest, 1; k < n; at, k = c.idx.next(at), k+1 {
-			c.drop(c.idx.at(at).id)
+		for k := 1; k < n; k++ {
+			id := c.nodes[merged].hi
+			c.leave(id)
+			c.drop(id)
 		}
-		c.idx.setStart(lo, start) // before remove, which may move lo's leaf
-		c.idx.remove(rest, n-1)
+		c.moveStart(merged, start)
 	} else {
 		merged = c.newNode()
-		c.idx.insert(lo, indexEntry{start, merged})
+		c.nodes[merged].start = start
+		c.linkStart(merged, at)
 	}
-	e := &c.nodes[merged]
-	e.start, e.end = start, end
+	c.nodes[merged].end = end
 	c.linkAfter(merged, 0)
-	c.used += e.blocks()
+	c.used += end - start
 	// The merged extent fits, so the list is never empty here.
 	for c.used > c.capBlocks {
 		victim := c.nodes[0].prev
-		c.idx.remove(c.idx.floor(c.nodes[victim].start), 1)
+		c.leave(victim)
 		c.drop(victim)
 	}
 }
@@ -195,11 +330,11 @@ func (c *extentCache) invalidate(start, end int64) int64 {
 	if c == nil || end <= start {
 		return 0
 	}
-	at := c.idx.floor(start)
-	if at.i < 0 || c.nodes[c.idx.at(at).id].end <= start {
-		at = c.idx.next(at)
+	id := c.floor(start)
+	if id == 0 || c.nodes[id].end <= start {
+		id = c.nodes[id].hi
 	}
-	if !c.idx.valid(at) {
+	if id == 0 {
 		return 0
 	}
 	var dropped int64
@@ -207,200 +342,38 @@ func (c *extentCache) invalidate(start, end int64) int64 {
 		dropped += n
 		c.used -= n
 	}
-	if id := c.idx.at(at).id; c.nodes[id].start < start {
+	if c.nodes[id].start < start {
 		if c.nodes[id].end > end {
 			// Straddle: the extent keeps the left part, a new one right
-			// behind it in the LRU list takes the right part.
+			// behind it in both lists takes the right part.
 			right := c.newNode()
-			e := &c.nodes[id]
-			c.nodes[right] = cachedExtent{start: end, end: e.end}
+			c.nodes[right].start, c.nodes[right].end = end, c.nodes[id].end
 			c.linkAfter(right, id)
-			c.idx.insert(c.idx.next(at), indexEntry{end, right})
+			c.linkStart(right, id)
 			cut(end - start)
-			e.end = start
+			c.nodes[id].end = start
 			return dropped
 		}
 		e := &c.nodes[id]
 		cut(e.end - start)
 		e.end = start
-		at = c.idx.next(at)
+		id = e.hi
 	}
 	// What is left of the range starts at or before every extent it
-	// touches: a run of n fully covered ones, then at most one that
-	// keeps its tail.
-	run, n := at, 0
-	for ; c.idx.valid(at) && c.idx.at(at).start < end; at = c.idx.next(at) {
-		id := c.idx.at(at).id
-		if e := &c.nodes[id]; e.end > end {
+	// touches: a run of fully covered ones, then at most one that keeps
+	// its tail.
+	for id != 0 && c.nodes[id].start < end {
+		e := &c.nodes[id]
+		if e.end > end {
 			cut(end - e.start)
-			e.start = end
-			c.idx.setStart(at, end)
+			c.moveStart(id, end)
 			break
 		}
-		dropped += c.nodes[id].blocks()
+		next := e.hi
+		dropped += e.blocks()
+		c.leave(id)
 		c.drop(id)
-		n++
+		id = next
 	}
-	c.idx.remove(run, n)
 	return dropped
-}
-
-// leafMax is the most entries one index leaf holds. 256 sixteen-byte
-// entries fill one 4 KiB allocation; a leaf is what an insert or remove
-// shifts, so it bounds their cost.
-const leafMax = 256
-
-// extentIndex is the cache's ordered index: the cached extents sorted
-// by start block, cut into leaves of at most leafMax entries each.
-// Every leaf is a non-empty sorted slice with capacity leafMax, the
-// leaves' concatenation is sorted, and mins repeats each leaf's first
-// key so that locating a leaf touches one dense array. A full leaf
-// splits in half on insert; after a remove, neighbouring leaves that
-// together fit in half a leaf merge, so any two neighbours hold more
-// than leafMax/2 entries and the slack is bounded (mean fill stays
-// above a quarter, around two thirds under random churn).
-//
-// Lookup is O(log n). Insert and remove shift O(leafMax) entries inside
-// one leaf and, once per leafMax/2 of them, O(n/leafMax) leaf headers
-// when a leaf is added or dropped.
-type extentIndex struct {
-	mins   []int64 // mins[l] == leaves[l][0].start
-	leaves [][]indexEntry
-}
-
-// indexEntry repeats the extent's start beside its id so that a search
-// stays inside the leaf.
-type indexEntry struct {
-	start int64
-	id    extentID
-}
-
-// indexPos addresses one entry. floor's "nothing at or below" is
-// {0, -1}, whose next is the first entry; one past the last entry is
-// {len(leaves), 0}.
-type indexPos struct{ leaf, i int }
-
-// leafFor returns the last leaf whose first key is <= key, or -1.
-func (x *extentIndex) leafFor(key int64) int {
-	lo, hi := 0, len(x.mins)
-	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); x.mins[m] <= key {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo - 1
-}
-
-// floor returns the position of the last entry with start <= key.
-func (x *extentIndex) floor(key int64) indexPos {
-	l := x.leafFor(key)
-	if l < 0 {
-		return indexPos{0, -1}
-	}
-	return indexPos{l, upperBound(x.leaves[l], key) - 1}
-}
-
-// upperBound returns the index of the first entry with start > key.
-func upperBound(leaf []indexEntry, key int64) int {
-	lo, hi := 0, len(leaf)
-	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); leaf[m].start <= key {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
-}
-
-func (x *extentIndex) valid(p indexPos) bool { return p.leaf < len(x.leaves) }
-
-func (x *extentIndex) at(p indexPos) indexEntry { return x.leaves[p.leaf][p.i] }
-
-// next returns the position after p, which may be one past the end.
-func (x *extentIndex) next(p indexPos) indexPos {
-	if p.leaf < len(x.leaves) && p.i+1 < len(x.leaves[p.leaf]) {
-		return indexPos{p.leaf, p.i + 1}
-	}
-	return indexPos{p.leaf + 1, 0}
-}
-
-// setStart changes the key of the entry at p; the caller guarantees
-// that the new key still sorts between p's neighbours.
-func (x *extentIndex) setStart(p indexPos, start int64) {
-	x.leaves[p.leaf][p.i].start = start
-	if p.i == 0 {
-		x.mins[p.leaf] = start
-	}
-}
-
-// insert puts en at p, which must be the position of the first entry
-// with a larger key, or any position past the end when there is none.
-func (x *extentIndex) insert(p indexPos, en indexEntry) {
-	l, i := p.leaf, p.i
-	if l >= len(x.leaves) { // behind the last entry
-		if len(x.leaves) == 0 {
-			x.leaves = append(x.leaves, make([]indexEntry, 0, leafMax))
-			x.mins = append(x.mins, en.start)
-		}
-		l = len(x.leaves) - 1
-		i = len(x.leaves[l])
-	}
-	if leaf := x.leaves[l]; len(leaf) == leafMax {
-		const half = leafMax / 2
-		upper := make([]indexEntry, half, leafMax)
-		copy(upper, leaf[half:])
-		x.leaves[l] = leaf[:half]
-		x.leaves = slices.Insert(x.leaves, l+1, upper)
-		x.mins = slices.Insert(x.mins, l+1, upper[0].start)
-		if i > half {
-			l, i = l+1, i-half
-		}
-	}
-	x.leaves[l] = slices.Insert(x.leaves[l], i, en)
-	if i == 0 {
-		x.mins[l] = en.start
-	}
-}
-
-// remove deletes the n consecutive entries starting at p.
-func (x *extentIndex) remove(p indexPos, n int) {
-	if n == 0 {
-		return
-	}
-	l := p.leaf
-	if p.i > 0 { // the tail of the first leaf
-		k := min(n, len(x.leaves[l])-p.i)
-		x.leaves[l] = slices.Delete(x.leaves[l], p.i, p.i+k)
-		n -= k
-		l++
-	}
-	first := l // whole leaves [first, l) go
-	for n > 0 && n >= len(x.leaves[l]) {
-		n -= len(x.leaves[l])
-		l++
-	}
-	if n > 0 { // the head of the last leaf
-		x.leaves[l] = slices.Delete(x.leaves[l], 0, n)
-		x.mins[l] = x.leaves[l][0].start
-	}
-	x.leaves = slices.Delete(x.leaves, first, l)
-	x.mins = slices.Delete(x.mins, first, l)
-	// Only leaves first-1 and first shrank or became neighbours.
-	for m := first; m >= first-2; m-- {
-		x.mergeWithNext(m)
-	}
-}
-
-// mergeWithNext folds leaf l+1 into leaf l when both exist and fit in
-// half a leaf together.
-func (x *extentIndex) mergeWithNext(l int) {
-	if l < 0 || l+1 >= len(x.leaves) || len(x.leaves[l])+len(x.leaves[l+1]) > leafMax/2 {
-		return
-	}
-	x.leaves[l] = append(x.leaves[l], x.leaves[l+1]...)
-	x.leaves = slices.Delete(x.leaves, l+1, l+2)
-	x.mins = slices.Delete(x.mins, l+1, l+2)
 }

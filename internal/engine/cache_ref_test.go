@@ -13,13 +13,13 @@ import (
 // differential tests that pin the production cache (cache.go) to it.
 //
 // refCache is the implementation the service ran before the cache was
-// rebuilt around a chunked index and an intrusive LRU list: one flat
-// sorted slice of extents, one container/list for recency, and eviction
-// from the list's back. Every operation is O(n), and it is kept (types
-// renamed) because its behaviour is the specification: hit/miss
-// answers, merge/trim/split results, accounting and eviction order of
-// the production cache must equal it step for step, or simulated time
-// moves.
+// rebuilt around an arena, an ordered index and an intrusive LRU list:
+// one flat sorted slice of extents, one container/list for recency, and
+// eviction from the list's back. Every operation is O(n), and it is
+// kept (types renamed) because its behaviour is the specification:
+// hit/miss answers, merge/trim/split results, accounting and eviction
+// order of the production cache must equal it step for step, or
+// simulated time moves.
 
 type refCache struct {
 	capBlocks int64
@@ -171,13 +171,11 @@ func (c *extentCache) view(id extentID) cachedView {
 }
 
 // extents returns the cached extents in start order: the tests' view of
-// the index.
+// the hi links.
 func (c *extentCache) extents() []cachedView {
 	var out []cachedView
-	for _, leaf := range c.idx.leaves {
-		for _, en := range leaf {
-			out = append(out, c.view(en.id))
-		}
+	for id := c.nodes[0].hi; id != 0; id = c.nodes[id].hi {
+		out = append(out, c.view(id))
 	}
 	return out
 }
@@ -193,58 +191,71 @@ func (c *extentCache) byRecency() []cachedView {
 }
 
 // checkCacheInvariants verifies the production cache's structure: the
-// index is sorted, disjoint and never adjacent (adjacency merges), its
-// leaves obey the fill rules, every indexed extent is linked exactly
-// once into the LRU list, whose sentinel's prev is its back, the block
-// counter matches the extents, and every arena node past the sentinel
-// is an extent or free.
+// lo/hi links mirror each other and give extents that are sorted,
+// disjoint and never adjacent (adjacency merges); heads[b] is exactly
+// the first extent that starts in bucket b, and the occ and sum bits
+// agree with heads; every extent is linked exactly once into the LRU
+// list, whose sentinel's prev is its back; the block counter matches
+// the extents; and every arena node past the sentinel is an extent or
+// free.
 func checkCacheInvariants(c *extentCache) error {
-	x := &c.idx
-	if len(x.mins) != len(x.leaves) {
-		return fmt.Errorf("%d leaf minima for %d leaves", len(x.mins), len(x.leaves))
-	}
 	const (
-		indexed = 1 + iota
+		ordered = 1 + iota
 		linked
 		free
 	)
 	role := make([]byte, len(c.nodes))
-	var prev *cachedExtent
 	var total int64
-	extents := 0
-	for l, leaf := range x.leaves {
-		if len(leaf) == 0 || len(leaf) > leafMax {
-			return fmt.Errorf("leaf %d holds %d entries", l, len(leaf))
+	extents, firsts := 0, 0
+	at := extentID(0)
+	for id := c.nodes[0].hi; id != 0; at, id = id, c.nodes[id].hi {
+		if id < 0 || int(id) >= len(c.nodes) || role[id] != 0 {
+			return fmt.Errorf("start order: node %d is out of range or listed twice", id)
 		}
-		if l > 0 && len(x.leaves[l-1])+len(leaf) <= leafMax/2 {
-			return fmt.Errorf("leaves %d and %d (%d + %d entries) should have merged", l-1, l, len(x.leaves[l-1]), len(leaf))
+		e := &c.nodes[id]
+		if e.lo != at {
+			return fmt.Errorf("node %d [%d,%d): lo %d, but %d links to it", id, e.start, e.end, e.lo, at)
 		}
-		if x.mins[l] != leaf[0].start {
-			return fmt.Errorf("leaf %d: min %d, first key %d", l, x.mins[l], leaf[0].start)
+		if e.start < 0 || e.start >= e.end {
+			return fmt.Errorf("node %d holds [%d,%d)", id, e.start, e.end)
 		}
-		for _, en := range leaf {
-			if en.id <= 0 || int(en.id) >= len(c.nodes) || role[en.id] != 0 {
-				return fmt.Errorf("entry %d: node %d is out of range or indexed twice", en.start, en.id)
-			}
-			e := &c.nodes[en.id]
-			if en.start != e.start || e.start >= e.end {
-				return fmt.Errorf("entry key %d for extent [%d,%d)", en.start, e.start, e.end)
-			}
-			if prev != nil && prev.end >= e.start {
-				return fmt.Errorf("[%d,%d) then [%d,%d): not disjoint, sorted and apart", prev.start, prev.end, e.start, e.end)
-			}
-			role[en.id] = indexed
-			total += e.blocks()
-			extents++
-			prev = e
+		if p := &c.nodes[at]; at != 0 && p.end >= e.start {
+			return fmt.Errorf("[%d,%d) then [%d,%d): not disjoint, sorted and apart", p.start, p.end, e.start, e.end)
 		}
+		b := bucketOf(e.start)
+		if b >= len(c.heads) {
+			return fmt.Errorf("[%d,%d) starts in bucket %d past the table's %d", e.start, e.end, b, len(c.heads))
+		}
+		if isFirst := at == 0 || bucketOf(c.nodes[at].start) != b; isFirst != (c.heads[b] == id) {
+			return fmt.Errorf("bucket %d: head %d, but node %d [%d,%d) is first: %v", b, c.heads[b], id, e.start, e.end, isFirst)
+		} else if isFirst {
+			firsts++
+		}
+		role[id] = ordered
+		total += e.blocks()
+		extents++
+	}
+	if c.nodes[0].lo != at {
+		return fmt.Errorf("the sentinel's lo %d is not the last extent %d", c.nodes[0].lo, at)
+	}
+	if err := checkBucketBits(c); err != nil {
+		return err
+	}
+	heads := 0
+	for _, h := range c.heads {
+		if h != 0 {
+			heads++
+		}
+	}
+	if heads != firsts {
+		return fmt.Errorf("%d bucket heads for %d occupied buckets", heads, firsts)
 	}
 	if total != c.used || c.used > c.capBlocks {
 		return fmt.Errorf("extents hold %d blocks, used says %d, capacity %d", total, c.used, c.capBlocks)
 	}
 	for at, id := extentID(0), c.nodes[0].next; id != 0; at, id = id, c.nodes[id].next {
-		if e := &c.nodes[id]; e.prev != at || role[id] != indexed {
-			return fmt.Errorf("node %d [%d,%d) is mislinked, not indexed or listed twice", id, e.start, e.end)
+		if e := &c.nodes[id]; e.prev != at || role[id] != ordered {
+			return fmt.Errorf("node %d [%d,%d) is mislinked, not in the start order or listed twice", id, e.start, e.end)
 		}
 		role[id] = linked
 		extents--
@@ -253,7 +264,7 @@ func checkCacheInvariants(c *extentCache) error {
 		return fmt.Errorf("the sentinel's prev %d is not the list's back", back)
 	}
 	if extents != 0 {
-		return fmt.Errorf("%d indexed extents are not in the LRU list", extents)
+		return fmt.Errorf("%d extents in the start order are not in the LRU list", extents)
 	}
 	for id := c.free; id != 0; id = c.nodes[id].next {
 		if role[id] != 0 {
@@ -264,6 +275,26 @@ func checkCacheInvariants(c *extentCache) error {
 	for id := 1; id < len(role); id++ {
 		if role[id] == 0 {
 			return fmt.Errorf("node %d is neither an extent nor free", id)
+		}
+	}
+	return nil
+}
+
+// checkBucketBits checks that occ has one bit per bucket, set exactly
+// where heads has an extent, and sum one bit per word of occ, set
+// exactly where that word is not zero.
+func checkBucketBits(c *extentCache) error {
+	if len(c.occ) != (len(c.heads)+63)/64 || len(c.sum) != (len(c.occ)+63)/64 {
+		return fmt.Errorf("table of %d heads has %d occ and %d sum words", len(c.heads), len(c.occ), len(c.sum))
+	}
+	for b := 0; b < 64*len(c.occ); b++ {
+		if set, want := c.occ[b>>6]>>(b&63)&1 == 1, b < len(c.heads) && c.heads[b] != 0; set != want {
+			return fmt.Errorf("occ bit %d is %v, bucket head says %v", b, set, want)
+		}
+	}
+	for w := 0; w < 64*len(c.sum); w++ {
+		if set, want := c.sum[w>>6]>>(w&63)&1 == 1, w < len(c.occ) && c.occ[w] != 0; set != want {
+			return fmt.Errorf("sum bit %d is %v, occ word says %v", w, set, want)
 		}
 	}
 	return nil
@@ -404,7 +435,7 @@ func runCacheScript(t testing.TB, script []byte) {
 		if got == 0 || c.view(got) != (cachedView{want.start, want.end}) {
 			t.Fatalf("drain: victim %d, reference [%d,%d)", got, want.start, want.end)
 		}
-		c.idx.remove(c.idx.floor(c.nodes[got].start), 1)
+		c.leave(got)
 		c.drop(got)
 	}
 	if err := compareCaches(ref, c, true); err != nil {
@@ -446,11 +477,29 @@ func cacheScenarioScripts() []cacheScript {
 		newCacheScript(100).restart().insert(0, 30).insert(100, 160).
 			insert(200, 250),
 		newCacheScript(100).restart().insert(0, 40).insert(50, 60).invalidate(0, 100).insert(0, 10),
-		// Populations that span many index leaves, cut by wide ranges.
+		// Populations that pack 128 extents into a bucket and span
+		// many buckets, cut by wide ranges.
 		newCacheScript(1<<16).stripe(0, 256, 2).stripe(600, 256, 3).stripe(2000, 256, 2).
 			stripe(3000, 256, 5).invalidate(100, 2148).insert(2500, 3012).invalidate(0, 8192),
 		newCacheScript(300).restart().stripe(0, 256, 2).stripe(1000, 256, 2).
 			stripe(2000, 256, 2).covered(1000, 1001).stripe(3000, 200, 3),
+		// A trim that moves a start into the next bucket, ahead of that
+		// bucket's first extent; then a wide cut that empties a whole
+		// word of occ.
+		newCacheScript(1000).insert(200, 270).insert(300, 310).insert(520, 530).
+			invalidate(190, 260).covered(260, 270).covered(255, 256).covered(300, 301).
+			invalidate(250, 305).covered(305, 310).insert(20000, 20010).
+			invalidate(0, 1000).covered(50, 51).covered(20000, 20010),
+		// A merge that moves a start back into the previous bucket,
+		// behind its first extent, while the old bucket's first passes
+		// on; then one into an empty bucket.
+		newCacheScript(1000).insert(100, 110).insert(260, 300).insert(400, 410).
+			insert(240, 262).covered(240, 300).covered(100, 110).covered(400, 410).
+			restart().insert(300, 310).insert(250, 300).covered(250, 310).covered(249, 250),
+		// An insert far beyond the table, probes past it and between.
+		newCacheScript(1000).insert(10, 20).covered(60000, 60001).insert(60000, 60100).
+			covered(60050, 60060).covered(30000, 30001).covered(65535, 65536).
+			invalidate(59000, 60160).covered(10, 20).covered(60000, 60001),
 	}
 }
 
@@ -498,7 +547,7 @@ func TestExtentCacheMatchesReference(t *testing.T) {
 		{"tiny", func(r *rand.Rand) int64 { return 1 + r.Int63n(64) }, 1500, 400, 0, 0},
 		{"colliding", func(r *rand.Rand) int64 { return 100 + r.Int63n(2000) }, 1500, 3000, 2, 0.02},
 		{"evicting-stripes", func(r *rand.Rand) int64 { return 600 + r.Int63n(3000) }, 800, 1 << 16, 1, 0.3},
-		{"many-leaves", func(*rand.Rand) int64 { return 1 << 16 }, 800, 1 << 16, 7, 0.35},
+		{"many-buckets", func(*rand.Rand) int64 { return 1 << 16 }, 800, 1 << 16, 7, 0.35},
 	}
 	for _, rg := range regimes {
 		t.Run(rg.name, func(t *testing.T) {
@@ -507,6 +556,48 @@ func TestExtentCacheMatchesReference(t *testing.T) {
 				runCacheScript(t, randomCacheScript(rng, rg.capacity(rng), rg.ops, rg.span, rg.maxShift, rg.stripes))
 			}
 		})
+	}
+}
+
+// TestExtentCacheFarApart spreads a few extents over many words of
+// sum, which the scripts' 16-bit starts never reach, so that a probe's
+// search for the next occupied bucket crosses words of occ and of sum.
+// Inserts, probes into and between extents, and cuts up to an eighth of
+// the span wide run on both implementations.
+func TestExtentCacheFarApart(t *testing.T) {
+	const span = 1 << 26 // 1<<18 buckets: 4096 words of occ, 64 of sum
+	ref, c := newRefCache(1<<10), newExtentCache(1<<10)
+	rng := rand.New(rand.NewSource(1))
+	var starts []int64
+	for step := 0; step < 3000; step++ {
+		start := rng.Int63n(span)
+		end := start + 1 + rng.Int63n(64)
+		switch rng.Intn(5) {
+		case 0, 1:
+			ref.insert(start, end)
+			c.insert(start, end)
+			starts = append(starts, start)
+		case 2:
+			if len(starts) > 0 {
+				start = starts[rng.Intn(len(starts))] + rng.Int63n(4)
+			}
+			fallthrough
+		case 3:
+			if got, want := c.covered(start, start+1), ref.covered(start, start+1); got != want {
+				t.Fatalf("step %d: covered(%d) = %v, reference %v", step, start, got, want)
+			}
+		case 4:
+			end = start + 1 + rng.Int63n(span/8)
+			if got, want := c.invalidate(start, end), ref.invalidate(start, end); got != want {
+				t.Fatalf("step %d: invalidate [%d,%d) = %d, reference %d", step, start, end, got, want)
+			}
+		}
+		if err := compareCaches(ref, c, step%200 == 0); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	if err := compareCaches(ref, c, true); err != nil {
+		t.Fatal(err)
 	}
 }
 

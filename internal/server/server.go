@@ -33,10 +33,11 @@ type Server struct {
 	events eventHub
 
 	// testChunkGate, when non-nil, is called after each streamed range
-	// chunk has been written AND flushed to the client. Tests use it to
-	// stall the query mid-stream and prove the first chunk reaches the
-	// wire before the query completes. Always nil in production.
-	testChunkGate func(store, session string, seq int)
+	// chunk has been written AND flushed to the client, with the
+	// request's context. Tests use it to stall the query mid-stream and
+	// prove the first chunk reaches the wire before the query completes,
+	// or to wait for the request's deadline. Always nil in production.
+	testChunkGate func(ctx context.Context, store, session string, seq int)
 }
 
 // storeEntry is one open store plus the resources the server owns on

@@ -160,7 +160,7 @@ func TestStreamingFirstChunkBeforeCompletion(t *testing.T) {
 	srv := New()
 	// Install the gate before the listener exists so handlers never race
 	// the assignment.
-	srv.testChunkGate = func(store, session string, seq int) {
+	srv.testChunkGate = func(_ context.Context, store, session string, seq int) {
 		gated <- seq
 		if seq == 0 {
 			<-release // hold the query after its first chunk is on the wire
@@ -255,7 +255,7 @@ func TestDisconnectCancelsAndAttributes(t *testing.T) {
 	held := make(chan struct{})
 	release := make(chan struct{})
 	srv := New()
-	srv.testChunkGate = func(store, session string, seq int) {
+	srv.testChunkGate = func(_ context.Context, store, session string, seq int) {
 		if seq == 1 {
 			close(held)
 			<-release
@@ -335,9 +335,10 @@ func TestDisconnectCancelsAndAttributes(t *testing.T) {
 // TestDeadlinePropagation proves a wire deadline becomes an engine
 // deadline: a range query under deadline_ms=1 yields a deadline error
 // and a DeadlineExceeded count, not a served (or hung) request. The
-// expiry is arranged by events: the handler's gate sleeps 5 ms after
-// chunk 0, and with one chunk in flight chunk 1 cannot be submitted
-// until the gate returns, by which time the deadline has passed. The
+// expiry is arranged by events: the handler's gate waits after chunk 0
+// until the request's context is done, and with one chunk in flight
+// chunk 1 cannot be submitted until the gate returns, by which time
+// the deadline's timer has run and the context reports it. The
 // query then ends with the deadline error whichever way it happens —
 // dead on arrival, dropped at admission (pinned in internal/engine by
 // TestDeadChunksDroppedAtAdmission), or caught before chunk 1. If the
@@ -345,9 +346,14 @@ func TestDisconnectCancelsAndAttributes(t *testing.T) {
 // the test fails.
 func TestDeadlinePropagation(t *testing.T) {
 	srv := New()
-	srv.testChunkGate = func(store, session string, seq int) {
-		if seq == 0 {
-			time.Sleep(5 * time.Millisecond) // five times the 1 ms deadline
+	srv.testChunkGate = func(ctx context.Context, store, session string, seq int) {
+		if seq != 0 {
+			return
+		}
+		select {
+		case <-ctx.Done():
+		case <-time.After(5 * time.Second):
+			t.Error("the 1 ms deadline had not fired 5 s after chunk 0")
 		}
 	}
 	if _, err := srv.OpenStore(context.Background(), testSpec("ddl")); err != nil {

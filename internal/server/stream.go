@@ -86,7 +86,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		}
 		chunks++
 		if s.testChunkGate != nil {
-			s.testChunkGate(se.name, e.id, c.Seq)
+			s.testChunkGate(ctx, se.name, e.id, c.Seq)
 		}
 	}
 
