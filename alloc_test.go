@@ -62,6 +62,7 @@ func TestQueryAllocBudget(t *testing.T) {
 			{"RangeQuery 16³", func() (Stats, error) { return s.RangeQuery(ctx, lo, hi) }, 2},
 			{"Beam along dim 1", func() (Stats, error) { return s.Beam(ctx, 1, fixed) }, 3},
 			{"RangeQueryStream 16³", func() (Stats, error) { return sess.RangeQueryStream(ctx, lo, hi, stream) }, 4},
+			{"RangeQuery two-part scatter", func() (Stats, error) { return sess2.RangeQuery(ctx, slo, shi) }, 15},
 			{"RangeQueryStream two-part scatter", func() (Stats, error) { return sess2.RangeQueryStream(ctx, slo, shi, stream) }, 18},
 		} {
 			run := func() {

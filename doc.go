@@ -198,25 +198,23 @@
 // was built with for life, so Volume.Close is terminal: Open on a
 // closed volume fails with ErrClosed too.
 //
-// Deadlines are the QoS signal. With WithDeadlineAging(d), each
-// admission pass serves urgent requests — those whose context carries
-// a deadline, and those queued at least d — first, as their own batch
-// ordered by effective deadline, never coalesced with the pass's bulk:
-// an old or urgent request bounds how long coalescing may delay it, so
-// a hot cache or a big concurrent batch cannot starve a
-// latency-sensitive session. examples/deadline demonstrates both the
-// partial-stats contract and the fairness effect, and
-// TestDeadlineAgingSteppedPass (internal/engine) steps one admission
-// pass by hand to pin it in simulated time: a small box under a
-// deadline finishes in 25.207 ms instead of the 734.904 ms batch it
-// shared with seven bulk boxes. With background contexts and aging
-// off, admission stays in submission order — bit-identical to the
-// pre-QoS engine.
+// Deadlines are the QoS signal, under one rule: with WithFairShare on,
+// requests whose context carries a deadline and requests of a class
+// registered urgent form the strict-priority front of each admission
+// pass — served first, as their own batch ordered by effective
+// deadline, never coalesced with the pass's bulk — so a hot cache or a
+// big concurrent batch cannot starve a latency-sensitive session; with
+// it off, admission is submission order, bit-identical to the pre-QoS
+// engine. examples/deadline demonstrates both the partial-stats
+// contract and the fairness effect, and TestDeadlineSteppedPass
+// (internal/engine) steps one admission pass by hand to pin it in
+// simulated time: a small box under a deadline finishes in 25.207 ms
+// instead of the 734.904 ms batch it shared with seven bulk boxes.
 //
 // # Weighted-fair QoS classes
 //
-// WithFairShare(quantum) generalizes urgent-first into full
-// weighted-fair admission. Sessions declare a QoS class
+// WithFairShare(quantum) turns on urgent-first and weighted-fair
+// admission together. Sessions declare a QoS class
 // (Store.BeginQoS, or WithQoS for the store's default session);
 // WithQoSClass(name, weight, urgent) registers each class's share.
 // Every admission pass runs deficit round-robin over the queued ops'
@@ -226,8 +224,8 @@
 // class drains, so an idle class cannot hoard credit); admitted
 // classes are served cheapest group first, and a class whose op
 // exceeds its credit still admits one op per pass (no livelock), the
-// rest counted in ClassTotals.Deferred. Urgent work — an explicit
-// deadline, an op aged past WithDeadlineAging, or a class registered
+// rest counted in ClassTotals.Deferred: a deferred op waits passes,
+// not time. Urgent work — an explicit deadline or a class registered
 // urgent — keeps strict priority ahead of all weighted sharing. A
 // class does not divide the shared extent cache: it is one LRU for
 // every class, and an eviction takes its back in O(1). Expired

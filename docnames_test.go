@@ -277,7 +277,7 @@ func unknownExpIDs(text string, ids map[string]bool) []string {
 // A command starts at a word naming the program (mmbench,
 // ./cmd/mmbench, …) and runs over the -flag words that follow, each
 // with at most one value, up to the first other word or the word that
-// closes its code span or clause. "-deadline/-aging" names two flags.
+// closes its code span or clause. "-clients/-queries" names two flags.
 func commandFlags(text string) []string {
 	var out []string
 	words := strings.Fields(text)

@@ -13,7 +13,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"time"
 )
 
 // process serves one admitted batch in submission order: consecutive
@@ -49,7 +48,7 @@ func (s *Service) process(batch []*serviceOp) {
 func (s *Service) serveWork(ops []*serviceOp) {
 	live := s.dropCancelled(ops)
 	s.sweepDeferred()
-	urgent, groups := s.drr.pass(live, s.classes, s.opts.FairQuantum, s.opts.DeadlineAging, time.Now())
+	urgent, groups := s.drr.pass(live, s.classes, s.opts.FairQuantum)
 	if len(urgent) > 0 {
 		s.countUrgent(urgent)
 		s.serveChunks(urgent)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -276,32 +277,35 @@ func TestDeadChunksDroppedAtAdmission(t *testing.T) {
 	}
 }
 
-// TestQoSGroups covers the admission classifier directly, as a
-// FairQuantum-0 scheduler pass: aging off is one batch in submission
-// order; aging on carves deadline-carrying and over-age ops into a
-// front batch ordered by effective deadline.
+// TestQoSGroups covers the admission classifier directly, as one
+// scheduler pass: fair share off is one batch in submission order; fair
+// share on carves deadline-carrying and Urgent-class ops into a front
+// batch ordered by effective deadline (an Urgent-class op's is its
+// enqueue stamp), ahead of the bulk in submission order.
 func TestQoSGroups(t *testing.T) {
 	now := time.Now()
-	mk := func(deadline time.Time, age time.Duration) *serviceOp {
-		return &serviceOp{kind: opChunk, deadline: deadline, enqueued: now.Add(-age)}
+	mk := func(class string, deadline time.Time, age time.Duration) *serviceOp {
+		return &serviceOp{kind: opChunk, class: class, deadline: deadline, enqueued: now.Add(-age)}
 	}
-	bulk1 := mk(time.Time{}, 0)
-	bulk2 := mk(time.Time{}, 0)
-	urgent := mk(now.Add(2*time.Millisecond), 0)
-	urgentSoon := mk(now.Add(time.Millisecond), 0)
-	aged := mk(time.Time{}, 50*time.Millisecond)
+	classes := map[string]QoSClass{"rt": {Name: "rt", Weight: 1, Urgent: true}}
+	bulk1 := mk("", time.Time{}, 0)
+	bulk2 := mk("", time.Time{}, 50*time.Millisecond)
+	urgent := mk("", now.Add(2*time.Millisecond), 0)
+	urgentSoon := mk("", now.Add(time.Millisecond), 0)
+	rt := mk("rt", time.Time{}, 50*time.Millisecond)
 
-	ops := []*serviceOp{bulk1, urgent, bulk2, aged, urgentSoon}
-	if g := passGroups(ops, nil, 0, 0, now); len(g) != 1 || len(g[0]) != 5 {
-		t.Fatalf("aging off: got %d groups", len(g))
+	ops := []*serviceOp{bulk1, urgent, bulk2, rt, urgentSoon}
+	if g := passGroups(ops, classes, 0); len(g) != 1 || !slices.Equal(g[0], ops) {
+		t.Fatalf("fair share off: got %d groups, want the pass as one", len(g))
 	}
-	g := passGroups(ops, nil, 0, 10*time.Millisecond, now)
+	g := passGroups(ops, classes, 1<<20)
 	if len(g) != 2 {
-		t.Fatalf("aging on: got %d groups, want urgent+bulk", len(g))
+		t.Fatalf("fair share on: got %d groups, want urgent+bulk", len(g))
 	}
-	// Front batch: both deadline ops (soonest first) and the aged op
-	// (effective deadline enqueued+aging = now-40ms, the oldest of all).
-	if len(g[0]) != 3 || g[0][0] != aged || g[0][1] != urgentSoon || g[0][2] != urgent {
+	// Front batch: the Urgent-class op (effective deadline its enqueue
+	// stamp, now-50ms, the oldest of all), then both deadline ops,
+	// soonest first. An old op without a deadline stays in the bulk.
+	if len(g[0]) != 3 || g[0][0] != rt || g[0][1] != urgentSoon || g[0][2] != urgent {
 		t.Fatalf("urgent batch wrong: %v", g[0])
 	}
 	if len(g[1]) != 2 || g[1][0] != bulk1 || g[1][1] != bulk2 {

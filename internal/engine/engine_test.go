@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/disk"
@@ -191,6 +192,32 @@ func BenchmarkExecuteFIFO(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestLatencyRing pins the latency record's contract: a size below 16
+// is clamped to 16, the count is lifetime, and p50/p99 are Percentile
+// over the last size records once the ring has wrapped (0 before the
+// first record).
+func TestLatencyRing(t *testing.T) {
+	for _, tc := range []struct{ size, keep int }{{1, 16}, {16, 16}, {32, 32}} {
+		r := NewLatencyRing(tc.size)
+		if n, p50, p99 := r.Snapshot(); n != 0 || p50 != 0 || p99 != 0 {
+			t.Fatalf("size %d: empty ring = %d, %v, %v; want zeroes", tc.size, n, p50, p99)
+		}
+		var all []float64
+		for i := 0; i < 3*tc.keep+5; i++ {
+			ms := float64((i * 37) % 101) // not monotone, so the sort matters
+			r.Record(ms)
+			all = append(all, ms)
+			window := slices.Clone(all[max(0, len(all)-tc.keep):])
+			slices.Sort(window)
+			n, p50, p99 := r.Snapshot()
+			if n != int64(len(all)) || p50 != Percentile(window, 0.50) || p99 != Percentile(window, 0.99) {
+				t.Fatalf("size %d after %d records: %d, %v, %v; want %d, %v, %v", tc.size, len(all),
+					n, p50, p99, len(all), Percentile(window, 0.50), Percentile(window, 0.99))
+			}
+		}
 	}
 }
 

@@ -25,23 +25,19 @@ import (
 // its class's whole grant still goes) until the backlog drains.
 //
 // PR 5's urgent-front behavior is the strict-priority edge of the same
-// scheduler: ops with an explicit context deadline, ops of a class
-// registered Urgent, and ops queued at least the DeadlineAging
-// duration bypass DRR entirely and are served first, as their own
-// batch ordered by effective deadline — aging therefore promotes a
-// starving bulk op into the urgent class, which bounds how long
-// weighted sharing may defer anyone. Urgent service is not charged
-// against the class's deficit.
+// scheduler: ops with an explicit context deadline and ops of a class
+// registered Urgent bypass DRR entirely and are served first, as their
+// own batch ordered by effective deadline. Urgent service is not
+// charged against the class's deficit. A deferred bulk op is bounded
+// in passes, not in time: its class's deficit carries over, and every
+// pass admits at least one op.
 //
 // FairQuantum 0 is the same scheduler with one class and unbounded
 // credit: every op is queued under the default class whatever its
-// session declared, the class registry is not consulted (an Urgent
-// class is inert), and each pass grants the whole backlog as one group
-// in submission order — nothing is ever deferred. With DeadlineAging on
-// the urgent front still runs ahead of that group (deadline-carrying
-// and aged ops, PR 5's behavior bit for bit); with aging off too there
-// is no urgent front at all and explicit deadlines do not reorder
-// anything — the pre-QoS submission order.
+// session declared, the class registry is not consulted, and each pass
+// grants the whole backlog as one group in submission order. There is
+// no urgent front: explicit deadlines and Urgent classes reorder
+// nothing, and nothing is ever deferred — the pre-QoS submission order.
 
 // QoSClass declares one admission class. The JSON tags are its wire
 // form in the daemon's open-store request.
@@ -115,7 +111,7 @@ func newDRRSched() *drrSched {
 // admission batch. quantum 0 is the one-class, unbounded-credit reading
 // described at the top of this file; a nil ops slice is a pure backlog
 // pass.
-func (d *drrSched) pass(ops []*serviceOp, classes map[string]QoSClass, quantum int64, aging time.Duration, now time.Time) (urgent []*serviceOp, groups [][]*serviceOp) {
+func (d *drrSched) pass(ops []*serviceOp, classes map[string]QoSClass, quantum int64) (urgent []*serviceOp, groups [][]*serviceOp) {
 	fair := quantum > 0
 	if !fair {
 		classes = nil
@@ -128,9 +124,9 @@ func (d *drrSched) pass(ops []*serviceOp, classes map[string]QoSClass, quantum i
 		d.pending[key] = append(d.pending[key], op)
 		d.count++
 	}
-	if fair || aging > 0 {
-		urgent = d.takeUrgent(classes, aging, now)
-		sortUrgent(urgent, aging)
+	if fair {
+		urgent = d.takeUrgent(classes)
+		sortUrgent(urgent)
 	}
 	return urgent, d.grant(classes, quantum)
 }
@@ -149,18 +145,16 @@ func (d *drrSched) activeClasses() []string {
 	return names
 }
 
-// takeUrgent pulls every backlogged op that has become urgent — aged
-// past the aging cap, holding an explicit deadline, or in an Urgent
-// class — out of the class backlogs, in class-name order and preserving
-// order within each class. This is how aging promotes a DRR-deferred op
-// into the urgent class.
-func (d *drrSched) takeUrgent(classes map[string]QoSClass, aging time.Duration, now time.Time) []*serviceOp {
+// takeUrgent pulls every backlogged op that is urgent — holding an
+// explicit deadline or in an Urgent class — out of the class backlogs,
+// in class-name order and preserving order within each class.
+func (d *drrSched) takeUrgent(classes map[string]QoSClass) []*serviceOp {
 	urgent := d.urgent[:0]
 	for _, name := range d.activeClasses() {
 		q := d.pending[name]
 		kept := q[:0]
 		for _, op := range q {
-			if isUrgent(op, classes, aging, now) {
+			if isUrgent(op, classes) {
 				urgent = append(urgent, op)
 				d.count--
 			} else {
@@ -255,27 +249,20 @@ func (d *drrSched) drain() [][]*serviceOp {
 }
 
 // isUrgent classifies one op for the strict-priority front: explicit
-// context deadline, Urgent class, or queued at least the aging cap.
-func isUrgent(op *serviceOp, classes map[string]QoSClass, aging time.Duration, now time.Time) bool {
-	if !op.deadline.IsZero() {
-		return true
-	}
-	if c, ok := classes[op.class]; ok && c.Urgent {
-		return true
-	}
-	return aging > 0 && now.Sub(op.enqueued) >= aging
+// context deadline or Urgent class.
+func isUrgent(op *serviceOp, classes map[string]QoSClass) bool {
+	return !op.deadline.IsZero() || classes[op.class].Urgent
 }
 
 // sortUrgent orders the urgent front batch by effective deadline: the
-// explicit context deadline when present, otherwise enqueue time plus
-// the aging cap (plain enqueue time when aging is off) — PR 5's
-// ordering, extended to Urgent-class ops.
-func sortUrgent(ops []*serviceOp, aging time.Duration) {
+// explicit context deadline when present, otherwise (an Urgent-class
+// op) the enqueue time.
+func sortUrgent(ops []*serviceOp) {
 	eff := func(op *serviceOp) time.Time {
 		if !op.deadline.IsZero() {
 			return op.deadline
 		}
-		return op.enqueued.Add(aging)
+		return op.enqueued
 	}
 	slices.SortStableFunc(ops, func(a, b *serviceOp) int { return eff(a).Compare(eff(b)) })
 }

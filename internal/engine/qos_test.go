@@ -145,9 +145,9 @@ func TestDRRCheapestGroupFirst(t *testing.T) {
 }
 
 // TestDRRDrainAndUrgentPromotion: drain flushes every backlog in class
-// order zeroing deficits, and takeUrgent pulls aged / deadline /
-// urgent-class ops out of the weighted backlogs (how aging bounds DRR
-// deferral).
+// order zeroing deficits, and takeUrgent pulls deadline and
+// urgent-class ops out of the weighted backlogs, leaving an op that is
+// merely old where it is.
 func TestDRRDrainAndUrgentPromotion(t *testing.T) {
 	d := newDRRSched()
 	pushOps(d, drrOp("b", 5), drrOp("a", 5), drrOp("b", 5))
@@ -165,8 +165,8 @@ func TestDRRDrainAndUrgentPromotion(t *testing.T) {
 
 	now := time.Now()
 	classes := map[string]QoSClass{"rt": {Name: "rt", Urgent: true}}
-	aged := drrOp("slow", 5)
-	aged.enqueued = now.Add(-time.Second)
+	old := drrOp("slow", 5)
+	old.enqueued = now.Add(-time.Hour)
 	fresh := drrOp("slow", 5)
 	fresh.enqueued = now
 	dl := drrOp("slow", 5)
@@ -174,13 +174,13 @@ func TestDRRDrainAndUrgentPromotion(t *testing.T) {
 	dl.deadline = now.Add(time.Millisecond)
 	urgent := drrOp("rt", 5)
 	urgent.enqueued = now
-	pushOps(d, aged, fresh, dl, urgent)
-	got := d.takeUrgent(classes, 100*time.Millisecond, now)
-	if len(got) != 3 {
-		t.Fatalf("takeUrgent pulled %d ops, want 3 (aged, deadline, urgent class)", len(got))
+	pushOps(d, old, fresh, dl, urgent)
+	got := d.takeUrgent(classes)
+	if len(got) != 2 || got[0] != urgent || got[1] != dl {
+		t.Fatalf("takeUrgent pulled %d ops, want 2 (urgent class, deadline)", len(got))
 	}
-	if d.count != 1 || len(d.pending["slow"]) != 1 || d.pending["slow"][0] != fresh {
-		t.Fatalf("fresh op not left in backlog (count %d)", d.count)
+	if d.count != 2 || !slices.Equal(d.pending["slow"], []*serviceOp{old, fresh}) {
+		t.Fatalf("old and fresh ops not left in backlog (count %d)", d.count)
 	}
 }
 
@@ -459,82 +459,81 @@ func TestStatsAccumulatePartial(t *testing.T) {
 	}
 }
 
-// TestQoSGroupsMatchesUrgentFront: for random op lists — deadlines or
-// none, enqueue ages below, exactly at and above the aging cap, several
-// classes — a FairQuantum-0 pass serves exactly the groups the reference
-// classifier does. Ages exactly at the cap pin isUrgent's >= comparison
-// (flip it to > and this fails); ties in effective deadline pin the
-// stable order.
+// TestQoSGroupsMatchesUrgentFront: for random op lists of one class —
+// deadlines or none, spread enqueue stamps — a pass at a quantum no
+// list reaches serves exactly the original urgent-front classification
+// (qosGroupsRef): the deadline ops first, soonest first, then the rest
+// in submission order. Ties in deadline pin the stable order. Fair
+// share off serves the whole list as one batch.
 func TestQoSGroupsMatchesUrgentFront(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	now := time.Unix(1_000_000, 0)
-	classes := []string{"", "bulk", "interactive"}
 	for trial := 0; trial < 500; trial++ {
-		aging := time.Duration(rng.Intn(4)) * time.Millisecond // 0 = off
 		ops := make([]*serviceOp, rng.Intn(12))
 		for i := range ops {
-			op := &serviceOp{kind: opChunk, class: classes[rng.Intn(len(classes))]}
-			// Ages in half-millisecond steps land on the cap exactly.
+			op := &serviceOp{kind: opChunk, class: "bulk"}
 			op.enqueued = now.Add(-time.Duration(rng.Intn(10)) * time.Millisecond / 2)
 			if rng.Intn(3) == 0 {
 				op.deadline = now.Add(time.Duration(rng.Intn(5)-1) * time.Millisecond)
 			}
 			ops[i] = op
 		}
-		want := qosGroupsRef(slices.Clone(ops), aging, now)
-		got := passGroups(slices.Clone(ops), nil, 0, aging, now)
+		want := qosGroupsRef(slices.Clone(ops))
+		got := passGroups(slices.Clone(ops), nil, 1<<20)
 		if len(got) != len(want) {
-			t.Fatalf("trial %d (aging %v): %d groups, want %d", trial, aging, len(got), len(want))
+			t.Fatalf("trial %d: %d groups, want %d", trial, len(got), len(want))
 		}
 		for g := range want {
 			if !slices.Equal(got[g], want[g]) {
-				t.Fatalf("trial %d (aging %v): group %d differs", trial, aging, g)
+				t.Fatalf("trial %d: group %d differs", trial, g)
 			}
+		}
+		if off := passGroups(slices.Clone(ops), nil, 0); len(ops) > 0 && (len(off) != 1 || !slices.Equal(off[0], ops)) {
+			t.Fatalf("trial %d: fair share off served %d groups, want the list as one", trial, len(off))
 		}
 	}
 }
 
 // TestUrgentOpsCountedByDeadline: ClassTotals.UrgentOps counts the ops
-// that went through the strict-priority front, and an explicit context
-// deadline puts an op there whenever aging or fair sharing is on. With
-// aging on and no quantum the aging cap is an hour away; with aging off
-// and a quantum no op can exhaust, nothing is deferred. Either way
-// exactly the ops under a context deadline are urgent.
+// that went through the strict-priority front. With fair sharing on (a
+// quantum no op can exhaust, so nothing is deferred) exactly the ops
+// under a context deadline are urgent; with it off there is no front,
+// and a deadline makes nothing urgent.
 func TestUrgentOpsCountedByDeadline(t *testing.T) {
+	const n = 8
+	run := func(opts ServiceOptions) []ClassTotals {
+		svc := NewService(testVolume(t), opts)
+		defer svc.Close()
+		sess := svc.NewSession(SessionOptions{Class: "int"})
+		withDeadline, cancel := context.WithDeadline(context.Background(), time.Now().Add(time.Hour))
+		defer cancel()
+		for i := 0; i < n; i++ {
+			ctx := context.Background()
+			if i%2 == 1 {
+				ctx = withDeadline
+			}
+			plan := Static([]lvm.Request{{VLBN: int64(100 * i), Count: 2}}, disk.SchedSPTF)
+			if _, err := sess.RunPlan(ctx, plan, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return svc.ClassTotals()
+	}
 	for _, tc := range []struct {
-		name string
-		opts ServiceOptions
+		opts   ServiceOptions
+		urgent int64
 	}{
-		{"aging, no fair share", ServiceOptions{DeadlineAging: time.Hour}},
-		{"fair share, no aging", ServiceOptions{FairQuantum: 1 << 20, Classes: []QoSClass{{Name: "int", Weight: 1}}}},
+		{ServiceOptions{FairQuantum: 1 << 20, Classes: []QoSClass{{Name: "int", Weight: 1}}}, n / 2},
+		{ServiceOptions{}, 0},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			v := testVolume(t)
-			svc := NewService(v, tc.opts)
-			defer svc.Close()
-			sess := svc.NewSession(SessionOptions{Class: "int"})
-			withDeadline, cancel := context.WithDeadline(context.Background(), time.Now().Add(time.Hour))
-			defer cancel()
-			const n = 8
-			for i := 0; i < n; i++ {
-				ctx := context.Background()
-				if i%2 == 1 {
-					ctx = withDeadline
-				}
-				plan := Static([]lvm.Request{{VLBN: int64(100 * i), Count: 2}}, disk.SchedSPTF)
-				if _, err := sess.RunPlan(ctx, plan, Options{}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			cts := svc.ClassTotals()
-			if len(cts) != 1 || cts[0].Class != "int" || cts[0].Ops != n {
-				t.Fatalf("ClassTotals = %+v, want one class with %d ops", cts, n)
-			}
-			if cts[0].UrgentOps != n/2 || cts[0].Deferred != 0 {
-				t.Fatalf("urgent %d deferred %d, want %d urgent (the deadline ops) and none deferred",
-					cts[0].UrgentOps, cts[0].Deferred, n/2)
-			}
-		})
+		cts := run(tc.opts)
+		if len(cts) != 1 || cts[0].Class != "int" || cts[0].Ops != n {
+			t.Fatalf("quantum %d: ClassTotals = %+v, want one class with %d ops", tc.opts.FairQuantum, cts, n)
+		}
+		if cts[0].UrgentOps != tc.urgent || cts[0].Deferred != 0 {
+			t.Fatalf("quantum %d: urgent %d deferred %d, want %d urgent and none deferred",
+				tc.opts.FairQuantum, cts[0].UrgentOps, cts[0].Deferred, tc.urgent)
+		}
 	}
 }
 
@@ -551,9 +550,7 @@ type steppedBox struct {
 // steppedPass serves one admission pass of boxes on a fresh Atlas 10k
 // III service with opts — svc.process run by hand, so nothing depends
 // on host timing — and returns each op's observed ElapsedMs. Every op is
-// stamped enqueued at the pass's start: a zero stamp would read as aged
-// under any aging cap, while an hour-long cap then leaves only the
-// context deadline to make an op urgent.
+// stamped enqueued at the pass's start, as submit would stamp it.
 func steppedPass(t *testing.T, opts ServiceOptions, pass []steppedBox) []float64 {
 	t.Helper()
 	v, err := lvm.New(0, disk.AtlasTenKIII())
@@ -650,35 +647,35 @@ func TestFairShareSteppedPass(t *testing.T) {
 	}
 }
 
-// TestDeadlineAgingSteppedPass is the deadline-aging claim as simulated
-// time: one stepped admission pass holds seven bulk 8³ boxes along the
-// grid's diagonal and, last, one 4³ hot-region box under a context
-// deadline, on a 64³ MultiMap grid
-// on an Atlas 10k III. With aging off the eight ops coalesce into one
-// batch and the deadline op observes all of it; with aging on (an
-// hour-long cap, so only the deadline makes an op urgent) the deadline
-// op is the urgent front, served as its own batch ahead of the bulk.
-// The deadline op's and the bulk ops' observed ElapsedMs are pinned.
-func TestDeadlineAgingSteppedPass(t *testing.T) {
+// TestDeadlineSteppedPass is the deadline claim as simulated time: one
+// stepped admission pass holds seven bulk 8³ boxes along the grid's
+// diagonal and, last, one 4³ hot-region box under a context deadline,
+// on a 64³ MultiMap grid on an Atlas 10k III. With fair sharing off the
+// eight ops coalesce into one batch and the deadline op observes all of
+// it; with it on (a quantum the bulk's 3 584 blocks do not reach, so
+// only the deadline splits the pass) the deadline op is the urgent
+// front, served as its own batch ahead of the bulk. The deadline op's
+// and the bulk ops' observed ElapsedMs are pinned.
+func TestDeadlineSteppedPass(t *testing.T) {
 	var pass []steppedBox
 	for i := 0; i < 7; i++ {
 		pass = append(pass, steppedBox{class: "bulk", lo: [3]int{8 + 8*i, 8 + 8*i, 8 + 8*i}, side: 8})
 	}
 	pass = append(pass, steppedBox{class: "deadline", lo: [3]int{0, 0, 0}, side: 4, deadline: true})
-	want := map[string][2]float64{ // class → {aging off, on}
+	want := map[string][2]float64{ // class → {fair share off, on}
 		"deadline": {734.9037900874636, 25.206997084548103},
 		"bulk":     {734.9037900874636, 702.5422740524781},
 	}
 	for rep := 0; rep < 3; rep++ {
 		off := byClass(t, pass, steppedPass(t, ServiceOptions{}, pass))
-		on := byClass(t, pass, steppedPass(t, ServiceOptions{DeadlineAging: time.Hour}, pass))
+		on := byClass(t, pass, steppedPass(t, ServiceOptions{FairQuantum: 1 << 20}, pass))
 		for class, w := range want {
 			if off[class] != w[0] || on[class] != w[1] {
 				t.Errorf("repeat %d: %s %v → %v ms, want %v → %v", rep, class, off[class], on[class], w[0], w[1])
 			}
 		}
 		if on["deadline"]*5 > off["deadline"] {
-			t.Errorf("repeat %d: aging cut the deadline op from %v to %v ms, want ≥ 5× lower", rep, off["deadline"], on["deadline"])
+			t.Errorf("repeat %d: the urgent front cut the deadline op from %v to %v ms, want ≥ 5× lower", rep, off["deadline"], on["deadline"])
 		}
 	}
 }

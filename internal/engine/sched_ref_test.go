@@ -10,13 +10,14 @@ import (
 	"repro/internal/lvm"
 )
 
-// The admission scheduler as it stood when serveWork had three arms —
-// submission order (aging off, fair share off), qosGroups' urgent-front
-// split (aging on, fair share off) and deficit round-robin with
+// The admission scheduler as it stood when serveWork had separate arms
+// — submission order (fair share off) and deficit round-robin with
 // takeUrgent (fair share on) — kept as the oracle the one scheduler in
-// qos.go is compared against. Nothing here calls isUrgent or
-// sortUrgent: the reference carries its own urgency test and
-// effective-deadline order, so a mutation of either is caught.
+// qos.go is compared against, together with qosGroupsRef, the original
+// urgent-front classifier that fair share at one class reproduces.
+// Nothing here calls isUrgent or sortUrgent: the reference carries its
+// own urgency test and effective-deadline order, so a mutation of
+// either is caught.
 //
 // One deliberate difference from the parent: its takeUrgent ranged over
 // the pending map, so urgent ops of different classes with EQUAL
@@ -24,45 +25,37 @@ import (
 // The reference (like qos.go now) visits classes in name order, which is
 // one of the orders the parent could produce.
 
-func refUrgent(op *serviceOp, classes map[string]QoSClass, aging time.Duration, now time.Time) bool {
+func refUrgent(op *serviceOp, classes map[string]QoSClass) bool {
 	if !op.deadline.IsZero() {
 		return true
 	}
-	if c, ok := classes[op.class]; ok && c.Urgent {
-		return true
-	}
-	return aging > 0 && now.Sub(op.enqueued) >= aging
+	c, ok := classes[op.class]
+	return ok && c.Urgent
 }
 
-func refSortUrgent(ops []*serviceOp, aging time.Duration) {
+func refSortUrgent(ops []*serviceOp) {
 	eff := func(op *serviceOp) time.Time {
 		if !op.deadline.IsZero() {
 			return op.deadline
 		}
-		return op.enqueued.Add(aging)
+		return op.enqueued
 	}
 	slices.SortStableFunc(ops, func(a, b *serviceOp) int { return eff(a).Compare(eff(b)) })
 }
 
-// qosGroupsRef is the FairQuantum-0 classifier: one batch in submission
-// order with aging off; urgent front batch, then the bulk, with it on.
-// An Urgent class is inert (no registry without fair sharing).
-func qosGroupsRef(ops []*serviceOp, aging time.Duration, now time.Time) [][]*serviceOp {
-	if len(ops) == 0 {
-		return nil
-	}
-	if aging <= 0 {
-		return [][]*serviceOp{ops}
-	}
+// qosGroupsRef is the original urgent-front classifier: the
+// deadline-carrying ops as one batch ordered by deadline, then the rest
+// in submission order. An Urgent class is inert (it has no registry).
+func qosGroupsRef(ops []*serviceOp) [][]*serviceOp {
 	var urgent, bulk []*serviceOp
 	for _, op := range ops {
-		if refUrgent(op, nil, aging, now) {
+		if refUrgent(op, nil) {
 			urgent = append(urgent, op)
 		} else {
 			bulk = append(bulk, op)
 		}
 	}
-	refSortUrgent(urgent, aging)
+	refSortUrgent(urgent)
 	var groups [][]*serviceOp
 	if len(urgent) > 0 {
 		groups = append(groups, urgent)
@@ -102,13 +95,13 @@ func (d *refSched) activeClasses() []string {
 	return names
 }
 
-func (d *refSched) takeUrgent(classes map[string]QoSClass, aging time.Duration, now time.Time) []*serviceOp {
+func (d *refSched) takeUrgent(classes map[string]QoSClass) []*serviceOp {
 	var urgent []*serviceOp
 	for _, name := range d.activeClasses() {
 		q := d.pending[name]
 		var kept []*serviceOp
 		for _, op := range q {
-			if refUrgent(op, classes, aging, now) {
+			if refUrgent(op, classes) {
 				urgent = append(urgent, op)
 				d.count--
 			} else {
@@ -156,20 +149,17 @@ func (d *refSched) grant(classes map[string]QoSClass, quantum int64) [][]*servic
 
 // pass is the parent's serveWork with the serving taken out: the
 // batches one admission pass serves, in service order.
-func (d *refSched) pass(live []*serviceOp, classes map[string]QoSClass, quantum int64, aging time.Duration, now time.Time) [][]*serviceOp {
+func (d *refSched) pass(live []*serviceOp, classes map[string]QoSClass, quantum int64) [][]*serviceOp {
 	if quantum <= 0 {
-		if aging <= 0 {
-			if len(live) > 0 {
-				return [][]*serviceOp{live}
-			}
-			return nil
+		if len(live) > 0 {
+			return [][]*serviceOp{live}
 		}
-		return qosGroupsRef(live, aging, now)
+		return nil
 	}
 	d.push(live)
 	var groups [][]*serviceOp
-	if urgent := d.takeUrgent(classes, aging, now); len(urgent) > 0 {
-		refSortUrgent(urgent, aging)
+	if urgent := d.takeUrgent(classes); len(urgent) > 0 {
+		refSortUrgent(urgent)
 		groups = append(groups, urgent)
 	}
 	return append(groups, d.grant(classes, quantum)...)
@@ -199,19 +189,19 @@ func servedOrder(urgent []*serviceOp, groups [][]*serviceOp) [][]*serviceOp {
 }
 
 // passGroups runs one pass over ops on an empty scheduler.
-func passGroups(ops []*serviceOp, classes map[string]QoSClass, quantum int64, aging time.Duration, now time.Time) [][]*serviceOp {
-	return servedOrder(newDRRSched().pass(ops, classes, quantum, aging, now))
+func passGroups(ops []*serviceOp, classes map[string]QoSClass, quantum int64) [][]*serviceOp {
+	return servedOrder(newDRRSched().pass(ops, classes, quantum))
 }
 
 // TestSchedulerMatchesThreeArms: over seeded op lists — several classes
-// (one registered Urgent, one unregistered), explicit deadlines, enqueue
-// ages below, exactly on and above the aging cap, block costs around
-// the quantum — and every combination of aging off/on and fair share
-// off/on, a run of passes on one scheduler (so backlog and deficits
-// carry from pass to pass, ending in pure backlog passes until the
-// reference has drained) serves exactly
+// (one registered Urgent, one unregistered), explicit deadlines, spread
+// enqueue stamps (the Urgent class's order), block costs around the
+// quantum — with fair share off and on, a run of passes on one
+// scheduler (so backlog and deficits carry from pass to pass, ending in
+// pure backlog passes until the reference has drained) serves exactly
 // the reference's batches: same membership, same batch order, same op
-// order, and the same ops left deferred.
+// order, and the same ops left deferred. (The name counts the arms the
+// reference once had; two remain.)
 func TestSchedulerMatchesThreeArms(t *testing.T) {
 	classes := map[string]QoSClass{
 		"":     {Name: "", Weight: 1},
@@ -220,46 +210,43 @@ func TestSchedulerMatchesThreeArms(t *testing.T) {
 		"rt":   {Name: "rt", Weight: 1, Urgent: true},
 	}
 	names := []string{"", "bulk", "int", "rt", "unregistered"}
-	const agingCap = 2 * time.Millisecond
 	for seed := int64(0); seed < 500; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		for _, aging := range []time.Duration{0, agingCap} {
-			for _, quantum := range []int64{0, 8} {
-				got, want := newDRRSched(), newRefSched()
-				now := time.Unix(1_000_000, 0)
-				for pass, passes := 0, 2+rng.Intn(3); pass < passes || want.count > 0; pass++ {
-					var ops []*serviceOp
-					if pass < passes {
-						ops = make([]*serviceOp, rng.Intn(10))
-					}
-					for i := range ops {
-						op := &serviceOp{kind: opChunk, class: names[rng.Intn(len(names))],
-							chunk: Chunk{Reqs: []lvm.Request{{Count: 1 + rng.Intn(20)}}}}
-						// Ages in half-millisecond steps land on the cap exactly.
-						op.enqueued = now.Add(-time.Duration(rng.Intn(10)) * time.Millisecond / 2)
-						if rng.Intn(4) == 0 {
-							op.deadline = now.Add(time.Duration(rng.Intn(5)-1) * time.Millisecond)
-						}
-						ops[i] = op
-					}
-					w := want.pass(slices.Clone(ops), classes, quantum, aging, now)
-					g := servedOrder(got.pass(slices.Clone(ops), classes, quantum, aging, now))
-					if len(g) != len(w) {
-						t.Fatalf("seed %d aging %v quantum %d pass %d: %d batches, want %d",
-							seed, aging, quantum, pass, len(g), len(w))
-					}
-					for i := range w {
-						if !slices.Equal(g[i], w[i]) {
-							t.Fatalf("seed %d aging %v quantum %d pass %d: batch %d differs",
-								seed, aging, quantum, pass, i)
-						}
-					}
-					if !slices.Equal(deferredOps(got.pending), deferredOps(want.pending)) || got.count != want.count {
-						t.Fatalf("seed %d aging %v quantum %d pass %d: deferred sets differ (%d vs %d ops)",
-							seed, aging, quantum, pass, got.count, want.count)
-					}
-					now = now.Add(time.Duration(rng.Intn(3)) * time.Millisecond / 2)
+		for _, quantum := range []int64{0, 8} {
+			got, want := newDRRSched(), newRefSched()
+			now := time.Unix(1_000_000, 0)
+			for pass, passes := 0, 2+rng.Intn(3); pass < passes || want.count > 0; pass++ {
+				var ops []*serviceOp
+				if pass < passes {
+					ops = make([]*serviceOp, rng.Intn(10))
 				}
+				for i := range ops {
+					op := &serviceOp{kind: opChunk, class: names[rng.Intn(len(names))],
+						chunk: Chunk{Reqs: []lvm.Request{{Count: 1 + rng.Intn(20)}}}}
+					// Stamps in half-millisecond steps tie often.
+					op.enqueued = now.Add(-time.Duration(rng.Intn(10)) * time.Millisecond / 2)
+					if rng.Intn(4) == 0 {
+						op.deadline = now.Add(time.Duration(rng.Intn(5)-1) * time.Millisecond)
+					}
+					ops[i] = op
+				}
+				w := want.pass(slices.Clone(ops), classes, quantum)
+				g := servedOrder(got.pass(slices.Clone(ops), classes, quantum))
+				if len(g) != len(w) {
+					t.Fatalf("seed %d quantum %d pass %d: %d batches, want %d",
+						seed, quantum, pass, len(g), len(w))
+				}
+				for i := range w {
+					if !slices.Equal(g[i], w[i]) {
+						t.Fatalf("seed %d quantum %d pass %d: batch %d differs",
+							seed, quantum, pass, i)
+					}
+				}
+				if !slices.Equal(deferredOps(got.pending), deferredOps(want.pending)) || got.count != want.count {
+					t.Fatalf("seed %d quantum %d pass %d: deferred sets differ (%d vs %d ops)",
+						seed, quantum, pass, got.count, want.count)
+				}
+				now = now.Add(time.Duration(rng.Intn(3)) * time.Millisecond / 2)
 			}
 		}
 	}

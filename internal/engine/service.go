@@ -120,32 +120,19 @@ type ServiceOptions struct {
 	// CacheBlocks is the shared extent cache capacity in blocks;
 	// 0 disables the cache.
 	CacheBlocks int64
-	// DeadlineAging enables deadline/QoS-aware admission. When positive,
-	// every admission pass classifies its work ops: ops whose context
-	// carries a deadline, and ops that have already been queued for at
-	// least the aging duration, are urgent — they are served first, as
-	// their own admission batch ordered by effective deadline (explicit
-	// deadline, or enqueue time + aging for aged ops), ahead of — and
-	// never coalesced with — the pass's non-urgent bulk. An old or
-	// urgent request therefore bounds how long cross-query coalescing
-	// may delay it: at most one batch of similarly urgent peers. 0 (the
-	// default) turns aging off. With FairQuantum also 0 that disables
-	// classification — every pass admits in submission order, bit-for-bit
-	// the pre-QoS behavior; with FairQuantum positive, ops with an
-	// explicit deadline and ops of an Urgent class still form the urgent
-	// front (only age no longer promotes anything).
-	DeadlineAging time.Duration
 	// FairQuantum enables weighted-fair (deficit-round-robin) admission
 	// when positive: each admission pass grants every backlogged QoS
 	// class FairQuantum × weight blocks of credit, admits each class's
 	// ops FIFO while the credit covers their simulated block cost, and
 	// defers the rest to later passes — so one class's burst can no
 	// longer monopolize an admission pass. Urgent work (explicit
-	// context deadline, Urgent class, or op aged past DeadlineAging)
-	// keeps strict priority ahead of the weighted shares. 0 (the
-	// default) is the same scheduler with one class and unbounded
-	// credit — nothing is deferred and the class registry is not
-	// consulted. See qos.go for the full contract.
+	// context deadline or Urgent class) keeps strict priority ahead of
+	// the weighted shares, as its own batch ordered by effective
+	// deadline. 0 (the default) is the same scheduler with one class
+	// and unbounded credit: every pass admits in submission order,
+	// nothing is deferred, deadlines reorder nothing and the class
+	// registry is not consulted — bit-for-bit the pre-QoS behavior.
+	// See qos.go for the full contract.
 	FairQuantum int64
 	// Classes registers the QoS classes (weights, urgency) the fair
 	// scheduler uses. Sessions reference classes by SessionOptions.Class;
@@ -277,7 +264,7 @@ func (s *Service) Configure(o ServiceOptions) error {
 
 // zero reports whether o names no option at all.
 func (o ServiceOptions) zero() bool {
-	return o.CacheBlocks == 0 && o.DeadlineAging == 0 && o.FairQuantum == 0 &&
+	return o.CacheBlocks == 0 && o.FairQuantum == 0 &&
 		len(o.Classes) == 0 && o.WriteBack == WriteBackOptions{}
 }
 
@@ -288,7 +275,6 @@ func (o ServiceOptions) zero() bool {
 // a schedulable class of their own.
 func (o ServiceOptions) normalized() ServiceOptions {
 	o.CacheBlocks = max(o.CacheBlocks, 0)
-	o.DeadlineAging = max(o.DeadlineAging, 0)
 	o.FairQuantum = max(o.FairQuantum, 0)
 	if o.WriteBack.Enabled {
 		o.WriteBack = o.WriteBack.withDefaults()

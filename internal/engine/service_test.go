@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/disk"
 	"repro/internal/lvm"
@@ -797,7 +796,7 @@ func TestConfigureRule(t *testing.T) {
 // installed before the first op is queued, or refused after — and
 // under -race nothing the loop reads is written while it runs.
 func TestConfigureRacesFirstSubmit(t *testing.T) {
-	opts := ServiceOptions{CacheBlocks: 64, DeadlineAging: time.Millisecond,
+	opts := ServiceOptions{CacheBlocks: 64, FairQuantum: DefaultFairQuantum,
 		WriteBack: WriteBackOptions{Enabled: true}}
 	for i := 0; i < 20; i++ {
 		svc := NewService(testVolume(t), ServiceOptions{})

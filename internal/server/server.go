@@ -218,10 +218,6 @@ func buildOptions(req OpenStoreRequest) ([]multimap.Option, error) {
 	if err := unusedField(req); err != nil {
 		return nil, err
 	}
-	aging, err := wireUs("deadline_aging_us", req.DeadlineAgingUs)
-	if err != nil {
-		return nil, err
-	}
 	interval, err := wireUs("wb_interval_us", req.WBIntervalUs)
 	if err != nil {
 		return nil, err
@@ -238,9 +234,6 @@ func buildOptions(req OpenStoreRequest) ([]multimap.Option, error) {
 	}
 	if req.Shards != 0 {
 		opts = append(opts, multimap.WithShards(req.Shards))
-	}
-	if aging != 0 {
-		opts = append(opts, multimap.WithDeadlineAging(aging))
 	}
 	if req.WriteBack {
 		opts = append(opts, multimap.WithWriteBack(req.WBWatermarkBlocks, interval))

@@ -585,7 +585,7 @@ func TestOpenRejectsUnknownFields(t *testing.T) {
 		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"batch_window_us":1000}`, "batch_window_us"},
 		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"cache_blokcs":4096}`, "cache_blokcs"},
 		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"policy":"elevator"}`, "policy"},
-		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"deadline_aging_us":20000000000000000}`, "deadline_aging_us"},
+		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"deadline_aging_us":2000}`, "deadline_aging_us"},
 		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"write_back":true,"wb_interval_us":3600000001}`, "wb_interval_us"},
 		{"/v1/pools", `{"name":"p","drives":["mediumtest"],"adj_depth":32,"pipeline":2}`, "pipeline"},
 		{"/v1/stores/u/sessions", `{"clas":"interactive"}`, "clas"},

@@ -161,7 +161,7 @@ var ErrNotUpdatable = errors.New("multimap: store opened without Updatable")
 // partial Stats of the work that WAS issued are returned alongside the
 // context's error, and Stats.Cancelled/DeadlineExceeded count the
 // dropped operations. Pair context.WithDeadline with the
-// WithDeadlineAging open option to make deadlines a QoS signal the
+// WithFairShare open option to make deadlines a QoS signal the
 // admission batcher honors.
 //
 // A store always executes through a shard group. The default single
@@ -192,7 +192,7 @@ type Store struct {
 // Open maps an N-dimensional grid dataset onto the volume using the
 // given placement and returns the store, configured by functional
 // options (WithChunkCells, WithCache, WithMaxInflight,
-// WithShards, WithDeadlineAging, WithFairShare, WithQoSClass, WithQoS,
+// WithShards, WithFairShare, WithQoSClass, WithQoS,
 // WithWriteBack, WithDiskIdx, Updatable). With WithShards(n > 1) the
 // dataset is split along Dim0 across that many shard volumes (the given
 // volume plus internally created clones of its hardware); with
@@ -281,8 +281,8 @@ func services(vols []*Volume) []*engine.Service {
 	return svcs
 }
 
-// configure installs the config's service-level knobs (cache, deadline
-// aging, write-back, fair sharing) on every shard service — shared by
+// configure installs the config's service-level knobs (cache,
+// write-back, fair sharing) on every shard service — shared by
 // open and the pool's clone path, which configures the cloned volumes'
 // services as the parent's were.
 func configure(svcs []*engine.Service, c config) error {

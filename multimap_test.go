@@ -641,14 +641,66 @@ func TestShardsBeyondDim0FailFirst(t *testing.T) {
 	}
 }
 
+// TestMetricsCountsQueries: Metrics().Queries counts every successful
+// Beam, RangeQuery, RangeQueryStream and FetchCell, and not a range
+// under an already-cancelled context or one whose box is out of range.
+func TestMetricsCountsQueries(t *testing.T) {
+	v, err := OpenVolume(AtlasTenKIII)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	s, err := Open(v, MultiMap, []int{16, 16, 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	sess := s.Begin()
+	lo, hi := []int{0, 0, 0}, []int{4, 4, 4}
+	if m := s.Metrics(); m.Queries != 0 || m.LatencyP50Ms != 0 {
+		t.Fatalf("fresh store: %d queries, p50 %v", m.Queries, m.LatencyP50Ms)
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	for i, q := range []struct {
+		name string
+		run  func() (Stats, error)
+		ok   bool
+	}{
+		{"Beam", func() (Stats, error) { return sess.Beam(ctx, 1, []int{3, 0, 5}) }, true},
+		{"RangeQuery", func() (Stats, error) { return sess.RangeQuery(ctx, lo, hi) }, true},
+		{"RangeQueryStream", func() (Stats, error) { return sess.RangeQueryStream(ctx, lo, hi, func(RangeChunk) {}) }, true},
+		{"FetchCell", func() (Stats, error) { return sess.FetchCell(ctx, []int{1, 2, 3}) }, true},
+		{"cancelled RangeQuery", func() (Stats, error) { return sess.RangeQuery(cancelled, lo, hi) }, false},
+		{"out-of-range RangeQuery", func() (Stats, error) { return sess.RangeQuery(ctx, lo, []int{4, 4, 17}) }, false},
+	} {
+		before := s.Metrics().Queries
+		if _, err := q.run(); (err == nil) != q.ok {
+			t.Fatalf("%s: err = %v, want success %v", q.name, err, q.ok)
+		}
+		want := before
+		if q.ok {
+			want++
+		}
+		if got := s.Metrics().Queries; got != want {
+			t.Fatalf("op %d (%s): Queries %d, want %d", i, q.name, got, want)
+		}
+	}
+	if got := s.Metrics().Queries; got != 4 {
+		t.Fatalf("after four queries: Queries %d", got)
+	}
+}
+
 // TestShardedConcurrentSessions is the -race exercise for the public
 // scatter-gather path: concurrent sessions over a 2-shard store, mixed
 // beams and ranges, then the attribution-sum check against the
-// per-shard totals. The second arm is the concurrent run of deadline
-// aging on the public Store: an updatable write-back store with
-// WithDeadlineAging(2ms), where session 0 queries under 50 ms deadlines
-// (urgent ops, some of which may expire), the others mix reads with
-// insert bursts, and a closing Flush commits what is still dirty. The
+// per-shard totals. The second arm is the concurrent run of the urgent
+// front on the public Store: an updatable write-back store with
+// WithFairShare at a quantum no pass's backlog reaches (nothing is
+// deferred; deadlines alone reorder), where session 0 queries under
+// 50 ms deadlines (urgent ops, some of which may expire), the others
+// mix reads with insert bursts, and a closing Flush commits what is
+// still dirty. The
 // sum then also covers the write counters, and every drop a shard loop
 // counted must have reached a session.
 func TestShardedConcurrentSessions(t *testing.T) {
@@ -658,8 +710,8 @@ func TestShardedConcurrentSessions(t *testing.T) {
 		mixed bool // a deadline session, insert bursts and a closing Flush
 	}{
 		{"read-only", nil, false},
-		{"write-back-aging", []Option{Updatable(UpdateOptions{}), WithWriteBack(0, 0),
-			WithDeadlineAging(2 * time.Millisecond)}, true},
+		{"write-back-deadlines", []Option{Updatable(UpdateOptions{}), WithWriteBack(0, 0),
+			WithFairShare(1 << 20)}, true},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
 			testShardedConcurrentSessions(t, arm.opts, arm.mixed)

@@ -12,8 +12,8 @@ import (
 type Option func(*config) error
 
 // config is the resolved option set behind Open. svc holds the
-// service-level knobs (WithCache, WithDeadlineAging, WithWriteBack,
-// WithQoSClass, WithFairShare) exactly as the shard services take them,
+// service-level knobs (WithCache, WithWriteBack, WithQoSClass,
+// WithFairShare) exactly as the shard services take them,
 // and they follow one rule: they configure the volume on the first Open
 // that names one, before the volume has served, and a later Open on the
 // volume that names one fails.
@@ -70,10 +70,9 @@ func WithChunkCells(n int64) Option {
 // off. Overlapping queries skip re-simulated I/O (Stats.CacheHits). The
 // cache is a service-level resource, shared by every store on the
 // volume, and like every service-level option (WithCache,
-// WithDeadlineAging, WithWriteBack, WithQoSClass, WithFairShare) it
-// configures the volume once: on the first Open that names one, before
-// the volume has served. A later Open on the volume that names one
-// fails.
+// WithWriteBack, WithQoSClass, WithFairShare) it configures the volume
+// once: on the first Open that names one, before the volume has served.
+// A later Open on the volume that names one fails.
 func WithCache(blocks int64) Option {
 	return func(c *config) error {
 		if blocks < 0 {
@@ -117,30 +116,6 @@ func WithShards(n int) Option {
 			n = 1
 		}
 		c.shards = n
-		return nil
-	}
-}
-
-// WithDeadlineAging turns on deadline/QoS-aware admission for every
-// shard service this store uses. When positive, each admission pass
-// serves urgent requests — those whose context carries a deadline, and
-// those queued for at least the aging duration — first, as their own
-// batch ordered by effective deadline, never coalesced with the
-// pass's bulk. An urgent or old request is therefore delayed by
-// coalescing for at most one batch of similarly urgent peers, which is
-// how a session under context.WithDeadline gets latency ahead of big
-// concurrent batch work. Like WithCache this configures the volume
-// service once; 0 names nothing (default: off). With aging off and
-// fair sharing off, admission stays in submission order, bit-identical
-// to the pre-QoS behavior; under WithFairShare, requests whose context
-// carries a deadline and requests of an urgent class are still served
-// first whatever the aging setting.
-func WithDeadlineAging(d time.Duration) Option {
-	return func(c *config) error {
-		if d < 0 {
-			return fmt.Errorf("multimap: DeadlineAging must be non-negative")
-		}
-		c.svc.DeadlineAging = d
 		return nil
 	}
 }
@@ -203,10 +178,15 @@ func WithQoSClass(name string, weight int, urgent bool) Option {
 // every backlogged QoS class quantum × weight blocks of credit,
 // admits each class's ops FIFO while the credit covers their
 // simulated block cost, and defers the rest to later passes — so one
-// class's bulk burst can no longer monopolize an admission pass, while
-// urgent work (an explicit context deadline, a WithQoSClass urgent
-// class, or an op aged past WithDeadlineAging) keeps strict priority.
-// The extent cache stays one LRU shared by every class. quantum 0 selects the engine default (engine.DefaultFairQuantum);
+// class's bulk burst can no longer monopolize an admission pass. Urgent
+// work (a request whose context carries a deadline, or one of a
+// WithQoSClass urgent class) keeps strict priority: each pass serves it
+// first, as its own batch ordered by effective deadline, never
+// coalesced with the bulk — how a session under context.WithDeadline
+// gets latency ahead of big concurrent batch work. A deferred request
+// waits passes, not time: its class's credit carries over, and every
+// pass admits at least one request. The extent cache stays one LRU
+// shared by every class. quantum 0 selects the engine default (engine.DefaultFairQuantum);
 // negative fails the open. Like WithCache this configures the volume
 // service once, together with the WithQoSClass registry (default: off —
 // admission bit-identical to the pre-QoS behavior).

@@ -74,7 +74,7 @@ func TestStoreQoSSessions(t *testing.T) {
 		}
 	}
 	// The urgent class's ops all rode the strict-priority front batch;
-	// the weighted classes never did (no deadlines, no aging configured).
+	// the weighted classes never did (no deadlines).
 	if u := got["ops"]; u.UrgentOps != u.Ops {
 		t.Fatalf("urgent class served %d of %d ops urgently", u.UrgentOps, u.Ops)
 	}
