@@ -520,20 +520,23 @@ func TestUrgentOpsCountedByDeadline(t *testing.T) {
 		return svc.ClassTotals()
 	}
 	for _, tc := range []struct {
+		name   string
 		opts   ServiceOptions
 		urgent int64
 	}{
-		{ServiceOptions{FairQuantum: 1 << 20, Classes: []QoSClass{{Name: "int", Weight: 1}}}, n / 2},
-		{ServiceOptions{}, 0},
+		{"fair share, no aging", ServiceOptions{FairQuantum: 1 << 20, Classes: []QoSClass{{Name: "int", Weight: 1}}}, n / 2},
+		{"no fair share", ServiceOptions{}, 0},
 	} {
-		cts := run(tc.opts)
-		if len(cts) != 1 || cts[0].Class != "int" || cts[0].Ops != n {
-			t.Fatalf("quantum %d: ClassTotals = %+v, want one class with %d ops", tc.opts.FairQuantum, cts, n)
-		}
-		if cts[0].UrgentOps != tc.urgent || cts[0].Deferred != 0 {
-			t.Fatalf("quantum %d: urgent %d deferred %d, want %d urgent and none deferred",
-				tc.opts.FairQuantum, cts[0].UrgentOps, cts[0].Deferred, tc.urgent)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			cts := run(tc.opts)
+			if len(cts) != 1 || cts[0].Class != "int" || cts[0].Ops != n {
+				t.Fatalf("ClassTotals = %+v, want one class with %d ops", cts, n)
+			}
+			if cts[0].UrgentOps != tc.urgent || cts[0].Deferred != 0 {
+				t.Fatalf("urgent %d deferred %d, want %d urgent and none deferred",
+					cts[0].UrgentOps, cts[0].Deferred, tc.urgent)
+			}
+		})
 	}
 }
 
