@@ -16,9 +16,11 @@
 // batches and observe their elapsed time; with WithFairShare on the
 // admission batcher serves deadline-carrying requests first, in their
 // own batch, so the same session sees a small fraction of the latency
-// at nearly identical aggregate throughput. How large that fraction is
-// depends on host timing, which decides what shares an admission
-// batch, so the printed ratio moves from run to run;
+// at nearly identical aggregate throughput. The QoS session starts only
+// once every bulk session has a query in flight (its first chunk has
+// retired), so its beams always contend with the bulk. How large that
+// fraction is depends on host timing, which decides what shares an
+// admission batch, so the printed ratio moves from run to run;
 // TestDeadlineSteppedPass (internal/engine) pins the effect in
 // simulated time, 25.207 ms against 734.904 ms.
 package main
@@ -124,7 +126,11 @@ func fairness() {
 			panic(err)
 		}
 
-		var wg sync.WaitGroup
+		// started is the start barrier: each bulk session's first query
+		// streams, and its first retired chunk signals that the session
+		// is in flight.
+		var wg, started sync.WaitGroup
+		started.Add(bulkClients)
 		for i := 0; i < bulkClients; i++ {
 			wg.Add(1)
 			go func(i int) {
@@ -134,13 +140,26 @@ func fairness() {
 				for q := 0; q < bulkQueries; q++ {
 					lo := []int{rng.Intn(dims[0] / 2), rng.Intn(dims[1] / 2), rng.Intn(dims[2] / 2)}
 					hi := []int{lo[0] + dims[0]/2, lo[1] + dims[1]/2, lo[2] + dims[2]/2}
-					if _, err := sess.RangeQuery(context.Background(), lo, hi); err != nil {
+					var err error
+					if q == 0 {
+						first := true // chunks are delivered one at a time
+						_, err = sess.RangeQueryStream(context.Background(), lo, hi, func(multimap.RangeChunk) {
+							if first {
+								first = false
+								started.Done()
+							}
+						})
+					} else {
+						_, err = sess.RangeQuery(context.Background(), lo, hi)
+					}
+					if err != nil {
 						panic(err)
 					}
 				}
 			}(i)
 		}
 
+		started.Wait()
 		qos := store.Begin()
 		var sumMs float64
 		completed := 0

@@ -140,3 +140,24 @@ func TestDirtyWaitAllocsNothingPerWake(t *testing.T) {
 		}
 	}
 }
+
+// TestDirtyAbsorbAllocsNothing: absorbing a fresh single-owner extent
+// into a warm write-back buffer allocates nothing — the extent keeps its
+// first contributor inline, and the buffer reuses its array across
+// group commits. (Each new dirty extent used to allocate its
+// contribution slice.)
+func TestDirtyAbsorbAllocsNothing(t *testing.T) {
+	var d dirtySet
+	owner := &Session{}
+	now := time.Now()
+	run := func() {
+		for i := int64(0); i < 8; i++ {
+			d.absorb(owner, 100*i, 100*i+10, 1<<20, now)
+		}
+		clear(d.take())
+	}
+	run() // warm: the buffer's array grown
+	if got := testing.AllocsPerRun(100, run); got != 0 {
+		t.Errorf("absorbing 8 fresh single-owner extents: %v allocs, budget 0", got)
+	}
+}

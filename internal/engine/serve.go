@@ -270,10 +270,11 @@ func (s *Service) flushDirty() error {
 	for i, e := range extents {
 		c := comps[i]
 		var asked int64
-		for _, ct := range e.contribs {
-			asked += ct.blocks
+		for k := 0; k < e.contribs(); k++ {
+			asked += e.contrib(k).blocks
 		}
-		for _, ct := range e.contribs {
+		for k := 0; k < e.contribs(); k++ {
+			ct := e.contrib(k)
 			k, ok := fs.shareOf[ct.owner]
 			if !ok {
 				k = len(shares)

@@ -79,17 +79,21 @@ func (o WriteBackOptions) withDefaults() WriteBackOptions {
 
 // dirtyExtent is one buffered run of mutated blocks [start, end),
 // clipped to a single disk segment (boundary is the segment's end
-// VLBN, so extents never merge across member disks). contribs records
-// how many blocks each submitting session asked to write here, one
-// entry per session — re-writes of already-dirty blocks count again,
-// mirroring how serveMerged credits overlapping readers — and since is
-// when the extent first became dirty (merging keeps the oldest
-// timestamp, so the interval trigger bounds the oldest buffered write).
+// VLBN, so extents never merge across member disks). Its contributions
+// record how many blocks each submitting session asked to write here,
+// one per session in first-contribution order — re-writes of
+// already-dirty blocks count again, mirroring how serveMerged credits
+// overlapping readers. Every extent has a first contributor, kept
+// inline so that absorbing a single-owner extent allocates nothing;
+// more holds the others. since is when the extent first became dirty
+// (merging keeps the oldest timestamp, so the interval trigger bounds
+// the oldest buffered write).
 type dirtyExtent struct {
 	start, end int64
 	boundary   int64
 	since      time.Time
-	contribs   []contrib
+	first      contrib
+	more       []contrib
 }
 
 // contrib is one session's share of a dirty extent: the blocks its
@@ -99,15 +103,30 @@ type contrib struct {
 	blocks int64
 }
 
+// contribs returns how many sessions contributed to the extent.
+func (e *dirtyExtent) contribs() int { return 1 + len(e.more) }
+
+// contrib returns the k-th contribution, in first-contribution order.
+func (e *dirtyExtent) contrib(k int) contrib {
+	if k == 0 {
+		return e.first
+	}
+	return e.more[k-1]
+}
+
 // add credits owner with n more blocks of the extent.
 func (e *dirtyExtent) add(owner *Session, n int64) {
-	for i := range e.contribs {
-		if e.contribs[i].owner == owner {
-			e.contribs[i].blocks += n
+	if e.first.owner == owner {
+		e.first.blocks += n
+		return
+	}
+	for i := range e.more {
+		if e.more[i].owner == owner {
+			e.more[i].blocks += n
 			return
 		}
 	}
-	e.contribs = append(e.contribs, contrib{owner, n})
+	e.more = append(e.more, contrib{owner, n})
 }
 
 // dirtySet is the loop-owned write-back buffer: sorted disjoint dirty
@@ -164,7 +183,7 @@ func (d *dirtySet) absorb(owner *Session, start, end, boundary int64, now time.T
 	if hi == lo {
 		d.extents = slices.Insert(d.extents, lo, dirtyExtent{
 			start: start, end: end, boundary: boundary, since: now,
-			contribs: []contrib{{owner, end - start}},
+			first: contrib{owner, end - start},
 		})
 		d.blocks += end - start
 		return false
@@ -178,7 +197,8 @@ func (d *dirtySet) absorb(owner *Session, start, end, boundary int64, now time.T
 		if e.since.Before(m.since) {
 			m.since = e.since
 		}
-		for _, c := range e.contribs {
+		for k := 0; k < e.contribs(); k++ {
+			c := e.contrib(k)
 			m.add(c.owner, c.blocks)
 		}
 	}

@@ -130,7 +130,9 @@ func (g *Group) CellVLBN(cell []int) (shard int, vlbn int64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	vlbn, err = g.members[si].Map.CellVLBN(g.r.Localize(si, cell))
+	local := g.r.Localize(si, cell)
+	vlbn, err = g.members[si].Map.CellVLBN(local.Cell)
+	local.Release()
 	return si, vlbn, err
 }
 
@@ -278,25 +280,100 @@ type delivery struct {
 	onChunk func(Chunk)
 }
 
-// from returns the engine callback for the part on shard; nil when the
-// query is not streamed.
-func (d *delivery) from(shard int) func(engine.Stats) {
-	if d == nil {
-		return nil
+// deliver hands the consumer the next chunk, served by shard.
+func (d *delivery) deliver(shard int, st engine.Stats) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.onChunk(Chunk{Seq: d.seq, Shard: shard, Stats: st})
+	d.seq++
+}
+
+// partResult is what one part of a scatter returned.
+type partResult struct {
+	stats engine.Stats
+	err   error
+}
+
+// scratch is one query's working memory in the shard layer: the box's
+// split, one result per part, the chunk delivery, and one delivery hook
+// and one scatter func per part. It comes from scratchPool and goes
+// back only after every part of its query has returned. The hooks and
+// funcs are built once per scratch, when it first holds that many
+// parts, and read the query they serve from the scratch's fields, so a
+// warm query builds no closure. A cell op borrows one for the cell's
+// local coordinates (Localize).
+type scratch struct {
+	boxSplit
+	res   []partResult
+	out   delivery
+	hooks []func(engine.Stats)
+	runs  []func()
+	cell  []int
+
+	// The query in flight.
+	s      *Session
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+// putScratch drops what sc holds of the query it served and returns it
+// to the pool.
+func putScratch(sc *scratch) {
+	clear(sc.res)
+	sc.out.onChunk = nil
+	sc.s, sc.ctx, sc.cancel = nil, nil, nil
+	scratchPool.Put(sc)
+}
+
+// start readies sc for a query of session s over its split's parts,
+// streamed to onChunk when it is non-nil.
+func (sc *scratch) start(s *Session, onChunk func(Chunk)) {
+	n := len(sc.parts)
+	for k := len(sc.hooks); k < n; k++ {
+		sc.hooks = append(sc.hooks, func(st engine.Stats) { sc.out.deliver(sc.parts[k].Shard, st) })
+		sc.runs = append(sc.runs, func() {
+			defer sc.wg.Done()
+			sc.serve(k)
+		})
 	}
-	return func(st engine.Stats) {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		d.onChunk(Chunk{Seq: d.seq, Shard: shard, Stats: st})
-		d.seq++
+	if cap(sc.res) < n {
+		sc.res = make([]partResult, n)
+	}
+	sc.res = sc.res[:n]
+	sc.s = s
+	sc.out.seq, sc.out.onChunk = 0, onChunk
+}
+
+// serve runs part k on its shard under sc.ctx; a failure cancels the
+// sibling parts.
+func (sc *scratch) serve(k int) {
+	p, r := sc.parts[k], &sc.res[k]
+	var hook func(engine.Stats)
+	if sc.out.onChunk != nil {
+		hook = sc.hooks[k]
+	}
+	r.stats, r.err = sc.s.g.members[p.Shard].Exec.RangeStreamOn(sc.ctx, sc.s.es[p.Shard], p.Lo, p.Hi, hook)
+	if r.err != nil && sc.cancel != nil {
+		sc.cancel() // first failure stops the sibling shards promptly
 	}
 }
 
 // Box fetches the global box [lo, hi) (hi exclusive per dimension)
 // scatter-gather: sub-boxes run on their shards concurrently and the
-// per-shard Stats merge by summation. A single-shard box runs inline on
-// the owning member — the path that stays bit-identical to the
-// unsharded executor. A beam is the box query.BeamBox builds.
+// per-shard Stats merge by summation. A beam is the box query.BeamBox
+// builds. An unstreamed box inside shard 0's slab runs on member 0
+// with the caller's bounds, unsplit — with one shard that is every
+// unstreamed box, the path that stays bit-identical to the unsharded
+// executor. Any other box is split into scratch taken from a pool and
+// returned once every part has returned, so a warm query allocates
+// only its parts' plans (and the scatter's context). A scatter serves
+// its last part on the calling goroutine and starts one goroutine for
+// each other part.
 //
 // A non-nil onChunk streams the query: as each per-shard plan chunk
 // retires, onChunk receives it numbered and tagged with its shard. It is
@@ -326,39 +403,29 @@ func (s *Session) Box(ctx context.Context, lo, hi []int, onChunk func(Chunk)) (e
 	if _, err := query.CheckBox(s.g.r.dims, lo, hi); err != nil {
 		return engine.Stats{}, err
 	}
-	var out *delivery
-	if onChunk != nil {
-		out = &delivery{onChunk: onChunk}
+	if onChunk == nil && hi[0] <= s.g.r.cuts[1] {
+		// cuts[0] == 0: the caller's bounds are shard 0's local ones.
+		return s.g.members[0].Exec.RangeStreamOn(ctx, s.es[0], lo, hi, nil)
 	}
-	if len(s.es) == 1 {
-		// One shard: its local coordinates are the global ones, so the box
-		// runs on member 0 with the caller's bounds, unsplit.
-		return s.g.members[0].Exec.RangeStreamOn(ctx, s.es[0], lo, hi, out.from(0))
-	}
-	parts := s.g.r.SplitBox(lo, hi)
-	if len(parts) == 1 {
-		p := parts[0]
-		return s.g.members[p.Shard].Exec.RangeStreamOn(ctx, s.es[p.Shard], p.Lo, p.Hi, out.from(p.Shard))
+	sc := getScratch()
+	defer putScratch(sc)
+	s.g.r.split(&sc.boxSplit, lo, hi)
+	sc.start(s, onChunk)
+	if len(sc.parts) == 1 {
+		sc.ctx = ctx
+		sc.serve(0)
+		return sc.res[0].stats, sc.res[0].err
 	}
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	stats := make([]engine.Stats, len(parts))
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for k := range parts {
-		wg.Add(1)
-		// The hook is made here, so that the goroutine does not capture
-		// out and move it to the heap on an unstreamed query.
-		go func(k int, hook func(engine.Stats)) {
-			defer wg.Done()
-			p := parts[k]
-			stats[k], errs[k] = s.g.members[p.Shard].Exec.RangeStreamOn(sctx, s.es[p.Shard], p.Lo, p.Hi, hook)
-			if errs[k] != nil {
-				cancel() // first failure stops the sibling shards promptly
-			}
-		}(k, out.from(parts[k].Shard))
+	sc.ctx, sc.cancel = sctx, cancel
+	last := len(sc.parts) - 1
+	sc.wg.Add(last)
+	for k := 0; k < last; k++ {
+		go sc.runs[k]()
 	}
-	wg.Wait()
+	sc.serve(last)
+	sc.wg.Wait()
 	// Merge in part order — deterministic whatever the shard scheduling
 	// was — and pick the reported error the same way: the first part
 	// with any error, upgraded to the first part with a non-context
@@ -367,14 +434,14 @@ func (s *Session) Box(ctx context.Context, lo, hi []int, onChunk func(Chunk)) (e
 	// ctx is done, that error wins: it is the query's true cause.
 	var merged engine.Stats
 	var first error
-	for k := range parts {
-		merged.Accumulate(stats[k])
-		if errs[k] != nil && first == nil {
-			first = errs[k]
+	for _, r := range sc.res {
+		merged.Accumulate(r.stats)
+		if r.err != nil && first == nil {
+			first = r.err
 		}
 	}
-	for k := range parts {
-		if e := errs[k]; e != nil && !errors.Is(e, context.Canceled) && !errors.Is(e, context.DeadlineExceeded) {
+	for _, r := range sc.res {
+		if e := r.err; e != nil && !errors.Is(e, context.Canceled) && !errors.Is(e, context.DeadlineExceeded) {
 			first = e
 			break
 		}

@@ -94,11 +94,37 @@ func (r *Router) ShardOf(cell []int) (int, error) {
 	return 0, fmt.Errorf("shard: unroutable coordinate %d", x) // unreachable
 }
 
-// Localize converts a global cell to shard i's local coordinates.
-func (r *Router) Localize(i int, cell []int) []int {
-	local := append([]int(nil), cell...)
-	local[0] -= r.cuts[i]
-	return local
+// Local is a cell in one shard's local coordinates, as Localize
+// returns it. Cell is valid until Release; the caller reads it and
+// keeps no reference to it (CellStore and the mappers only read a
+// cell).
+type Local struct {
+	Cell []int
+	sc   *scratch // pooled backing of Cell; nil when Cell is the caller's
+}
+
+// Localize converts a global cell to shard i's local coordinates. On a
+// shard whose slab starts at Dim0 0 — shard 0, since cuts[0] == 0 — the
+// local cell is the global one, and Localize returns its input itself;
+// on any other shard it writes into pooled scratch. Either way the
+// caller must not write to Cell, and calls Release once the op is done
+// with it.
+func (r *Router) Localize(i int, cell []int) Local {
+	if r.cuts[i] == 0 {
+		return Local{Cell: cell}
+	}
+	sc := getScratch()
+	sc.cell = append(sc.cell[:0], cell...)
+	sc.cell[0] -= r.cuts[i]
+	return Local{Cell: sc.cell, sc: sc}
+}
+
+// Release returns l's pooled scratch, if it has any. Cell must not be
+// used afterwards.
+func (l Local) Release() {
+	if l.sc != nil {
+		putScratch(l.sc)
+	}
 }
 
 // Part is one shard's share of a query box, in that shard's local
@@ -108,25 +134,37 @@ type Part struct {
 	Lo, Hi []int
 }
 
-// SplitBox partitions a global box [lo, hi) along the Dim0 cuts into
-// per-shard sub-boxes in local coordinates, in shard order. Shards the
-// box does not touch contribute no part; the parts' cell counts sum to
-// the box's. Bounds are not validated here — each shard's planner
-// rejects a bad sub-box exactly as the single-volume planner would.
-func (r *Router) SplitBox(lo, hi []int) []Part {
+// boxSplit is one box's partition over the shards: its parts, in shard
+// order, and the buffer their local bounds share. split overwrites it,
+// so one boxSplit serves query after query without allocating.
+type boxSplit struct {
+	parts  []Part
+	bounds []int
+}
+
+// split partitions a global box [lo, hi) along the Dim0 cuts into
+// per-shard sub-boxes in local coordinates, in shard order, writing
+// them into sp. Shards the box does not touch contribute no part; the
+// parts' cell counts sum to the box's. Bounds are not validated here —
+// each shard's planner rejects a bad sub-box exactly as the
+// single-volume planner would.
+func (r *Router) split(sp *boxSplit, lo, hi []int) {
 	n := 0
 	for i := 0; i < r.NumShards(); i++ {
 		if max(lo[0], r.cuts[i]) < min(hi[0], r.cuts[i+1]) {
 			n++
 		}
 	}
-	if n == 0 {
-		return nil
-	}
-	// Every part's bounds share one buffer.
 	d := len(lo)
-	buf := make([]int, 2*n*d)
-	parts := make([]Part, 0, n)
+	sp.parts = sp.parts[:0]
+	if cap(sp.parts) < n {
+		sp.parts = make([]Part, 0, n)
+	}
+	if len(sp.bounds) < 2*n*d {
+		sp.bounds = make([]int, 2*n*d)
+	}
+	// Every part's bounds share the one buffer.
+	buf := sp.bounds
 	for i := 0; i < r.NumShards(); i++ {
 		s, e := r.cuts[i], r.cuts[i+1]
 		plo, phi := max(lo[0], s), min(hi[0], e)
@@ -138,7 +176,15 @@ func (r *Router) SplitBox(lo, hi []int) []Part {
 		copy(l, lo)
 		copy(h, hi)
 		l[0], h[0] = plo-s, phi-s
-		parts = append(parts, Part{Shard: i, Lo: l, Hi: h})
+		sp.parts = append(sp.parts, Part{Shard: i, Lo: l, Hi: h})
 	}
-	return parts
+}
+
+// SplitBox returns the parts of a box split into fresh buffers, for a
+// caller that keeps them (the benchmark's split drill); a query splits
+// into its pooled scratch instead.
+func (r *Router) SplitBox(lo, hi []int) []Part {
+	var sp boxSplit
+	r.split(&sp, lo, hi)
+	return sp.parts
 }

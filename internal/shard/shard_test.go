@@ -19,8 +19,9 @@ import (
 
 // TestRouterInvariants pins the partition contract: cuts cover the
 // grid, interior cuts are aligned, slabs are non-empty, ShardOf agrees
-// with the slabs, and SplitBox partitions any box without losing or
-// duplicating cells.
+// with the slabs, Localize returns shard 0's cells themselves, and the
+// split partitions any box without losing or duplicating cells — into
+// one boxSplit reused box after box, as a query's pooled scratch is.
 func TestRouterInvariants(t *testing.T) {
 	for _, tc := range []struct {
 		dims   []int
@@ -68,19 +69,23 @@ func TestRouterInvariants(t *testing.T) {
 			if x < lo || x >= hi {
 				t.Fatalf("%+v: ShardOf(%d)=%d but slab is [%d,%d)", tc, x, si, lo, hi)
 			}
-			if lc := r.Localize(si, cell); lc[0] != x-lo {
-				t.Fatalf("%+v: Localize(%d,%d)=%v", tc, si, x, lc)
+			lc := r.Localize(si, cell)
+			if lc.Cell[0] != x-lo || (si == 0) != (&lc.Cell[0] == &cell[0]) {
+				t.Fatalf("%+v: Localize(%d,%d)=%v", tc, si, x, lc.Cell)
 			}
+			lc.Release()
 		}
-		// SplitBox partitions every Dim0 interval exactly.
+		// The split partitions every Dim0 interval exactly.
 		lo := make([]int, len(tc.dims))
 		hi := append([]int(nil), tc.dims...)
+		var sp boxSplit
 		for a := 0; a < tc.dims[0]; a++ {
 			for b := a + 1; b <= tc.dims[0]; b++ {
 				lo[0], hi[0] = a, b
 				total := 0
 				prevShard := -1
-				for _, p := range r.SplitBox(lo, hi) {
+				r.split(&sp, lo, hi)
+				for _, p := range sp.parts {
 					if p.Shard <= prevShard {
 						t.Fatalf("parts out of shard order")
 					}
@@ -482,13 +487,16 @@ func eachCell(lo, hi []int, fn func(cell []int)) {
 	}
 }
 
-// FuzzSplitBox holds Router.SplitBox to ShardOf applied cell by cell.
-// The input picks a grid of one to three dimensions (Dim0 up to 64
-// cells, the others up to 8), a shard count up to 8, an alignment up to
-// 16 and a non-empty box inside the grid. The parts must come in shard
-// order, each non-empty and inside its shard's slab, and together they
-// must hold every cell of the box exactly once — in the part of the
-// shard ShardOf names — and no cell outside it.
+// FuzzSplitBox holds the split to ShardOf applied cell by cell and to
+// splitBoxRef, the allocating split it replaced. The input picks a grid
+// of one to three dimensions (Dim0 up to 64 cells, the others up to 8),
+// a shard count up to 8, an alignment up to 16 and a non-empty box
+// inside the grid. The box is split into a boxSplit that already holds
+// the whole grid's split, as a pooled scratch does, and by SplitBox;
+// each must equal the reference part for part. The parts must come in
+// shard order, each non-empty and inside its shard's slab, and together
+// they must hold every cell of the box exactly once — in the part of
+// the shard ShardOf names — and no cell outside it.
 func FuzzSplitBox(f *testing.F) {
 	f.Add([]byte{2, 39, 11, 7, 3, 9, 3, 1, 2, 30, 5, 4})
 	f.Add([]byte{1, 6, 4, 0, 6, 0, 0, 0, 0, 6, 3, 0})
@@ -515,6 +523,18 @@ func FuzzSplitBox(f *testing.F) {
 			hi[i] = lo[i] + 1 + at(9+i)%(d-lo[i])
 		}
 
+		var sp boxSplit
+		r.split(&sp, make([]int, len(dims)), dims)
+		r.split(&sp, lo, hi)
+		want := splitBoxRef(r, lo, hi)
+		for _, got := range [][]Part{sp.parts, r.SplitBox(lo, hi)} {
+			if !slices.EqualFunc(got, want, func(a, b Part) bool {
+				return a.Shard == b.Shard && slices.Equal(a.Lo, b.Lo) && slices.Equal(a.Hi, b.Hi)
+			}) {
+				t.Fatalf("box %v–%v: split %+v, reference %+v", lo, hi, got, want)
+			}
+		}
+
 		// index numbers the grid's cells; owner records which part
 		// holds each, count how many.
 		index := func(cell []int) int {
@@ -530,7 +550,7 @@ func FuzzSplitBox(f *testing.F) {
 		}
 		count, owner := make([]int, size), make([]int, size)
 		prev := -1
-		for _, p := range r.SplitBox(lo, hi) {
+		for _, p := range sp.parts {
 			slo, shi := r.cuts[p.Shard], r.cuts[p.Shard+1]
 			if p.Shard <= prev || p.Lo[0] < 0 || p.Lo[0] >= p.Hi[0] || p.Hi[0] > shi-slo {
 				t.Fatalf("box %v–%v: part %+v out of order or outside slab [%d,%d)", lo, hi, p, slo, shi)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/lvm"
 	"repro/internal/mapping"
 	"repro/internal/query"
+	"repro/internal/shard"
 )
 
 // growOnExhaustion is the auto-grow retry gate: true exactly when err
@@ -166,14 +167,15 @@ func (s *Store) initUpdatable(opts UpdateOptions) error {
 
 // route resolves a global cell to its owning shard: the shard index,
 // the shard-local coordinates, and the shard's chain tracker. It fails
-// with ErrNotUpdatable on a store opened without Updatable.
-func (s *Store) route(cell []int) (si int, local []int, cs *core.CellStore, err error) {
+// with ErrNotUpdatable on a store opened without Updatable. On success
+// the caller releases local once the op is done with it.
+func (s *Store) route(cell []int) (si int, local shard.Local, cs *core.CellStore, err error) {
 	if s.cells == nil {
-		return 0, nil, nil, ErrNotUpdatable
+		return 0, local, nil, ErrNotUpdatable
 	}
 	si, err = s.grp.Router().ShardOf(cell)
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, local, nil, err
 	}
 	return si, s.grp.Router().Localize(si, cell), s.cells[si], nil
 }
@@ -202,11 +204,12 @@ func (q *Session) LoadCell(ctx context.Context, cell []int, n int) (Stats, error
 	if err != nil {
 		return Stats{}, err
 	}
+	defer local.Release()
 	var before int
 	if q.s.autoGrow != nil {
-		before, _ = cs.Points(local)
+		before, _ = cs.Points(local.Cell)
 	}
-	reqs, err := cs.LoadCell(local, n)
+	reqs, err := cs.LoadCell(local.Cell, n)
 	for err != nil && q.s.growOnExhaustion(err) {
 		// Each grow hands fresh overflow extents to every shard's pool;
 		// the retry resumes where the failed load stopped (the partial
@@ -214,9 +217,9 @@ func (q *Session) LoadCell(ctx context.Context, cell []int, n int) (Stats, error
 		// dirtied extents of every round go out as one write. A load
 		// larger than one growth increment just loops; a full drive
 		// stops the loop through the failing grow hook.
-		now, _ := cs.Points(local)
+		now, _ := cs.Points(local.Cell)
 		var more []lvm.Request
-		more, err = cs.LoadCell(local, n-(now-before))
+		more, err = cs.LoadCell(local.Cell, n-(now-before))
 		reqs = append(reqs, more...)
 	}
 	if len(reqs) > 0 {
@@ -242,10 +245,11 @@ func (q *Session) Insert(ctx context.Context, cell []int) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	reqs, err := cs.Insert(local)
+	defer local.Release()
+	reqs, err := cs.Insert(local.Cell)
 	for err != nil && q.s.growOnExhaustion(err) {
 		// A failed Insert mutated nothing, so the retry is the whole op.
-		reqs, err = cs.Insert(local)
+		reqs, err = cs.Insert(local.Cell)
 	}
 	if err != nil {
 		return Stats{}, err
@@ -265,7 +269,8 @@ func (q *Session) Delete(ctx context.Context, cell []int) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	reqs, err := cs.Delete(local)
+	defer local.Release()
+	reqs, err := cs.Delete(local.Cell)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -284,13 +289,14 @@ func (q *Session) FetchCell(ctx context.Context, cell []int) (Stats, error) {
 	var si int
 	var reqs []lvm.Request
 	if q.s.cells != nil {
-		var local []int
+		var local shard.Local
 		var cs *core.CellStore
 		si, local, cs, err = q.s.route(cell)
 		if err != nil {
 			return Stats{}, err
 		}
-		reqs, err = cs.ReadRequests(local)
+		reqs, err = cs.ReadRequests(local.Cell)
+		local.Release()
 		if err != nil {
 			return Stats{}, err
 		}

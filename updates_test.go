@@ -611,7 +611,8 @@ func points(s *Store, cell []int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return cs.Points(local)
+	defer local.Release()
+	return cs.Points(local.Cell)
 }
 
 // chainLen returns the number of blocks backing a cell (1 = no
@@ -621,6 +622,7 @@ func chainLen(s *Store, cell []int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	reqs, err := cs.ReadRequests(local)
+	defer local.Release()
+	reqs, err := cs.ReadRequests(local.Cell)
 	return len(reqs), err
 }
