@@ -123,3 +123,28 @@ func TestQueryAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsAllocBudget pins what a Store.Metrics snapshot allocates
+// on a one-shard store that has served a query, 7: the per-shard queue
+// depths, service totals and Metrics.Shards, and the per-class view
+// merged across shards. The latency count and percentiles are read
+// from the store's histogram in place (the latency ring it replaced
+// copied its 1024-entry window, 8 in all).
+func TestMetricsAllocBudget(t *testing.T) {
+	vol, err := OpenVolume(AtlasTenKIII)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vol.Close()
+	s, err := Open(vol, MultiMap, []int{16, 16, 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.RangeQuery(context.Background(), []int{0, 0, 0}, []int{4, 4, 4}); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(50, func() { s.Metrics() }); got > 7 {
+		t.Errorf("Metrics: %v allocs, budget 7", got)
+	}
+}

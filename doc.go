@@ -315,8 +315,8 @@
 // Server-Sent Events feed interleaving lifecycle events with periodic
 // Metrics snapshots — Store.Metrics() aggregates per-service queue
 // depth, admission-batch evidence, cache hit rate, per-class totals,
-// and p50/p99 completed-query host latency from a fixed-size latency
-// ring, all lock-cheap so scraping never blocks admission. cmd/mmbench
+// and p50/p99 completed-query host latency from a lock-free histogram,
+// all lock-cheap so scraping never blocks admission. cmd/mmbench
 // mirrors the client side as -remote <addr> -store <name>, driving
 // serve-style load against a live daemon and reporting first-chunk
 // latency (the streaming proof) alongside the usual tables. With the

@@ -14,7 +14,7 @@ import (
 // storage manager expanded a box into Dim0 runs, one Mapping.Dim0Run
 // call (refDim0Run here) per row of the box (runsForBox, stepping dims
 // >= 1 with Dim1 fastest), then sorted and coalesced them all
-// (lvm.SortCoalesce). It shares the cubes' chain heads with the
+// (lvm.Coalesce). It shares the cubes' chain heads with the
 // production planner and nothing else.
 
 // refSplit returns the cube index and in-cube coordinates of a cell.
@@ -136,7 +136,7 @@ func (m *Mapping) checkBoxRef(t *testing.T, cov *boxCoverage, lo, hi []int) {
 	if len(runs) > rows*cubesPerRow {
 		cov.wrap++
 	}
-	want := lvm.SortCoalesce(runs)
+	want, _ := lvm.Coalesce(runs, 0)
 	got, err := m.BoxRequests(lo, hi)
 	if err != nil {
 		t.Fatalf("box [%v,%v): %v", lo, hi, err)
@@ -278,7 +278,7 @@ func BenchmarkBoxRequests(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				lvm.SortCoalesce(runs)
+				lvm.Coalesce(runs, 0)
 			}
 		})
 	}

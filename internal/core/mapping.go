@@ -371,7 +371,8 @@ func (m *Mapping) BoxRequests(lo, hi []int) ([]lvm.Request, error) {
 			break
 		}
 	}
-	return lvm.SortCoalesce(reqs), nil
+	reqs, _ = lvm.Coalesce(reqs, 0)
+	return reqs, nil
 }
 
 // NextFreeVLBN returns the first volume address past the last allocated

@@ -102,7 +102,7 @@ var sptfSink []Completion
 // large windows), MultiMap's range windows — Dim0 runs stepped along
 // adjacency chains across several basic cubes (multimapSPTFScript),
 // the shape of the paper's own layout — and the same windows sorted and
-// coalesced as lvm.SortCoalesce issues them ("multimapasc"), the shape
+// coalesced as lvm.Coalesce issues them ("multimapasc"), the shape
 // the drive is actually served and the yardstick for the cost of a
 // window.
 func BenchmarkSPTF(b *testing.B) {

@@ -33,7 +33,7 @@ func (p SchedPolicy) String() string {
 // number of outstanding commands; larger batches are served in windows
 // of this size, preserving the issue order across windows — which the
 // storage manager arranges to be ascending by LBN (the planners emit
-// through lvm.SortCoalesce), so each window covers a compact band of
+// through lvm.Coalesce), so each window covers a compact band of
 // tracks. newSPTF relies on that order for speed only: it builds an
 // ascending window's index without a sort, and sorts any other.
 const maxSPTFBatch = 4096

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/disk"
-	"repro/internal/lvm"
 )
 
 // Allocation budgets for the session↔loop boundary
@@ -28,7 +27,7 @@ import (
 // itself adds nothing.
 func TestRunPlanAllocBudget(t *testing.T) {
 	v := testVolume(t)
-	reqs := lvm.SortCoalesce(randomReqs(rand.New(rand.NewSource(1)), v, 40))
+	reqs := coalescedReqs(rand.New(rand.NewSource(1)), v, 40)
 	for _, tc := range []struct {
 		name   string
 		cache  int64
@@ -59,7 +58,7 @@ func TestRunPlanAllocBudget(t *testing.T) {
 // loop's scratch.
 func TestServeMergedAllocsNothingPerItem(t *testing.T) {
 	v := testVolume(t)
-	reqs := lvm.SortCoalesce(randomReqs(rand.New(rand.NewSource(1)), v, 40))
+	reqs := coalescedReqs(rand.New(rand.NewSource(1)), v, 40)
 	allocs := func(n int) float64 {
 		svc := NewService(v, ServiceOptions{})
 		defer svc.Close()
@@ -159,5 +158,23 @@ func TestDirtyAbsorbAllocsNothing(t *testing.T) {
 	run() // warm: the buffer's array grown
 	if got := testing.AllocsPerRun(100, run); got != 0 {
 		t.Errorf("absorbing 8 fresh single-owner extents: %v allocs, budget 0", got)
+	}
+}
+
+// TestLatencyHistAllocsNothing: recording a latency and reading the
+// count and percentiles allocate nothing. (The latency ring the
+// histogram replaced copied its 1024-entry window on every snapshot.)
+func TestLatencyHistAllocsNothing(t *testing.T) {
+	var h LatencyHist
+	for _, op := range []struct {
+		name string
+		run  func()
+	}{
+		{"Record", func() { h.Record(1.5) }},
+		{"Snapshot", func() { h.Snapshot() }},
+	} {
+		if got := testing.AllocsPerRun(100, op.run); got != 0 {
+			t.Errorf("%s: %v allocs, budget 0", op.name, got)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/disk"
@@ -22,6 +23,12 @@ func testVolume(t testing.TB, geoms ...*disk.Geometry) *lvm.Volume {
 		t.Fatal(err)
 	}
 	return v
+}
+
+// coalescedReqs is randomReqs sorted and merged as a planner issues them.
+func coalescedReqs(rng *rand.Rand, v *lvm.Volume, n int) []lvm.Request {
+	reqs, _ := lvm.Coalesce(randomReqs(rng, v, n), 0)
+	return reqs
 }
 
 func randomReqs(rng *rand.Rand, v *lvm.Volume, n int) []lvm.Request {
@@ -195,37 +202,85 @@ func BenchmarkExecuteFIFO(b *testing.B) {
 	}
 }
 
-// TestLatencyRing pins the latency record's contract: a size below 16
-// is clamped to 16, the count is lifetime, and p50/p99 are Percentile
-// over the last size records once the ring has wrapped (0 before the
-// first record).
-func TestLatencyRing(t *testing.T) {
-	for _, tc := range []struct{ size, keep int }{{1, 16}, {16, 16}, {32, 32}} {
-		r := NewLatencyRing(tc.size)
-		if n, p50, p99 := r.Snapshot(); n != 0 || p50 != 0 || p99 != 0 {
-			t.Fatalf("size %d: empty ring = %d, %v, %v; want zeroes", tc.size, n, p50, p99)
+// TestLatencyHist pins the latency record's contract: the zero value
+// reads zeroes and the count is exact; p50 and p99 are within 1/32
+// (plus 1 µs) of Percentile over the same samples; a 0 ms record reads
+// back above 0; a record past the top bucket is clamped and counted;
+// and under concurrent writers a polling reader never sees the count
+// fall (run it under -race).
+func TestLatencyHist(t *testing.T) {
+	var h LatencyHist
+	if n, p50, p99 := h.Snapshot(); n != 0 || p50 != 0 || p99 != 0 {
+		t.Fatalf("zero value = %d, %v, %v; want zeroes", n, p50, p99)
+	}
+	rng := rand.New(rand.NewSource(1))
+	samples := make([]float64, 20000)
+	for i := range samples {
+		samples[i] = 1e-3 * math.Pow(1e7, rng.Float64()) // 1 µs to 10 s, log-uniform
+		h.Record(samples[i])
+	}
+	slices.Sort(samples)
+	n, p50, p99 := h.Snapshot()
+	if n != int64(len(samples)) {
+		t.Fatalf("count %d after %d records", n, len(samples))
+	}
+	for _, c := range []struct{ q, got float64 }{{0.50, p50}, {0.99, p99}} {
+		if want := Percentile(samples, c.q); math.Abs(c.got-want) > want/32+1e-3 {
+			t.Errorf("p%g = %v ms, Percentile gives %v ms: off by more than 1/32 + 1 µs", 100*c.q, c.got, want)
 		}
-		var all []float64
-		for i := 0; i < 3*tc.keep+5; i++ {
-			ms := float64((i * 37) % 101) // not monotone, so the sort matters
-			r.Record(ms)
-			all = append(all, ms)
-			window := slices.Clone(all[max(0, len(all)-tc.keep):])
-			slices.Sort(window)
-			n, p50, p99 := r.Snapshot()
-			if n != int64(len(all)) || p50 != Percentile(window, 0.50) || p99 != Percentile(window, 0.99) {
-				t.Fatalf("size %d after %d records: %d, %v, %v; want %d, %v, %v", tc.size, len(all),
-					n, p50, p99, len(all), Percentile(window, 0.50), Percentile(window, 0.99))
+	}
+
+	var zero LatencyHist
+	zero.Record(0)
+	if n, p50, p99 := zero.Snapshot(); n != 1 || p50 <= 0 || p99 <= 0 {
+		t.Errorf("one 0 ms record reads %d, %v, %v; want 1 and percentiles above 0", n, p50, p99)
+	}
+
+	var top LatencyHist
+	top.Record(1e12) // about 32 years
+	top.Record(math.Inf(1))
+	top.Record(math.NaN())
+	if n, p50, p99 := top.Snapshot(); n != 3 || p50 != histMidMs(histBuckets-1) || p99 != p50 {
+		t.Errorf("three records past the top bucket (or NaN) read %d, %v, %v; want 3 and the top bucket's midpoint %v",
+			n, p50, p99, histMidMs(histBuckets-1))
+	}
+
+	var live LatencyHist
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10000; i++ {
+				live.Record(float64(i % 97))
 			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	var last int64
+	for polling := true; polling; {
+		select {
+		case <-done:
+			polling = false
+		default:
 		}
+		n, _, _ := live.Snapshot()
+		if n < last {
+			t.Fatalf("count fell from %d to %d", last, n)
+		}
+		last = n
+	}
+	if last != 40000 {
+		t.Fatalf("count %d after 4 writers of 10 000 records", last)
 	}
 }
 
-// TestPercentile table-tests the one percentile definition against the
-// three bodies it replaced: tenantsPctl (same arithmetic, so ==),
-// percentileSorted and mmbench's percentile (both a(1-f)+bf, equal up
-// to rounding; percentileSorted indexed out of range on an empty
-// sample, where the others — and Percentile — return 0).
+// TestPercentile table-tests Percentile against the three bodies it
+// replaced: tenantsPctl (same arithmetic, so ==), percentileSorted and
+// mmbench's percentile (both a(1-f)+bf, equal up to rounding;
+// percentileSorted indexed out of range on an empty sample, where the
+// others — and Percentile — return 0).
 func TestPercentile(t *testing.T) {
 	tenantsPctl := func(sorted []float64, p float64) float64 {
 		n := len(sorted)

@@ -2,8 +2,8 @@ package engine
 
 import (
 	"math"
-	"slices"
-	"sync"
+	"math/bits"
+	"sync/atomic"
 )
 
 // QueueDepth reports how many operations are queued at the service
@@ -17,56 +17,78 @@ func (s *Service) QueueDepth() int {
 	return len(s.queue)
 }
 
-// LatencyRing is a lock-cheap ring of recent latency observations in
-// host milliseconds. Producers call Record on every completed query —
-// a mutex-guarded store into a fixed slot, no allocation — and a
-// metrics reader calls Snapshot to get count and percentiles over the
-// retained window. The ring keeps the last Size observations; the
-// percentile sort happens only at snapshot time, on a copy, so the
-// recording hot path never pays for it.
-type LatencyRing struct {
-	mu    sync.Mutex
-	buf   []float64
-	next  int
-	fill  int
-	count int64
+// LatencyHist is a histogram of latency observations in host
+// milliseconds, a fixed array of atomic counters whose zero value is
+// ready to use. Producers call Record on every completed query — one
+// atomic add, no lock and no allocation — and a metrics reader calls
+// Snapshot for the count and percentiles over every observation since
+// the histogram was made.
+//
+// The buckets are log-linear over whole microseconds: one per
+// microsecond below 32 µs, then 16 per power of two, so a bucket from
+// 16 µs up is at most 1/16 of its lower bound wide. The last bucket
+// also takes everything at or past 2^41 µs (about 25 days). A
+// percentile is read as its bucket's midpoint, so it is within 1/32 of
+// the observation at that rank, plus 1 µs, and a recorded 0 reads back
+// as 0.5 µs.
+type LatencyHist struct {
+	n [histBuckets]atomic.Uint64
 }
 
-// NewLatencyRing builds a ring retaining the last size observations
-// (minimum 16).
-func NewLatencyRing(size int) *LatencyRing {
-	if size < 16 {
-		size = 16
+const (
+	histSubBits = 4  // 16 buckets per power of two
+	histTopExp  = 41 // observations ≥ 2^41 µs share the last bucket
+	histBuckets = (histTopExp - histSubBits + 1) << histSubBits
+)
+
+// histBucket is the bucket of an observation of ms milliseconds.
+func histBucket(ms float64) int {
+	us := ms * 1e3
+	if !(us < 1<<histTopExp) { // past the top bucket, or NaN
+		return histBuckets - 1
 	}
-	return &LatencyRing{buf: make([]float64, size)}
+	v := uint64(max(us, 0))
+	shift := max(bits.Len64(v)-histSubBits-1, 0)
+	return shift<<histSubBits + int(v>>shift)
 }
 
-// Record stores one completed-query latency in milliseconds.
-func (r *LatencyRing) Record(ms float64) {
-	r.mu.Lock()
-	r.buf[r.next] = ms
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-	}
-	if r.fill < len(r.buf) {
-		r.fill++
-	}
-	r.count++
-	r.mu.Unlock()
+// histMidMs is the midpoint of bucket i, in milliseconds.
+func histMidMs(i int) float64 {
+	shift := max(i>>histSubBits-1, 0)
+	lo := uint64(i-shift<<histSubBits) << shift
+	return (float64(lo) + float64(uint64(1)<<shift)/2) / 1e3
 }
 
-// Snapshot returns the lifetime count of recorded observations and the
-// p50/p99 latency over the retained window (zeroes when nothing has
-// been recorded). Percentiles use linear rank interpolation over the
-// sorted window (Percentile).
-func (r *LatencyRing) Snapshot() (count int64, p50, p99 float64) {
-	r.mu.Lock()
-	window := append([]float64(nil), r.buf[:r.fill]...)
-	count = r.count
-	r.mu.Unlock()
-	slices.Sort(window)
-	return count, Percentile(window, 0.50), Percentile(window, 0.99)
+// Record counts one observation of ms milliseconds.
+func (h *LatencyHist) Record(ms float64) {
+	h.n[histBucket(ms)].Add(1)
+}
+
+// Snapshot returns the number of recorded observations and their p50
+// and p99, each its bucket's midpoint (zeroes when nothing has been
+// recorded). The rank read for quantile q is that of Percentile's lower
+// order statistic, ⌊q×(count-1)⌋. Under concurrent Records a snapshot
+// reads each bucket once, so a later snapshot never counts fewer.
+func (h *LatencyHist) Snapshot() (count int64, p50, p99 float64) {
+	var n [histBuckets]uint64
+	var total uint64
+	for i := range n {
+		n[i] = h.n[i].Load()
+		total += n[i]
+	}
+	if total == 0 {
+		return 0, 0, 0
+	}
+	quantile := func(q float64) float64 {
+		rank := uint64(q*float64(total-1)) + 1 // 1-based, ≤ total
+		i, seen := 0, n[0]
+		for seen < rank {
+			i++
+			seen += n[i]
+		}
+		return histMidMs(i)
+	}
+	return int64(total), quantile(0.50), quantile(0.99)
 }
 
 // Percentile returns the q-quantile (q in [0,1]) of an ascending-sorted
@@ -74,7 +96,8 @@ func (r *LatencyRing) Snapshot() (count int64, p50, p99 float64) {
 // rank q×(n-1) interpolated between its two closest order statistics,
 // so distinct percentiles of a small sample collapse onto one order
 // statistic only when the sample cannot tell them apart. An empty
-// sample yields 0. It is the one percentile definition outside bench/.
+// sample yields 0. It is the percentile of every retained sample
+// outside bench/; LatencyHist, which retains none, reads its buckets.
 func Percentile(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 0 {

@@ -35,7 +35,7 @@ func randomChunks(rng *rand.Rand, v *lvm.Volume, nChunks, perChunk int) []Chunk 
 			policy = disk.SchedFIFO
 		}
 		chunks[i] = Chunk{
-			Reqs:    lvm.SortCoalesce(randomReqs(rng, v, perChunk)),
+			Reqs:    coalescedReqs(rng, v, perChunk),
 			Policy:  policy,
 			Padding: int64(i % 3),
 		}
@@ -182,7 +182,7 @@ func attributionWorkload(t *testing.T, cacheBlocks int64, writeBack bool) {
 					return
 				}
 				if q%2 == 1 {
-					if _, err := sess.Write(context.Background(), lvm.SortCoalesce(randomReqs(rng, v, 6)), disk.SchedSPTF); err != nil {
+					if _, err := sess.Write(context.Background(), coalescedReqs(rng, v, 6), disk.SchedSPTF); err != nil {
 						t.Errorf("client %d write: %v", c, err)
 						return
 					}
@@ -587,7 +587,7 @@ func TestServiceConcurrentWrites(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(500 + i)))
 			for q := 0; q < 8; q++ {
 				if q%3 == 2 {
-					reqs := lvm.SortCoalesce(randomReqs(rng, v, 5))
+					reqs := coalescedReqs(rng, v, 5)
 					if _, err := sessions[i].Write(context.Background(), reqs, disk.SchedSPTF); err != nil {
 						errs[i] = err
 						return
@@ -836,8 +836,8 @@ func TestMergedBatchErrorReachesEveryItem(t *testing.T) {
 	newVol := func() *lvm.Volume { return testVolume(t, disk.SmallTestDisk(), disk.SmallTestDisk()) }
 	v := newVol()
 	rng := rand.New(rand.NewSource(7))
-	good := lvm.SortCoalesce(randomReqs(rng, v, 30))
-	next := lvm.SortCoalesce(randomReqs(rng, v, 40))
+	good := coalescedReqs(rng, v, 30)
+	next := coalescedReqs(rng, v, 40)
 	bad := []lvm.Request{{VLBN: v.DiskBlocks(0) - 2, Count: 4}} // crosses into disk 1
 	batch := func(chunks ...[]lvm.Request) []*serviceOp {
 		items := make([]*serviceOp, len(chunks))
@@ -912,7 +912,7 @@ func TestMergedBatchPricesUsefulCells(t *testing.T) {
 	v := testVolume(t, disk.SmallTestDisk(), disk.SmallTestDisk())
 	rng := rand.New(rand.NewSource(9))
 	chunk := func(policy disk.SchedPolicy, padding int64) Chunk {
-		return Chunk{Reqs: lvm.SortCoalesce(randomReqs(rng, v, 20)), Policy: policy, Padding: padding}
+		return Chunk{Reqs: coalescedReqs(rng, v, 20), Policy: policy, Padding: padding}
 	}
 	pair := []Chunk{chunk(disk.SchedSPTF, 3), chunk(disk.SchedFIFO, 5)}
 	lone := []Chunk{chunk(disk.SchedSPTF, 2)}

@@ -388,7 +388,7 @@ func TestWriteBackConcurrentAttribution(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(900 + i)))
 			for q := 0; q < 8; q++ {
 				if q%2 == 1 {
-					reqs := lvm.SortCoalesce(randomReqs(rng, v, 5))
+					reqs := coalescedReqs(rng, v, 5)
 					if _, err := sessions[i].Write(context.Background(), reqs, disk.SchedSPTF); err != nil {
 						errs[i] = err
 						return

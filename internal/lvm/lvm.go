@@ -71,13 +71,17 @@ type Request struct {
 	Count int
 }
 
-// SortCoalesce sorts requests by VLBN (then length) in place and merges
-// contiguous ones — the storage manager's issue optimization (§5.2).
-// The sort is skipped when every request already begins at or past its
-// predecessor's end, where sorting would leave them as they are.
-func SortCoalesce(reqs []Request) []Request {
+// Coalesce sorts requests by VLBN (then length) in place and merges
+// each with its predecessor when the gap between them is at most
+// maxGap blocks — the storage manager's issue optimization (§5.2). It
+// returns the merged requests and the padding blocks the merges read
+// beyond the originals; at maxGap 0 only contiguous requests merge and
+// the padding is 0. The sort is skipped when every request already
+// begins at or past its predecessor's end, where sorting would leave
+// them as they are.
+func Coalesce(reqs []Request, maxGap int) ([]Request, int64) {
 	if len(reqs) <= 1 {
-		return reqs
+		return reqs, 0
 	}
 	for i := 1; i < len(reqs); i++ {
 		if prev := reqs[i-1]; reqs[i].VLBN < prev.VLBN+int64(prev.Count) {
@@ -90,15 +94,18 @@ func SortCoalesce(reqs []Request) []Request {
 			break
 		}
 	}
+	var padding int64
 	out := reqs[:1]
 	for _, r := range reqs[1:] {
-		if last := &out[len(out)-1]; r.VLBN == last.VLBN+int64(last.Count) {
-			last.Count += r.Count
+		last := &out[len(out)-1]
+		if gap := r.VLBN - (last.VLBN + int64(last.Count)); gap >= 0 && gap <= int64(maxGap) {
+			padding += gap
+			last.Count += int(gap) + r.Count
 		} else {
 			out = append(out, r)
 		}
 	}
-	return out
+	return out, padding
 }
 
 // Completion records one serviced request and the segment that served

@@ -11,7 +11,7 @@ import (
 // refNaive is the box planner naiveMapper.BoxRequests replaced, kept as
 // the oracle: one dim0Run per Dim0 row of the box (the other dimensions
 // stepped with Dim1 fastest), then every run sorted and coalesced
-// (lvm.SortCoalesce).
+// (lvm.Coalesce).
 type refNaive struct{ n *naiveMapper }
 
 // dim0Run: a run along the major order is one contiguous request.
@@ -40,7 +40,8 @@ func (r refNaive) boxRequests(t testing.TB, lo, hi []int) []lvm.Request {
 		}
 		out = append(out, reqs...)
 		if !nextInBox(cell[1:], lo[1:], hi[1:]) {
-			return lvm.SortCoalesce(out)
+			merged, _ := lvm.Coalesce(out, 0)
+			return merged
 		}
 	}
 }

@@ -301,8 +301,9 @@ func (s *Store) Plan(leaves []Leaf) ([]lvm.Request, disk.SchedPolicy, error) {
 		// SPTF pass finds the semi-sequential path within them (§5.2).
 		return reqs, policy, nil
 	}
-	// Ascending and disjoint, so SortCoalesce only merges the runs.
-	return lvm.SortCoalesce(reqs), policy, nil
+	// Ascending and disjoint, so Coalesce only merges the runs.
+	reqs, _ = lvm.Coalesce(reqs, 0)
+	return reqs, policy, nil
 }
 
 // Query plans a leaf set and services it as one chunk on a lone session

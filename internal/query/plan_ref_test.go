@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/disk"
-	"repro/internal/engine"
 	"repro/internal/lvm"
 	"repro/internal/mapping"
 )
@@ -24,9 +23,10 @@ func cellBlock(t testing.TB, e *Executor, cell []int) lvm.Request {
 
 // refPlanBox is the oracle for planBox: the sub-box expanded one cell
 // at a time, every cell's block sorted and coalesced
-// (lvm.SortCoalesce), then the issue policy the planner has always
+// (lvm.Coalesce at gap 0), then the issue policy the planner has always
 // applied — FIFO for the linear mappings, and SPTF over gap-bridged
-// requests (engine.BridgedCoalesce) for the semi-sequential MultiMap.
+// requests (lvm.Coalesce at the bridge gap) for the semi-sequential
+// MultiMap.
 // It decides from the mapper's Kind on its own, not through PolicyFor.
 func refPlanBox(t testing.TB, e *Executor, lo, hi []int) ([]lvm.Request, disk.SchedPolicy, int64) {
 	t.Helper()
@@ -38,11 +38,11 @@ func refPlanBox(t testing.TB, e *Executor, lo, hi []int) ([]lvm.Request, disk.Sc
 			break
 		}
 	}
-	reqs = lvm.SortCoalesce(reqs)
+	reqs, _ = lvm.Coalesce(reqs, 0)
 	if e.m.Kind() != mapping.MultiMap {
 		return reqs, disk.SchedFIFO, 0
 	}
-	merged, padding := engine.BridgedCoalesce(reqs, e.bridgeGap)
+	merged, padding := lvm.Coalesce(reqs, e.bridgeGap)
 	return merged, disk.SchedSPTF, padding
 }
 

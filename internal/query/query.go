@@ -316,7 +316,7 @@ func (e *Executor) planBox(lo, hi []int) ([]lvm.Request, disk.SchedPolicy, int64
 	// (unfilled edge-cube sectors, §4.4): reading a few padding blocks
 	// and discarding them is far cheaper than a separate positioning.
 	// Gaps from adjacency chains span tracks and stay unbridged.
-	merged, padding := engine.BridgedCoalesce(reqs, e.bridgeGap)
+	merged, padding := lvm.Coalesce(reqs, e.bridgeGap)
 	return merged, policy, padding, nil
 }
 

@@ -280,20 +280,24 @@ func TestMultiMapRangeFavoursSequential(t *testing.T) {
 	}
 }
 
-func TestSortCoalesce(t *testing.T) {
+// TestCoalesce: unsorted requests are sorted and contiguous ones
+// merged, with no padding, at gap 0; at a wider gap, requests at most
+// that many blocks apart merge too, and the blocks between them are
+// counted as padding.
+func TestCoalesce(t *testing.T) {
 	in := []lvm.Request{{VLBN: 10, Count: 2}, {VLBN: 5, Count: 1}, {VLBN: 13, Count: 3}, {VLBN: 6, Count: 4}}
-	out := lvm.SortCoalesce(in)
-	want := []lvm.Request{{VLBN: 5, Count: 7}, {VLBN: 13, Count: 3}}
-	if len(out) != len(want) {
-		t.Fatalf("got %v, want %v", out, want)
+	out, padding := lvm.Coalesce(in, 0)
+	if want := []lvm.Request{{VLBN: 5, Count: 7}, {VLBN: 13, Count: 3}}; !slices.Equal(out, want) || padding != 0 {
+		t.Fatalf("gap 0: got %v, padding %d; want %v, 0", out, padding, want)
 	}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("got %v, want %v", out, want)
-		}
-	}
-	if got := lvm.SortCoalesce(nil); len(got) != 0 {
+	if got, padding := lvm.Coalesce(nil, 0); len(got) != 0 || padding != 0 {
 		t.Error("empty input should stay empty")
+	}
+	// Gaps of 2 and 3 blocks: maxGap 2 bridges the first only.
+	in = []lvm.Request{{VLBN: 0, Count: 4}, {VLBN: 6, Count: 1}, {VLBN: 10, Count: 2}}
+	out, padding = lvm.Coalesce(in, 2)
+	if want := []lvm.Request{{VLBN: 0, Count: 7}, {VLBN: 10, Count: 2}}; !slices.Equal(out, want) || padding != 2 {
+		t.Fatalf("gap 2: got %v, padding %d; want %v, 2", out, padding, want)
 	}
 }
 
@@ -305,7 +309,7 @@ func TestCoalesceSorted(t *testing.T) {
 	for _, l := range []int64{1, 2, 3, 7, 8, 20, 20, 21} {
 		in = append(in, lvm.Request{VLBN: l, Count: 1})
 	}
-	out := lvm.SortCoalesce(in)
+	out, _ := lvm.Coalesce(in, 0)
 	want := []lvm.Request{{VLBN: 1, Count: 3}, {VLBN: 7, Count: 2}, {VLBN: 20, Count: 1}, {VLBN: 20, Count: 2}}
 	if !slices.Equal(out, want) {
 		t.Fatalf("got %v, want %v", out, want)

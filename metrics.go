@@ -1,10 +1,6 @@
 package multimap
 
-import (
-	"time"
-
-	"repro/internal/engine"
-)
+import "time"
 
 // ServiceMetrics is one shard service's slice of a Metrics snapshot.
 type ServiceMetrics struct {
@@ -23,8 +19,8 @@ type ServiceMetrics struct {
 // state, aggregated across its shard services — the data behind the
 // daemon's /v1/events feed. Taking a snapshot never blocks the
 // admission path: every component is a mutex-guarded read of counters
-// the services already maintain, plus a sort of the retained latency
-// window.
+// the services already maintain, plus a walk of the store's lock-free
+// latency histogram.
 type Metrics struct {
 	// QueueDepth sums the per-shard admission backlogs.
 	QueueDepth int `json:"queue_depth"`
@@ -32,11 +28,13 @@ type Metrics struct {
 	// cache counters, 0 when no cache-eligible request has been served.
 	CacheHitRate float64 `json:"cache_hit_rate"`
 	// Queries counts completed queries (Beam, RangeQuery, FetchCell —
-	// streamed or not) recorded by the store's latency ring.
+	// streamed or not) since the store opened, as the store's latency
+	// histogram records them.
 	Queries int64 `json:"queries"`
 	// LatencyP50Ms and LatencyP99Ms are host-latency percentiles over
-	// the last completed queries (the ring retains the most recent
-	// window; zero until the first query completes).
+	// every query completed since the store opened (zero until the first
+	// completes). Each is the midpoint of its histogram bucket, within
+	// 1/32 of the latency at that rank plus 1 µs.
 	LatencyP50Ms float64 `json:"latency_p50_ms"`
 	LatencyP99Ms float64 `json:"latency_p99_ms"`
 	// Totals sums the per-shard service totals (MaxBatchChunks takes
@@ -73,20 +71,11 @@ func (s *Store) Metrics() Metrics {
 	return m
 }
 
-// latencyRingSize is how many completed-query latencies the store
-// retains for the Metrics percentiles.
-const latencyRingSize = 1024
-
 // recordQueryLatency folds one completed query's host latency into the
-// store's metrics ring. Called from the public session operations on
-// success only — cancelled or failed queries are counted by the
+// store's latency histogram. Called from the public session operations
+// on success only — cancelled or failed queries are counted by the
 // cancellation counters instead, so the percentiles describe queries
 // that actually delivered their result.
 func (s *Store) recordQueryLatency(start time.Time) {
 	s.lat.Record(time.Since(start).Seconds() * 1e3)
-}
-
-// newLatencyRing builds the store's completed-query latency ring.
-func newLatencyRing() *engine.LatencyRing {
-	return engine.NewLatencyRing(latencyRingSize)
 }

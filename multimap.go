@@ -181,7 +181,7 @@ type Store struct {
 	cfg         config            // resolved open config (clone re-applies it)
 	eo          query.ExecOptions
 	def         *Session
-	lat         *engine.LatencyRing // completed-query latency ring (Metrics)
+	lat         engine.LatencyHist // completed-query latencies (Metrics)
 	closed      atomic.Bool
 	// autoGrow, when set (pool tenants under WithAutoGrow), adds
 	// overflow capacity through the pool's Grow path; the update path
@@ -266,7 +266,6 @@ func newStore(vols []*Volume, grp *shard.Group, c config, eo query.ExecOptions) 
 		qosClass:    c.qosClass,
 		cfg:         c,
 		eo:          eo,
-		lat:         newLatencyRing(),
 	}
 	s.def = s.Begin()
 	return s

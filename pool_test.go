@@ -511,7 +511,8 @@ func TestPoolAutoGrow(t *testing.T) {
 
 // TestCloneStoreFieldsMatchOpen: a cloned tenant's Store is assembled
 // by the same newStore as an opened one, so no field the open path
-// fills can be missing from a clone (a nil latency ring once was). It
+// fills can be missing from a clone (a nil latency ring once was; the
+// latency histogram is now a value field, ready at its zero value). It
 // reflects over Store: every field non-zero in an opened updatable
 // tenant is non-zero in its clone, and the operations that lean on
 // those fields work on the clone.
