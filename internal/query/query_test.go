@@ -301,18 +301,36 @@ func TestCoalesce(t *testing.T) {
 	}
 }
 
-// TestCoalesceSorted: an ascending list of single-block requests — the
-// octree's FIFO plan — is merged into its contiguous runs without a
-// sort; a repeated block stays a request of its own.
+// TestCoalesceSorted: lvm.Coalesce sorts a list only when a request
+// starts before its predecessor ends.
+//   - Distinct ascending single-block requests, the octree's FIFO plan,
+//     merge into their contiguous runs with the sort skipped.
+//   - A repeated block triggers the sort and stays a request of its
+//     own; the copy after it merges with the next block.
 func TestCoalesceSorted(t *testing.T) {
-	var in []lvm.Request
-	for _, l := range []int64{1, 2, 3, 7, 8, 20, 20, 21} {
-		in = append(in, lvm.Request{VLBN: l, Count: 1})
-	}
-	out, _ := lvm.Coalesce(in, 0)
-	want := []lvm.Request{{VLBN: 1, Count: 3}, {VLBN: 7, Count: 2}, {VLBN: 20, Count: 1}, {VLBN: 20, Count: 2}}
-	if !slices.Equal(out, want) {
-		t.Fatalf("got %v, want %v", out, want)
+	for _, tc := range []struct {
+		name   string
+		blocks []int64
+		sorts  bool
+		want   []lvm.Request
+	}{
+		{"distinct", []int64{1, 2, 3, 7, 8, 20, 21}, false,
+			[]lvm.Request{{VLBN: 1, Count: 3}, {VLBN: 7, Count: 2}, {VLBN: 20, Count: 2}}},
+		{"repeated", []int64{1, 2, 3, 7, 8, 20, 20, 21}, true,
+			[]lvm.Request{{VLBN: 1, Count: 3}, {VLBN: 7, Count: 2}, {VLBN: 20, Count: 1}, {VLBN: 20, Count: 2}}},
+	} {
+		var in []lvm.Request
+		sorts := false
+		for i, l := range tc.blocks {
+			in = append(in, lvm.Request{VLBN: l, Count: 1})
+			sorts = sorts || i > 0 && l < tc.blocks[i-1]+1
+		}
+		if sorts != tc.sorts {
+			t.Fatalf("%s: input triggers the sort: %v, row says %v", tc.name, sorts, tc.sorts)
+		}
+		if out, _ := lvm.Coalesce(in, 0); !slices.Equal(out, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, out, tc.want)
+		}
 	}
 }
 
