@@ -232,14 +232,18 @@ func TestMappingCubesStayInZone(t *testing.T) {
 	}
 }
 
+// TestMappingDeclustersAcrossDisks: with DiskIdx -1 the basic cubes
+// spread over both member disks. The grid is sized to build several
+// cubes on two SmallTestDisks (4, two per disk); a grid that fits one
+// cube would observe nothing, so that is a failure, not a skip.
 func TestMappingDeclustersAcrossDisks(t *testing.T) {
 	v, err := lvm.New(16, disk.SmallTestDisk(), disk.SmallTestDisk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := mustMapping(t, v, []int{30, 14, 12}, MapOptions{DiskIdx: -1})
+	m := mustMapping(t, v, []int{30, 28, 24}, MapOptions{DiskIdx: -1})
 	if len(m.cubes) < 2 {
-		t.Skip("dataset fits one cube; cannot observe declustering")
+		t.Fatalf("grid builds %d cube(s); declustering needs at least 2", len(m.cubes))
 	}
 	seen := map[int]bool{}
 	for ci := 0; ci < len(m.cubes); ci++ {

@@ -81,9 +81,9 @@ func (s *Service) dropCancelled(ops []*serviceOp) []*serviceOp {
 					d.Cancelled = 1
 				}
 				if op.kind == opWrite {
-					split := s.splitInto(s.scratch.split[:0], op.chunk.Reqs)
-					s.scratch.split = split[:0]
-					for _, r := range split {
+					// invalidate subtracts a range, so a request crossing
+					// a disk boundary needs no split.
+					for _, r := range op.chunk.Reqs {
 						d.InvalidatedBlocks += s.cache.invalidate(r.VLBN, r.VLBN+int64(r.Count)) // nil-safe
 					}
 				}
@@ -94,10 +94,7 @@ func (s *Service) dropCancelled(ops []*serviceOp) []*serviceOp {
 				s.totals.DeadlineExceeded += d.DeadlineExceeded
 				if op.kind == opWrite {
 					s.totals.InvalidatedBlocks += d.InvalidatedBlocks
-					_, dst := s.attributed(op.class)
-					for _, a := range dst {
-						a.InvalidatedBlocks += d.InvalidatedBlocks
-					}
+					s.charge(op.class, Stats{InvalidatedBlocks: d.InvalidatedBlocks})
 				}
 				s.mu.Unlock()
 				op.reply <- opResult{stats: d, err: err}

@@ -161,6 +161,51 @@ func TestDirtyAbsorbAllocsNothing(t *testing.T) {
 	}
 }
 
+// TestGroupCommitAllocsNothing: a warm group commit allocates nothing.
+// Eight single-owner dirty extents from two sessions of two classes are
+// built into the loop's flush scratch and priced by mergeScratch.price,
+// the pricer a merged batch uses, and every share is posted by charge.
+// A commit past keepFlush extents keeps none of its buffers. The test
+// goroutine stands in for the loop: nothing is queued, so no loop runs.
+func TestGroupCommitAllocsNothing(t *testing.T) {
+	v := testVolume(t)
+	svc := NewService(v, ServiceOptions{WriteBack: WriteBackOptions{Enabled: true}})
+	defer svc.Close()
+	owners := []*Session{
+		svc.NewSession(SessionOptions{Class: "bulk"}),
+		svc.NewSession(SessionOptions{Class: "interactive"}),
+	}
+	now := time.Now()
+	var commits int64
+	commit := func(extents int64) {
+		commits++
+		for i := int64(0); i < extents; i++ {
+			svc.wb.absorb(owners[i%2], 40*i, 40*i+10, v.DiskBlocks(0), now)
+		}
+		if err := svc.flushDirty(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func() { commit(8) }
+	run() // warm: the flush scratch, share table and class buckets grown
+	if got := testing.AllocsPerRun(100, run); got != 0 {
+		t.Errorf("group commit of 8 single-owner extents: %v allocs, budget 0", got)
+	}
+	for _, o := range owners {
+		if tot := o.Totals(); tot.FlushBatches != commits || tot.Requests != int(4*commits) {
+			t.Fatalf("session %q credited %d flushes of %d requests, want %d of %d", o.class, tot.FlushBatches, tot.Requests, commits, 4*commits)
+		}
+	}
+	commit(keepFlush + 1)
+	if f := svc.scratch.flush; f.entries != nil || f.reqs != nil || f.firsts != nil || f.results != nil {
+		t.Errorf("a %d-extent group commit kept its buffers: %d entries, %d extents, %d runs, %d shares",
+			keepFlush+1, cap(f.entries), cap(f.reqs), cap(f.firsts), cap(f.results))
+	}
+	if len(svc.scratch.owners) != 0 || len(svc.scratch.shareOf) != 0 {
+		t.Errorf("a group commit left sessions named: %d owners, %d share slots", len(svc.scratch.owners), len(svc.scratch.shareOf))
+	}
+}
+
 // TestLatencyHistAllocsNothing: recording a latency and reading the
 // count and percentiles allocate nothing. (The latency ring the
 // histogram replaced copied its 1024-entry window on every snapshot.)

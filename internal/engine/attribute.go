@@ -4,11 +4,14 @@ package engine
 // op is priced once, here on the loop's side, as a Stats: the plan stage
 // counts its cache hits and misses into opResult.stats, finish* add each
 // served request's cost (or the op's share of it) and cells, the write
-// paths their writes, invalidations and COW faults. account and
-// chargeWrite Accumulate that one value into the totals the sessions
-// must sum to — ServiceTotals.Attributed and the per-class ClassTotals,
-// together (attributed) — and reply with it; the session Accumulates the
-// same value on its side, so the sum property holds by construction.
+// paths their writes, invalidations and COW faults; a cost shared by
+// several ops — a merged read batch's extent, a group commit's — is
+// split among them by the one pricer, mergeScratch.price. account and
+// chargeWrite fold that one value into the totals the sessions must sum
+// to — ServiceTotals.Attributed and the per-class ClassTotals, both by
+// charge, the fold flushDirty and dropCancelled use too — and reply
+// with it; the session Accumulates the same value on its side, so the
+// sum property holds by construction.
 // This is the code that holds mu on the loop's side: it may touch totals
 // and perClass, and of the loop-owned state only the scratch it is
 // handed and the extent cache, into which finish* insert what was just
@@ -138,14 +141,16 @@ func (s *Service) classTot(name string) *ClassTotals {
 	return ct
 }
 
-// attributed returns a class's totals bucket and the two Stats every
-// cost handed back to one of its sessions is folded into — the
-// service-wide Attributed and the class's share of it. A site applies
-// its folds to both in one loop, so the two can only ever differ by
-// what the class did not do. Caller must hold mu.
-func (s *Service) attributed(class string) (*ClassTotals, [2]*Stats) {
+// charge folds one cost handed back to a session of class into the
+// service-wide Attributed and the class's share of it — the one fold of
+// a price into the totals, so the two can only ever differ by what the
+// class did not do — and returns the class's bucket. Caller must hold
+// mu.
+func (s *Service) charge(class string, st Stats) *ClassTotals {
 	ct := s.classTot(class)
-	return ct, [2]*Stats{&s.totals.Attributed, &ct.Attributed}
+	s.totals.Attributed.Accumulate(st)
+	ct.Attributed.Accumulate(st)
+	return ct
 }
 
 // finishSingle is a lone chunk's completion stage: price the served
@@ -160,31 +165,14 @@ func (s *Service) finishSingle(op *serviceOp, res opResult, comps []lvm.Completi
 }
 
 // finishMerged is a merged batch's completion stage: charge each served
-// extent to its contributors, splitting its cost in proportion to the
-// blocks each asked for (blocks wanted by several queries are read once;
-// every query is still credited its own cells), insert the extents into
-// the cache, account and reply.
+// extent to its contributors (mergeScratch.price: blocks wanted by
+// several queries are read once, every query is still credited its own
+// cells), insert the extents into the cache, account and reply.
 func (s *Service) finishMerged(items []*serviceOp, comps []lvm.Completion, elapsed float64) {
 	sc := &s.scratch.merge
-	if len(sc.reqs) > 0 {
-		// The extents ascend and are disjoint: sorted by VLBN, completion
-		// k answers extent k.
-		sortByVLBN(comps)
-		for k, r := range sc.reqs {
-			c := comps[k]
-			s.cache.insert(r.VLBN, r.VLBN+int64(r.Count)) // nil-safe
-			var owned int64
-			for _, mi := range sc.members[k] {
-				owned += int64(sc.entries[mi].req.Count)
-			}
-			// A sole contributor's share is the cost times exactly 1.
-			for _, mi := range sc.members[k] {
-				e := sc.entries[mi]
-				st := &sc.results[e.item].stats
-				st.addCost(c.Cost.Scaled(float64(e.req.Count) / float64(owned)))
-				st.Cells += int64(e.req.Count)
-			}
-		}
+	sc.price(comps, true)
+	for _, r := range sc.reqs {
+		s.cache.insert(r.VLBN, r.VLBN+int64(r.Count)) // nil-safe
 	}
 	s.account(items, sc.results, int64(len(sc.reqs)), elapsed)
 }
@@ -219,11 +207,7 @@ func (s *Service) account(items []*serviceOp, results []opResult, issued int64, 
 	for i, it := range items {
 		results[i].stats.Padding = it.chunk.Padding
 		results[i].stats.Cells -= it.chunk.Padding
-		ct, dst := s.attributed(it.class)
-		ct.Ops++
-		for _, a := range dst {
-			a.Accumulate(results[i].stats)
-		}
+		s.charge(it.class, results[i].stats).Ops++
 		touched[it.class] = true
 	}
 	s.addElapsed(touched, elapsed)
@@ -261,11 +245,7 @@ func (s *Service) chargeWrite(op *serviceOp, res opResult, issued int, err error
 	if s.wb != nil {
 		t.DirtyBlocks = s.wb.blocks
 	}
-	ct, dst := s.attributed(op.class)
-	ct.Ops++
-	for _, a := range dst {
-		a.Accumulate(res.stats)
-	}
+	s.charge(op.class, res.stats).Ops++
 	s.mu.Unlock()
 	res.err = err
 	op.reply <- res

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/disk"
@@ -169,5 +170,25 @@ func TestWriteSplitsAtSegmentBoundary(t *testing.T) {
 	}
 	if post.CacheMisses != 2 {
 		t.Fatalf("post-write reads: %+v, want both sides invalidated", post)
+	}
+
+	// A write dropped before admission issues no I/O but still
+	// invalidates across the boundary (the re-reads above cached both
+	// sides again).
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	st, err = sess.Write(ctx, []lvm.Request{{VLBN: edge - 2, Count: 4}}, disk.SchedSPTF)
+	if !errors.Is(err, context.Canceled) || st.Cancelled != 1 || st.Requests != 0 {
+		t.Fatalf("cancelled boundary-crossing write: %+v, %v; want a drop with no I/O", st, err)
+	}
+	if st.InvalidatedBlocks != 4 {
+		t.Fatalf("cancelled write invalidated %d blocks, want 4 (2 per side)", st.InvalidatedBlocks)
+	}
+	post, err = sess.RunPlan(context.Background(), Static(reads, disk.SchedSPTF), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if post.CacheMisses != 2 {
+		t.Fatalf("reads after the cancelled write: %+v, want both sides invalidated", post)
 	}
 }

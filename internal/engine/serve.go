@@ -7,9 +7,12 @@ package engine
 // dirty buffer, and whatever must reach the disks goes through
 // lvm.Volume.ServeBatch. Runs on the loop goroutine only. It may touch
 // the extent cache, the dirty buffer, the volume's COW state and the
-// scratch buffers, and nothing else moves the disks' heads. Results leave through the finish*/chargeWrite folds in
-// attribute.go; the one place this file takes mu itself is flushDirty,
-// to post a group commit's shares.
+// scratch buffers, and nothing else moves the disks' heads. A shared
+// extent's cost — a merged read batch's, a group commit's — is split
+// here by the one pricer, mergeScratch.price. Results leave through the
+// finish*/chargeWrite folds in attribute.go; the one place this file
+// takes mu itself is flushDirty, to post a group commit's shares
+// through the same charge.
 
 import (
 	"slices"
@@ -22,29 +25,19 @@ import (
 // svcScratch is the loop goroutine's reusable buffer set: the
 // admission hot path runs allocation-free in steady state by building
 // each pass's transient state into these buffers instead of fresh
-// per-pass allocations.
+// per-pass allocations. A merged read batch and a group commit each
+// build their shared extents into a mergeScratch of their own (merge,
+// flush), so a flush never writes over a read plan, and both are priced
+// by the one mergeScratch.price.
 type svcScratch struct {
 	reads, writes []*serviceOp
 	kept          []lvm.Request // planSingle's cache-probe survivor list
-	rr, split     []lvm.Request // read-dependency screen buffers
-	merge         mergeScratch  // merged-batch plan buffers
+	split         []lvm.Request // serveWrite's per-disk requests
+	merge         mergeScratch  // merged read batch: results[i] is items[i]'s
+	flush         mergeScratch  // group commit: results[k] is owners[k]'s share
+	owners        []*Session    // a group commit's sessions, first-contribution order
+	shareOf       map[*Session]int
 	touched       map[string]bool
-	flush         flushScratch // flushDirty's buffers
-}
-
-// flushScratch is the buffer set a group commit builds into: the
-// batch's requests and each contributing session's share in
-// first-contribution order (shareOf indexes shares).
-type flushScratch struct {
-	reqs    []lvm.Request
-	shares  []ownerShare
-	shareOf map[*Session]int
-}
-
-// ownerShare is one session's part of a group commit's cost.
-type ownerShare struct {
-	owner *Session
-	st    Stats
 }
 
 // serveChunks services one admission batch of chunk and write ops
@@ -68,15 +61,14 @@ func (s *Service) serveChunks(items []*serviceOp) {
 	}
 	s.scratch.reads, s.scratch.writes = reads, writes
 	wbOn := s.wb != nil
-	if wbOn && len(reads) > 0 && len(s.wb.extents) > 0 {
-		rr := s.scratch.rr[:0]
+	if wbOn && len(s.wb.extents) > 0 {
+		// overlaps is an interval test, so a request crossing a disk
+		// boundary needs no split to be screened.
 		for _, op := range reads {
-			rr = append(rr, op.chunk.Reqs...)
-		}
-		split := s.splitInto(s.scratch.split[:0], rr)
-		s.scratch.rr, s.scratch.split = rr[:0], split[:0]
-		if s.wb.overlaps(split) {
-			s.flushDirty()
+			if s.wb.overlaps(op.chunk.Reqs) {
+				s.flushDirty()
+				break
+			}
 		}
 	}
 	switch {
@@ -225,30 +217,45 @@ func (s *Service) serveWrite(op *serviceOp) {
 
 // flushDirty group-commits the entire dirty buffer as one SPTF batch —
 // the write-back payoff: every buffered write shares one head
-// trajectory instead of paying its own positioning cost. The batch's
-// per-extent costs are split among the sessions whose buffered writes
-// dirtied the extent, in proportion to the blocks each asked for (the
-// same split serveMerged applies to shared read extents), and folded
-// into both the sessions' lifetime Totals and Attributed — so summing
-// session totals still reproduces Attributed after a flush. Each
-// contributing session observes the full batch ElapsedMs and counts
-// one FlushBatches (Attributed.FlushBatches grows by the number of
-// contributors to keep the sum exact; the top-level
-// ServiceTotals.FlushBatches counts actual batches). A flush of an
-// empty buffer is free.
+// trajectory instead of paying its own positioning cost. The batch is
+// priced like a merged read batch: each dirty extent is an extent of
+// the flush's mergeScratch and each of its contributions an entry, so
+// price splits the extent's cost among the sessions whose buffered
+// writes dirtied it, in proportion to the blocks each asked for. Each
+// session's share is charged to Attributed and folded into its
+// lifetime Totals, so summing session totals still reproduces
+// Attributed after a flush. Each contributing session observes the full
+// batch ElapsedMs and counts one FlushBatches (Attributed.FlushBatches
+// grows by the number of contributors to keep the sum exact; the
+// top-level ServiceTotals.FlushBatches counts actual batches). A flush
+// of an empty buffer is free.
 func (s *Service) flushDirty() error {
 	if s.wb == nil || len(s.wb.extents) == 0 {
 		return nil
 	}
 	extents := s.wb.take()
-	defer clear(extents) // the buffer keeps the array; drop the sessions it names
-	fs := &s.scratch.flush
-	reqs := fs.reqs[:0]
-	for _, e := range extents {
-		reqs = append(reqs, lvm.Request{VLBN: e.start, Count: int(e.end - e.start)})
+	defer s.scratch.endFlush(extents)
+	sc := &s.scratch.flush
+	sc.reset(0)
+	if s.scratch.shareOf == nil {
+		s.scratch.shareOf = make(map[*Session]int)
 	}
-	fs.reqs = reqs
-	comps, elapsed, err := s.vol.ServeBatch(reqs, disk.SchedSPTF)
+	for _, e := range extents {
+		sc.firsts = append(sc.firsts, len(sc.entries))
+		sc.reqs = append(sc.reqs, lvm.Request{VLBN: e.start, Count: int(e.end - e.start)})
+		for k := 0; k < e.contribs(); k++ {
+			ct := e.contrib(k)
+			i, ok := s.scratch.shareOf[ct.owner]
+			if !ok {
+				i = len(s.scratch.owners)
+				s.scratch.shareOf[ct.owner] = i
+				s.scratch.owners = append(s.scratch.owners, ct.owner)
+				sc.results = append(sc.results, opResult{})
+			}
+			sc.entries = append(sc.entries, mergeEntry{item: i, req: lvm.Request{VLBN: e.start, Count: int(ct.blocks)}})
+		}
+	}
+	comps, elapsed, err := s.vol.ServeBatch(sc.reqs, disk.SchedSPTF)
 	if err != nil {
 		// Unreachable in practice: serveWrite absorbs no address
 		// ServeBatch can reject. Coherence survives regardless (the
@@ -258,69 +265,49 @@ func (s *Service) flushDirty() error {
 		s.mu.Unlock()
 		return err
 	}
-	// The extents ascend and are disjoint: sorted by VLBN, completion i
-	// answers extent i.
-	sortByVLBN(comps)
-	if fs.shareOf == nil {
-		fs.shareOf = make(map[*Session]int)
-	} else {
-		clear(fs.shareOf)
-	}
-	shares := fs.shares[:0]
-	for i, e := range extents {
-		c := comps[i]
-		var asked int64
-		for k := 0; k < e.contribs(); k++ {
-			asked += e.contrib(k).blocks
-		}
-		for k := 0; k < e.contribs(); k++ {
-			ct := e.contrib(k)
-			k, ok := fs.shareOf[ct.owner]
-			if !ok {
-				k = len(shares)
-				fs.shareOf[ct.owner] = k
-				shares = append(shares, ownerShare{owner: ct.owner})
-			}
-			// No blocks land in Writes here: they were counted when the
-			// write ops that dirtied the extent were absorbed.
-			shares[k].st.addCost(c.Cost.Scaled(float64(ct.blocks) / float64(asked)))
-		}
-	}
-	fs.shares = shares
+	// No blocks land in Cells: they were counted in Writes when the
+	// write ops that dirtied the extents were absorbed.
+	sc.price(comps, false)
 	s.mu.Lock()
 	t := &s.totals
 	t.FlushBatches++
-	t.IssuedRequests += int64(len(reqs))
+	t.IssuedRequests += int64(len(sc.reqs))
 	t.DirtyBlocks = 0
 	touched := s.scratch.touched
 	clear(touched)
-	for i := range shares {
-		sh := &shares[i]
-		sh.st.FlushBatches = 1
+	for i, owner := range s.scratch.owners {
+		st := &sc.results[i].stats
+		st.FlushBatches = 1
 		class := ""
-		if sh.owner != nil {
-			class = sh.owner.class
+		if owner != nil {
+			class = owner.class
 		}
-		_, dst := s.attributed(class)
-		for _, a := range dst {
-			a.Accumulate(sh.st)
-		}
+		s.charge(class, *st)
 		touched[class] = true
 	}
 	s.addElapsed(touched, elapsed)
 	s.mu.Unlock()
-	for i := range shares {
-		sh := &shares[i]
-		sh.st.ElapsedMs = elapsed
-		if sh.owner != nil {
-			sh.owner.creditFlush(sh.st)
+	for i, owner := range s.scratch.owners {
+		if owner != nil {
+			st := sc.results[i].stats
+			st.ElapsedMs = elapsed
+			owner.creditFlush(st)
 		}
 	}
-	clear(shares) // drop the session pointers; the array stays
-	if cap(reqs) > keepFlush {
-		fs.reqs = nil
-	}
 	return nil
+}
+
+// endFlush closes a group commit's buffers: it drops the session
+// pointers the dirty extents and the share tables hold, and keeps the
+// arrays for the next flush unless this one grew them past keepFlush.
+func (sc *svcScratch) endFlush(extents []dirtyExtent) {
+	clear(extents)
+	clear(sc.owners)
+	sc.owners = sc.owners[:0]
+	clear(sc.shareOf)
+	if f := &sc.flush; max(cap(f.entries), cap(f.reqs), cap(f.firsts)) > keepFlush {
+		*f = mergeScratch{}
+	}
 }
 
 // planSingle is a lone chunk's schedule stage: probe the cache,
@@ -374,14 +361,17 @@ type mergeEntry struct {
 	req  lvm.Request
 }
 
-// mergeScratch is the buffer set a merged plan builds into; the loop
-// owns one (svcScratch.merge) and reuses it across batches.
+// mergeScratch is the buffer set a plan of shared extents builds into:
+// a merged read batch's (svcScratch.merge), whose items are its chunks,
+// and a group commit's (svcScratch.flush), whose items are the sessions
+// that dirtied its extents. Each is reused across batches.
 type mergeScratch struct {
+	// entries are the items' requests, sorted by VLBN; extent reqs[k]
+	// merges the contiguous run entries[firsts[k]:firsts[k+1]].
 	entries []mergeEntry
 	reqs    []lvm.Request // the coalesced extents to issue
-	// members[k] lists the entry indices merged into extent reqs[k].
-	members [][]int
-	results []opResult
+	firsts  []int
+	results []opResult // each item's price
 }
 
 // reset readies the scratch for a plan over n items, reusing every
@@ -389,7 +379,7 @@ type mergeScratch struct {
 func (sc *mergeScratch) reset(n int) {
 	sc.entries = sc.entries[:0]
 	sc.reqs = sc.reqs[:0]
-	sc.members = sc.members[:0]
+	sc.firsts = sc.firsts[:0]
 	if cap(sc.results) < n {
 		sc.results = make([]opResult, n)
 	} else {
@@ -398,15 +388,36 @@ func (sc *mergeScratch) reset(n int) {
 	}
 }
 
-// pushMember opens extent slot k = len(members) holding one entry
-// index, reusing the retained inner slice when one exists.
-func (sc *mergeScratch) pushMember(idx int) {
-	if n := len(sc.members); n < cap(sc.members) {
-		sc.members = sc.members[:n+1]
-		sc.members[n] = append(sc.members[n][:0], idx)
-		return
+// price charges each served extent to the entries merged into it,
+// splitting its cost in proportion to the blocks each asked for: the
+// one split of a shared extent, spreading one positioning cost over
+// many requests as the paper's SPTF batching does (§5.2), for a merged
+// read batch's queries and a group commit's sessions alike. A sole
+// contributor's share is the cost times exactly 1. The completions are
+// sorted by VLBN in place — the extents ascend and are disjoint, so
+// completion k then answers extent k. With cells each entry is also
+// credited its blocks as Cells (blocks wanted by several queries are
+// read once, but every query is credited its own).
+func (sc *mergeScratch) price(comps []lvm.Completion, cells bool) {
+	sortByVLBN(comps)
+	for k, c := range comps {
+		end := len(sc.entries)
+		if k+1 < len(sc.firsts) {
+			end = sc.firsts[k+1]
+		}
+		run := sc.entries[sc.firsts[k]:end]
+		var owned int64
+		for _, e := range run {
+			owned += int64(e.req.Count)
+		}
+		for _, e := range run {
+			st := &sc.results[e.item].stats
+			st.addCost(c.Cost.Scaled(float64(e.req.Count) / float64(owned)))
+			if cells {
+				st.Cells += int64(e.req.Count)
+			}
+		}
 	}
-	sc.members = append(sc.members, []int{idx})
 }
 
 // failAll replies the error to every item of a merged batch.
@@ -469,7 +480,6 @@ func (s *Service) planMerged(items []*serviceOp) (policy disk.SchedPolicy, ok bo
 				if end > lastEnd {
 					last.Count = int(end - last.VLBN)
 				}
-				sc.members[n-1] = append(sc.members[n-1], idx)
 				continue
 			}
 		}
@@ -480,7 +490,7 @@ func (s *Service) planMerged(items []*serviceOp) (policy disk.SchedPolicy, ok bo
 		}
 		boundary = start - lbn + s.vol.DiskBlocks(di)
 		sc.reqs = append(sc.reqs, lvm.Request{VLBN: start, Count: e.req.Count})
-		sc.pushMember(idx)
+		sc.firsts = append(sc.firsts, idx)
 	}
 	policy = items[0].chunk.Policy
 	for _, it := range items[1:] {

@@ -7,8 +7,11 @@ package engine
 // stages touch. The stages a batch passes through, one file each:
 //
 //	admit.go      what is served now, what waits, what is dropped
-//	serve.go      schedule + coherence + simulate: cache, dirty buffer, COW, disks
-//	attribute.go  costs back to sessions, and the totals they must sum to
+//	serve.go      schedule + coherence + simulate: cache, dirty buffer, COW,
+//	              disks; mergeScratch.price splits a shared extent's cost
+//	              (merged read batch, group commit) among its contributors
+//	attribute.go  costs back to sessions through one fold (charge), and
+//	              the totals they must sum to
 //
 // Code here may touch the queue and the running/closed/sealed flags
 // (under mu) and, from the loop goroutine or before one exists, the

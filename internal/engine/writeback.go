@@ -38,9 +38,10 @@ import (
 // Cost attribution: a write op's submitter is acknowledged at absorb
 // time with zero I/O cost; the flush batch's cost is attributed to the
 // sessions whose buffered writes it commits, per dirty extent in
-// proportion to the blocks each asked for (the same split serveMerged
-// uses for shared read extents), and folded into their lifetime
-// Totals. Summing session Totals therefore still reproduces
+// proportion to the blocks each asked for — flushDirty builds the batch
+// into a mergeScratch and prices it with mergeScratch.price, the one
+// pricer a merged read batch's shared extents go through — and folded
+// into Attributed (charge) and their lifetime Totals. Summing session Totals therefore still reproduces
 // ServiceTotals.Attributed for issued work, ElapsedMs aside.
 
 // WriteBackOptions tunes the service's write-back buffer; see

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"time"
 
 	multimap "repro"
 )
@@ -211,15 +210,10 @@ func (s *Server) storeInfoLocked(se *storeEntry) StoreInfo {
 }
 
 // buildOptions translates the wire spec's knob fields into the
-// library's functional options; zero values stay unset. A microsecond
-// knob out of range fails, naming its field, and so does a field that
-// another field's setting would leave without effect.
+// library's functional options; zero values stay unset. A field that
+// another field's setting would leave without effect fails, naming it.
 func buildOptions(req OpenStoreRequest) ([]multimap.Option, error) {
 	if err := unusedField(req); err != nil {
-		return nil, err
-	}
-	interval, err := wireUs("wb_interval_us", req.WBIntervalUs)
-	if err != nil {
 		return nil, err
 	}
 	var opts []multimap.Option
@@ -236,7 +230,7 @@ func buildOptions(req OpenStoreRequest) ([]multimap.Option, error) {
 		opts = append(opts, multimap.WithShards(req.Shards))
 	}
 	if req.WriteBack {
-		opts = append(opts, multimap.WithWriteBack(req.WBWatermarkBlocks, interval))
+		opts = append(opts, multimap.WithWriteBack(0, 0)) // the default triggers
 	}
 	for _, c := range req.Classes {
 		opts = append(opts, multimap.WithQoSClass(c.Name, c.Weight, c.Urgent))
@@ -261,30 +255,15 @@ func buildOptions(req OpenStoreRequest) ([]multimap.Option, error) {
 
 // unusedField refuses a known field that the spec would ignore, as
 // DecodeStrict refuses an unknown one: a pool tenant's drives and
-// adjacency depth are the pool's, and the write-back triggers need
-// write-back on.
+// adjacency depth are the pool's.
 func unusedField(req OpenStoreRequest) error {
 	switch {
 	case req.Pool != "" && len(req.Disks) > 0:
 		return fmt.Errorf(`"disks" is not used with "pool": a tenant lives on the pool's drives`)
 	case req.Pool != "" && req.AdjDepth != 0:
 		return fmt.Errorf(`"adj_depth" is not used with "pool": the pool sets the adjacency depth`)
-	case !req.WriteBack && req.WBWatermarkBlocks != 0:
-		return fmt.Errorf(`"wb_watermark_blocks" needs "write_back":true`)
-	case !req.WriteBack && req.WBIntervalUs != 0:
-		return fmt.Errorf(`"wb_interval_us" needs "write_back":true`)
 	}
 	return nil
-}
-
-// wireUs reads a microsecond knob of a store spec in 0..maxWireMs·1000,
-// the ceiling deadline_ms has, for the same reason: a larger value
-// would overflow the conversion to a Duration.
-func wireUs(field string, us int64) (time.Duration, error) {
-	if us < 0 || us > maxWireMs*1000 {
-		return 0, fmt.Errorf("invalid %q %d: want 0..%d", field, us, maxWireMs*1000)
-	}
-	return time.Duration(us) * time.Microsecond, nil
 }
 
 // OpenStore opens a store from a wire spec and registers it; it backs

@@ -569,7 +569,8 @@ func TestOddStoreNames(t *testing.T) {
 
 // TestOpenRejectsUnknownFields: a request body — open, session-begin
 // or per-op — carrying a removed knob ("pipeline", "batch_window_us",
-// "policy") or a misspelt field gets 400 naming it instead
+// "policy", the write-back triggers "wb_watermark_blocks" and
+// "wb_interval_us") or a misspelt field gets 400 naming it instead
 // of running silently at another setting, and opens nothing.
 func TestOpenRejectsUnknownFields(t *testing.T) {
 	srv, ts, c := startDaemon(t, testSpec("u"))
@@ -587,6 +588,8 @@ func TestOpenRejectsUnknownFields(t *testing.T) {
 		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"policy":"elevator"}`, "policy"},
 		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"deadline_aging_us":2000}`, "deadline_aging_us"},
 		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"write_back":true,"wb_interval_us":3600000001}`, "wb_interval_us"},
+		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"wb_watermark_blocks":64}`, "wb_watermark_blocks"},
+		{"/v1/stores", `{"name":"s","disks":["mediumtest"],"adj_depth":32,"mapping":"multimap","dims":[8,8,4],"wb_interval_us":1000}`, "wb_interval_us"},
 		{"/v1/pools", `{"name":"p","drives":["mediumtest"],"adj_depth":32,"pipeline":2}`, "pipeline"},
 		{"/v1/stores/u/sessions", `{"clas":"interactive"}`, "clas"},
 		{"/v1/stores/u/sessions/" + sess + "/beam", `{"dim":0,"fixd":[0,0,0]}`, "fixd"},
@@ -745,9 +748,8 @@ func TestHostileOpens(t *testing.T) {
 
 // TestOpenRejectsIgnoredFields: a store-spec field that another field
 // leaves without effect is a 400 naming it, and opens nothing — a pool
-// tenant's disks and adj_depth (the pool's drives and depth apply), and
-// the write-back triggers without write_back. Each field is accepted
-// where it applies.
+// tenant's disks and adj_depth (the pool's drives and depth apply).
+// Each field is accepted where it applies.
 func TestOpenRejectsIgnoredFields(t *testing.T) {
 	srv := New()
 	defer srv.Close(context.Background())
@@ -760,9 +762,6 @@ func TestOpenRejectsIgnoredFields(t *testing.T) {
 	for _, tc := range []struct{ body, field string }{
 		{fmt.Sprintf(tenant, `,"disks":["mediumtest"]`), "disks"},
 		{fmt.Sprintf(tenant, `,"adj_depth":32`), "adj_depth"},
-		{fmt.Sprintf(private, `,"wb_watermark_blocks":64`), "wb_watermark_blocks"},
-		{fmt.Sprintf(private, `,"wb_interval_us":1000`), "wb_interval_us"},
-		{fmt.Sprintf(tenant, `,"write_back":false,"wb_interval_us":1000`), "wb_interval_us"},
 	} {
 		code, msg := hostile(t, srv, "POST", "/v1/stores", strings.NewReader(tc.body))
 		if code != http.StatusBadRequest || !strings.Contains(msg, `"`+tc.field+`"`) {
@@ -777,7 +776,7 @@ func TestOpenRejectsIgnoredFields(t *testing.T) {
 	}
 	for i, body := range []string{
 		fmt.Sprintf(tenant, ``),
-		fmt.Sprintf(private, `,"write_back":true,"wb_watermark_blocks":64,"wb_interval_us":1000`),
+		fmt.Sprintf(private, `,"write_back":true`),
 	} {
 		body = strings.Replace(body, `"x"`, fmt.Sprintf(`"ok%d"`, i), 1)
 		if code, msg := hostile(t, srv, "POST", "/v1/stores", strings.NewReader(body)); code != http.StatusCreated {

@@ -67,7 +67,8 @@ type (
 // create the dataset in). Each knob field is one of the library's
 // functional options (buildOptions); zero values mean "option omitted".
 // Every Open and Pool.Create option has its field but WithDiskIdx, so a
-// store on its own volume sits on drive 0 and a pool tenant declusters.
+// store on its own volume sits on drive 0 and a pool tenant declusters;
+// write_back turns WithWriteBack on with its default triggers.
 type OpenStoreRequest struct {
 	Name     string   `json:"name"`
 	Disks    []string `json:"disks,omitempty"`
@@ -75,17 +76,15 @@ type OpenStoreRequest struct {
 	Mapping  string   `json:"mapping"`
 	Dims     []int    `json:"dims"`
 
-	ChunkCells        int64               `json:"chunk_cells,omitempty"`
-	CacheBlocks       int64               `json:"cache_blocks,omitempty"`
-	MaxInflight       int                 `json:"max_inflight,omitempty"`
-	Shards            int                 `json:"shards,omitempty"`
-	WriteBack         bool                `json:"write_back,omitempty"`
-	WBWatermarkBlocks int64               `json:"wb_watermark_blocks,omitempty"`
-	WBIntervalUs      int64               `json:"wb_interval_us,omitempty"`
-	FairQuantum       int64               `json:"fair_quantum,omitempty"`
-	Classes           []multimap.QoSClass `json:"classes,omitempty"`
-	DefaultClass      string              `json:"default_class,omitempty"`
-	Updatable         bool                `json:"updatable,omitempty"`
+	ChunkCells   int64               `json:"chunk_cells,omitempty"`
+	CacheBlocks  int64               `json:"cache_blocks,omitempty"`
+	MaxInflight  int                 `json:"max_inflight,omitempty"`
+	Shards       int                 `json:"shards,omitempty"`
+	WriteBack    bool                `json:"write_back,omitempty"`
+	FairQuantum  int64               `json:"fair_quantum,omitempty"`
+	Classes      []multimap.QoSClass `json:"classes,omitempty"`
+	DefaultClass string              `json:"default_class,omitempty"`
+	Updatable    bool                `json:"updatable,omitempty"`
 
 	// Pool-tenant placement (Pool names an open pool; the rest are
 	// forwarded to Pool.Create).
