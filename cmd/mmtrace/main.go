@@ -21,7 +21,6 @@ import (
 	"repro/internal/lvm"
 	"repro/internal/mapping"
 	"repro/internal/query"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -71,7 +70,7 @@ func main() {
 	}
 	// Serve the executor's plan chunk by chunk straight through the
 	// volume, capturing every completion for the trace.
-	tr := &trace.Trace{}
+	tr := &Trace{}
 	var policy disk.SchedPolicy
 	for {
 		c, ok, err := p.Next()

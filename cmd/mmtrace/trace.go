@@ -1,8 +1,4 @@
-// Package trace captures the completions the simulated volume returns
-// and summarizes them: totals, component breakdowns, and latency
-// percentiles. The mmtrace tool uses it to show *why* a mapping behaves
-// the way it does, request by request.
-package trace
+package main
 
 import (
 	"fmt"
@@ -13,7 +9,10 @@ import (
 	"repro/internal/lvm"
 )
 
-// Trace is an ordered capture of request completions.
+// Trace is an ordered capture of the completions the simulated volume
+// returns. Summarize folds them into totals, component breakdowns and
+// positioning percentiles, and Dump lists them: *why* a mapping
+// behaves the way it does, request by request.
 type Trace struct {
 	comps []lvm.Completion
 	stats engine.Stats

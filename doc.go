@@ -40,12 +40,15 @@
 // its slowest dimension into bounded sub-boxes, so huge ranges never
 // materialize every block at once. Every layout expands a sub-box into
 // its ascending, coalesced extents itself (mapping.Mapper.BoxRequests),
-// with no lookup per cell, and the planner adds only the issue policy.
-// Naive's extents are runs of whole lower-dimension slabs, computed
-// directly. MultiMap steps the sub-box's Dim0 rows through its basic
-// cubes — a row is a chain head plus offset arithmetic, wrapping at the
-// track end — into one slice, sorted once only when the rows did not
-// come out ascending. On the Z-order, Hilbert and Gray layouts the
+// with no lookup per cell, together with its padding: the blocks those
+// extents read beyond the sub-box. The planner adds only the issue
+// policy. Naive's extents are runs of whole lower-dimension slabs,
+// computed directly. MultiMap steps the sub-box's Dim0 rows through its
+// basic cubes — a row is a chain head plus offset arithmetic, wrapping
+// at the track end — into one slice, sorted once only when the rows did
+// not come out ascending, and merged in one pass that also bridges the
+// small gaps its edge cubes leave on a track (§4.4); the bridged blocks
+// are its padding, and the linear layouts have none. On the Z-order, Hilbert and Gray layouts the
 // planner walks the curve's own hierarchy (internal/sfc): an aligned
 // block of the key space is one contiguous key interval, so a box costs
 // a few intervals per unit of its surface rather than a key per cell,
@@ -209,7 +212,7 @@
 // contract and the fairness effect, and TestDeadlineSteppedPass
 // (internal/engine) steps one admission pass by hand to pin it in
 // simulated time: a small box under a deadline finishes in 25.207 ms
-// instead of the 734.904 ms batch it shared with seven bulk boxes.
+// instead of the 733.469 ms batch it shared with seven bulk boxes.
 //
 // # Weighted-fair QoS classes
 //
@@ -242,7 +245,7 @@
 // TestFairShareSteppedPass (internal/engine) steps one
 // admission pass by hand and pins the effect in simulated time: with
 // interactive:bulk at 1:4, three small interactive boxes finish in
-// 82.338 ms instead of the 484.338 ms batch they shared with a bulk
+// 82.338 ms instead of the 485.773 ms batch they shared with a bulk
 // scan. To hunt hot spots, profile the figure goldens, which run every
 // paper figure on both drives:
 //

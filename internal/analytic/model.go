@@ -133,9 +133,9 @@ func (m *Model) MultiMapBeamMs(spec *core.CubeSpec, dims []int, dim int) (float6
 	crossings := float64((n - 1) / k)
 	if dim == 0 {
 		// Sequential within each cube row. Dim0 cube crossings land on
-		// the adjacent packing slot of the same track, and the storage
-		// manager bridges the few padding sectors between slots, so a
-		// crossing costs only that read-through.
+		// the adjacent packing slot of the same track, and the layout
+		// bridges the few padding sectors between slots, so a crossing
+		// costs only that read-through.
 		return m.firstAccessMs() + float64(n)*m.sectorMs + crossings*2*m.sectorMs, nil
 	}
 	inCube := float64(n-1) - crossings
@@ -200,7 +200,7 @@ func (m *Model) MultiMapRangeMs(spec *core.CubeSpec, dims, q []int) (float64, er
 		total += inCube*m.semiSeqStepMs(q[0]) + cross*m.cubeJumpMs(q[0])
 	}
 	// Dim0 cube crossings are same-track slot hops bridged by the
-	// storage manager: a couple of padding sectors per extra cube.
+	// layout: a couple of padding sectors per extra cube.
 	if extra := (q[0] - 1) / spec.K[0]; extra > 0 {
 		runs := int64(1)
 		for i := 1; i < len(q); i++ {

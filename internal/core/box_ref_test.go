@@ -14,8 +14,26 @@ import (
 // storage manager expanded a box into Dim0 runs, one Mapping.Dim0Run
 // call (refDim0Run here) per row of the box (runsForBox, stepping dims
 // >= 1 with Dim1 fastest), then sorted and coalesced them all
-// (lvm.Coalesce). It shares the cubes' chain heads with the
-// production planner and nothing else.
+// (lvm.Coalesce at gap 0), and its executor merged the result again at
+// the bridge gap it computed from the volume's zones (refBridgeGap). It
+// shares the cubes' chain heads with the production planner and nothing
+// else.
+
+// refBridgeGap is the executor's bridge gap: an eighth of the volume's
+// shortest track, capped at 64 blocks.
+func refBridgeGap(vol *lvm.Volume) int {
+	minT := 1 << 30
+	for _, z := range vol.Zones() {
+		if z.TrackLen < minT {
+			minT = z.TrackLen
+		}
+	}
+	gap := minT / 8
+	if gap > 64 {
+		gap = 64
+	}
+	return gap
+}
 
 // refSplit returns the cube index and in-cube coordinates of a cell.
 func (m *Mapping) refSplit(cell []int) (cubeIdx int, r []int, err error) {
@@ -137,17 +155,18 @@ func (m *Mapping) checkBoxRef(t *testing.T, cov *boxCoverage, lo, hi []int) {
 		cov.wrap++
 	}
 	want, _ := lvm.Coalesce(runs, 0)
-	got, err := m.BoxRequests(lo, hi)
+	want, wantPad := lvm.Coalesce(want, refBridgeGap(m.vol))
+	got, pad, err := m.BoxRequests(lo, hi)
 	if err != nil {
 		t.Fatalf("box [%v,%v): %v", lo, hi, err)
 	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("box [%v,%v):\n walk %v\n ref  %v", lo, hi, got, want)
+	if !slices.Equal(got, want) || pad != wantPad {
+		t.Fatalf("box [%v,%v):\n walk %v +%d\n ref  %v +%d", lo, hi, got, pad, want, wantPad)
 	}
 }
 
-// TestBoxRequestsMatchesRef: the cube walk's request list is == the
-// per-row plan's on the curve planner's grid shapes (elongated, 2-D,
+// TestBoxRequestsMatchesRef: the cube walk's request list and padding
+// are == the per-row plan's, bridged as the executor bridged it, on the curve planner's grid shapes (elongated, 2-D,
 // 4-D, a single cell, a power of two), on every box of a small grid,
 // on beams along every dimension, and on a dataset declustered over two
 // disks — simulated time depends on every request. The boxes must cross
@@ -266,7 +285,7 @@ func BenchmarkBoxRequests(b *testing.B) {
 		b.Run(sh.name+"/walk", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.BoxRequests(los[i%16], his[i%16]); err != nil {
+				if _, _, err := m.BoxRequests(los[i%16], his[i%16]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -278,7 +297,8 @@ func BenchmarkBoxRequests(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				lvm.Coalesce(runs, 0)
+				runs, _ = lvm.Coalesce(runs, 0)
+				lvm.Coalesce(runs, m.bridgeGap)
 			}
 		})
 	}

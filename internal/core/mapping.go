@@ -19,6 +19,7 @@ type Mapping struct {
 	cubeStride  []int // row-major strides over the cube grid
 	cubes       []cubePlace
 	nextFree    int64 // first VLBN after the last allocated cube group
+	bridgeGap   int   // largest same-track gap BoxRequests reads through
 }
 
 // cubePlace is one allocated basic cube.
@@ -97,6 +98,7 @@ func NewMapping(vol *lvm.Volume, dims []int, opts MapOptions) (*Mapping, error) 
 	for {
 		m, allocErr := newMappingWithSpec(vol, dims, spec, zones, opts.StartVLBN)
 		if allocErr == nil {
+			m.bridgeGap = bridgeGap(vol)
 			return m, nil
 		}
 		if spec.K[len(spec.K)-1] <= 1 {
@@ -131,6 +133,21 @@ func newMappingWithSpec(vol *lvm.Volume, dims []int, spec *CubeSpec,
 		return nil, err
 	}
 	return m, nil
+}
+
+// maxBridgeGap caps the bridge gap (see bridgeGap).
+const maxBridgeGap = 64
+
+// bridgeGap is the largest gap between two of a box's runs on a track
+// that is worth reading through instead of repositioning: an eighth of
+// the volume's shortest track, capped so the read-through always costs
+// less than command + settle.
+func bridgeGap(vol *lvm.Volume) int {
+	minT := 1 << 30
+	for _, z := range vol.Zones() {
+		minT = min(minT, z.TrackLen)
+	}
+	return min(minT/8, maxBridgeGap)
 }
 
 // usableZones lists the volume's zone extents on disk diskIdx, or on
@@ -321,20 +338,28 @@ func appendRun(out []lvm.Request, trackStart, off, trackLen, blocks int64) []lvm
 }
 
 // BoxRequests expands the box [lo,hi) into the ascending, coalesced
-// requests that read it. Each Dim0 row of the box is one run per basic
-// cube it crosses (two where a run wraps its track end), placed from
-// the cube's chain head by offset arithmetic alone. The runs go into
-// one slice sized from the row count, which is sorted in place only
-// when they did not come out ascending and disjoint already.
-func (m *Mapping) BoxRequests(lo, hi []int) ([]lvm.Request, error) {
+// requests that read it, and returns the padding: the blocks those
+// requests read beyond the box. Each Dim0 row of the box is one run per
+// basic cube it crosses (two where a run wraps its track end), placed
+// from the cube's chain head by offset arithmetic alone — §5.2's
+// sequential access first. The runs go into one slice sized from the
+// row count, which is sorted in place only when they did not come out
+// ascending and disjoint already. Sorting merges the track-sharing
+// segments of packed cubes into whole-track reads and keeps each disk
+// scheduler window within a narrow band of tracks. Runs at most the
+// bridge gap apart are merged too: the small gaps the layout leaves on a
+// track (unfilled edge-cube sectors, §4.4) cost less to read and
+// discard than a separate positioning. Gaps between adjacency-chain
+// steps span tracks and stay.
+func (m *Mapping) BoxRequests(lo, hi []int) ([]lvm.Request, int64, error) {
 	n := len(m.dims)
 	if len(lo) != n || len(hi) != n {
-		return nil, fmt.Errorf("core: box has %d and %d dims, want %d", len(lo), len(hi), n)
+		return nil, 0, fmt.Errorf("core: box has %d and %d dims, want %d", len(lo), len(hi), n)
 	}
 	rows := 1
 	for i, d := range m.dims {
 		if lo[i] < 0 || hi[i] > d || lo[i] >= hi[i] {
-			return nil, fmt.Errorf("core: bad box [%d,%d) on dimension %d of length %d", lo[i], hi[i], i, d)
+			return nil, 0, fmt.Errorf("core: bad box [%d,%d) on dimension %d of length %d", lo[i], hi[i], i, d)
 		}
 		if i > 0 {
 			rows *= hi[i] - lo[i]
@@ -371,8 +396,8 @@ func (m *Mapping) BoxRequests(lo, hi []int) ([]lvm.Request, error) {
 			break
 		}
 	}
-	reqs, _ = lvm.Coalesce(reqs, 0)
-	return reqs, nil
+	reqs, padding := lvm.Coalesce(reqs, m.bridgeGap)
+	return reqs, padding, nil
 }
 
 // NextFreeVLBN returns the first volume address past the last allocated

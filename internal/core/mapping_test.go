@@ -291,8 +291,8 @@ func TestMappingValidation(t *testing.T) {
 	}
 }
 
-// TestDim0RunCoversCells: a box one row thick plans to exactly the
-// blocks of its run of cells along Dim0.
+// TestDim0RunCoversCells: a box one row thick plans to the blocks of
+// its run of cells along Dim0 and no others but the declared padding.
 func TestDim0RunCoversCells(t *testing.T) {
 	dims := []int{33, 5, 4}
 	v := testVolume(t)
@@ -300,7 +300,7 @@ func TestDim0RunCoversCells(t *testing.T) {
 	for _, run := range []struct{ start, length int }{
 		{0, 33}, {5, 20}, {30, 3}, {0, 1},
 	} {
-		reqs, err := m.BoxRequests([]int{run.start, 2, 1}, []int{run.start + run.length, 3, 2})
+		reqs, pad, err := m.BoxRequests([]int{run.start, 2, 1}, []int{run.start + run.length, 3, 2})
 		if err != nil {
 			t.Fatalf("run %+v: %v", run, err)
 		}
@@ -317,8 +317,8 @@ func TestDim0RunCoversCells(t *testing.T) {
 			}
 			total += r.Count
 		}
-		if total != run.length {
-			t.Fatalf("run %+v: requests cover %d blocks, want %d", run, total, run.length)
+		if total != run.length+int(pad) {
+			t.Fatalf("run %+v: requests cover %d blocks, want %d plus %d padding", run, total, run.length, pad)
 		}
 		for vlbn := range want {
 			if !got[vlbn] {
@@ -326,10 +326,10 @@ func TestDim0RunCoversCells(t *testing.T) {
 			}
 		}
 	}
-	if _, err := m.BoxRequests([]int{30, 0, 0}, []int{40, 1, 1}); err == nil {
+	if _, _, err := m.BoxRequests([]int{30, 0, 0}, []int{40, 1, 1}); err == nil {
 		t.Error("run past Dim0 end accepted")
 	}
-	if _, err := m.BoxRequests([]int{0, 0, 0}, []int{0, 1, 1}); err == nil {
+	if _, _, err := m.BoxRequests([]int{0, 0, 0}, []int{0, 1, 1}); err == nil {
 		t.Error("zero-length run accepted")
 	}
 }

@@ -552,8 +552,10 @@ type steppedBox struct {
 
 // steppedPass serves one admission pass of boxes on a fresh Atlas 10k
 // III service with opts — svc.process run by hand, so nothing depends
-// on host timing — and returns each op's observed ElapsedMs. Every op is
-// stamped enqueued at the pass's start, as submit would stamp it.
+// on host timing — and returns each op's observed ElapsedMs. Each box
+// is one chunk as a query plans it: the layout's requests and padding,
+// under SPTF. Every op is stamped enqueued at the pass's start, as
+// submit would stamp it.
 func steppedPass(t *testing.T, opts ServiceOptions, pass []steppedBox) []float64 {
 	t.Helper()
 	v, err := lvm.New(0, disk.AtlasTenKIII())
@@ -572,13 +574,13 @@ func steppedPass(t *testing.T, opts ServiceOptions, pass []steppedBox) []float64
 	ops := make([]*serviceOp, len(pass))
 	for i, b := range pass {
 		lo, hi := b.lo[:], []int{b.lo[0] + b.side, b.lo[1] + b.side, b.lo[2] + b.side}
-		reqs, err := m.BoxRequests(lo, hi)
+		reqs, padding, err := m.BoxRequests(lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ops[i] = &serviceOp{
 			kind:     opChunk,
-			chunk:    Chunk{Reqs: reqs, Policy: disk.SchedSPTF},
+			chunk:    Chunk{Reqs: reqs, Policy: disk.SchedSPTF, Padding: padding},
 			class:    b.class,
 			enqueued: now,
 			reply:    make(chan opResult, 1),
@@ -629,8 +631,8 @@ func TestFairShareSteppedPass(t *testing.T) {
 		{class: "interactive", lo: [3]int{0, 4, 4}, side: 4},
 	}
 	want := map[string][2]float64{ // class → {off, on}
-		"interactive": {484.3381924198251, 82.33819241982506},
-		"bulk":        {484.3381924198251, 414.7696793002915},
+		"interactive": {485.7725947521866, 82.33819241982506},
+		"bulk":        {485.7725947521866, 425.33527696793},
 	}
 	// Three repeats in one process: a stepped pass is a value, not a
 	// sample.
@@ -655,9 +657,10 @@ func TestFairShareSteppedPass(t *testing.T) {
 // diagonal and, last, one 4³ hot-region box under a context deadline,
 // on a 64³ MultiMap grid on an Atlas 10k III. With fair sharing off the
 // eight ops coalesce into one batch and the deadline op observes all of
-// it; with it on (a quantum the bulk's 3 584 blocks do not reach, so
-// only the deadline splits the pass) the deadline op is the urgent
-// front, served as its own batch ahead of the bulk. The deadline op's
+// it; with it on (a quantum the bulk's 5 262 blocks — 3 584 cells and
+// their padding — do not reach, so only the deadline splits the pass)
+// the deadline op is the urgent front, served as its own batch ahead of
+// the bulk. The deadline op's
 // and the bulk ops' observed ElapsedMs are pinned.
 func TestDeadlineSteppedPass(t *testing.T) {
 	var pass []steppedBox
@@ -666,8 +669,8 @@ func TestDeadlineSteppedPass(t *testing.T) {
 	}
 	pass = append(pass, steppedBox{class: "deadline", lo: [3]int{0, 0, 0}, side: 4, deadline: true})
 	want := map[string][2]float64{ // class → {fair share off, on}
-		"deadline": {734.9037900874636, 25.206997084548103},
-		"bulk":     {734.9037900874636, 702.5422740524781},
+		"deadline": {733.469387755102, 25.206997084548103},
+		"bulk":     {733.469387755102, 707.3702623906705},
 	}
 	for rep := 0; rep < 3; rep++ {
 		off := byClass(t, pass, steppedPass(t, ServiceOptions{}, pass))

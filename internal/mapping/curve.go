@@ -49,8 +49,8 @@ func (c *curveMapper) CellVLBN(cell []int) (int64, error) {
 // the result is one slice of exactly its length, not one grown from
 // nil. (Counting the intervals in a first walk would size the slice
 // up front, but the walk is most of the planner's cost: a second one
-// made a 16³ box 30–70 % slower.)
-func (c *curveMapper) BoxRequests(lo, hi []int) ([]lvm.Request, error) {
+// made a 16³ box 30–70 % slower.) They read no padding.
+func (c *curveMapper) BoxRequests(lo, hi []int) ([]lvm.Request, int64, error) {
 	buf := walkBufs.Get().(*[]lvm.Request)
 	runs := (*buf)[:0]
 	err := c.ranked.BoxRuns(lo, hi, func(rank0, n int64) {
@@ -66,9 +66,9 @@ func (c *curveMapper) BoxRequests(lo, hi []int) ([]lvm.Request, error) {
 	*buf = runs[:0]
 	walkBufs.Put(buf)
 	if err != nil {
-		return nil, fmt.Errorf("mapping: %s box: %w", c.kind, err)
+		return nil, 0, fmt.Errorf("mapping: %s box: %w", c.kind, err)
 	}
-	return out, nil
+	return out, 0, nil
 }
 
 // walkBufs holds the curve walks' request buffers between plans; one

@@ -129,12 +129,12 @@ func planPair(t testing.TB, v *lvm.Volume, kind Kind, dims []int, di int) (Mappe
 
 func checkBox(t testing.TB, m Mapper, ref boxRef, lo, hi []int) {
 	t.Helper()
-	got, err := m.BoxRequests(lo, hi)
+	got, pad, err := m.BoxRequests(lo, hi)
 	if err != nil {
 		t.Fatalf("box [%v,%v): %v", lo, hi, err)
 	}
-	if want := ref.boxRequests(t, lo, hi); !slices.Equal(got, want) {
-		t.Fatalf("box [%v,%v):\n plan %v\n ref  %v", lo, hi, got, want)
+	if want := ref.boxRequests(t, lo, hi); !slices.Equal(got, want) || pad != 0 {
+		t.Fatalf("box [%v,%v):\n plan %v +%d\n ref  %v +0", lo, hi, got, pad, want)
 	}
 }
 
@@ -212,7 +212,7 @@ func TestBoxRequestsRejectsBadBox(t *testing.T) {
 		for _, b := range [][2][]int{
 			{{0}, {1}}, {{-1, 0}, {1, 1}}, {{0, 0}, {7, 5}}, {{2, 2}, {2, 3}},
 		} {
-			if reqs, err := m.BoxRequests(b[0], b[1]); err == nil {
+			if reqs, _, err := m.BoxRequests(b[0], b[1]); err == nil {
 				t.Errorf("%v: box %v accepted: %v", kind, b, reqs)
 			}
 		}
@@ -254,7 +254,7 @@ func BenchmarkBoxRequests(b *testing.B) {
 				b.Run(sh.name+"/walk", func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						if _, err := m.BoxRequests(los[i%16], his[i%16]); err != nil {
+						if _, _, err := m.BoxRequests(los[i%16], his[i%16]); err != nil {
 							b.Fatal(err)
 						}
 					}

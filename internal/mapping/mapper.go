@@ -73,10 +73,13 @@ type Mapper interface {
 	// CellVLBN returns the volume LBN storing the cell.
 	CellVLBN(cell []int) (int64, error)
 	// BoxRequests expands the box [lo,hi) into the ascending, coalesced
-	// requests that read exactly its cells, without one lookup per cell:
-	// Naive and MultiMap step the box's Dim0 rows, the curves walk the
-	// curve's hierarchy.
-	BoxRequests(lo, hi []int) ([]lvm.Request, error)
+	// requests that read every one of its cells, without one lookup per
+	// cell: Naive and MultiMap step the box's Dim0 rows, the curves walk
+	// the curve's hierarchy. The padding is the number of blocks the
+	// requests read beyond the box: MultiMap bridges small gaps on a
+	// track (core.Mapping.BoxRequests); the linear layouts read exactly
+	// the box, padding 0.
+	BoxRequests(lo, hi []int) (reqs []lvm.Request, padding int64, err error)
 	// SpanOnDisk reports the half-open VLBN interval the dataset
 	// occupies within disk di's segment (start == end when the dataset
 	// does not touch that disk). The interval is conservative (it may
@@ -188,7 +191,7 @@ func (mm *multiMapper) Dims() []int { return mm.m.Dims() }
 
 func (mm *multiMapper) CellVLBN(cell []int) (int64, error) { return mm.m.CellVLBN(cell) }
 
-func (mm *multiMapper) BoxRequests(lo, hi []int) ([]lvm.Request, error) {
+func (mm *multiMapper) BoxRequests(lo, hi []int) ([]lvm.Request, int64, error) {
 	return mm.m.BoxRequests(lo, hi)
 }
 

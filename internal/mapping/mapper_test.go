@@ -169,20 +169,20 @@ func TestNaiveDim0Run(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs, err := m.BoxRequests([]int{2, 1}, []int{7, 2})
+	reqs, _, err := m.BoxRequests([]int{2, 1}, []int{7, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(reqs) != 1 || reqs[0].Count != 5 || reqs[0].VLBN != v.DiskStart(0)+12 {
 		t.Fatalf("got %v, want one 5-block run at offset 12", reqs)
 	}
-	if reqs, err := m.BoxRequests([]int{0, 1}, []int{10, 3}); err != nil || len(reqs) != 1 || reqs[0].Count != 20 {
+	if reqs, _, err := m.BoxRequests([]int{0, 1}, []int{10, 3}); err != nil || len(reqs) != 1 || reqs[0].Count != 20 {
 		t.Fatalf("two whole rows: got %v, %v; want one 20-block run", reqs, err)
 	}
-	if _, err := m.BoxRequests([]int{8, 0}, []int{13, 1}); err == nil {
+	if _, _, err := m.BoxRequests([]int{8, 0}, []int{13, 1}); err == nil {
 		t.Error("overlong run accepted")
 	}
-	if _, err := m.BoxRequests([]int{0, 0}, []int{0, 1}); err == nil {
+	if _, _, err := m.BoxRequests([]int{0, 0}, []int{0, 1}); err == nil {
 		t.Error("zero run accepted")
 	}
 }

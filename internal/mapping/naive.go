@@ -56,14 +56,15 @@ func (n *naiveMapper) CellVLBN(cell []int) (int64, error) {
 // below the first one the box does not span whole (j) is spanned
 // whole. So the box is one request per coordinate of the dimensions
 // above j, each reading dimension j's range of whole lower slabs,
-// appended in ascending order with nothing to sort or merge.
-func (n *naiveMapper) BoxRequests(lo, hi []int) ([]lvm.Request, error) {
+// appended in ascending order with nothing to sort or merge. They read
+// no padding.
+func (n *naiveMapper) BoxRequests(lo, hi []int) ([]lvm.Request, int64, error) {
 	if len(lo) != len(n.dims) || len(hi) != len(n.dims) {
-		return nil, fmt.Errorf("mapping: box has %d and %d dims, want %d", len(lo), len(hi), len(n.dims))
+		return nil, 0, fmt.Errorf("mapping: box has %d and %d dims, want %d", len(lo), len(hi), len(n.dims))
 	}
 	for i, d := range n.dims {
 		if lo[i] < 0 || hi[i] > d || lo[i] >= hi[i] {
-			return nil, fmt.Errorf("mapping: bad box [%d,%d) on dimension %d of length %d", lo[i], hi[i], i, d)
+			return nil, 0, fmt.Errorf("mapping: bad box [%d,%d) on dimension %d of length %d", lo[i], hi[i], i, d)
 		}
 	}
 	last := len(n.dims) - 1
@@ -94,7 +95,7 @@ func (n *naiveMapper) BoxRequests(lo, hi []int) ([]lvm.Request, error) {
 			x[i] = lo[i]
 		}
 		if i > last {
-			return out, nil
+			return out, 0, nil
 		}
 	}
 }

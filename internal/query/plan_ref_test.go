@@ -21,11 +21,27 @@ func cellBlock(t testing.TB, e *Executor, cell []int) lvm.Request {
 	return lvm.Request{VLBN: vlbn, Count: 1}
 }
 
+// refBridgeGap is the bridge gap as the executor once computed it: an
+// eighth of the volume's shortest track, capped at 64 blocks.
+func refBridgeGap(vol *lvm.Volume) int {
+	minT := 1 << 30
+	for _, z := range vol.Zones() {
+		if z.TrackLen < minT {
+			minT = z.TrackLen
+		}
+	}
+	gap := minT / 8
+	if gap > 64 {
+		gap = 64
+	}
+	return gap
+}
+
 // refPlanBox is the oracle for planBox: the sub-box expanded one cell
 // at a time, every cell's block sorted and coalesced
 // (lvm.Coalesce at gap 0), then the issue policy the planner has always
 // applied — FIFO for the linear mappings, and SPTF over gap-bridged
-// requests (lvm.Coalesce at the bridge gap) for the semi-sequential
+// requests (lvm.Coalesce at refBridgeGap) for the semi-sequential
 // MultiMap.
 // It decides from the mapper's Kind on its own, not through PolicyFor.
 func refPlanBox(t testing.TB, e *Executor, lo, hi []int) ([]lvm.Request, disk.SchedPolicy, int64) {
@@ -42,7 +58,7 @@ func refPlanBox(t testing.TB, e *Executor, lo, hi []int) ([]lvm.Request, disk.Sc
 	if e.m.Kind() != mapping.MultiMap {
 		return reqs, disk.SchedFIFO, 0
 	}
-	merged, padding := lvm.Coalesce(reqs, e.bridgeGap)
+	merged, padding := lvm.Coalesce(reqs, refBridgeGap(e.vol))
 	return merged, disk.SchedSPTF, padding
 }
 

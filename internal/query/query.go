@@ -6,17 +6,19 @@
 // Every mapping expands a query box into its blocks' ascending,
 // coalesced extents itself (mapping.Mapper.BoxRequests) — Naive and
 // MultiMap from the box's Dim0 rows, the curves from a walk of the
-// curve's hierarchy — without a lookup per cell. The storage manager
-// adds only the issue strategy:
+// curve's hierarchy — without a lookup per cell. The layout also
+// decides which gaps to read through: MultiMap bridges the small gaps
+// its edge cubes leave on a track and reports those blocks as padding.
+// The storage manager adds only the issue policy (PolicyFor):
 //
 //   - Linear mappings (Naive, Z-order, Hilbert, Gray): issue the extents
 //     in ascending LBN order — "an easy optimization ... that
 //     significantly improves performance in practice".
 //   - MultiMap: favour sequential over semi-sequential access. Its
 //     extents are the Dim0 runs (a Dim0 beam is contiguous sequential
-//     runs); bridge the small same-track gaps between them and issue
-//     them all at once, so the disk's internal (SPTF) scheduler fetches
-//     the steps along the other dimensions on the semi-sequential path.
+//     runs), issued all at once, so the disk's internal (SPTF)
+//     scheduler fetches the steps along the other dimensions on the
+//     semi-sequential path.
 //
 // The planner streams: a query box is sliced along its slowest
 // dimension into sub-boxes of at most ChunkCells cells, each planned
@@ -67,10 +69,9 @@ func ExecOptionsFor(policy string, chunkCells int64) (ExecOptions, error) {
 
 // Executor runs queries for one mapped dataset.
 type Executor struct {
-	vol       *lvm.Volume
-	m         mapping.Mapper
-	bridgeGap int
-	opts      ExecOptions
+	vol  *lvm.Volume
+	m    mapping.Mapper
+	opts ExecOptions
 }
 
 // NewExecutor builds an executor over a mapper and its volume with
@@ -81,20 +82,7 @@ func NewExecutor(vol *lvm.Volume, m mapping.Mapper) *Executor {
 
 // NewExecutorOptions builds an executor with explicit options.
 func NewExecutorOptions(vol *lvm.Volume, m mapping.Mapper, opts ExecOptions) *Executor {
-	// Largest same-track gap worth reading through instead of
-	// repositioning: a small fraction of the shortest track, capped so
-	// the read-through always costs less than command + settle.
-	minT := 1 << 30
-	for _, z := range vol.Zones() {
-		if z.TrackLen < minT {
-			minT = z.TrackLen
-		}
-	}
-	gap := minT / 8
-	if gap > maxBridgeGap {
-		gap = maxBridgeGap
-	}
-	return &Executor{vol: vol, m: m, bridgeGap: gap, opts: opts}
+	return &Executor{vol: vol, m: m, opts: opts}
 }
 
 // Beam fetches every cell along dimension dim, the other coordinates
@@ -295,30 +283,12 @@ func PolicyFor(kind mapping.Kind) disk.SchedPolicy {
 }
 
 // planBox translates one sub-box into requests, the issue policy, and
-// the number of padding blocks the request set reads beyond the box.
-// Every mapping expands the box itself, into ascending coalesced
-// requests; the linear mappings issue them in that order.
+// the number of padding blocks the request set reads beyond the box:
+// the layout's requests and padding, and the layout's policy.
 func (e *Executor) planBox(lo, hi []int) ([]lvm.Request, disk.SchedPolicy, int64, error) {
-	reqs, err := e.m.BoxRequests(lo, hi)
+	reqs, padding, err := e.m.BoxRequests(lo, hi)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	policy := PolicyFor(e.m.Kind())
-	if policy == disk.SchedFIFO {
-		return reqs, policy, 0, nil
-	}
-	// MultiMap: its requests are the Dim0 runs (§5.2's sequential access
-	// first), and the final order is left to the disk's internal
-	// scheduler (SPTF). Sorting merged the track-sharing segments of
-	// packed cubes into whole-track reads and keeps each scheduler window
-	// confined to a narrow band of tracks, where every candidate is one
-	// settle away. Bridge the small gaps the layout leaves on a track
-	// (unfilled edge-cube sectors, §4.4): reading a few padding blocks
-	// and discarding them is far cheaper than a separate positioning.
-	// Gaps from adjacency chains span tracks and stay unbridged.
-	merged, padding := lvm.Coalesce(reqs, e.bridgeGap)
-	return merged, policy, padding, nil
+	return reqs, PolicyFor(e.m.Kind()), padding, nil
 }
-
-// maxBridgeGap caps the gap-bridging threshold (see NewExecutorOptions).
-const maxBridgeGap = 64
