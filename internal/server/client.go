@@ -194,7 +194,9 @@ func (c *Client) Flush(ctx context.Context, store, session string) error {
 // chunk line as it arrives — before the query has finished on the
 // daemon. The returned trailer carries the aggregate Stats, the
 // session's lifetime Stats, and per-class totals; a query error is
-// surfaced as the error return after any partial chunks.
+// surfaced as the error return after any partial chunks. A stream line
+// longer than 1 MiB, its newline included, fails the query with
+// bufio.ErrTooLong.
 func (c *Client) RangeQuery(ctx context.Context, store, session string, lo, hi []int, deadlineMs int64, onChunk func(multimap.RangeChunk)) (RangeTrailer, error) {
 	data, err := json.Marshal(RangeRequest{Lo: lo, Hi: hi})
 	if err != nil {
@@ -214,21 +216,40 @@ func (c *Client) RangeQuery(ctx context.Context, store, session string, lo, hi [
 	if resp.StatusCode != http.StatusOK {
 		return RangeTrailer{}, decodeError(resp)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
+	return decodeStream(resp.Body, onChunk)
+}
+
+// decodeStream reads a range stream from r, handing each chunk line to
+// onChunk (may be nil) until the trailer. A bufio.Scanner frames the
+// lines, failing one longer than 1 MiB, its newline included, with
+// bufio.ErrTooLong. One json.Decoder decodes every line into one chunk,
+// so a line allocates nothing. The chunk is reset to Seq -1 before each
+// line, and one that keeps it is no chunk: the daemon writes "seq" in
+// every chunk. A line that is not exactly one JSON value fails with the
+// error json.Unmarshal gives for it, which the decoder's own would not
+// match.
+func decodeStream(r io.Reader, onChunk func(multimap.RangeChunk)) (RangeTrailer, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, 1<<20)
+	var rd bytes.Reader
+	dec := json.NewDecoder(&rd)
+	var chunk multimap.RangeChunk
+	var line StreamLine
+	for fed := int64(0); sc.Scan(); {
 		raw := bytes.TrimSpace(sc.Bytes())
 		if len(raw) == 0 {
 			continue
 		}
-		var line StreamLine
-		if err := json.Unmarshal(raw, &line); err != nil {
-			return RangeTrailer{}, fmt.Errorf("bad stream line: %w", err)
+		rd.Reset(raw)
+		fed += int64(len(raw))
+		line, chunk = StreamLine{Chunk: &chunk}, multimap.RangeChunk{Seq: -1}
+		if err := dec.Decode(&line); err != nil || dec.InputOffset() != fed {
+			return RangeTrailer{}, fmt.Errorf("bad stream line: %w", json.Unmarshal(raw, new(StreamLine)))
 		}
 		switch {
-		case line.Chunk != nil:
+		case line.Chunk != nil && chunk.Seq != -1:
 			if onChunk != nil {
-				onChunk(*line.Chunk)
+				onChunk(chunk)
 			}
 		case line.Trailer != nil:
 			tr := *line.Trailer

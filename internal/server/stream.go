@@ -31,9 +31,12 @@ func parseWireMs(name, raw string) (time.Duration, error) {
 // Stats.Cancelled). A ?deadline_ms= query parameter or X-Deadline-Ms
 // header adds a deadline, which the engine's deadline-aware admission
 // treats as urgency exactly like an embedded caller's context
-// deadline.
+// deadline. A URL without a query is not parsed.
 func wireContext(r *http.Request) (context.Context, context.CancelFunc, error) {
-	raw := r.URL.Query().Get("deadline_ms")
+	var raw string
+	if r.URL.RawQuery != "" {
+		raw = r.URL.Query().Get("deadline_ms")
+	}
 	if raw == "" {
 		raw = r.Header.Get("X-Deadline-Ms")
 	}
@@ -78,9 +81,13 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	fl, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 
+	// One line and one chunk serve the whole stream, so a chunk line
+	// allocates nothing.
+	line := StreamLine{Chunk: new(multimap.RangeChunk)}
 	chunks := 0
 	onChunk := func(c multimap.RangeChunk) {
-		_ = enc.Encode(StreamLine{Chunk: &c})
+		*line.Chunk = c
+		_ = enc.Encode(&line)
 		if fl != nil {
 			fl.Flush()
 		}
@@ -102,7 +109,8 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	if qerr != nil {
 		trailer.Error = qerr.Error()
 	}
-	_ = enc.Encode(StreamLine{Trailer: &trailer})
+	line = StreamLine{Trailer: &trailer}
+	_ = enc.Encode(&line)
 	if fl != nil {
 		fl.Flush()
 	}
