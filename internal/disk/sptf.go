@@ -3,13 +3,14 @@ package disk
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 )
 
 // This file implements the positioning-aware SPTF scheduler. The naive
 // formulation re-estimates the positioning cost of every pending
 // request before every pick — an O(n²) scan per window. This scheduler
-// exploits two structural facts instead:
+// exploits three structural facts instead:
 //
 //  1. Seek time is a nondecreasing function of cylinder distance, so
 //     candidate cylinders can be examined outward from the heads in
@@ -19,6 +20,13 @@ import (
 //  2. On one track every candidate shares the same seek cost, so the
 //     minimum-rotational-wait request is the cyclic successor of the
 //     head's arrival angle — a binary search in an angle-sorted run.
+//  3. On one band every candidate shares the same arrival time, hence
+//     one spindle phase, so a 64-bit occupancy mask of the angles its
+//     tracks hold (bit k for the arc [k/64, (k+1)/64)) bounds the least
+//     rotational wait there from below (waitBoundMs). A band or track
+//     whose positioning cost plus that bound exceeds the best cost so
+//     far cannot win and is not scored; a farther band still can, since
+//     its phase differs.
 //
 // A window is indexed by one slab and two range tables, all built once
 // on admission and free of pointers: the requests are decoded into an
@@ -70,7 +78,8 @@ type sptfTrack struct {
 	zone     int32 // index of the track's zone
 	lo, n    int32 // ents[lo:lo+n]
 	live     int32
-	band     int32 // index of the track's cylinder in bands
+	band     int32  // index of the track's cylinder in bands
+	mask     uint64 // angle buckets of the live entries (angleBucket)
 }
 
 // sptfBand is one cylinder holding requests: tracks[tlo:thi]. left and
@@ -80,6 +89,7 @@ type sptfBand struct {
 	tlo, thi    int32
 	live        int32
 	left, right int32
+	mask        uint64 // OR of its tracks' masks
 }
 
 // sptfSched is the pending-request index for one scheduling window.
@@ -104,7 +114,8 @@ type sptfPick struct {
 // last such window left on the Disk, and a longer one — a write-back
 // group commit issues up to maxSPTFBatch — allocates its own and drops
 // them after serving, so no drive pins a flush-sized index on the heap.
-// At 256 requests the kept slabs take about 26 KiB.
+// At 256 requests the kept slabs take at most 32 KiB: 40, 48 and 40
+// bytes per entry, track and band.
 const sptfKeep = 256
 
 // sptfSlabs are the index slabs a drive keeps between windows (see
@@ -249,9 +260,12 @@ func indexSPTF(d *Disk, ents []sptfEntry) sptfSched {
 			})
 			bands[len(bands)-1].thi = int32(len(tracks))
 		}
+		bit := uint64(1) << angleBucket(ents[i].angle)
 		tracks[len(tracks)-1].n++
 		tracks[len(tracks)-1].live++
+		tracks[len(tracks)-1].mask |= bit
 		bands[len(bands)-1].live++
+		bands[len(bands)-1].mask |= bit
 	}
 	return sptfSched{d: d, ents: ents, tracks: tracks, bands: bands, live: len(ents), last: -1}
 }
@@ -340,6 +354,11 @@ func (s *sptfSched) pop() (Request, int32) {
 		if posMs >= best.cost {
 			break
 		}
+		// No request of this band comes round soon enough to win, but a
+		// farther band, at another phase, still may.
+		if posMs+g.waitBoundMs(b.mask, phase) > best.cost {
+			continue
+		}
 		// A zero-wait hit ends the band too: best.cost only falls.
 		for ti := b.tlo; ti < b.thi && posMs < best.cost; ti++ {
 			t := &s.tracks[ti]
@@ -350,6 +369,8 @@ func (s *sptfSched) pop() (Request, int32) {
 			at, w := t.lo, 0.0
 			if t.n == 1 {
 				w = g.waitFromMs(phase, s.ents[at].angle)
+			} else if posMs+g.waitBoundMs(t.mask, phase) > best.cost {
+				continue
 			} else {
 				at, w = s.minWait(t, phase)
 			}
@@ -499,12 +520,20 @@ func (s *sptfSched) minWait(t *sptfTrack, phase float64) (int32, float64) {
 }
 
 // remove tombstones entry at of track ti and takes it out of the live
-// counts that steer the walk.
+// counts and the angle masks that steer the walk.
 func (s *sptfSched) remove(ti, at int32) {
 	s.ents[at].dead = true
 	s.live--
 	t := &s.tracks[ti]
 	t.live--
+	if k := angleBucket(s.ents[at].angle); !s.bucketLive(t, k) {
+		t.mask &^= 1 << k
+		b := &s.bands[t.band]
+		b.mask = 0
+		for _, u := range s.tracks[b.tlo:b.thi] {
+			b.mask |= u.mask
+		}
+	}
 	if dead := t.n - t.live; t.live > 0 && dead > t.live && dead > 16 {
 		kept := s.ents[t.lo:t.lo]
 		for _, e := range s.ents[t.lo : t.lo+t.n] {
@@ -525,6 +554,36 @@ func (s *sptfSched) remove(ti, at int32) {
 			s.bands[b.right].left = b.left
 		}
 	}
+}
+
+// bucketLive reports whether track t has a live entry in angle bucket
+// k: its entries of one bucket are contiguous in its angle-sorted run.
+func (s *sptfSched) bucketLive(t *sptfTrack, k uint) bool {
+	es := s.ents[t.lo : t.lo+t.n]
+	for i := searchAngle(es, float64(k)/64); i < len(es) && angleBucket(es[i].angle) == k; i++ {
+		if !es[i].dead {
+			return true
+		}
+	}
+	return false
+}
+
+// angleBucket returns the 1/64-rotation arc an angle in [0,1) falls in:
+// its bit in an sptfTrack's or sptfBand's mask. The product is exact.
+func angleBucket(a float64) uint { return uint(a * 64) }
+
+// waitBoundMs returns a lower bound on waitFromMs(phase, a) over every
+// angle a whose bucket is set in mask (which must not be empty). With p
+// the phase's bucket, let p−1+j be the first occupied one counting from
+// p−1. For j ≤ 2 the bound is negative, that is, none: bucket p−1 may
+// hold a target that rotAngleEps turns into no wait, and buckets p and
+// p+1 targets just past the phase. Otherwise every target lies at least
+// (j−2)/64 of a rotation past the phase; the margin keeps the bound
+// strictly below the rounded wait.
+func (g *Geometry) waitBoundMs(mask uint64, phase float64) float64 {
+	// Bit i of the rotated mask is bucket (p−1+i) mod 64.
+	j := bits.TrailingZeros64(bits.RotateLeft64(mask, 1-int(angleBucket(phase))))
+	return (float64(j-2)/64 - 1e-9) * g.rotationMs
 }
 
 // serveSPTF services one scheduling window of validated requests in

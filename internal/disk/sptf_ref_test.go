@@ -380,7 +380,8 @@ func serveSPTFRef(d *Disk, reqs []Request) ([]Completion, error) {
 
 // newSPTFBySort is the window index as newSPTF built it before it read
 // the issue order: every request decoded from scratch, then the slab
-// sorted by (track, angle, Count, arrival). It is the oracle of
+// sorted by (track, angle, Count, arrival), with each track's and
+// band's angle mask set from its entries. It is the oracle of
 // TestSPTFIndexMatchesSort: newSPTF's ents, tracks and bands must be
 // equal to its own for every window.
 func newSPTFBySort(d *Disk, reqs []Request) sptfSched {
@@ -438,9 +439,12 @@ func newSPTFBySort(d *Disk, reqs []Request) sptfSched {
 			})
 			bands[len(bands)-1].thi = int32(len(tracks))
 		}
+		bit := uint64(1) << int(ents[i].angle*64)
 		tracks[len(tracks)-1].n++
 		tracks[len(tracks)-1].live++
+		tracks[len(tracks)-1].mask |= bit
 		bands[len(bands)-1].live++
+		bands[len(bands)-1].mask |= bit
 	}
 	return sptfSched{d: d, ents: ents, tracks: tracks, bands: bands, live: len(reqs)}
 }
@@ -833,4 +837,127 @@ func TestWaitFromMsMatchesRef(t *testing.T) {
 		}
 	}
 	t.Logf("%d (phase, angle) pairs bit-equal", checked)
+}
+
+// TestWaitBoundBelowWait holds waitBoundMs below the wait it bounds:
+// for every sector angle of every zone of every model, and for the
+// angles on and one ulp below each bucket edge k/64, the bound of the
+// angle's own bucket must be below waitFromMs, or both must be 0. The
+// phases are random, on and one ulp either side of every bucket edge,
+// and within rotAngleEps either side of the target, where the wait
+// drops to 0 across a bucket edge. A bound that reaches the wait would
+// let the walk skip a winner.
+func TestWaitBoundBelowWait(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	cyclic := func(x float64) float64 {
+		x -= math.Floor(x)
+		if x >= 1 {
+			x = math.Nextafter(1, 0)
+		}
+		return x
+	}
+	var edges, edgeTargets []float64
+	for k := 0; k < 64; k++ {
+		e := float64(k) / 64
+		edges = append(edges, e, cyclic(math.Nextafter(e, -1)), math.Nextafter(e, 1))
+		edgeTargets = append(edgeTargets, e, cyclic(math.Nextafter(e, -1)))
+	}
+	checked := 0
+	check := func(name string, g *Geometry, target float64, random []float64) {
+		phases := append(append([]float64{target, cyclic(math.Nextafter(target, -1)), cyclic(math.Nextafter(target, 2))},
+			random...), edges...)
+		for _, eps := range []float64{rotAngleEps / 2, rotAngleEps, 2 * rotAngleEps} {
+			phases = append(phases, cyclic(target-eps), cyclic(target+eps))
+		}
+		mask := uint64(1) << angleBucket(target)
+		for _, phase := range phases {
+			bound, wait := g.waitBoundMs(mask, phase), g.waitFromMs(phase, target)
+			if !(bound < wait || bound == 0 && wait == 0) {
+				t.Fatalf("%s: waitBoundMs(bucket %d, %v) = %v, waitFromMs(%v, %v) = %v",
+					name, angleBucket(target), phase, bound, phase, target, wait)
+			}
+			checked++
+		}
+	}
+	for _, name := range ModelNames() {
+		g, err := ModelByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for zi := range g.Zones {
+			spt := g.Zones[zi].SectorsPerTrack
+			random := make([]float64, 16)
+			for i := range random {
+				random[i] = rng.Float64()
+			}
+			for k := 0; k < spt; k++ {
+				check(name, g, float64(k)/float64(spt), random)
+			}
+		}
+		for _, target := range edgeTargets {
+			check(name, g, target, []float64{rng.Float64(), rng.Float64()})
+		}
+	}
+	t.Logf("%d (phase, angle) pairs bounded", checked)
+}
+
+// TestSPTFMasksFollowLiveEntries pops every window of sptfTestScripts
+// to empty, as serveSPTF does, and requires each track's mask to be
+// exactly the buckets of its live entries and each band's the OR of its
+// tracks': every band after the build and after every 16th pick, and
+// the popped track's band — the one remove writes — after every pick.
+// (Every band after every pick would make the test quadratic in the
+// window.) TestSPTFMatchesRef cannot see a stale mask: a bit left set
+// only weakens the bound, so every pick stays the reference's while the
+// walk scores more.
+func TestSPTFMasksFollowLiveEntries(t *testing.T) {
+	check := func(s *sptfSched, pick int, bands ...int32) {
+		for _, bi := range bands {
+			b := &s.bands[bi]
+			var band uint64
+			for ti := b.tlo; ti < b.thi; ti++ {
+				tr := &s.tracks[ti]
+				var want uint64
+				for _, e := range s.ents[tr.lo : tr.lo+tr.n] {
+					if !e.dead {
+						want |= 1 << angleBucket(e.angle)
+					}
+				}
+				if tr.mask != want {
+					t.Fatalf("%s pick %d: track %d mask %#x, live entries %#x", s.d.g.Name, pick, tr.track, tr.mask, want)
+				}
+				band |= want
+			}
+			if b.mask != band {
+				t.Fatalf("%s pick %d: band at cylinder %d mask %#x, live entries %#x", s.d.g.Name, pick, b.cyl, b.mask, band)
+			}
+		}
+	}
+	for _, script := range sptfTestScripts() {
+		g, seed, windows := decodeSPTFScript(script)
+		d := New(g)
+		d.RandomizePosition(rand.New(rand.NewSource(seed)))
+		for _, win := range windows {
+			for _, reqs := range sptfReplays(win) {
+				for start := 0; start < len(reqs); start += maxSPTFBatch {
+					s := newSPTF(d, reqs[start:min(start+maxSPTFBatch, len(reqs))])
+					all := make([]int32, len(s.bands))
+					for bi := range all {
+						all[bi] = int32(bi)
+					}
+					check(&s, -1, all...)
+					for pick := 0; s.live > 0; pick++ {
+						r, ti := s.pop()
+						tr := &s.tracks[ti]
+						d.access(r, &g.Zones[tr.zone], tr.track, int(r.LBN-tr.startLBN))
+						if pick%16 == 15 {
+							check(&s, pick, all...)
+						} else {
+							check(&s, pick, tr.band)
+						}
+					}
+				}
+			}
+		}
+	}
 }

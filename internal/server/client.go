@@ -216,7 +216,14 @@ func (c *Client) RangeQuery(ctx context.Context, store, session string, lo, hi [
 	if resp.StatusCode != http.StatusOK {
 		return RangeTrailer{}, decodeError(resp)
 	}
-	return decodeStream(resp.Body, onChunk)
+	tr, err := decodeStream(resp.Body, onChunk)
+	if err == nil {
+		// Read up to the chunked terminator, which may arrive after the
+		// trailer, so that net/http can reuse the connection. The bound
+		// keeps a daemon that keeps writing from holding the call.
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
+	}
+	return tr, err
 }
 
 // decodeStream reads a range stream from r, handing each chunk line to

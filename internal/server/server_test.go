@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -329,6 +331,46 @@ func TestDisconnectCancelsAndAttributes(t *testing.T) {
 	}
 	if wireStats.Cancelled == 0 {
 		t.Fatalf("session stats did not record the drop: %+v", wireStats)
+	}
+}
+
+// TestRangeQueryReusesConnection holds a client to one connection
+// across sequential range queries. The daemon here returns a moment
+// after it flushes each response, so a range's chunked terminator
+// always arrives after its trailer line: a client that closed the body
+// on reading the trailer would leave net/http a connection it cannot
+// reuse, and open a new one for the next query.
+func TestRangeQueryReusesConnection(t *testing.T) {
+	srv := New()
+	if _, err := srv.OpenStore(context.Background(), testSpec("reuse")); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.ServeHTTP(w, r)
+		time.Sleep(2 * time.Millisecond)
+	}))
+	var conns atomic.Int32
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	defer srv.Close(context.Background())
+	c := &Client{Base: ts.URL, HTTPClient: ts.Client()}
+	ctx := context.Background()
+	sess, err := c.Begin(ctx, "reuse", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := c.RangeQuery(ctx, "reuse", sess, []int{0, 0, 0}, []int{8, 8, 8}, 0, nil); err != nil {
+			t.Fatalf("range %d: %v", i, err)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("a session and 20 sequential ranges opened %d connections, want 1", n)
 	}
 }
 
